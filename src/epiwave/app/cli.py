@@ -2,8 +2,8 @@
 
 Exit codes follow the usual pipeline convention: 0 on success, 2 for
 anything wrong with the invocation or the configuration (nothing is
-written), 1 for a numerical failure inside a solver (a diagnostic JSON
-is written so the run leaves a trace).
+written), 1 for a numerical failure inside a solver (a diagnostic JSON,
+with the solver's error attributes under "details", is written).
 
 Thread caps from --threads or EPIWAVE_THREADS are applied to the loaded
 BLAS through threadpoolctl, and exported to the usual environment
@@ -129,6 +129,7 @@ def main(argv=None) -> int:
             "config_sha256": config_hash,
             "error": type(exc).__name__,
             "message": str(exc),
+            "details": vars(exc),
             "versions": _versions(),
         }
         _write_all(out_dir, {"failure.json":

@@ -105,6 +105,16 @@ class SeparableKernel:
         return self.spatial_fn(X, Y) / denom
 
 
+def exponential_step_weights(mu, dt: float):
+    """(E1, I0, I1): exp(-mu dt) and the integrals of exp(-mu tau) and of
+    (tau / dt) exp(-mu tau) over [0, dt], exact for arrays of rates mu."""
+    mu = np.asarray(mu, dtype=float)
+    E1 = np.exp(-mu * dt)
+    I0 = -np.expm1(-mu * dt) / mu
+    I1 = I0 / (mu * dt) - E1 / mu
+    return E1, I0, I1
+
+
 class IsotropicKernel:
     """Gamma(tau, x, y) = profile(tau, |x - y|), homogeneous and rotation invariant.
 
@@ -276,14 +286,13 @@ class SpatialKernel:
     """
 
     def __init__(self, grid, pair_fn, cell_matrix, images: int,
-                 support_radius: float, gamma_cell=None, exponent=0.0):
+                 support_radius: float, gamma_cell=None):
         self.grid = grid
         self.pair_fn = pair_fn
         self.cell_matrix = cell_matrix
         self.images = images
         self.support_radius = float(support_radius)
         self.gamma_cell = gamma_cell
-        self.exponent = exponent
         self.row_integrals = cell_matrix.sum(axis=1) * grid.weight
         self._window = None
 
@@ -371,7 +380,7 @@ def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:
     return SpatialKernel(
         grid, pair_fn, cell_matrix, images,
         support_radius=time_kernel.support_radius,
-        gamma_cell=gamma_cell, exponent=exponent,
+        gamma_cell=gamma_cell,
     )
 
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain.kernels import SeparableKernel, window_pair_matrix
+from .domain.kernels import (SeparableKernel, exponential_step_weights,
+                             window_pair_matrix)
 from .errors import ConvergenceError, ValidationError
 
 DEFAULT_DT = 0.05
@@ -126,9 +127,7 @@ def _march_separable(kernel, forcing, response, grid, values, times, interior):
             "step below the fastest recovery"
         )
     K = window_pair_matrix(grid, kernel.spatial_fn, kernel.support_radius)
-    mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)
-    fade = np.exp(-mu * dt)
-    gain = -np.expm1(-mu * dt) / mu  # integral of exp(-mu tau) over one step
+    fade, gain, _ = exponential_step_weights(kernel.mu_fn(grid.window_nodes), dt)
 
     w = np.zeros(grid.n_window)
     for n in range(1, len(times)):

@@ -38,8 +38,7 @@ class OperatorMatrix:
     entries already contain the response slope and the quadrature weight,
     so apply() is a plain matrix-vector product. weight, when present, is
     the density gamma2/gamma1 making the operator self-adjoint in the
-    weighted inner product; node_indices maps ball rows back to window
-    nodes.
+    weighted inner product.
     """
 
     entries: object  # dense ndarray or scipy sparse matrix
@@ -47,7 +46,6 @@ class OperatorMatrix:
     radius: float | None = None
     weight: np.ndarray | None = None
     quadrature: float = 1.0
-    node_indices: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -139,7 +137,6 @@ def assemble_ball(transfer, response, radius: float) -> OperatorMatrix:
         radius=float(radius),
         weight=None if gamma is None else gamma[idx],
         quadrature=grid.weight,
-        node_indices=idx,
     )
 
 
@@ -151,8 +148,11 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     to sup = 1, and stops once the sup-norm residual drops below tol. When
     the operator carries a symmetry weight, the weighted Rayleigh quotient
     of the returned vector is checked against the eigenvalue as a guard on
-    the assembly.
+    the assembly. Negative entries are rejected.
     """
+    stored = op.entries.data if scipy.sparse.issparse(op.entries) else op.entries
+    if stored.size and stored.min() < 0:
+        raise ValidationError("operator has negative entries")
     x = np.ones(op.n)
     y = op.apply(x)
     if not np.any(y > 0):

@@ -12,8 +12,12 @@ nonincreasing sequence pinned above a subsolution, whose limit is the
 front profile.
 
 The time integral is evaluated exactly for the exponential kernel: the
-response samples are linear between time slices, each sub-interval gets
-closed-form exponential weights, and folding past the period boundary
+response is linear between the m time slices, interval k contributes q_k
+with the weights of exponential_step_weights, and the memory over the
+last period, G_j = sum_{l<m} exp(-mu l dt) q_{j-l}, is a forward
+recursion over the current period plus exp(-mu t_j) times a suffix sum
+over the previous one: O(m) work, nonnegative terms only, so rounding
+never lifts the decreasing iteration. Folding past the period boundary
 becomes a right-to-left recursion over spatial cells,
 
     w(t, y) = G(t, y) + exp(-mu(y) P) w(t, y + 1),
@@ -36,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from ..domain.kernels import SeparableKernel, window_pair_matrix
+from ..domain.kernels import (SeparableKernel, exponential_step_weights,
+                              window_pair_matrix)
 from ..errors import ConvergenceError, ValidationError
 from .dispersion import SpeedResult, _Assembler, _direction, minimal_speed
 from ..spectral import OperatorMatrix, principal_eigenpair
@@ -94,7 +99,6 @@ class WaveOperator:
                 f"window radius {grid.window_radius} too small for kernel "
                 f"reach {reach} plus the closure cell"
             )
-        self.kernel = time_kernel
         self.response = response
         self.c = float(c)
         self.grid = grid
@@ -107,14 +111,8 @@ class WaveOperator:
         self.interior = np.zeros(grid.n_window, dtype=bool)
         self.interior[grid.interior_indices(reach)] = True
 
-        x = grid.window_nodes[:, 0]
-        self.xi0 = x  # offsets; xi at slice j is x - c * times[j]
         mu = np.asarray(time_kernel.mu_fn(grid.window_nodes), dtype=float)
-        self.mu = mu
-        E1 = np.exp(-mu * self.dt)
-        I0 = -np.expm1(-mu * self.dt) / mu
-        I1 = -np.expm1(-mu * self.dt) / (mu**2 * self.dt) - E1 / mu
-        self.E1 = E1
+        self.E1, I0, I1 = exponential_step_weights(mu, self.dt)
         self.alpha = I0 - I1
         self.beta = I1
         self.EP = np.exp(-mu * self.period)
@@ -124,11 +122,8 @@ class WaveOperator:
         self.cells = grid.n_window // n
         ghost = grid.window_radius + (np.arange(n) + 0.5) * grid.spacing
         self.ghost_nodes = ghost[:, None]
-        mu_g = np.asarray(time_kernel.mu_fn(self.ghost_nodes), dtype=float)
-        self.mu_ghost = mu_g
-        self.E1_ghost = np.exp(-mu_g * self.dt)
-        I0g = -np.expm1(-mu_g * self.dt) / mu_g
-        I1g = I0g / (mu_g * self.dt) - self.E1_ghost / mu_g
+        self.mu_ghost = np.asarray(time_kernel.mu_fn(self.ghost_nodes), float)
+        _, I0g, I1g = exponential_step_weights(self.mu_ghost, self.dt)
         self.alpha_ghost = I0g - I1g
         self.beta_ghost = I1g
 
@@ -183,19 +178,15 @@ class WaveOperator:
         u_ext[:, :nw] = slab
         u_ext[:, nw:] = self.ghost_values(ghost_terms)
         g_ext = self.response(u_ext)
-        base = g_ext[:, :nw]
-        shifted = g_ext[:, n:]
-
-        def pick(s):
-            return base[s] if s >= 0 else shifted[s + m]
-
-        G = np.zeros((m, nw))
-        pref = np.ones(nw)
-        for l in range(m):
-            for j in range(m):
-                G[j] += pref * (self.alpha * pick(j - l)
-                                + self.beta * pick(j - l - 1))
-            pref = pref * self.E1
+        # previous period (one cell to the right), then the current one
+        h = np.concatenate([g_ext[:, n:], g_ext[:, :nw]])
+        q = self.alpha * h[1:] + self.beta * h[:-1]
+        powers = self.E1 ** np.arange(m)[:, None]
+        G = powers * np.cumsum((powers[::-1] * q[:m])[::-1], axis=0)[::-1]
+        fresh = np.zeros(nw)
+        for j in range(1, m):
+            fresh = self.E1 * fresh + q[m + j - 1]
+            G[j] += fresh
 
         w = np.empty((m, nw))
         w_next = self._ghost_memory(ghost_terms)
@@ -223,8 +214,7 @@ class SubSuperPair:
     M: float
     c: float
     direction: np.ndarray
-    grid: object
-    slices: int
+    op: WaveOperator
     sub_ghost: list
     sup_ghost: list
     steady_window: np.ndarray
@@ -350,7 +340,7 @@ def build_sub_super(time_kernel, response, c, grid, steady, direction=None, *,
     sub_ghost = [(phi, rho), (-M * phi_prime, rho_prime)]
     return SubSuperPair(sub=sub_slab, sup=sup_slab, rho=rho,
                         rho_prime=rho_prime, rho_super=rho_super, M=M,
-                        c=float(c), direction=e, grid=grid, slices=slices,
+                        c=float(c), direction=e, op=op,
                         sub_ghost=sub_ghost, sup_ghost=sup_ghost,
                         steady_window=U_w)
 
@@ -394,7 +384,7 @@ def construct_wave(time_kernel, response, c, grid, steady, direction=None, *,
     if pair is None:
         pair = build_sub_super(time_kernel, response, c, grid, steady,
                                direction, speed=speed, slices=slices)
-    op = WaveOperator(time_kernel, response, c, grid, slices=pair.slices)
+    op = pair.op
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     u = pair.sup.copy()

@@ -7,9 +7,10 @@ import os
 import numpy as np
 import pytest
 
+from epiwave.app import pipelines
 from epiwave.app.cli import main
 from epiwave.app.scenario import load_scenario, parse_expression
-from epiwave.errors import ValidationError
+from epiwave.errors import ConvergenceError, ValidationError
 
 from oracles import FROZEN
 
@@ -196,6 +197,32 @@ def test_numerical_failure_exits_1_with_diagnostic(tmp_path):
     assert failure["error"] == "ConvergenceError"
     assert "window" in failure["message"]
     assert not (out / "wave.csv").exists()
+
+
+def test_failure_json_carries_solver_details(tmp_path, monkeypatch):
+    def stuck(cfg):
+        err = ConvergenceError("no decay rate has eigenvalue below one")
+        err.curve = [(np.float64(0.5), np.float64(1.25)), (0.75, 1.5)]
+        err.node = np.float64(-2.5)
+        err.slack = -3e-4
+        raise err
+
+    monkeypatch.setitem(pipelines.COMMANDS, "wave", stuck)
+    cfg = _write_config(tmp_path, {})
+    out = tmp_path / "stuck"
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 1
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["details"] == {"curve": [[0.5, 1.25], [0.75, 1.5]],
+                                  "node": -2.5, "slack": -3e-4}
+
+
+@pytest.mark.parametrize("command",
+                         ["threshold", "steady", "speed", "dispersion"])
+def test_negative_kernel_exits_2_without_files(tmp_path, command):
+    cfg = _write_config(tmp_path, {"kernel": {"source": "-1"}})
+    out = tmp_path / "should_not_exist"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_unknown_command_rejected(tmp_path):

@@ -13,6 +13,7 @@ from epiwave import (
     separable_contact_kernel,
     time_integrate_kernel,
 )
+from epiwave.domain.kernels import exponential_step_weights
 
 
 def _pts(*vals):
@@ -182,3 +183,19 @@ def test_kernel_grid_dimension_mismatch():
     grid = PeriodicGrid(2, 8, 1)
     with pytest.raises(ValidationError):
         time_integrate_kernel(separable_contact_kernel(2.0, 1.0, dim=1), grid)
+
+
+def test_step_weights_match_quadrature():
+    from scipy.integrate import quad
+
+    dt = 0.25
+    mu = np.geomspace(1e-3, 5.0, 9) / dt
+    E1, I0, I1 = exponential_step_weights(mu, dt)
+    for k, rate in enumerate(mu):
+        full = quad(lambda t: np.exp(-rate * t), 0.0, dt, epsabs=0.0,
+                    epsrel=1e-13)[0]
+        ramp = quad(lambda t: (t / dt) * np.exp(-rate * t), 0.0, dt,
+                    epsabs=0.0, epsrel=1e-13)[0]
+        assert E1[k] == pytest.approx(np.exp(-rate * dt), rel=1e-15)
+        assert I0[k] == pytest.approx(full, rel=1e-10)
+        assert I1[k] == pytest.approx(ramp, rel=1e-10)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import epiwave as ew
 from epiwave import ConvergenceError, Nonlinearity, ValidationError
@@ -209,6 +210,15 @@ def test_nonconvergence_carries_residual():
     op = assemble_periodic(_heterogeneous_transfer(32), resp)
     with pytest.raises(ConvergenceError, match="residual"):
         principal_eigenpair(op, max_iter=2)
+
+
+@pytest.mark.parametrize("store", [np.asarray, scipy.sparse.csr_matrix],
+                         ids=["dense", "sparse"])
+def test_negative_entries_are_rejected(store):
+    op = OperatorMatrix(entries=store(np.array([[0.0, -1.0], [-1.0, 0.0]])),
+                        domain_tag="cell")
+    with pytest.raises(ValidationError, match="negative"):
+        principal_eigenpair(op)
 
 
 def test_zero_row_breaks_positivity():

@@ -244,6 +244,48 @@ def test_certificates_hold_at_every_interior_node(front):
     assert np.min((down - pair.sub)[:, op.interior]) >= -1e-12
 
 
+def _apply_by_slice_pairs(op, slab, ghost_terms):
+    """Reference for WaveOperator.apply: the memory over the last period
+    summed term by term over (slice, lag) pairs, O(m^2) per application."""
+    m, nw, n = op.m, op.grid.n_window, op.n_cell
+    g_ext = op.response(np.hstack([slab, op.ghost_values(ghost_terms)]))
+    base, shifted = g_ext[:, :nw], g_ext[:, n:]
+
+    def pick(s):
+        return base[s] if s >= 0 else shifted[s + m]
+
+    G = np.zeros((m, nw))
+    for j in range(m):
+        for lag in range(m):
+            G[j] += op.E1**lag * (op.alpha * pick(j - lag)
+                                  + op.beta * pick(j - lag - 1))
+    w = np.empty((m, nw))
+    w_next = op._ghost_memory(ghost_terms)
+    for k in range(op.cells - 1, -1, -1):
+        cols = slice(k * n, (k + 1) * n)
+        w[:, cols] = G[:, cols] + op.EP[:n] * w_next
+        w_next = w[:, cols]
+    out = slab.copy()
+    conv = op.grid.weight * (op.K @ w.T).T
+    out[:, op.interior] = conv[:, op.interior]
+    return out
+
+
+@pytest.mark.parametrize("slices", [4, 16])
+@pytest.mark.parametrize("make_kernel", [_box, _striped_kernel],
+                         ids=["box", "striped"])
+def test_running_sum_matches_the_slice_pair_sum(make_kernel, slices):
+    grid = ew.PeriodicGrid(dim=1, cell_points=16, window_radius=4)
+    c, rho = 3.0, 0.8
+    op = WaveOperator(make_kernel(), _g(), c, grid, slices=slices)
+    xi = grid.window_nodes[:, 0][None, :] - c * op.times[:, None]
+    slab = np.minimum(np.exp(-rho * xi), 1.0)
+    ghost = [(np.ones(grid.cell_points), rho)]
+    expected = _apply_by_slice_pairs(op, slab, ghost)
+    got = op.apply(slab, ghost)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_certificate_pair_is_ordered_with_a_positive_bump(front):
     pair = front["pair"]
     assert np.all(pair.sub <= pair.sup)
