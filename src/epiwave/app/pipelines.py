@@ -13,7 +13,6 @@ bytes a pure function of the config document.
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -25,16 +24,16 @@ from ..sir import equivalence_check, simulate_sir
 from .scenario import ScenarioConfig
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.17g}"
+def _csv(header, *columns) -> str:
+    """CSV text of equal-length columns, every value as %.17g.
 
-
-def _csv(header, rows) -> str:
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
-    return out.getvalue()
+    The table is formatted by one C-level % operation over a repeated
+    line template; '%.17g' is the conversion f"{float(v):.17g}" does.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    body = (line * table.shape[0]) % tuple(table.ravel().tolist())
+    return ",".join(header) + "\n" + body
 
 
 def _json_text(payload) -> str:
@@ -68,10 +67,11 @@ def run_threshold(cfg: ScenarioConfig):
         "iterations": pair.iterations,
         "sweep_gap": pair.value - sweep[-1].value,
     }
+    table = np.array([(p.radius, p.value, p.residual, p.iterations)
+                      for p in sweep])
     artifacts = {
-        "threshold.csv": _csv(
-            ["R", "lambda_R", "residual", "iterations"],
-            [(p.radius, p.value, p.residual, p.iterations) for p in sweep]),
+        "threshold.csv": _csv(["R", "lambda_R", "residual", "iterations"],
+                              *table.T),
         "threshold.json": _json_text(summary),
     }
     return artifacts, {"lambda1": pair.value, "outcome": outcome.value}
@@ -89,9 +89,8 @@ def run_steady(cfg: ScenarioConfig):
     }
     artifacts = {"steady.json": _json_text(summary)}
     if state.present:
-        cols = _node_columns(grid) + ["U"]
-        rows = [tuple(x) + (u,) for x, u in zip(grid.cell_nodes, state.values)]
-        artifacts["steady.csv"] = _csv(cols, rows)
+        artifacts["steady.csv"] = _csv(_node_columns(grid) + ["U"],
+                                       *grid.cell_nodes.T, state.values)
     return artifacts, {"present": state.present, "lambda1": state.eigenvalue}
 
 
@@ -124,14 +123,13 @@ def run_simulate(cfg: ScenarioConfig):
         summary["tail_steady_gap"] = float(np.max(gap[tail]))
 
     stride = _time_stride(field.values.shape[0])
-    times = cfg.dt * np.arange(field.values.shape[0])
-    cols = ["t"] + _node_columns(grid) + ["u"]
-    rows = []
-    for n in range(0, len(times), stride):
-        for x, u in zip(grid.window_nodes, field.values[n]):
-            rows.append((times[n],) + tuple(x) + (u,))
+    frames = (cfg.dt * np.arange(field.values.shape[0]))[::stride]
     artifacts = {
-        "simulate.csv": _csv(cols, rows),
+        "simulate.csv": _csv(
+            ["t"] + _node_columns(grid) + ["u"],
+            np.repeat(frames, grid.n_window),
+            *np.tile(grid.window_nodes, (len(frames), 1)).T,
+            field.values[::stride].ravel()),
         "simulate.json": _json_text(summary),
     }
     return artifacts, {"outcome": outcome.value, "settled": bool(settled)}
@@ -174,11 +172,6 @@ def run_wave(cfg: ScenarioConfig):
                                     speed=result, pair=pair,
                                     slices=cfg.slices, tol=cfg.wave_tol)
     x = grid.window_nodes[:, 0]
-    rows = []
-    for j, t in enumerate(solution.times):
-        xi = x - c * t
-        for i in range(grid.n_window):
-            rows.append((xi[i], x[i] - np.floor(x[i]), solution.u[j, i]))
     summary = {
         "c": c,
         "c_star": result.c_star,
@@ -193,7 +186,9 @@ def run_wave(cfg: ScenarioConfig):
             str(k): v for k, v in solution.front_diagnostics.items()},
     }
     artifacts = {
-        "wave.csv": _csv(["xi", "x_cell", "u"], rows),
+        "wave.csv": _csv(["xi", "x_cell", "u"], solution.xi().ravel(),
+                         np.tile(x - np.floor(x), len(solution.times)),
+                         solution.u.ravel()),
         "wave.json": _json_text(summary),
     }
     return artifacts, {"c": c, "residual": solution.residual,
@@ -203,18 +198,19 @@ def run_wave(cfg: ScenarioConfig):
 def run_dispersion(cfg: ScenarioConfig):
     grid, kernel, response = _objects(cfg)
     direction = cfg.build_direction()
-    rows = []
+    lam = []
     for c in cfg.c_values:
         seed = None
         for rho in cfg.rho_values:
-            point = waves.dispersion_eigenvalue(kernel, response, rho, c,
-                                                grid, direction=direction,
-                                                seed=seed)
-            seed = point
-            rows.append((rho, c, point.value))
-    lam = [row[2] for row in rows]
-    return {"dispersion.csv": _csv(["rho", "c", "lambda"], rows)}, {
-        "points": len(rows),
+            seed = waves.dispersion_eigenvalue(kernel, response, rho, c,
+                                               grid, direction=direction,
+                                               seed=seed)
+            lam.append(seed.value)
+    csv = _csv(["rho", "c", "lambda"],
+               np.tile(cfg.rho_values, len(cfg.c_values)),
+               np.repeat(cfg.c_values, len(cfg.rho_values)), lam)
+    return {"dispersion.csv": csv}, {
+        "points": len(lam),
         "lambda_min": min(lam),
         "lambda_max": max(lam),
     }
@@ -227,19 +223,19 @@ def run_sir_verify(cfg: ScenarioConfig):
     grid = state.grid
     attack = sim.log_attack()
     stride = _time_stride(sim.S.shape[0])
-    cols = ["t"] + _node_columns(grid) + ["S", "I", "u"]
-    rows = []
-    for n in range(0, sim.S.shape[0], stride):
-        for i in range(grid.n_window):
-            rows.append((sim.times[n],) + tuple(grid.window_nodes[i])
-                        + (sim.S[n, i], sim.I[n, i], attack[n, i]))
+    frames = sim.times[::stride]
+    csv = _csv(["t"] + _node_columns(grid) + ["S", "I", "u"],
+               np.repeat(frames, grid.n_window),
+               *np.tile(grid.window_nodes, (len(frames), 1)).T,
+               sim.S[::stride].ravel(), sim.I[::stride].ravel(),
+               attack[::stride].ravel())
     summary = {
         "sup_difference": gap,
         "dt": cfg.sir_dt,
         "spacing": grid.spacing,
     }
     artifacts = {
-        "sir.csv": _csv(cols, rows),
+        "sir.csv": csv,
         "sir.json": _json_text(summary),
     }
     return artifacts, {"sup_difference": gap}
@@ -261,8 +257,8 @@ def run_subwave_diag(cfg: ScenarioConfig):
     c = cfg.sub_speed_factor * result.c_star
     osc = waves.oscillating_subsolution(kernel, response, c, grid,
                                         speed=result)
-    x = grid.window_nodes[:, 0]
-    rows = list(zip(x, osc.values, osc.applied))
+    # strict slack on the bump's support; NaN (no support) reads False
+    dominated = bool(osc.min_slack_on_support > 0.0)
     summary = {
         "c": c,
         "c_star": result.c_star,
@@ -271,13 +267,14 @@ def run_subwave_diag(cfg: ScenarioConfig):
         "band": osc.band,
         "min_slack": osc.min_slack,
         "min_slack_on_support": osc.min_slack_on_support,
-        "dominated": bool(osc.min_slack >= 0.0),
+        "dominated": dominated,
     }
     artifacts = {
-        "subwave.csv": _csv(["x", "bump", "image"], rows),
+        "subwave.csv": _csv(["x", "bump", "image"], grid.window_nodes[:, 0],
+                            osc.values, osc.applied),
         "subwave.json": _json_text(summary),
     }
-    return artifacts, {"dominated": bool(osc.min_slack >= 0.0),
+    return artifacts, {"dominated": dominated,
                        "min_slack_on_support": osc.min_slack_on_support}
 
 

@@ -38,6 +38,8 @@ from .errors import ConvergenceError, ValidationError
 DEFAULT_DT = 0.05
 DEFAULT_HORIZON = 80.0
 DEFAULT_CLASSIFY_TOL = 1e-4
+# values in one stored trajectory, (steps + 1) x window nodes: 256 MiB
+MAX_TRAJECTORY_VALUES = 2**25
 
 
 @dataclass
@@ -100,7 +102,7 @@ def solve_initial_value(time_kernel, forcing, response, grid,
             f"kernel reach {reach}; nothing would be marched"
         )
 
-    n_steps = int(round(horizon / dt))
+    n_steps = march_steps(dt, horizon, grid.n_window)
     times = dt * np.arange(n_steps + 1)
     interior = np.zeros(grid.n_window, dtype=bool)
     interior[grid.interior_indices(reach)] = True
@@ -117,6 +119,20 @@ def solve_initial_value(time_kernel, forcing, response, grid,
                        values, times, interior)
     return SpaceTimeField(values=values, dt=dt, horizon=n_steps * dt,
                           grid=grid, interior=interior, memory=memory)
+
+
+def march_steps(dt: float, horizon: float, nodes: int) -> int:
+    """Number of steps of a march to the horizon, refused before anything
+    is allocated when its trajectory would exceed MAX_TRAJECTORY_VALUES."""
+    steps = horizon / dt
+    if (not np.isfinite(steps)
+            or (int(round(steps)) + 1) * nodes > MAX_TRAJECTORY_VALUES):
+        raise ValidationError(
+            f"a march of {steps:.4g} steps over {nodes} nodes would store "
+            f"more than {MAX_TRAJECTORY_VALUES} values; raise dt, shorten "
+            "the horizon or shrink the window"
+        )
+    return int(round(steps))
 
 
 def _march_separable(kernel, forcing, response, grid, values, times, interior):

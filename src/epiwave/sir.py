@@ -26,7 +26,7 @@ import numpy as np
 from .domain.forcing import Forcing
 from .domain.kernels import SeparableKernel, window_pair_matrix
 from .domain.nonlinearity import saturating_exponential
-from .dynamics import solve_initial_value
+from .dynamics import march_steps, solve_initial_value
 from .errors import ConvergenceError, ValidationError
 
 
@@ -120,6 +120,7 @@ def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
             f"horizon {horizon} shorter than one step {dt}"
         )
     grid = state.grid
+    steps = march_steps(dt, horizon, grid.n_window)
     K = window_pair_matrix(grid, state.contact_fn, state.support_radius)
     mu = state.recovery()
     S0 = state.susceptible0()
@@ -133,7 +134,6 @@ def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
             f"below {1.0 / rate:.3g}"
         )
 
-    steps = int(round(horizon / dt))
     times = dt * np.arange(steps + 1)
     S = np.empty((steps + 1, grid.n_window))
     I = np.empty((steps + 1, grid.n_window))

@@ -1,15 +1,19 @@
 """Command-line surface: exit codes, artifacts, manifests, determinism."""
 
+import dataclasses
 import hashlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
+from epiwave import waves
 from epiwave.app import pipelines
 from epiwave.app.cli import main
 from epiwave.app.scenario import load_scenario, parse_expression
+from epiwave.dynamics import MAX_TRAJECTORY_VALUES
 from epiwave.errors import ConvergenceError, ValidationError
 
 from oracles import FROZEN
@@ -27,6 +31,16 @@ def _read_csv(path):
     body = np.array([[float(v) for v in line.split(",")]
                      for line in lines[1:]])
     return header, body
+
+
+def _rows_csv(header, rows):
+    """Reference emitter: the row-by-row formatter the pipelines used
+    before they formatted whole tables at once."""
+    out = io.StringIO()
+    out.write(",".join(header) + "\n")
+    for row in rows:
+        out.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+    return out.getvalue()
 
 
 _SMALL = {
@@ -165,6 +179,111 @@ def test_subwave_diag_reports_domination(tmp_path):
     header, body = _read_csv(out / "subwave.csv")
     assert header == ["x", "bump", "image"]
     assert np.all(body[:, 2] + 1e-15 >= body[:, 1])
+
+
+@pytest.mark.parametrize("slack", [0.0, np.nan])
+def test_subwave_diag_dominated_needs_strict_slack_on_support(
+        tmp_path, monkeypatch, slack):
+    real = waves.oscillating_subsolution
+
+    def flat(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs),
+                                   min_slack_on_support=slack)
+
+    monkeypatch.setattr(waves, "oscillating_subsolution", flat)
+    cfg = _write_config(tmp_path, {
+        "grid": {"cell_points": 16, "window_radius": 12},
+    })
+    out = tmp_path / "subwave"
+    assert main(["subwave-diag", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "subwave.json").read_text())
+    assert summary["min_slack"] >= 0.0
+    assert summary["dominated"] is False
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["results"]["dominated"] is False
+
+
+_BOX_1D = {"cell_points": 16, "window_radius": 4}
+_BOX_2D = {"dim": 2, "cell_points": 8, "window_radius": 2}
+
+
+@pytest.mark.parametrize("command, doc", [
+    pytest.param("threshold", {"grid": _BOX_1D}, id="threshold"),
+    pytest.param("steady", {"grid": _BOX_1D}, id="steady-1d"),
+    pytest.param("steady", {"grid": _BOX_2D}, id="steady-2d"),
+    pytest.param("simulate", {
+        "grid": {"cell_points": 16, "window_radius": 8},
+        "run": {"horizon": 4.0, "tail_radius": 2.0, "boundary_margin": 1.5},
+    }, id="simulate"),
+    pytest.param("wave", {"grid": {"cell_points": 16, "window_radius": 24}},
+                 id="wave"),
+    pytest.param("dispersion", {
+        "grid": _BOX_1D,
+        "run": {"rho_values": [0.5, 1.0], "c_values": [0.0, 1.0]},
+    }, id="dispersion"),
+    pytest.param("sir-verify", {"grid": _BOX_1D,
+                                "sir": {"dt": 0.1, "horizon": 2.0}},
+                 id="sir-verify-1d"),
+    pytest.param("sir-verify", {"grid": _BOX_2D,
+                                "sir": {"dt": 0.1, "horizon": 1.0}},
+                 id="sir-verify-2d"),
+    pytest.param("subwave-diag",
+                 {"grid": {"cell_points": 16, "window_radius": 12}},
+                 id="subwave-diag"),
+])
+def test_csv_artifacts_match_row_by_row_formatter(tmp_path, command, doc):
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    written = sorted(out.glob("*.csv"))
+    assert written
+    for path in written:
+        text = path.read_text()
+        lines = text.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert rows and all(len(row) == len(rows[0]) for row in rows)
+        expected = _rows_csv(lines[0].split(","), rows).splitlines()
+        # report the first differing line, not a diff of the whole file
+        bad = next((n for n, pair in enumerate(zip(expected, lines))
+                    if pair[0] != pair[1]), None)
+        assert bad is None, f"{path.name} line {bad}: {lines[bad]!r}"
+        assert len(expected) == len(lines) and text.endswith("\n")
+
+
+def test_csv_emitter_formats_extreme_values():
+    x1 = np.array([0.0, -0.0, 0.5, -1.25, 3.0, 1e-300])
+    x2 = np.array([1.0, 2.0, -3.5, 0.1, 1.0 / 3.0, -7.0])
+    values = np.array([np.nan, np.inf, -np.inf, 5e-324, 1e308, -0.0])
+    counts = np.arange(6)
+    text = pipelines._csv(["x1", "x2", "u", "n"], x1, x2, values, counts)
+    assert text == _rows_csv(["x1", "x2", "u", "n"],
+                             zip(x1, x2, values, counts))
+    assert text.splitlines()[1:] == [
+        "0,1,nan,0",
+        "-0,2,inf,1",
+        "0.5,-3.5,-inf,2",
+        "-1.25,0.10000000000000001,4.9406564584124654e-324,3",
+        "3,0.33333333333333331,1e+308,4",
+        "1e-300,-7,-0,5",
+    ]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", {"run": {"dt": 1e-9}}),
+    ("simulate", {"run": {"horizon": 1e12}}),
+    ("sir-verify", {"sir": {"dt": 1e-9}}),
+    ("sir-verify", {"sir": {"horizon": 1e12}}),
+])
+def test_oversized_march_exits_2_without_files(tmp_path, capsys, command,
+                                               doc):
+    cfg = _write_config(tmp_path, {
+        "grid": {"cell_points": 32, "window_radius": 12}, **doc})
+    out = tmp_path / "should_not_exist"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(MAX_TRAJECTORY_VALUES) in err
 
 
 def test_malformed_config_exits_2_without_files(tmp_path):
