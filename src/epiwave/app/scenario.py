@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,13 @@ _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
+def _is_number(raw) -> bool:
+    """A finite JSON number a float can hold: NaN, the infinities and
+    integers beyond the float range all fail the comparison."""
+    return (not isinstance(raw, bool) and isinstance(raw, (int, float))
+            and abs(raw) <= sys.float_info.max)
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
@@ -45,7 +53,12 @@ def _tokenize(text: str):
             break
         number, name, sym = m.groups()
         if number is not None:
-            tokens.append(("num", float(m.group(0))))
+            value = float(m.group(0))
+            if not _is_number(value):
+                raise ValidationError(
+                    f"number {m.group(0)!r} in {text!r} is not finite"
+                )
+            tokens.append(("num", value))
         elif name is not None:
             tokens.append(("name", name))
         elif sym.strip():
@@ -144,13 +157,13 @@ def parse_expression(text, dim: int = 1):
     Plain numbers are accepted wherever an expression is, so configs can
     write "decay": 1.5 as well as "decay": "1.5".
     """
-    if isinstance(text, bool):
-        raise ValidationError(f"expected an expression, got {text!r}")
-    if isinstance(text, (int, float)):
+    if _is_number(text):
         value = float(text)
         return lambda X: np.full(np.asarray(X).shape[0], value)
     if not isinstance(text, str):
-        raise ValidationError(f"expected an expression, got {text!r}")
+        raise ValidationError(
+            f"expected an expression or a finite number, got {text!r}"
+        )
     body = _Parser(text, dim).parse()
 
     def evaluate(X):
@@ -179,8 +192,8 @@ def _finish_section(name, sec):
 
 def _number(sec, name, key, default, *, low=None, high=None, integer=False):
     raw = sec.pop(key, default)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValidationError(f"{name}.{key} must be a number, got {raw!r}")
+    if not _is_number(raw):
+        raise ValidationError(f"{name}.{key} must be a finite number, got {raw!r}")
     if integer and int(raw) != raw:
         raise ValidationError(f"{name}.{key} must be an integer, got {raw!r}")
     value = int(raw) if integer else float(raw)
@@ -297,7 +310,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
     grid = _take_section(doc, "grid")
     cfg.dim = _number(grid, "grid", "dim", 1, low=1, high=2, integer=True)
-    cfg.cell_points = _number(grid, "grid", "cell_points", 64, low=2,
+    cfg.cell_points = _number(grid, "grid", "cell_points", 64, low=8,
                               integer=True)
     cfg.window_radius = _number(grid, "grid", "window_radius", 8, low=1,
                                 integer=True)
@@ -306,6 +319,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     kernel = _take_section(doc, "kernel")
     cfg.mass = _number(kernel, "kernel", "mass", 2.0, low=0.0)
     cfg.support_radius = _number(kernel, "kernel", "support_radius", 1.0)
+    if cfg.support_radius <= 0:
+        raise ValidationError(
+            f"kernel.support_radius = {cfg.support_radius} must be positive"
+        )
     for key in ("decay", "source", "target"):
         text = kernel.pop(key, getattr(cfg, key))
         parse_expression(text, cfg.dim)
@@ -340,10 +357,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     direction = run.pop("direction", None)
     if direction is not None:
         if (not isinstance(direction, list) or len(direction) != cfg.dim
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in direction)):
+                or not all(_is_number(v) for v in direction)):
             raise ValidationError(
-                f"run.direction must be a list of {cfg.dim} numbers, "
+                f"run.direction must be a list of {cfg.dim} finite numbers, "
                 f"got {direction!r}"
             )
         direction = [float(v) for v in direction]
@@ -351,9 +367,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     for key in ("rho_values", "c_values"):
         vals = run.pop(key, getattr(cfg, key))
         if (not isinstance(vals, list) or not vals
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in vals)):
-            raise ValidationError(f"run.{key} must be a list of numbers")
+                or not all(_is_number(v) for v in vals)):
+            raise ValidationError(
+                f"run.{key} must be a list of finite numbers, got {vals!r}"
+            )
         setattr(cfg, key, [float(v) for v in vals])
     _finish_section("run", run)
 

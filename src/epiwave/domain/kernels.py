@@ -19,6 +19,7 @@ functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ import scipy.sparse
 from ..errors import ConvergenceError, ValidationError
 
 _EDGE_EPS = 1e-9
+# Lattice images whose nearest approach to the cell lies within this beyond
+# the support radius are still summed: the box kernel keeps its half value
+# up to _EDGE_EPS past its reach on each axis.
+_REACH_SLACK = 1e-6
 
 
 @dataclass
@@ -222,11 +227,13 @@ def box_profile(mass: float, radius: float, dim: int = 1):
     height = mass / (2.0 * radius) ** dim
 
     def profile(Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        inside = (np.abs(Z) < radius - _EDGE_EPS).astype(float)
-        on_edge = np.abs(np.abs(Z) - radius) <= _EDGE_EPS
-        inside[on_edge] = 0.5
-        return height * inside.prod(axis=-1)
+        Z = np.abs(np.atleast_2d(np.asarray(Z, dtype=float)))
+        # inside and on-edge are disjoint, so the sum is 1, 0.5 or 0
+        weight = (Z < radius - _EDGE_EPS) + 0.5 * (np.abs(Z - radius) <= _EDGE_EPS)
+        product = weight[:, 0]
+        for axis in range(1, weight.shape[1]):
+            product = product * weight[:, axis]
+        return height * product
 
     return profile
 
@@ -237,14 +244,22 @@ def periodize_kernel(pair_fn, grid, support_radius: float | None = None,
 
     Returns (matrix, images) where matrix[i, j] = sum_k fn(x_i, x_j + k)
     over lattice vectors k, and images is the per-axis truncation radius
-    used. With a known support radius the sum is finite and truncated one
-    cell beyond the reach; otherwise shells of images are added until the
-    largest entry increment drops below tol.
+    used. Images are added shell by shell, max_a |k_a| = 0, 1, 2, ...
+
+    With a known support radius the sum is finite: shells run to one cell
+    beyond the reach, and only the images that can reach the cell are
+    summed. The nearest approach of x_j + k to any x_i is
+    sqrt(sum_a max(|k_a| - span_a, 0)**2), span_a being the extent of the
+    cell nodes on axis a; images whose approach exceeds support_radius by
+    more than _REACH_SLACK are skipped, since fn vanishes on them. Without
+    a support radius every image of a shell is summed, and shells are
+    added until the largest entry increment drops below tol.
     """
     X = grid.cell_nodes
     n = X.shape[0]
     XX = np.repeat(X, n, axis=0)
     YY = np.tile(X, (n, 1))
+    span = (X.max(axis=0) - X.min(axis=0)).tolist()
 
     def shell_sum(m, out):
         added = 0.0
@@ -254,6 +269,10 @@ def periodize_kernel(pair_fn, grid, support_radius: float | None = None,
         else:
             shifts = [(a, b) for a in rng for b in rng if max(abs(a), abs(b)) == m]
         for shift in shifts:
+            if support_radius is not None and math.hypot(
+                    *[max(abs(k) - s, 0.0) for k, s in zip(shift, span)]
+            ) > support_radius + _REACH_SLACK:
+                continue
             vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
             out += vals.reshape(n, n)
             added = max(added, float(np.max(np.abs(vals))))

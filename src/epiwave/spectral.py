@@ -161,13 +161,17 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
 
     residual = np.inf
     value = 0.0
+    gap = np.empty_like(y)  # |y - value * x|, computed in place each step
     for iterations in range(1, max_iter + 1):
-        value = float(np.max(y))
+        value = float(y.max())
         if value <= 0.0:
             raise ValidationError(
                 "power iterate lost positivity; the operator has no positive band"
             )
-        residual = float(np.max(np.abs(y - value * x)))
+        np.multiply(x, value, out=gap)
+        np.subtract(y, gap, out=gap)
+        np.abs(gap, out=gap)
+        residual = float(gap.max())
         if residual <= tol:
             break
         x = y / value

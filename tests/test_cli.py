@@ -344,6 +344,35 @@ def test_negative_kernel_exits_2_without_files(tmp_path, command):
     assert not out.exists()
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("threshold", {"kernel": {"mass": _NAN}}),
+    ("threshold", {"run": {"tol": _NAN}}),
+    ("threshold", {"kernel": {"support_radius": _INF}}),
+    ("threshold", {"kernel": {"source": "1 + 1e999*x"}}),
+    ("threshold", {"kernel": {"mass": 10**400}}),
+    ("steady", {"kernel": {"decay": _NAN}}),
+    ("steady", {"kernel": {"support_radius": -1.0}}),
+    ("speed", {"kernel": {"support_radius": 0}}),
+    ("speed", {"run": {"direction": [-_INF]}}),
+    ("dispersion", {"run": {"rho_values": [_NAN]}}),
+    ("dispersion", {"run": {"c_values": [0.0, _INF]}}),
+    ("simulate", {"grid": {"cell_points": 4}}),
+    ("sir-verify", {"sir": {"horizon": _NAN}}),
+    ("wave", {"run": {"speed_factor": _INF}}),
+    ("subwave-diag", {"grid": {"cell_points": 7}}),
+])
+def test_out_of_range_numbers_exit_2_without_files(tmp_path, capsys, command,
+                                                   doc):
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "should_not_exist"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_unknown_command_rejected(tmp_path):
     cfg = _write_config(tmp_path, {})
     with pytest.raises(SystemExit) as err:

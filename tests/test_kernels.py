@@ -199,3 +199,153 @@ def test_step_weights_match_quadrature():
         assert E1[k] == pytest.approx(np.exp(-rate * dt), rel=1e-15)
         assert I0[k] == pytest.approx(full, rel=1e-10)
         assert I1[k] == pytest.approx(ramp, rel=1e-10)
+
+
+def _full_shell_sum(pair_fn, grid, support_radius):
+    """Reference lattice sum: every image of every shell up to one cell
+    beyond the reach, in shell order, as periodize_kernel summed before it
+    skipped the images that cannot reach the cell."""
+    X = grid.cell_nodes
+    n = X.shape[0]
+    XX = np.repeat(X, n, axis=0)
+    YY = np.tile(X, (n, 1))
+    probe = np.asarray(pair_fn(X[:1], X[:1]))
+    total = np.zeros((n, n), dtype=complex if np.iscomplexobj(probe) else float)
+    images = int(np.ceil(support_radius)) + 1
+    for m in range(images + 1):
+        rng = range(-m, m + 1)
+        if grid.dim == 1:
+            shifts = [(k,) for k in rng if abs(k) == m]
+        else:
+            shifts = [(a, b) for a in rng for b in rng if max(abs(a), abs(b)) == m]
+        for shift in shifts:
+            vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
+            total += vals.reshape(n, n)
+    return total, images
+
+
+def _striped(dim=1):
+    return separable_contact_kernel(
+        2.3, 1.0, dim=dim,
+        source_factor=lambda P: 1.0 + 0.4 * np.cos(2 * np.pi * (P[:, 0] - 0.3)),
+        decay=lambda P: 1.0 + 0.2 * np.sin(2 * np.pi * P[:, 0]),
+    )
+
+
+def _tilted(kernel, rho, e):
+    """The dispersion relation's tilted pair, as the speed search builds it."""
+    e = np.asarray(e, dtype=float)
+    return lambda X, Y: kernel.spatial_fn(X, Y) * np.exp(-rho * ((Y - X) @ e))
+
+
+def _tilted_time_integral(kernel, rho, c, e):
+    e = np.asarray(e, dtype=float)
+    return lambda X, Y: (kernel.time_integral(X, Y, s=rho * c)
+                         * np.exp(-rho * ((Y - X) @ e)))
+
+
+def _isotropic_cone():
+    def profile(tau, r):
+        return np.exp(-tau) * np.maximum(1.5 - r, 0.0)
+    return IsotropicKernel(profile, support_radius=1.5)
+
+
+def _plain(kernel):
+    return lambda X, Y: kernel.time_integral(X, Y, 0.0)
+
+
+_LATTICE_CASES = {
+    "box-1d": lambda: (PeriodicGrid(1, 64, 2), separable_contact_kernel(2.0, 1.0), None),
+    "box-2d": lambda: (PeriodicGrid(2, 8, 2),
+                       separable_contact_kernel(2.0, 1.0, dim=2), None),
+    "striped-1d": lambda: (PeriodicGrid(1, 32, 2), _striped(), None),
+    "striped-2d": lambda: (PeriodicGrid(2, 8, 2), _striped(dim=2), None),
+    "tilted-real": lambda: (PeriodicGrid(1, 32, 2), _striped(),
+                            ("tilt", 1.3, (1.0,))),
+    "tilted-complex": lambda: (PeriodicGrid(1, 32, 2), _striped(),
+                               ("tilt", 0.9 + 0.7j, (1.0,))),
+    "tilted-2d": lambda: (PeriodicGrid(2, 8, 2),
+                          separable_contact_kernel(2.0, 1.0, dim=2),
+                          ("tilt", 0.8, (0.6, 0.8))),
+    "tilted-time-integral": lambda: (PeriodicGrid(1, 32, 2), _isotropic_cone(),
+                                     ("time", 0.7 + 0.2j, (1.0,))),
+    "isotropic-1.5": lambda: (PeriodicGrid(1, 8, 2), _isotropic_cone(), None),
+    "cell-8": lambda: (PeriodicGrid(1, 8, 2), _striped(), None),
+    # the box edge, where the kernel takes its half value, sits at the
+    # nearest approach of the shift-2 images, or 5e-10 beyond the reach
+    # (inside the box's edge tolerance)
+    "edge-at-approach-8": lambda: (PeriodicGrid(1, 8, 2),
+                                   separable_contact_kernel(2.0, 1.125), None),
+    "edge-at-approach-10": lambda: (PeriodicGrid(1, 10, 2),
+                                    separable_contact_kernel(2.0, 1.1), None),
+    "edge-within-eps": lambda: (PeriodicGrid(1, 8, 2),
+                                separable_contact_kernel(2.0, 1.125 - 5e-10), None),
+    "edge-within-eps-2d": lambda: (PeriodicGrid(2, 8, 2), separable_contact_kernel(
+        2.0, 1.125 - 5e-10, dim=2), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LATTICE_CASES))
+def test_periodize_matches_full_shell_sum(case):
+    grid, kernel, tilt = _LATTICE_CASES[case]()
+    if tilt is None:
+        pair = _plain(kernel)
+    elif tilt[0] == "tilt":
+        pair = _tilted(kernel, tilt[1], tilt[2])
+    else:
+        pair = _tilted_time_integral(kernel, tilt[1], 1.4, tilt[2])
+    expected, expected_images = _full_shell_sum(pair, grid, kernel.support_radius)
+    got, images = periodize_kernel(pair, grid, support_radius=kernel.support_radius)
+    assert images == expected_images
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert np.count_nonzero(expected) > 0
+
+
+def test_periodize_skips_only_images_out_of_reach():
+    calls = []
+
+    def counting(X, Y):
+        calls.append(1)
+        return separable_contact_kernel(2.0, 1.0, dim=2).spatial_fn(X, Y)
+
+    # images out to max |k_a| = 3 in 2-D: 49 shifts, of which the 21 with
+    # |k_a| <= 2 and not both |k_a| = 2 can reach the cell
+    periodize_kernel(counting, PeriodicGrid(2, 8, 1), support_radius=np.sqrt(2.0))
+    assert len(calls) == 1 + 21  # the dtype probe plus the reachable images
+
+
+def _masked_box_profile(mass, radius, dim=1):
+    """Reference box profile: the masked half-value assignment and the
+    product over the last axis that box_profile used before."""
+    height = mass / (2.0 * radius) ** dim
+
+    def profile(Z):
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        inside = (np.abs(Z) < radius - 1e-9).astype(float)
+        on_edge = np.abs(np.abs(Z) - radius) <= 1e-9
+        inside[on_edge] = 0.5
+        return height * inside.prod(axis=-1)
+
+    return profile
+
+
+@pytest.mark.parametrize("dim, cell_points, radius",
+                         [(1, 8, 1.0), (1, 10, 1.1), (1, 64, 0.375),
+                          (1, 8, 1.125 - 5e-10), (2, 8, 1.0), (2, 10, 1.1),
+                          (2, 12, 0.5), (2, 8, 1.125 - 5e-10)])
+def test_box_profile_matches_masked_reference(dim, cell_points, radius):
+    grid = PeriodicGrid(dim, cell_points, 2)
+    X = grid.cell_nodes
+    n = X.shape[0]
+    XX = np.repeat(X, n, axis=0)
+    YY = np.tile(X, (n, 1))
+    new = box_profile(2.0, radius, dim)
+    old = _masked_box_profile(2.0, radius, dim)
+    edges = 0
+    for shift in ([(k,) for k in range(-3, 4)] if dim == 1 else
+                  [(a, b) for a in range(-3, 4) for b in range(-3, 4)]):
+        Z = XX - (YY + np.asarray(shift, dtype=float))
+        assert np.array_equal(new(Z), old(Z))
+        edges += np.count_nonzero(np.abs(np.abs(Z) - radius) <= 1e-9)
+    assert edges > 0

@@ -226,3 +226,43 @@ def test_zero_row_breaks_positivity():
                         domain_tag="cell")
     with pytest.raises(ValidationError):
         principal_eigenpair(op)
+
+
+def _reference_power_iteration(op, tol, max_iter=20000):
+    """The power-iteration loop as principal_eigenpair ran it before the
+    residual moved into a preallocated buffer: (value, vector, residual,
+    iterations)."""
+    x = np.ones(op.n)
+    y = op.apply(x)
+    for iterations in range(1, max_iter + 1):
+        value = float(np.max(y))
+        residual = float(np.max(np.abs(y - value * x)))
+        if residual <= tol:
+            return value, x, residual, iterations
+        x = y / value
+        y = op.apply(x)
+    raise AssertionError("reference iteration did not converge")
+
+
+@pytest.mark.parametrize("build", [
+    lambda resp: assemble_periodic(_heterogeneous_transfer(32), resp),
+    lambda resp: assemble_periodic(_heterogeneous_transfer(64), resp),
+    lambda resp: assemble_ball(_heterogeneous_transfer(32, window=3), resp, 2.0),
+    lambda resp: OperatorMatrix(
+        entries=np.random.default_rng(3).random((48, 48)) / 30.0,
+        domain_tag="cell"),
+    lambda resp: OperatorMatrix(
+        entries=scipy.sparse.random(80, 80, density=0.2, random_state=4,
+                                    format="csr") + scipy.sparse.eye(80) * 0.1,
+        domain_tag="cell"),
+], ids=["dense-32", "dense-64", "ball-sparse", "dense-random", "sparse-random"])
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_power_iteration_matches_reference_loop(build, tol):
+    op = build(ew.saturating_exponential())
+    value, vector, residual, iterations = _reference_power_iteration(op, tol)
+    pair = principal_eigenpair(op, tol=tol)
+    assert pair.value == value
+    assert np.array_equal(pair.vector, vector)
+    assert pair.residual == residual
+    assert pair.iterations == iterations
+    assert iterations > 1
