@@ -16,6 +16,12 @@ from ..errors import ValidationError
 
 _COORD_EPS = 1e-9
 
+# Most window nodes a grid may hold: (2 * window_radius * cell_points)**dim.
+# Window fields, marches and the sparse window matrix (about
+# (2 * reach * cell_points + 1)**dim entries per node) grow with it; the
+# largest window of any test or benchmark document has 9,216 nodes.
+MAX_WINDOW_NODES = 2**16
+
 
 class PeriodicGrid:
     """Midpoint discretization of the unit cell and a window [-R, R)^d."""
@@ -30,6 +36,13 @@ class PeriodicGrid:
         if int(window_radius) != window_radius or window_radius < 1:
             raise ValidationError(
                 f"window_radius must be an integer >= 1, got {window_radius}"
+            )
+        nodes = (2 * int(window_radius) * int(cell_points)) ** int(dim)
+        if nodes > MAX_WINDOW_NODES:
+            raise ValidationError(
+                f"window of radius {window_radius} at {cell_points} cell points "
+                f"holds {nodes} nodes in {dim}-D, above the limit of "
+                f"{MAX_WINDOW_NODES}; shrink grid.window_radius or grid.cell_points"
             )
         self.dim = int(dim)
         self.cell_points = int(cell_points)

@@ -238,6 +238,44 @@ def box_profile(mass: float, radius: float, dim: int = 1):
     return profile
 
 
+def _cell_pairs(grid):
+    """(n, XX, YY): every ordered pair of cell nodes, row-major in (i, j)."""
+    X = grid.cell_nodes
+    n = X.shape[0]
+    return n, np.repeat(X, n, axis=0), np.tile(X, (n, 1))
+
+
+def _shell_shifts(dim: int, m: int):
+    """Lattice vectors k with max_a |k_a| = m."""
+    rng = range(-m, m + 1)
+    if dim == 1:
+        return [(k,) for k in rng if abs(k) == m]
+    return [(a, b) for a in rng for b in rng if max(abs(a), abs(b)) == m]
+
+
+def _reach_test(grid, support_radius: float | None):
+    """Predicate on lattice vectors k: can the image x_j + k reach the cell?
+
+    The nearest approach of x_j + k to any x_i is
+    sqrt(sum_a max(|k_a| - span_a, 0)**2), span_a being the extent of the
+    cell nodes on axis a; images whose approach exceeds support_radius by
+    more than _REACH_SLACK fail, since the kernel vanishes on them. Without
+    a support radius every image passes.
+    """
+    if support_radius is None:
+        return lambda shift: True
+    X = grid.cell_nodes
+    span = (X.max(axis=0) - X.min(axis=0)).tolist()
+    return lambda shift: math.hypot(
+        *[max(abs(k) - s, 0.0) for k, s in zip(shift, span)]
+    ) <= support_radius + _REACH_SLACK
+
+
+def _image_shells(support_radius: float) -> int:
+    """Shells that cover a kernel of the given reach: one cell beyond it."""
+    return int(np.ceil(support_radius)) + 1
+
+
 def periodize_kernel(pair_fn, grid, support_radius: float | None = None,
                      tol: float = 1e-10, max_shells: int = 64):
     """Lattice-sum a whole-line pair kernel onto the periodicity cell.
@@ -248,41 +286,26 @@ def periodize_kernel(pair_fn, grid, support_radius: float | None = None,
 
     With a known support radius the sum is finite: shells run to one cell
     beyond the reach, and only the images that can reach the cell are
-    summed. The nearest approach of x_j + k to any x_i is
-    sqrt(sum_a max(|k_a| - span_a, 0)**2), span_a being the extent of the
-    cell nodes on axis a; images whose approach exceeds support_radius by
-    more than _REACH_SLACK are skipped, since fn vanishes on them. Without
-    a support radius every image of a shell is summed, and shells are
-    added until the largest entry increment drops below tol.
+    summed (see _reach_test). Without a support radius every image of a
+    shell is summed, and shells are added until the largest entry
+    increment drops below tol.
     """
-    X = grid.cell_nodes
-    n = X.shape[0]
-    XX = np.repeat(X, n, axis=0)
-    YY = np.tile(X, (n, 1))
-    span = (X.max(axis=0) - X.min(axis=0)).tolist()
+    n, XX, YY = _cell_pairs(grid)
+    reaches = _reach_test(grid, support_radius)
 
     def shell_sum(m, out):
         added = 0.0
-        rng = range(-m, m + 1)
-        if grid.dim == 1:
-            shifts = [(k,) for k in rng if abs(k) == m]
-        else:
-            shifts = [(a, b) for a in rng for b in rng if max(abs(a), abs(b)) == m]
-        for shift in shifts:
-            if support_radius is not None and math.hypot(
-                    *[max(abs(k) - s, 0.0) for k, s in zip(shift, span)]
-            ) > support_radius + _REACH_SLACK:
-                continue
+        for shift in filter(reaches, _shell_shifts(grid.dim, m)):
             vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
             out += vals.reshape(n, n)
             added = max(added, float(np.max(np.abs(vals))))
         return added
 
-    probe = np.asarray(pair_fn(X[:1], X[:1]))
+    probe = np.asarray(pair_fn(grid.cell_nodes[:1], grid.cell_nodes[:1]))
     dtype = complex if np.iscomplexobj(probe) else float
     total = np.zeros((n, n), dtype=dtype)
     if support_radius is not None:
-        images = int(np.ceil(support_radius)) + 1
+        images = _image_shells(support_radius)
         for m in range(images + 1):
             shell_sum(m, total)
         return total, images
@@ -295,13 +318,38 @@ def periodize_kernel(pair_fn, grid, support_radius: float | None = None,
     )
 
 
+def lattice_image_blocks(pair_fn, grid, support_radius: float):
+    """The cell's whole-line kernel values toward each lattice image it reaches.
+
+    Returns (shifts, blocks): shifts is an integer array (images, dim) and
+    blocks[s][i, j] = fn(x_i, x_j + shifts[s]), evaluated by the same pair
+    calls and the same reach test as periodize_kernel. A kernel periodic
+    under joint integer shifts has V(x_i + k, x_j + k') = blocks[s][i, j]
+    with shifts[s] = k' - k, so every matrix of the kernel between window
+    nodes is block-Toeplitz over cells with these blocks. Images whose
+    block is all zeros are dropped; the zero shift is always kept.
+    """
+    n, XX, YY = _cell_pairs(grid)
+    reaches = _reach_test(grid, support_radius)
+    shifts, blocks = [], []
+    for m in range(_image_shells(support_radius) + 1):
+        for shift in filter(reaches, _shell_shifts(grid.dim, m)):
+            vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
+            if m == 0 or np.any(vals):
+                shifts.append(shift)
+                blocks.append(vals.reshape(n, n))
+    return np.array(shifts, dtype=np.intp), np.stack(blocks)
+
+
 class SpatialKernel:
     """A time-integrated kernel V_s sampled on a grid.
 
     Holds the periodized cell matrix (plain values, not yet weighted by
     quadrature), remembers the underlying whole-line pair function for
     window restrictions, and carries the symmetry weight gamma2/gamma1
-    on the cell when the factorization is known.
+    on the cell when the factorization is known. The window matrix and
+    the lattice-image blocks (from which the ball truncations are built)
+    are evaluated on first use and kept.
     """
 
     def __init__(self, grid, pair_fn, cell_matrix, images: int,
@@ -314,6 +362,7 @@ class SpatialKernel:
         self.gamma_cell = gamma_cell
         self.row_integrals = cell_matrix.sum(axis=1) * grid.weight
         self._window = None
+        self._image_blocks = None
 
     def window_matrix(self) -> scipy.sparse.csr_matrix:
         """Sparse whole-line kernel values V(x_i, x_j) on window node pairs."""
@@ -321,10 +370,12 @@ class SpatialKernel:
             self._window = window_pair_matrix(self.grid, self.pair_fn, self.support_radius)
         return self._window
 
-    def gamma_window(self):
-        if self.gamma_cell is None:
-            return None
-        return self.grid.periodic_on_window(self.gamma_cell)
+    def image_blocks(self):
+        """(shifts, blocks) of lattice_image_blocks, built on first use."""
+        if self._image_blocks is None:
+            self._image_blocks = lattice_image_blocks(
+                self.pair_fn, self.grid, self.support_radius)
+        return self._image_blocks
 
 
 def window_pair_matrix(grid, pair_fn, support_radius) -> scipy.sparse.csr_matrix:

@@ -12,6 +12,15 @@ principal eigenpairs by power iteration: the kernel is nonnegative with
 a positive band, so the dominant eigenvalue is simple and the iteration
 converges from any positive start.
 
+A ball truncation is stored in cell-block form (CellBlockMatrix). The
+kernel is periodic under joint integer shifts, V(x + k, y + k) = V(x, y),
+so the entry between the window nodes x_a + C and x_b + C' (x_a, x_b cell
+nodes, C, C' integer cell offsets) is V(x_a, x_b + C' - C): the operator
+is block-Toeplitz over cells, and its blocks are the few lattice-image
+blocks of the cell (3 in 1-D, 9 for the 2-D box). Nothing is
+approximated; the blocks are the same kernel values the window matrix
+holds, evaluated at coordinates that differ only by rounding.
+
 Quadrature is the composite midpoint rule of the grid; for kernels whose
 jumps fall on grid-aligned edges (half-value convention in the kernel
 evaluators) the eigenvalue error is second order in the spacing.
@@ -19,11 +28,11 @@ evaluators) the eigenvalue error is second order in the spacing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ConvergenceError, ValidationError
 
@@ -36,12 +45,13 @@ class OperatorMatrix:
     """A discretized positive integral operator.
 
     entries already contain the response slope and the quadrature weight,
-    so apply() is a plain matrix-vector product. weight, when present, is
-    the density gamma2/gamma1 making the operator self-adjoint in the
-    weighted inner product.
+    so apply() is a plain matrix-vector product. Ball truncations carry a
+    CellBlockMatrix, periodic operators a dense array. weight, when
+    present, is the density gamma2/gamma1 making the operator self-adjoint
+    in the weighted inner product.
     """
 
-    entries: object  # dense ndarray or scipy sparse matrix
+    entries: object  # dense ndarray, scipy sparse matrix or CellBlockMatrix
     domain_tag: str  # "cell" or "ball"
     radius: float | None = None
     weight: np.ndarray | None = None
@@ -72,13 +82,84 @@ class OperatorMatrix:
         if self.weight is None:
             raise ValidationError("operator carries no symmetry weight")
         A = self.entries
-        if scipy.sparse.issparse(A):
+        if not isinstance(A, np.ndarray):
             A = A.toarray()
         weighted = (self.weight * self.quadrature)[:, None] * A
         scale = np.max(np.abs(A))
         if scale == 0.0:
             return 0.0
         return float(np.max(np.abs(weighted - weighted.T)) / scale)
+
+
+class CellBlockMatrix:
+    """A ball truncation of the window operator, applied cell by cell.
+
+    The ball's nodes are held as slots (cell, local): the row of the cell
+    among the cells the ball touches, and the node's index among the cell
+    nodes. A matrix-vector product scatters x into a zero-padded
+    (cells + 1) x n_cell array, gathers for every cell the rows of its
+    neighbours at the kernel's lattice shifts (the padding row stands in
+    for cells outside the ball), and multiplies by the stacked, transposed
+    image blocks in one dense product. Window nodes outside the ball stay
+    zero in the padded array, which is the Dirichlet truncation.
+    """
+
+    def __init__(self, grid, ball: np.ndarray, shifts: np.ndarray,
+                 blocks: np.ndarray, scale: float):
+        p = grid.cell_points
+        side = 2 * grid.window_radius  # cells per window axis
+        dims = (side,) * grid.dim
+        if grid.dim == 1:
+            axes = (ball,)
+        else:
+            axes = divmod(ball, side * p)
+        cell_key = np.ravel_multi_index([a // p for a in axes], dims)
+        self.local = grid.window_cell_map[ball]
+        used, cell = np.unique(cell_key, return_inverse=True)
+        cells, n = len(used), blocks.shape[1]
+
+        row_of = np.full(side**grid.dim, cells)
+        row_of[used] = np.arange(cells)
+        target = np.stack(np.unravel_index(used, dims), axis=-1)[:, None, :] + shifts
+        inside = np.all((target >= 0) & (target < side), axis=-1)
+        key = np.ravel_multi_index(tuple(np.moveaxis(target, -1, 0)), dims,
+                                   mode="clip")
+        self._neighbours = np.where(inside, row_of[key], cells)
+        self._slots = cell.ravel() * n + self.local
+        self._padded = np.zeros((cells + 1, n))
+        self._blocks = blocks
+        # data[s * n + b, a] = scale * blocks[s][a, b]
+        self.data = blocks.transpose(0, 2, 1).reshape(-1, n) * scale
+        self.shape = (len(ball), len(ball))
+
+    def __matmul__(self, x):
+        padded = self._padded
+        padded.ravel()[self._slots] = x
+        cells = padded.shape[0] - 1
+        gathered = padded[self._neighbours].reshape(cells, -1)
+        return (gathered @ self.data).ravel()[self._slots]
+
+    @functools.cached_property
+    def nnz(self) -> int:
+        """Nonzero kernel values between ball nodes, as a sparse matrix stores them."""
+        occupied = np.zeros_like(self._padded)
+        occupied.ravel()[self._slots] = 1.0
+        n = occupied.shape[1]
+        links = (self._blocks != 0).transpose(0, 2, 1).reshape(-1, n)
+        cells = occupied.shape[0] - 1
+        per_row = occupied[self._neighbours].reshape(cells, -1) @ links
+        return int(per_row.ravel()[self._slots].sum())
+
+    def toarray(self) -> np.ndarray:
+        """The ball operator as a dense matrix (for checks and tests)."""
+        cells, shifts = self._neighbours.shape
+        n = self._padded.shape[1]
+        image = np.full((cells + 1, cells + 1), -1)
+        image[np.arange(cells)[:, None], self._neighbours] = np.arange(shifts)
+        row, local = np.divmod(self._slots, n)
+        s = image[row[:, None], row[None, :]]
+        values = self.data[np.maximum(s, 0) * n + local[None, :], local[:, None]]
+        return np.where(s >= 0, values, 0.0)
 
 
 @dataclass
@@ -125,17 +206,23 @@ def assemble_periodic(transfer, response, grid=None) -> OperatorMatrix:
 
 
 def assemble_ball(transfer, response, radius: float) -> OperatorMatrix:
-    """Dirichlet truncation of the whole-line operator to a ball of the window."""
+    """Dirichlet truncation of the whole-line operator to a ball of the window.
+
+    The entries are a CellBlockMatrix over the window nodes in the ball,
+    built from the kernel's lattice-image blocks (cached on the transfer)
+    instead of rows of the window matrix: by joint periodicity those
+    blocks are every value the truncation holds.
+    """
     grid = transfer.grid
-    idx = grid.ball_indices(radius)
-    W = transfer.window_matrix()
-    sub = W[idx][:, idx] if scipy.sparse.issparse(W) else W[np.ix_(idx, idx)]
-    gamma = transfer.gamma_window()
+    shifts, blocks = transfer.image_blocks()
+    entries = CellBlockMatrix(grid, grid.ball_indices(radius), shifts, blocks,
+                              response.slope0 * grid.weight)
+    gamma = transfer.gamma_cell
     return OperatorMatrix(
-        entries=sub * (response.slope0 * grid.weight),
+        entries=entries,
         domain_tag="ball",
         radius=float(radius),
-        weight=None if gamma is None else gamma[idx],
+        weight=None if gamma is None else gamma[entries.local],
         quadrature=grid.weight,
     )
 
@@ -150,7 +237,8 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     of the returned vector is checked against the eigenvalue as a guard on
     the assembly. Negative entries are rejected.
     """
-    stored = op.entries.data if scipy.sparse.issparse(op.entries) else op.entries
+    entries = op.entries
+    stored = entries if isinstance(entries, np.ndarray) else entries.data
     if stored.size and stored.min() < 0:
         raise ValidationError("operator has negative entries")
     x = np.ones(op.n)

@@ -1,0 +1,158 @@
+"""Ball truncations in cell-block form against the window-matrix submatrix."""
+
+import numpy as np
+import pytest
+import scipy.sparse
+
+import epiwave as ew
+from epiwave import ValidationError
+from epiwave.spectral import (
+    CellBlockMatrix,
+    OperatorMatrix,
+    assemble_ball,
+    ball_eigenvalue_sweep,
+    principal_eigenpair,
+)
+
+
+def _reference_ball(transfer, response, radius):
+    """The ball operator as it was assembled from the window matrix: the
+    ball's rows and columns of W, scaled by slope and quadrature weight."""
+    grid = transfer.grid
+    idx = grid.ball_indices(radius)
+    W = transfer.window_matrix()
+    gamma = transfer.gamma_cell
+    return OperatorMatrix(
+        entries=W[idx][:, idx] * (response.slope0 * grid.weight),
+        domain_tag="ball",
+        radius=float(radius),
+        weight=None if gamma is None else grid.periodic_on_window(gamma)[idx],
+        quadrature=grid.weight,
+    )
+
+
+def _striped(dim, support=1.0, mass=2.0):
+    return ew.separable_contact_kernel(
+        mass, support, dim=dim,
+        source_factor=lambda P: 1.0 + 0.4 * np.cos(2 * np.pi * (P[:, 0] - 0.3)),
+        target_factor=lambda P: 1.0 + 0.2 * np.sin(2 * np.pi * P[:, -1]),
+        decay=lambda P: 1.0 + 0.2 * np.sin(2 * np.pi * P[:, 0]),
+    )
+
+
+def _isotropic(dim):
+    def profile(tau, r):
+        edge = np.where(np.abs(r - 0.75) <= 1e-9, 0.5, 0.0)
+        return 1.3 * np.exp(-tau) * (1.0 - r / 2.0) * np.where(r < 0.75 - 1e-9,
+                                                               1.0, edge)
+
+    return ew.IsotropicKernel(profile, support_radius=0.75, dim=dim)
+
+
+# (dim, cell_points, window_radius, kernel builder, position dependent)
+CASES = {
+    "box-1d-cell12": (1, 12, 3, lambda: ew.separable_contact_kernel(2.0, 1.0), False),
+    "box-1d-cell128": (1, 128, 3, lambda: ew.separable_contact_kernel(2.0, 1.0), False),
+    "striped-1d-cell12": (1, 12, 3, lambda: _striped(1), True),
+    "striped-1d-cell128": (1, 128, 2, lambda: _striped(1), True),
+    "striped-1d-support2.5": (1, 12, 4, lambda: _striped(1, support=2.5), True),
+    "isotropic-1d": (1, 32, 2, lambda: _isotropic(1), False),
+    "zero-1d": (1, 12, 2, lambda: ew.separable_contact_kernel(0.0, 1.0), False),
+    "box-2d-cell12": (2, 12, 2, lambda: ew.separable_contact_kernel(2.0, 1.0, dim=2), False),
+    "striped-2d-cell12": (2, 12, 2, lambda: _striped(2), True),
+    "striped-2d-support2.5": (2, 8, 3, lambda: _striped(2, support=2.5), True),
+    "isotropic-2d": (2, 8, 2, lambda: _isotropic(2), False),
+    "zero-2d": (2, 8, 2, lambda: ew.separable_contact_kernel(0.0, 1.0, dim=2), False),
+}
+
+
+def _radii(window):
+    # every integer radius the window holds, plus radii that cut cells
+    return sorted({*range(1, window + 1), 0.3, window - 0.45})
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_ball_blocks_match_window_submatrix(case):
+    dim, cell_points, window, build, positional = CASES[case]
+    grid = ew.PeriodicGrid(dim, cell_points, window)
+    transfer = ew.time_integrate_kernel(build(), grid)
+    response = ew.saturating_exponential()
+    # A kernel of x - y alone gives the same values at window and cell
+    # coordinates up to 1e-15. The reference evaluates periodic factors
+    # such as cos(2 pi x) at window coordinates, whose rounding grows with
+    # |x| <= window; the blocks evaluate them on the cell.
+    rel = 4 * (window + 1) * np.finfo(float).eps if positional else 1e-15
+    for radius in _radii(window):
+        op = assemble_ball(transfer, response, radius)
+        ref = _reference_ball(transfer, response, radius)
+        assert isinstance(op.entries, CellBlockMatrix)
+        assert op.entries.shape == ref.entries.shape
+        assert op.entries.nnz == ref.entries.nnz
+        dense, expected = op.entries.toarray(), ref.entries.toarray()
+        assert np.all(np.abs(dense - expected) <= rel * np.abs(expected)), (
+            f"radius {radius}: entries differ beyond {rel:.1e} relative")
+        if op.weight is not None:
+            assert np.array_equal(op.weight, ref.weight)
+        x = np.random.default_rng(5).random(op.n)
+        assert np.allclose(op.apply(x), ref.apply(x), rtol=1e-13, atol=0.0)
+    new = ball_eigenvalue_sweep(transfer, response)
+    old = [principal_eigenpair(_reference_ball(transfer, response, r))
+           for r in range(1, window + 1)]
+    assert [p.iterations for p in new] == [p.iterations for p in old]
+    for point, pair in zip(new, old):
+        assert point.value == pytest.approx(pair.value, rel=1e-14, abs=0.0)
+
+
+def test_zero_kernel_keeps_only_the_zero_shift():
+    grid = ew.PeriodicGrid(2, 8, 2)
+    transfer = ew.time_integrate_kernel(
+        ew.separable_contact_kernel(0.0, 1.0, dim=2), grid)
+    shifts, blocks = transfer.image_blocks()
+    assert shifts.tolist() == [[0, 0]]
+    assert not np.any(blocks)
+    op = assemble_ball(transfer, ew.saturating_exponential(), 2.0)
+    assert op.entries.nnz == 0
+    assert principal_eigenpair(op).value == 0.0
+
+
+def test_box_kernel_keeps_only_the_touching_images():
+    # 21 images pass the reach test of the 2-D box; only the 9 neighbours
+    # of the cell carry nonzero values
+    transfer = ew.time_integrate_kernel(
+        ew.separable_contact_kernel(2.0, 1.0, dim=2), ew.PeriodicGrid(2, 8, 2))
+    shifts, blocks = transfer.image_blocks()
+    assert sorted(map(tuple, shifts.tolist())) == [
+        (a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    assert blocks.shape == (9, 64, 64)
+
+
+def test_ball_sweep_builds_no_window_matrix():
+    grid = ew.PeriodicGrid(1, 32, 4)
+    transfer = ew.time_integrate_kernel(_striped(1), grid)
+    points = ew.spectral.ball_eigenvalue_sweep(transfer,
+                                               ew.saturating_exponential())
+    assert len(points) == 4
+    assert transfer._window is None
+
+
+def test_ball_of_negative_kernel_is_rejected():
+    grid = ew.PeriodicGrid(1, 16, 2)
+    box = ew.box_profile(2.0, 1.0)
+    kernel = ew.SeparableKernel(
+        lambda X, Y: box(X - Y) * np.cos(2 * np.pi * Y[:, 0]),
+        lambda P: np.ones(P.shape[0]), support_radius=1.0)
+    transfer = ew.time_integrate_kernel(kernel, grid)
+    op = assemble_ball(transfer, ew.saturating_exponential(), 1.0)
+    with pytest.raises(ValidationError, match="negative"):
+        principal_eigenpair(op)
+
+
+@pytest.mark.parametrize("dim, cell_points", [(1, 64), (2, 8)])
+def test_heterogeneous_ball_is_weighted_self_adjoint(dim, cell_points):
+    grid = ew.PeriodicGrid(dim, cell_points, 3)
+    transfer = ew.time_integrate_kernel(_striped(dim), grid)
+    op = assemble_ball(transfer, ew.saturating_exponential(), 2.5)
+    assert op.weight is not None and np.ptp(op.weight) > 0.1
+    assert op.symmetry_defect() <= 1e-12
+    assert op.entries.nnz > 0
+    assert scipy.sparse.csr_matrix(op.entries.toarray()).nnz == op.entries.nnz

@@ -13,6 +13,7 @@ from epiwave import waves
 from epiwave.app import pipelines
 from epiwave.app.cli import main
 from epiwave.app.scenario import load_scenario, parse_expression
+from epiwave.domain.grid import MAX_WINDOW_NODES
 from epiwave.dynamics import MAX_TRAJECTORY_VALUES
 from epiwave.errors import ConvergenceError, ValidationError
 
@@ -284,6 +285,24 @@ def test_oversized_march_exits_2_without_files(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert str(MAX_TRAJECTORY_VALUES) in err
+
+
+@pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
+@pytest.mark.parametrize("grid", [
+    {"window_radius": 10**21},
+    {"window_radius": 10**8},
+    {"window_radius": 513},  # 65,664 window nodes, one cell past the limit
+    {"dim": 2, "cell_points": 128, "window_radius": 2},
+])
+def test_oversized_window_exits_2_without_files(tmp_path, capsys, command,
+                                                grid):
+    cfg = _write_config(tmp_path, {"grid": grid})
+    out = tmp_path / "should_not_exist"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(MAX_WINDOW_NODES) in err
 
 
 def test_malformed_config_exits_2_without_files(tmp_path):

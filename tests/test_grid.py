@@ -79,3 +79,14 @@ def test_ball_radius_cannot_exceed_window():
     g = PeriodicGrid(dim=1, cell_points=8, window_radius=2)
     with pytest.raises(ValidationError):
         g.ball_indices(2.5)
+
+
+def test_window_node_count_is_bounded():
+    from epiwave.domain.grid import MAX_WINDOW_NODES
+
+    at_limit = PeriodicGrid(dim=1, cell_points=64, window_radius=512)
+    assert at_limit.n_window == MAX_WINDOW_NODES
+    for dim, cell_points, window_radius in ((1, 64, 513), (2, 129, 1),
+                                            (1, 8, 10**21)):
+        with pytest.raises(ValidationError, match=str(MAX_WINDOW_NODES)):
+            PeriodicGrid(dim, cell_points, window_radius)
