@@ -17,10 +17,17 @@ from ..errors import ValidationError
 _COORD_EPS = 1e-9
 
 # Most window nodes a grid may hold: (2 * window_radius * cell_points)**dim.
-# Window fields, marches and the sparse window matrix (about
-# (2 * reach * cell_points + 1)**dim entries per node) grow with it; the
-# largest window of any test or benchmark document has 9,216 nodes.
+# Window fields, marches and every product with a window matrix grow with
+# it; the largest window of any test or benchmark document has 9,216 nodes.
 MAX_WINDOW_NODES = 2**16
+
+# Most cell nodes a grid may hold: cell_points**dim. The cell matrix, the
+# dispersion eigen solves and the lattice-image blocks behind every window
+# and ball matrix evaluate the kernel on all n_cell**2 node pairs, one
+# pair array of n_cell**2 x dim floats per lattice image (2 MiB per axis
+# at the limit). The largest cells of any test or benchmark document are
+# 1-D cell 128 and 2-D cell 12 (144 nodes).
+MAX_CELL_NODES = 2**9
 
 
 class PeriodicGrid:
@@ -43,6 +50,13 @@ class PeriodicGrid:
                 f"window of radius {window_radius} at {cell_points} cell points "
                 f"holds {nodes} nodes in {dim}-D, above the limit of "
                 f"{MAX_WINDOW_NODES}; shrink grid.window_radius or grid.cell_points"
+            )
+        cell_nodes = int(cell_points) ** int(dim)
+        if cell_nodes > MAX_CELL_NODES:
+            raise ValidationError(
+                f"cell of {cell_points} points per axis holds {cell_nodes} "
+                f"nodes in {dim}-D, above the limit of {MAX_CELL_NODES}; "
+                "shrink grid.cell_points"
             )
         self.dim = int(dim)
         self.cell_points = int(cell_points)

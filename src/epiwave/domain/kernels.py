@@ -19,11 +19,11 @@ functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from ..errors import ConvergenceError, ValidationError
 
@@ -364,8 +364,9 @@ class SpatialKernel:
         self._window = None
         self._image_blocks = None
 
-    def window_matrix(self) -> scipy.sparse.csr_matrix:
-        """Sparse whole-line kernel values V(x_i, x_j) on window node pairs."""
+    def window_matrix(self) -> CellBlockMatrix:
+        """Whole-line kernel values V(x_i, x_j) between window nodes, in
+        cell-block form (window_pair_matrix), built on first use and kept."""
         if self._window is None:
             self._window = window_pair_matrix(self.grid, self.pair_fn, self.support_radius)
         return self._window
@@ -378,42 +379,119 @@ class SpatialKernel:
         return self._image_blocks
 
 
-def window_pair_matrix(grid, pair_fn, support_radius) -> scipy.sparse.csr_matrix:
-    n_axis = 2 * grid.window_radius * grid.cell_points
-    reach = int(np.ceil(support_radius / grid.spacing)) + 1
-    offsets_1d = np.arange(-reach, reach + 1)
-    if grid.dim == 1:
-        offsets = [(o,) for o in offsets_1d]
-        shape_idx = (n_axis,)
-    else:
-        offsets = [(a, b) for a in offsets_1d for b in offsets_1d
-                   if a * a + b * b <= (reach + 1) ** 2]
-        shape_idx = (n_axis, n_axis)
-    idx = np.arange(np.prod(shape_idx)).reshape(shape_idx)
-    rows, cols, vals = [], [], []
-    for off in offsets:
-        src = idx
-        dst = idx
-        for axis, o in enumerate(off):
-            if o >= 0:
-                src = np.take(src, np.arange(0, shape_idx[axis] - o), axis=axis)
-                dst = np.take(dst, np.arange(o, shape_idx[axis]), axis=axis)
-            else:
-                src = np.take(src, np.arange(-o, shape_idx[axis]), axis=axis)
-                dst = np.take(dst, np.arange(0, shape_idx[axis] + o), axis=axis)
-        i = src.ravel()
-        j = dst.ravel()
-        v = np.asarray(pair_fn(grid.window_nodes[i], grid.window_nodes[j]))
-        keep = v != 0
-        rows.append(i[keep])
-        cols.append(j[keep])
-        vals.append(v[keep])
-    n = grid.n_window
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return mat.tocsr()
+class CellBlockMatrix:
+    """A kernel matrix between window nodes, applied cell by cell.
+
+    The kernel is periodic under joint integer shifts, V(x + k, y + k) =
+    V(x, y), so the entry between the window nodes x_a + C and x_b + C'
+    (x_a, x_b cell nodes, C, C' integer cell offsets) is
+    V(x_a, x_b + C' - C) = blocks[s][a, b] with shifts[s] = C' - C: the
+    matrix is block-Toeplitz over cells, and its blocks are the cell's
+    lattice-image blocks (lattice_image_blocks). Nothing is approximated;
+    the blocks hold the same kernel values, evaluated at cell coordinates
+    instead of window coordinates, so they differ only by rounding.
+
+    The matrix acts on the window nodes given (all of them for the window
+    matrix, a ball for a Dirichlet truncation), held as slots (cell,
+    local): the row of the cell among the cells the nodes touch, and the
+    node's index among the cell nodes. A product scatters x into a
+    zero-padded (cells + 1) x n_cell array, gathers for every cell the
+    rows of its neighbours at the lattice shifts (the padding row stands
+    in for cells outside the nodes), and multiplies by the stacked,
+    transposed image blocks in one dense product. Window nodes that are
+    not among the given ones stay zero in the padded array, which is the
+    Dirichlet truncation; cells beyond the window are the padding row, as
+    the window itself truncates the whole-line kernel.
+    """
+
+    def __init__(self, grid, nodes: np.ndarray, shifts: np.ndarray,
+                 blocks: np.ndarray, scale: float = 1.0):
+        p = grid.cell_points
+        side = 2 * grid.window_radius  # cells per window axis
+        dims = (side,) * grid.dim
+        if grid.dim == 1:
+            axes = (nodes,)
+        else:
+            axes = divmod(nodes, side * p)
+        cell_key = np.ravel_multi_index([a // p for a in axes], dims)
+        self.local = grid.window_cell_map[nodes]
+        used, cell = np.unique(cell_key, return_inverse=True)
+        cells, n = len(used), blocks.shape[1]
+
+        row_of = np.full(side**grid.dim, cells)
+        row_of[used] = np.arange(cells)
+        target = np.stack(np.unravel_index(used, dims), axis=-1)[:, None, :] + shifts
+        inside = np.all((target >= 0) & (target < side), axis=-1)
+        key = np.ravel_multi_index(tuple(np.moveaxis(target, -1, 0)), dims,
+                                   mode="clip")
+        self._neighbours = np.where(inside, row_of[key], cells)
+        self._slots = cell.ravel() * n + self.local
+        # a run of consecutive slots (a 1-D window or ball) is a slice
+        first = int(self._slots[0]) if len(nodes) else 0
+        run = np.arange(first, first + len(nodes))
+        self._order = (slice(first, first + len(nodes))
+                       if np.array_equal(self._slots, run) else self._slots)
+        self._padded = np.zeros((1, cells + 1, n))
+        self._blocks = blocks
+        # data[s * n + b, a] = scale * blocks[s][a, b]
+        self.data = blocks.transpose(0, 2, 1).reshape(-1, n) * scale
+        self.shape = (len(nodes), len(nodes))
+
+    def __matmul__(self, x):
+        """A @ x for a vector x or an (nodes, k) array of k columns."""
+        x = np.asarray(x)
+        columns = x.reshape(self.shape[1], -1).T
+        k = columns.shape[0]
+        padded = self._padded
+        if k > 1:
+            padded = np.zeros((k,) + padded.shape[1:])
+        padded.reshape(k, -1)[:, self._order] = columns
+        cells = padded.shape[1] - 1
+        gathered = padded[:, self._neighbours].reshape(k * cells, -1)
+        out = (gathered @ self.data).reshape(k, -1)[:, self._order]
+        return out.T.reshape(x.shape)
+
+    def sum(self, axis=1) -> np.ndarray:
+        """Row sums, the only axis a kernel matrix is summed over here."""
+        if axis != 1:
+            raise ValidationError(f"only row sums (axis=1) are kept, got axis={axis}")
+        return self @ np.ones(self.shape[1])
+
+    @functools.cached_property
+    def nnz(self) -> int:
+        """Nonzero kernel values between the nodes, as a sparse matrix stores them."""
+        occupied = np.zeros_like(self._padded[0])
+        occupied.ravel()[self._slots] = 1.0
+        n = occupied.shape[1]
+        links = (self._blocks != 0).transpose(0, 2, 1).reshape(-1, n)
+        cells = occupied.shape[0] - 1
+        per_row = occupied[self._neighbours].reshape(cells, -1) @ links
+        return int(per_row.ravel()[self._slots].sum())
+
+    def toarray(self) -> np.ndarray:
+        """The matrix in dense form (for checks and tests)."""
+        cells, shifts = self._neighbours.shape
+        n = self._padded.shape[2]
+        image = np.full((cells + 1, cells + 1), -1)
+        image[np.arange(cells)[:, None], self._neighbours] = np.arange(shifts)
+        row, local = np.divmod(self._slots, n)
+        s = image[row[:, None], row[None, :]]
+        values = self.data[np.maximum(s, 0) * n + local[None, :], local[:, None]]
+        return np.where(s >= 0, values, 0.0)
+
+
+def window_pair_matrix(grid, pair_fn, support_radius) -> CellBlockMatrix:
+    """Whole-line kernel values V(x_i, x_j) between all window nodes.
+
+    Returned in cell-block form: by joint periodicity every entry is an
+    entry of one of the cell's lattice-image blocks (see CellBlockMatrix),
+    so the pair function is evaluated on images x n_cell**2 pairs instead
+    of on every window pair, and a product is one dense matrix product.
+    Pairs whose nodes lie in cells farther apart than the kernel reaches
+    are zero, and nodes near the window edge see no pairs beyond it.
+    """
+    shifts, blocks = lattice_image_blocks(pair_fn, grid, support_radius)
+    return CellBlockMatrix(grid, np.arange(grid.n_window), shifts, blocks)
 
 
 def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:

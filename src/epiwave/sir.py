@@ -209,9 +209,16 @@ def sir_to_kernel(state: SirState):
         vals = np.asarray(contact(XX, YY), dtype=float)
         return vals.reshape(X.shape[0], nodes_y.shape[0])
 
+    window_pairs = None  # _pairs at the window nodes, the only X the march passes
+
     def seed_pressure(t, X):
+        nonlocal window_pairs
         ramp = -np.expm1(-mu_y * max(t, 0.0)) / mu_y
-        return _pairs(X) @ (weights * ramp)
+        if X is not grid.window_nodes:
+            return _pairs(X) @ (weights * ramp)
+        if window_pairs is None:
+            window_pairs = _pairs(X)
+        return window_pairs @ (weights * ramp)
 
     def seed_limit(X):
         return _pairs(X) @ (weights / mu_y)

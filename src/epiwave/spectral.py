@@ -12,14 +12,15 @@ principal eigenpairs by power iteration: the kernel is nonnegative with
 a positive band, so the dominant eigenvalue is simple and the iteration
 converges from any positive start.
 
-A ball truncation is stored in cell-block form (CellBlockMatrix). The
-kernel is periodic under joint integer shifts, V(x + k, y + k) = V(x, y),
-so the entry between the window nodes x_a + C and x_b + C' (x_a, x_b cell
-nodes, C, C' integer cell offsets) is V(x_a, x_b + C' - C): the operator
-is block-Toeplitz over cells, and its blocks are the few lattice-image
-blocks of the cell (3 in 1-D, 9 for the 2-D box). Nothing is
-approximated; the blocks are the same kernel values the window matrix
-holds, evaluated at coordinates that differ only by rounding.
+A ball truncation is stored in cell-block form (CellBlockMatrix, defined
+with the kernels): it is the window matrix with the rows and columns of
+the nodes outside the ball dropped. The kernel is periodic under joint
+integer shifts, V(x + k, y + k) = V(x, y), so the entry between the
+window nodes x_a + C and x_b + C' (x_a, x_b cell nodes, C, C' integer
+cell offsets) is V(x_a, x_b + C' - C): both matrices are block-Toeplitz
+over cells, and their blocks are the few lattice-image blocks of the
+cell (3 in 1-D, 9 for the 2-D box), cached on the SpatialKernel. Nothing
+is approximated, and a power iteration is one dense product.
 
 Quadrature is the composite midpoint rule of the grid; for kernels whose
 jumps fall on grid-aligned edges (half-value convention in the kernel
@@ -28,12 +29,12 @@ evaluators) the eigenvalue error is second order in the spacing.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .domain.kernels import CellBlockMatrix
 from .errors import ConvergenceError, ValidationError
 
 DEFAULT_EIGEN_TOL = 1e-10
@@ -89,77 +90,6 @@ class OperatorMatrix:
         if scale == 0.0:
             return 0.0
         return float(np.max(np.abs(weighted - weighted.T)) / scale)
-
-
-class CellBlockMatrix:
-    """A ball truncation of the window operator, applied cell by cell.
-
-    The ball's nodes are held as slots (cell, local): the row of the cell
-    among the cells the ball touches, and the node's index among the cell
-    nodes. A matrix-vector product scatters x into a zero-padded
-    (cells + 1) x n_cell array, gathers for every cell the rows of its
-    neighbours at the kernel's lattice shifts (the padding row stands in
-    for cells outside the ball), and multiplies by the stacked, transposed
-    image blocks in one dense product. Window nodes outside the ball stay
-    zero in the padded array, which is the Dirichlet truncation.
-    """
-
-    def __init__(self, grid, ball: np.ndarray, shifts: np.ndarray,
-                 blocks: np.ndarray, scale: float):
-        p = grid.cell_points
-        side = 2 * grid.window_radius  # cells per window axis
-        dims = (side,) * grid.dim
-        if grid.dim == 1:
-            axes = (ball,)
-        else:
-            axes = divmod(ball, side * p)
-        cell_key = np.ravel_multi_index([a // p for a in axes], dims)
-        self.local = grid.window_cell_map[ball]
-        used, cell = np.unique(cell_key, return_inverse=True)
-        cells, n = len(used), blocks.shape[1]
-
-        row_of = np.full(side**grid.dim, cells)
-        row_of[used] = np.arange(cells)
-        target = np.stack(np.unravel_index(used, dims), axis=-1)[:, None, :] + shifts
-        inside = np.all((target >= 0) & (target < side), axis=-1)
-        key = np.ravel_multi_index(tuple(np.moveaxis(target, -1, 0)), dims,
-                                   mode="clip")
-        self._neighbours = np.where(inside, row_of[key], cells)
-        self._slots = cell.ravel() * n + self.local
-        self._padded = np.zeros((cells + 1, n))
-        self._blocks = blocks
-        # data[s * n + b, a] = scale * blocks[s][a, b]
-        self.data = blocks.transpose(0, 2, 1).reshape(-1, n) * scale
-        self.shape = (len(ball), len(ball))
-
-    def __matmul__(self, x):
-        padded = self._padded
-        padded.ravel()[self._slots] = x
-        cells = padded.shape[0] - 1
-        gathered = padded[self._neighbours].reshape(cells, -1)
-        return (gathered @ self.data).ravel()[self._slots]
-
-    @functools.cached_property
-    def nnz(self) -> int:
-        """Nonzero kernel values between ball nodes, as a sparse matrix stores them."""
-        occupied = np.zeros_like(self._padded)
-        occupied.ravel()[self._slots] = 1.0
-        n = occupied.shape[1]
-        links = (self._blocks != 0).transpose(0, 2, 1).reshape(-1, n)
-        cells = occupied.shape[0] - 1
-        per_row = occupied[self._neighbours].reshape(cells, -1) @ links
-        return int(per_row.ravel()[self._slots].sum())
-
-    def toarray(self) -> np.ndarray:
-        """The ball operator as a dense matrix (for checks and tests)."""
-        cells, shifts = self._neighbours.shape
-        n = self._padded.shape[1]
-        image = np.full((cells + 1, cells + 1), -1)
-        image[np.arange(cells)[:, None], self._neighbours] = np.arange(shifts)
-        row, local = np.divmod(self._slots, n)
-        s = image[row[:, None], row[None, :]]
-        values = self.data[np.maximum(s, 0) * n + local[None, :], local[:, None]]
-        return np.where(s >= 0, values, 0.0)
 
 
 @dataclass

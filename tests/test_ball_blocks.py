@@ -1,4 +1,7 @@
-"""Ball truncations in cell-block form against the window-matrix submatrix."""
+"""Window matrices and ball truncations in cell-block form against the CSR
+window matrix and its submatrices."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import scipy.sparse
 
 import epiwave as ew
 from epiwave import ValidationError
+from epiwave.domain.kernels import window_pair_matrix
 from epiwave.spectral import (
     CellBlockMatrix,
     OperatorMatrix,
@@ -13,14 +17,21 @@ from epiwave.spectral import (
     ball_eigenvalue_sweep,
     principal_eigenpair,
 )
+from window_reference import window_pair_matrix as csr_window_pair_matrix
+
+
+@functools.lru_cache(maxsize=1)
+def _csr_window(transfer):
+    return csr_window_pair_matrix(transfer.grid, transfer.pair_fn,
+                                  transfer.support_radius)
 
 
 def _reference_ball(transfer, response, radius):
-    """The ball operator as it was assembled from the window matrix: the
-    ball's rows and columns of W, scaled by slope and quadrature weight."""
+    """The ball operator as it was assembled from the CSR window matrix:
+    the ball's rows and columns of W, scaled by slope and quadrature weight."""
     grid = transfer.grid
     idx = grid.ball_indices(radius)
-    W = transfer.window_matrix()
+    W = _csr_window(transfer)
     gamma = transfer.gamma_cell
     return OperatorMatrix(
         entries=W[idx][:, idx] * (response.slope0 * grid.weight),
@@ -156,3 +167,63 @@ def test_heterogeneous_ball_is_weighted_self_adjoint(dim, cell_points):
     assert op.symmetry_defect() <= 1e-12
     assert op.entries.nnz > 0
     assert scipy.sparse.csr_matrix(op.entries.toarray()).nnz == op.entries.nnz
+
+
+# (dim, cell_points, window_radius, kernel builder); 2-D windows stay at
+# or below 1,024 nodes, since toarray() holds n_window**2 values
+WINDOW_CASES = {
+    "box-1d": (1, 32, 3, lambda: ew.separable_contact_kernel(2.0, 1.0)),
+    "striped-1d": (1, 64, 2, lambda: _striped(1)),
+    "striped-1d-support2.5": (1, 16, 4, lambda: _striped(1, support=2.5)),
+    "isotropic-1d": (1, 32, 2, lambda: _isotropic(1)),
+    "zero-1d": (1, 12, 2, lambda: ew.separable_contact_kernel(0.0, 1.0)),
+    "box-2d": (2, 8, 2, lambda: ew.separable_contact_kernel(2.0, 1.0, dim=2)),
+    "striped-2d": (2, 12, 1, lambda: _striped(2)),
+    "striped-2d-support2.5": (2, 8, 2, lambda: _striped(2, support=2.5)),
+    "isotropic-2d": (2, 8, 2, lambda: _isotropic(2)),
+    "zero-2d": (2, 8, 2, lambda: ew.separable_contact_kernel(0.0, 1.0, dim=2)),
+}
+
+
+def _close(got, want, rel):
+    return np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_window_blocks_match_csr_reference(case):
+    dim, cell_points, window, build = WINDOW_CASES[case]
+    grid = ew.PeriodicGrid(dim, cell_points, window)
+    transfer = ew.time_integrate_kernel(build(), grid)
+    W = transfer.window_matrix()
+    ref = csr_window_pair_matrix(grid, transfer.pair_fn, transfer.support_radius)
+    eps = np.finfo(float).eps
+    # periodic factors such as cos(2 pi x) are evaluated at window
+    # coordinates by the reference and on the cell by the blocks; their
+    # rounding grows with |x| <= window
+    rel = 4 * (window + 1) * eps
+    assert isinstance(W, CellBlockMatrix)
+    assert W.shape == ref.shape == (grid.n_window, grid.n_window)
+    assert W.nnz == ref.nnz
+    assert _close(W.toarray(), ref.toarray(), rel)
+
+    # Row sums and products add the m nonnegative terms of a row in
+    # another order than the CSR row loop; each order is within
+    # (m - 1) eps of the exact sum (2-D rows hold up to 1,024 terms).
+    terms = np.diff(ref.indptr)
+    row_rel = rel + 2 * np.maximum(terms - 1, 0) * eps
+    assert _close(W.sum(axis=1), np.asarray(ref.sum(axis=1)).ravel(), row_rel)
+    rng = np.random.default_rng(7)
+    x = rng.random(grid.n_window)
+    X = rng.random((grid.n_window, 5))
+    assert (W @ x).shape == x.shape
+    assert _close(W @ x, ref @ x, row_rel)
+    assert (W @ X).shape == X.shape
+    assert _close(W @ X, ref @ X, row_rel[:, None])
+
+
+def test_row_sums_are_the_only_sums():
+    grid = ew.PeriodicGrid(1, 16, 2)
+    kernel = ew.separable_contact_kernel(2.0, 1.0)
+    W = window_pair_matrix(grid, kernel.spatial_fn, kernel.support_radius)
+    with pytest.raises(ValidationError, match="axis"):
+        W.sum(axis=0)

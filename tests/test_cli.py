@@ -13,7 +13,7 @@ from epiwave import waves
 from epiwave.app import pipelines
 from epiwave.app.cli import main
 from epiwave.app.scenario import load_scenario, parse_expression
-from epiwave.domain.grid import MAX_WINDOW_NODES
+from epiwave.domain.grid import MAX_CELL_NODES, MAX_WINDOW_NODES
 from epiwave.dynamics import MAX_TRAJECTORY_VALUES
 from epiwave.errors import ConvergenceError, ValidationError
 
@@ -303,6 +303,23 @@ def test_oversized_window_exits_2_without_files(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert str(MAX_WINDOW_NODES) in err
+
+
+@pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
+@pytest.mark.parametrize("grid", [
+    # each window holds 65,536 nodes, within its bound; the cells would
+    # need pair arrays of gigabytes
+    {"dim": 2, "cell_points": 128, "window_radius": 1},
+    {"cell_points": 32768, "window_radius": 1},
+])
+def test_oversized_cell_exits_2_without_files(tmp_path, capsys, command, grid):
+    cfg = _write_config(tmp_path, {"grid": grid})
+    out = tmp_path / "should_not_exist"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(MAX_CELL_NODES) in err
 
 
 def test_malformed_config_exits_2_without_files(tmp_path):

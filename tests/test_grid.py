@@ -90,3 +90,16 @@ def test_window_node_count_is_bounded():
                                             (1, 8, 10**21)):
         with pytest.raises(ValidationError, match=str(MAX_WINDOW_NODES)):
             PeriodicGrid(dim, cell_points, window_radius)
+
+
+def test_cell_node_count_is_bounded():
+    from epiwave.domain.grid import MAX_CELL_NODES
+
+    assert PeriodicGrid(dim=1, cell_points=MAX_CELL_NODES,
+                        window_radius=1).n_cell == MAX_CELL_NODES
+    assert PeriodicGrid(dim=2, cell_points=22, window_radius=1).n_cell == 484
+    # both windows hold 65,536 nodes, within the window bound
+    for dim, cell_points in ((1, MAX_CELL_NODES + 1), (2, 23), (2, 128),
+                             (1, 32768)):
+        with pytest.raises(ValidationError, match=str(MAX_CELL_NODES)):
+            PeriodicGrid(dim, cell_points, 1)

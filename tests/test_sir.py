@@ -194,6 +194,33 @@ def test_seed_forcing_matches_time_quadrature():
         assert np.max(np.abs(forcing(t, probes) - brute)) <= 1e-9
 
 
+def test_seed_pressure_at_window_nodes_is_evaluated_once():
+    """The bridge evaluates the window-to-seed pairs on its first call at
+    the window nodes and reuses them; the values equal those of a fresh
+    evaluation (any other array, here a copy of the nodes) bit for bit."""
+    state = _striped_state()
+    pair_calls = []
+    contact = state.contact_fn
+
+    def counted(X, Y):
+        pair_calls.append(X.shape[0])
+        return contact(X, Y)
+
+    state = SirState(grid=state.grid, contact_fn=counted,
+                     support_radius=state.support_radius,
+                     recovery_fn=state.recovery_fn,
+                     susceptible_fn=state.susceptible_fn,
+                     infected0=state.infected0)
+    _, forcing, _ = sir_to_kernel(state)
+    nodes = state.grid.window_nodes
+    times = (0.0, 0.05, 0.7, 3.0, 40.0)
+    for t in times:
+        cached = forcing(t, nodes)
+        assert np.array_equal(cached, forcing(t, nodes.copy()))
+        assert np.any(cached > 0) == (t > 0)
+    assert len(pair_calls) == 1 + len(times)
+
+
 def test_seed_forcing_monotone_with_limit():
     state = _plain_state()
     _, forcing, _ = sir_to_kernel(state)
