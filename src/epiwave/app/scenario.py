@@ -15,6 +15,14 @@ deliberately tiny expression language
 
 evaluated pointwise on node coordinates.  No eval(), no locale, no
 hidden state: the same document always builds the same objects.
+
+Heterogeneities must have period 1 on every axis, as the periodic
+medium of the theory does: every kernel matrix between window nodes is
+built from the kernel's values on the periodicity cell
+(domain/kernels.py, CellBlockMatrix), so an expression such as
+"1 + 0.05*x" would silently stand for its periodization.  The loader
+evaluates each expression on the window nodes and refuses it unless the
+values repeat those on the cell nodes.
 """
 
 from __future__ import annotations
@@ -176,6 +184,33 @@ def parse_expression(text, dim: int = 1):
     return evaluate
 
 
+# Largest gap a periodic expression may show between a window node and its
+# cell image, relative to its largest value on the cell (at least 1). The
+# window coordinates carry rounding of a few ulp of the window radius,
+# which periodic expressions turn into gaps below 1e-13.
+_PERIOD_TOL = 1e-9
+
+
+_POSITION = {("name", "x"), ("name", "x1"), ("name", "x2")}
+
+
+def _require_periodic(where: str, text, grid: PeriodicGrid):
+    if _is_number(text) or _POSITION.isdisjoint(_tokenize(text)):
+        return  # a constant has every period
+    fn = parse_expression(text, grid.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = grid.window_field(fn)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{where} = {text!r} is not finite on the window")
+    cell = grid.cell_field(fn)
+    gap = float(np.max(np.abs(values - grid.periodic_on_window(cell))))
+    if gap > _PERIOD_TOL * max(1.0, float(np.max(np.abs(cell)))):
+        raise ValidationError(
+            f"{where} = {text!r} does not have period 1 on every axis: it "
+            f"differs by {gap:.3g} between window nodes and their cell images"
+        )
+
+
 def _take_section(doc, name):
     sec = doc.pop(name, {})
     if not isinstance(sec, dict):
@@ -289,7 +324,8 @@ class ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     """Read and validate a scenario document; raises ValidationError on
-    any malformed content, before anything is built or written."""
+    any malformed content, a grid PeriodicGrid refuses or a heterogeneity
+    without period 1, before anything is written."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -391,4 +427,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
     if doc:
         raise ValidationError(f"unknown top-level sections: {sorted(doc)}")
+    grid = cfg.build_grid()
+    for key in ("decay", "source", "target"):
+        _require_periodic(f"kernel.{key}", getattr(cfg, key), grid)
+    _require_periodic("sir.susceptible", cfg.susceptible, grid)
     return cfg

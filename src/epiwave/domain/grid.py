@@ -21,13 +21,17 @@ _COORD_EPS = 1e-9
 # it; the largest window of any test or benchmark document has 9,216 nodes.
 MAX_WINDOW_NODES = 2**16
 
-# Most cell nodes a grid may hold: cell_points**dim. The cell matrix, the
-# dispersion eigen solves and the lattice-image blocks behind every window
-# and ball matrix evaluate the kernel on all n_cell**2 node pairs, one
-# pair array of n_cell**2 x dim floats per lattice image (2 MiB per axis
-# at the limit). The largest cells of any test or benchmark document are
-# 1-D cell 128 and 2-D cell 12 (144 nodes).
-MAX_CELL_NODES = 2**9
+# Most bytes a grid's cell may ask of the kernel's node-pair arrays:
+# n_cell**2 x 8 x (dim + 3**dim), with n_cell = cell_points**dim. The cell
+# matrix, the dispersion eigen solves and the lattice-image blocks behind
+# every window and ball matrix evaluate the kernel on all n_cell**2 node
+# pairs through pair arrays of n_cell**2 x dim floats, and the blocks keep
+# n_cell**2 floats per lattice image, 3**dim of them for a kernel that
+# reaches one cell. The limit admits 1-D cells of up to 2,048 points and
+# 2-D cells of up to 35 x 35 (peak RSS 354 and 419 MB building the window
+# matrix of either); the largest cells of any test or benchmark document
+# are 1-D 128 and 2-D 12.
+MAX_CELL_BYTES = 2**27
 
 
 class PeriodicGrid:
@@ -52,10 +56,12 @@ class PeriodicGrid:
                 f"{MAX_WINDOW_NODES}; shrink grid.window_radius or grid.cell_points"
             )
         cell_nodes = int(cell_points) ** int(dim)
-        if cell_nodes > MAX_CELL_NODES:
+        cell_bytes = cell_nodes**2 * 8 * (int(dim) + 3 ** int(dim))
+        if cell_bytes > MAX_CELL_BYTES:
             raise ValidationError(
                 f"cell of {cell_points} points per axis holds {cell_nodes} "
-                f"nodes in {dim}-D, above the limit of {MAX_CELL_NODES}; "
+                f"nodes in {dim}-D, whose node-pair arrays take {cell_bytes} "
+                f"bytes, above the limit of {MAX_CELL_BYTES}; "
                 "shrink grid.cell_points"
             )
         self.dim = int(dim)

@@ -69,8 +69,8 @@ class SeparableKernel:
 
     The exponential-in-tau structure admits closed-form time integrals,
     V_s(x, y) = K(x, y) / (s + mu(y)), and O(1)-memory time marching, so
-    this is the workhorse variant. mu must be strictly positive and
-    periodic; that is checked on a sample lattice at construction.
+    this is the workhorse variant. mu must be strictly positive (checked
+    on a sample lattice at construction) and periodic.
     """
 
     def __init__(self, spatial_fn, mu_fn, support_radius: float, dim: int = 1,
@@ -389,16 +389,21 @@ class CellBlockMatrix:
     matrix is block-Toeplitz over cells, and its blocks are the cell's
     lattice-image blocks (lattice_image_blocks). Nothing is approximated;
     the blocks hold the same kernel values, evaluated at cell coordinates
-    instead of window coordinates, so they differ only by rounding.
+    instead of window coordinates, so they differ only by rounding. That
+    holds only for a jointly periodic kernel: for one that is not (say a
+    source factor 1 + x) the matrix is that of its periodization, the
+    kernel's values on the cell repeated over the window. Scenario
+    documents refuse heterogeneities without period 1 on every axis for
+    this reason (app/scenario.py).
 
     The matrix acts on the window nodes given (all of them for the window
     matrix, a ball for a Dirichlet truncation), held as slots (cell,
     local): the row of the cell among the cells the nodes touch, and the
     node's index among the cell nodes. A product scatters x into a
-    zero-padded (cells + 1) x n_cell array, gathers for every cell the
-    rows of its neighbours at the lattice shifts (the padding row stands
-    in for cells outside the nodes), and multiplies by the stacked,
-    transposed image blocks in one dense product. Window nodes that are
+    zero-padded (cells + 1) x n_cell array (one per column of x), gathers
+    for every cell the rows of its neighbours at the lattice shifts (the
+    padding row stands in for cells outside the nodes), and multiplies by
+    the stacked, transposed image blocks in one dense product. Window nodes that are
     not among the given ones stay zero in the padded array, which is the
     Dirichlet truncation; cells beyond the window are the padding row, as
     the window itself truncates the whole-line kernel.
@@ -426,11 +431,6 @@ class CellBlockMatrix:
                                    mode="clip")
         self._neighbours = np.where(inside, row_of[key], cells)
         self._slots = cell.ravel() * n + self.local
-        # a run of consecutive slots (a 1-D window or ball) is a slice
-        first = int(self._slots[0]) if len(nodes) else 0
-        run = np.arange(first, first + len(nodes))
-        self._order = (slice(first, first + len(nodes))
-                       if np.array_equal(self._slots, run) else self._slots)
         self._padded = np.zeros((1, cells + 1, n))
         self._blocks = blocks
         # data[s * n + b, a] = scale * blocks[s][a, b]
@@ -440,21 +440,24 @@ class CellBlockMatrix:
     def __matmul__(self, x):
         """A @ x for a vector x or an (nodes, k) array of k columns."""
         x = np.asarray(x)
-        columns = x.reshape(self.shape[1], -1).T
-        k = columns.shape[0]
-        padded = self._padded
-        if k > 1:
+        k = x.size // len(self._slots)
+        padded, into, outof = self._padded, self._slots, self._slots
+        if k > 1:  # k stacked padded arrays, and the slots of each column in them
             padded = np.zeros((k,) + padded.shape[1:])
-        padded.reshape(k, -1)[:, self._order] = columns
-        cells = padded.shape[1] - 1
-        gathered = padded[:, self._neighbours].reshape(k * cells, -1)
-        out = (gathered @ self.data).reshape(k, -1)[:, self._order]
-        return out.T.reshape(x.shape)
+            cells, n = self._neighbours.shape[0], padded.shape[2]
+            column = np.arange(k)[:, None] * n
+            into = (column * (cells + 1) + self._slots).ravel()
+            outof = (column * cells + self._slots).ravel()
+        # flat indices: a 2-D fancy index made small ball products 30% slower
+        padded.ravel()[into] = x.T.ravel()
+        gathered = np.take(padded, self._neighbours, axis=1)
+        out = gathered.reshape(-1, self.data.shape[0]) @ self.data
+        return out.ravel()[outof].reshape(x.shape[::-1]).T
 
-    def sum(self, axis=1) -> np.ndarray:
-        """Row sums, the only axis a kernel matrix is summed over here."""
+    def sum(self, axis) -> np.ndarray:
+        """Row sums (axis=1), the only sums a kernel matrix is taken over here."""
         if axis != 1:
-            raise ValidationError(f"only row sums (axis=1) are kept, got axis={axis}")
+            raise ValueError(f"only row sums (axis=1) are kept, got axis={axis}")
         return self @ np.ones(self.shape[1])
 
     @functools.cached_property
@@ -483,10 +486,11 @@ class CellBlockMatrix:
 def window_pair_matrix(grid, pair_fn, support_radius) -> CellBlockMatrix:
     """Whole-line kernel values V(x_i, x_j) between all window nodes.
 
-    Returned in cell-block form: by joint periodicity every entry is an
-    entry of one of the cell's lattice-image blocks (see CellBlockMatrix),
-    so the pair function is evaluated on images x n_cell**2 pairs instead
-    of on every window pair, and a product is one dense matrix product.
+    Returned in cell-block form: by joint periodicity of pair_fn (which
+    the block form assumes, see CellBlockMatrix) every entry is an entry
+    of one of the cell's lattice-image blocks, so the pair function is
+    evaluated on images x n_cell**2 pairs instead of on every window
+    pair, and a product is one dense matrix product.
     Pairs whose nodes lie in cells farther apart than the kernel reaches
     are zero, and nodes near the window edge see no pairs beyond it.
     """

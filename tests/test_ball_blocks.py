@@ -225,5 +225,7 @@ def test_row_sums_are_the_only_sums():
     grid = ew.PeriodicGrid(1, 16, 2)
     kernel = ew.separable_contact_kernel(2.0, 1.0)
     W = window_pair_matrix(grid, kernel.spatial_fn, kernel.support_radius)
-    with pytest.raises(ValidationError, match="axis"):
+    with pytest.raises(ValueError, match="axis"):
         W.sum(axis=0)
+    with pytest.raises(TypeError):
+        W.sum()

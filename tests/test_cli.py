@@ -13,7 +13,7 @@ from epiwave import waves
 from epiwave.app import pipelines
 from epiwave.app.cli import main
 from epiwave.app.scenario import load_scenario, parse_expression
-from epiwave.domain.grid import MAX_CELL_NODES, MAX_WINDOW_NODES
+from epiwave.domain.grid import MAX_CELL_BYTES, MAX_WINDOW_NODES
 from epiwave.dynamics import MAX_TRAJECTORY_VALUES
 from epiwave.errors import ConvergenceError, ValidationError
 
@@ -319,7 +319,39 @@ def test_oversized_cell_exits_2_without_files(tmp_path, capsys, command, grid):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert str(MAX_CELL_NODES) in err
+    assert str(MAX_CELL_BYTES) in err
+
+
+@pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
+@pytest.mark.parametrize("doc", [
+    {"sir": {"susceptible": "1 + 0.05*x"}},
+    {"kernel": {"source": "1 + 0.5*sin(x)"}},
+    {"kernel": {"target": "exp(-x*x)"}},
+    {"kernel": {"decay": "2 + 0.1*x2"}, "grid": {"dim": 2, "cell_points": 8,
+                                                 "window_radius": 2}},
+])
+def test_non_periodic_heterogeneity_exits_2_without_files(tmp_path, capsys,
+                                                          command, doc):
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "should_not_exist"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "period 1" in err
+
+
+def test_periodic_heterogeneities_load(tmp_path):
+    cfg = load_scenario(_write_config(tmp_path, {
+        "grid": {"dim": 2, "cell_points": 12, "window_radius": 3},
+        "kernel": {"source": "1 + 0.5*cos(2*pi*(x1 - 0.3))*sin(2*pi*x2)",
+                   "target": "exp(3*cos(4*pi*x2))",
+                   "decay": 1.5},
+        "sir": {"susceptible": "2 - cos(2*pi*x1)*cos(2*pi*x1)"}}))
+    assert cfg.build_kernel().dim == 2
+    with pytest.raises(ValidationError, match="not finite"):
+        load_scenario(_write_config(tmp_path, {
+            "kernel": {"source": "exp(1000*cos(2*pi*x))"}}, "inf.json"))
 
 
 def test_malformed_config_exits_2_without_files(tmp_path):

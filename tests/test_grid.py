@@ -93,13 +93,13 @@ def test_window_node_count_is_bounded():
 
 
 def test_cell_node_count_is_bounded():
-    from epiwave.domain.grid import MAX_CELL_NODES
+    from epiwave.domain.grid import MAX_CELL_BYTES
 
-    assert PeriodicGrid(dim=1, cell_points=MAX_CELL_NODES,
-                        window_radius=1).n_cell == MAX_CELL_NODES
-    assert PeriodicGrid(dim=2, cell_points=22, window_radius=1).n_cell == 484
-    # both windows hold 65,536 nodes, within the window bound
-    for dim, cell_points in ((1, MAX_CELL_NODES + 1), (2, 23), (2, 128),
-                             (1, 32768)):
-        with pytest.raises(ValidationError, match=str(MAX_CELL_NODES)):
+    # a 1-D cell of 2,048 points takes exactly the limit
+    assert PeriodicGrid(dim=1, cell_points=2048, window_radius=1).n_cell == 2048
+    assert 2048**2 * 8 * (1 + 3) == MAX_CELL_BYTES
+    assert PeriodicGrid(dim=2, cell_points=35, window_radius=1).n_cell == 1225
+    # the last two windows hold 65,536 nodes, within the window bound
+    for dim, cell_points in ((1, 2049), (2, 36), (2, 128), (1, 32768)):
+        with pytest.raises(ValidationError, match=str(MAX_CELL_BYTES)):
             PeriodicGrid(dim, cell_points, 1)
