@@ -106,10 +106,7 @@ def run_simulate(cfg: ScenarioConfig):
                                         tol=cfg.classify_tol, grid=grid,
                                         boundary_margin=cfg.boundary_margin)
 
-    r = np.linalg.norm(grid.window_nodes, axis=1)
-    tail = np.zeros(grid.n_window, dtype=bool)
-    tail[grid.interior_indices(cfg.boundary_margin)] = True
-    tail &= r >= cfg.tail_radius
+    tail = dynamics.tail_mask(grid, cfg.tail_radius, cfg.boundary_margin)
     summary = {
         "outcome": outcome.value,
         "settled": bool(settled),

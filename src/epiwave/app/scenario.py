@@ -36,7 +36,7 @@ import numpy as np
 
 from ..domain.forcing import Forcing, bump_forcing
 from ..domain.kernels import separable_contact_kernel
-from ..domain.grid import PeriodicGrid
+from ..domain.grid import MAX_CELL_BYTES, PeriodicGrid, cell_bytes
 from ..domain.nonlinearity import Nonlinearity, saturating_exponential
 from ..errors import ValidationError
 
@@ -324,7 +324,8 @@ class ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     """Read and validate a scenario document; raises ValidationError on
-    any malformed content, a grid PeriodicGrid refuses or a heterogeneity
+    any malformed content, a grid PeriodicGrid refuses, a kernel reach whose
+    image table would exceed MAX_CELL_BYTES on the cell, or a heterogeneity
     without period 1, before anything is written."""
     try:
         with open(path, "rb") as handle:
@@ -428,6 +429,14 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if doc:
         raise ValidationError(f"unknown top-level sections: {sorted(doc)}")
     grid = cfg.build_grid()
+    need = cell_bytes(cfg.dim, cfg.cell_points, cfg.support_radius)
+    if need > MAX_CELL_BYTES:
+        raise ValidationError(
+            f"kernel.support_radius = {cfg.support_radius} on a {cfg.dim}-D "
+            f"cell of {cfg.cell_points} points per axis needs {need} bytes of "
+            f"node-pair arrays and image blocks, above the limit of "
+            f"{MAX_CELL_BYTES}; shrink kernel.support_radius or grid.cell_points"
+        )
     for key in ("decay", "source", "target"):
         _require_periodic(f"kernel.{key}", getattr(cfg, key), grid)
     _require_periodic("sir.susceptible", cfg.susceptible, grid)

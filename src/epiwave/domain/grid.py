@@ -10,6 +10,8 @@ be evaluated on the window by index lookup instead of interpolation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ValidationError
@@ -21,17 +23,28 @@ _COORD_EPS = 1e-9
 # it; the largest window of any test or benchmark document has 9,216 nodes.
 MAX_WINDOW_NODES = 2**16
 
-# Most bytes a grid's cell may ask of the kernel's node-pair arrays:
-# n_cell**2 x 8 x (dim + 3**dim), with n_cell = cell_points**dim. The cell
-# matrix, the dispersion eigen solves and the lattice-image blocks behind
-# every window and ball matrix evaluate the kernel on all n_cell**2 node
-# pairs through pair arrays of n_cell**2 x dim floats, and the blocks keep
-# n_cell**2 floats per lattice image, 3**dim of them for a kernel that
-# reaches one cell. The limit admits 1-D cells of up to 2,048 points and
-# 2-D cells of up to 35 x 35 (peak RSS 354 and 419 MB building the window
-# matrix of either); the largest cells of any test or benchmark document
-# are 1-D 128 and 2-D 12.
+# Most bytes a grid's cell may ask of the kernel's node-pair arrays and
+# image blocks (cell_bytes). The cell matrix, the dispersion eigen solves
+# and the lattice-image table behind every window and ball matrix evaluate
+# the kernel on all n_cell**2 node pairs through pair arrays of
+# n_cell**2 x dim floats, and the table keeps n_cell**2 floats per lattice
+# image with nonzero values: at most (2 * ceil(s) + 1)**dim of them for a
+# kernel of per-axis reach s, 3**dim for one that reaches one cell. At
+# reach 1 the limit admits 1-D cells of up to 2,048 points and 2-D cells
+# of up to 35 x 35 (peak RSS 354 and 419 MB building the window matrix of
+# either); the largest cells of any test or benchmark document are 1-D 128
+# and 2-D 12. On a 2-D cell of 8 x 8 it admits reaches up to 31.
 MAX_CELL_BYTES = 2**27
+
+
+def cell_bytes(dim: int, cell_points: int, reach: float) -> int:
+    """Bytes of the node-pair arrays and lattice-image blocks a kernel of
+    per-axis reach `reach` asks of a cell: n_cell**2 x 8 x
+    (dim + (2 * ceil(reach) + 1)**dim), with n_cell = cell_points**dim.
+    Exact integer arithmetic, so any finite reach gives an answer."""
+    n_cell = int(cell_points) ** int(dim)
+    images = (2 * math.ceil(reach) + 1) ** int(dim)
+    return n_cell**2 * 8 * (int(dim) + images)
 
 
 class PeriodicGrid:
@@ -55,14 +68,13 @@ class PeriodicGrid:
                 f"holds {nodes} nodes in {dim}-D, above the limit of "
                 f"{MAX_WINDOW_NODES}; shrink grid.window_radius or grid.cell_points"
             )
-        cell_nodes = int(cell_points) ** int(dim)
-        cell_bytes = cell_nodes**2 * 8 * (int(dim) + 3 ** int(dim))
-        if cell_bytes > MAX_CELL_BYTES:
+        need = cell_bytes(dim, cell_points, 1.0)
+        if need > MAX_CELL_BYTES:
             raise ValidationError(
-                f"cell of {cell_points} points per axis holds {cell_nodes} "
-                f"nodes in {dim}-D, whose node-pair arrays take {cell_bytes} "
-                f"bytes, above the limit of {MAX_CELL_BYTES}; "
-                "shrink grid.cell_points"
+                f"cell of {cell_points} points per axis holds "
+                f"{int(cell_points) ** int(dim)} nodes in {dim}-D, whose "
+                f"node-pair arrays take {need} bytes, above the limit of "
+                f"{MAX_CELL_BYTES}; shrink grid.cell_points"
             )
         self.dim = int(dim)
         self.cell_points = int(cell_points)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConvergenceError, ValidationError
+from ..errors import ValidationError
 
 _EDGE_EPS = 1e-9
 # Lattice images whose nearest approach to the cell lies within this beyond
@@ -253,17 +253,14 @@ def _shell_shifts(dim: int, m: int):
     return [(a, b) for a in rng for b in rng if max(abs(a), abs(b)) == m]
 
 
-def _reach_test(grid, support_radius: float | None):
+def _reach_test(grid, support_radius: float):
     """Predicate on lattice vectors k: can the image x_j + k reach the cell?
 
     The nearest approach of x_j + k to any x_i is
     sqrt(sum_a max(|k_a| - span_a, 0)**2), span_a being the extent of the
     cell nodes on axis a; images whose approach exceeds support_radius by
-    more than _REACH_SLACK fail, since the kernel vanishes on them. Without
-    a support radius every image passes.
+    more than _REACH_SLACK fail, since the kernel vanishes on them.
     """
-    if support_radius is None:
-        return lambda shift: True
     X = grid.cell_nodes
     span = (X.max(axis=0) - X.min(axis=0)).tolist()
     return lambda shift: math.hypot(
@@ -276,58 +273,18 @@ def _image_shells(support_radius: float) -> int:
     return int(np.ceil(support_radius)) + 1
 
 
-def periodize_kernel(pair_fn, grid, support_radius: float | None = None,
-                     tol: float = 1e-10, max_shells: int = 64):
-    """Lattice-sum a whole-line pair kernel onto the periodicity cell.
-
-    Returns (matrix, images) where matrix[i, j] = sum_k fn(x_i, x_j + k)
-    over lattice vectors k, and images is the per-axis truncation radius
-    used. Images are added shell by shell, max_a |k_a| = 0, 1, 2, ...
-
-    With a known support radius the sum is finite: shells run to one cell
-    beyond the reach, and only the images that can reach the cell are
-    summed (see _reach_test). Without a support radius every image of a
-    shell is summed, and shells are added until the largest entry
-    increment drops below tol.
-    """
-    n, XX, YY = _cell_pairs(grid)
-    reaches = _reach_test(grid, support_radius)
-
-    def shell_sum(m, out):
-        added = 0.0
-        for shift in filter(reaches, _shell_shifts(grid.dim, m)):
-            vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
-            out += vals.reshape(n, n)
-            added = max(added, float(np.max(np.abs(vals))))
-        return added
-
-    probe = np.asarray(pair_fn(grid.cell_nodes[:1], grid.cell_nodes[:1]))
-    dtype = complex if np.iscomplexobj(probe) else float
-    total = np.zeros((n, n), dtype=dtype)
-    if support_radius is not None:
-        images = _image_shells(support_radius)
-        for m in range(images + 1):
-            shell_sum(m, total)
-        return total, images
-    for m in range(max_shells + 1):
-        added = shell_sum(m, total)
-        if m >= 1 and added < tol:
-            return total, m
-    raise ConvergenceError(
-        f"lattice sum did not settle below {tol} within {max_shells} image shells"
-    )
-
-
 def lattice_image_blocks(pair_fn, grid, support_radius: float):
     """The cell's whole-line kernel values toward each lattice image it reaches.
 
     Returns (shifts, blocks): shifts is an integer array (images, dim) and
-    blocks[s][i, j] = fn(x_i, x_j + shifts[s]), evaluated by the same pair
-    calls and the same reach test as periodize_kernel. A kernel periodic
-    under joint integer shifts has V(x_i + k, x_j + k') = blocks[s][i, j]
-    with shifts[s] = k' - k, so every matrix of the kernel between window
-    nodes is block-Toeplitz over cells with these blocks. Images whose
-    block is all zeros are dropped; the zero shift is always kept.
+    blocks[s][i, j] = fn(x_i, x_j + shifts[s]). Images are visited shell by
+    shell, max_a |k_a| = 0, 1, 2, ..., out to one cell beyond the reach,
+    and the pair function is called once for each image that can reach the
+    cell (see _reach_test). A kernel periodic under joint integer shifts
+    has V(x_i + k, x_j + k') = blocks[s][i, j] with shifts[s] = k' - k, so
+    every matrix of the kernel between window nodes is block-Toeplitz over
+    cells with these blocks. Images whose block is all zeros are dropped;
+    the zero shift is always kept.
     """
     n, XX, YY = _cell_pairs(grid)
     reaches = _reach_test(grid, support_radius)
@@ -341,42 +298,46 @@ def lattice_image_blocks(pair_fn, grid, support_radius: float):
     return np.array(shifts, dtype=np.intp), np.stack(blocks)
 
 
+def periodize_kernel(pair_fn, grid, support_radius: float) -> np.ndarray:
+    """Lattice-sum a whole-line pair kernel onto the periodicity cell.
+
+    Returns matrix[i, j] = sum_k fn(x_i, x_j + k) over the lattice vectors
+    k: the sum of the lattice-image blocks, in shell order. The sum is
+    finite, since the kernel vanishes on the images that cannot reach the
+    cell.
+    """
+    return lattice_image_blocks(pair_fn, grid, support_radius)[1].sum(axis=0)
+
+
 class SpatialKernel:
     """A time-integrated kernel V_s sampled on a grid.
 
-    Holds the periodized cell matrix (plain values, not yet weighted by
-    quadrature), remembers the underlying whole-line pair function for
-    window restrictions, and carries the symmetry weight gamma2/gamma1
-    on the cell when the factorization is known. The window matrix and
-    the lattice-image blocks (from which the ball truncations are built)
-    are evaluated on first use and kept.
+    Holds the cell's lattice-image table (shifts, blocks), evaluated once
+    by lattice_image_blocks when the kernel is integrated: every matrix
+    the kernel makes on the grid is read from it. The periodized cell
+    matrix (plain values, not yet weighted by quadrature) is the sum of the
+    blocks; the ball truncations and the window matrix are CellBlockMatrix
+    objects over them. Also keeps the whole-line pair function and, when
+    the factorization is known, the symmetry weight gamma2/gamma1 on the
+    cell.
     """
 
-    def __init__(self, grid, pair_fn, cell_matrix, images: int,
+    def __init__(self, grid, pair_fn, shifts: np.ndarray, blocks: np.ndarray,
                  support_radius: float, gamma_cell=None):
         self.grid = grid
         self.pair_fn = pair_fn
-        self.cell_matrix = cell_matrix
-        self.images = images
+        self.shifts = shifts
+        self.blocks = blocks
+        self.cell_matrix = blocks.sum(axis=0)
         self.support_radius = float(support_radius)
         self.gamma_cell = gamma_cell
-        self.row_integrals = cell_matrix.sum(axis=1) * grid.weight
-        self._window = None
-        self._image_blocks = None
+        self.row_integrals = self.cell_matrix.sum(axis=1) * grid.weight
 
     def window_matrix(self) -> CellBlockMatrix:
-        """Whole-line kernel values V(x_i, x_j) between window nodes, in
-        cell-block form (window_pair_matrix), built on first use and kept."""
-        if self._window is None:
-            self._window = window_pair_matrix(self.grid, self.pair_fn, self.support_radius)
-        return self._window
-
-    def image_blocks(self):
-        """(shifts, blocks) of lattice_image_blocks, built on first use."""
-        if self._image_blocks is None:
-            self._image_blocks = lattice_image_blocks(
-                self.pair_fn, self.grid, self.support_radius)
-        return self._image_blocks
+        """Whole-line kernel values V(x_i, x_j) between all window nodes, in
+        cell-block form over the image table, as window_pair_matrix builds it."""
+        return CellBlockMatrix(self.grid, np.arange(self.grid.n_window),
+                               self.shifts, self.blocks)
 
 
 class CellBlockMatrix:
@@ -499,7 +460,10 @@ def window_pair_matrix(grid, pair_fn, support_radius) -> CellBlockMatrix:
 
 
 def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:
-    """Integrate a time kernel against exp(-exponent * tau) and periodize.
+    """Integrate a time kernel against exp(-exponent * tau) and tabulate it
+    on the grid: the pair function is evaluated once, on the lattice images
+    of the cell (lattice_image_blocks), and every matrix of the returned
+    SpatialKernel is read from that table.
 
     exponent is the product rho * c of a spatial decay rate and a frame
     speed; zero gives the plain interaction kernel V. The symmetry
@@ -515,9 +479,7 @@ def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:
     def pair_fn(X, Y):
         return time_kernel.time_integral(X, Y, exponent)
 
-    cell_matrix, images = periodize_kernel(
-        pair_fn, grid, support_radius=time_kernel.support_radius
-    )
+    shifts, blocks = lattice_image_blocks(pair_fn, grid, time_kernel.support_radius)
     gamma_cell = None
     sym = getattr(time_kernel, "symmetry", None)
     if sym is not None and not np.iscomplexobj(np.asarray(exponent)):
@@ -530,7 +492,7 @@ def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:
             raise ValidationError("symmetry factors gamma1, gamma2 must be positive")
         gamma_cell = g2 / g1
     return SpatialKernel(
-        grid, pair_fn, cell_matrix, images,
+        grid, pair_fn, shifts, blocks,
         support_radius=time_kernel.support_radius,
         gamma_cell=gamma_cell,
     )

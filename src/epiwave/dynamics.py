@@ -218,6 +218,15 @@ def limiting_equation_residual(u_inf, transfer, response, f_inf) -> float:
     return float(np.max(np.abs(u_inf - applied - f_inf)[idx]))
 
 
+def tail_mask(grid, tail_radius: float, boundary_margin: float) -> np.ndarray:
+    """Window nodes at distance >= tail_radius from the seeding center,
+    outside the frozen boundary layer of width boundary_margin."""
+    keep = np.zeros(grid.n_window, dtype=bool)
+    keep[grid.interior_indices(boundary_margin)] = True
+    keep &= np.linalg.norm(grid.window_nodes, axis=1) >= tail_radius
+    return keep
+
+
 def classify_outcome(u_inf, steady, tail_radius: float,
                      tol: float = DEFAULT_CLASSIFY_TOL, *,
                      grid, boundary_margin: float) -> Outcome:
@@ -235,10 +244,7 @@ def classify_outcome(u_inf, steady, tail_radius: float,
             f"of radius {grid.window_radius} after the boundary layer"
         )
     u_inf = np.asarray(u_inf, dtype=float)
-    r = np.linalg.norm(grid.window_nodes, axis=1)
-    keep = np.zeros(grid.n_window, dtype=bool)
-    keep[grid.interior_indices(boundary_margin)] = True
-    keep &= r >= tail_radius
+    keep = tail_mask(grid, tail_radius, boundary_margin)
     tail = u_inf[keep]
 
     if np.max(tail) <= tol:

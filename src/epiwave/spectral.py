@@ -19,8 +19,10 @@ integer shifts, V(x + k, y + k) = V(x, y), so the entry between the
 window nodes x_a + C and x_b + C' (x_a, x_b cell nodes, C, C' integer
 cell offsets) is V(x_a, x_b + C' - C): both matrices are block-Toeplitz
 over cells, and their blocks are the few lattice-image blocks of the
-cell (3 in 1-D, 9 for the 2-D box), cached on the SpatialKernel. Nothing
-is approximated, and a power iteration is one dense product.
+cell (3 in 1-D, 9 for the 2-D box). The SpatialKernel tabulates them
+once, when the kernel is integrated, and sums them into its cell matrix;
+a truncation only reads the table. Nothing is approximated, and a power
+iteration is one dense product.
 
 Quadrature is the composite midpoint rule of the grid; for kernels whose
 jumps fall on grid-aligned edges (half-value convention in the kernel
@@ -52,7 +54,7 @@ class OperatorMatrix:
     in the weighted inner product.
     """
 
-    entries: object  # dense ndarray, scipy sparse matrix or CellBlockMatrix
+    entries: object  # dense ndarray or CellBlockMatrix
     domain_tag: str  # "cell" or "ball"
     radius: float | None = None
     weight: np.ndarray | None = None
@@ -139,14 +141,13 @@ def assemble_ball(transfer, response, radius: float) -> OperatorMatrix:
     """Dirichlet truncation of the whole-line operator to a ball of the window.
 
     The entries are a CellBlockMatrix over the window nodes in the ball,
-    built from the kernel's lattice-image blocks (cached on the transfer)
-    instead of rows of the window matrix: by joint periodicity those
-    blocks are every value the truncation holds.
+    built from the transfer's lattice-image table instead of rows of the
+    window matrix: by joint periodicity those blocks are every value the
+    truncation holds.
     """
     grid = transfer.grid
-    shifts, blocks = transfer.image_blocks()
-    entries = CellBlockMatrix(grid, grid.ball_indices(radius), shifts, blocks,
-                              response.slope0 * grid.weight)
+    entries = CellBlockMatrix(grid, grid.ball_indices(radius), transfer.shifts,
+                              transfer.blocks, response.slope0 * grid.weight)
     gamma = transfer.gamma_cell
     return OperatorMatrix(
         entries=entries,

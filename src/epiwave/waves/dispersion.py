@@ -116,8 +116,8 @@ class _Assembler:
                 tilt = np.exp(-rho * ((Y - X) @ e))
                 return kern.spatial_fn(X, Y) * tilt
 
-            mat, _ = periodize_kernel(pair, self.grid,
-                                      support_radius=kern.support_radius)
+            mat = periodize_kernel(pair, self.grid,
+                                   support_radius=kern.support_radius)
             if len(self._cache) > 1024:
                 self._cache.clear()
             self._cache[rho] = mat
@@ -134,8 +134,8 @@ class _Assembler:
             tilt = np.exp(-rho * ((Y - X) @ e))
             return kern.time_integral(X, Y, s=s) * tilt
 
-        mat, _ = periodize_kernel(pair, self.grid,
-                                  support_radius=kern.support_radius)
+        mat = periodize_kernel(pair, self.grid,
+                               support_radius=kern.support_radius)
         return self.slope0 * self.grid.weight * mat
 
 

@@ -62,8 +62,8 @@ class OscillatingSubsolution:
         for sign in (-1.0, 1.0):
             xi = sign * self.band
             idx = int(np.argmin(np.abs(self.grid.window_nodes[:, 0] - xi)))
-            pr = self._phi_R_window[idx]
-            pi = self._phi_I_window[idx]
+            cell = self.grid.window_cell_map[idx]
+            pr, pi = self.phi_R[cell], self.phi_I[cell]
             out.append(float(
                 np.hypot(pr, pi) * np.exp(-self.rho_R * xi)
                 * np.cos(self.rho_I * xi - np.arctan2(pi, pr))
@@ -187,11 +187,8 @@ def oscillating_subsolution(time_kernel, response, c, grid, direction=None, *,
     min_on_support = float(np.min(slack[support_mask])) if np.any(
         support_mask) else np.nan
 
-    result = OscillatingSubsolution(
+    return OscillatingSubsolution(
         rho_R=rho_R, rho_I=rho_I, phi_R=phi_R, phi_I=phi_I, band=band,
         c=float(c), direction=e, values=values, applied=applied,
         slack=slack, band_mask=band_mask, support_mask=support_mask,
         min_slack=min_slack, min_slack_on_support=min_on_support, grid=grid)
-    result._phi_R_window = pr
-    result._phi_I_window = pi
-    return result

@@ -118,7 +118,7 @@ def test_zero_kernel_keeps_only_the_zero_shift():
     grid = ew.PeriodicGrid(2, 8, 2)
     transfer = ew.time_integrate_kernel(
         ew.separable_contact_kernel(0.0, 1.0, dim=2), grid)
-    shifts, blocks = transfer.image_blocks()
+    shifts, blocks = transfer.shifts, transfer.blocks
     assert shifts.tolist() == [[0, 0]]
     assert not np.any(blocks)
     op = assemble_ball(transfer, ew.saturating_exponential(), 2.0)
@@ -131,19 +131,23 @@ def test_box_kernel_keeps_only_the_touching_images():
     # of the cell carry nonzero values
     transfer = ew.time_integrate_kernel(
         ew.separable_contact_kernel(2.0, 1.0, dim=2), ew.PeriodicGrid(2, 8, 2))
-    shifts, blocks = transfer.image_blocks()
+    shifts, blocks = transfer.shifts, transfer.blocks
     assert sorted(map(tuple, shifts.tolist())) == [
         (a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     assert blocks.shape == (9, 64, 64)
 
 
-def test_ball_sweep_builds_no_window_matrix():
+def test_ball_sweep_builds_no_window_matrix(monkeypatch):
     grid = ew.PeriodicGrid(1, 32, 4)
     transfer = ew.time_integrate_kernel(_striped(1), grid)
+
+    def refuse():
+        raise AssertionError("the ball sweep built the window matrix")
+
+    monkeypatch.setattr(transfer, "window_matrix", refuse)
     points = ew.spectral.ball_eigenvalue_sweep(transfer,
                                                ew.saturating_exponential())
     assert len(points) == 4
-    assert transfer._window is None
 
 
 def test_ball_of_negative_kernel_is_rejected():

@@ -324,6 +324,32 @@ def test_oversized_cell_exits_2_without_files(tmp_path, capsys, command, grid):
 
 @pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
 @pytest.mark.parametrize("doc", [
+    {"kernel": {"support_radius": 1e6}},
+    # (2 * 32 + 1)**2 images of 64**2 node pairs: 138,510,336 bytes
+    {"kernel": {"support_radius": 32},
+     "grid": {"dim": 2, "cell_points": 8, "window_radius": 2}},
+])
+def test_oversized_kernel_reach_exits_2_without_files(tmp_path, capsys,
+                                                      command, doc):
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "should_not_exist"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(MAX_CELL_BYTES) in err
+
+
+def test_kernel_reach_within_the_cell_budget_loads(tmp_path):
+    # (2 * 31 + 1)**2 images of 64**2 node pairs: 130,121,728 bytes
+    cfg = load_scenario(_write_config(tmp_path, {
+        "kernel": {"support_radius": 31},
+        "grid": {"dim": 2, "cell_points": 8, "window_radius": 2}}))
+    assert cfg.support_radius == 31.0
+
+
+@pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
+@pytest.mark.parametrize("doc", [
     {"sir": {"susceptible": "1 + 0.05*x"}},
     {"kernel": {"source": "1 + 0.5*sin(x)"}},
     {"kernel": {"target": "exp(-x*x)"}},

@@ -14,6 +14,7 @@ from epiwave import (
     time_integrate_kernel,
 )
 from epiwave.domain.kernels import exponential_step_weights
+from epiwave.spectral import ball_eigenvalue_sweep
 
 
 def _pts(*vals):
@@ -54,18 +55,9 @@ def test_periodize_image_count_covers_reach():
     grid = PeriodicGrid(1, 16, 2)
     kernel = separable_contact_kernel(2.0, 2.5)
     transfer = time_integrate_kernel(kernel, grid)
-    assert transfer.images == 4  # ceil(2.5) + 1
+    # x_i - x_j - k meets the box |z| <= 2.5 for the images |k| <= 3
+    assert transfer.shifts.ravel().tolist() == [0, -1, 1, -2, 2, -3, 3]
     assert np.allclose(transfer.row_integrals, 2.0, atol=5e-14)
-
-
-def test_periodize_adaptive_without_support():
-    grid = PeriodicGrid(1, 16, 1)
-    pair = lambda X, Y: np.exp(-3.0 * (X[:, 0] - Y[:, 0]) ** 2)
-    mat, images = periodize_kernel(pair, grid, tol=1e-12)
-    assert images >= 2
-    # row integral of the periodization equals the whole-line integral
-    exact = np.sqrt(np.pi / 3.0)
-    assert np.allclose(mat.sum(axis=1) * grid.weight, exact, rtol=1e-6)
 
 
 def test_separable_evaluate_factorizes():
@@ -211,8 +203,7 @@ def _full_shell_sum(pair_fn, grid, support_radius):
     YY = np.tile(X, (n, 1))
     probe = np.asarray(pair_fn(X[:1], X[:1]))
     total = np.zeros((n, n), dtype=complex if np.iscomplexobj(probe) else float)
-    images = int(np.ceil(support_radius)) + 1
-    for m in range(images + 1):
+    for m in range(int(np.ceil(support_radius)) + 2):
         rng = range(-m, m + 1)
         if grid.dim == 1:
             shifts = [(k,) for k in rng if abs(k) == m]
@@ -221,7 +212,7 @@ def _full_shell_sum(pair_fn, grid, support_radius):
         for shift in shifts:
             vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
             total += vals.reshape(n, n)
-    return total, images
+    return total
 
 
 def _striped(dim=1):
@@ -294,9 +285,8 @@ def test_periodize_matches_full_shell_sum(case):
         pair = _tilted(kernel, tilt[1], tilt[2])
     else:
         pair = _tilted_time_integral(kernel, tilt[1], 1.4, tilt[2])
-    expected, expected_images = _full_shell_sum(pair, grid, kernel.support_radius)
-    got, images = periodize_kernel(pair, grid, support_radius=kernel.support_radius)
-    assert images == expected_images
+    expected = _full_shell_sum(pair, grid, kernel.support_radius)
+    got = periodize_kernel(pair, grid, support_radius=kernel.support_radius)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
     assert np.count_nonzero(expected) > 0
@@ -312,7 +302,37 @@ def test_periodize_skips_only_images_out_of_reach():
     # images out to max |k_a| = 3 in 2-D: 49 shifts, of which the 21 with
     # |k_a| <= 2 and not both |k_a| = 2 can reach the cell
     periodize_kernel(counting, PeriodicGrid(2, 8, 1), support_radius=np.sqrt(2.0))
-    assert len(calls) == 1 + 21  # the dtype probe plus the reachable images
+    assert len(calls) == 21
+
+
+def _counting(kernel):
+    """The kernel with a counter on its spatial function's calls."""
+    calls = []
+
+    def spatial(X, Y):
+        calls.append(1)
+        return kernel.spatial_fn(X, Y)
+
+    return SeparableKernel(spatial, kernel.mu_fn, kernel.support_radius,
+                           dim=kernel.dim, symmetry=kernel.symmetry), calls
+
+
+@pytest.mark.parametrize("dim, cell_points, reachable", [(1, 16, 3), (2, 8, 21)])
+def test_one_image_table_per_kernel(dim, cell_points, reachable):
+    # one pair call per image that passes the reach test, and none after:
+    # the cell matrix, the ball truncations and the window matrix all read
+    # the table time_integrate_kernel built
+    kernel, calls = _counting(separable_contact_kernel(2.0, 1.0, dim=dim))
+    grid = PeriodicGrid(dim, cell_points, 2)
+    transfer = time_integrate_kernel(kernel, grid)
+    assert len(calls) == reachable
+    assert np.array_equal(transfer.cell_matrix, periodize_kernel(
+        transfer.pair_fn, grid, kernel.support_radius))
+    calls.clear()
+    ball_eigenvalue_sweep(transfer, ew.saturating_exponential())
+    W = transfer.window_matrix()
+    assert W.shape == (grid.n_window, grid.n_window)
+    assert len(calls) == 0
 
 
 def _masked_box_profile(mass, radius, dim=1):

@@ -1,5 +1,7 @@
 """Dispersion surface, minimal speed, front iteration, slow-speed diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -440,6 +442,8 @@ def test_band_edges_are_strictly_negative_with_the_expected_value(slow_bump):
     osc = slow_bump["osc"]
     left, right = osc.edge_values()
     assert left < 0 and right < 0
+    # an instance built from its fields alone gives the same edge values
+    assert dataclasses.replace(osc).edge_values() == (left, right)
     pr, pi = osc.phi_R[0], osc.phi_I[0]
     assert np.allclose(osc.phi_R, pr) and np.allclose(osc.phi_I, pi)
     expect_right = (np.sqrt(2) / 2) * (-pr + pi) * np.exp(-osc.rho_R * osc.band)
