@@ -1,10 +1,12 @@
 """One pipeline per CLI command, shared plumbing for artifact text.
 
-Every pipeline is a pure function from a validated ScenarioConfig to
+Every pipeline is a pure function from a loaded ScenarioConfig to
 (artifacts, results): artifacts maps file names to their full text,
-results is the headline summary echoed into the run manifest.  Nothing
-here touches the filesystem, so a failed run never leaves partial
-output behind.
+results is the headline summary echoed into the run manifest.  The
+model (grid, kernel, response, forcing, direction, SIR state) was built
+and checked when the scenario was loaded; a pipeline builds none of it
+and only runs the solvers on it.  Nothing here touches the filesystem,
+so a failed run never leaves partial output behind.
 
 Float formatting is fixed at 17 significant digits with a '.' decimal
 point; together with the deterministic solvers this makes artifact
@@ -48,12 +50,8 @@ def _time_stride(n_frames: int, cap: int = 41) -> int:
     return max(1, -(-n_frames // cap))
 
 
-def _objects(cfg: ScenarioConfig):
-    return cfg.build_grid(), cfg.build_kernel(), cfg.build_response()
-
-
 def run_threshold(cfg: ScenarioConfig):
-    grid, kernel, response = _objects(cfg)
+    grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
     transfer = time_integrate_kernel(kernel, grid)
     pair = spectral.principal_eigenpair(
         spectral.assemble_periodic(transfer, response), tol=cfg.tol)
@@ -78,7 +76,7 @@ def run_threshold(cfg: ScenarioConfig):
 
 
 def run_steady(cfg: ScenarioConfig):
-    grid, kernel, response = _objects(cfg)
+    grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
     transfer = time_integrate_kernel(kernel, grid)
     state = steady.solve_steady_state(transfer, response, tol=cfg.tol)
     summary = {
@@ -95,10 +93,9 @@ def run_steady(cfg: ScenarioConfig):
 
 
 def run_simulate(cfg: ScenarioConfig):
-    grid, kernel, response = _objects(cfg)
+    grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
     transfer = time_integrate_kernel(kernel, grid)
-    forcing = cfg.build_forcing()
-    field = dynamics.solve_initial_value(kernel, forcing, response, grid,
+    field = dynamics.solve_initial_value(kernel, cfg.forcing, response, grid,
                                          dt=cfg.dt, horizon=cfg.horizon)
     final, settled = dynamics.long_time_limit(field)
     state = steady.solve_steady_state(transfer, response, tol=cfg.tol)
@@ -133,9 +130,9 @@ def run_simulate(cfg: ScenarioConfig):
 
 
 def run_speed(cfg: ScenarioConfig):
-    grid, kernel, response = _objects(cfg)
+    grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
     result = waves.minimal_speed(kernel, response, grid,
-                                 direction=cfg.build_direction())
+                                 direction=cfg.direction)
     summary = {
         "c_star": result.c_star,
         "rho_star": result.rho_star,
@@ -148,14 +145,9 @@ def run_speed(cfg: ScenarioConfig):
 
 
 def run_wave(cfg: ScenarioConfig):
-    grid, kernel, response = _objects(cfg)
-    if cfg.speed_factor <= 1.0:
-        raise ValidationError(
-            f"run.speed_factor must exceed 1 for the wave pipeline, got "
-            f"{cfg.speed_factor}"
-        )
+    grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
     result = waves.minimal_speed(kernel, response, grid,
-                                 direction=cfg.build_direction())
+                                 direction=cfg.direction)
     if result.at_rest:
         raise ValidationError(
             "the scenario is subcritical; no fronts exist to construct"
@@ -193,14 +185,13 @@ def run_wave(cfg: ScenarioConfig):
 
 
 def run_dispersion(cfg: ScenarioConfig):
-    grid, kernel, response = _objects(cfg)
-    direction = cfg.build_direction()
+    grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
     lam = []
     for c in cfg.c_values:
         seed = None
         for rho in cfg.rho_values:
             seed = waves.dispersion_eigenvalue(kernel, response, rho, c,
-                                               grid, direction=direction,
+                                               grid, direction=cfg.direction,
                                                seed=seed)
             lam.append(seed.value)
     csv = _csv(["rho", "c", "lambda"],
@@ -214,7 +205,7 @@ def run_dispersion(cfg: ScenarioConfig):
 
 
 def run_sir_verify(cfg: ScenarioConfig):
-    state = cfg.build_sir_state()
+    state = cfg.sir
     sim = simulate_sir(state, dt=cfg.sir_dt, horizon=cfg.sir_horizon)
     gap = equivalence_check(state, dt=cfg.sir_dt, horizon=cfg.sir_horizon)
     grid = state.grid
@@ -239,14 +230,9 @@ def run_sir_verify(cfg: ScenarioConfig):
 
 
 def run_subwave_diag(cfg: ScenarioConfig):
-    grid, kernel, response = _objects(cfg)
-    if not 0.0 < cfg.sub_speed_factor < 1.0:
-        raise ValidationError(
-            f"run.sub_speed_factor must sit in (0, 1), got "
-            f"{cfg.sub_speed_factor}"
-        )
+    grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
     result = waves.minimal_speed(kernel, response, grid,
-                                 direction=cfg.build_direction())
+                                 direction=cfg.direction)
     if result.at_rest:
         raise ValidationError(
             "the scenario is subcritical; below-minimal frames need c_star > 0"

@@ -1,4 +1,4 @@
-"""Scenario configuration: JSON schema, expression grammar, object builders.
+"""Scenario configuration: JSON schema, expression grammar, model building.
 
 A scenario document is a JSON object with optional sections "grid",
 "kernel", "response", "forcing", "run", "sir" and "output"; every field
@@ -16,13 +16,20 @@ deliberately tiny expression language
 evaluated pointwise on node coordinates.  No eval(), no locale, no
 hidden state: the same document always builds the same objects.
 
-Heterogeneities must have period 1 on every axis, as the periodic
-medium of the theory does: every kernel matrix between window nodes is
-built from the kernel's values on the periodicity cell
+Loading a document builds its whole model once: the grid, the separable
+kernel, the response, the bump forcing, the direction and the SIR state.
+Building the model is the document check.  What a constructor refuses,
+load refuses, with the section named, so every command gives the same
+verdict on the same document; the pipelines only use what load built.
+
+Heterogeneities are compiled once and must have period 1 on every axis,
+as the periodic medium of the theory does: every kernel matrix between
+window nodes is built from the kernel's values on the periodicity cell
 (domain/kernels.py, CellBlockMatrix), so an expression such as
 "1 + 0.05*x" would silently stand for its periodization.  The loader
 evaluates each expression on the window nodes and refuses it unless the
-values repeat those on the cell nodes.
+values are finite and repeat those on the cell nodes, and unless they
+are nonnegative there.
 """
 
 from __future__ import annotations
@@ -30,15 +37,16 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..domain.forcing import Forcing, bump_forcing
-from ..domain.kernels import separable_contact_kernel
+from ..domain.kernels import SeparableKernel, separable_contact_kernel
 from ..domain.grid import MAX_CELL_BYTES, PeriodicGrid, cell_bytes
 from ..domain.nonlinearity import Nonlinearity, saturating_exponential
 from ..errors import ValidationError
+from ..sir import SirState
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
                     r"|([A-Za-z_][A-Za-z_0-9]*)|(.))")
@@ -191,26 +199,6 @@ def parse_expression(text, dim: int = 1):
 _PERIOD_TOL = 1e-9
 
 
-_POSITION = {("name", "x"), ("name", "x1"), ("name", "x2")}
-
-
-def _require_periodic(where: str, text, grid: PeriodicGrid):
-    if _is_number(text) or _POSITION.isdisjoint(_tokenize(text)):
-        return  # a constant has every period
-    fn = parse_expression(text, grid.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = grid.window_field(fn)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{where} = {text!r} is not finite on the window")
-    cell = grid.cell_field(fn)
-    gap = float(np.max(np.abs(values - grid.periodic_on_window(cell))))
-    if gap > _PERIOD_TOL * max(1.0, float(np.max(np.abs(cell)))):
-        raise ValidationError(
-            f"{where} = {text!r} does not have period 1 on every axis: it "
-            f"differs by {gap:.3g} between window nodes and their cell images"
-        )
-
-
 def _take_section(doc, name):
     sec = doc.pop(name, {})
     if not isinstance(sec, dict):
@@ -239,94 +227,88 @@ def _number(sec, name, key, default, *, low=None, high=None, integer=False):
     return value
 
 
+def _positive(sec, name, key, default):
+    value = _number(sec, name, key, default)
+    if value <= 0:
+        raise ValidationError(f"{name}.{key} = {value} must be positive")
+    return value
+
+
+def _heterogeneity(sec, name, key, grid: PeriodicGrid):
+    """Compile the expression at sec[key] (default 1) once and check it on
+    the grid: finite on the window, period 1 on every axis and nonnegative
+    on the cell, as every heterogeneity of the theory is. Strict positivity
+    of a decay rate or of the susceptibles is left to the constructor that
+    needs it."""
+    text = sec.pop(key, "1")
+    fn = parse_expression(text, grid.dim)
+    where = f"{name}.{key} = {text!r}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = grid.window_field(fn)
+        cell = grid.cell_field(fn)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{where} is not finite on the window")
+    gap = float(np.max(np.abs(values - grid.periodic_on_window(cell))))
+    if gap > _PERIOD_TOL * max(1.0, float(np.max(np.abs(cell)))):
+        raise ValidationError(
+            f"{where} does not have period 1 on every axis: it differs by "
+            f"{gap:.3g} between window nodes and their cell images"
+        )
+    low = float(np.min(cell))
+    if low < 0:
+        raise ValidationError(
+            f"{where} is negative on the cell: its least value at a cell "
+            f"node is {low:.3g}"
+        )
+    return fn
+
+
+def _build(name, make, *args, **kwargs):
+    """Run a model constructor; its refusal is a document error that names
+    the section the model came from."""
+    try:
+        return make(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+
+
 @dataclass
 class ScenarioConfig:
-    """Validated scenario with builders for the solver objects.
+    """A loaded scenario: its model, built and checked once, and the
+    settings of the runs.
 
-    Fields mirror the JSON document; expressions are kept as source text
-    (already parse-checked) and compiled on demand by the builders.
+    The model objects are the ones every pipeline uses; the remaining
+    fields mirror the "run" and "sir" sections of the document and the
+    output path.
     """
 
-    dim: int = 1
-    cell_points: int = 64
-    window_radius: int = 8
-    mass: float = 2.0
-    support_radius: float = 1.0
-    decay: object = "1"
-    source: object = "1"
-    target: object = "1"
-    response_name: str = "saturating"
-    forcing_amplitude: float = 1.0
-    forcing_radius: float = 2.0
-    forcing_rate: float = 1.0
-    dt: float = 0.05
-    horizon: float = 40.0
-    tol: float = 1e-10
-    wave_tol: float = 1e-6
-    slices: int = 16
-    direction: list | None = None
-    speed_factor: float = 2.0
-    sub_speed_factor: float = 0.98
-    tail_radius: float = 6.0
-    boundary_margin: float = 4.5
-    classify_tol: float = 1e-2
-    rho_values: list = field(default_factory=lambda: [0.25 * k for k in range(1, 9)])
-    c_values: list = field(default_factory=lambda: [0.0, 0.5, 1.0, 2.0])
-    sir_dt: float = 0.05
-    sir_horizon: float = 3.0
-    seed_amplitude: float = 0.2
-    seed_radius: float = 0.5
-    susceptible: object = "1"
-    output: str | None = None
-
-    def build_grid(self) -> PeriodicGrid:
-        return PeriodicGrid(dim=self.dim, cell_points=self.cell_points,
-                            window_radius=self.window_radius)
-
-    def build_kernel(self):
-        return separable_contact_kernel(
-            self.mass, self.support_radius, dim=self.dim,
-            source_factor=parse_expression(self.source, self.dim),
-            target_factor=parse_expression(self.target, self.dim),
-            decay=parse_expression(self.decay, self.dim),
-        )
-
-    def build_response(self) -> Nonlinearity:
-        return saturating_exponential()
-
-    def build_forcing(self) -> Forcing:
-        return bump_forcing(amplitude=self.forcing_amplitude,
-                            radius=self.forcing_radius,
-                            rate=self.forcing_rate)
-
-    def build_direction(self):
-        if self.direction is None:
-            return None
-        return np.asarray(self.direction, dtype=float)
-
-    def build_sir_state(self):
-        from ..sir import SirState
-
-        grid = self.build_grid()
-        kernel = self.build_kernel()
-        r = np.linalg.norm(grid.window_nodes, axis=1)
-        prof = np.cos(np.pi * r / (2.0 * self.seed_radius)) ** 2
-        infected0 = self.seed_amplitude * np.where(r < self.seed_radius,
-                                                   prof, 0.0)
-        return SirState(
-            grid=grid, contact_fn=kernel.spatial_fn,
-            support_radius=kernel.support_radius,
-            recovery_fn=parse_expression(self.decay, self.dim),
-            susceptible_fn=parse_expression(self.susceptible, self.dim),
-            infected0=infected0,
-        )
+    grid: PeriodicGrid
+    kernel: SeparableKernel
+    response: Nonlinearity
+    forcing: Forcing
+    direction: np.ndarray | None
+    sir: SirState
+    dt: float
+    horizon: float
+    tol: float
+    wave_tol: float
+    slices: int
+    speed_factor: float
+    sub_speed_factor: float
+    tail_radius: float
+    boundary_margin: float
+    classify_tol: float
+    rho_values: list
+    c_values: list
+    sir_dt: float
+    sir_horizon: float
+    output: str | None
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Read and validate a scenario document; raises ValidationError on
-    any malformed content, a grid PeriodicGrid refuses, a kernel reach whose
-    image table would exceed MAX_CELL_BYTES on the cell, or a heterogeneity
-    without period 1, before anything is written."""
+    """Read a scenario document and build its model; raises ValidationError,
+    before anything is written, on malformed content and on any model the
+    loader or a constructor refuses."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -342,102 +324,116 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
+    """Check a scenario document by building its model: each section is
+    read, each expression compiled once, and each model object constructed
+    from them."""
     doc = dict(doc)
-    cfg = ScenarioConfig()
 
-    grid = _take_section(doc, "grid")
-    cfg.dim = _number(grid, "grid", "dim", 1, low=1, high=2, integer=True)
-    cfg.cell_points = _number(grid, "grid", "cell_points", 64, low=8,
-                              integer=True)
-    cfg.window_radius = _number(grid, "grid", "window_radius", 8, low=1,
-                                integer=True)
-    _finish_section("grid", grid)
+    sec = _take_section(doc, "grid")
+    grid = _build(
+        "grid", PeriodicGrid,
+        dim=_number(sec, "grid", "dim", 1, integer=True),
+        cell_points=_number(sec, "grid", "cell_points", 64, integer=True),
+        window_radius=_number(sec, "grid", "window_radius", 8, integer=True),
+    )
+    _finish_section("grid", sec)
 
-    kernel = _take_section(doc, "kernel")
-    cfg.mass = _number(kernel, "kernel", "mass", 2.0, low=0.0)
-    cfg.support_radius = _number(kernel, "kernel", "support_radius", 1.0)
-    if cfg.support_radius <= 0:
+    sec = _take_section(doc, "kernel")
+    mass = _number(sec, "kernel", "mass", 2.0)
+    support_radius = _number(sec, "kernel", "support_radius", 1.0)
+    decay, source, target = (_heterogeneity(sec, "kernel", key, grid)
+                             for key in ("decay", "source", "target"))
+    _finish_section("kernel", sec)
+    need = cell_bytes(grid.dim, grid.cell_points, support_radius)
+    if need > MAX_CELL_BYTES:
         raise ValidationError(
-            f"kernel.support_radius = {cfg.support_radius} must be positive"
+            f"kernel.support_radius = {support_radius} on a {grid.dim}-D "
+            f"cell of {grid.cell_points} points per axis needs {need} bytes "
+            f"of node-pair arrays and image blocks, above the limit of "
+            f"{MAX_CELL_BYTES}; shrink kernel.support_radius or grid.cell_points"
         )
-    for key in ("decay", "source", "target"):
-        text = kernel.pop(key, getattr(cfg, key))
-        parse_expression(text, cfg.dim)
-        setattr(cfg, key, text)
-    _finish_section("kernel", kernel)
+    kernel = _build("kernel", separable_contact_kernel, mass, support_radius,
+                    dim=grid.dim, source_factor=source, target_factor=target,
+                    decay=decay)
 
     response = doc.pop("response", "saturating")
     if response != "saturating":
         raise ValidationError(
             f"unknown response {response!r}; only 'saturating' is available"
         )
-    cfg.response_name = response
 
-    forcing = _take_section(doc, "forcing")
-    cfg.forcing_amplitude = _number(forcing, "forcing", "amplitude", 1.0,
-                                    low=0.0)
-    cfg.forcing_radius = _number(forcing, "forcing", "radius", 2.0)
-    cfg.forcing_rate = _number(forcing, "forcing", "rate", 1.0)
-    _finish_section("forcing", forcing)
+    sec = _take_section(doc, "forcing")
+    forcing = _build("forcing", bump_forcing,
+                     amplitude=_number(sec, "forcing", "amplitude", 1.0),
+                     radius=_number(sec, "forcing", "radius", 2.0),
+                     rate=_number(sec, "forcing", "rate", 1.0))
+    _finish_section("forcing", sec)
 
     run = _take_section(doc, "run")
-    cfg.dt = _number(run, "run", "dt", 0.05)
-    cfg.horizon = _number(run, "run", "horizon", 40.0)
-    cfg.tol = _number(run, "run", "tol", 1e-10)
-    cfg.wave_tol = _number(run, "run", "wave_tol", 1e-6)
-    cfg.slices = _number(run, "run", "slices", 16, low=4, integer=True)
-    cfg.speed_factor = _number(run, "run", "speed_factor", 2.0)
-    cfg.sub_speed_factor = _number(run, "run", "sub_speed_factor", 0.98)
-    cfg.tail_radius = _number(run, "run", "tail_radius", 6.0)
-    cfg.boundary_margin = _number(run, "run", "boundary_margin", 4.5)
-    cfg.classify_tol = _number(run, "run", "classify_tol", 1e-2, low=0.0)
+    settings = dict(
+        dt=_number(run, "run", "dt", 0.05),
+        horizon=_number(run, "run", "horizon", 40.0),
+        tol=_positive(run, "run", "tol", 1e-10),
+        wave_tol=_positive(run, "run", "wave_tol", 1e-6),
+        slices=_number(run, "run", "slices", 16, low=4, integer=True),
+        speed_factor=_number(run, "run", "speed_factor", 2.0),
+        sub_speed_factor=_number(run, "run", "sub_speed_factor", 0.98),
+        tail_radius=_number(run, "run", "tail_radius", 6.0),
+        boundary_margin=_number(run, "run", "boundary_margin", 4.5),
+        classify_tol=_number(run, "run", "classify_tol", 1e-2, low=0.0),
+    )
+    if settings["speed_factor"] <= 1.0:
+        raise ValidationError(
+            f"run.speed_factor = {settings['speed_factor']} must exceed 1"
+        )
+    if not 0.0 < settings["sub_speed_factor"] < 1.0:
+        raise ValidationError(
+            f"run.sub_speed_factor = {settings['sub_speed_factor']} must "
+            f"sit in (0, 1)"
+        )
     direction = run.pop("direction", None)
     if direction is not None:
-        if (not isinstance(direction, list) or len(direction) != cfg.dim
-                or not all(_is_number(v) for v in direction)):
+        if (not isinstance(direction, list) or len(direction) != grid.dim
+                or not all(_is_number(v) for v in direction)
+                or not any(direction)):
             raise ValidationError(
-                f"run.direction must be a list of {cfg.dim} finite numbers, "
-                f"got {direction!r}"
+                f"run.direction must be a nonzero list of {grid.dim} finite "
+                f"numbers, got {direction!r}"
             )
-        direction = [float(v) for v in direction]
-    cfg.direction = direction
-    for key in ("rho_values", "c_values"):
-        vals = run.pop(key, getattr(cfg, key))
+        direction = np.asarray(direction, dtype=float)
+    for key, default in (("rho_values", [0.25 * k for k in range(1, 9)]),
+                         ("c_values", [0.0, 0.5, 1.0, 2.0])):
+        vals = run.pop(key, default)
         if (not isinstance(vals, list) or not vals
                 or not all(_is_number(v) for v in vals)):
             raise ValidationError(
                 f"run.{key} must be a list of finite numbers, got {vals!r}"
             )
-        setattr(cfg, key, [float(v) for v in vals])
+        settings[key] = [float(v) for v in vals]
     _finish_section("run", run)
 
-    sir = _take_section(doc, "sir")
-    cfg.sir_dt = _number(sir, "sir", "dt", 0.05)
-    cfg.sir_horizon = _number(sir, "sir", "horizon", 3.0)
-    cfg.seed_amplitude = _number(sir, "sir", "seed_amplitude", 0.2, low=0.0)
-    cfg.seed_radius = _number(sir, "sir", "seed_radius", 0.5)
-    susceptible = sir.pop("susceptible", "1")
-    parse_expression(susceptible, cfg.dim)
-    cfg.susceptible = susceptible
-    _finish_section("sir", sir)
+    sec = _take_section(doc, "sir")
+    settings["sir_dt"] = _number(sec, "sir", "dt", 0.05)
+    settings["sir_horizon"] = _number(sec, "sir", "horizon", 3.0)
+    seed_amplitude = _number(sec, "sir", "seed_amplitude", 0.2, low=0.0)
+    seed_radius = _positive(sec, "sir", "seed_radius", 0.5)
+    susceptible = _heterogeneity(sec, "sir", "susceptible", grid)
+    _finish_section("sir", sec)
+    r = np.linalg.norm(grid.window_nodes, axis=1)
+    prof = np.cos(np.pi * r / (2.0 * seed_radius)) ** 2
+    sir = _build("sir", SirState, grid=grid, contact_fn=kernel.spatial_fn,
+                 support_radius=kernel.support_radius, recovery_fn=decay,
+                 susceptible_fn=susceptible,
+                 infected0=seed_amplitude * np.where(r < seed_radius, prof,
+                                                     0.0))
 
     output = doc.pop("output", None)
     if output is not None and not isinstance(output, str):
         raise ValidationError(f"output must be a path string, got {output!r}")
-    cfg.output = output
 
     if doc:
         raise ValidationError(f"unknown top-level sections: {sorted(doc)}")
-    grid = cfg.build_grid()
-    need = cell_bytes(cfg.dim, cfg.cell_points, cfg.support_radius)
-    if need > MAX_CELL_BYTES:
-        raise ValidationError(
-            f"kernel.support_radius = {cfg.support_radius} on a {cfg.dim}-D "
-            f"cell of {cfg.cell_points} points per axis needs {need} bytes of "
-            f"node-pair arrays and image blocks, above the limit of "
-            f"{MAX_CELL_BYTES}; shrink kernel.support_radius or grid.cell_points"
-        )
-    for key in ("decay", "source", "target"):
-        _require_periodic(f"kernel.{key}", getattr(cfg, key), grid)
-    _require_periodic("sir.susceptible", cfg.susceptible, grid)
-    return cfg
+    return ScenarioConfig(grid=grid, kernel=kernel,
+                          response=saturating_exponential(), forcing=forcing,
+                          direction=direction, sir=sir, output=output,
+                          **settings)

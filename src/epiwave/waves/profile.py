@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
+from .. import dynamics
 from ..domain.kernels import (SeparableKernel, exponential_step_weights,
                               window_pair_matrix)
 from ..errors import ConvergenceError, ValidationError
@@ -93,6 +94,15 @@ class WaveOperator:
             raise ValidationError(f"frame speed must be positive, got {c}")
         if slices < 4:
             raise ValidationError(f"need at least 4 time slices, got {slices}")
+        # apply() extends each slab by the ghost cell beyond the right edge
+        slab = int(slices) * (grid.n_window + grid.cell_points)
+        if slab > dynamics.MAX_TRAJECTORY_VALUES:
+            raise ValidationError(
+                f"a slab of {slices} time slices over {grid.n_window} window "
+                f"and {grid.cell_points} ghost-cell nodes would hold {slab} "
+                f"values, more than {dynamics.MAX_TRAJECTORY_VALUES}; lower "
+                "the slices or shrink the window"
+            )
         reach = time_kernel.support_radius
         if grid.window_radius <= reach + 1.0:
             raise ValidationError(

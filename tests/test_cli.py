@@ -9,8 +9,8 @@ import os
 import numpy as np
 import pytest
 
-from epiwave import waves
-from epiwave.app import pipelines
+from epiwave import dynamics, waves
+from epiwave.app import pipelines, scenario
 from epiwave.app.cli import main
 from epiwave.app.scenario import load_scenario, parse_expression
 from epiwave.domain.grid import MAX_CELL_BYTES, MAX_WINDOW_NODES
@@ -345,7 +345,7 @@ def test_kernel_reach_within_the_cell_budget_loads(tmp_path):
     cfg = load_scenario(_write_config(tmp_path, {
         "kernel": {"support_radius": 31},
         "grid": {"dim": 2, "cell_points": 8, "window_radius": 2}}))
-    assert cfg.support_radius == 31.0
+    assert cfg.kernel.support_radius == 31.0 * np.sqrt(2)
 
 
 @pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
@@ -374,7 +374,7 @@ def test_periodic_heterogeneities_load(tmp_path):
                    "target": "exp(3*cos(4*pi*x2))",
                    "decay": 1.5},
         "sir": {"susceptible": "2 - cos(2*pi*x1)*cos(2*pi*x1)"}}))
-    assert cfg.build_kernel().dim == 2
+    assert cfg.kernel.dim == 2
     with pytest.raises(ValidationError, match="not finite"):
         load_scenario(_write_config(tmp_path, {
             "kernel": {"source": "exp(1000*cos(2*pi*x))"}}, "inf.json"))
@@ -429,13 +429,80 @@ def test_failure_json_carries_solver_details(tmp_path, monkeypatch):
                                   "node": -2.5, "slack": -3e-4}
 
 
-@pytest.mark.parametrize("command",
-                         ["threshold", "steady", "speed", "dispersion"])
-def test_negative_kernel_exits_2_without_files(tmp_path, command):
-    cfg = _write_config(tmp_path, {"kernel": {"source": "-1"}})
+_INVALID_MODELS = [
+    {"kernel": {"source": "-1"}},
+    {"kernel": {"target": "cos(2*pi*x)"}},
+    {"sir": {"susceptible": "-1"}},
+    {"sir": {"seed_radius": -1}},
+    {"forcing": {"rate": -1}},
+    {"run": {"tol": 0}},
+    {"run": {"wave_tol": 0}},
+    {"run": {"speed_factor": 1}},
+    {"run": {"sub_speed_factor": 1}},
+    {"run": {"direction": [0.0]}},
+]
+
+
+@pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
+def test_negative_kernel_exits_2_without_files(tmp_path, capsys, command):
+    """Models outside the theory's hypotheses are refused at load, by
+    every command alike."""
+    for n, doc in enumerate(_INVALID_MODELS):
+        cfg = _write_config(tmp_path, doc, f"doc{n}.json")
+        out = tmp_path / f"should_not_exist{n}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2, doc
+        assert not out.exists(), doc
+        assert "Traceback" not in capsys.readouterr().err, doc
+
+
+@pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
+def test_default_document(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, {})
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    if command in ("simulate", "subwave-diag"):
+        # the default tail radius and oscillation band do not fit the
+        # default window of radius 8
+        assert code == 2
+        assert not out.exists()
+    else:
+        assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_each_expression_is_compiled_once_per_load(tmp_path, monkeypatch):
+    compiled = []
+    real = scenario.parse_expression
+
+    def counting(text, dim=1):
+        compiled.append(text)
+        return real(text, dim)
+
+    monkeypatch.setattr(scenario, "parse_expression", counting)
+    texts = {"source": "1 + 0.5*cos(2*pi*x)", "target": "2",
+             "decay": "1 + 0.25*sin(2*pi*x)",
+             "susceptible": "1 + 0.3*cos(2*pi*x)"}
+    cfg = load_scenario(_write_config(tmp_path, {
+        "kernel": {k: texts[k] for k in ("source", "target", "decay")},
+        "sir": {"susceptible": texts["susceptible"]}}))
+    assert sorted(compiled) == sorted(texts.values())
+    # one callable serves the kernel and the SIR state
+    assert cfg.sir.recovery_fn is cfg.kernel.mu_fn
+
+
+def test_wave_slab_beyond_the_march_budget_exits_2_without_files(
+        tmp_path, capsys, monkeypatch):
+    # 16 slices over 768 window and 16 ghost-cell nodes: 12,544 values
+    budget = 16 * (768 + 16) - 1
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_VALUES", budget)
+    cfg = _write_config(tmp_path, {
+        "grid": {"cell_points": 16, "window_radius": 24}})
     out = tmp_path / "should_not_exist"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(budget) in err
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -513,13 +580,13 @@ def test_expression_language_rejects_junk():
 
 def test_scenario_defaults_round_trip(tmp_path):
     cfg = load_scenario(_write_config(tmp_path, {}))
-    assert cfg.dim == 1 and cfg.cell_points == 64 and cfg.window_radius == 8
-    grid = cfg.build_grid()
-    kernel = cfg.build_kernel()
+    grid = cfg.grid
+    assert grid.dim == 1 and grid.cell_points == 64 and grid.window_radius == 8
+    kernel = cfg.kernel
     assert kernel.support_radius == 1.0
-    assert cfg.build_response().bound == 1.0
-    assert cfg.build_forcing().support_radius == 2.0
-    state = cfg.build_sir_state()
+    assert cfg.response.bound == 1.0
+    assert cfg.forcing.support_radius == 2.0
+    state = cfg.sir
     assert state.grid.n_window == grid.n_window
     with pytest.raises(ValidationError, match="direction"):
         load_scenario(_write_config(tmp_path,
