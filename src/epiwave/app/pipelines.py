@@ -185,15 +185,10 @@ def run_wave(cfg: ScenarioConfig):
 
 
 def run_dispersion(cfg: ScenarioConfig):
-    grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
-    lam = []
-    for c in cfg.c_values:
-        seed = None
-        for rho in cfg.rho_values:
-            seed = waves.dispersion_eigenvalue(kernel, response, rho, c,
-                                               grid, direction=cfg.direction,
-                                               seed=seed)
-            lam.append(seed.value)
+    tilted = waves.TiltedOperator(cfg.kernel, cfg.response, cfg.grid,
+                                  cfg.direction)
+    lam = [tilted.point(rho, c).value
+           for c in cfg.c_values for rho in cfg.rho_values]
     csv = _csv(["rho", "c", "lambda"],
                np.tile(cfg.rho_values, len(cfg.c_values)),
                np.repeat(cfg.c_values, len(cfg.rho_values)), lam)

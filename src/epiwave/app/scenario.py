@@ -35,6 +35,7 @@ are nonnegative there.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -51,6 +52,10 @@ from ..sir import SirState
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
                     r"|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# Deepest nesting of parentheses, unary minus and function calls; a level
+# costs up to four Python frames to parse, far inside the recursion limit.
+_MAX_NESTING = 100
 
 
 def _is_number(raw) -> bool:
@@ -84,6 +89,18 @@ def _tokenize(text: str):
     return tokens
 
 
+def _chain(first, rest):
+    """first op1 f1 op2 f2 ... combined left to right in a loop, in the
+    order nested binary closures would, so long chains cost no recursion."""
+    def evaluate(X):
+        acc = first(X)
+        for op, fn in rest:
+            acc = op(acc, fn(X))
+        return acc
+
+    return evaluate if rest else first
+
+
 class _Parser:
     """Recursive descent over the grammar above; builds a closure tree."""
 
@@ -94,7 +111,8 @@ class _Parser:
         self.pos = 0
 
     def _fail(self, why: str):
-        raise ValidationError(f"bad expression {self.text!r}: {why}")
+        text = self.text if len(self.text) <= 60 else self.text[:57] + "..."
+        raise ValidationError(f"bad expression {text!r}: {why}")
 
     def _peek(self):
         return self.tokens[self.pos]
@@ -105,39 +123,40 @@ class _Parser:
         return tok
 
     def parse(self):
-        fn = self._expr()
+        fn = self._expr(0)
         kind, val = self._peek()
         if kind != "end":
             self._fail(f"unexpected {val!r}")
         return fn
 
-    def _expr(self):
-        left = self._term()
-        while self._peek() == ("sym", "+") or self._peek() == ("sym", "-"):
-            op = self._take()[1]
-            right = self._term()
-            if op == "+":
-                left = (lambda a, b: lambda X: a(X) + b(X))(left, right)
-            else:
-                left = (lambda a, b: lambda X: a(X) - b(X))(left, right)
-        return left
+    def _deeper(self, depth):
+        if depth == _MAX_NESTING:
+            self._fail(f"nests deeper than {_MAX_NESTING} levels of "
+                       "parentheses, unary minus and function calls")
+        return depth + 1
 
-    def _term(self):
-        left = self._unary()
+    def _expr(self, depth):
+        first = self._term(depth)
+        rest = []
+        while self._peek() in (("sym", "+"), ("sym", "-")):
+            rest.append((_BINARY[self._take()[1]], self._term(depth)))
+        return _chain(first, rest)
+
+    def _term(self, depth):
+        first = self._unary(depth)
+        rest = []
         while self._peek() == ("sym", "*"):
-            self._take()
-            right = self._unary()
-            left = (lambda a, b: lambda X: a(X) * b(X))(left, right)
-        return left
+            rest.append((_BINARY[self._take()[1]], self._unary(depth)))
+        return _chain(first, rest)
 
-    def _unary(self):
+    def _unary(self, depth):
         if self._peek() == ("sym", "-"):
             self._take()
-            inner = self._unary()
+            inner = self._unary(self._deeper(depth))
             return lambda X: -inner(X)
-        return self._atom()
+        return self._atom(depth)
 
-    def _atom(self):
+    def _atom(self, depth):
         kind, val = self._take()
         if kind == "num":
             return lambda X: val
@@ -153,14 +172,14 @@ class _Parser:
             if val in _FUNCTIONS:
                 if self._take() != ("sym", "("):
                     self._fail(f"{val} needs parentheses")
-                inner = self._expr()
+                inner = self._expr(self._deeper(depth))
                 if self._take() != ("sym", ")"):
                     self._fail("unbalanced parentheses")
                 func = _FUNCTIONS[val]
                 return lambda X: func(inner(X))
             self._fail(f"unknown name {val!r}")
         if (kind, val) == ("sym", "("):
-            inner = self._expr()
+            inner = self._expr(self._deeper(depth))
             if self._take() != ("sym", ")"):
                 self._fail("unbalanced parentheses")
             return inner
@@ -241,7 +260,7 @@ def _heterogeneity(sec, name, key, grid: PeriodicGrid):
     of a decay rate or of the susceptibles is left to the constructor that
     needs it."""
     text = sec.pop(key, "1")
-    fn = parse_expression(text, grid.dim)
+    fn = _build(f"{name}.{key}", parse_expression, text, grid.dim)
     where = f"{name}.{key} = {text!r}"
     with np.errstate(over="ignore", invalid="ignore"):
         values = grid.window_field(fn)
@@ -405,9 +424,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                          ("c_values", [0.0, 0.5, 1.0, 2.0])):
         vals = run.pop(key, default)
         if (not isinstance(vals, list) or not vals
-                or not all(_is_number(v) for v in vals)):
+                or not all(_is_number(v) and v >= 0 for v in vals)):
             raise ValidationError(
-                f"run.{key} must be a list of finite numbers, got {vals!r}"
+                f"run.{key} must be a list of finite nonnegative numbers, "
+                f"got {vals!r}"
             )
         settings[key] = [float(v) for v in vals]
     _finish_section("run", run)
@@ -421,11 +441,15 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     _finish_section("sir", sec)
     r = np.linalg.norm(grid.window_nodes, axis=1)
     prof = np.cos(np.pi * r / (2.0 * seed_radius)) ** 2
+    infected0 = seed_amplitude * np.where(r < seed_radius, prof, 0.0)
+    if not np.any(infected0 > 0):
+        raise ValidationError(
+            f"sir.seed_amplitude = {seed_amplitude} and sir.seed_radius = "
+            f"{seed_radius} seed no window node; the nearest lies "
+            f"{np.min(r):.3g} from the origin")
     sir = _build("sir", SirState, grid=grid, contact_fn=kernel.spatial_fn,
                  support_radius=kernel.support_radius, recovery_fn=decay,
-                 susceptible_fn=susceptible,
-                 infected0=seed_amplitude * np.where(r < seed_radius, prof,
-                                                     0.0))
+                 susceptible_fn=susceptible, infected0=infected0)
 
     output = doc.pop("output", None)
     if output is not None and not isinstance(output, str):

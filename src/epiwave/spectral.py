@@ -55,8 +55,6 @@ class OperatorMatrix:
     """
 
     entries: object  # dense ndarray or CellBlockMatrix
-    domain_tag: str  # "cell" or "ball"
-    radius: float | None = None
     weight: np.ndarray | None = None
     quadrature: float = 1.0
 
@@ -131,7 +129,6 @@ def assemble_periodic(transfer, response, grid=None) -> OperatorMatrix:
     entries = response.slope0 * transfer.cell_matrix * grid.weight
     return OperatorMatrix(
         entries=np.asarray(entries, dtype=float),
-        domain_tag="cell",
         weight=transfer.gamma_cell,
         quadrature=grid.weight,
     )
@@ -151,8 +148,6 @@ def assemble_ball(transfer, response, radius: float) -> OperatorMatrix:
     gamma = transfer.gamma_cell
     return OperatorMatrix(
         entries=entries,
-        domain_tag="ball",
-        radius=float(radius),
         weight=None if gamma is None else gamma[entries.local],
         quadrature=grid.weight,
     )

@@ -3,6 +3,7 @@
 from .dispersion import (
     DispersionPoint,
     SpeedResult,
+    TiltedOperator,
     complex_decay_root,
     default_rho_grid,
     dispersion_eigenvalue,
@@ -22,6 +23,7 @@ __all__ = [
     "OscillatingSubsolution",
     "SpeedResult",
     "SubSuperPair",
+    "TiltedOperator",
     "WaveOperator",
     "WaveSolution",
     "build_sub_super",

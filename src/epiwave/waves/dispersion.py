@@ -4,7 +4,9 @@ Seeking solutions that decay like exp(-rho (x.e - c t)) turns the
 linearized renewal operator into a periodic eigenproblem: the kernel is
 time-integrated with exponent rho*c and tilted by exp(-rho (y - x).e),
 and the principal eigenvalue lambda_1(rho, c, e) of the periodized
-matrix decides whether that decay profile is amplified. The minimal
+matrix decides whether that decay profile is amplified. That matrix is
+the tilted operator exp(rho x.e) L exp(-rho x.e) on the cell, and every
+evaluation of it goes through one TiltedOperator per medium. The minimal
 speed c*(e) is the smallest c at which some rho achieves
 lambda_1(rho, c, e) <= 1; the minimizing rho* gives the front decay.
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from ..domain.grid import MAX_CELL_BYTES
 from ..domain.kernels import SeparableKernel, periodize_kernel
 from ..errors import ConvergenceError, ValidationError
 from ..spectral import DEFAULT_EIGEN_TOL, OperatorMatrix, principal_eigenpair
@@ -63,31 +66,28 @@ class SpeedResult:
     value: float
 
 
-def _direction(direction, dim: int) -> np.ndarray:
-    if direction is None:
-        e = np.zeros(dim)
-        e[0] = 1.0
-        return e
-    e = np.atleast_1d(np.asarray(direction, dtype=float))
-    if e.shape != (dim,):
-        raise ValidationError(
-            f"direction of shape {e.shape} does not match dimension {dim}"
-        )
-    norm = float(np.linalg.norm(e))
-    if norm == 0.0:
-        raise ValidationError("direction must be a nonzero vector")
-    return e / norm
+class TiltedOperator:
+    """The tilted periodic operator exp(rho x.e) L exp(-rho x.e) on the cell.
 
-
-class _Assembler:
-    """Builds the tilted periodized matrices, caching what it can.
-
-    For separable kernels the rho*c exponent only rescales columns by
+    Built once per (kernel, response, grid, direction): it checks the
+    kernel, normalizes the direction (e), refuses c < 0 and real rho < 0,
+    and assembles the matrix at any (rho, c), real or complex. For
+    separable kernels the rho*c exponent only rescales columns by
     1 / (mu(y) + rho c), so the tilted spatial lattice sum is cached per
-    rho and reused across speeds.
+    rho and reused across speeds; the cache empties before it would hold
+    more than MAX_CELL_BYTES.
     """
 
-    def __init__(self, time_kernel, response, grid, e):
+    def __init__(self, time_kernel, response, grid, direction=None):
+        e = np.eye(grid.dim)[0] if direction is None else np.atleast_1d(
+            np.asarray(direction, dtype=float))
+        if e.shape != (grid.dim,):
+            raise ValidationError(f"direction of shape {e.shape} does not "
+                                  f"match dimension {grid.dim}")
+        norm = float(np.linalg.norm(e))
+        if norm == 0.0:
+            raise ValidationError("direction must be a nonzero vector")
+        self.e = e / norm
         if not np.isfinite(time_kernel.support_radius):
             raise ValidationError(
                 "kernel without compact support: the exponential tilt can "
@@ -101,42 +101,66 @@ class _Assembler:
         self.kernel = time_kernel
         self.slope0 = response.slope0
         self.grid = grid
-        self.e = e
         self.separable = isinstance(time_kernel, SeparableKernel)
         if self.separable:
             self.mu = np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
         self._cache: dict = {}
+        self._cached_bytes = 0
+
+    def _lattice_sum(self, rho, fn):
+        def pair(X, Y):
+            return fn(X, Y) * np.exp(-rho * ((Y - X) @ self.e))
+
+        return periodize_kernel(pair, self.grid,
+                                support_radius=self.kernel.support_radius)
 
     def _tilted_spatial(self, rho):
         mat = self._cache.get(rho)
         if mat is None:
-            kern, e = self.kernel, self.e
-
-            def pair(X, Y):
-                tilt = np.exp(-rho * ((Y - X) @ e))
-                return kern.spatial_fn(X, Y) * tilt
-
-            mat = periodize_kernel(pair, self.grid,
-                                   support_radius=kern.support_radius)
-            if len(self._cache) > 1024:
+            mat = self._lattice_sum(rho, self.kernel.spatial_fn)
+            if self._cached_bytes + mat.nbytes > MAX_CELL_BYTES:
                 self._cache.clear()
+                self._cached_bytes = 0
             self._cache[rho] = mat
+            self._cached_bytes += mat.nbytes
         return mat
 
     def matrix(self, rho, c) -> np.ndarray:
+        """Dense tilted cell matrix at (rho, c), slope and quadrature
+        included; complex when rho has a nonzero imaginary part."""
+        if c < 0:
+            raise ValidationError(f"speed must be nonnegative, got {c}")
+        rho = complex(rho) if np.imag(rho) else float(np.real(rho))
+        if isinstance(rho, float) and rho < 0:
+            raise ValidationError(f"decay rate must be nonnegative, got {rho}")
+        scale = self.slope0 * self.grid.weight
         if self.separable:
-            scale = self.slope0 * self.grid.weight
             return self._tilted_spatial(rho) * (scale / (self.mu + rho * c))
-        kern, e = self.kernel, self.e
         s = rho * c
+        return scale * self._lattice_sum(
+            rho, lambda X, Y: self.kernel.time_integral(X, Y, s=s))
 
-        def pair(X, Y):
-            tilt = np.exp(-rho * ((Y - X) @ e))
-            return kern.time_integral(X, Y, s=s) * tilt
+    def operator(self, rho, c) -> OperatorMatrix:
+        """The cell operator at real (rho, c), for principal_eigenpair."""
+        return OperatorMatrix(entries=self.matrix(rho, c),
+                              quadrature=self.grid.weight)
 
-        mat = periodize_kernel(pair, self.grid,
-                               support_radius=kern.support_radius)
-        return self.slope0 * self.grid.weight * mat
+    def point(self, rho, c, *, seed=None,
+              tol: float = DEFAULT_EIGEN_TOL) -> DispersionPoint:
+        """Principal eigenpair at (rho, c); see dispersion_eigenvalue."""
+        if not np.imag(rho):
+            pair = principal_eigenpair(self.operator(rho, c), tol=tol)
+            return DispersionPoint(rho=float(np.real(rho)), c=float(c),
+                                   direction=self.e, value=pair.value,
+                                   phi=pair.vector, residual=pair.residual)
+        if seed is None:
+            raise ValidationError("complex rho requires a seed eigenpair "
+                                  "from a nearby point")
+        lam, phi, residual = _complex_eigenpair(
+            self.matrix(rho, c), np.asarray(getattr(seed, "phi", seed)),
+            tol=tol)
+        return DispersionPoint(rho=complex(rho), c=float(c), direction=self.e,
+                               value=lam, phi=phi, residual=residual)
 
 
 def _complex_eigenpair(A, phi, tol=1e-12, max_iter=80):
@@ -174,44 +198,20 @@ def dispersion_eigenvalue(time_kernel, response, rho, c, grid,
     eigenpair is then tracked by inverse iteration rather than
     recomputed from scratch.
     """
-    if c < 0:
-        raise ValidationError(f"speed must be nonnegative, got {c}")
-    e = _direction(direction, grid.dim)
-    asm = _Assembler(time_kernel, response, grid, e)
-    complex_mode = np.iscomplexobj(rho) and abs(np.imag(rho)) > 0
-    if complex_mode:
-        if seed is None:
-            raise ValidationError(
-                "complex rho requires a seed eigenpair from a nearby point"
-            )
-        seed_vec = np.asarray(getattr(seed, "phi", seed))
-        A = asm.matrix(complex(rho), c)
-        lam, phi, residual = _complex_eigenpair(A, seed_vec, tol=tol)
-        return DispersionPoint(rho=complex(rho), c=float(c), direction=e,
-                               value=lam, phi=phi, residual=residual)
-    rho = float(np.real(rho))
-    if rho < 0:
-        raise ValidationError(f"decay rate must be nonnegative, got {rho}")
-    op = OperatorMatrix(entries=asm.matrix(rho, c), domain_tag="cell",
-                        quadrature=grid.weight)
-    pair = principal_eigenpair(op, tol=tol)
-    return DispersionPoint(rho=rho, c=float(c), direction=e,
-                           value=pair.value, phi=pair.vector,
-                           residual=pair.residual)
+    return TiltedOperator(time_kernel, response, grid, direction).point(
+        rho, c, seed=seed, tol=tol)
 
 
 def default_rho_grid() -> np.ndarray:
     return np.geomspace(1e-3, _RHO_GRID_TOP, _RHO_GRID_SIZE)
 
 
-def _min_over_rho(asm, rho_grid, c, eig_tol):
+def _min_over_rho(tilted, rho_grid, c, eig_tol):
     """Minimize the eigenvalue over rho at fixed c: grid scan, then a
     bounded golden refinement between the flanking grid points."""
 
     def lam(rho):
-        op = OperatorMatrix(entries=asm.matrix(float(rho), c),
-                            domain_tag="cell", quadrature=asm.grid.weight)
-        return principal_eigenpair(op, tol=eig_tol).value
+        return principal_eigenpair(tilted.operator(rho, c), tol=eig_tol).value
 
     values = np.array([lam(r) for r in rho_grid])
     i = int(np.argmin(values))
@@ -236,8 +236,7 @@ def minimal_speed(time_kernel, response, grid, direction=None,
     the medium is subcritical at rest the infimum set contains zero and
     the result is flagged instead of searched.
     """
-    e = _direction(direction, grid.dim)
-    asm = _Assembler(time_kernel, response, grid, e)
+    tilted = TiltedOperator(time_kernel, response, grid, direction)
     if rho_grid is None:
         rho_grid = default_rho_grid()
     else:
@@ -248,16 +247,14 @@ def minimal_speed(time_kernel, response, grid, direction=None,
     if c_tol <= 0:
         raise ValidationError(f"c_tol must be positive, got {c_tol}")
 
-    rest = principal_eigenpair(
-        OperatorMatrix(entries=asm.matrix(0.0, 0.0), domain_tag="cell",
-                       quadrature=grid.weight), tol=eig_tol)
+    rest = principal_eigenpair(tilted.operator(0.0, 0.0), tol=eig_tol)
     if rest.value <= 1.0:
         return SpeedResult(c_star=0.0, rho_star=None, at_rest=True,
-                           direction=e, value=rest.value)
+                           direction=tilted.e, value=rest.value)
 
     c_hi = 1.0
     while True:
-        val_hi, rho_hi = _min_over_rho(asm, rho_grid, c_hi, eig_tol)
+        val_hi, rho_hi = _min_over_rho(tilted, rho_grid, c_hi, eig_tol)
         if val_hi <= 1.0:
             break
         c_hi *= 2.0
@@ -271,13 +268,13 @@ def minimal_speed(time_kernel, response, grid, direction=None,
     val, rho_min = val_hi, rho_hi
     while c_hi - c_lo > c_tol:
         mid = 0.5 * (c_lo + c_hi)
-        val_mid, rho_mid = _min_over_rho(asm, rho_grid, mid, eig_tol)
+        val_mid, rho_mid = _min_over_rho(tilted, rho_grid, mid, eig_tol)
         if val_mid <= 1.0:
             c_hi, val, rho_min = mid, val_mid, rho_mid
         else:
             c_lo = mid
     return SpeedResult(c_star=c_hi, rho_star=rho_min, at_rest=False,
-                       direction=e, value=val)
+                       direction=tilted.e, value=val)
 
 
 def complex_decay_root(time_kernel, response, c, grid, direction=None, *,
@@ -296,9 +293,9 @@ def complex_decay_root(time_kernel, response, c, grid, direction=None, *,
         raise ValidationError(
             "decay-rate continuation needs the separable kernel form"
         )
-    e = _direction(direction, grid.dim)
+    tilted = TiltedOperator(time_kernel, response, grid, direction)
     if speed is None:
-        speed = minimal_speed(time_kernel, response, grid, e)
+        speed = minimal_speed(time_kernel, response, grid, tilted.e)
     if speed.at_rest:
         raise ValidationError(
             "medium subcritical at rest; there is no front decay branch"
@@ -310,28 +307,22 @@ def complex_decay_root(time_kernel, response, c, grid, direction=None, *,
             f"speed {c} is above the minimal speed {c_star:.6g}; the real "
             "dispersion root applies there"
         )
-    start = dispersion_eigenvalue(time_kernel, response, rho_star, c_star,
-                                  grid, e)
+    start = tilted.point(rho_star, c_star)
     if c >= c_star * (1.0 - 1e-13):
         return start
 
-    asm = _Assembler(time_kernel, response, grid, e)
-
     def lam_at(rho, cc, phi_seed):
-        A = asm.matrix(complex(rho), cc)
-        val, phi, _ = _complex_eigenpair(A, phi_seed)
+        val, phi, _ = _complex_eigenpair(tilted.matrix(complex(rho), cc),
+                                         phi_seed)
         return val, phi
 
     # local curvature in rho and slope in c fix the first complex kick
     h = 1e-3 * max(rho_star, 1.0)
-    lam_p = dispersion_eigenvalue(time_kernel, response, rho_star + h,
-                                  c_star, grid, e).value
-    lam_m = dispersion_eigenvalue(time_kernel, response, rho_star - h,
-                                  c_star, grid, e).value
+    lam_p = tilted.point(rho_star + h, c_star).value
+    lam_m = tilted.point(rho_star - h, c_star).value
     curv = (lam_p - 2.0 * start.value + lam_m) / h**2
     hc = 1e-3 * max(c_star, 1.0)
-    lam_c = dispersion_eigenvalue(time_kernel, response, rho_star,
-                                  c_star - hc, grid, e).value
+    lam_c = tilted.point(rho_star, c_star - hc).value
     slope_c = (start.value - lam_c) / hc
     if curv <= 0:
         raise ConvergenceError(
@@ -384,5 +375,5 @@ def complex_decay_root(time_kernel, response, c, grid, direction=None, *,
         rho = rho.conjugate()
         phi = phi.conjugate()
     value, phi = lam_at(rho, c, phi)
-    return DispersionPoint(rho=rho, c=c, direction=e, value=value, phi=phi,
-                           residual=float(abs(value - 1.0)))
+    return DispersionPoint(rho=rho, c=c, direction=tilted.e, value=value,
+                           phi=phi, residual=float(abs(value - 1.0)))

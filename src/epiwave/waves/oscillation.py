@@ -30,7 +30,7 @@ import numpy as np
 
 from ..domain.kernels import SeparableKernel, window_pair_matrix
 from ..errors import ConvergenceError, ValidationError
-from .dispersion import DispersionPoint, complex_decay_root, _direction
+from .dispersion import DispersionPoint, complex_decay_root
 from .profile import _require_1d
 
 _BAND_FACTOR = 3.0 * np.pi / 4.0
@@ -95,7 +95,7 @@ def oscillating_subsolution(time_kernel, response, c, grid, direction=None, *,
     support and nonnegative on the whole band; it is exactly 0 only
     where the bump and its forward history both vanish, past the last
     positive lobe plus the kernel reach. min_slack covers the band and
-    min_slack_on_support the support.
+    min_slack_on_support the support; the direction is the root's.
 
     Raises a validation error when the complex root is actually real
     (speed not below the minimal one) or when the eigenfunction phases
@@ -107,9 +107,8 @@ def oscillating_subsolution(time_kernel, response, c, grid, direction=None, *,
         raise ValidationError(
             "oscillation diagnostic needs the separable kernel form"
         )
-    e = _direction(direction, 1)
     if root is None:
-        root = complex_decay_root(time_kernel, response, c, grid, e,
+        root = complex_decay_root(time_kernel, response, c, grid, direction,
                                   speed=speed)
     rho = complex(root.rho)
     if rho.imag == 0.0:
@@ -189,6 +188,6 @@ def oscillating_subsolution(time_kernel, response, c, grid, direction=None, *,
 
     return OscillatingSubsolution(
         rho_R=rho_R, rho_I=rho_I, phi_R=phi_R, phi_I=phi_I, band=band,
-        c=float(c), direction=e, values=values, applied=applied,
+        c=float(c), direction=root.direction, values=values, applied=applied,
         slack=slack, band_mask=band_mask, support_mask=support_mask,
         min_slack=min_slack, min_slack_on_support=min_on_support, grid=grid)

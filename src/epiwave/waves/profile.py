@@ -44,8 +44,8 @@ from .. import dynamics
 from ..domain.kernels import (SeparableKernel, exponential_step_weights,
                               window_pair_matrix)
 from ..errors import ConvergenceError, ValidationError
-from .dispersion import SpeedResult, _Assembler, _direction, minimal_speed
-from ..spectral import OperatorMatrix, principal_eigenpair
+from .dispersion import SpeedResult, TiltedOperator, minimal_speed
+from ..spectral import principal_eigenpair
 
 DEFAULT_SLICES = 16
 DEFAULT_WAVE_TOL = 1e-6
@@ -230,12 +230,6 @@ class SubSuperPair:
     steady_window: np.ndarray
 
 
-def _real_dispersion(asm, grid, rho, c):
-    op = OperatorMatrix(entries=asm.matrix(float(rho), c), domain_tag="cell",
-                        quadrature=grid.weight)
-    return principal_eigenpair(op)
-
-
 def build_sub_super(time_kernel, response, c, grid, steady, direction=None, *,
                     speed: SpeedResult | None = None,
                     slices: int = DEFAULT_SLICES,
@@ -250,11 +244,10 @@ def build_sub_super(time_kernel, response, c, grid, steady, direction=None, *,
     response-curvature inequality and the slab-wide ordering both hold.
     """
     _require_1d(grid)
-    e = _direction(direction, 1)
+    tilted = TiltedOperator(time_kernel, response, grid, direction)
     U = _steady_cell_values(steady, grid)
-    asm = _Assembler(time_kernel, response, grid, e)
     if speed is None:
-        speed = minimal_speed(time_kernel, response, grid, e)
+        speed = minimal_speed(time_kernel, response, grid, tilted.e)
     if speed.at_rest:
         raise ValidationError("medium subcritical at rest; no fronts exist")
     if c <= speed.c_star:
@@ -263,41 +256,41 @@ def build_sub_super(time_kernel, response, c, grid, steady, direction=None, *,
             f"{speed.c_star:.6g}; the certificate pair needs c > c*"
         )
 
-    lam = lambda r: _real_dispersion(asm, grid, r, c).value
-    lam_min = lam(speed.rho_star)
+    solve = lambda r: principal_eigenpair(tilted.operator(r, c))
+    lam_min = solve(speed.rho_star).value
     if lam_min >= 1.0:
         raise ValidationError(
             f"eigenvalue {lam_min:.6g} at the reference decay rate is not "
             "below one; speed too close to the minimal speed"
         )
-    rho = optimize.brentq(lambda r: lam(r) - 1.0, 1e-8, speed.rho_star,
-                          xtol=1e-12)
+    rho = optimize.brentq(lambda r: solve(r).value - 1.0, 1e-8,
+                          speed.rho_star, xtol=1e-12)
 
     rho_prime = 1.5 * rho
-    lam_prime = lam(rho_prime)
-    if lam_prime >= 1.0 - 1e-9:
-        curve = [(r, lam(r)) for r in rho * (1.0 + np.linspace(0.05, 0.95, 19))]
-        best = min(curve, key=lambda t: t[1])
-        if best[1] >= 1.0 - 1e-9:
+    pair_prime = solve(rho_prime)
+    if pair_prime.value >= 1.0 - 1e-9:
+        rates = rho * (1.0 + np.linspace(0.05, 0.95, 19))
+        curve = [(r, solve(r)) for r in rates]
+        rho_prime, pair_prime = min(curve, key=lambda t: t[1].value)
+        if pair_prime.value >= 1.0 - 1e-9:
             err = ConvergenceError(
                 f"no decay rate in ({rho:.4g}, {2 * rho:.4g}) has eigenvalue "
                 "below one; the speed is too close to the minimal speed"
             )
-            err.curve = curve
+            err.curve = [(r, p.value) for r, p in curve]
             raise err
-        rho_prime, lam_prime = best
     rho_super = rho * (1.0 + super_margin)
-    lam_super = lam(rho_super)
+    pair_super = solve(rho_super)
+    lam_prime, lam_super = pair_prime.value, pair_super.value
     if not lam_super < 1.0:
         raise ConvergenceError(
             f"supersolution rate {rho_super:.6g} has eigenvalue "
             f"{lam_super:.6g}; dispersion is too flat for the margin"
         )
 
-    phi = _real_dispersion(asm, grid, rho, c).vector
-    phi_prime = _real_dispersion(asm, grid, rho_prime, c).vector
-    phi_super = _real_dispersion(asm, grid, rho_super, c).vector
-    lam_double = lam(2.0 * rho)
+    phi = solve(rho).vector
+    phi_prime, phi_super = pair_prime.vector, pair_super.vector
+    lam_double = solve(2.0 * rho).value
 
     op = WaveOperator(time_kernel, response, c, grid, slices=slices)
     x = grid.window_nodes[:, 0]
@@ -350,7 +343,7 @@ def build_sub_super(time_kernel, response, c, grid, steady, direction=None, *,
     sub_ghost = [(phi, rho), (-M * phi_prime, rho_prime)]
     return SubSuperPair(sub=sub_slab, sup=sup_slab, rho=rho,
                         rho_prime=rho_prime, rho_super=rho_super, M=M,
-                        c=float(c), direction=e, op=op,
+                        c=float(c), direction=tilted.e, op=op,
                         sub_ghost=sub_ghost, sup_ghost=sup_ghost,
                         steady_window=U_w)
 

@@ -35,8 +35,6 @@ def _reference_ball(transfer, response, radius):
     gamma = transfer.gamma_cell
     return OperatorMatrix(
         entries=W[idx][:, idx] * (response.slope0 * grid.weight),
-        domain_tag="ball",
-        radius=float(radius),
         weight=None if gamma is None else grid.periodic_on_window(gamma)[idx],
         quadrature=grid.weight,
     )

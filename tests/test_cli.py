@@ -505,6 +505,73 @@ def test_wave_slab_beyond_the_march_budget_exits_2_without_files(
     assert str(budget) in err
 
 
+_REFUSED_AT_LOAD = [
+    ({"kernel": {"source": "(" * 250 + "1" + ")" * 250}}, "kernel.source"),
+    ({"kernel": {"decay": "-" * 2000 + "1"}}, "kernel.decay"),
+    ({"sir": {"susceptible": "exp(" * 101 + "0" + ")" * 101}},
+     "sir.susceptible"),
+    ({"sir": {"seed_radius": 0.001}}, "sir.seed_radius"),
+    ({"sir": {"seed_amplitude": 0}}, "sir.seed_amplitude"),
+    ({"run": {"c_values": [-1]}}, "run.c_values"),
+    ({"run": {"rho_values": [0.5, -0.5]}}, "run.rho_values"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
+def test_documents_refused_at_load_exit_2_without_files(tmp_path, capsys,
+                                                        command):
+    """Expressions nested too deep, a SIR seed that seeds no node and
+    negative dispersion rates or speeds: every command refuses them at
+    load, naming the key."""
+    for n, (doc, key) in enumerate(_REFUSED_AT_LOAD):
+        cfg = _write_config(tmp_path, doc, f"doc{n}.json")
+        out = tmp_path / f"should_not_exist{n}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2, key
+        assert not out.exists(), key
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, key
+        assert key in err, err
+
+
+def _left_to_right(operands, ops):
+    acc = operands[0]
+    for op, v in zip(ops, operands[1:]):
+        acc = {"+": acc + v, "-": acc - v, "*": acc * v}[op]
+    return acc
+
+
+def test_long_sums_and_products_evaluate_left_to_right():
+    """A flat chain of any length evaluates without recursion, and in the
+    order of the nested binary form, so values are bit for bit the same."""
+    X = np.linspace(-1.0, 2.0, 7)[:, None]
+    x = X[:, 0]
+    n = 1500
+    terms = [0.1 * (k % 7) for k in range(n)]
+    signs = ["+-"[k % 2] for k in range(n - 1)]
+    text = str(terms[0]) + "".join(f"{op}{t}*x" for op, t in
+                                   zip(signs, terms[1:]))
+    expected = _left_to_right([terms[0]] + [t * x for t in terms[1:]], signs)
+    assert np.array_equal(parse_expression(text, 1)(X), expected)
+    factors = [1.0 + 1e-4 * k for k in range(n)]
+    text = "*".join(f"{f}*x" if k % 100 == 0 else str(f)
+                    for k, f in enumerate(factors))
+    expected = _left_to_right(
+        [f * x if k % 100 == 0 else f for k, f in enumerate(factors)],
+        ["*"] * (n - 1))
+    assert np.array_equal(parse_expression(text, 1)(X), expected)
+
+
+def test_expression_nesting_is_bounded():
+    X = np.linspace(-1.0, 2.0, 7)[:, None]
+    deep = scenario._MAX_NESTING
+    for text in ("(" * deep + "x" + ")" * deep, "-" * deep + "x",
+                 "sin(" * deep + "x" + ")" * deep):
+        parse_expression(text, 1)(X)
+        with pytest.raises(ValidationError, match="nests deeper"):
+            parse_expression(text.replace("x", "(x)"), 1)
+    assert np.array_equal(parse_expression("-(-(-x))", 1)(X), -X[:, 0])
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 

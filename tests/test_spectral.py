@@ -215,15 +215,13 @@ def test_nonconvergence_carries_residual():
 @pytest.mark.parametrize("store", [np.asarray, scipy.sparse.csr_matrix],
                          ids=["dense", "sparse"])
 def test_negative_entries_are_rejected(store):
-    op = OperatorMatrix(entries=store(np.array([[0.0, -1.0], [-1.0, 0.0]])),
-                        domain_tag="cell")
+    op = OperatorMatrix(entries=store(np.array([[0.0, -1.0], [-1.0, 0.0]])))
     with pytest.raises(ValidationError, match="negative"):
         principal_eigenpair(op)
 
 
 def test_zero_row_breaks_positivity():
-    op = OperatorMatrix(entries=np.array([[1.0, 1.0], [0.0, 0.0]]),
-                        domain_tag="cell")
+    op = OperatorMatrix(entries=np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         principal_eigenpair(op)
 
@@ -249,12 +247,10 @@ def _reference_power_iteration(op, tol, max_iter=20000):
     lambda resp: assemble_periodic(_heterogeneous_transfer(64), resp),
     lambda resp: assemble_ball(_heterogeneous_transfer(32, window=3), resp, 2.0),
     lambda resp: OperatorMatrix(
-        entries=np.random.default_rng(3).random((48, 48)) / 30.0,
-        domain_tag="cell"),
+        entries=np.random.default_rng(3).random((48, 48)) / 30.0),
     lambda resp: OperatorMatrix(
         entries=scipy.sparse.random(80, 80, density=0.2, random_state=4,
-                                    format="csr") + scipy.sparse.eye(80) * 0.1,
-        domain_tag="cell"),
+                                    format="csr") + scipy.sparse.eye(80) * 0.1),
 ], ids=["dense-32", "dense-64", "ball-sparse", "dense-random", "sparse-random"])
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
 def test_power_iteration_matches_reference_loop(build, tol):

@@ -9,8 +9,10 @@ import epiwave as ew
 from epiwave import ConvergenceError, ValidationError
 from epiwave.spectral import assemble_periodic, principal_eigenpair
 from epiwave.steady import solve_steady_state
+from epiwave.app import pipelines, scenario
 from epiwave.waves import (
     DispersionPoint,
+    TiltedOperator,
     WaveOperator,
     build_sub_super,
     complex_decay_root,
@@ -20,6 +22,7 @@ from epiwave.waves import (
     minimal_speed,
     oscillating_subsolution,
 )
+from epiwave.waves import dispersion
 from oracles import FROZEN, box_dispersion, box_minimal_speed
 
 
@@ -195,6 +198,77 @@ def test_unbounded_contacts_are_rejected():
     )
     with pytest.raises(ValidationError, match="super-linear"):
         dispersion_eigenvalue(stretched, _g(), 0.5, 0.0, _grid(32))
+
+
+_STRIPED_DOC = {"source": "1 + 0.5*cos(2*pi*x)",
+                "decay": "1 + 0.25*sin(2*pi*x)"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"kernel": {}},
+    {"kernel": _STRIPED_DOC},
+    {"grid": {"dim": 2, "cell_points": 8, "window_radius": 2},
+     "run": {"direction": [1.0, 1.0]}},
+], ids=["box", "striped", "box-2d-diagonal"])
+def test_dispersion_table_equals_each_point_bit_for_bit(doc):
+    """One operator for the whole surface gives, at every (rho, c), the
+    very value a fresh per-point evaluation gives."""
+    cfg = scenario.scenario_from_dict({
+        "grid": {"cell_points": 16, "window_radius": 2}, **doc,
+        "run": {**doc.get("run", {}), "rho_values": [0.0, 0.4, 1.3],
+                "c_values": [0.0, 0.7, 2.0]}})
+    artifacts, _ = pipelines.run_dispersion(cfg)
+    rows = artifacts["dispersion.csv"].splitlines()[1:]
+    table = [tuple(float(v) for v in row.split(",")) for row in rows]
+    expected = [
+        (rho, c, dispersion_eigenvalue(cfg.kernel, cfg.response, rho, c,
+                                       cfg.grid, cfg.direction).value)
+        for c in cfg.c_values for rho in cfg.rho_values]
+    assert table == expected
+
+
+def _count_lattice_sums(monkeypatch):
+    calls = []
+    real = dispersion.periodize_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "periodize_kernel", counting)
+    return calls
+
+
+def test_one_lattice_sum_per_rate_across_speeds(monkeypatch):
+    calls = _count_lattice_sums(monkeypatch)
+    tilted = TiltedOperator(_striped_kernel(), _g(), _grid(16))
+    for c in (0.0, 0.5, 2.0):
+        for rho in (0.2, 0.9):
+            tilted.point(rho, c)
+    assert len(calls) == 2
+
+
+def test_lattice_sum_cache_bound_leaves_the_speed_unchanged(monkeypatch):
+    kernel, g, grid = _striped_kernel(), _g(), _grid(16)
+    calls = _count_lattice_sums(monkeypatch)
+    free = minimal_speed(kernel, g, grid)
+    unbounded = len(calls)
+    # room for one cached n_cell x n_cell sum, not two
+    monkeypatch.setattr(dispersion, "MAX_CELL_BYTES", 3 * 16 * 16 * 8 // 2)
+    calls.clear()
+    bounded = minimal_speed(kernel, g, grid)
+    assert len(calls) > unbounded
+    assert (bounded.c_star, bounded.rho_star) == (free.c_star, free.rho_star)
+
+
+def test_tilted_operator_refuses_negative_speeds_and_rates():
+    tilted = TiltedOperator(_box(), _g(), _grid(16))
+    for rho, c in ((0.5, -1.0), (-0.5, 1.0), (-0.5 + 0j, 1.0)):
+        for evaluate in (tilted.matrix, tilted.operator, tilted.point):
+            with pytest.raises(ValidationError, match="nonnegative"):
+                evaluate(rho, c)
+    # a complex rate is not a real one: its real part may have any sign
+    assert np.iscomplexobj(tilted.matrix(-0.5 + 0.1j, 1.0))
 
 
 # ------------------------------------------------------------- complex roots
