@@ -10,7 +10,11 @@ so a failed run never leaves partial output behind.
 
 Float formatting is fixed at 17 significant digits with a '.' decimal
 point; together with the deterministic solvers this makes artifact
-bytes a pure function of the config document.
+bytes a pure function of the config document.  The march tables
+(simulate.csv, sir.csv) have one row per frame and window node: their t
+and node columns are formatted once per frame and once per node, and
+since a value formatted once reads the same wherever it repeats, the
+text is the one a row-by-row formatter would write.
 """
 
 from __future__ import annotations
@@ -26,15 +30,29 @@ from ..sir import equivalence_check, simulate_sir
 from .scenario import ScenarioConfig
 
 
-def _csv(header, *columns) -> str:
+def _csv(header, *columns, frames=None, nodes=None) -> str:
     """CSV text of equal-length columns, every value as %.17g.
 
     The table is formatted by one C-level % operation over a repeated
     line template; '%.17g' is the conversion f"{float(v):.17g}" does.
+
+    With `frames` (one value per frame) and `nodes` (one row per node),
+    the rows are frames x nodes, frame-major: row f * len(nodes) + j
+    reads frames[f], nodes[j], then the columns' values.  Each frame and
+    node value is formatted once and baked into the line template, so
+    only `columns`, of length len(frames) * len(nodes), go through %.
     """
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    body = (line * table.shape[0]) % tuple(table.ravel().tolist())
+    if frames is None:
+        template = line * table.shape[0]
+    else:
+        # header-less calls give each node row's and frame value's text;
+        # %.17g text holds no whitespace, so split() yields its lines
+        tails = ["," + x + "," + line
+                 for x in _csv([], *np.transpose(nodes)).split()]
+        template = "".join(t + t.join(tails) for t in _csv([], frames).split())
+    body = template % tuple(table.ravel().tolist())
     return ",".join(header) + "\n" + body
 
 
@@ -119,11 +137,9 @@ def run_simulate(cfg: ScenarioConfig):
     stride = _time_stride(field.values.shape[0])
     frames = (cfg.dt * np.arange(field.values.shape[0]))[::stride]
     artifacts = {
-        "simulate.csv": _csv(
-            ["t"] + _node_columns(grid) + ["u"],
-            np.repeat(frames, grid.n_window),
-            *np.tile(grid.window_nodes, (len(frames), 1)).T,
-            field.values[::stride].ravel()),
+        "simulate.csv": _csv(["t"] + _node_columns(grid) + ["u"],
+                             field.values[::stride].ravel(),
+                             frames=frames, nodes=grid.window_nodes),
         "simulate.json": _json_text(summary),
     }
     return artifacts, {"outcome": outcome.value, "settled": bool(settled)}
@@ -208,10 +224,9 @@ def run_sir_verify(cfg: ScenarioConfig):
     stride = _time_stride(sim.S.shape[0])
     frames = sim.times[::stride]
     csv = _csv(["t"] + _node_columns(grid) + ["S", "I", "u"],
-               np.repeat(frames, grid.n_window),
-               *np.tile(grid.window_nodes, (len(frames), 1)).T,
                sim.S[::stride].ravel(), sim.I[::stride].ravel(),
-               attack[::stride].ravel())
+               attack[::stride].ravel(),
+               frames=frames, nodes=grid.window_nodes)
     summary = {
         "sup_difference": gap,
         "dt": cfg.sir_dt,

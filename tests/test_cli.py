@@ -16,6 +16,7 @@ from epiwave.app.scenario import load_scenario, parse_expression
 from epiwave.domain.grid import MAX_CELL_BYTES, MAX_WINDOW_NODES
 from epiwave.dynamics import MAX_TRAJECTORY_VALUES
 from epiwave.errors import ConvergenceError, ValidationError
+from epiwave.sir import simulate_sir
 
 from oracles import FROZEN
 
@@ -206,28 +207,30 @@ def test_subwave_diag_dominated_needs_strict_slack_on_support(
 
 _BOX_1D = {"cell_points": 16, "window_radius": 4}
 _BOX_2D = {"dim": 2, "cell_points": 8, "window_radius": 2}
+_SIMULATE_1D = {"grid": {"cell_points": 16, "window_radius": 8},
+                "run": {"horizon": 4.0, "tail_radius": 2.0,
+                        "boundary_margin": 1.5}}
+_SIMULATE_2D = {"grid": _BOX_2D,
+                "run": {"horizon": 1.0, "tail_radius": 0.5,
+                        "boundary_margin": 1.0}}
+_SIR_1D = {"grid": _BOX_1D, "sir": {"dt": 0.1, "horizon": 2.0}}
+_SIR_2D = {"grid": _BOX_2D, "sir": {"dt": 0.1, "horizon": 1.0}}
 
 
 @pytest.mark.parametrize("command, doc", [
     pytest.param("threshold", {"grid": _BOX_1D}, id="threshold"),
     pytest.param("steady", {"grid": _BOX_1D}, id="steady-1d"),
     pytest.param("steady", {"grid": _BOX_2D}, id="steady-2d"),
-    pytest.param("simulate", {
-        "grid": {"cell_points": 16, "window_radius": 8},
-        "run": {"horizon": 4.0, "tail_radius": 2.0, "boundary_margin": 1.5},
-    }, id="simulate"),
+    pytest.param("simulate", _SIMULATE_1D, id="simulate"),
+    pytest.param("simulate", _SIMULATE_2D, id="simulate-2d"),
     pytest.param("wave", {"grid": {"cell_points": 16, "window_radius": 24}},
                  id="wave"),
     pytest.param("dispersion", {
         "grid": _BOX_1D,
         "run": {"rho_values": [0.5, 1.0], "c_values": [0.0, 1.0]},
     }, id="dispersion"),
-    pytest.param("sir-verify", {"grid": _BOX_1D,
-                                "sir": {"dt": 0.1, "horizon": 2.0}},
-                 id="sir-verify-1d"),
-    pytest.param("sir-verify", {"grid": _BOX_2D,
-                                "sir": {"dt": 0.1, "horizon": 1.0}},
-                 id="sir-verify-2d"),
+    pytest.param("sir-verify", _SIR_1D, id="sir-verify-1d"),
+    pytest.param("sir-verify", _SIR_2D, id="sir-verify-2d"),
     pytest.param("subwave-diag",
                  {"grid": {"cell_points": 16, "window_radius": 12}},
                  id="subwave-diag"),
@@ -267,6 +270,68 @@ def test_csv_emitter_formats_extreme_values():
         "3,0.33333333333333331,1e+308,4",
         "1e-300,-7,-0,5",
     ]
+
+    # frames x nodes: the same text as the fully expanded table
+    extremes = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 1e-300]
+    frames = np.array(extremes + [0.1])
+    nodes = np.array([extremes, extremes[::-1]]).T
+    n_rows = len(frames) * len(nodes)
+    S = np.resize(extremes + [1.0 / 3.0], n_rows)
+    u = np.resize(extremes[::-1] + [-2.5, 7.0], n_rows)
+    header = ["t", "x1", "x2", "S", "u"]
+    text = pipelines._csv(header, S, u, frames=frames, nodes=nodes)
+    assert text == _rows_csv(header, zip(
+        np.repeat(frames, len(nodes)), *np.tile(nodes, (len(frames), 1)).T,
+        S, u))
+    assert text.splitlines()[1:3] == [
+        "-0,-0,1e-300,-0,1e-300",
+        "-0,nan,1e+308,nan,1e+308",
+    ]
+
+
+@pytest.mark.parametrize("command, doc", [
+    pytest.param("simulate", _SIMULATE_1D, id="simulate-1d"),
+    pytest.param("simulate", _SIMULATE_2D, id="simulate-2d"),
+    pytest.param("sir-verify", _SIR_1D, id="sir-verify-1d"),
+    pytest.param("sir-verify", _SIR_2D, id="sir-verify-2d"),
+])
+def test_march_csv_row_pairs_frame_time_window_node_and_values(
+        tmp_path, command, doc):
+    """Row f * n_window + j of simulate.csv / sir.csv carries the f-th
+    written frame time, window node j and that frame's values at node j."""
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 0
+    cfg = load_scenario(path)
+    if command == "simulate":
+        grid = cfg.grid
+        field = dynamics.solve_initial_value(
+            cfg.kernel, cfg.forcing, cfg.response, grid, dt=cfg.dt,
+            horizon=cfg.horizon)
+        times = cfg.dt * np.arange(field.values.shape[0])
+        series = [field.values]
+        name, value_columns = "simulate.csv", ["u"]
+    else:
+        grid = cfg.sir.grid
+        sim = simulate_sir(cfg.sir, dt=cfg.sir_dt, horizon=cfg.sir_horizon)
+        times = sim.times
+        series = [sim.S, sim.I, sim.log_attack()]
+        name, value_columns = "sir.csv", ["S", "I", "u"]
+    stride = pipelines._time_stride(len(times))
+    frames = times[::stride]
+    assert len(frames) > 1
+
+    header, body = _read_csv(out / name)
+    node_columns = ["x"] if grid.dim == 1 else ["x1", "x2"]
+    assert header == ["t"] + node_columns + value_columns
+    assert body.shape[0] == len(frames) * grid.n_window
+    table = body.reshape(len(frames), grid.n_window, len(header))
+    for f, t in enumerate(frames):
+        assert np.all(table[f, :, 0] == t)
+        assert np.array_equal(table[f, :, 1:1 + grid.dim], grid.window_nodes)
+        for k, values in enumerate(series):
+            assert np.array_equal(table[f, :, 1 + grid.dim + k],
+                                  values[f * stride])
 
 
 @pytest.mark.parametrize("command, doc", [
