@@ -16,7 +16,6 @@ and the reduction of a susceptible-infected system to this equation.
 from .errors import ConvergenceError, ValidationError
 from .domain import (
     Forcing,
-    HypothesisReport,
     IsotropicKernel,
     Nonlinearity,
     PeriodicGrid,
@@ -28,7 +27,6 @@ from .domain import (
     periodize_kernel,
     saturating_exponential,
     time_integrate_kernel,
-    validate_hypotheses,
 )
 from .domain.kernels import SymmetryFactors, separable_contact_kernel
 
@@ -38,7 +36,6 @@ __all__ = [
     "ConvergenceError",
     "ValidationError",
     "Forcing",
-    "HypothesisReport",
     "IsotropicKernel",
     "Nonlinearity",
     "PeriodicGrid",
@@ -52,6 +49,5 @@ __all__ = [
     "saturating_exponential",
     "separable_contact_kernel",
     "time_integrate_kernel",
-    "validate_hypotheses",
     "__version__",
 ]

@@ -29,7 +29,9 @@ window nodes is built from the kernel's values on the periodicity cell
 "1 + 0.05*x" would silently stand for its periodization.  The loader
 evaluates each expression on the window nodes and refuses it unless the
 values are finite and repeat those on the cell nodes, and unless they
-are nonnegative there.
+are nonnegative there.  The kernel's decay rate must be strictly positive
+at every cell node: at a zero rate no transfer operator of the theory is
+bounded, and the time march has no recovery.
 """
 
 from __future__ import annotations
@@ -253,12 +255,12 @@ def _positive(sec, name, key, default):
     return value
 
 
-def _heterogeneity(sec, name, key, grid: PeriodicGrid):
+def _heterogeneity(sec, name, key, grid: PeriodicGrid, positive=False):
     """Compile the expression at sec[key] (default 1) once and check it on
     the grid: finite on the window, period 1 on every axis and nonnegative
-    on the cell, as every heterogeneity of the theory is. Strict positivity
-    of a decay rate or of the susceptibles is left to the constructor that
-    needs it."""
+    on the cell, as every heterogeneity of the theory is; with positive,
+    strictly positive on the cell, as the kernel's decay rate must be.
+    Keeping the susceptibles away from zero is left to SirState."""
     text = sec.pop(key, "1")
     fn = _build(f"{name}.{key}", parse_expression, text, grid.dim)
     where = f"{name}.{key} = {text!r}"
@@ -274,10 +276,10 @@ def _heterogeneity(sec, name, key, grid: PeriodicGrid):
             f"{gap:.3g} between window nodes and their cell images"
         )
     low = float(np.min(cell))
-    if low < 0:
+    if low < 0 or (positive and low == 0):
         raise ValidationError(
-            f"{where} is negative on the cell: its least value at a cell "
-            f"node is {low:.3g}"
+            f"{where} is {'not positive' if positive else 'negative'} on the "
+            f"cell: its least value at a cell node is {low:.3g}"
         )
     return fn
 
@@ -360,8 +362,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     sec = _take_section(doc, "kernel")
     mass = _number(sec, "kernel", "mass", 2.0)
     support_radius = _number(sec, "kernel", "support_radius", 1.0)
-    decay, source, target = (_heterogeneity(sec, "kernel", key, grid)
-                             for key in ("decay", "source", "target"))
+    decay = _heterogeneity(sec, "kernel", "decay", grid, positive=True)
+    source, target = (_heterogeneity(sec, "kernel", key, grid)
+                      for key in ("source", "target"))
     _finish_section("kernel", sec)
     need = cell_bytes(grid.dim, grid.cell_points, support_radius)
     if need > MAX_CELL_BYTES:

@@ -1,4 +1,4 @@
-"""Model building blocks: grids, kernels, nonlinearities, forcing, checks."""
+"""Model building blocks: grids, kernels, nonlinearities, forcing."""
 
 from .grid import PeriodicGrid
 from .nonlinearity import Nonlinearity, saturating_exponential
@@ -12,7 +12,6 @@ from .kernels import (
     time_integrate_kernel,
 )
 from .forcing import Forcing, bump_forcing
-from .hypotheses import HypothesisReport, validate_hypotheses
 
 __all__ = [
     "PeriodicGrid",
@@ -27,6 +26,4 @@ __all__ = [
     "time_integrate_kernel",
     "Forcing",
     "bump_forcing",
-    "HypothesisReport",
-    "validate_hypotheses",
 ]

@@ -88,8 +88,6 @@ class SeparableKernel:
         self.support_radius = float(support_radius)
         self.dim = int(dim)
         self.symmetry = symmetry
-        self.mu_min = float(np.min(mu_vals))
-        self.mu_max = float(np.max(mu_vals))
 
     def evaluate(self, tau, X, Y):
         X, Y = _pair_shape(X, Y)

@@ -46,9 +46,8 @@ MAX_TRAJECTORY_VALUES = 2**25
 class SpaceTimeField:
     """Solution samples u(t_n, x_i) on the window grid.
 
-    memory holds the final auxiliary field of the separable recursion
-    (None for the history path); interior flags the nodes where the
-    marching equation was actually evaluated.
+    interior flags the nodes where the marching equation was actually
+    evaluated.
     """
 
     values: np.ndarray
@@ -56,7 +55,6 @@ class SpaceTimeField:
     horizon: float
     grid: object
     interior: np.ndarray
-    memory: np.ndarray | None = None
 
     @property
     def times(self) -> np.ndarray:
@@ -110,15 +108,11 @@ def solve_initial_value(time_kernel, forcing, response, grid,
     values = np.empty((n_steps + 1, grid.n_window))
     values[0] = np.asarray(forcing(0.0, grid.window_nodes), dtype=float)
 
-    if isinstance(time_kernel, SeparableKernel):
-        memory = _march_separable(time_kernel, forcing, response, grid,
-                                  values, times, interior)
-    else:
-        memory = None
-        _march_history(time_kernel, forcing, response, grid,
-                       values, times, interior)
+    march = (_march_separable if isinstance(time_kernel, SeparableKernel)
+             else _march_history)
+    march(time_kernel, forcing, response, grid, values, times, interior)
     return SpaceTimeField(values=values, dt=dt, horizon=n_steps * dt,
-                          grid=grid, interior=interior, memory=memory)
+                          grid=grid, interior=interior)
 
 
 def march_steps(dt: float, horizon: float, nodes: int) -> int:
@@ -137,13 +131,14 @@ def march_steps(dt: float, horizon: float, nodes: int) -> int:
 
 def _march_separable(kernel, forcing, response, grid, values, times, interior):
     dt = times[1] - times[0]
-    if dt * kernel.mu_max >= 1.0:
+    mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)
+    if dt * np.max(mu) >= 1.0:
         raise ValidationError(
-            f"dt * max(mu) = {dt * kernel.mu_max:.3g} >= 1; refine the time "
-            "step below the fastest recovery"
+            f"dt * max(mu) = {dt * np.max(mu):.3g} >= 1 on the window nodes; "
+            "refine the time step below the fastest recovery"
         )
     K = window_pair_matrix(grid, kernel.spatial_fn, kernel.support_radius)
-    fade, gain, _ = exponential_step_weights(kernel.mu_fn(grid.window_nodes), dt)
+    fade, gain, _ = exponential_step_weights(mu, dt)
 
     w = np.zeros(grid.n_window)
     for n in range(1, len(times)):
@@ -152,7 +147,6 @@ def _march_separable(kernel, forcing, response, grid, values, times, interior):
         u[interior] += grid.weight * (K @ w)[interior]
         _guard_finite(u, times[n])
         values[n] = u
-    return w
 
 
 def _march_history(kernel, forcing, response, grid, values, times, interior):

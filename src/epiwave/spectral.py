@@ -161,12 +161,13 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     to sup = 1, and stops once the sup-norm residual drops below tol. When
     the operator carries a symmetry weight, the weighted Rayleigh quotient
     of the returned vector is checked against the eigenvalue as a guard on
-    the assembly. Negative entries are rejected.
+    the assembly. Negative and non-finite entries are rejected.
     """
     entries = op.entries
     stored = entries if isinstance(entries, np.ndarray) else entries.data
-    if stored.size and stored.min() < 0:
-        raise ValidationError("operator has negative entries")
+    # NaN fails both comparisons; -inf fails the first and +inf the second
+    if stored.size and not (stored.min() >= 0 and stored.max() < np.inf):
+        raise ValidationError("operator has negative or non-finite entries")
     x = np.ones(op.n)
     y = op.apply(x)
     if not np.any(y > 0):

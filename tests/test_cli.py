@@ -573,6 +573,9 @@ def test_wave_slab_beyond_the_march_budget_exits_2_without_files(
 _REFUSED_AT_LOAD = [
     ({"kernel": {"source": "(" * 250 + "1" + ")" * 250}}, "kernel.source"),
     ({"kernel": {"decay": "-" * 2000 + "1"}}, "kernel.decay"),
+    # zero at the first node of the 64-point cell, positive between nodes
+    ({"kernel": {"decay": "sin(pi*(x-0.0078125))*sin(pi*(x-0.0078125))"}},
+     "kernel.decay"),
     ({"sir": {"susceptible": "exp(" * 101 + "0" + ")" * 101}},
      "sir.susceptible"),
     ({"sir": {"seed_radius": 0.001}}, "sir.seed_radius"),
@@ -585,9 +588,9 @@ _REFUSED_AT_LOAD = [
 @pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
 def test_documents_refused_at_load_exit_2_without_files(tmp_path, capsys,
                                                         command):
-    """Expressions nested too deep, a SIR seed that seeds no node and
-    negative dispersion rates or speeds: every command refuses them at
-    load, naming the key."""
+    """Expressions nested too deep, a decay rate that vanishes at a cell
+    node, a SIR seed that seeds no node and negative dispersion rates or
+    speeds: every command refuses them at load, naming the key."""
     for n, (doc, key) in enumerate(_REFUSED_AT_LOAD):
         cfg = _write_config(tmp_path, doc, f"doc{n}.json")
         out = tmp_path / f"should_not_exist{n}"

@@ -188,6 +188,15 @@ def test_time_step_must_resolve_recovery():
     with pytest.raises(ValidationError, match="refine the time step"):
         solve_initial_value(kernel, forcing, response, grid,
                             dt=0.5, horizon=2.0)
+    # a recovery rate of 24 at the window nodes x = (i + 1/2)/64, and near 1
+    # everywhere else, so the guard must read the rate on the marched nodes
+    grid = ew.PeriodicGrid(1, 64, 4)
+    peak = lambda P: 1.0 + 23.0 * np.exp(
+        -1e6 * np.sin(np.pi * (P[:, 0] - 0.5 / 64)) ** 2)
+    kernel = ew.separable_contact_kernel(2.0, 1.0, decay=peak)
+    with pytest.raises(ValidationError, match="refine the time step"):
+        solve_initial_value(kernel, forcing, response, grid,
+                            dt=0.05, horizon=0.5)
 
 
 def test_window_must_contain_the_reach():

@@ -215,9 +215,15 @@ def test_nonconvergence_carries_residual():
 @pytest.mark.parametrize("store", [np.asarray, scipy.sparse.csr_matrix],
                          ids=["dense", "sparse"])
 def test_negative_entries_are_rejected(store):
-    op = OperatorMatrix(entries=store(np.array([[0.0, -1.0], [-1.0, 0.0]])))
-    with pytest.raises(ValidationError, match="negative"):
-        principal_eigenpair(op)
+    """Negative entries, and NaN or infinite ones, which would otherwise
+    pass as the zero operator or stall the iteration at residual nan."""
+    nan, inf = float("nan"), float("inf")
+    for entries in ([[0.0, -1.0], [-1.0, 0.0]], [[nan, nan], [nan, nan]],
+                    [[1.0, nan], [1.0, 1.0]], [[1.0, inf], [1.0, 1.0]],
+                    [[1.0, -inf], [1.0, 1.0]]):
+        op = OperatorMatrix(entries=store(np.array(entries)))
+        with pytest.raises(ValidationError, match="negative or non-finite"):
+            principal_eigenpair(op)
 
 
 def test_zero_row_breaks_positivity():
