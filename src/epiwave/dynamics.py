@@ -137,7 +137,8 @@ def _march_separable(kernel, forcing, response, grid, values, times, interior):
             f"dt * max(mu) = {dt * np.max(mu):.3g} >= 1 on the window nodes; "
             "refine the time step below the fastest recovery"
         )
-    K = window_pair_matrix(grid, kernel.spatial_fn, kernel.support_radius)
+    K = window_pair_matrix(grid, kernel.spatial_fn, kernel.support_radius,
+                           kernel.axis_reach)
     fade, gain, _ = exponential_step_weights(mu, dt)
 
     w = np.zeros(grid.n_window)

@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..domain.grid import MAX_CELL_BYTES
 from ..domain.kernels import SeparableKernel, periodize_kernel
 from ..errors import ConvergenceError, ValidationError
 from ..spectral import DEFAULT_EIGEN_TOL, OperatorMatrix, principal_eigenpair
+from .scalar import brent_minimize
 
 DEFAULT_C_TOL = 1e-8
 _RHO_GRID_SIZE = 64
@@ -70,8 +70,9 @@ class TiltedOperator:
     """The tilted periodic operator exp(rho x.e) L exp(-rho x.e) on the cell.
 
     Built once per (kernel, response, grid, direction): it checks the
-    kernel, normalizes the direction (e), refuses c < 0 and real rho < 0,
-    and assembles the matrix at any (rho, c), real or complex. For
+    kernel and, for separable kernels, that mu is positive and finite on
+    the cell nodes; normalizes the direction (e); refuses c < 0 and real
+    rho < 0; and assembles the matrix at any (rho, c), real or complex. For
     separable kernels the rho*c exponent only rescales columns by
     1 / (mu(y) + rho c), so the tilted spatial lattice sum is cached per
     rho and reused across speeds; the cache empties before it would hold
@@ -104,6 +105,11 @@ class TiltedOperator:
         self.separable = isinstance(time_kernel, SeparableKernel)
         if self.separable:
             self.mu = np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
+            if not np.all(np.isfinite(self.mu) & (self.mu > 0)):
+                raise ValidationError(
+                    "decay rate mu must be positive and finite on the cell "
+                    f"nodes, min {np.min(self.mu)}"
+                )
         self._cache: dict = {}
         self._cached_bytes = 0
 
@@ -112,7 +118,8 @@ class TiltedOperator:
             return fn(X, Y) * np.exp(-rho * ((Y - X) @ self.e))
 
         return periodize_kernel(pair, self.grid,
-                                support_radius=self.kernel.support_radius)
+                                support_radius=self.kernel.support_radius,
+                                axis_reach=self.kernel.axis_reach)
 
     def _tilted_spatial(self, rho):
         mat = self._cache.get(rho)
@@ -208,7 +215,7 @@ def default_rho_grid() -> np.ndarray:
 
 def _min_over_rho(tilted, rho_grid, c, eig_tol):
     """Minimize the eigenvalue over rho at fixed c: grid scan, then a
-    bounded golden refinement between the flanking grid points."""
+    bounded Brent refinement between the flanking grid points."""
 
     def lam(rho):
         return principal_eigenpair(tilted.operator(rho, c), tol=eig_tol).value
@@ -219,10 +226,9 @@ def _min_over_rho(tilted, rho_grid, c, eig_tol):
     hi = rho_grid[min(i + 1, len(rho_grid) - 1)]
     if lo == hi:
         return float(values[i]), float(rho_grid[i])
-    res = optimize.minimize_scalar(lam, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-6})
-    if res.fun <= values[i]:
-        return float(res.fun), float(res.x)
+    x, fx = brent_minimize(lam, lo, hi, xatol=1e-6)
+    if fx <= values[i]:
+        return fx, x
     return float(values[i]), float(rho_grid[i])
 
 

@@ -38,13 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .. import dynamics
 from ..domain.kernels import (SeparableKernel, exponential_step_weights,
                               window_pair_matrix)
 from ..errors import ConvergenceError, ValidationError
 from .dispersion import SpeedResult, TiltedOperator, minimal_speed
+from .scalar import brent_root
 from ..spectral import principal_eigenpair
 
 DEFAULT_SLICES = 16
@@ -117,7 +117,8 @@ class WaveOperator:
         self.dt = self.period / self.m
         self.times = self.dt * np.arange(self.m)
 
-        self.K = window_pair_matrix(grid, time_kernel.spatial_fn, reach)
+        self.K = window_pair_matrix(grid, time_kernel.spatial_fn, reach,
+                                    time_kernel.axis_reach)
         self.interior = np.zeros(grid.n_window, dtype=bool)
         self.interior[grid.interior_indices(reach)] = True
 
@@ -263,8 +264,8 @@ def build_sub_super(time_kernel, response, c, grid, steady, direction=None, *,
             f"eigenvalue {lam_min:.6g} at the reference decay rate is not "
             "below one; speed too close to the minimal speed"
         )
-    rho = optimize.brentq(lambda r: solve(r).value - 1.0, 1e-8,
-                          speed.rho_star, xtol=1e-12)
+    rho = brent_root(lambda r: solve(r).value - 1.0, 1e-8, speed.rho_star,
+                     xtol=1e-12)
 
     rho_prime = 1.5 * rho
     pair_prime = solve(rho_prime)

@@ -1,6 +1,7 @@
 """Dispersion surface, minimal speed, front iteration, slow-speed diagnostics."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,24 @@ def test_tilted_operator_refuses_negative_speeds_and_rates():
                 evaluate(rho, c)
     # a complex rate is not a real one: its real part may have any sign
     assert np.iscomplexobj(tilted.matrix(-0.5 + 0.1j, 1.0))
+
+
+_FIRST_NODE = 0.5 / 64
+
+
+@pytest.mark.parametrize("decay", [
+    lambda P: np.sin(np.pi * (P[:, 0] - _FIRST_NODE)) ** 2,
+    lambda P: np.where(P[:, 0] == _FIRST_NODE, np.inf, 1.0),
+    lambda P: np.where(P[:, 0] == _FIRST_NODE, np.nan, 1.0),
+], ids=["zero", "inf", "nan"])
+def test_tilted_operator_refuses_bad_decay_on_a_cell_node(decay):
+    # each decay is fine on SeparableKernel's probe lattice and bad only at
+    # the first node of a 64-point cell, where mu + rho c would be divided by
+    kernel = ew.separable_contact_kernel(2.0, 1.0, decay=decay)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="positive and finite"):
+            minimal_speed(kernel, _g(), ew.PeriodicGrid(1, 64, 8))
 
 
 # ------------------------------------------------------------- complex roots
