@@ -19,6 +19,7 @@ from .domain import (
     IsotropicKernel,
     Nonlinearity,
     PeriodicGrid,
+    Reach,
     SeparableKernel,
     SpatialKernel,
     TabulatedKernel,
@@ -39,6 +40,7 @@ __all__ = [
     "IsotropicKernel",
     "Nonlinearity",
     "PeriodicGrid",
+    "Reach",
     "SeparableKernel",
     "SpatialKernel",
     "SymmetryFactors",

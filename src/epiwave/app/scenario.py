@@ -451,7 +451,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             f"{seed_radius} seed no window node; the nearest lies "
             f"{np.min(r):.3g} from the origin")
     sir = _build("sir", SirState, grid=grid, contact_fn=kernel.spatial_fn,
-                 support_radius=kernel.support_radius, recovery_fn=decay,
+                 support_radius=kernel.support_radius,
+                 axis_reach=kernel.reach.axis, recovery_fn=decay,
                  susceptible_fn=susceptible, infected0=infected0)
 
     output = doc.pop("output", None)

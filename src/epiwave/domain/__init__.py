@@ -6,6 +6,7 @@ from .kernels import (
     SeparableKernel,
     IsotropicKernel,
     TabulatedKernel,
+    Reach,
     SpatialKernel,
     box_profile,
     periodize_kernel,
@@ -20,6 +21,7 @@ __all__ = [
     "SeparableKernel",
     "IsotropicKernel",
     "TabulatedKernel",
+    "Reach",
     "SpatialKernel",
     "box_profile",
     "periodize_kernel",

@@ -34,6 +34,46 @@ _EDGE_EPS = 1e-9
 _REACH_SLACK = 1e-6
 
 
+@dataclass(frozen=True)
+class Reach:
+    """Where a whole-line pair kernel V(x, y) can be nonzero.
+
+    V vanishes once |x - y| exceeds radius and, for a box kernel, also
+    once |x_a - y_a| exceeds axis on any one axis a. Every kernel carries
+    its reach, and the lattice-image tables take it as one value, so each
+    lattice sum of a box kernel skips the images outside the box.
+    """
+
+    radius: float
+    axis: float = math.inf
+
+    def image_test(self, grid):
+        """Predicate on lattice vectors k: can the image x_j + k reach the cell?
+
+        On axis a the nearest approach of x_j + k to any x_i is the gap
+        max(|k_a| - span_a, 0), span_a being the extent of the cell nodes
+        on that axis. Images whose Euclidean approach, the norm of the
+        gaps, exceeds radius by more than _REACH_SLACK fail, since the
+        kernel vanishes on them, and so do images with a single gap
+        beyond axis.
+        """
+        X = grid.cell_nodes
+        span = (X.max(axis=0) - X.min(axis=0)).tolist()
+        radius = self.radius + _REACH_SLACK
+        axis = self.axis + _REACH_SLACK
+
+        def reaches(shift):
+            gaps = [max(abs(k) - s, 0.0) for k, s in zip(shift, span)]
+            return max(gaps) <= axis and math.hypot(*gaps) <= radius
+
+        return reaches
+
+    @property
+    def shells(self) -> int:
+        """Shells that cover the kernel: one cell beyond its radius."""
+        return int(np.ceil(self.radius)) + 1
+
+
 @dataclass
 class SymmetryFactors:
     """Multiplicative splitting K(x, y) = symmetric_fn(x, y) * gamma1(x) * gamma2(y).
@@ -72,18 +112,17 @@ class SeparableKernel:
     this is the workhorse variant. mu must be strictly positive (checked
     on a sample lattice at construction) and periodic.
 
-    axis_reach, when given, declares that K(x, y) also vanishes once
-    |x_a - y_a| exceeds it on any one axis a (a box kernel), so lattice
-    sums skip the images outside that box as well as those out of the
-    Euclidean support_radius.
+    axis_reach, when finite, declares that K(x, y) also vanishes once
+    |x_a - y_a| exceeds it on any one axis a (a box kernel); with
+    support_radius it makes the kernel's reach.
     """
 
     def __init__(self, spatial_fn, mu_fn, support_radius: float, dim: int = 1,
                  symmetry: SymmetryFactors | None = None,
-                 axis_reach: float | None = None):
+                 axis_reach: float = math.inf):
         if support_radius <= 0:
             raise ValidationError(f"support_radius must be positive, got {support_radius}")
-        if axis_reach is not None and axis_reach <= 0:
+        if not axis_reach > 0:
             raise ValidationError(f"axis_reach must be positive, got {axis_reach}")
         probe = _probe_points(dim)
         mu_vals = np.asarray(mu_fn(probe), dtype=float)
@@ -94,7 +133,7 @@ class SeparableKernel:
         self.spatial_fn = spatial_fn
         self.mu_fn = mu_fn
         self.support_radius = float(support_radius)
-        self.axis_reach = None if axis_reach is None else float(axis_reach)
+        self.reach = Reach(self.support_radius, float(axis_reach))
         self.dim = int(dim)
         self.symmetry = symmetry
 
@@ -143,7 +182,7 @@ class IsotropicKernel:
             raise ValidationError(f"tau_horizon must be positive, got {tau_horizon}")
         self.profile = profile
         self.support_radius = float(support_radius)
-        self.axis_reach = None
+        self.reach = Reach(self.support_radius)
         self.dim = int(dim)
         self.tau_horizon = float(tau_horizon)
         base, weights = np.polynomial.legendre.leggauss(panel_nodes)
@@ -196,7 +235,7 @@ class TabulatedKernel:
         self.tau_nodes = tau_nodes
         self.frames = list(frames)
         self.support_radius = float(support_radius)
-        self.axis_reach = None
+        self.reach = Reach(self.support_radius)
         self.dim = int(dim)
         self.symmetry = None
 
@@ -262,52 +301,23 @@ def _shell_shifts(dim: int, m: int):
     return [(a, b) for a in rng for b in rng if max(abs(a), abs(b)) == m]
 
 
-def _reach_test(grid, support_radius: float, axis_reach: float | None = None):
-    """Predicate on lattice vectors k: can the image x_j + k reach the cell?
-
-    On axis a the nearest approach of x_j + k to any x_i is the gap
-    max(|k_a| - span_a, 0), span_a being the extent of the cell nodes on
-    that axis. Images whose Euclidean approach, the norm of the gaps,
-    exceeds support_radius by more than _REACH_SLACK fail, since the
-    kernel vanishes on them; with an axis_reach, so do images with a
-    single gap beyond it.
-    """
-    X = grid.cell_nodes
-    span = (X.max(axis=0) - X.min(axis=0)).tolist()
-    axis_bound = math.inf if axis_reach is None else axis_reach + _REACH_SLACK
-
-    def reaches(shift):
-        gaps = [max(abs(k) - s, 0.0) for k, s in zip(shift, span)]
-        return (max(gaps) <= axis_bound
-                and math.hypot(*gaps) <= support_radius + _REACH_SLACK)
-
-    return reaches
-
-
-def _image_shells(support_radius: float) -> int:
-    """Shells that cover a kernel of the given reach: one cell beyond it."""
-    return int(np.ceil(support_radius)) + 1
-
-
-def lattice_image_blocks(pair_fn, grid, support_radius: float,
-                         axis_reach: float | None = None):
+def lattice_image_blocks(pair_fn, grid, reach: Reach):
     """The cell's whole-line kernel values toward each lattice image it reaches.
 
     Returns (shifts, blocks): shifts is an integer array (images, dim) and
     blocks[s][i, j] = fn(x_i, x_j + shifts[s]). Images are visited shell by
     shell, max_a |k_a| = 0, 1, 2, ..., out to one cell beyond the reach,
     and the pair function is called once for each image that can reach the
-    cell within support_radius and, if given, axis_reach (see _reach_test).
-    A kernel periodic under joint integer shifts
+    cell (see Reach.image_test). A kernel periodic under joint integer shifts
     has V(x_i + k, x_j + k') = blocks[s][i, j] with shifts[s] = k' - k, so
     every matrix of the kernel between window nodes is block-Toeplitz over
     cells with these blocks. Images whose block is all zeros are dropped;
     the zero shift is always kept.
     """
     n, XX, YY = _cell_pairs(grid)
-    reaches = _reach_test(grid, support_radius, axis_reach)
+    reaches = reach.image_test(grid)
     shifts, blocks = [], []
-    for m in range(_image_shells(support_radius) + 1):
+    for m in range(reach.shells + 1):
         for shift in filter(reaches, _shell_shifts(grid.dim, m)):
             vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
             if m == 0 or np.any(vals):
@@ -316,8 +326,7 @@ def lattice_image_blocks(pair_fn, grid, support_radius: float,
     return np.array(shifts, dtype=np.intp), np.stack(blocks)
 
 
-def periodize_kernel(pair_fn, grid, support_radius: float,
-                     axis_reach: float | None = None) -> np.ndarray:
+def periodize_kernel(pair_fn, grid, reach: Reach) -> np.ndarray:
     """Lattice-sum a whole-line pair kernel onto the periodicity cell.
 
     Returns matrix[i, j] = sum_k fn(x_i, x_j + k) over the lattice vectors
@@ -325,8 +334,7 @@ def periodize_kernel(pair_fn, grid, support_radius: float,
     finite, since the kernel vanishes on the images that cannot reach the
     cell.
     """
-    return lattice_image_blocks(pair_fn, grid, support_radius,
-                                axis_reach)[1].sum(axis=0)
+    return lattice_image_blocks(pair_fn, grid, reach)[1].sum(axis=0)
 
 
 class SpatialKernel:
@@ -464,8 +472,7 @@ class CellBlockMatrix:
         return np.where(s >= 0, values, 0.0)
 
 
-def window_pair_matrix(grid, pair_fn, support_radius,
-                       axis_reach: float | None = None) -> CellBlockMatrix:
+def window_pair_matrix(grid, pair_fn, reach: Reach) -> CellBlockMatrix:
     """Whole-line kernel values V(x_i, x_j) between all window nodes.
 
     Returned in cell-block form: by joint periodicity of pair_fn (which
@@ -476,8 +483,7 @@ def window_pair_matrix(grid, pair_fn, support_radius,
     Pairs whose nodes lie in cells farther apart than the kernel reaches
     are zero, and nodes near the window edge see no pairs beyond it.
     """
-    shifts, blocks = lattice_image_blocks(pair_fn, grid, support_radius,
-                                          axis_reach)
+    shifts, blocks = lattice_image_blocks(pair_fn, grid, reach)
     return CellBlockMatrix(grid, np.arange(grid.n_window), shifts, blocks)
 
 
@@ -501,8 +507,7 @@ def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:
     def pair_fn(X, Y):
         return time_kernel.time_integral(X, Y, exponent)
 
-    shifts, blocks = lattice_image_blocks(pair_fn, grid, time_kernel.support_radius,
-                                          time_kernel.axis_reach)
+    shifts, blocks = lattice_image_blocks(pair_fn, grid, time_kernel.reach)
     gamma_cell = None
     sym = getattr(time_kernel, "symmetry", None)
     if sym is not None and not np.iscomplexobj(np.asarray(exponent)):

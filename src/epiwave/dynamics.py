@@ -137,8 +137,7 @@ def _march_separable(kernel, forcing, response, grid, values, times, interior):
             f"dt * max(mu) = {dt * np.max(mu):.3g} >= 1 on the window nodes; "
             "refine the time step below the fastest recovery"
         )
-    K = window_pair_matrix(grid, kernel.spatial_fn, kernel.support_radius,
-                           kernel.axis_reach)
+    K = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
     fade, gain, _ = exponential_step_weights(mu, dt)
 
     w = np.zeros(grid.n_window)
@@ -162,7 +161,7 @@ def _march_history(kernel, forcing, response, grid, values, times, interior):
     def frame(j):
         if j not in frames:
             pair = lambda X, Y: kernel.evaluate(j * dt, X, Y)
-            frames[j] = window_pair_matrix(grid, pair, kernel.support_radius)
+            frames[j] = window_pair_matrix(grid, pair, kernel.reach)
         return frames[j]
 
     for n in range(1, len(times)):

@@ -19,12 +19,13 @@ are exact at the discrete level, not just up to truncation error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .domain.forcing import Forcing
-from .domain.kernels import SeparableKernel, window_pair_matrix
+from .domain.kernels import Reach, SeparableKernel, window_pair_matrix
 from .domain.nonlinearity import saturating_exponential
 from .dynamics import march_steps, solve_initial_value
 from .errors import ConvergenceError, ValidationError
@@ -35,7 +36,8 @@ class SirState:
     """Model data for the compartmental system, plus trajectories once run.
 
     contact_fn is the instantaneous pair rate K(x, y), compactly
-    supported within support_radius and periodic under joint integer
+    supported within support_radius (and, for a box contact, within
+    axis_reach on each axis) and periodic under joint integer
     shifts; recovery_fn is the periodic recovery rate; susceptible_fn
     the periodic initial susceptible profile (its positivity makes the
     log change of variables well defined). infected0 is a nonnegative
@@ -49,6 +51,7 @@ class SirState:
     susceptible_fn: object
     infected0: np.ndarray
     diffusion: float | None = None
+    axis_reach: float = math.inf
     times: np.ndarray | None = field(default=None, repr=False)
     S: np.ndarray | None = field(default=None, repr=False)
     I: np.ndarray | None = field(default=None, repr=False)
@@ -58,6 +61,10 @@ class SirState:
             raise ValidationError(
                 f"contact support radius must be finite positive, got "
                 f"{self.support_radius}"
+            )
+        if not self.axis_reach > 0:
+            raise ValidationError(
+                f"contact axis reach must be positive, got {self.axis_reach}"
             )
         self.infected0 = np.asarray(self.infected0, dtype=float)
         if self.infected0.shape != (self.grid.n_window,):
@@ -82,6 +89,10 @@ class SirState:
                     "the diffusive variant is implemented on one-dimensional "
                     "windows only"
                 )
+
+    @property
+    def reach(self) -> Reach:
+        return Reach(self.support_radius, self.axis_reach)
 
     def susceptible0(self) -> np.ndarray:
         return np.asarray(self.susceptible_fn(self.grid.window_nodes),
@@ -121,7 +132,7 @@ def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
         )
     grid = state.grid
     steps = march_steps(dt, horizon, grid.n_window)
-    K = window_pair_matrix(grid, state.contact_fn, state.support_radius)
+    K = window_pair_matrix(grid, state.contact_fn, state.reach)
     mu = state.recovery()
     S0 = state.susceptible0()
     row = float(np.max(K.sum(axis=1))) * grid.weight
@@ -189,6 +200,7 @@ def sir_to_kernel(state: SirState):
         mu_fn=mu_fn,
         support_radius=state.support_radius,
         dim=grid.dim,
+        axis_reach=state.axis_reach,
     )
 
     active = state.infected0 > 0

@@ -105,10 +105,13 @@ class TiltedOperator:
         self.separable = isinstance(time_kernel, SeparableKernel)
         if self.separable:
             self.mu = np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
-            if not np.all(np.isfinite(self.mu) & (self.mu > 0)):
+            bad = np.flatnonzero(~(np.isfinite(self.mu) & (self.mu > 0)))
+            if bad.size:
+                i = bad[0]
                 raise ValidationError(
                     "decay rate mu must be positive and finite on the cell "
-                    f"nodes, min {np.min(self.mu)}"
+                    f"nodes; mu = {self.mu[i]} at node {i}, "
+                    f"{grid.cell_nodes[i].tolist()}"
                 )
         self._cache: dict = {}
         self._cached_bytes = 0
@@ -117,9 +120,7 @@ class TiltedOperator:
         def pair(X, Y):
             return fn(X, Y) * np.exp(-rho * ((Y - X) @ self.e))
 
-        return periodize_kernel(pair, self.grid,
-                                support_radius=self.kernel.support_radius,
-                                axis_reach=self.kernel.axis_reach)
+        return periodize_kernel(pair, self.grid, self.kernel.reach)
 
     def _tilted_spatial(self, rho):
         mat = self._cache.get(rho)

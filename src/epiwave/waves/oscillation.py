@@ -167,8 +167,7 @@ def oscillating_subsolution(time_kernel, response, c, grid, direction=None, *,
             t2 = np.exp(-b * (s2 - y) - rho * s2)
             total += (phi_j * (t1 - t2) / a).real
         history[j] = total / c
-    K = window_pair_matrix(grid, time_kernel.spatial_fn, reach,
-                           time_kernel.axis_reach)
+    K = window_pair_matrix(grid, time_kernel.spatial_fn, time_kernel.reach)
     applied = response.slope0 * grid.weight * (K @ history)
 
     slack = applied - values

@@ -15,10 +15,12 @@ SciPy is Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy
 Developers, and is distributed under the BSD 3-Clause License; the
 routines below follow its code and keep its variable names.
 
-Unlike SciPy, a bracket without a sign change and a bad bound or
-tolerance raise ValidationError, an exhausted evaluation budget raises
-ConvergenceError in both routines, and a NaN function value stops either
-routine with ConvergenceError at the point that produced it.
+SciPy's default budgets and brentq's relative tolerance are fixed here:
+_MAXFUN evaluations for the minimizer, _MAXITER iterations for the root
+search and _RTOL = 4 eps. Unlike SciPy, a bracket without a sign change
+and a bad bound or tolerance raise ValidationError, an exhausted budget
+raises ConvergenceError in both routines, and a NaN function value stops
+either routine with ConvergenceError at the point that produced it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from ..errors import ConvergenceError, ValidationError
 
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-_RTOL = 4 * sys.float_info.epsilon  # brentq's relative tolerance floor
+_RTOL = 4 * sys.float_info.epsilon  # brentq's relative tolerance
+_MAXFUN = 500  # minimize_scalar's evaluation budget
+_MAXITER = 100  # brentq's iteration budget
 
 
 def _value(f, x: float) -> float:
@@ -40,13 +44,12 @@ def _value(f, x: float) -> float:
     return fx
 
 
-def brent_minimize(f, a, b, xatol: float = 1e-5,
-                   maxfun: int = 500) -> tuple[float, float]:
+def brent_minimize(f, a, b, xatol: float) -> tuple[float, float]:
     """(x, f(x)) at a local minimum of f on [a, b], to within xatol.
 
     Golden-section steps safeguarded by parabolic interpolation, never
     evaluating at the bounds; the port of minimize_scalar(bounds=(a, b),
-    method="bounded", options={"xatol": xatol, "maxiter": maxfun}).
+    method="bounded", options={"xatol": xatol}).
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -116,27 +119,24 @@ def brent_minimize(f, a, b, xatol: float = 1e-5,
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
 
-        if num >= maxfun:
+        if num >= _MAXFUN:
             err = ConvergenceError(
-                f"bounded minimization used its {maxfun} evaluations; best "
+                f"bounded minimization used its {_MAXFUN} evaluations; best "
                 f"x = {xf!r} within [{a!r}, {b!r}]")
             err.x, err.fun, err.evaluations = xf, fx, num
             raise err
     return xf, fx
 
 
-def brent_root(f, a, b, xtol: float = 2e-12, rtol: float = _RTOL,
-               maxiter: int = 100) -> float:
+def brent_root(f, a, b, xtol: float) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Inverse quadratic interpolation and secant steps, falling back to
     bisection; stops when the bracket half-width is below
-    (xtol + rtol |x|) / 2. The port of SciPy's brentq.
+    (xtol + _RTOL |x|) / 2. The port of brentq(f, a, b, xtol=xtol).
     """
-    if xtol <= 0:
+    if not xtol > 0:
         raise ValidationError(f"xtol must be positive, got {xtol}")
-    if rtol < _RTOL:
-        raise ValidationError(f"rtol {rtol} is below the floor {_RTOL}")
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
     fpre = _value(f, xpre)
@@ -150,7 +150,7 @@ def brent_root(f, a, b, xtol: float = 2e-12, rtol: float = _RTOL,
             f"no sign change on the bracket: f({xpre!r}) = {fpre!r}, "
             f"f({xcur!r}) = {fcur!r}")
 
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if (fpre != 0 and fcur != 0
                 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -159,7 +159,7 @@ def brent_root(f, a, b, xtol: float = 2e-12, rtol: float = _RTOL,
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -190,6 +190,6 @@ def brent_root(f, a, b, xtol: float = 2e-12, rtol: float = _RTOL,
         fcur = _value(f, xcur)
 
     err = ConvergenceError(
-        f"root search used its {maxiter} iterations; last x = {xcur!r}")
-    err.x, err.iterations = xcur, maxiter
+        f"root search used its {_MAXITER} iterations; last x = {xcur!r}")
+    err.x, err.iterations = xcur, _MAXITER
     raise err

@@ -226,7 +226,7 @@ def test_window_blocks_match_csr_reference(case):
 def test_row_sums_are_the_only_sums():
     grid = ew.PeriodicGrid(1, 16, 2)
     kernel = ew.separable_contact_kernel(2.0, 1.0)
-    W = window_pair_matrix(grid, kernel.spatial_fn, kernel.support_radius)
+    W = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
     with pytest.raises(ValueError, match="axis"):
         W.sum(axis=0)
     with pytest.raises(TypeError):

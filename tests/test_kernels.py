@@ -286,9 +286,8 @@ def test_periodize_matches_full_shell_sum(case):
     else:
         pair = _tilted_time_integral(kernel, tilt[1], 1.4, tilt[2])
     expected = _full_shell_sum(pair, grid, kernel.support_radius)
-    # the separable boxes declare their per-axis reach, as the callers pass it
-    got = periodize_kernel(pair, grid, support_radius=kernel.support_radius,
-                           axis_reach=kernel.axis_reach)
+    # the separable boxes' reach includes their per-axis box
+    got = periodize_kernel(pair, grid, kernel.reach)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
     assert np.count_nonzero(expected) > 0
@@ -303,7 +302,7 @@ def test_periodize_skips_only_images_out_of_reach():
 
     # images out to max |k_a| = 3 in 2-D: 49 shifts, of which the 21 with
     # |k_a| <= 2 and not both |k_a| = 2 can reach the cell
-    periodize_kernel(counting, PeriodicGrid(2, 8, 1), support_radius=np.sqrt(2.0))
+    periodize_kernel(counting, PeriodicGrid(2, 8, 1), ew.Reach(np.sqrt(2.0)))
     assert len(calls) == 21
 
 
@@ -317,7 +316,7 @@ def _counting(kernel):
 
     return SeparableKernel(spatial, kernel.mu_fn, kernel.support_radius,
                            dim=kernel.dim, symmetry=kernel.symmetry,
-                           axis_reach=kernel.axis_reach), calls
+                           axis_reach=kernel.reach.axis), calls
 
 
 # the 2-D box of reach 1 on an 8-point cell reaches the 9 images with
@@ -331,8 +330,9 @@ def test_one_image_table_per_kernel(dim, cell_points, reachable):
     grid = PeriodicGrid(dim, cell_points, 2)
     transfer = time_integrate_kernel(kernel, grid)
     assert len(calls) == reachable
+    # the Euclidean reach alone sums the same blocks
     assert np.array_equal(transfer.cell_matrix, periodize_kernel(
-        transfer.pair_fn, grid, kernel.support_radius))
+        transfer.pair_fn, grid, ew.Reach(kernel.support_radius)))
     calls.clear()
     ball_eigenvalue_sweep(transfer, ew.saturating_exponential())
     W = transfer.window_matrix()

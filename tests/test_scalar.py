@@ -21,7 +21,7 @@ from scipy import optimize
 import epiwave as ew
 from epiwave import ConvergenceError, ValidationError
 from epiwave.spectral import principal_eigenpair
-from epiwave.waves import TiltedOperator, dispersion, minimal_speed
+from epiwave.waves import TiltedOperator, dispersion, minimal_speed, scalar
 from epiwave.waves.scalar import brent_minimize, brent_root
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(ew.__file__)))
@@ -195,19 +195,22 @@ def test_bracket_without_a_sign_change_is_refused():
     with pytest.raises(ValueError):
         optimize.brentq(g_ref, -1.0, 2.0)
     with pytest.raises(ValidationError, match="no sign change"):
-        brent_root(g_port, -1.0, 2.0)
+        brent_root(g_port, -1.0, 2.0, xtol=2e-12)
     assert _bits(port_points) == _bits(ref_points)
-    assert brent_root(lambda x: x, 0.0, 1.0) == 0.0  # a root on the bracket
+    # a root on the bracket
+    assert brent_root(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
 
 
-def test_exhausted_budgets_raise_convergence_errors():
+def test_exhausted_budgets_raise_convergence_errors(monkeypatch):
+    monkeypatch.setattr(scalar, "_MAXITER", 3)
+    monkeypatch.setattr(scalar, "_MAXFUN", 4)
     f = _ANALYTIC_ROOTS[0][0]
     g_ref, ref_points = _recorded(f)
     g_port, port_points = _recorded(f)
     with pytest.raises(RuntimeError):
         optimize.brentq(g_ref, 1e-8, 2.0, xtol=1e-12, maxiter=3)
     with pytest.raises(ConvergenceError, match="3 iterations") as exc:
-        brent_root(g_port, 1e-8, 2.0, xtol=1e-12, maxiter=3)
+        brent_root(g_port, 1e-8, 2.0, xtol=1e-12)
     assert _bits(port_points) == _bits(ref_points)
     assert exc.value.x == port_points[-1]
 
@@ -218,24 +221,23 @@ def test_exhausted_budgets_raise_convergence_errors():
                                    options={"xatol": 1e-6, "maxiter": 4})
     assert ref.status == 1
     with pytest.raises(ConvergenceError, match="4 evaluations") as exc:
-        brent_minimize(g_port, a, b, xatol=1e-6, maxfun=4)
+        brent_minimize(g_port, a, b, xatol=1e-6)
     assert _bits(port_points) == _bits(ref_points)
     assert _bits([exc.value.x, exc.value.fun]) == _bits([ref.x, ref.fun])
 
 
 def test_bad_bounds_tolerances_and_nan_values_are_refused():
     with pytest.raises(ValidationError):
-        brent_minimize(abs, 2.0, 1.0)
+        brent_minimize(abs, 2.0, 1.0, xatol=1e-6)
     with pytest.raises(ValidationError):
-        brent_minimize(abs, 0.0, math.inf)
+        brent_minimize(abs, 0.0, math.inf, xatol=1e-6)
     with pytest.raises(ValidationError):
         brent_root(math.sin, -1.0, 1.0, xtol=0.0)
-    with pytest.raises(ValidationError):
-        brent_root(math.sin, -1.0, 1.0, rtol=1e-17)
     with pytest.raises(ConvergenceError, match="NaN"):
-        brent_root(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+        brent_root(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0,
+                   xtol=1e-12)
     with pytest.raises(ConvergenceError, match="NaN"):
-        brent_minimize(lambda x: math.nan, 0.0, 1.0)
+        brent_minimize(lambda x: math.nan, 0.0, 1.0, xatol=1e-6)
 
 
 def _fresh(code, *args):

@@ -6,6 +6,8 @@ and checks that -ln(S/S0) agrees with u to first order in dt and the
 node spacing.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,8 +250,7 @@ def test_bridge_satisfies_standing_hypotheses():
     state = _striped_state()
     kernel, _, _ = sir_to_kernel(state)
     grid = state.grid
-    shifts, blocks = lattice_image_blocks(kernel.spatial_fn, grid,
-                                          kernel.support_radius)
+    shifts, blocks = lattice_image_blocks(kernel.spatial_fn, grid, kernel.reach)
     assert np.min(blocks) >= 0.0
     n = grid.n_cell
     XX = np.repeat(grid.cell_nodes, n, axis=0)
@@ -296,6 +297,33 @@ def test_diffusive_variant_marches():
         SirState(grid=grid2, contact_fn=_box_pair(), support_radius=1.0,
                  recovery_fn=_ones, susceptible_fn=_ones,
                  infected0=np.zeros(grid2.n_window), diffusion=0.1)
+
+
+def test_box_contact_evaluates_only_the_images_in_its_box():
+    # the 2-D box of reach 1 on an 8-point cell reaches 9 lattice images;
+    # its Euclidean reach sqrt(2) alone would admit 21. Both the
+    # compartmental march and the bridged kernel see the box.
+    box = ew.separable_contact_kernel(2.0, 1.0, dim=2)
+    calls = []
+
+    def contact(X, Y):
+        calls.append(1)
+        return box.spatial_fn(X, Y)
+
+    grid = ew.PeriodicGrid(dim=2, cell_points=8, window_radius=2)
+    state = SirState(grid=grid, contact_fn=contact,
+                     support_radius=box.support_radius,
+                     axis_reach=box.reach.axis, recovery_fn=_ones,
+                     susceptible_fn=_ones, infected0=np.zeros(grid.n_window))
+    simulate_sir(state, dt=0.05, horizon=0.1)
+    assert len(calls) == 9
+    calls.clear()
+    kernel, _, _ = sir_to_kernel(state)
+    assert kernel.reach == box.reach
+    ew.time_integrate_kernel(kernel, grid)
+    assert len(calls) == 9
+    with pytest.raises(ValidationError, match="axis reach"):
+        dataclasses.replace(state, axis_reach=0.0)
 
 
 def test_trajectory_required_for_attack_variable():

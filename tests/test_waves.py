@@ -286,7 +286,8 @@ def test_tilted_operator_refuses_bad_decay_on_a_cell_node(decay):
     kernel = ew.separable_contact_kernel(2.0, 1.0, decay=decay)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="positive and finite"):
+        with pytest.raises(ValidationError,
+                           match=r"positive and finite.* at node 0,"):
             minimal_speed(kernel, _g(), ew.PeriodicGrid(1, 64, 8))
 
 
@@ -575,7 +576,7 @@ def test_closed_form_history_matches_brute_quadrature(slow_bump):
              * np.cos(osc.rho_I * s - np.arctan2(pi[j], pr[j])))
         v = np.where(np.abs(s) <= osc.band, np.maximum(v, 0.0), 0.0)
         hist[j] = np.trapezoid(np.exp(-mu[j] * taus) * v, taus)
-    K = window_pair_matrix(grid, kernel.spatial_fn, kernel.support_radius)
+    K = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
     rebuilt = slow_bump["g"].slope0 * grid.weight * (K @ hist)
     denom = np.max(np.abs(osc.applied))
     assert denom > 0
