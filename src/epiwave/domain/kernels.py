@@ -312,29 +312,53 @@ def lattice_image_blocks(pair_fn, grid, reach: Reach):
     has V(x_i + k, x_j + k') = blocks[s][i, j] with shifts[s] = k' - k, so
     every matrix of the kernel between window nodes is block-Toeplitz over
     cells with these blocks. Images whose block is all zeros are dropped;
-    the zero shift is always kept.
+    the zero shift is always kept. Each block is written into one array
+    allocated for all the reachable images, so building the table takes
+    little more memory than the table itself.
     """
     n, XX, YY = _cell_pairs(grid)
     reaches = reach.image_test(grid)
-    shifts, blocks = [], []
-    for m in range(reach.shells + 1):
-        for shift in filter(reaches, _shell_shifts(grid.dim, m)):
-            vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
-            if m == 0 or np.any(vals):
-                shifts.append(shift)
-                blocks.append(vals.reshape(n, n))
-    return np.array(shifts, dtype=np.intp), np.stack(blocks)
+    candidates = [shift for m in range(reach.shells + 1)
+                  for shift in filter(reaches, _shell_shifts(grid.dim, m))]
+    blocks = None
+    kept = []
+    for shift in candidates:
+        vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
+        if blocks is None:  # the zero shift, first of shell 0
+            blocks = np.empty((len(candidates), n, n), dtype=vals.dtype)
+        if not kept or np.any(vals):
+            blocks[len(kept)] = vals.reshape(n, n)
+            kept.append(shift)
+    if len(kept) < len(candidates):
+        blocks = blocks[:len(kept)].copy()
+    return np.array(kept, dtype=np.intp), blocks
 
 
-def periodize_kernel(pair_fn, grid, reach: Reach) -> np.ndarray:
-    """Lattice-sum a whole-line pair kernel onto the periodicity cell.
+def periodize_kernel(shifts, blocks, grid=None, tilt=None) -> np.ndarray:
+    """Lattice-sum a kernel's image table (lattice_image_blocks) onto the cell.
 
-    Returns matrix[i, j] = sum_k fn(x_i, x_j + k) over the lattice vectors
-    k: the sum of the lattice-image blocks, in shell order. The sum is
-    finite, since the kernel vanishes on the images that cannot reach the
-    cell.
+    Without a tilt this is matrix[i, j] = sum_k V(x_i, x_j + k), the plain
+    sum of the blocks in shell order. A tilt vector t (rho e for a decay
+    rate rho along the unit direction e, real or complex) weights each
+    image by exp(-(x_j + k - x_i).t), giving the cell matrix of the tilted
+    operator exp(x.t) L exp(-x.t). Since the exponent splits, that matrix
+    is D B D^-1 with B = sum_k exp(-k.t) K_k, the Bloch sum of the blocks,
+    and D = diag(exp(x.t)) over the nodes of the grid's cell: the blocks
+    are read, never re-evaluated, for each tilt. The sums are finite,
+    since the kernel vanishes on the images that cannot reach the cell.
     """
-    return lattice_image_blocks(pair_fn, grid, reach)[1].sum(axis=0)
+    if tilt is None:
+        return blocks.sum(axis=0)
+    tilt = np.asarray(tilt)
+    weights = np.exp(-(shifts @ tilt))
+    flat = blocks.reshape(len(blocks), -1)
+    if np.iscomplexobj(weights) and not np.iscomplexobj(flat):
+        # two real products instead of a complex copy of the table
+        bloch = weights.real @ flat + 1j * (weights.imag @ flat)
+    else:
+        bloch = weights @ flat
+    d = np.exp(grid.cell_nodes @ tilt)
+    return d[:, None] * bloch.reshape(blocks.shape[1:]) / d
 
 
 class SpatialKernel:

@@ -6,7 +6,12 @@ time-integrated with exponent rho*c and tilted by exp(-rho (y - x).e),
 and the principal eigenvalue lambda_1(rho, c, e) of the periodized
 matrix decides whether that decay profile is amplified. That matrix is
 the tilted operator exp(rho x.e) L exp(-rho x.e) on the cell, and every
-evaluation of it goes through one TiltedOperator per medium. The minimal
+evaluation of it goes through one TiltedOperator per medium. In Bloch
+form it is D B(rho) D^-1, with D = diag(exp(rho x.e)) and B(rho) =
+sum_k exp(-rho k.e) K_k over the lattice-image blocks K_k of the kernel.
+No rho enters the K_k, so the operator tabulates them once and each rate
+only reweights the table; similar matrices share their eigenvalues, and
+the eigenvector of the tilted matrix is D times that of B. The minimal
 speed c*(e) is the smallest c at which some rho achieves
 lambda_1(rho, c, e) <= 1; the minimizing rho* gives the front decay.
 
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..domain.grid import MAX_CELL_BYTES
-from ..domain.kernels import SeparableKernel, periodize_kernel
+from ..domain.kernels import (SeparableKernel, lattice_image_blocks,
+                               periodize_kernel)
 from ..errors import ConvergenceError, ValidationError
 from ..spectral import DEFAULT_EIGEN_TOL, OperatorMatrix, principal_eigenpair
 from .scalar import brent_minimize
@@ -72,11 +78,19 @@ class TiltedOperator:
     Built once per (kernel, response, grid, direction): it checks the
     kernel and, for separable kernels, that mu is positive and finite on
     the cell nodes; normalizes the direction (e); refuses c < 0 and real
-    rho < 0; and assembles the matrix at any (rho, c), real or complex. For
-    separable kernels the rho*c exponent only rescales columns by
-    1 / (mu(y) + rho c), so the tilted spatial lattice sum is cached per
-    rho and reused across speeds; the cache empties before it would hold
-    more than MAX_CELL_BYTES.
+    rho < 0; and assembles the matrix at any (rho, c), real or complex.
+
+    The tilted cell matrix is D B D^-1, with D = diag(exp(rho x.e)) on the
+    cell nodes and B = sum_k exp(-rho k.e) K_k the Bloch sum of the
+    kernel's lattice-image blocks K_k (periodize_kernel). No rho enters
+    the blocks. For separable kernels the rho*c exponent only rescales
+    columns by 1 / (mu(y) + rho c), so the spatial kernel's image table
+    is evaluated once, here, and each rate only reweights it; the tilted
+    sum is cached per real rho, the rates a speed search revisits across
+    speeds, and the cache empties before it would hold more than
+    MAX_CELL_BYTES. Complex rates are summed afresh: a continuation path
+    meets each only a few times. Other kernels tabulate their time
+    integral at s = rho c for each (rho, c).
     """
 
     def __init__(self, time_kernel, response, grid, direction=None):
@@ -113,40 +127,42 @@ class TiltedOperator:
                     f"nodes; mu = {self.mu[i]} at node {i}, "
                     f"{grid.cell_nodes[i].tolist()}"
                 )
+            self.shifts, self.blocks = lattice_image_blocks(
+                time_kernel.spatial_fn, grid, time_kernel.reach)
         self._cache: dict = {}
         self._cached_bytes = 0
 
-    def _lattice_sum(self, rho, fn):
-        def pair(X, Y):
-            return fn(X, Y) * np.exp(-rho * ((Y - X) @ self.e))
-
-        return periodize_kernel(pair, self.grid, self.kernel.reach)
-
-    def _tilted_spatial(self, rho):
+    def lattice_sum(self, rho, c) -> np.ndarray:
+        """The tilted lattice sum sum_k V(x_i, x_j + k) exp(-rho (x_j + k - x_i).e)
+        on the cell: V is the spatial kernel for separable kernels (the decay
+        enters in matrix) and the time integral at s = rho c otherwise."""
+        rho = _decay_rate(rho, c)
+        if not self.separable:
+            shifts, blocks = lattice_image_blocks(
+                lambda X, Y: self.kernel.time_integral(X, Y, s=rho * c),
+                self.grid, self.kernel.reach)
+            return periodize_kernel(shifts, blocks, self.grid, rho * self.e)
         mat = self._cache.get(rho)
         if mat is None:
-            mat = self._lattice_sum(rho, self.kernel.spatial_fn)
-            if self._cached_bytes + mat.nbytes > MAX_CELL_BYTES:
-                self._cache.clear()
-                self._cached_bytes = 0
-            self._cache[rho] = mat
-            self._cached_bytes += mat.nbytes
+            mat = periodize_kernel(self.shifts, self.blocks, self.grid,
+                                   rho * self.e)
+            if isinstance(rho, float):  # complex rates recur only a few times
+                if self._cached_bytes + mat.nbytes > MAX_CELL_BYTES:
+                    self._cache.clear()
+                    self._cached_bytes = 0
+                self._cache[rho] = mat
+                self._cached_bytes += mat.nbytes
         return mat
 
     def matrix(self, rho, c) -> np.ndarray:
         """Dense tilted cell matrix at (rho, c), slope and quadrature
         included; complex when rho has a nonzero imaginary part."""
-        if c < 0:
-            raise ValidationError(f"speed must be nonnegative, got {c}")
-        rho = complex(rho) if np.imag(rho) else float(np.real(rho))
-        if isinstance(rho, float) and rho < 0:
-            raise ValidationError(f"decay rate must be nonnegative, got {rho}")
+        rho = _decay_rate(rho, c)
+        summed = self.lattice_sum(rho, c)
         scale = self.slope0 * self.grid.weight
         if self.separable:
-            return self._tilted_spatial(rho) * (scale / (self.mu + rho * c))
-        s = rho * c
-        return scale * self._lattice_sum(
-            rho, lambda X, Y: self.kernel.time_integral(X, Y, s=s))
+            return summed * (scale / (self.mu + rho * c))
+        return scale * summed
 
     def operator(self, rho, c) -> OperatorMatrix:
         """The cell operator at real (rho, c), for principal_eigenpair."""
@@ -169,6 +185,17 @@ class TiltedOperator:
             tol=tol)
         return DispersionPoint(rho=complex(rho), c=float(c), direction=self.e,
                                value=lam, phi=phi, residual=residual)
+
+
+def _decay_rate(rho, c):
+    """rho as a float, or as a complex when its imaginary part is nonzero,
+    after refusing c < 0 and real rho < 0."""
+    if c < 0:
+        raise ValidationError(f"speed must be nonnegative, got {c}")
+    rho = complex(rho) if np.imag(rho) else float(np.real(rho))
+    if isinstance(rho, float) and rho < 0:
+        raise ValidationError(f"decay rate must be nonnegative, got {rho}")
+    return rho
 
 
 def _complex_eigenpair(A, phi, tol=1e-12, max_iter=80):

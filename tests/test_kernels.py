@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,10 @@ from epiwave import (
     separable_contact_kernel,
     time_integrate_kernel,
 )
-from epiwave.domain.kernels import exponential_step_weights
+from epiwave.app import scenario
+from epiwave.domain.kernels import exponential_step_weights, lattice_image_blocks
 from epiwave.spectral import ball_eigenvalue_sweep
+from epiwave.waves import TiltedOperator
 
 
 def _pts(*vals):
@@ -193,6 +197,19 @@ def test_step_weights_match_quadrature():
         assert I1[k] == pytest.approx(ramp, rel=1e-10)
 
 
+def _full_shell_shifts(grid, support_radius):
+    """Every lattice vector of every shell up to one cell beyond the reach,
+    in shell order."""
+    shifts = []
+    for m in range(int(np.ceil(support_radius)) + 2):
+        rng = range(-m, m + 1)
+        if grid.dim == 1:
+            shifts += [(k,) for k in rng if abs(k) == m]
+        else:
+            shifts += [(a, b) for a in rng for b in rng if max(abs(a), abs(b)) == m]
+    return shifts
+
+
 def _full_shell_sum(pair_fn, grid, support_radius):
     """Reference lattice sum: every image of every shell up to one cell
     beyond the reach, in shell order, as periodize_kernel summed before it
@@ -203,15 +220,9 @@ def _full_shell_sum(pair_fn, grid, support_radius):
     YY = np.tile(X, (n, 1))
     probe = np.asarray(pair_fn(X[:1], X[:1]))
     total = np.zeros((n, n), dtype=complex if np.iscomplexobj(probe) else float)
-    for m in range(int(np.ceil(support_radius)) + 2):
-        rng = range(-m, m + 1)
-        if grid.dim == 1:
-            shifts = [(k,) for k in rng if abs(k) == m]
-        else:
-            shifts = [(a, b) for a in rng for b in rng if max(abs(a), abs(b)) == m]
-        for shift in shifts:
-            vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
-            total += vals.reshape(n, n)
+    for shift in _full_shell_shifts(grid, support_radius):
+        vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
+        total += vals.reshape(n, n)
     return total
 
 
@@ -280,17 +291,53 @@ _LATTICE_CASES = {
 def test_periodize_matches_full_shell_sum(case):
     grid, kernel, tilt = _LATTICE_CASES[case]()
     if tilt is None:
-        pair = _plain(kernel)
-    elif tilt[0] == "tilt":
-        pair = _tilted(kernel, tilt[1], tilt[2])
+        expected = _full_shell_sum(_plain(kernel), grid, kernel.support_radius)
+        # the separable boxes' reach includes their per-axis box
+        shifts, blocks = lattice_image_blocks(_plain(kernel), grid, kernel.reach)
+        got = periodize_kernel(shifts, blocks)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert np.count_nonzero(expected) > 0
+        return
+    kind, rho, e = tilt
+    c = 1.4 if kind == "time" else 0.0
+    if kind == "tilt":
+        pair = _tilted(kernel, rho, e)
     else:
-        pair = _tilted_time_integral(kernel, tilt[1], 1.4, tilt[2])
+        pair = _tilted_time_integral(kernel, rho, c, e)
     expected = _full_shell_sum(pair, grid, kernel.support_radius)
-    # the separable boxes' reach includes their per-axis box
-    got = periodize_kernel(pair, grid, kernel.reach)
+    magnitude = _full_shell_sum(lambda X, Y: np.abs(pair(X, Y)), grid,
+                                kernel.support_radius)
+    tilted = TiltedOperator(kernel, ew.saturating_exponential(), grid, e)
+    got = tilted.lattice_sum(rho, c)
     assert got.dtype == expected.dtype
-    assert np.array_equal(got, expected)
+    # The Bloch form D B D^-1 and the pair sum round differently. Per term
+    # each side makes a few roundings (the exponent, exp, the products and
+    # the division by D), an exp of an argument of size a is off by a*eps
+    # relative, and the sums over the images add one rounding per image,
+    # all relative to the sum of the terms' magnitudes. The exponents are
+    # at most |rho| (shells + 1) in size.
+    images = len(_full_shell_shifts(grid, kernel.support_radius))
+    exponent = abs(rho) * (kernel.reach.shells + 1)
+    bound = np.finfo(expected.dtype).eps * (8 + images + 2 * exponent)
+    assert np.all(np.abs(got - expected) <= bound * magnitude)
     assert np.count_nonzero(expected) > 0
+
+
+def _reference_table(pair_fn, grid, support_radius):
+    """The image table as a list of blocks stacked at the end: every image
+    of every shell out to one cell beyond the reach, keeping the zero
+    shift and the images with a nonzero block."""
+    X = grid.cell_nodes
+    n = X.shape[0]
+    XX, YY = np.repeat(X, n, axis=0), np.tile(X, (n, 1))
+    shifts, blocks = [], []
+    for shift in _full_shell_shifts(grid, support_radius):
+        vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
+        if not shifts or np.any(vals):
+            shifts.append(shift)
+            blocks.append(vals.reshape(n, n))
+    return np.array(shifts), np.stack(blocks)
 
 
 def test_periodize_skips_only_images_out_of_reach():
@@ -302,8 +349,38 @@ def test_periodize_skips_only_images_out_of_reach():
 
     # images out to max |k_a| = 3 in 2-D: 49 shifts, of which the 21 with
     # |k_a| <= 2 and not both |k_a| = 2 can reach the cell
-    periodize_kernel(counting, PeriodicGrid(2, 8, 1), ew.Reach(np.sqrt(2.0)))
+    grid = PeriodicGrid(2, 8, 1)
+    shifts, blocks = lattice_image_blocks(counting, grid, ew.Reach(np.sqrt(2.0)))
     assert len(calls) == 21
+    # the 9 images with |k_a| <= 1 have a nonzero block, kept in an array of
+    # their own rather than a view of one sized for all 21
+    ref_shifts, ref_blocks = _reference_table(counting, grid, 1.0)
+    assert blocks.shape == (9, 64, 64) and blocks.base is None
+    assert np.array_equal(shifts, ref_shifts)
+    assert np.array_equal(blocks, ref_blocks)
+    assert np.array_equal(periodize_kernel(shifts, blocks), ref_blocks.sum(axis=0))
+
+
+def test_image_table_is_built_in_place():
+    cfg = scenario.scenario_from_dict({
+        "grid": {"dim": 2, "cell_points": 8, "window_radius": 2},
+        "kernel": {"support_radius": 10}})
+    kernel, grid = cfg.kernel, cfg.grid
+    tracemalloc.start()
+    try:
+        shifts, blocks = lattice_image_blocks(kernel.spatial_fn, grid,
+                                              kernel.reach)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 441 blocks of 64 x 64, 14.45 MB; a list of blocks stacked at the end
+    # peaked at twice that
+    assert blocks.shape == (441, 64, 64)
+    assert peak <= 1.25 * blocks.nbytes
+    ref_shifts, ref_blocks = _reference_table(kernel.spatial_fn, grid,
+                                              kernel.support_radius)
+    assert np.array_equal(shifts, ref_shifts)
+    assert np.array_equal(blocks, ref_blocks)
 
 
 def _counting(kernel):
@@ -332,7 +409,8 @@ def test_one_image_table_per_kernel(dim, cell_points, reachable):
     assert len(calls) == reachable
     # the Euclidean reach alone sums the same blocks
     assert np.array_equal(transfer.cell_matrix, periodize_kernel(
-        transfer.pair_fn, grid, ew.Reach(kernel.support_radius)))
+        *lattice_image_blocks(transfer.pair_fn, grid,
+                              ew.Reach(kernel.support_radius))))
     calls.clear()
     ball_eigenvalue_sweep(transfer, ew.saturating_exponential())
     W = transfer.window_matrix()

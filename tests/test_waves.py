@@ -1,6 +1,7 @@
 """Dispersion surface, minimal speed, front iteration, slow-speed diagnostics."""
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -260,6 +261,80 @@ def test_lattice_sum_cache_bound_leaves_the_speed_unchanged(monkeypatch):
     bounded = minimal_speed(kernel, g, grid)
     assert len(calls) > unbounded
     assert (bounded.c_star, bounded.rho_star) == (free.c_star, free.rho_star)
+
+
+def _counting_kernel(dim):
+    """The striped kernel with a counter on its spatial function's calls."""
+    calls = []
+    base = ew.separable_contact_kernel(
+        2.0, 1.0, dim=dim,
+        source_factor=lambda P: 1.0 + 0.5 * np.cos(2.0 * np.pi * P[:, 0]),
+        decay=lambda P: 1.0 + 0.25 * np.sin(2.0 * np.pi * P[:, 0]))
+
+    def spatial(X, Y):
+        calls.append(1)
+        return base.spatial_fn(X, Y)
+
+    kernel = ew.SeparableKernel(spatial, base.mu_fn, base.support_radius,
+                                dim=dim, symmetry=base.symmetry,
+                                axis_reach=base.reach.axis)
+    return kernel, calls
+
+
+# a box of reach 1 reaches 3 images of a 1-D cell and the 9 images with
+# |k_a| <= 1 of an 8-point 2-D cell
+@pytest.mark.parametrize("dim, cell_points, reachable", [(1, 16, 3), (2, 8, 9)])
+def test_the_kernel_is_evaluated_once_per_image_per_operator(
+        dim, cell_points, reachable):
+    kernel, calls = _counting_kernel(dim)
+    grid = ew.PeriodicGrid(dim, cell_points, 2)
+    direction = np.ones(dim)
+    tilted = TiltedOperator(kernel, _g(), grid, direction)
+    assert len(calls) == reachable == len(tilted.shifts)
+    calls.clear()
+    # a rho_values x c_values surface and complex rates read the table
+    for c in (0.0, 0.7, 2.0):
+        for rho in (0.0, 0.4, 1.3):
+            tilted.point(rho, c)
+    tilted.matrix(0.9 + 0.4j, 1.1)
+    assert len(calls) == 0
+    # a speed search and a continuation each build one operator, and make
+    # no pair call beyond its table
+    speed = minimal_speed(kernel, _g(), grid, direction)
+    assert len(calls) == reachable
+    calls.clear()
+    complex_decay_root(kernel, _g(), 0.97 * speed.c_star, grid, direction,
+                       speed=speed)
+    assert len(calls) == reachable
+
+
+def test_complex_rates_skip_the_cache_and_keep_the_answers(monkeypatch):
+    operators = []
+
+    class Recorded(TiltedOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            operators.append(self)
+
+    monkeypatch.setattr(dispersion, "TiltedOperator", Recorded)
+    cfg = scenario.scenario_from_dict({"grid": {"cell_points": 32,
+                                                "window_radius": 20}})
+    artifacts, _ = pipelines.run_subwave_diag(cfg)
+    # the speed search and the continuation, each on its own operator
+    assert len(operators) == 2
+    for tilted in operators:
+        assert tilted._cache
+        assert all(isinstance(rho, float) for rho in tilted._cache)
+    # the answers of the per-pair lattice sums, to far below the 1e-8 the
+    # continuation is held to (criterion 11)
+    summary = json.loads(artifacts["subwave.json"])
+    assert summary["dominated"] is True
+    assert summary["c_star"] == pytest.approx(1.2262758910655975, rel=1e-12)
+    assert summary["c"] == pytest.approx(1.2017503732442856, rel=1e-12)
+    for key, value in (("rho_real", 1.469947901765323),
+                       ("rho_imag", 0.25027677104031537),
+                       ("band", 9.414355476932382)):
+        assert summary[key] == pytest.approx(value, rel=1e-10), key
 
 
 def test_tilted_operator_refuses_negative_speeds_and_rates():
