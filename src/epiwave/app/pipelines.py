@@ -112,9 +112,11 @@ def run_steady(cfg: ScenarioConfig):
 
 def run_simulate(cfg: ScenarioConfig):
     grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
-    transfer = time_integrate_kernel(kernel, grid)
+    # the march refuses a window that cannot hold the kernel reach, so it
+    # goes first, before the cell table is built
     field = dynamics.solve_initial_value(kernel, cfg.forcing, response, grid,
                                          dt=cfg.dt, horizon=cfg.horizon)
+    transfer = time_integrate_kernel(kernel, grid)
     final, settled = dynamics.long_time_limit(field)
     state = steady.solve_steady_state(transfer, response, tol=cfg.tol)
     outcome = dynamics.classify_outcome(final, state, cfg.tail_radius,
@@ -217,8 +219,9 @@ def run_dispersion(cfg: ScenarioConfig):
 
 def run_sir_verify(cfg: ScenarioConfig):
     state = cfg.sir
-    sim = simulate_sir(state, dt=cfg.sir_dt, horizon=cfg.sir_horizon)
+    # refuses, through its renewal march, a window too small for the reach
     gap = equivalence_check(state, dt=cfg.sir_dt, horizon=cfg.sir_horizon)
+    sim = simulate_sir(state, dt=cfg.sir_dt, horizon=cfg.sir_horizon)
     grid = state.grid
     attack = sim.log_attack()
     stride = _time_stride(sim.S.shape[0])

@@ -29,11 +29,15 @@ MAX_WINDOW_NODES = 2**16
 # the kernel on all n_cell**2 node pairs through pair arrays of
 # n_cell**2 x dim floats, and the table keeps n_cell**2 floats per lattice
 # image with nonzero values: at most (2 * ceil(s) + 1)**dim of them for a
-# kernel of per-axis reach s, 3**dim for one that reaches one cell. At
-# reach 1 the limit admits 1-D cells of up to 2,048 points and 2-D cells
-# of up to 35 x 35 (peak RSS 354 and 419 MB building the window matrix of
-# either); the largest cells of any test or benchmark document are 1-D 128
-# and 2-D 12. On a 2-D cell of 8 x 8 it admits reaches up to 31.
+# kernel of per-axis reach s, 3**dim for one that reaches one cell. Every
+# matrix of a kernel reads its one table, so the ball sweep adds no copy
+# of it. At reach 1 the limit admits 1-D cells of up to 2,048 points and
+# 2-D cells of up to 35 x 35 (peak RSS 386 and 317 MB integrating the
+# kernel and building the window matrix of either, one BLAS thread); the
+# largest cells of any test or benchmark document are 1-D 128 and 2-D 12.
+# On a 2-D cell of 8 x 8 it admits reaches up to 31, where `threshold`
+# grows peak RSS by 1.25 x MAX_CELL_BYTES over the imported program
+# (test_cell_budget_bounds_peak_memory).
 MAX_CELL_BYTES = 2**27
 
 

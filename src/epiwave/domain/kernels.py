@@ -42,10 +42,24 @@ class Reach:
     once |x_a - y_a| exceeds axis on any one axis a. Every kernel carries
     its reach, and the lattice-image tables take it as one value, so each
     lattice sum of a box kernel skips the images outside the box.
+
+    Every kernel here has compact support, so a reach is refused unless
+    radius is finite and positive and axis positive.
     """
 
     radius: float
     axis: float = math.inf
+
+    def __post_init__(self):
+        if not 0.0 < self.radius < math.inf:
+            raise ValidationError(
+                f"support radius must be finite positive, got "
+                f"{self.radius}: without compact support the lattice sums "
+                "and the exponential tilt can overflow, and speeds may be "
+                "super-linear"
+            )
+        if not self.axis > 0.0:
+            raise ValidationError(f"axis reach must be positive, got {self.axis}")
 
     def image_test(self, grid):
         """Predicate on lattice vectors k: can the image x_j + k reach the cell?
@@ -120,10 +134,7 @@ class SeparableKernel:
     def __init__(self, spatial_fn, mu_fn, support_radius: float, dim: int = 1,
                  symmetry: SymmetryFactors | None = None,
                  axis_reach: float = math.inf):
-        if support_radius <= 0:
-            raise ValidationError(f"support_radius must be positive, got {support_radius}")
-        if not axis_reach > 0:
-            raise ValidationError(f"axis_reach must be positive, got {axis_reach}")
+        self.reach = Reach(float(support_radius), float(axis_reach))
         probe = _probe_points(dim)
         mu_vals = np.asarray(mu_fn(probe), dtype=float)
         if np.min(mu_vals) <= 0:
@@ -132,8 +143,7 @@ class SeparableKernel:
             )
         self.spatial_fn = spatial_fn
         self.mu_fn = mu_fn
-        self.support_radius = float(support_radius)
-        self.reach = Reach(self.support_radius, float(axis_reach))
+        self.support_radius = self.reach.radius
         self.dim = int(dim)
         self.symmetry = symmetry
 
@@ -176,13 +186,11 @@ class IsotropicKernel:
 
     def __init__(self, profile, support_radius: float, dim: int = 1,
                  tau_horizon: float = 40.0, panel_width: float = 0.5, panel_nodes: int = 12):
-        if support_radius <= 0:
-            raise ValidationError(f"support_radius must be positive, got {support_radius}")
+        self.reach = Reach(float(support_radius))
         if tau_horizon <= 0:
             raise ValidationError(f"tau_horizon must be positive, got {tau_horizon}")
         self.profile = profile
-        self.support_radius = float(support_radius)
-        self.reach = Reach(self.support_radius)
+        self.support_radius = self.reach.radius
         self.dim = int(dim)
         self.tau_horizon = float(tau_horizon)
         base, weights = np.polynomial.legendre.leggauss(panel_nodes)
@@ -230,12 +238,10 @@ class TabulatedKernel:
             raise ValidationError(
                 f"got {len(frames)} frames for {len(tau_nodes)} tau nodes"
             )
-        if support_radius <= 0:
-            raise ValidationError(f"support_radius must be positive, got {support_radius}")
+        self.reach = Reach(float(support_radius))
         self.tau_nodes = tau_nodes
         self.frames = list(frames)
-        self.support_radius = float(support_radius)
-        self.reach = Reach(self.support_radius)
+        self.support_radius = self.reach.radius
         self.dim = int(dim)
         self.symmetry = None
 
@@ -361,17 +367,29 @@ def periodize_kernel(shifts, blocks, grid=None, tilt=None) -> np.ndarray:
     return d[:, None] * bloch.reshape(blocks.shape[1:]) / d
 
 
+def _product_table(blocks: np.ndarray) -> np.ndarray:
+    """Lay an image table (lattice_image_blocks) out, in place, as the
+    CellBlockMatrix products read it: each block is transposed where it
+    lies, and the stack is viewed as (images * n, n), so that row s * n + b,
+    column a holds blocks[s][a, b] = V(x_a, x_b + shifts[s]). Only one
+    block at a time is copied; blocks is consumed."""
+    for block in blocks:
+        block[...] = block.T
+    return blocks.reshape(-1, blocks.shape[-1])
+
+
 class SpatialKernel:
     """A time-integrated kernel V_s sampled on a grid.
 
-    Holds the cell's lattice-image table (shifts, blocks), evaluated once
-    by lattice_image_blocks when the kernel is integrated: every matrix
-    the kernel makes on the grid is read from it. The periodized cell
-    matrix (plain values, not yet weighted by quadrature) is the sum of the
-    blocks; the ball truncations and the window matrix are CellBlockMatrix
-    objects over them. Also keeps the whole-line pair function and, when
-    the factorization is known, the symmetry weight gamma2/gamma1 on the
-    cell.
+    The cell's lattice-image table is evaluated once, by
+    lattice_image_blocks, when the kernel is integrated. The periodized
+    cell matrix (plain values, not yet weighted by quadrature) is the sum
+    of its blocks, taken first; the table is then laid out once, in place,
+    for the products (_product_table), and kept as `table` beside `shifts`.
+    The ball truncations and the window matrix are CellBlockMatrix
+    objects that read this one table and copy none of it. Also keeps the
+    whole-line pair function and, when the factorization is known, the
+    symmetry weight gamma2/gamma1 on the cell.
     """
 
     def __init__(self, grid, pair_fn, shifts: np.ndarray, blocks: np.ndarray,
@@ -379,8 +397,8 @@ class SpatialKernel:
         self.grid = grid
         self.pair_fn = pair_fn
         self.shifts = shifts
-        self.blocks = blocks
         self.cell_matrix = blocks.sum(axis=0)
+        self.table = _product_table(blocks)
         self.support_radius = float(support_radius)
         self.gamma_cell = gamma_cell
         self.row_integrals = self.cell_matrix.sum(axis=1) * grid.weight
@@ -389,7 +407,7 @@ class SpatialKernel:
         """Whole-line kernel values V(x_i, x_j) between all window nodes, in
         cell-block form over the image table, as window_pair_matrix builds it."""
         return CellBlockMatrix(self.grid, np.arange(self.grid.n_window),
-                               self.shifts, self.blocks)
+                               self.shifts, self.table)
 
 
 class CellBlockMatrix:
@@ -398,16 +416,22 @@ class CellBlockMatrix:
     The kernel is periodic under joint integer shifts, V(x + k, y + k) =
     V(x, y), so the entry between the window nodes x_a + C and x_b + C'
     (x_a, x_b cell nodes, C, C' integer cell offsets) is
-    V(x_a, x_b + C' - C) = blocks[s][a, b] with shifts[s] = C' - C: the
-    matrix is block-Toeplitz over cells, and its blocks are the cell's
-    lattice-image blocks (lattice_image_blocks). Nothing is approximated;
-    the blocks hold the same kernel values, evaluated at cell coordinates
-    instead of window coordinates, so they differ only by rounding. That
-    holds only for a jointly periodic kernel: for one that is not (say a
-    source factor 1 + x) the matrix is that of its periodization, the
-    kernel's values on the cell repeated over the window. Scenario
-    documents refuse heterogeneities without period 1 on every axis for
-    this reason (app/scenario.py).
+    V(x_a, x_b + C' - C) with C' - C = shifts[s]: the matrix is
+    block-Toeplitz over cells, and its blocks are the cell's lattice-image
+    blocks (lattice_image_blocks). Nothing is approximated; the blocks
+    hold the same kernel values, evaluated at cell coordinates instead of
+    window coordinates, so they differ only by rounding. That holds only
+    for a jointly periodic kernel: for one that is not (say a source
+    factor 1 + x) the matrix is that of its periodization, the kernel's
+    values on the cell repeated over the window. Scenario documents
+    refuse heterogeneities without period 1 on every axis for this reason
+    (app/scenario.py).
+
+    The blocks come as `table`, laid out by _product_table (row s * n + b,
+    column a holds V(x_a, x_b + shifts[s])). The matrix keeps a reference
+    to it, not a copy: every ball truncation of a kernel reads the same
+    array, and the entries are scale times the table's values, the scale
+    applied to each product's output.
 
     The matrix acts on the window nodes given (all of them for the window
     matrix, a ball for a Dirichlet truncation), held as slots (cell,
@@ -416,14 +440,14 @@ class CellBlockMatrix:
     zero-padded (cells + 1) x n_cell array (one per column of x), gathers
     for every cell the rows of its neighbours at the lattice shifts (the
     padding row stands in for cells outside the nodes), and multiplies by
-    the stacked, transposed image blocks in one dense product. Window nodes that are
-    not among the given ones stay zero in the padded array, which is the
-    Dirichlet truncation; cells beyond the window are the padding row, as
-    the window itself truncates the whole-line kernel.
+    the table in one dense product. Window nodes that are not among the
+    given ones stay zero in the padded array, which is the Dirichlet
+    truncation; cells beyond the window are the padding row, as the
+    window itself truncates the whole-line kernel.
     """
 
     def __init__(self, grid, nodes: np.ndarray, shifts: np.ndarray,
-                 blocks: np.ndarray, scale: float = 1.0):
+                 table: np.ndarray, scale: float = 1.0):
         p = grid.cell_points
         side = 2 * grid.window_radius  # cells per window axis
         dims = (side,) * grid.dim
@@ -434,7 +458,7 @@ class CellBlockMatrix:
         cell_key = np.ravel_multi_index([a // p for a in axes], dims)
         self.local = grid.window_cell_map[nodes]
         used, cell = np.unique(cell_key, return_inverse=True)
-        cells, n = len(used), blocks.shape[1]
+        cells, n = len(used), table.shape[1]
 
         row_of = np.full(side**grid.dim, cells)
         row_of[used] = np.arange(cells)
@@ -445,9 +469,8 @@ class CellBlockMatrix:
         self._neighbours = np.where(inside, row_of[key], cells)
         self._slots = cell.ravel() * n + self.local
         self._padded = np.zeros((1, cells + 1, n))
-        self._blocks = blocks
-        # data[s * n + b, a] = scale * blocks[s][a, b]
-        self.data = blocks.transpose(0, 2, 1).reshape(-1, n) * scale
+        self.table = table
+        self.scale = scale
         self.shape = (len(nodes), len(nodes))
 
     def __matmul__(self, x):
@@ -464,8 +487,9 @@ class CellBlockMatrix:
         # flat indices: a 2-D fancy index made small ball products 30% slower
         padded.ravel()[into] = x.T.ravel()
         gathered = np.take(padded, self._neighbours, axis=1)
-        out = gathered.reshape(-1, self.data.shape[0]) @ self.data
-        return out.ravel()[outof].reshape(x.shape[::-1]).T
+        out = (gathered.reshape(-1, self.table.shape[0]) @ self.table).ravel()[outof]
+        out *= self.scale
+        return out.reshape(x.shape[::-1]).T
 
     def sum(self, axis) -> np.ndarray:
         """Row sums (axis=1), the only sums a kernel matrix is taken over here."""
@@ -478,10 +502,8 @@ class CellBlockMatrix:
         """Nonzero kernel values between the nodes, as a sparse matrix stores them."""
         occupied = np.zeros_like(self._padded[0])
         occupied.ravel()[self._slots] = 1.0
-        n = occupied.shape[1]
-        links = (self._blocks != 0).transpose(0, 2, 1).reshape(-1, n)
         cells = occupied.shape[0] - 1
-        per_row = occupied[self._neighbours].reshape(cells, -1) @ links
+        per_row = occupied[self._neighbours].reshape(cells, -1) @ (self.table != 0)
         return int(per_row.ravel()[self._slots].sum())
 
     def toarray(self) -> np.ndarray:
@@ -492,8 +514,8 @@ class CellBlockMatrix:
         image[np.arange(cells)[:, None], self._neighbours] = np.arange(shifts)
         row, local = np.divmod(self._slots, n)
         s = image[row[:, None], row[None, :]]
-        values = self.data[np.maximum(s, 0) * n + local[None, :], local[:, None]]
-        return np.where(s >= 0, values, 0.0)
+        values = self.table[np.maximum(s, 0) * n + local[None, :], local[:, None]]
+        return np.where(s >= 0, values * self.scale, 0.0)
 
 
 def window_pair_matrix(grid, pair_fn, reach: Reach) -> CellBlockMatrix:
@@ -503,12 +525,14 @@ def window_pair_matrix(grid, pair_fn, reach: Reach) -> CellBlockMatrix:
     the block form assumes, see CellBlockMatrix) every entry is an entry
     of one of the cell's lattice-image blocks, so the pair function is
     evaluated on images x n_cell**2 pairs instead of on every window
-    pair, and a product is one dense matrix product.
+    pair, and a product is one dense matrix product. The table is laid
+    out in place (_product_table) and the matrix is its only holder.
     Pairs whose nodes lie in cells farther apart than the kernel reaches
     are zero, and nodes near the window edge see no pairs beyond it.
     """
     shifts, blocks = lattice_image_blocks(pair_fn, grid, reach)
-    return CellBlockMatrix(grid, np.arange(grid.n_window), shifts, blocks)
+    return CellBlockMatrix(grid, np.arange(grid.n_window), shifts,
+                           _product_table(blocks))
 
 
 def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:

@@ -10,7 +10,11 @@ extinction. This module assembles L on the periodicity cell, its
 Dirichlet truncations L_R to balls of the sampling window, and computes
 principal eigenpairs by power iteration: the kernel is nonnegative with
 a positive band, so the dominant eigenvalue is simple and the iteration
-converges from any positive start.
+converges from any positive start. Each eigenpair keeps the last product
+A x of its iteration, and with it a rigorous bracket on the eigenvalue:
+for a nonnegative irreducible matrix and any positive x,
+min_i (Ax)_i / x_i <= lambda_1 <= max_i (Ax)_i / x_i (Collatz 1942,
+Wielandt 1950).
 
 A ball truncation is stored in cell-block form (CellBlockMatrix, defined
 with the kernels): it is the window matrix with the rows and columns of
@@ -20,9 +24,10 @@ window nodes x_a + C and x_b + C' (x_a, x_b cell nodes, C, C' integer
 cell offsets) is V(x_a, x_b + C' - C): both matrices are block-Toeplitz
 over cells, and their blocks are the few lattice-image blocks of the
 cell (3 in 1-D, 9 for the 2-D box). The SpatialKernel tabulates them
-once, when the kernel is integrated, and sums them into its cell matrix;
-a truncation only reads the table. Nothing is approximated, and a power
-iteration is one dense product.
+once, when the kernel is integrated, sums them into its cell matrix and
+keeps them as one table; every truncation holds a reference to that
+table, copies none of it, and scales its products. Nothing is
+approximated, and a power iteration is one dense product.
 
 Quadrature is the composite midpoint rule of the grid; for kernels whose
 jumps fall on grid-aligned edges (half-value convention in the kernel
@@ -94,10 +99,24 @@ class OperatorMatrix:
 
 @dataclass
 class EigenPair:
+    """Principal eigenpair from power iteration.
+
+    product is A @ vector, the iteration's last product, kept so that the
+    bracket costs no further product.
+    """
+
     value: float
     vector: np.ndarray
     residual: float
     iterations: int
+    product: np.ndarray
+
+    @property
+    def bracket(self) -> tuple[float, float]:
+        """Collatz-Wielandt bounds min_i (Ax)_i/x_i <= lambda_1 <= max_i (Ax)_i/x_i
+        at the returned vector x, which is strictly positive."""
+        ratio = self.product / self.vector
+        return float(ratio.min()), float(ratio.max())
 
 
 class SweepPoint(NamedTuple):
@@ -138,13 +157,13 @@ def assemble_ball(transfer, response, radius: float) -> OperatorMatrix:
     """Dirichlet truncation of the whole-line operator to a ball of the window.
 
     The entries are a CellBlockMatrix over the window nodes in the ball,
-    built from the transfer's lattice-image table instead of rows of the
+    reading the transfer's lattice-image table instead of rows of the
     window matrix: by joint periodicity those blocks are every value the
-    truncation holds.
+    truncation holds. The table is shared, not copied.
     """
     grid = transfer.grid
     entries = CellBlockMatrix(grid, grid.ball_indices(radius), transfer.shifts,
-                              transfer.blocks, response.slope0 * grid.weight)
+                              transfer.table, response.slope0 * grid.weight)
     gamma = transfer.gamma_cell
     return OperatorMatrix(
         entries=entries,
@@ -158,21 +177,27 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     """Dominant eigenpair of a nonnegative operator matrix by power iteration.
 
     Starts from the constant positive vector, keeps the iterate normalized
-    to sup = 1, and stops once the sup-norm residual drops below tol. When
-    the operator carries a symmetry weight, the weighted Rayleigh quotient
-    of the returned vector is checked against the eigenvalue as a guard on
-    the assembly. Negative and non-finite entries are rejected.
+    to sup = 1, and stops once the sup-norm residual drops below tol. The
+    returned pair keeps the last product, from which its bracket is read.
+    Negative and non-finite entries are rejected.
     """
     entries = op.entries
-    stored = entries if isinstance(entries, np.ndarray) else entries.data
-    # NaN fails both comparisons; -inf fails the first and +inf the second
-    if stored.size and not (stored.min() >= 0 and stored.max() < np.inf):
-        raise ValidationError("operator has negative or non-finite entries")
+    if isinstance(entries, CellBlockMatrix):  # scale times the table
+        stored, scale = entries.table, entries.scale
+    else:  # a dense array, or the stored values of a sparse matrix
+        stored = entries if isinstance(entries, np.ndarray) else entries.data
+        scale = 1.0
+    if stored.size:
+        # every entry lies between these two; NaN fails every comparison
+        lo, hi = scale * stored.min(), scale * stored.max()
+        if not (0 <= lo < np.inf and 0 <= hi < np.inf):
+            raise ValidationError("operator has negative or non-finite entries")
     x = np.ones(op.n)
     y = op.apply(x)
     if not np.any(y > 0):
         # the zero operator: everything is annihilated, the constant works
-        return EigenPair(value=0.0, vector=x, residual=0.0, iterations=1)
+        return EigenPair(value=0.0, vector=x, residual=0.0, iterations=1,
+                         product=y)
 
     residual = np.inf
     value = 0.0
@@ -202,30 +227,8 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
             "principal eigenfunction is not strictly positive; the kernel "
             "does not connect all grid nodes"
         )
-    if op.weight is not None:
-        rq = op.rayleigh_quotient(x)
-        absx = np.abs(x)
-        amplification = float(
-            np.sum(op.weight * absx) / np.sum(op.weight * x * x)
-        )
-        if abs(rq - value) > 4.0 * max(tol, residual) * amplification + 1e-13:
-            raise ConvergenceError(
-                f"weighted Rayleigh quotient {rq!r} disagrees with the power "
-                f"eigenvalue {value!r}; operator assembly is inconsistent"
-            )
     return EigenPair(value=value, vector=x, residual=residual,
-                     iterations=iterations)
-
-
-def eigenvalue_bounds(transfer, response) -> tuple[float, float]:
-    """Row-integral sandwich around the principal eigenvalue.
-
-    The eigenvalue of a positive operator is bracketed by the extremes of
-    g'(0) * integral V(x, y) dy over x; for homogeneous kernels the two
-    coincide and pin the eigenvalue exactly.
-    """
-    rows = response.slope0 * transfer.row_integrals
-    return float(np.min(rows)), float(np.max(rows))
+                     iterations=iterations, product=y)
 
 
 def ball_eigenvalue_sweep(transfer, response, radii=None,

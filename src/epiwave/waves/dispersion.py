@@ -76,7 +76,9 @@ class TiltedOperator:
     """The tilted periodic operator exp(rho x.e) L exp(-rho x.e) on the cell.
 
     Built once per (kernel, response, grid, direction): it checks the
-    kernel and, for separable kernels, that mu is positive and finite on
+    kernel's dimension (its Reach has already refused a kernel without
+    compact support, on which the tilt could overflow) and, for separable
+    kernels, that mu is positive and finite on
     the cell nodes; normalizes the direction (e); refuses c < 0 and real
     rho < 0; and assembles the matrix at any (rho, c), real or complex.
 
@@ -103,11 +105,6 @@ class TiltedOperator:
         if norm == 0.0:
             raise ValidationError("direction must be a nonzero vector")
         self.e = e / norm
-        if not np.isfinite(time_kernel.support_radius):
-            raise ValidationError(
-                "kernel without compact support: the exponential tilt can "
-                "overflow the lattice sum, and speeds may be super-linear"
-            )
         if time_kernel.dim != grid.dim:
             raise ValidationError(
                 f"kernel dimension {time_kernel.dim} does not match grid "
@@ -380,8 +377,8 @@ def complex_decay_root(time_kernel, response, c, grid, direction=None, *,
         try:
             z, phi_z = guess, phi
             for _ in range(max_newton):
-                f0, phi_z = lam_at(z, cc_next, phi_z)
-                f0 -= 1.0
+                lam_z, phi_z = lam_at(z, cc_next, phi_z)
+                f0 = lam_z - 1.0
                 if abs(f0) <= newton_tol:
                     break
                 fp, _ = lam_at(z + fd, cc_next, phi_z)
@@ -404,10 +401,9 @@ def complex_decay_root(time_kernel, response, c, grid, direction=None, *,
                     f"c = {cc:.6g}; try a speed closer to c*"
                 )
             continue
-        rho, phi, cc = z, phi_z, cc_next
+        rho, value, phi, cc = z, lam_z, phi_z, cc_next
     if rho.imag < 0:
-        rho = rho.conjugate()
-        phi = phi.conjugate()
-    value, phi = lam_at(rho, c, phi)
+        # the matrix at the conjugate rate is the conjugate matrix
+        rho, value, phi = rho.conjugate(), value.conjugate(), phi.conjugate()
     return DispersionPoint(rho=rho, c=c, direction=tilted.e, value=value,
                            phi=phi, residual=float(abs(value - 1.0)))

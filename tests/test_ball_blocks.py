@@ -116,9 +116,8 @@ def test_zero_kernel_keeps_only_the_zero_shift():
     grid = ew.PeriodicGrid(2, 8, 2)
     transfer = ew.time_integrate_kernel(
         ew.separable_contact_kernel(0.0, 1.0, dim=2), grid)
-    shifts, blocks = transfer.shifts, transfer.blocks
-    assert shifts.tolist() == [[0, 0]]
-    assert not np.any(blocks)
+    assert transfer.shifts.tolist() == [[0, 0]]
+    assert not np.any(transfer.table)
     op = assemble_ball(transfer, ew.saturating_exponential(), 2.0)
     assert op.entries.nnz == 0
     assert principal_eigenpair(op).value == 0.0
@@ -129,10 +128,9 @@ def test_box_kernel_keeps_only_the_touching_images():
     # of the cell carry nonzero values
     transfer = ew.time_integrate_kernel(
         ew.separable_contact_kernel(2.0, 1.0, dim=2), ew.PeriodicGrid(2, 8, 2))
-    shifts, blocks = transfer.shifts, transfer.blocks
-    assert sorted(map(tuple, shifts.tolist())) == [
+    assert sorted(map(tuple, transfer.shifts.tolist())) == [
         (a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    assert blocks.shape == (9, 64, 64)
+    assert transfer.table.shape == (9 * 64, 64)
 
 
 def test_ball_sweep_builds_no_window_matrix(monkeypatch):

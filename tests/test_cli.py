@@ -5,10 +5,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import epiwave
 from epiwave import dynamics, waves
 from epiwave.app import pipelines, scenario
 from epiwave.app.cli import main
@@ -411,6 +414,47 @@ def test_kernel_reach_within_the_cell_budget_loads(tmp_path):
         "kernel": {"support_radius": 31},
         "grid": {"dim": 2, "cell_points": 8, "window_radius": 2}}))
     assert cfg.kernel.support_radius == 31.0 * np.sqrt(2)
+
+
+# Run in a child: ru_maxrss (KiB on Linux) after importing the CLI and its
+# pipelines, then after one command; prints the exit code and the growth
+# in bytes.
+_PEAK_GROWTH = """
+import json, resource, sys
+import epiwave.app.cli, epiwave.app.pipelines
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = epiwave.app.cli.main(sys.argv[1:])
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([code, (after - before) * 1024]))
+"""
+
+
+@pytest.mark.parametrize("command, code, budget", [
+    ("threshold", 0, 2.0),
+    ("steady", 0, 2.0),
+    ("simulate", 2, 0.1),
+    ("sir-verify", 2, 0.1),
+])
+def test_cell_budget_bounds_peak_memory(tmp_path, command, code, budget):
+    """The largest reach the cell budget admits (a 2-D cell of 8 x 8 at
+    reach 31, 130 MB of table) grows peak RSS by at most a small multiple
+    of MAX_CELL_BYTES; the marches refuse its window, which cannot hold
+    the reach, before they build anything."""
+    cfg = _write_config(tmp_path, {
+        "kernel": {"support_radius": 31},
+        "grid": {"dim": 2, "cell_points": 8, "window_radius": 2}})
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(epiwave.__file__))
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", _PEAK_GROWTH, command, "--config", cfg,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True)
+    exit_code, growth = json.loads(run.stdout.splitlines()[-1])
+    assert exit_code == code, run.stderr
+    assert out.exists() == (code == 0)
+    assert growth <= budget * MAX_CELL_BYTES
 
 
 @pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))

@@ -175,6 +175,40 @@ def test_symmetry_factors_survive_time_integration():
     assert np.allclose(shifted.gamma_cell / gamma, mu / (1.0 + mu))
 
 
+@pytest.mark.parametrize("radius, axis, message", [
+    (np.inf, np.inf, "super-linear"),
+    (np.nan, np.inf, "super-linear"),
+    (0.0, np.inf, "super-linear"),
+    (-1.0, 1.0, "super-linear"),
+    (1.0, 0.0, "axis reach"),
+    (1.0, np.nan, "axis reach"),
+])
+def test_reach_refuses_kernels_without_compact_support(radius, axis, message):
+    with pytest.raises(ValidationError, match=message):
+        ew.Reach(radius, axis)
+
+
+def test_every_kernel_takes_its_support_checks_from_reach():
+    one = lambda P: np.ones(np.asarray(P).shape[0])
+    pair = lambda X, Y: one(X)
+    builds = [
+        lambda r: SeparableKernel(pair, one, r),
+        lambda r: IsotropicKernel(lambda tau, d: np.exp(-tau) + 0 * d, r),
+        lambda r: TabulatedKernel([0.0, 1.0], [pair, pair], r),
+    ]
+    for build in builds:
+        for bad in (np.inf, 0.0):
+            with pytest.raises(ValidationError, match="support radius"):
+                build(bad)
+    with pytest.raises(ValidationError, match="axis reach"):
+        SeparableKernel(pair, one, 1.0, axis_reach=0.0)
+    # an unbounded kernel is refused where it is built, before a lattice
+    # sum could try to cover it
+    with pytest.raises(ValidationError, match="super-linear"):
+        time_integrate_kernel(SeparableKernel(pair, one, np.inf),
+                              PeriodicGrid(1, 16, 4))
+
+
 def test_kernel_grid_dimension_mismatch():
     grid = PeriodicGrid(2, 8, 1)
     with pytest.raises(ValidationError):

@@ -3,16 +3,23 @@ import pytest
 import scipy.sparse
 
 import epiwave as ew
-from epiwave import ConvergenceError, Nonlinearity, ValidationError
+from epiwave import ConvergenceError, Nonlinearity, ValidationError, spectral
+from epiwave.app import pipelines, scenario
 from epiwave.spectral import (
     OperatorMatrix,
     assemble_ball,
     assemble_periodic,
     ball_eigenvalue_sweep,
-    eigenvalue_bounds,
     principal_eigenpair,
     sub_eigenfunction,
 )
+
+
+def _row_sum_interval(transfer, response):
+    """Extremes of g'(0) * integral V(x, y) dy over x: the Collatz-Wielandt
+    bracket at the constant vector, which the power iterates tighten."""
+    rows = response.slope0 * transfer.row_integrals
+    return float(np.min(rows)), float(np.max(rows))
 
 
 def _heterogeneous_transfer(cell_points, support=0.375, mass=1.6, window=2):
@@ -73,7 +80,7 @@ def test_zero_kernel_gives_zero_spectrum():
     pair = principal_eigenpair(assemble_periodic(transfer, resp))
     assert pair.value == 0.0
     assert np.all(pair.vector > 0)
-    assert eigenvalue_bounds(transfer, resp) == (0.0, 0.0)
+    assert _row_sum_interval(transfer, resp) == pair.bracket == (0.0, 0.0)
     sweep = ball_eigenvalue_sweep(transfer, resp, radii=[1, 2])
     assert all(pt.value == 0.0 for pt in sweep)
 
@@ -92,9 +99,39 @@ def test_power_iteration_matches_refined_dense_solve():
 def test_bounds_bracket_heterogeneous_eigenvalue():
     resp = ew.saturating_exponential()
     transfer = _heterogeneous_transfer(64)
-    lo, hi = eigenvalue_bounds(transfer, resp)
+    lo, hi = _row_sum_interval(transfer, resp)
     pair = principal_eigenpair(assemble_periodic(transfer, resp))
+    lower, upper = pair.bracket
     assert lo < pair.value < hi
+    assert lo <= lower <= pair.value <= upper <= hi
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    {"kernel": {"source": "1 + 0.5*cos(2*pi*x)",
+                "decay": "1 + 0.25*sin(2*pi*x)"}},
+    {"grid": {"cell_points": 128, "window_radius": 12}},
+    {"grid": {"dim": 2, "cell_points": 12, "window_radius": 4}},
+], ids=["default", "striped", "cell128", "2d-cell12"])
+def test_every_threshold_solve_is_bracketed(monkeypatch, doc):
+    """The Collatz-Wielandt bracket of the returned vector holds the
+    eigenvalue on the periodic solve and on every ball of the sweep, and
+    at the default tolerance it is narrower than 1e-9."""
+    pairs = []
+    solve = spectral.principal_eigenpair
+
+    def recording(*args, **kwargs):
+        pairs.append(solve(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(spectral, "principal_eigenpair", recording)
+    cfg = scenario.scenario_from_dict(doc)
+    pipelines.run_threshold(cfg)
+    assert len(pairs) == 1 + cfg.grid.window_radius
+    for pair in pairs:
+        lower, upper = pair.bracket
+        assert lower <= pair.value <= upper
+        assert upper - lower <= 1e-9
 
 
 def test_ball_sweep_increases_below_periodic_value():
