@@ -175,9 +175,7 @@ def run_wave(cfg: ScenarioConfig):
     state = steady.solve_steady_state(transfer, response, tol=cfg.tol)
     pair = waves.build_sub_super(kernel, response, c, grid, state,
                                  speed=result, slices=cfg.slices)
-    solution = waves.construct_wave(kernel, response, c, grid, state,
-                                    speed=result, pair=pair,
-                                    slices=cfg.slices, tol=cfg.wave_tol)
+    solution = waves.construct_wave(pair, tol=cfg.wave_tol)
     x = grid.window_nodes[:, 0]
     summary = {
         "c": c,

@@ -32,6 +32,10 @@ _EDGE_EPS = 1e-9
 # the support radius are still summed: the box kernel keeps its half value
 # up to _EDGE_EPS past its reach on each axis.
 _REACH_SLACK = 1e-6
+# IsotropicKernel's time quadrature: Gauss-Legendre panels out to the horizon
+_TAU_HORIZON = 40.0
+_PANEL_WIDTH = 0.5
+_PANEL_NODES = 12
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,14 @@ class Reach:
 
 @dataclass
 class SymmetryFactors:
-    """Multiplicative splitting K(x, y) = symmetric_fn(x, y) * gamma1(x) * gamma2(y).
+    """Multiplicative splitting K(x, y) = S(x, y) * gamma1(x) * gamma2(y).
 
-    symmetric_fn must be symmetric in (x, y) and the gammas positive; the
-    splitting makes the ball operators self-adjoint in a weighted inner
-    product and is carried along rather than recovered numerically.
+    S is symmetric in (x, y) and the gammas positive; the splitting makes
+    the ball operators self-adjoint in a weighted inner product and is
+    carried along rather than recovered numerically. Only the gammas are
+    kept: the weight gamma2/gamma1 is all an operator needs.
     """
 
-    symmetric_fn: object
     gamma1_fn: object
     gamma2_fn: object
 
@@ -180,26 +184,23 @@ class IsotropicKernel:
     """Gamma(tau, x, y) = profile(tau, |x - y|), homogeneous and rotation invariant.
 
     profile must vanish for r >= support_radius and decay in tau fast
-    enough that the windowed quadrature out to tau_horizon captures the
-    integral; time integrals use composite Gauss-Legendre panels.
+    enough that the windowed quadrature out to _TAU_HORIZON captures the
+    integral; time integrals use composite Gauss-Legendre panels of
+    _PANEL_NODES nodes each, _PANEL_WIDTH wide.
     """
 
-    def __init__(self, profile, support_radius: float, dim: int = 1,
-                 tau_horizon: float = 40.0, panel_width: float = 0.5, panel_nodes: int = 12):
+    def __init__(self, profile, support_radius: float, dim: int = 1):
         self.reach = Reach(float(support_radius))
-        if tau_horizon <= 0:
-            raise ValidationError(f"tau_horizon must be positive, got {tau_horizon}")
         self.profile = profile
         self.support_radius = self.reach.radius
         self.dim = int(dim)
-        self.tau_horizon = float(tau_horizon)
-        base, weights = np.polynomial.legendre.leggauss(panel_nodes)
-        starts = np.arange(0.0, tau_horizon, panel_width)
-        half = panel_width / 2.0
+        self.tau_horizon = _TAU_HORIZON
+        base, weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
+        starts = np.arange(0.0, _TAU_HORIZON, _PANEL_WIDTH)
+        half = _PANEL_WIDTH / 2.0
         self._tau_nodes = (starts[:, None] + half * (base[None, :] + 1.0)).ravel()
         self._tau_weights = np.tile(half * weights, len(starts))
         self.symmetry = SymmetryFactors(
-            symmetric_fn=lambda X, Y: self.time_integral(X, Y, 0.0),
             gamma1_fn=lambda X: np.ones(np.asarray(X).shape[0]),
             gamma2_fn=lambda X: np.ones(np.asarray(X).shape[0]),
         )
@@ -594,8 +595,7 @@ def separable_contact_kernel(mass: float, support_radius: float, dim: int = 1,
     def spatial(X, Y):
         return base(X - Y) * np.asarray(b(X), dtype=float) * np.asarray(s(Y), dtype=float)
 
-    sym = SymmetryFactors(symmetric_fn=lambda X, Y: base(X - Y),
-                          gamma1_fn=b, gamma2_fn=s)
+    sym = SymmetryFactors(gamma1_fn=b, gamma2_fn=s)
     euclid_reach = support_radius * np.sqrt(dim)
     return SeparableKernel(spatial, mu, euclid_reach, dim=dim, symmetry=sym,
                            axis_reach=support_radius)

@@ -45,7 +45,7 @@ from .domain.kernels import CellBlockMatrix
 from .errors import ConvergenceError, ValidationError
 
 DEFAULT_EIGEN_TOL = 1e-10
-DEFAULT_SWEEP_INCREMENT = 1e-3
+_MAX_ITER = 20000  # power-iteration budget of every solve
 
 
 @dataclass
@@ -142,9 +142,9 @@ class SubEigenfunction:
     ball_value: float
 
 
-def assemble_periodic(transfer, response, grid=None) -> OperatorMatrix:
+def assemble_periodic(transfer, response) -> OperatorMatrix:
     """Matrix of the periodic linearized operator on the cell grid."""
-    grid = grid if grid is not None else transfer.grid
+    grid = transfer.grid
     entries = response.slope0 * transfer.cell_matrix * grid.weight
     return OperatorMatrix(
         entries=np.asarray(entries, dtype=float),
@@ -172,8 +172,8 @@ def assemble_ball(transfer, response, radius: float) -> OperatorMatrix:
     )
 
 
-def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
-                        max_iter: int = 20000) -> EigenPair:
+def principal_eigenpair(op: OperatorMatrix,
+                        tol: float = DEFAULT_EIGEN_TOL) -> EigenPair:
     """Dominant eigenpair of a nonnegative operator matrix by power iteration.
 
     Starts from the constant positive vector, keeps the iterate normalized
@@ -202,7 +202,7 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     residual = np.inf
     value = 0.0
     gap = np.empty_like(y)  # |y - value * x|, computed in place each step
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         value = float(y.max())
         if value <= 0.0:
             raise ValidationError(
@@ -219,7 +219,7 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     else:
         raise ConvergenceError(
             f"power iteration stalled at residual {residual:.3e} "
-            f"(tolerance {tol:.1e}) after {max_iter} iterations"
+            f"(tolerance {tol:.1e}) after {_MAX_ITER} iterations"
         )
 
     if np.min(x) <= 0.0:
@@ -232,14 +232,11 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
 
 
 def ball_eigenvalue_sweep(transfer, response, radii=None,
-                          tol: float = DEFAULT_EIGEN_TOL,
-                          max_iter: int = 20000,
-                          stop_increment: float | None = None) -> list[SweepPoint]:
+                          tol: float = DEFAULT_EIGEN_TOL) -> list[SweepPoint]:
     """Principal eigenvalues of the ball truncations for increasing radii.
 
     The sequence increases to the periodic eigenvalue from below. radii
-    defaults to the integer radii the window can hold; pass stop_increment
-    to terminate the sweep once consecutive eigenvalues differ by less.
+    defaults to the integer radii the window can hold.
     """
     grid = transfer.grid
     if radii is None:
@@ -251,17 +248,13 @@ def ball_eigenvalue_sweep(transfer, response, radii=None,
     points: list[SweepPoint] = []
     for r in radii:
         pair = principal_eigenpair(assemble_ball(transfer, response, r),
-                                   tol=tol, max_iter=max_iter)
+                                   tol=tol)
         points.append(SweepPoint(r, pair.value, pair.residual, pair.iterations))
-        if (stop_increment is not None and len(points) >= 2
-                and points[-1].value - points[-2].value < stop_increment):
-            break
     return points
 
 
 def sub_eigenfunction(transfer, response, eps: float,
-                      tol: float = DEFAULT_EIGEN_TOL,
-                      max_iter: int = 20000) -> SubEigenfunction:
+                      tol: float = DEFAULT_EIGEN_TOL) -> SubEigenfunction:
     """Compactly supported function with L phi >= (lambda_1 - eps) phi everywhere.
 
     Takes the principal eigenfunction of the smallest ball whose eigenvalue
@@ -273,7 +266,7 @@ def sub_eigenfunction(transfer, response, eps: float,
     """
     grid = transfer.grid
     periodic = principal_eigenpair(assemble_periodic(transfer, response),
-                                   tol=tol, max_iter=max_iter)
+                                   tol=tol)
     lam = periodic.value
     if not 0.0 < eps < lam:
         raise ValidationError(
@@ -283,7 +276,7 @@ def sub_eigenfunction(transfer, response, eps: float,
     chosen = None
     for radius in range(1, grid.window_radius + 1):
         pair = principal_eigenpair(assemble_ball(transfer, response, radius),
-                                   tol=tol, max_iter=max_iter)
+                                   tol=tol)
         if pair.value > lam - eps / 2.0:
             chosen = (float(radius), pair)
             break

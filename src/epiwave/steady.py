@@ -22,6 +22,7 @@ from .errors import ConvergenceError, ValidationError
 from .spectral import assemble_periodic, principal_eigenpair
 
 COLLAPSE_THRESHOLD = 1e-8
+_MAX_ITER = 20000  # budget of every fixed-point iteration
 
 
 @dataclass
@@ -52,8 +53,7 @@ def apply_T(u: np.ndarray, transfer, response) -> np.ndarray:
     return (transfer.cell_matrix @ response(u)) * transfer.grid.weight
 
 
-def solve_steady_state(transfer, response, tol: float = 1e-10,
-                       max_iter: int = 20000) -> SteadyState:
+def solve_steady_state(transfer, response, tol: float = 1e-10) -> SteadyState:
     """Find the positive periodic steady state, or certify there is none.
 
     Above threshold the start is U0 = eps * phi with the principal
@@ -73,7 +73,7 @@ def solve_steady_state(transfer, response, tol: float = 1e-10,
 
     if lam <= 1.0:
         u = np.ones(transfer.grid.n_cell)
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, _MAX_ITER + 1):
             u = apply_T(u, transfer, response)
             peak = float(np.max(u))
             if peak < COLLAPSE_THRESHOLD:
@@ -81,7 +81,7 @@ def solve_steady_state(transfer, response, tol: float = 1e-10,
                                    residual=peak, seed_scale=1.0,
                                    eigenvalue=lam)
         raise ConvergenceError(
-            f"iteration from the unit seed has not collapsed after {max_iter} "
+            f"iteration from the unit seed has not collapsed after {_MAX_ITER} "
             f"steps (sup {np.max(u):.3e}); the eigenvalue {lam:.6g} is too "
             "close to threshold to certify absence"
         )
@@ -98,7 +98,7 @@ def solve_steady_state(transfer, response, tol: float = 1e-10,
     slack = 1e-13 * max(1.0, lam)
 
     residual = np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         u_next = apply_T(u, transfer, response)
         if np.min(u_next - u) < -slack:
             raise ConvergenceError(
@@ -116,12 +116,11 @@ def solve_steady_state(transfer, response, tol: float = 1e-10,
                                    eigenvalue=lam)
     raise ConvergenceError(
         f"steady-state iteration at residual {residual:.3e} after "
-        f"{max_iter} steps (tolerance {tol:.1e})"
+        f"{_MAX_ITER} steps (tolerance {tol:.1e})"
     )
 
 
-def uniqueness_probe(transfer, response, seeds, tol: float = 1e-10,
-                     max_iter: int = 20000) -> float:
+def uniqueness_probe(transfer, response, seeds, tol: float = 1e-10) -> float:
     """Iterate the balance operator from several seeds, return limit spread.
 
     Seeds below the steady state climb, seeds above it descend; either
@@ -140,7 +139,7 @@ def uniqueness_probe(transfer, response, seeds, tol: float = 1e-10,
         if np.any(u <= 0):
             raise ValidationError(f"seed {k} must be strictly positive")
         previous = None
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             u_next = apply_T(u, transfer, response)
             increment = float(np.max(np.abs(u_next - u)))
             u = u_next
@@ -156,7 +155,7 @@ def uniqueness_probe(transfer, response, seeds, tol: float = 1e-10,
             previous = increment
         else:
             raise ConvergenceError(
-                f"iteration from seed {k} did not settle within {max_iter} steps"
+                f"iteration from seed {k} did not settle within {_MAX_ITER} steps"
             )
         limits.append(u)
     spread = 0.0

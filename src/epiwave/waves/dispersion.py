@@ -34,7 +34,10 @@ from ..errors import ConvergenceError, ValidationError
 from ..spectral import DEFAULT_EIGEN_TOL, OperatorMatrix, principal_eigenpair
 from .scalar import brent_minimize
 
-DEFAULT_C_TOL = 1e-8
+_C_TOL = 1e-8  # width of the final speed bracket
+_C_MAX = 64.0  # the doubling search for an upper speed stops beyond this
+_NEWTON_TOL = 1e-10  # |lambda - 1| at a continuation step's root
+_MAX_NEWTON = 30  # Newton steps per continuation step before it halves
 _RHO_GRID_SIZE = 64
 _RHO_GRID_TOP = 8.0
 
@@ -238,12 +241,12 @@ def default_rho_grid() -> np.ndarray:
     return np.geomspace(1e-3, _RHO_GRID_TOP, _RHO_GRID_SIZE)
 
 
-def _min_over_rho(tilted, rho_grid, c, eig_tol):
+def _min_over_rho(tilted, rho_grid, c):
     """Minimize the eigenvalue over rho at fixed c: grid scan, then a
     bounded Brent refinement between the flanking grid points."""
 
     def lam(rho):
-        return principal_eigenpair(tilted.operator(rho, c), tol=eig_tol).value
+        return principal_eigenpair(tilted.operator(rho, c)).value
 
     values = np.array([lam(r) for r in rho_grid])
     i = int(np.argmin(values))
@@ -258,12 +261,10 @@ def _min_over_rho(tilted, rho_grid, c, eig_tol):
 
 
 def minimal_speed(time_kernel, response, grid, direction=None,
-                  rho_grid=None, c_tol: float = DEFAULT_C_TOL,
-                  c_max: float = 64.0,
-                  eig_tol: float = DEFAULT_EIGEN_TOL) -> SpeedResult:
+                  rho_grid=None) -> SpeedResult:
     """Smallest speed at which some decay rate stops being amplified.
 
-    Bisection on c of the predicate min_rho lambda_1(rho, c) <= 1. When
+    Bisection on c, down to _C_TOL, of min_rho lambda_1(rho, c) <= 1. When
     the medium is subcritical at rest the infimum set contains zero and
     the result is flagged instead of searched.
     """
@@ -275,31 +276,28 @@ def minimal_speed(time_kernel, response, grid, direction=None,
         if rho_grid.ndim != 1 or len(rho_grid) < 2 or np.any(rho_grid <= 0):
             raise ValidationError("rho_grid must be positive values, at least two")
         rho_grid = np.sort(rho_grid)
-    if c_tol <= 0:
-        raise ValidationError(f"c_tol must be positive, got {c_tol}")
 
-    rest = principal_eigenpair(tilted.operator(0.0, 0.0), tol=eig_tol)
+    rest = principal_eigenpair(tilted.operator(0.0, 0.0))
     if rest.value <= 1.0:
         return SpeedResult(c_star=0.0, rho_star=None, at_rest=True,
                            direction=tilted.e, value=rest.value)
 
     c_hi = 1.0
     while True:
-        val_hi, rho_hi = _min_over_rho(tilted, rho_grid, c_hi, eig_tol)
+        val_hi, rho_hi = _min_over_rho(tilted, rho_grid, c_hi)
         if val_hi <= 1.0:
             break
         c_hi *= 2.0
-        if c_hi > c_max:
+        if c_hi > _C_MAX:
             raise ConvergenceError(
-                f"no speed up to {c_max} reaches eigenvalue one (last "
-                f"minimum {val_hi:.4g}); enlarge c_max or check the kernel "
-                "growth"
+                f"no speed up to {_C_MAX} reaches eigenvalue one (last "
+                f"minimum {val_hi:.4g}); check the kernel growth"
             )
     c_lo = 0.0
     val, rho_min = val_hi, rho_hi
-    while c_hi - c_lo > c_tol:
+    while c_hi - c_lo > _C_TOL:
         mid = 0.5 * (c_lo + c_hi)
-        val_mid, rho_mid = _min_over_rho(tilted, rho_grid, mid, eig_tol)
+        val_mid, rho_mid = _min_over_rho(tilted, rho_grid, mid)
         if val_mid <= 1.0:
             c_hi, val, rho_min = mid, val_mid, rho_mid
         else:
@@ -308,25 +306,25 @@ def minimal_speed(time_kernel, response, grid, direction=None,
                        direction=tilted.e, value=val)
 
 
-def complex_decay_root(time_kernel, response, c, grid, direction=None, *,
-                       speed: SpeedResult | None = None,
-                       newton_tol: float = 1e-10,
-                       max_newton: int = 30) -> DispersionPoint:
+def complex_decay_root(time_kernel, response, c, grid, *,
+                       speed: SpeedResult | None = None) -> DispersionPoint:
     """Continue the decay-rate root of lambda_1(rho, c) = 1 below c*.
 
-    Starts from the real tangency (rho*, c*) and walks c down in steps,
-    solving for complex rho by Newton with an eigenpair carried between
-    steps. At c = c* the seed itself is returned; below it the root
-    picks up an imaginary part, recognizable oscillation of the decaying
-    profile. The conjugate is a root too, so Im rho >= 0 is reported.
+    Starts from the real tangency (rho*, c*) of speed (searched along +x
+    when not given), along its direction, and walks c down in steps,
+    halving a step where Newton fails; each solves for complex rho with
+    an eigenpair carried between steps. At c = c* the seed itself is
+    returned; below it the root picks up an imaginary part, recognizable
+    oscillation of the decaying profile. Im rho >= 0 is reported.
     """
     if not isinstance(time_kernel, SeparableKernel):
         raise ValidationError(
             "decay-rate continuation needs the separable kernel form"
         )
-    tilted = TiltedOperator(time_kernel, response, grid, direction)
+    tilted = TiltedOperator(time_kernel, response, grid,
+                            None if speed is None else speed.direction)
     if speed is None:
-        speed = minimal_speed(time_kernel, response, grid, tilted.e)
+        speed = minimal_speed(time_kernel, response, grid)
     if speed.at_rest:
         raise ValidationError(
             "medium subcritical at rest; there is no front decay branch"
@@ -376,10 +374,10 @@ def complex_decay_root(time_kernel, response, c, grid, direction=None, *,
             guess = rho
         try:
             z, phi_z = guess, phi
-            for _ in range(max_newton):
+            for _ in range(_MAX_NEWTON):
                 lam_z, phi_z = lam_at(z, cc_next, phi_z)
                 f0 = lam_z - 1.0
-                if abs(f0) <= newton_tol:
+                if abs(f0) <= _NEWTON_TOL:
                     break
                 fp, _ = lam_at(z + fd, cc_next, phi_z)
                 fm, _ = lam_at(z - fd, cc_next, phi_z)
@@ -391,8 +389,7 @@ def complex_decay_root(time_kernel, response, c, grid, direction=None, *,
                     raise ConvergenceError("Newton iterate left the plane")
             else:
                 raise ConvergenceError(
-                    f"Newton stalled at |lambda - 1| = {abs(f0):.3e}"
-                )
+                    f"Newton stalled after {_MAX_NEWTON} steps")
         except ConvergenceError:
             step *= 0.5
             if step < 1e-9:

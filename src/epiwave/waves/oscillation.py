@@ -31,7 +31,7 @@ import numpy as np
 from ..domain.kernels import SeparableKernel, window_pair_matrix
 from ..errors import ConvergenceError, ValidationError
 from .dispersion import DispersionPoint, complex_decay_root
-from .profile import _require_1d
+from .profile import _require_1d, _require_forward
 
 _BAND_FACTOR = 3.0 * np.pi / 4.0
 
@@ -86,7 +86,7 @@ def _positive_segments(lo, hi, theta, rho_I):
     return segments
 
 
-def oscillating_subsolution(time_kernel, response, c, grid, direction=None, *,
+def oscillating_subsolution(time_kernel, response, c, grid, *,
                             root: DispersionPoint | None = None,
                             speed=None) -> OscillatingSubsolution:
     """Build the banded positive bump and verify it sits below its image.
@@ -95,7 +95,8 @@ def oscillating_subsolution(time_kernel, response, c, grid, direction=None, *,
     support and nonnegative on the whole band; it is exactly 0 only
     where the bump and its forward history both vanish, past the last
     positive lobe plus the kernel reach. min_slack covers the band and
-    min_slack_on_support the support; the direction is the root's.
+    min_slack_on_support the support. The root, continued from speed
+    when not given, must be along +x, the direction of the xi = x frame.
 
     Raises a validation error when the complex root is actually real
     (speed not below the minimal one) or when the eigenfunction phases
@@ -107,9 +108,9 @@ def oscillating_subsolution(time_kernel, response, c, grid, direction=None, *,
         raise ValidationError(
             "oscillation diagnostic needs the separable kernel form"
         )
+    _require_forward(speed if root is None else root)
     if root is None:
-        root = complex_decay_root(time_kernel, response, c, grid, direction,
-                                  speed=speed)
+        root = complex_decay_root(time_kernel, response, c, grid, speed=speed)
     rho = complex(root.rho)
     if rho.imag == 0.0:
         raise ValidationError(

@@ -49,8 +49,10 @@ from ..spectral import principal_eigenpair
 
 DEFAULT_SLICES = 16
 DEFAULT_WAVE_TOL = 1e-6
-DEFAULT_SUPER_MARGIN = 5e-3
+_SUPER_MARGIN = 5e-3  # supersolution rate rho * (1 + margin)
 _M_CAP = 1e8
+_MAX_ITER = 2000  # front iteration budget
+_TAIL_OFFSETS = (5.0, 10.0, 15.0, 20.0)  # deltas of the tail diagnostics
 
 
 def _require_1d(grid):
@@ -58,6 +60,17 @@ def _require_1d(grid):
         raise ValidationError(
             "front construction works on one-dimensional windows; higher "
             "dimensions only enter through the direction-resolved speed"
+        )
+
+
+def _require_forward(result):
+    """Refuse a speed or decay root along any direction but +x: the slab's
+    ghost cell sits right of the window and the frame variable is
+    xi = x - c t, so fronts and their diagnostics run along +x only."""
+    if result is not None and not np.array_equal(result.direction, [1.0]):
+        raise ValidationError(
+            "front frames run along +x only, not along direction "
+            f"{np.asarray(result.direction).tolist()}"
         )
 
 
@@ -109,6 +122,7 @@ class WaveOperator:
                 f"window radius {grid.window_radius} too small for kernel "
                 f"reach {reach} plus the closure cell"
             )
+        self.support_radius = reach
         self.response = response
         self.c = float(c)
         self.grid = grid
@@ -231,11 +245,10 @@ class SubSuperPair:
     steady_window: np.ndarray
 
 
-def build_sub_super(time_kernel, response, c, grid, steady, direction=None, *,
+def build_sub_super(time_kernel, response, c, grid, steady, *,
                     speed: SpeedResult | None = None,
-                    slices: int = DEFAULT_SLICES,
-                    super_margin: float = DEFAULT_SUPER_MARGIN) -> SubSuperPair:
-    """Certificate pair for a front at supercritical speed c.
+                    slices: int = DEFAULT_SLICES) -> SubSuperPair:
+    """Certificate pair for a front at supercritical speed c along +x.
 
     The subsolution decays at the lower dispersion root rho (eigenvalue
     one), corrected by -M exp(-rho' xi) with rho' in (rho, 2 rho) on the
@@ -243,12 +256,14 @@ def build_sub_super(time_kernel, response, c, grid, steady, direction=None, *,
     and caps at the steady state. M starts at the smallest value making
     the corrected profile nonpositive for xi <= 0 and doubles until the
     response-curvature inequality and the slab-wide ordering both hold.
+    speed, searched when not given, must be along +x.
     """
     _require_1d(grid)
-    tilted = TiltedOperator(time_kernel, response, grid, direction)
+    _require_forward(speed)
+    tilted = TiltedOperator(time_kernel, response, grid)
     U = _steady_cell_values(steady, grid)
     if speed is None:
-        speed = minimal_speed(time_kernel, response, grid, tilted.e)
+        speed = minimal_speed(time_kernel, response, grid)
     if speed.at_rest:
         raise ValidationError("medium subcritical at rest; no fronts exist")
     if c <= speed.c_star:
@@ -280,7 +295,7 @@ def build_sub_super(time_kernel, response, c, grid, steady, direction=None, *,
             )
             err.curve = [(r, p.value) for r, p in curve]
             raise err
-    rho_super = rho * (1.0 + super_margin)
+    rho_super = rho * (1.0 + _SUPER_MARGIN)
     pair_super = solve(rho_super)
     lam_prime, lam_super = pair_prime.value, pair_super.value
     if not lam_super < 1.0:
@@ -370,36 +385,29 @@ class WaveSolution:
         return x[None, :] - self.c * self.times[:, None]
 
 
-def construct_wave(time_kernel, response, c, grid, steady, direction=None, *,
-                   speed: SpeedResult | None = None,
-                   pair: SubSuperPair | None = None,
-                   slices: int = DEFAULT_SLICES,
-                   tol: float = DEFAULT_WAVE_TOL,
-                   max_iter: int = 2000,
-                   deltas=(5.0, 10.0, 15.0, 20.0)) -> WaveSolution:
+def construct_wave(pair: SubSuperPair, *,
+                   tol: float = DEFAULT_WAVE_TOL) -> WaveSolution:
     """Decreasing iteration from the supersolution down to the front.
 
-    Stops when the sup-norm increment drops below tol; the reported
-    residual is one extra operator application after that. The front's
-    translation is fixed by the start of the iteration, the
-    supersolution min(phi exp(-rho_s xi), U) with sup phi = 1 and rho_s
-    just above the lower dispersion root. The tail diagnostics give, for
-    each offset delta, the supremum of u ahead of xi = delta and the
+    Speed, slab operator and steady state are the pair's. Stops when the
+    sup-norm increment drops below tol; the reported residual is one
+    extra operator application after that. The front's translation is
+    fixed by the start of the iteration, the supersolution
+    min(phi exp(-rho_s xi), U) with sup phi = 1 and rho_s just above the
+    lower dispersion root. The tail diagnostics give, for each offset
+    delta of _TAIL_OFFSETS, the supremum of u ahead of xi = delta and the
     supremum gap to the steady state behind xi = -delta; as delta grows
     they decay at the lower dispersion root ahead and at the rear rate
     kappa behind.
     """
-    if pair is None:
-        pair = build_sub_super(time_kernel, response, c, grid, steady,
-                               direction, speed=speed, slices=slices)
-    op = pair.op
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
+    op, grid = pair.op, pair.op.grid
     u = pair.sup.copy()
     scale = float(np.max(u))
     increments = []
     ascent = 0.0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         v = op.apply(u, pair.sup_ghost)
         ascent = max(ascent, float(np.max(v - u)))
         low = float(np.min(v - pair.sub))
@@ -416,16 +424,16 @@ def construct_wave(time_kernel, response, c, grid, steady, direction=None, *,
     else:
         tail = ", ".join(f"{r:.2e}" for r in increments[-5:])
         raise ConvergenceError(
-            f"front iteration still moving after {max_iter} steps "
+            f"front iteration still moving after {_MAX_ITER} steps "
             f"(last increments {tail})"
         )
     check = op.apply(u, pair.sup_ghost)
     residual = float(np.max(np.abs(u - check)[:, op.interior]))
 
-    xi = grid.window_nodes[:, 0][None, :] - c * op.times[:, None]
+    xi = grid.window_nodes[:, 0][None, :] - pair.c * op.times[:, None]
     diagnostics = {}
-    for delta in deltas:
-        if delta >= grid.window_radius - time_kernel.support_radius:
+    for delta in _TAIL_OFFSETS:
+        if delta >= grid.window_radius - op.support_radius:
             continue
         ahead = xi >= delta
         behind = xi <= -delta
@@ -435,7 +443,7 @@ def construct_wave(time_kernel, response, c, grid, steady, direction=None, *,
                 np.abs(u - pair.steady_window[None, :])[behind]
             )) if np.any(behind) else np.nan,
         }
-    return WaveSolution(u=u, c=float(c), direction=pair.direction,
+    return WaveSolution(u=u, c=pair.c, direction=pair.direction,
                         residual=residual, front_diagnostics=diagnostics,
                         iterations=iteration,
                         increments=np.asarray(increments), ascent=ascent,

@@ -66,8 +66,7 @@ def front_assets(response):
     pair = waves.build_sub_super(kernel, response, c, grid, state,
                                  speed=speed)
     op = waves.WaveOperator(kernel, response, c, grid)
-    solution = waves.construct_wave(kernel, response, c, grid, state,
-                                    speed=speed, pair=pair)
+    solution = waves.construct_wave(pair)
     return {"grid": grid, "kernel": kernel, "speed": speed, "steady": state,
             "c": c, "pair": pair, "op": op, "solution": solution}
 
@@ -405,9 +404,9 @@ def test_criterion_14_order_monotonicity_battery(response):
                f"pair {k}: lambda1 dropped from {lam_lo!r} to {lam_hi!r} "
                f"under a larger kernel")
         c_lo = waves.minimal_speed(lo_k, response, sweep_grid,
-                                   rho_grid=rho_grid, c_tol=1e-6)
+                                   rho_grid=rho_grid)
         c_hi = waves.minimal_speed(hi_k, response, sweep_grid,
-                                   rho_grid=rho_grid, c_tol=1e-6)
+                                   rho_grid=rho_grid)
         _check(failures, not c_lo.at_rest and not c_hi.at_rest,
                f"pair {k}: unexpected subcritical medium")
         _check(failures, c_hi.c_star >= c_lo.c_star - 2e-6,

@@ -614,6 +614,24 @@ def test_wave_slab_beyond_the_march_budget_exits_2_without_files(
     assert str(budget) in err
 
 
+@pytest.mark.parametrize("command", ["wave", "subwave-diag"])
+def test_leftward_direction_exits_2_without_files(tmp_path, capsys, command):
+    """A 1-D speed along -x admits no front or bump: both are built in a
+    frame that runs along +x, so the commands refuse rather than pair the
+    leftward speed with a rightward profile."""
+    cfg = _write_config(tmp_path, {
+        "grid": {"cell_points": 32, "window_radius": 20},
+        "kernel": {"source": "1 + 0.5*cos(2*pi*x)",
+                   "decay": "1 + 0.25*sin(2*pi*x)"},
+        "run": {"direction": [-1]}})
+    out = tmp_path / "should_not_exist"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "+x only" in err
+
+
 _REFUSED_AT_LOAD = [
     ({"kernel": {"source": "(" * 250 + "1" + ")" * 250}}, "kernel.source"),
     ({"kernel": {"decay": "-" * 2000 + "1"}}, "kernel.decay"),

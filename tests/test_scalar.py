@@ -117,7 +117,7 @@ def searches():
 def test_speed_search_brackets_match_scipy(searches, medium):
     speed, brackets = searches[medium]
     assert not speed.at_rest
-    assert len(brackets) > 20  # doubling plus bisection down to c_tol
+    assert len(brackets) > 20  # doubling plus bisection down to _C_TOL
     for bracket, port_points, ref_points, port, ref in brackets:
         assert _bits(port_points) == _bits(ref_points), bracket
         assert _bits(port) == _bits(ref), bracket

@@ -3,7 +3,7 @@ import pytest
 from scipy import optimize
 
 import epiwave as ew
-from epiwave import ConvergenceError, ValidationError
+from epiwave import ConvergenceError, ValidationError, steady
 from epiwave.spectral import assemble_periodic, principal_eigenpair
 from epiwave.steady import apply_T, solve_steady_state, uniqueness_probe
 
@@ -39,11 +39,12 @@ def test_subcritical_has_no_steady_state():
     assert st.residual < 1e-8
 
 
-def test_critical_case_cannot_be_certified_quickly():
+def test_critical_case_cannot_be_certified_quickly(monkeypatch):
     grid = ew.PeriodicGrid(1, 32, 2)
     transfer = ew.time_integrate_kernel(ew.separable_contact_kernel(1.0, 1.0), grid)
+    monkeypatch.setattr(steady, "_MAX_ITER", 500)
     with pytest.raises(ConvergenceError, match="threshold"):
-        solve_steady_state(transfer, ew.saturating_exponential(), max_iter=500)
+        solve_steady_state(transfer, ew.saturating_exponential())
 
 
 def test_heterogeneous_state_sits_in_scalar_bracket():

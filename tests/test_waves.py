@@ -24,7 +24,7 @@ from epiwave.waves import (
     minimal_speed,
     oscillating_subsolution,
 )
-from epiwave.waves import dispersion
+from epiwave.waves import dispersion, profile
 from oracles import FROZEN, box_dispersion, box_minimal_speed
 
 
@@ -65,7 +65,7 @@ def front():
     c = 2.0 * speed.c_star
     pair = build_sub_super(kernel, g, c, grid, steady, speed=speed)
     op = WaveOperator(kernel, g, c, grid)
-    wave = construct_wave(kernel, g, c, grid, steady, speed=speed, pair=pair)
+    wave = construct_wave(pair)
     return {
         "grid": grid, "kernel": kernel, "g": g, "speed": speed,
         "steady": steady, "c": c, "pair": pair, "op": op, "wave": wave,
@@ -80,7 +80,7 @@ def test_rest_rate_matches_threshold_eigenvalue():
     kernel = _box()
     g = _g()
     point = dispersion_eigenvalue(kernel, g, 0.0, 0.0, grid)
-    op = assemble_periodic(ew.time_integrate_kernel(kernel, grid), g, grid)
+    op = assemble_periodic(ew.time_integrate_kernel(kernel, grid), g)
     lam = principal_eigenpair(op).value
     assert abs(point.value - lam) <= 1e-9
     assert abs(point.value - 2.0) <= 1e-10
@@ -185,11 +185,16 @@ def test_speed_and_grid_input_validation():
         minimal_speed(kernel, g, grid, rho_grid=[0.5])
     with pytest.raises(ValidationError, match="rho_grid"):
         minimal_speed(kernel, g, grid, rho_grid=[-0.5, 1.0])
-    with pytest.raises(ValidationError, match="c_tol"):
-        minimal_speed(kernel, g, grid, c_tol=0.0)
     base = default_rho_grid()
     assert base.size == 64 and base[0] >= 1e-3 and base[-1] <= 8.0
     assert np.all(np.diff(base) > 0)
+
+
+def test_speed_search_gives_up_past_its_cap(monkeypatch):
+    # the box medium's c* = 1.23 lies past a cap of 0.5
+    monkeypatch.setattr(dispersion, "_C_MAX", 0.5)
+    with pytest.raises(ConvergenceError, match="no speed up to 0.5"):
+        minimal_speed(_box(), _g(), _grid(32))
 
 
 def test_unbounded_contacts_are_rejected():
@@ -303,8 +308,7 @@ def test_the_kernel_is_evaluated_once_per_image_per_operator(
     speed = minimal_speed(kernel, _g(), grid, direction)
     assert len(calls) == reachable
     calls.clear()
-    complex_decay_root(kernel, _g(), 0.97 * speed.c_star, grid, direction,
-                       speed=speed)
+    complex_decay_root(kernel, _g(), 0.97 * speed.c_star, grid, speed=speed)
     assert len(calls) == reachable
 
 
@@ -399,6 +403,16 @@ def test_decay_root_rejects_fast_frames():
         complex_decay_root(kernel, g, 1.1 * speed.c_star, grid, speed=speed)
 
 
+def test_decay_root_halves_its_step_until_it_breaks_down(monkeypatch):
+    grid = _grid(32)
+    speed = minimal_speed(_box(), _g(), grid)
+    # with no Newton step allowed every continuation step fails and halves
+    monkeypatch.setattr(dispersion, "_MAX_NEWTON", 0)
+    with pytest.raises(ConvergenceError, match="broke down"):
+        complex_decay_root(_box(), _g(), 0.95 * speed.c_star, grid,
+                           speed=speed)
+
+
 def test_complex_rates_need_a_seed():
     with pytest.raises(ValidationError, match="seed"):
         dispersion_eigenvalue(_box(), _g(), 0.3 + 0.1j, 0.5, _grid(32))
@@ -487,6 +501,13 @@ def test_front_iteration_descends_to_a_profile(front):
     assert np.all(wave.u <= pair.sup + 1e-12)
 
 
+def test_front_iteration_stops_at_its_budget(front, monkeypatch):
+    # the front takes 64 steps to settle
+    monkeypatch.setattr(profile, "_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError, match="still moving after 3 steps"):
+        construct_wave(front["pair"])
+
+
 def test_front_tails_flatten_with_the_offset(front):
     diag = front["wave"].front_diagnostics
     assert set(diag) == {5.0, 10.0, 15.0, 20.0}
@@ -522,7 +543,7 @@ def test_striped_medium_keeps_the_certificates():
                   [:, op.interior]) <= 1e-12
     assert np.min((op.apply(pair.sub, pair.sub_ghost) - pair.sub)
                   [:, op.interior]) >= -1e-12
-    wave = construct_wave(kernel, g, c, grid, steady, speed=speed, pair=pair)
+    wave = construct_wave(pair)
     assert wave.residual <= 1e-5
     assert wave.ascent <= 1e-12
     assert np.all(wave.u >= pair.sub - 1e-12)
@@ -565,9 +586,7 @@ def test_wave_operator_input_validation(front):
     with pytest.raises(ValidationError, match="match"):
         op.apply(np.zeros((3, 5)), front["pair"].sup_ghost)
     with pytest.raises(ValidationError, match="tol"):
-        construct_wave(kernel, g, front["c"], front["grid"],
-                       front["steady"], speed=front["speed"],
-                       pair=front["pair"], tol=0.0)
+        construct_wave(front["pair"], tol=0.0)
 
 
 def test_fronts_need_a_positive_steady_state(front):
@@ -578,6 +597,25 @@ def test_fronts_need_a_positive_steady_state(front):
     with pytest.raises(ValidationError, match="positive"):
         build_sub_super(front["kernel"], g, front["c"], grid,
                         np.zeros(grid.n_cell), speed=front["speed"])
+
+
+def test_front_frames_refuse_a_leftward_speed():
+    """The decay root follows the speed's direction; the front and the
+    oscillating bump, whose frames run along +x, refuse it."""
+    grid = ew.PeriodicGrid(dim=1, cell_points=32, window_radius=20)
+    kernel, g = _striped_kernel(), _g()
+    speed = minimal_speed(kernel, g, grid, direction=[-1.0])
+    assert speed.direction.tolist() == [-1.0]
+    with pytest.raises(ValidationError, match=r"\+x only"):
+        build_sub_super(kernel, g, 2.0 * speed.c_star, grid,
+                        np.ones(grid.n_cell), speed=speed)
+    c = 0.98 * speed.c_star
+    with pytest.raises(ValidationError, match=r"\+x only"):
+        oscillating_subsolution(kernel, g, c, grid, speed=speed)
+    root = complex_decay_root(kernel, g, c, grid, speed=speed)
+    assert root.direction.tolist() == [-1.0]
+    with pytest.raises(ValidationError, match=r"\+x only"):
+        oscillating_subsolution(kernel, g, c, grid, root=root)
 
 
 # -------------------------------------------------------------- oscillation
