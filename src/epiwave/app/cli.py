@@ -4,24 +4,16 @@ Exit codes follow the usual pipeline convention: 0 on success, 2 for
 anything wrong with the invocation or the configuration (nothing is
 written), 1 for a numerical failure inside a solver (a diagnostic JSON,
 with the solver's error attributes under "details", is written).
-
-Thread caps from --threads or EPIWAVE_THREADS are applied to the loaded
-BLAS through threadpoolctl, and exported to the usual environment
-variables for any library initialized later.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
-import hashlib
 import json
 import os
 import sys
 import time
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _parse_args(argv):
@@ -40,53 +32,17 @@ def _parse_args(argv):
     parser.add_argument("--out", default=None,
                         help="output directory (default: config's 'output' "
                              "field, else ./epiwave-out)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap numeric threads (fallback: EPIWAVE_THREADS)")
     return parser.parse_args(argv)
-
-
-def _limit_threads(count):
-    if count is None:
-        raw = os.environ.get("EPIWAVE_THREADS", "").strip()
-        if not raw:
-            return
-        try:
-            count = int(raw)
-        except ValueError:
-            print(f"epiwave: ignoring EPIWAVE_THREADS={raw!r} (not an "
-                  "integer)", file=sys.stderr)
-            return
-    if count < 1:
-        print(f"epiwave: ignoring thread cap {count} (must be >= 1)",
-              file=sys.stderr)
-        return
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(count))
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=count)
-    except ImportError:
-        pass
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _versions() -> dict:
     import numpy
-    import scipy
 
     from .. import __version__
 
     return {
         "epiwave": __version__,
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
 
@@ -100,7 +56,6 @@ def _write_all(out_dir, artifacts) -> None:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    _limit_threads(args.threads)
 
     from ..errors import ConvergenceError, ValidationError
     from .pipelines import COMMANDS
@@ -114,7 +69,6 @@ def main(argv=None) -> int:
         print(f"epiwave: configuration error: {exc}", file=sys.stderr)
         return 2
     timings["load"] = time.perf_counter() - started
-    config_hash = _sha256(args.config)
     out_dir = args.out or config.output or "epiwave-out"
 
     tick = time.perf_counter()
@@ -126,7 +80,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         failure = {
             "command": args.command,
-            "config_sha256": config_hash,
+            "config_sha256": config.sha256,
             "error": type(exc).__name__,
             "message": str(exc),
             "details": vars(exc),
@@ -148,7 +102,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": {"path": os.path.abspath(args.config),
-                   "sha256": config_hash},
+                   "sha256": config.sha256},
         "versions": _versions(),
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
         "artifacts": sorted(artifacts),

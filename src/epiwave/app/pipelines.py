@@ -27,6 +27,7 @@ from .. import dynamics, spectral, steady, waves
 from ..domain.kernels import time_integrate_kernel
 from ..errors import ValidationError
 from ..sir import equivalence_check, simulate_sir
+from ..waves.profile import _require_1d, _require_forward
 from .scenario import ScenarioConfig
 
 
@@ -112,8 +113,9 @@ def run_steady(cfg: ScenarioConfig):
 
 def run_simulate(cfg: ScenarioConfig):
     grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
-    # the march refuses a window that cannot hold the kernel reach, so it
-    # goes first, before the cell table is built
+    # the tail mask and the march refuse windows too small for the tail and
+    # for the kernel reach, so they go first, before the cell table is built
+    tail = dynamics.tail_mask(grid, cfg.tail_radius, cfg.boundary_margin)
     field = dynamics.solve_initial_value(kernel, cfg.forcing, response, grid,
                                          dt=cfg.dt, horizon=cfg.horizon)
     transfer = time_integrate_kernel(kernel, grid)
@@ -122,8 +124,6 @@ def run_simulate(cfg: ScenarioConfig):
     outcome = dynamics.classify_outcome(final, state, cfg.tail_radius,
                                         tol=cfg.classify_tol, grid=grid,
                                         boundary_margin=cfg.boundary_margin)
-
-    tail = dynamics.tail_mask(grid, cfg.tail_radius, cfg.boundary_margin)
     summary = {
         "outcome": outcome.value,
         "settled": bool(settled),
@@ -164,6 +164,9 @@ def run_speed(cfg: ScenarioConfig):
 
 def run_wave(cfg: ScenarioConfig):
     grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
+    # the document alone decides these, so they go before the speed search
+    _require_1d(grid)
+    _require_forward(cfg.direction)
     result = waves.minimal_speed(kernel, response, grid,
                                  direction=cfg.direction)
     if result.at_rest:
@@ -242,6 +245,9 @@ def run_sir_verify(cfg: ScenarioConfig):
 
 def run_subwave_diag(cfg: ScenarioConfig):
     grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
+    # the document alone decides these, so they go before the speed search
+    _require_1d(grid)
+    _require_forward(cfg.direction)
     result = waves.minimal_speed(kernel, response, grid,
                                  direction=cfg.direction)
     if result.at_rest:

@@ -36,11 +36,12 @@ bounded, and the time march has no recovery.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -300,7 +301,8 @@ class ScenarioConfig:
 
     The model objects are the ones every pipeline uses; the remaining
     fields mirror the "run" and "sir" sections of the document and the
-    output path.
+    output path.  sha256 is the digest of the document bytes load_scenario
+    parsed (None for a config built from a dict).
     """
 
     grid: PeriodicGrid
@@ -324,6 +326,7 @@ class ScenarioConfig:
     sir_dt: float
     sir_horizon: float
     output: str | None
+    sha256: str | None = field(default=None, init=False)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -341,7 +344,9 @@ def load_scenario(path) -> ScenarioConfig:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"config root must be an object, got {doc!r}")
-    return scenario_from_dict(doc)
+    config = scenario_from_dict(doc)
+    config.sha256 = hashlib.sha256(raw).hexdigest()
+    return config
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:

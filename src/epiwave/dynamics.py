@@ -214,7 +214,13 @@ def limiting_equation_residual(u_inf, transfer, response, f_inf) -> float:
 
 def tail_mask(grid, tail_radius: float, boundary_margin: float) -> np.ndarray:
     """Window nodes at distance >= tail_radius from the seeding center,
-    outside the frozen boundary layer of width boundary_margin."""
+    outside the frozen boundary layer of width boundary_margin; refuses a
+    tail that leaves no such node."""
+    if tail_radius >= grid.window_radius - boundary_margin:
+        raise ValidationError(
+            f"tail radius {tail_radius} leaves no nodes inside the window "
+            f"of radius {grid.window_radius} after the boundary layer"
+        )
     keep = np.zeros(grid.n_window, dtype=bool)
     keep[grid.interior_indices(boundary_margin)] = True
     keep &= np.linalg.norm(grid.window_nodes, axis=1) >= tail_radius
@@ -232,11 +238,6 @@ def classify_outcome(u_inf, steady, tail_radius: float,
     steady state is supplied, within tol of it; extinction requires the
     tail to be uniformly below tol.
     """
-    if tail_radius >= grid.window_radius - boundary_margin:
-        raise ValidationError(
-            f"tail radius {tail_radius} leaves no nodes inside the window "
-            f"of radius {grid.window_radius} after the boundary layer"
-        )
     u_inf = np.asarray(u_inf, dtype=float)
     keep = tail_mask(grid, tail_radius, boundary_margin)
     tail = u_inf[keep]

@@ -38,6 +38,9 @@ _C_TOL = 1e-8  # width of the final speed bracket
 _C_MAX = 64.0  # the doubling search for an upper speed stops beyond this
 _NEWTON_TOL = 1e-10  # |lambda - 1| at a continuation step's root
 _MAX_NEWTON = 30  # Newton steps per continuation step before it halves
+# continuation steps per root, halved ones included: without a halving
+# 8 steps reach c, and each halving at the start doubles the steps left
+_MAX_STEPS = 512
 _RHO_GRID_SIZE = 64
 _RHO_GRID_TOP = 8.0
 
@@ -364,7 +367,16 @@ def complex_decay_root(time_kernel, response, c, grid, *,
     cc = c_star
     step = max((c_star - c) / 8.0, 1e-6)
     fd = 1e-6 * max(rho_star, 1.0)
+    steps = 0
     while cc > c:
+        # a halved step never grows back: cut a walk of tiny steps
+        steps += 1
+        if steps > _MAX_STEPS:
+            raise ConvergenceError(
+                f"continuation from c* = {c_star:.6g} reached only "
+                f"c = {cc:.6g} of {c:.6g} in {_MAX_STEPS} steps; try a "
+                "speed closer to c*"
+            )
         cc_next = max(c, cc - step)
         if abs(rho.imag) < 1e-12:
             kick = np.sqrt(max(2.0 * abs(slope_c) * (cc - cc_next) / curv,

@@ -108,7 +108,8 @@ def oscillating_subsolution(time_kernel, response, c, grid, *,
         raise ValidationError(
             "oscillation diagnostic needs the separable kernel form"
         )
-    _require_forward(speed if root is None else root)
+    source = speed if root is None else root
+    _require_forward(None if source is None else source.direction)
     if root is None:
         root = complex_decay_root(time_kernel, response, c, grid, speed=speed)
     rho = complex(root.rho)

@@ -63,14 +63,15 @@ def _require_1d(grid):
         )
 
 
-def _require_forward(result):
-    """Refuse a speed or decay root along any direction but +x: the slab's
-    ghost cell sits right of the window and the frame variable is
-    xi = x - c t, so fronts and their diagnostics run along +x only."""
-    if result is not None and not np.array_equal(result.direction, [1.0]):
+def _require_forward(direction):
+    """Refuse any direction but +x (None stands for +x): the slab's ghost
+    cell sits right of the window and the frame variable is xi = x - c t,
+    so fronts and their diagnostics run along +x only."""
+    if direction is not None and not np.array_equal(np.sign(direction),
+                                                    [1.0]):
         raise ValidationError(
             "front frames run along +x only, not along direction "
-            f"{np.asarray(result.direction).tolist()}"
+            f"{np.asarray(direction).tolist()}"
         )
 
 
@@ -259,7 +260,7 @@ def build_sub_super(time_kernel, response, c, grid, steady, *,
     speed, searched when not given, must be along +x.
     """
     _require_1d(grid)
-    _require_forward(speed)
+    _require_forward(None if speed is None else speed.direction)
     tilted = TiltedOperator(time_kernel, response, grid)
     U = _steady_cell_values(steady, grid)
     if speed is None:

@@ -55,10 +55,21 @@ _SMALL = {
 }
 
 
-def test_threshold_writes_artifacts_and_manifest(tmp_path):
+def test_threshold_writes_artifacts_and_manifest(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, _SMALL)
     out = tmp_path / "out"
+    opened = []
+    real_open = open
+
+    def counting(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
     assert main(["threshold", "--config", cfg, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    # the manifest hashes the bytes load parsed, not a second read
+    assert opened.count(cfg) == 1
 
     header, body = _read_csv(out / "threshold.csv")
     assert header == ["R", "lambda_R", "residual", "iterations"]
@@ -76,7 +87,7 @@ def test_threshold_writes_artifacts_and_manifest(tmp_path):
     digest = hashlib.sha256(open(cfg, "rb").read()).hexdigest()
     assert manifest["config"]["sha256"] == digest
     assert set(manifest["timings_seconds"]) == {"load", "run", "write"}
-    assert {"epiwave", "numpy", "scipy", "python"} <= set(manifest["versions"])
+    assert set(manifest["versions"]) == {"epiwave", "numpy", "python"}
 
 
 def test_identical_config_reproduces_artifact_bytes(tmp_path):
@@ -438,8 +449,9 @@ print(json.dumps([code, (after - before) * 1024]))
 def test_cell_budget_bounds_peak_memory(tmp_path, command, code, budget):
     """The largest reach the cell budget admits (a 2-D cell of 8 x 8 at
     reach 31, 130 MB of table) grows peak RSS by at most a small multiple
-    of MAX_CELL_BYTES; the marches refuse its window, which cannot hold
-    the reach, before they build anything."""
+    of MAX_CELL_BYTES; simulate and sir-verify refuse its window, too
+    small for the reach and for simulate's tail, before they build
+    anything."""
     cfg = _write_config(tmp_path, {
         "kernel": {"support_radius": 31},
         "grid": {"dim": 2, "cell_points": 8, "window_radius": 2}})
@@ -536,6 +548,7 @@ def test_failure_json_carries_solver_details(tmp_path, monkeypatch):
     failure = json.loads((out / "failure.json").read_text())
     assert failure["details"] == {"curve": [[0.5, 1.25], [0.75, 1.5]],
                                   "node": -2.5, "slack": -3e-4}
+    assert failure["config_sha256"] == hashlib.sha256(b"{}").hexdigest()
 
 
 _INVALID_MODELS = [
@@ -562,6 +575,48 @@ def test_negative_kernel_exits_2_without_files(tmp_path, capsys, command):
         assert main([command, "--config", cfg, "--out", str(out)]) == 2, doc
         assert not out.exists(), doc
         assert "Traceback" not in capsys.readouterr().err, doc
+
+
+def test_simulate_refuses_its_tail_before_the_march(tmp_path, capsys,
+                                                    monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march ran")
+
+    monkeypatch.setattr(dynamics, "solve_initial_value", no_march)
+    cfg = _write_config(tmp_path, {})
+    out = tmp_path / "should_not_exist"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "tail radius 6.0 leaves no nodes" in capsys.readouterr().err
+
+
+_COMMANDS_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from epiwave.app.cli import main
+config, out, *commands = sys.argv[1:]
+print(json.dumps({command: main([command, "--config", config,
+                                 "--out", f"{out}/{command}"])
+                  for command in commands}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """The program needs numpy alone: with scipy unimportable every
+    command gives its usual exit code on {} and prints no traceback."""
+    cfg = _write_config(tmp_path, {})
+    src = os.path.dirname(os.path.dirname(epiwave.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_WITHOUT_SCIPY, cfg,
+         str(tmp_path / "out"), *pipelines.COMMANDS],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    codes = json.loads(run.stdout.splitlines()[-1])
+    assert codes == {command: 2 if command in ("simulate", "subwave-diag")
+                     else 0 for command in pipelines.COMMANDS}
 
 
 @pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
@@ -615,21 +670,30 @@ def test_wave_slab_beyond_the_march_budget_exits_2_without_files(
 
 
 @pytest.mark.parametrize("command", ["wave", "subwave-diag"])
-def test_leftward_direction_exits_2_without_files(tmp_path, capsys, command):
-    """A 1-D speed along -x admits no front or bump: both are built in a
-    frame that runs along +x, so the commands refuse rather than pair the
-    leftward speed with a rightward profile."""
-    cfg = _write_config(tmp_path, {
-        "grid": {"cell_points": 32, "window_radius": 20},
-        "kernel": {"source": "1 + 0.5*cos(2*pi*x)",
-                   "decay": "1 + 0.25*sin(2*pi*x)"},
-        "run": {"direction": [-1]}})
-    out = tmp_path / "should_not_exist"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "+x only" in err
+def test_front_commands_refuse_the_document_before_the_speed_search(
+        tmp_path, capsys, monkeypatch, command):
+    """Fronts and bumps are built on 1-D windows in a frame that runs
+    along +x. A 2-D grid or a 1-D direction along -x is refused from the
+    document alone, before the speed search, rather than pairing the
+    speed with a profile it does not fit."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("the speed search ran")
+
+    monkeypatch.setattr(waves, "minimal_speed", no_search)
+    for n, (doc, message) in enumerate([
+            ({"grid": {"cell_points": 32, "window_radius": 20},
+              "kernel": {"source": "1 + 0.5*cos(2*pi*x)",
+                         "decay": "1 + 0.25*sin(2*pi*x)"},
+              "run": {"direction": [-1]}}, "+x only"),
+            ({"grid": {"dim": 2, "cell_points": 8, "window_radius": 4}},
+             "one-dimensional windows")]):
+        cfg = _write_config(tmp_path, doc, f"doc{n}.json")
+        out = tmp_path / f"should_not_exist{n}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err, err
 
 
 _REFUSED_AT_LOAD = [
@@ -743,14 +807,6 @@ def test_config_output_field_used_when_out_flag_absent(tmp_path):
     cfg = _write_config(tmp_path, {**_SMALL, "output": str(target)})
     assert main(["speed", "--config", cfg]) == 0
     assert (target / "speed.json").exists()
-
-
-def test_thread_cap_applies(tmp_path, monkeypatch):
-    monkeypatch.setenv("EPIWAVE_THREADS", "1")
-    cfg = _write_config(tmp_path, _SMALL)
-    out = tmp_path / "threads"
-    assert main(["speed", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "speed.json").exists()
 
 
 def test_expression_language():

@@ -413,6 +413,19 @@ def test_decay_root_halves_its_step_until_it_breaks_down(monkeypatch):
                            speed=speed)
 
 
+def test_decay_root_continuation_is_bounded(monkeypatch):
+    grid = _grid(32)
+    speed = minimal_speed(_box(), _g(), grid)
+    # two Newton steps per continuation step succeed only once the step
+    # has halved to a sliver, which never grows back
+    monkeypatch.setattr(dispersion, "_MAX_NEWTON", 2)
+    monkeypatch.setattr(dispersion, "_MAX_STEPS", 40)
+    with pytest.raises(ConvergenceError, match=r"reached only c = .* in 40 "
+                                               r"steps"):
+        complex_decay_root(_box(), _g(), 0.95 * speed.c_star, grid,
+                           speed=speed)
+
+
 def test_complex_rates_need_a_seed():
     with pytest.raises(ValidationError, match="seed"):
         dispersion_eigenvalue(_box(), _g(), 0.3 + 0.1j, 0.5, _grid(32))
