@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..domain.forcing import Forcing, bump_forcing
-from ..domain.kernels import SeparableKernel, separable_contact_kernel
+from ..domain.kernels import (SeparableKernel, gather_bytes,
+                               separable_contact_kernel)
 from ..domain.grid import MAX_CELL_BYTES, PeriodicGrid, cell_bytes
 from ..domain.nonlinearity import Nonlinearity, saturating_exponential
 from ..errors import ValidationError
@@ -382,6 +383,14 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     kernel = _build("kernel", separable_contact_kernel, mass, support_radius,
                     dim=grid.dim, source_factor=source, target_factor=target,
                     decay=decay)
+    need = gather_bytes(grid, kernel.reach)
+    if need > MAX_CELL_BYTES:
+        raise ValidationError(
+            f"kernel.support_radius = {support_radius} over a window of "
+            f"radius {grid.window_radius} gathers {need} bytes per column of "
+            f"a window product, above the limit of {MAX_CELL_BYTES}; shrink "
+            f"kernel.support_radius, grid.window_radius or grid.cell_points"
+        )
 
     response = doc.pop("response", "saturating")
     if response != "saturating":

@@ -37,7 +37,10 @@ MAX_WINDOW_NODES = 2**16
 # largest cells of any test or benchmark document are 1-D 128 and 2-D 12.
 # On a 2-D cell of 8 x 8 it admits reaches up to 31, where `threshold`
 # grows peak RSS by 1.25 x MAX_CELL_BYTES over the imported program
-# (test_cell_budget_bounds_peak_memory).
+# (test_cell_budget_bounds_peak_memory). Scenario documents also hold the
+# rows that one column of a window-matrix product gathers (kernels.
+# gather_bytes) to this limit: at that reach it admits windows of radius
+# 2 (31 MB) but not 8 (496 MB).
 MAX_CELL_BYTES = 2**27
 
 

@@ -172,14 +172,16 @@ def assemble_ball(transfer, response, radius: float) -> OperatorMatrix:
     )
 
 
-def principal_eigenpair(op: OperatorMatrix,
-                        tol: float = DEFAULT_EIGEN_TOL) -> EigenPair:
+def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
+                        start=None) -> EigenPair:
     """Dominant eigenpair of a nonnegative operator matrix by power iteration.
 
-    Starts from the constant positive vector, keeps the iterate normalized
-    to sup = 1, and stops once the sup-norm residual drops below tol. The
-    returned pair keeps the last product, from which its bracket is read.
-    Negative and non-finite entries are rejected.
+    Starts from start, a strictly positive finite vector of length op.n
+    (the Perron vector of a nearby operator, say), or else from the
+    constant vector; keeps the iterate normalized to sup = 1, and stops
+    once the sup-norm residual drops below tol. The returned pair keeps
+    the last product, from which its bracket is read. Negative and
+    non-finite entries are rejected, and so is any other start.
     """
     entries = op.entries
     if isinstance(entries, CellBlockMatrix):  # scale times the table
@@ -192,22 +194,25 @@ def principal_eigenpair(op: OperatorMatrix,
         lo, hi = scale * stored.min(), scale * stored.max()
         if not (0 <= lo < np.inf and 0 <= hi < np.inf):
             raise ValidationError("operator has negative or non-finite entries")
-    x = np.ones(op.n)
+    if start is None:
+        x = np.ones(op.n)
+    else:
+        x = np.asarray(start, dtype=float)
+        top = x.max() if x.shape == (op.n,) else np.nan
+        if not (top < np.inf and x.min() > 0):  # NaN fails both
+            raise ValidationError(
+                f"start vector must hold {op.n} positive finite values")
+        x = x / top
     y = op.apply(x)
-    if not np.any(y > 0):
-        # the zero operator: everything is annihilated, the constant works
+    value = float(y.max())
+    if value <= 0.0:
+        # y >= 0, so y = 0: the zero operator, for which any start works
         return EigenPair(value=0.0, vector=x, residual=0.0, iterations=1,
                          product=y)
 
     residual = np.inf
-    value = 0.0
     gap = np.empty_like(y)  # |y - value * x|, computed in place each step
     for iterations in range(1, _MAX_ITER + 1):
-        value = float(y.max())
-        if value <= 0.0:
-            raise ValidationError(
-                "power iterate lost positivity; the operator has no positive band"
-            )
         np.multiply(x, value, out=gap)
         np.subtract(y, gap, out=gap)
         np.abs(gap, out=gap)
@@ -216,6 +221,11 @@ def principal_eigenpair(op: OperatorMatrix,
             break
         x = y / value
         y = op.apply(x)
+        value = float(y.max())
+        if value <= 0.0:
+            raise ValidationError(
+                "power iterate lost positivity; the operator has no positive band"
+            )
     else:
         raise ConvergenceError(
             f"power iteration stalled at residual {residual:.3e} "

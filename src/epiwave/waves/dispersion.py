@@ -14,6 +14,13 @@ only reweights the table; similar matrices share their eigenvalues, and
 the eigenvector of the tilted matrix is D times that of B. The minimal
 speed c*(e) is the smallest c at which some rho achieves
 lambda_1(rho, c, e) <= 1; the minimizing rho* gives the front decay.
+The search bisects c and scans a fixed grid of rates at each speed. The
+speeds it visits close in on c*, so each rate's Perron vectors at the
+speeds already searched are close to the next one, and each solve
+starts from them instead of from the constant vector: the same solves
+take fewer power iterations. Single evaluations (TiltedOperator.point,
+the dispersion table) start cold, so each is a function of (rho, c)
+alone.
 
 Below the minimal speed no real rho works, but the eigenvalue relation
 lambda_1(rho, c) = 1 still has complex roots near rho*. Those are found
@@ -23,6 +30,7 @@ matrix tracked by Rayleigh-quotient iteration from the previous step.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +93,10 @@ class TiltedOperator:
     kernel's dimension (its Reach has already refused a kernel without
     compact support, on which the tilt could overflow) and, for separable
     kernels, that mu is positive and finite on
-    the cell nodes; normalizes the direction (e); refuses c < 0 and real
-    rho < 0; and assembles the matrix at any (rho, c), real or complex.
+    the cell nodes; normalizes the direction (e); and assembles the matrix
+    at any (rho, c), real or complex, after _decay_rate has refused the
+    pair. Its bound rho_max on real rates comes from the lattice shifts the
+    kernel reaches and the cell nodes, before any exponential is taken.
 
     The tilted cell matrix is D B D^-1, with D = diag(exp(rho x.e)) on the
     cell nodes and B = sum_k exp(-rho k.e) K_k the Bloch sum of the
@@ -132,14 +142,41 @@ class TiltedOperator:
                 )
             self.shifts, self.blocks = lattice_image_blocks(
                 time_kernel.spatial_fn, grid, time_kernel.reach)
+        # exp(-rho k.e), exp(rho x.e) and their products in periodize_kernel
+        # stay below exp(rho * span); rho_max keeps that under the square
+        # root of the largest float, leaving room for the sums and products
+        k = np.array(time_kernel.reach.images(grid), dtype=float)
+        span = (np.abs(k @ self.e).max()
+                + 2.0 * np.abs(grid.cell_nodes @ self.e).max())
+        self.rho_max = 0.5 * np.log(np.finfo(float).max) / span
         self._cache: dict = {}
         self._cached_bytes = 0
+
+    def _decay_rate(self, rho, c):
+        """rho as a float, or as a complex when its imaginary part is
+        nonzero, after refusing a speed c that is negative or not finite, a
+        rate that is not finite, and a real rate below 0 or above
+        rho_max."""
+        if not 0 <= c < np.inf:  # NaN fails too
+            raise ValidationError(f"speed must be finite and nonnegative, "
+                                  f"got {c}")
+        rho = complex(rho) if np.imag(rho) else float(np.real(rho))
+        if isinstance(rho, complex):
+            if not cmath.isfinite(rho):
+                raise ValidationError(f"decay rate must be finite, got {rho}")
+        elif not 0 <= rho <= self.rho_max:  # NaN and infinities fail too
+            raise ValidationError(
+                f"decay rate must be nonnegative and at most "
+                f"{self.rho_max:.6g}, got {rho}: beyond that the tilt "
+                "factors of this kernel's reach along the direction could "
+                "overflow")
+        return rho
 
     def lattice_sum(self, rho, c) -> np.ndarray:
         """The tilted lattice sum sum_k V(x_i, x_j + k) exp(-rho (x_j + k - x_i).e)
         on the cell: V is the spatial kernel for separable kernels (the decay
         enters in matrix) and the time integral at s = rho c otherwise."""
-        rho = _decay_rate(rho, c)
+        rho = self._decay_rate(rho, c)
         if not self.separable:
             shifts, blocks = lattice_image_blocks(
                 lambda X, Y: self.kernel.time_integral(X, Y, s=rho * c),
@@ -160,7 +197,7 @@ class TiltedOperator:
     def matrix(self, rho, c) -> np.ndarray:
         """Dense tilted cell matrix at (rho, c), slope and quadrature
         included; complex when rho has a nonzero imaginary part."""
-        rho = _decay_rate(rho, c)
+        rho = self._decay_rate(rho, c)
         summed = self.lattice_sum(rho, c)
         scale = self.slope0 * self.grid.weight
         if self.separable:
@@ -188,17 +225,6 @@ class TiltedOperator:
             tol=tol)
         return DispersionPoint(rho=complex(rho), c=float(c), direction=self.e,
                                value=lam, phi=phi, residual=residual)
-
-
-def _decay_rate(rho, c):
-    """rho as a float, or as a complex when its imaginary part is nonzero,
-    after refusing c < 0 and real rho < 0."""
-    if c < 0:
-        raise ValidationError(f"speed must be nonnegative, got {c}")
-    rho = complex(rho) if np.imag(rho) else float(np.real(rho))
-    if isinstance(rho, float) and rho < 0:
-        raise ValidationError(f"decay rate must be nonnegative, got {rho}")
-    return rho
 
 
 def _complex_eigenpair(A, phi, tol=1e-12, max_iter=80):
@@ -244,19 +270,30 @@ def default_rho_grid() -> np.ndarray:
     return np.geomspace(1e-3, _RHO_GRID_TOP, _RHO_GRID_SIZE)
 
 
-def _min_over_rho(tilted, rho_grid, c):
+def _min_over_rho(tilted, rho_grid, c, starts):
     """Minimize the eigenvalue over rho at fixed c: grid scan, then a
-    bounded Brent refinement between the flanking grid points."""
+    bounded Brent refinement between the flanking grid points.
 
-    def lam(rho):
-        return principal_eigenpair(tilted.operator(rho, c)).value
-
-    values = np.array([lam(r) for r in rho_grid])
+    starts holds, per grid rate, a start vector built from the rate's
+    Perron vectors at speeds already searched (None before the first
+    scan); each solve of the scan starts from it, and the scan leaves its
+    own vectors there. Every Brent evaluation starts from the vector of
+    the scan's minimizing rate, so within one call the eigenvalue is a
+    function of rho alone."""
+    pairs = [principal_eigenpair(tilted.operator(r, c), start=start)
+             for r, start in zip(rho_grid, starts)]
+    starts[:] = [pair.vector for pair in pairs]
+    values = np.array([pair.value for pair in pairs])
     i = int(np.argmin(values))
     lo = rho_grid[max(i - 1, 0)]
     hi = rho_grid[min(i + 1, len(rho_grid) - 1)]
     if lo == hi:
         return float(values[i]), float(rho_grid[i])
+
+    def lam(rho):
+        return principal_eigenpair(tilted.operator(rho, c),
+                                   start=starts[i]).value
+
     x, fx = brent_minimize(lam, lo, hi, xatol=1e-6)
     if fx <= values[i]:
         return fx, x
@@ -269,25 +306,32 @@ def minimal_speed(time_kernel, response, grid, direction=None,
 
     Bisection on c, down to _C_TOL, of min_rho lambda_1(rho, c) <= 1. When
     the medium is subcritical at rest the infimum set contains zero and
-    the result is flagged instead of searched.
+    the result is flagged instead of searched. The search keeps the Perron
+    vectors of the grid rates at the ends of its speed bracket, and each
+    scan starts every rate's solve from them (_min_over_rho): from their
+    mean once both ends have been searched, else from the rate's vector at
+    the last speed searched. The first scan starts from the constant
+    vector.
     """
     tilted = TiltedOperator(time_kernel, response, grid, direction)
     if rho_grid is None:
         rho_grid = default_rho_grid()
     else:
         rho_grid = np.asarray(rho_grid, dtype=float)
-        if rho_grid.ndim != 1 or len(rho_grid) < 2 or np.any(rho_grid <= 0):
+        if rho_grid.ndim != 1 or len(rho_grid) < 2 or not np.all(rho_grid > 0):
             raise ValidationError("rho_grid must be positive values, at least two")
         rho_grid = np.sort(rho_grid)
+        tilted._decay_rate(rho_grid[-1], 0.0)  # the largest rate decides
 
     rest = principal_eigenpair(tilted.operator(0.0, 0.0))
     if rest.value <= 1.0:
         return SpeedResult(c_star=0.0, rho_star=None, at_rest=True,
                            direction=tilted.e, value=rest.value)
 
+    starts = [None] * len(rho_grid)
     c_hi = 1.0
     while True:
-        val_hi, rho_hi = _min_over_rho(tilted, rho_grid, c_hi)
+        val_hi, rho_hi = _min_over_rho(tilted, rho_grid, c_hi, starts)
         if val_hi <= 1.0:
             break
         c_hi *= 2.0
@@ -298,13 +342,18 @@ def minimal_speed(time_kernel, response, grid, direction=None,
             )
     c_lo = 0.0
     val, rho_min = val_hi, rho_hi
+    hi_vectors, lo_vectors = starts, None  # per grid rate, at c_hi and c_lo
     while c_hi - c_lo > _C_TOL:
         mid = 0.5 * (c_lo + c_hi)
-        val_mid, rho_mid = _min_over_rho(tilted, rho_grid, mid)
+        # the vectors vary smoothly with c, so their mean over the bracket's
+        # ends is off by O(width**2) at its middle, one end by O(width)
+        starts = (list(hi_vectors) if lo_vectors is None else
+                  [0.5 * (a + b) for a, b in zip(lo_vectors, hi_vectors)])
+        val_mid, rho_mid = _min_over_rho(tilted, rho_grid, mid, starts)
         if val_mid <= 1.0:
-            c_hi, val, rho_min = mid, val_mid, rho_mid
+            c_hi, val, rho_min, hi_vectors = mid, val_mid, rho_mid, starts
         else:
-            c_lo = mid
+            c_lo, lo_vectors = mid, starts
     return SpeedResult(c_star=c_hi, rho_star=rho_min, at_rest=False,
                        direction=tilted.e, value=val)
 
@@ -326,13 +375,14 @@ def complex_decay_root(time_kernel, response, c, grid, *,
         )
     tilted = TiltedOperator(time_kernel, response, grid,
                             None if speed is None else speed.direction)
+    c = float(c)
+    tilted._decay_rate(0.0, c)  # refuses a negative or non-finite speed
     if speed is None:
         speed = minimal_speed(time_kernel, response, grid)
     if speed.at_rest:
         raise ValidationError(
             "medium subcritical at rest; there is no front decay branch"
         )
-    c = float(c)
     c_star, rho_star = speed.c_star, speed.rho_star
     if c > c_star * (1.0 + 1e-12):
         raise ValidationError(

@@ -139,6 +139,7 @@ class WaveOperator:
 
         mu = np.asarray(time_kernel.mu_fn(grid.window_nodes), dtype=float)
         self.E1, I0, I1 = exponential_step_weights(mu, self.dt)
+        self.powers = self.E1 ** np.arange(self.m)[:, None]  # E1**j per slice
         self.alpha = I0 - I1
         self.beta = I1
         self.EP = np.exp(-mu * self.period)
@@ -207,7 +208,7 @@ class WaveOperator:
         # previous period (one cell to the right), then the current one
         h = np.concatenate([g_ext[:, n:], g_ext[:, :nw]])
         q = self.alpha * h[1:] + self.beta * h[:-1]
-        powers = self.E1 ** np.arange(m)[:, None]
+        powers = self.powers
         G = powers * np.cumsum((powers[::-1] * q[:m])[::-1], axis=0)[::-1]
         fresh = np.zeros(nw)
         for j in range(1, m):

@@ -427,6 +427,44 @@ def test_kernel_reach_within_the_cell_budget_loads(tmp_path):
     assert cfg.kernel.support_radius == 31.0 * np.sqrt(2)
 
 
+@pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
+@pytest.mark.parametrize("window", [8, 16])
+def test_window_gather_over_the_cell_budget_exits_2_without_files(
+        tmp_path, capsys, command, window):
+    """At reach 31 a product over the window of radius 8 would gather 496
+    MB per column, and at 16 1984 MB: load refuses both before it builds
+    anything, while radius 2 (31 MB) loads."""
+    cfg = _write_config(tmp_path, {
+        "kernel": {"support_radius": 31},
+        "grid": {"dim": 2, "cell_points": 8, "window_radius": window}})
+    out = tmp_path / "should_not_exist"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"gathers {(2 * window) ** 2 * 63**2 * 64 * 8} bytes" in err
+    assert str(MAX_CELL_BYTES) in err
+
+
+def test_overflowing_decay_rate_exits_2_without_files_or_warnings(tmp_path):
+    """A dispersion rate whose tilt would overflow is refused by name,
+    before any exponential runs: nothing written and no numpy warning, in
+    a child with the default warning filters."""
+    cfg = _write_config(tmp_path, {"run": {"rho_values": [0.5, 800.0]}})
+    out = tmp_path / "should_not_exist"
+    src = os.path.dirname(os.path.dirname(epiwave.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "epiwave.app.cli", "dispersion", "--config",
+         cfg, "--out", str(out)], env=env, capture_output=True, text=True)
+    assert run.returncode == 2, run.stderr
+    assert not out.exists()
+    assert "Warning" not in run.stderr and "Traceback" not in run.stderr
+    assert "decay rate" in run.stderr and "got 800.0" in run.stderr
+
+
 # Run in a child: ru_maxrss (KiB on Linux) after importing the CLI and its
 # pipelines, then after one command; prints the exit code and the growth
 # in bytes.

@@ -16,8 +16,9 @@ from epiwave import (
     time_integrate_kernel,
 )
 from epiwave.app import scenario
-from epiwave.domain.kernels import exponential_step_weights, lattice_image_blocks
-from epiwave.spectral import ball_eigenvalue_sweep
+from epiwave.domain.kernels import (exponential_step_weights, gather_bytes,
+                                    lattice_image_blocks, window_pair_matrix)
+from epiwave.spectral import assemble_ball, ball_eigenvalue_sweep
 from epiwave.waves import TiltedOperator
 
 
@@ -486,3 +487,50 @@ def test_box_profile_matches_masked_reference(dim, cell_points, radius):
         assert np.array_equal(new(Z), old(Z))
         edges += np.count_nonzero(np.abs(np.abs(Z) - radius) <= 1e-9)
     assert edges > 0
+
+
+@pytest.mark.parametrize("dim, cell_points, window, support", [
+    (1, 16, 3, 1.0), (1, 8, 4, 2.5), (2, 8, 2, 1.0), (2, 8, 3, 1.5)])
+def test_window_gather_bounds_every_product_gather(monkeypatch, dim,
+                                                   cell_points, window,
+                                                   support):
+    """gather_bytes, read off the grid and the reach, is what one column of
+    a window-matrix product gathers, and no ball's product gathers more."""
+    grid = PeriodicGrid(dim, cell_points, window)
+    kernel = separable_contact_kernel(2.0, support, dim=dim)
+    predicted = gather_bytes(grid, kernel.reach)
+    gathered = []
+    take = np.take
+
+    def spy(*args, **kwargs):
+        out = take(*args, **kwargs)
+        gathered.append(out.nbytes)
+        return out
+
+    W = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
+    transfer = time_integrate_kernel(kernel, grid)
+    balls = [assemble_ball(transfer, ew.saturating_exponential(), r).entries
+             for r in range(1, window + 1)]
+    monkeypatch.setattr(np, "take", spy)
+    W @ np.ones(W.shape[0])
+    for ball in balls:
+        ball @ np.ones(ball.shape[0])
+    monkeypatch.undo()
+    assert gathered[0] == predicted
+    assert max(gathered[1:]) <= predicted
+
+
+@pytest.mark.parametrize("window", [2, 8, 16])
+def test_reach_31_gather_is_predicted_without_allocating(window):
+    """At reach 31 on the 8 x 8 cell, (2 * window)**2 cells x 63**2 images
+    x 64 floats: 31 MB at window 2, 496 MB at 8 and 1984 MB at 16."""
+    grid = PeriodicGrid(2, 8, window)
+    reach = separable_contact_kernel(2.0, 31.0, dim=2).reach
+    tracemalloc.start()
+    try:
+        predicted = gather_bytes(grid, reach)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert predicted == (2 * window) ** 2 * 63**2 * 64 * 8
+    assert peak < 2**20

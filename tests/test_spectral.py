@@ -305,3 +305,35 @@ def test_power_iteration_matches_reference_loop(build, tol):
     assert pair.residual == residual
     assert pair.iterations == iterations
     assert iterations > 1
+
+
+def test_start_must_be_positive_finite_and_of_the_operator_length():
+    op = assemble_periodic(_heterogeneous_transfer(32), ew.saturating_exponential())
+    good = np.ones(op.n)
+    for bad in (np.ones(op.n - 1), np.ones((op.n, 1)),
+                np.where(np.arange(op.n) == 3, 0.0, good),
+                np.where(np.arange(op.n) == 3, -1.0, good),
+                np.where(np.arange(op.n) == 3, np.nan, good),
+                np.where(np.arange(op.n) == 3, np.inf, good)):
+        with pytest.raises(ValidationError, match="start vector"):
+            principal_eigenpair(op, start=bad)
+
+
+def test_a_positive_start_brackets_the_same_eigenvalue():
+    """A start other than the constant changes the path of the iteration,
+    not its limit: both brackets hold both values, and the returned
+    vectors agree to the tolerance."""
+    op = assemble_periodic(_heterogeneous_transfer(64), ew.saturating_exponential())
+    cold = principal_eigenpair(op)
+    start = 1e3 * np.random.default_rng(5).uniform(0.1, 1.0, op.n)
+    warm = principal_eigenpair(op, start=start)
+    for pair in (cold, warm):
+        lower, upper = pair.bracket
+        assert lower <= cold.value <= upper
+        assert lower <= warm.value <= upper
+        assert pair.residual <= spectral.DEFAULT_EIGEN_TOL
+    assert np.max(np.abs(warm.vector - cold.vector)) < 1e-8
+    # started from its own Perron vector, the iteration stops at once
+    again = principal_eigenpair(op, start=cold.vector)
+    assert again.iterations == 1
+    assert again.value == cold.value

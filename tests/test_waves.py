@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -268,6 +269,66 @@ def test_lattice_sum_cache_bound_leaves_the_speed_unchanged(monkeypatch):
     assert (bounded.c_star, bounded.rho_star) == (free.c_star, free.rho_star)
 
 
+def _search_work(monkeypatch, cold):
+    """minimal_speed on the striped medium, with what each solve was asked
+    (whether a start vector came with it) and its power iterations, and per
+    rate scan its speed, solves and new lattice sums; cold drops every
+    start vector."""
+    starts, iterations, scans = [], [], []
+    real_pair, real_scan = dispersion.principal_eigenpair, dispersion._min_over_rho
+
+    def counting(op, tol=dispersion.DEFAULT_EIGEN_TOL, start=None):
+        pair = real_pair(op, tol=tol, start=None if cold else start)
+        starts.append(start is not None)
+        iterations.append(pair.iterations)
+        return pair
+
+    def scanning(tilted, rho_grid, c, vectors):
+        solves, summed = len(starts), len(sums)
+        out = real_scan(tilted, rho_grid, c, vectors)
+        scans.append((c, len(starts) - solves, len(sums) - summed))
+        return out
+
+    with monkeypatch.context() as mp:
+        sums = _count_lattice_sums(mp)
+        mp.setattr(dispersion, "principal_eigenpair", counting)
+        mp.setattr(dispersion, "_min_over_rho", scanning)
+        speed = minimal_speed(_striped_kernel(), _g(), _grid(64))
+    return speed, starts, sum(iterations), scans
+
+
+def test_warm_started_search_does_the_same_solves_in_fewer_iterations(
+        monkeypatch):
+    """Each grid rate starts from its Perron vectors at the speeds already
+    searched: the same solves as from the constant vector, fewer power
+    iterations, and the same speed and decay rate to the search's
+    tolerances."""
+    cold, cold_starts, cold_iterations, cold_scans = _search_work(
+        monkeypatch, cold=True)
+    warm, warm_starts, warm_iterations, warm_scans = _search_work(
+        monkeypatch, cold=False)
+    assert warm_starts == cold_starts
+    # the rest solve and the first scan's grid start cold, every later
+    # solve warm
+    first = 1 + len(default_rho_grid())
+    assert not any(warm_starts[:first]) and all(warm_starts[first:])
+    assert warm_iterations < 0.5 * cold_iterations
+    assert abs(warm.c_star - cold.c_star) <= dispersion._C_TOL
+    assert abs(warm.rho_star - cold.rho_star) <= 1e-6
+    # The same lattice sums, scan by scan, but at one speed: the doubling
+    # stops at c = 2 and the bisection of [0, 2] searches c = 1 again. Cold,
+    # that scan repeats its first visit bit for bit and finds every rate
+    # cached; warm, its Brent points move in the last bits and are summed.
+    speeds = [c for c, _, _ in cold_scans]
+    assert speeds == [c for c, _, _ in warm_scans]
+    assert speeds[:3] == [1.0, 2.0, 1.0]
+    for k, (cold_scan, warm_scan) in enumerate(zip(cold_scans, warm_scans)):
+        if k != 2:
+            assert warm_scan == cold_scan, speeds[k]
+    _, solves, summed = warm_scans[2]
+    assert cold_scans[2][2] == 0 < summed <= solves - len(default_rho_grid())
+
+
 def _counting_kernel(dim):
     """The striped kernel with a counter on its spatial function's calls."""
     calls = []
@@ -339,6 +400,40 @@ def test_complex_rates_skip_the_cache_and_keep_the_answers(monkeypatch):
                        ("rho_imag", 0.25027677104031537),
                        ("band", 9.414355476932382)):
         assert summary[key] == pytest.approx(value, rel=1e-10), key
+
+
+def test_rates_and_speeds_that_would_overflow_are_refused_before_any_exp():
+    """Non-finite rates and speeds, and real rates past rho_max, raise one
+    ValidationError naming the value, with warnings as errors; at rho_max
+    itself the matrix is finite."""
+    for dim, direction in ((1, None), (2, [1.0, 1.0])):
+        grid = ew.PeriodicGrid(dim, 8, 2)
+        tilted = TiltedOperator(ew.separable_contact_kernel(2.0, 1.0, dim=dim),
+                                _g(), grid, direction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = tilted.matrix(tilted.rho_max, 0.5)
+            assert np.all(np.isfinite(top)) and np.max(top) < 1e160
+            for rho, c in ((np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                           (complex(np.nan, 1.0), 1.0),
+                           (np.nextafter(tilted.rho_max, np.inf), 1.0),
+                           (800.0, 1.0)):
+                with pytest.raises(ValidationError, match="decay rate .*got "
+                                   + re.escape(str(rho))):
+                    tilted.matrix(rho, c)
+            for c in (np.nan, np.inf):
+                with pytest.raises(ValidationError, match=f"speed .*got {c}"):
+                    tilted.point(1.0, c)
+    grid = _grid(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for top in (np.inf, 800.0):
+            with pytest.raises(ValidationError, match=f"decay rate .*got {top}"):
+                minimal_speed(_box(), _g(), grid, rho_grid=[0.5, top])
+        with pytest.raises(ValidationError, match="rho_grid"):
+            minimal_speed(_box(), _g(), grid, rho_grid=[0.5, np.nan])
+        with pytest.raises(ValidationError, match="got 800.0"):
+            dispersion_eigenvalue(_box(), _g(), 800.0, 1.0, grid)
 
 
 def test_tilted_operator_refuses_negative_speeds_and_rates():
@@ -424,6 +519,13 @@ def test_decay_root_continuation_is_bounded(monkeypatch):
                                                r"steps"):
         complex_decay_root(_box(), _g(), 0.95 * speed.c_star, grid,
                            speed=speed)
+
+
+def test_decay_root_refuses_negative_and_non_finite_speeds():
+    # NaN fails every comparison of the continuation, so it is refused first
+    for c in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError, match=f"speed .*got {c}"):
+            complex_decay_root(_box(), _g(), c, _grid(16))
 
 
 def test_complex_rates_need_a_seed():
