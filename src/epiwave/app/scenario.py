@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..domain.forcing import Forcing, bump_forcing
-from ..domain.kernels import (SeparableKernel, gather_bytes,
-                               separable_contact_kernel)
+from ..domain.kernels import SeparableKernel, separable_contact_kernel
 from ..domain.grid import MAX_CELL_BYTES, PeriodicGrid, cell_bytes
 from ..domain.nonlinearity import Nonlinearity, saturating_exponential
 from ..errors import ValidationError
@@ -372,25 +371,21 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     source, target = (_heterogeneity(sec, "kernel", key, grid)
                       for key in ("source", "target"))
     _finish_section("kernel", sec)
-    need = cell_bytes(grid.dim, grid.cell_points, support_radius)
-    if need > MAX_CELL_BYTES:
+    table, gather = cell_bytes(grid.dim, grid.cell_points, support_radius,
+                               grid.window_radius)
+    if max(table, gather) > MAX_CELL_BYTES:
         raise ValidationError(
             f"kernel.support_radius = {support_radius} on a {grid.dim}-D "
-            f"cell of {grid.cell_points} points per axis needs {need} bytes "
-            f"of node-pair arrays and image blocks, above the limit of "
-            f"{MAX_CELL_BYTES}; shrink kernel.support_radius or grid.cell_points"
+            f"cell of {grid.cell_points} points per axis needs {table} bytes "
+            f"of node-pair arrays and image blocks, and over a window of "
+            f"radius {grid.window_radius} gathers {gather} bytes per column "
+            f"of a window product; each must stay within {MAX_CELL_BYTES}: "
+            f"shrink kernel.support_radius, grid.cell_points or "
+            f"grid.window_radius"
         )
     kernel = _build("kernel", separable_contact_kernel, mass, support_radius,
                     dim=grid.dim, source_factor=source, target_factor=target,
                     decay=decay)
-    need = gather_bytes(grid, kernel.reach)
-    if need > MAX_CELL_BYTES:
-        raise ValidationError(
-            f"kernel.support_radius = {support_radius} over a window of "
-            f"radius {grid.window_radius} gathers {need} bytes per column of "
-            f"a window product, above the limit of {MAX_CELL_BYTES}; shrink "
-            f"kernel.support_radius, grid.window_radius or grid.cell_points"
-        )
 
     response = doc.pop("response", "saturating")
     if response != "saturating":

@@ -37,21 +37,29 @@ MAX_WINDOW_NODES = 2**16
 # largest cells of any test or benchmark document are 1-D 128 and 2-D 12.
 # On a 2-D cell of 8 x 8 it admits reaches up to 31, where `threshold`
 # grows peak RSS by 1.25 x MAX_CELL_BYTES over the imported program
-# (test_cell_budget_bounds_peak_memory). Scenario documents also hold the
-# rows that one column of a window-matrix product gathers (kernels.
-# gather_bytes) to this limit: at that reach it admits windows of radius
-# 2 (31 MB) but not 8 (496 MB).
+# (test_cell_budget_bounds_peak_memory). The same limit holds the rows
+# that one column of a window-matrix product gathers, one row of the cell
+# per window cell and image: at that reach it admits windows of radius 2
+# (31 MB) but not 8 (496 MB).
 MAX_CELL_BYTES = 2**27
 
 
-def cell_bytes(dim: int, cell_points: int, reach: float) -> int:
-    """Bytes of the node-pair arrays and lattice-image blocks a kernel of
-    per-axis reach `reach` asks of a cell: n_cell**2 x 8 x
-    (dim + (2 * ceil(reach) + 1)**dim), with n_cell = cell_points**dim.
-    Exact integer arithmetic, so any finite reach gives an answer."""
+def cell_bytes(dim: int, cell_points: int, reach: float,
+               window_radius: int = 0) -> tuple[int, int]:
+    """Bytes a kernel of per-axis reach `reach` asks of a cell, as (table,
+    gather), for at most images = (2 * ceil(reach) + 1)**dim lattice images
+    and n_cell = cell_points**dim. table is the node-pair arrays and the
+    lattice-image blocks, n_cell**2 x 8 x (dim + images); gather is what
+    one column of a product with the window matrix of a window of radius
+    window_radius gathers (CellBlockMatrix.__matmul__), (2 *
+    window_radius)**dim cells x images x n_cell x 8. A ball truncation
+    gathers for a subset of the window's cells, so gather bounds its
+    products too. Exact integer arithmetic, so any finite reach gives an
+    answer; nothing is allocated."""
     n_cell = int(cell_points) ** int(dim)
     images = (2 * math.ceil(reach) + 1) ** int(dim)
-    return n_cell**2 * 8 * (int(dim) + images)
+    cells = (2 * int(window_radius)) ** int(dim)
+    return n_cell**2 * 8 * (int(dim) + images), cells * images * n_cell * 8
 
 
 class PeriodicGrid:
@@ -75,7 +83,7 @@ class PeriodicGrid:
                 f"holds {nodes} nodes in {dim}-D, above the limit of "
                 f"{MAX_WINDOW_NODES}; shrink grid.window_radius or grid.cell_points"
             )
-        need = cell_bytes(dim, cell_points, 1.0)
+        need, _ = cell_bytes(dim, cell_points, 1.0)
         if need > MAX_CELL_BYTES:
             raise ValidationError(
                 f"cell of {cell_points} points per axis holds "

@@ -91,14 +91,6 @@ class Reach:
         """Shells that cover the kernel: one cell beyond its radius."""
         return int(np.ceil(self.radius)) + 1
 
-    def images(self, grid) -> list:
-        """The lattice vectors k whose images x_j + k can reach the cell
-        (image_test), shell by shell, max_a |k_a| = 0, 1, 2, ..., out to
-        one cell beyond the reach. Enumerates shifts only."""
-        reaches = self.image_test(grid)
-        return [shift for m in range(self.shells + 1)
-                for shift in filter(reaches, _shell_shifts(grid.dim, m))]
-
 
 @dataclass
 class SymmetryFactors:
@@ -320,9 +312,10 @@ def lattice_image_blocks(pair_fn, grid, reach: Reach):
     """The cell's whole-line kernel values toward each lattice image it reaches.
 
     Returns (shifts, blocks): shifts is an integer array (images, dim) and
-    blocks[s][i, j] = fn(x_i, x_j + shifts[s]). The pair function is called
-    once for each image that can reach the cell, in the order of
-    Reach.images. A kernel periodic under joint integer shifts
+    blocks[s][i, j] = fn(x_i, x_j + shifts[s]). Images are visited shell by
+    shell, max_a |k_a| = 0, 1, 2, ..., out to one cell beyond the reach,
+    and the pair function is called once for each image that can reach the
+    cell (see Reach.image_test). A kernel periodic under joint integer shifts
     has V(x_i + k, x_j + k') = blocks[s][i, j] with shifts[s] = k' - k, so
     every matrix of the kernel between window nodes is block-Toeplitz over
     cells with these blocks. Images whose block is all zeros are dropped;
@@ -331,7 +324,9 @@ def lattice_image_blocks(pair_fn, grid, reach: Reach):
     little more memory than the table itself.
     """
     n, XX, YY = _cell_pairs(grid)
-    candidates = reach.images(grid)
+    reaches = reach.image_test(grid)
+    candidates = [shift for m in range(reach.shells + 1)
+                  for shift in filter(reaches, _shell_shifts(grid.dim, m))]
     blocks = None
     kept = []
     for shift in candidates:
@@ -522,17 +517,6 @@ class CellBlockMatrix:
         s = image[row[:, None], row[None, :]]
         values = self.table[np.maximum(s, 0) * n + local[None, :], local[:, None]]
         return np.where(s >= 0, values * self.scale, 0.0)
-
-
-def gather_bytes(grid, reach: Reach) -> int:
-    """Bytes that one column of a window-matrix product gathers
-    (CellBlockMatrix.__matmul__): a row of n_cell floats for each cell of
-    the window and each lattice image the reach admits (Reach.images), the
-    images that meet only the padding row included. A ball truncation
-    gathers for a subset of those cells, so this bounds its products too.
-    Counts shifts only; nothing is allocated."""
-    cells = (2 * grid.window_radius) ** grid.dim
-    return cells * len(reach.images(grid)) * grid.n_cell * 8
 
 
 def window_pair_matrix(grid, pair_fn, reach: Reach) -> CellBlockMatrix:

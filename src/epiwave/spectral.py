@@ -181,7 +181,9 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     constant vector; keeps the iterate normalized to sup = 1, and stops
     once the sup-norm residual drops below tol. The returned pair keeps
     the last product, from which its bracket is read. Negative and
-    non-finite entries are rejected, and so is any other start.
+    non-finite entries are rejected, and so is any other start. An
+    eigenvector with a zero entry is refused too, so every returned vector
+    can start a nearby solve.
     """
     entries = op.entries
     if isinstance(entries, CellBlockMatrix):  # scale times the table

@@ -96,7 +96,9 @@ class TiltedOperator:
     the cell nodes; normalizes the direction (e); and assembles the matrix
     at any (rho, c), real or complex, after _decay_rate has refused the
     pair. Its bound rho_max on real rates comes from the lattice shifts the
-    kernel reaches and the cell nodes, before any exponential is taken.
+    kernel reaches, the cell nodes and the plain lattice sum's largest
+    entry, before any exponential is taken: below it every tilted sum,
+    matrix and power-iteration product is finite.
 
     The tilted cell matrix is D B D^-1, with D = diag(exp(rho x.e)) on the
     cell nodes and B = sum_k exp(-rho k.e) K_k the Bloch sum of the
@@ -142,13 +144,24 @@ class TiltedOperator:
                 )
             self.shifts, self.blocks = lattice_image_blocks(
                 time_kernel.spatial_fn, grid, time_kernel.reach)
-        # exp(-rho k.e), exp(rho x.e) and their products in periodize_kernel
-        # stay below exp(rho * span); rho_max keeps that under the square
-        # root of the largest float, leaving room for the sums and products
-        k = np.array(time_kernel.reach.images(grid), dtype=float)
-        span = (np.abs(k @ self.e).max()
-                + 2.0 * np.abs(grid.cell_nodes @ self.e).max())
-        self.rho_max = 0.5 * np.log(np.finfo(float).max) / span
+            shifts, blocks = self.shifts, self.blocks
+            gain = response.slope0 / self.mu.min()
+        else:  # time integrals only shrink as s = rho c grows from 0
+            shifts, blocks = lattice_image_blocks(
+                lambda X, Y: time_kernel.time_integral(X, Y, s=0.0), grid,
+                time_kernel.reach)
+            gain = response.slope0
+        # periodize_kernel weighs images by exp(-rho k.e), then scales rows
+        # by exp(rho x_i.e) and divides columns by exp(rho x_j.e), so each
+        # factor, sum and entry it forms is at most exp(rho * span) times
+        # the plain lattice sum's largest entry; matrix and the power
+        # iteration's sums over the unit cell multiply that by at most gain
+        x = grid.cell_nodes @ self.e
+        span = (np.abs(shifts @ self.e).max() + max(x.max(), 0.0)
+                + max(-x.min(), 0.0))
+        bound = max(1.0, float(blocks.sum(axis=0).max()) * max(1.0, gain))
+        self.rho_max = max(np.log(np.finfo(float).max) - np.log(bound),
+                           0.0) / span
         self._cache: dict = {}
         self._cached_bytes = 0
 
@@ -167,9 +180,8 @@ class TiltedOperator:
         elif not 0 <= rho <= self.rho_max:  # NaN and infinities fail too
             raise ValidationError(
                 f"decay rate must be nonnegative and at most "
-                f"{self.rho_max:.6g}, got {rho}: beyond that the tilt "
-                "factors of this kernel's reach along the direction could "
-                "overflow")
+                f"{self.rho_max:.6g}, got {rho}: beyond that the tilted "
+                "sums of this kernel along the direction could overflow")
         return rho
 
     def lattice_sum(self, rho, c) -> np.ndarray:
@@ -321,7 +333,7 @@ def minimal_speed(time_kernel, response, grid, direction=None,
         if rho_grid.ndim != 1 or len(rho_grid) < 2 or not np.all(rho_grid > 0):
             raise ValidationError("rho_grid must be positive values, at least two")
         rho_grid = np.sort(rho_grid)
-        tilted._decay_rate(rho_grid[-1], 0.0)  # the largest rate decides
+    tilted._decay_rate(rho_grid[-1], 0.0)  # the largest rate decides
 
     rest = principal_eigenpair(tilted.operator(0.0, 0.0))
     if rest.value <= 1.0:

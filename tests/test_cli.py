@@ -465,6 +465,20 @@ def test_overflowing_decay_rate_exits_2_without_files_or_warnings(tmp_path):
     assert "decay rate" in run.stderr and "got 800.0" in run.stderr
 
 
+def test_a_rate_whose_tilt_stays_finite_is_evaluated(tmp_path):
+    """At reach 45 the tilt stays finite up to a rate of about 15, so rate 8
+    (the top of the speed search's default grid) is evaluated, not
+    refused; a speed this large brings its eigenvalue near one."""
+    cfg = _write_config(tmp_path, {
+        "kernel": {"support_radius": 45},
+        "run": {"rho_values": [8.0], "c_values": [1e153]}})
+    out = tmp_path / "out"
+    assert main(["dispersion", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "dispersion.csv").read_text().splitlines()
+    assert rows[0] == "rho,c,lambda" and len(rows) == 2
+    assert 0.5 < float(rows[1].split(",")[2]) < 1.0
+
+
 # Run in a child: ru_maxrss (KiB on Linux) after importing the CLI and its
 # pipelines, then after one command; prints the exit code and the growth
 # in bytes.

@@ -16,7 +16,8 @@ from epiwave import (
     time_integrate_kernel,
 )
 from epiwave.app import scenario
-from epiwave.domain.kernels import (exponential_step_weights, gather_bytes,
+from epiwave.domain.grid import cell_bytes
+from epiwave.domain.kernels import (exponential_step_weights,
                                     lattice_image_blocks, window_pair_matrix)
 from epiwave.spectral import assemble_ball, ball_eigenvalue_sweep
 from epiwave.waves import TiltedOperator
@@ -494,11 +495,13 @@ def test_box_profile_matches_masked_reference(dim, cell_points, radius):
 def test_window_gather_bounds_every_product_gather(monkeypatch, dim,
                                                    cell_points, window,
                                                    support):
-    """gather_bytes, read off the grid and the reach, is what one column of
-    a window-matrix product gathers, and no ball's product gathers more."""
+    """cell_bytes's gather, read off the grid and the reach, is what one
+    column of a window-matrix product gathers (each of these kernels
+    reaches all (2 * ceil(support) + 1)**dim images), and no ball's product
+    gathers more."""
     grid = PeriodicGrid(dim, cell_points, window)
     kernel = separable_contact_kernel(2.0, support, dim=dim)
-    predicted = gather_bytes(grid, kernel.reach)
+    _, predicted = cell_bytes(dim, cell_points, support, window)
     gathered = []
     take = np.take
 
@@ -524,11 +527,9 @@ def test_window_gather_bounds_every_product_gather(monkeypatch, dim,
 def test_reach_31_gather_is_predicted_without_allocating(window):
     """At reach 31 on the 8 x 8 cell, (2 * window)**2 cells x 63**2 images
     x 64 floats: 31 MB at window 2, 496 MB at 8 and 1984 MB at 16."""
-    grid = PeriodicGrid(2, 8, window)
-    reach = separable_contact_kernel(2.0, 31.0, dim=2).reach
     tracemalloc.start()
     try:
-        predicted = gather_bytes(grid, reach)
+        _, predicted = cell_bytes(2, 8, 31.0, window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,6 +10,7 @@ import pytest
 
 import epiwave as ew
 from epiwave import ConvergenceError, ValidationError
+from epiwave.domain.kernels import periodize_kernel
 from epiwave.spectral import assemble_periodic, principal_eigenpair
 from epiwave.steady import solve_steady_state
 from epiwave.app import pipelines, scenario
@@ -404,8 +405,9 @@ def test_complex_rates_skip_the_cache_and_keep_the_answers(monkeypatch):
 
 def test_rates_and_speeds_that_would_overflow_are_refused_before_any_exp():
     """Non-finite rates and speeds, and real rates past rho_max, raise one
-    ValidationError naming the value, with warnings as errors; at rho_max
-    itself the matrix is finite."""
+    ValidationError naming the value, with warnings as errors. At rho_max
+    itself the matrix and its products are finite, and 1% above it the
+    tilted sum does overflow: the bound sits where overflow happens."""
     for dim, direction in ((1, None), (2, [1.0, 1.0])):
         grid = ew.PeriodicGrid(dim, 8, 2)
         tilted = TiltedOperator(ew.separable_contact_kernel(2.0, 1.0, dim=dim),
@@ -413,7 +415,10 @@ def test_rates_and_speeds_that_would_overflow_are_refused_before_any_exp():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             top = tilted.matrix(tilted.rho_max, 0.5)
-            assert np.all(np.isfinite(top)) and np.max(top) < 1e160
+            assert np.all(np.isfinite(top @ np.ones(len(top))))
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                periodize_kernel(tilted.shifts, tilted.blocks, grid,
+                                 1.01 * tilted.rho_max * tilted.e)
             for rho, c in ((np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
                            (complex(np.nan, 1.0), 1.0),
                            (np.nextafter(tilted.rho_max, np.inf), 1.0),
@@ -434,6 +439,45 @@ def test_rates_and_speeds_that_would_overflow_are_refused_before_any_exp():
             minimal_speed(_box(), _g(), grid, rho_grid=[0.5, np.nan])
         with pytest.raises(ValidationError, match="got 800.0"):
             dispersion_eigenvalue(_box(), _g(), 800.0, 1.0, grid)
+
+
+@pytest.mark.parametrize("reach", [45.0, 50.0])
+def test_wide_kernels_admit_the_default_rate_grid(reach):
+    """A 1-D kernel of reach 45 or 50 keeps its tilt finite up to a rate of
+    about 15, above the top of the speed search's default grid."""
+    tilted = TiltedOperator(ew.separable_contact_kernel(2.0, reach), _g(),
+                            _grid(64, 2))
+    top = default_rho_grid()[-1]
+    assert 13.9 < tilted.rho_max < 15.5 and top < tilted.rho_max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(tilted.matrix(top, 1.0)))
+
+
+def test_a_vanishing_target_factor_is_refused_before_any_warm_start(
+        monkeypatch):
+    """A target factor that vanishes at a cell node zeroes a row of every
+    tilted matrix, so no Perron vector is strictly positive. The search's
+    cold rest solve refuses it before any start vector is passed on, and a
+    solve never returns a vector with a zero entry to start from."""
+    kernel = ew.separable_contact_kernel(
+        2.0, 1.0, target_factor=lambda P: 1.0 - np.cos(
+            2.0 * np.pi * (P[:, 0] - 0.0625)))
+    grid = _grid(8)
+    assert grid.cell_nodes[0, 0] == 0.0625
+    starts = []
+    solve = dispersion.principal_eigenpair
+
+    def spy(op, tol=dispersion.DEFAULT_EIGEN_TOL, start=None):
+        starts.append(start)
+        return solve(op, tol=tol, start=start)
+
+    monkeypatch.setattr(dispersion, "principal_eigenpair", spy)
+    with pytest.raises(ValidationError, match="not strictly positive"):
+        minimal_speed(kernel, _g(), grid)
+    assert starts == [None]
+    with pytest.raises(ValidationError, match="not strictly positive"):
+        TiltedOperator(kernel, _g(), grid).point(1.0, 1.0)
 
 
 def test_tilted_operator_refuses_negative_speeds_and_rates():
