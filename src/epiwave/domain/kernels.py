@@ -445,6 +445,14 @@ class CellBlockMatrix:
     given ones stay zero in the padded array, which is the Dirichlet
     truncation; cells beyond the window are the padding row, as the
     window itself truncates the whole-line kernel.
+
+    The padded array and the gather buffer are kept between products with
+    the same number of columns, so only the dense product's output is
+    allocated; that output is what a product returns. Whether the slots
+    run 0, 1, ..., N - 1 (each touched cell full, its nodes in order, as
+    for a 1-D window or a 1-D ball of whole cells) is recorded once here:
+    then the scatter and the output gather are reshapes, not fancy
+    indexing, and the product is the same bit for bit.
     """
 
     def __init__(self, grid, nodes: np.ndarray, shifts: np.ndarray,
@@ -469,26 +477,44 @@ class CellBlockMatrix:
                                    mode="clip")
         self._neighbours = np.where(inside, row_of[key], cells)
         self._slots = cell.ravel() * n + self.local
-        self._padded = np.zeros((1, cells + 1, n))
+        self._in_order = (len(nodes) == cells * n and np.array_equal(
+            self._slots, np.arange(len(nodes))))
+        self._work = None  # (k, buffers) of the last product; see _buffers
         self.table = table
         self.scale = scale
         self.shape = (len(nodes), len(nodes))
+
+    def _buffers(self, k: int):
+        """The zero-padded scatter array, the gather buffer and, unless the
+        slots are in order, the flat slots of each column in the two, for
+        products of k columns; kept until a product with another k."""
+        if self._work is None or self._work[0] != k:
+            (cells, shifts), n = self._neighbours.shape, self.table.shape[1]
+            into = outof = None
+            if not self._in_order:
+                column = np.arange(k)[:, None] * n
+                into = (column * (cells + 1) + self._slots).ravel()
+                outof = (column * cells + self._slots).ravel()
+            self._work = (k, np.zeros((k, cells + 1, n)),
+                          np.empty((k, cells, shifts, n)), into, outof)
+        return self._work[1:]
 
     def __matmul__(self, x):
         """A @ x for a vector x or an (nodes, k) array of k columns."""
         x = np.asarray(x)
         k = x.size // len(self._slots)
-        padded, into, outof = self._padded, self._slots, self._slots
-        if k > 1:  # k stacked padded arrays, and the slots of each column in them
-            padded = np.zeros((k,) + padded.shape[1:])
-            cells, n = self._neighbours.shape[0], padded.shape[2]
-            column = np.arange(k)[:, None] * n
-            into = (column * (cells + 1) + self._slots).ravel()
-            outof = (column * cells + self._slots).ravel()
-        # flat indices: a 2-D fancy index made small ball products 30% slower
-        padded.ravel()[into] = x.T.ravel()
-        gathered = np.take(padded, self._neighbours, axis=1)
-        out = (gathered.reshape(-1, self.table.shape[0]) @ self.table).ravel()[outof]
+        padded, gathered, into, outof = self._buffers(k)
+        cells, n = gathered.shape[1], gathered.shape[3]
+        if self._in_order:
+            padded[:, :cells] = x.T.reshape(k, cells, n)
+        else:
+            # flat indices: a 2-D fancy index made small ball products 30% slower
+            padded.ravel()[into] = x.T.ravel()
+        # mode="clip": every index is valid, and "raise" buffers the output
+        np.take(padded, self._neighbours, axis=1, out=gathered, mode="clip")
+        out = (gathered.reshape(k * cells, -1) @ self.table).ravel()
+        if not self._in_order:
+            out = out[outof]
         out *= self.scale
         return out.reshape(x.shape[::-1]).T
 
@@ -501,7 +527,7 @@ class CellBlockMatrix:
     @functools.cached_property
     def nnz(self) -> int:
         """Nonzero kernel values between the nodes, as a sparse matrix stores them."""
-        occupied = np.zeros_like(self._padded[0])
+        occupied = np.zeros((len(self._neighbours) + 1, self.table.shape[1]))
         occupied.ravel()[self._slots] = 1.0
         cells = occupied.shape[0] - 1
         per_row = occupied[self._neighbours].reshape(cells, -1) @ (self.table != 0)
@@ -509,8 +535,7 @@ class CellBlockMatrix:
 
     def toarray(self) -> np.ndarray:
         """The matrix in dense form (for checks and tests)."""
-        cells, shifts = self._neighbours.shape
-        n = self._padded.shape[2]
+        (cells, shifts), n = self._neighbours.shape, self.table.shape[1]
         image = np.full((cells + 1, cells + 1), -1)
         image[np.arange(cells)[:, None], self._neighbours] = np.arange(shifts)
         row, local = np.divmod(self._slots, n)

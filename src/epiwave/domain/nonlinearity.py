@@ -56,7 +56,12 @@ def saturating_exponential() -> Nonlinearity:
     """
 
     def g(z):
-        return -np.expm1(-np.asarray(z, dtype=float))
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 0:
+            return -np.expm1(-z)
+        out = np.negative(z)  # the one new array; both steps after reuse it
+        np.expm1(out, out=out)
+        return np.negative(out, out=out)
 
     return Nonlinearity(g, slope0=1.0, curvature=0.5, bound=1.0,
                         name="saturating_exponential")

@@ -188,7 +188,10 @@ class TiltedOperator:
         """The tilted lattice sum sum_k V(x_i, x_j + k) exp(-rho (x_j + k - x_i).e)
         on the cell: V is the spatial kernel for separable kernels (the decay
         enters in matrix) and the time integral at s = rho c otherwise."""
-        rho = self._decay_rate(rho, c)
+        return self._lattice_sum(self._decay_rate(rho, c), c)
+
+    def _lattice_sum(self, rho, c) -> np.ndarray:
+        """lattice_sum at a rate _decay_rate has already checked."""
         if not self.separable:
             shifts, blocks = lattice_image_blocks(
                 lambda X, Y: self.kernel.time_integral(X, Y, s=rho * c),
@@ -210,7 +213,7 @@ class TiltedOperator:
         """Dense tilted cell matrix at (rho, c), slope and quadrature
         included; complex when rho has a nonzero imaginary part."""
         rho = self._decay_rate(rho, c)
-        summed = self.lattice_sum(rho, c)
+        summed = self._lattice_sum(rho, c)
         scale = self.slope0 * self.grid.weight
         if self.separable:
             return summed * (scale / (self.mu + rho * c))

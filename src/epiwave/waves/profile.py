@@ -26,6 +26,18 @@ seeded beyond the right edge by the closed-form memory of the analytic
 tail. That seed uses the same discrete weights as the recursion itself,
 so the certificate inequalities are not polluted by a closure seam.
 
+An application allocates only the response and the window product's
+output, which it returns. The operator keeps a workspace sized at
+construction from the slices and the window (bounded with the slab by
+MAX_TRAJECTORY_VALUES): the slab with its ghost cell, the slice terms
+and the memory G, which out= ufuncs fill, the suffix sums as one
+in-place cumsum and the cell recursion in place on G. The window matrix
+keeps its own gather buffers and, its slots being in order, scatters and
+gathers by reshape (CellBlockMatrix). Every value is formed by the same
+floating-point operations as with a fresh array per step, so fronts are
+the same bit for bit; the front iteration itself keeps one difference
+buffer for its increments.
+
 The sub- and supersolution pair uses decay rates straddling the lower
 dispersion root: the supersolution rate sits slightly above it, buying
 a uniform eigenvalue margin that absorbs the quadrature excess of the
@@ -154,6 +166,19 @@ class WaveOperator:
         self.alpha_ghost = I0g - I1g
         self.beta_ghost = I1g
 
+        # apply()'s workspace, bounded with the slab above: the slab with
+        # its ghost cell, the slice terms q of the last two periods, the
+        # memory G (the cell recursion turns it into w in place), one row
+        # of the running sum and one cell block
+        nw = grid.n_window
+        self._ext = np.empty((self.m, nw + n))
+        self._q = np.empty((2 * self.m - 1, nw))
+        self._G = np.empty((self.m, nw))
+        self._fresh = np.empty(nw)
+        self._block = np.empty((self.m, n))
+        inside = np.flatnonzero(self.interior)  # a run of columns in 1-D
+        self._inner = slice(inside[0], inside[-1] + 1)
+
     def ghost_values(self, terms) -> np.ndarray:
         """Analytic tail continuation on the cell beyond the right edge."""
         y = self.ghost_nodes[:, 0]
@@ -193,7 +218,9 @@ class WaveOperator:
 
     def apply(self, slab: np.ndarray, ghost_terms) -> np.ndarray:
         """One application of the frame operator; frozen edge columns are
-        passed through unchanged."""
+        passed through unchanged. Returns a new array: only the response
+        and the final product allocate, everything between runs in the
+        operator's workspace."""
         m, nw = slab.shape
         if m != self.m or nw != self.grid.n_window:
             raise ValidationError(
@@ -201,31 +228,46 @@ class WaveOperator:
                 f"({self.m} slices, {self.grid.n_window} columns)"
             )
         n = self.n_cell
-        u_ext = np.empty((m, nw + n))
-        u_ext[:, :nw] = slab
-        u_ext[:, nw:] = self.ghost_values(ghost_terms)
-        g_ext = self.response(u_ext)
-        # previous period (one cell to the right), then the current one
-        h = np.concatenate([g_ext[:, n:], g_ext[:, :nw]])
-        q = self.alpha * h[1:] + self.beta * h[:-1]
-        powers = self.powers
-        G = powers * np.cumsum((powers[::-1] * q[:m])[::-1], axis=0)[::-1]
-        fresh = np.zeros(nw)
+        ext, q, G = self._ext, self._q, self._G
+        ext[:, :nw] = slab
+        ext[:, nw:] = self.ghost_values(ghost_terms)
+        g_ext = self.response(ext)
+        # q_i = alpha h_{i+1} + beta h_i for h the previous period (one cell
+        # to the right) stacked on the current one; G's rows hold beta h_i
+        prev, cur = g_ext[:, n:], g_ext[:, :nw]
+        for rows, later, earlier in ((q[:m - 1], prev[1:], prev[:-1]),
+                                     (q[m - 1:m], cur[:1], prev[-1:]),
+                                     (q[m:], cur[1:], cur[:-1])):
+            np.multiply(self.alpha, later, out=rows)
+            scratch = G[:len(rows)]
+            np.multiply(self.beta, earlier, out=scratch)
+            rows += scratch
+        # G_j = E1**j sum_{i>=j} E1**(m-1-i) q_i over the previous period,
+        # plus the running sum over the current one
+        np.multiply(self.powers[::-1], q[:m], out=G)
+        np.cumsum(G[::-1], axis=0, out=G[::-1])
+        G *= self.powers
+        fresh = self._fresh
+        fresh.fill(0.0)
         for j in range(1, m):
-            fresh = self.E1 * fresh + q[m + j - 1]
+            fresh *= self.E1
+            fresh += q[m + j - 1]
             G[j] += fresh
 
-        w = np.empty((m, nw))
-        w_next = self._ghost_memory(ghost_terms)
+        # w[:, k] = G[:, k] + EP w[:, k + 1] over cells k, right to left
+        w, block = G.reshape(m, self.cells, n), self._block
         EP_cell = self.EP[:n]
-        for k in range(self.cells - 1, -1, -1):
-            block = G[:, k * n:(k + 1) * n] + EP_cell[None, :] * w_next
-            w[:, k * n:(k + 1) * n] = block
-            w_next = block
+        np.multiply(EP_cell, self._ghost_memory(ghost_terms), out=block)
+        w[:, -1] += block
+        for k in range(self.cells - 2, -1, -1):
+            np.multiply(EP_cell, w[:, k + 1], out=block)
+            w[:, k] += block
 
-        out = np.array(slab, dtype=float, copy=True)
-        conv = self.grid.weight * (self.K @ w.T).T
-        out[:, self.interior] = conv[:, self.interior]
+        out = (self.K @ G.T).T
+        inner = self._inner
+        out[:, inner] *= self.grid.weight
+        out[:, :inner.start] = slab[:, :inner.start]
+        out[:, inner.stop:] = slab[:, inner.stop:]
         return out
 
 
@@ -409,16 +451,17 @@ def construct_wave(pair: SubSuperPair, *,
     scale = float(np.max(u))
     increments = []
     ascent = 0.0
+    diff = np.empty_like(u)  # v - sub, then v - u, then |v - u|
     for iteration in range(1, _MAX_ITER + 1):
         v = op.apply(u, pair.sup_ghost)
-        ascent = max(ascent, float(np.max(v - u)))
-        low = float(np.min(v - pair.sub))
+        low = float(np.subtract(v, pair.sub, out=diff).min())
         if low < -1e-12 * scale:
             raise ConvergenceError(
                 f"iterate fell {-low:.3e} below the subsolution at "
                 f"iteration {iteration}; enlarge the slab or tighten tol"
             )
-        step = float(np.max(np.abs(v - u)))
+        ascent = max(ascent, float(np.subtract(v, u, out=diff).max()))
+        step = float(np.abs(diff, out=diff).max())
         increments.append(step)
         u = v
         if step < tol:

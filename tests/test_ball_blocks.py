@@ -1,6 +1,7 @@
 """Window matrices and ball truncations in cell-block form against the CSR
 window matrix and its submatrices."""
 
+import copy
 import functools
 
 import numpy as np
@@ -229,3 +230,42 @@ def test_row_sums_are_the_only_sums():
         W.sum(axis=0)
     with pytest.raises(TypeError):
         W.sum()
+
+
+def _scatter_gather_twin(matrix):
+    """The same matrix, with its products forced onto the scatter/gather
+    path that serves slots out of order."""
+    twin = copy.copy(matrix)
+    twin._in_order, twin._work = False, None
+    return twin
+
+
+@pytest.mark.parametrize("nodes, columns",
+                         [("window", 1), ("window", 16), ("ball", 1)])
+def test_in_order_products_equal_the_scatter_gather_path(nodes, columns):
+    grid = ew.PeriodicGrid(1, 32, 4)
+    transfer = ew.time_integrate_kernel(_striped(1), grid)
+    matrix = (transfer.window_matrix() if nodes == "window" else
+              assemble_ball(transfer, ew.saturating_exponential(), 3.0).entries)
+    assert matrix._in_order
+    twin = _scatter_gather_twin(matrix)
+    rng = np.random.default_rng(11)
+    shape = (matrix.shape[0], columns) if columns > 1 else matrix.shape[:1]
+    x, y = rng.random(shape), rng.random(shape)
+    first = matrix @ x
+    kept = first.copy()
+    assert first.shape == x.shape
+    assert np.array_equal(first, twin @ x)
+    # the second product reuses the kept buffers, not the first's output
+    assert np.array_equal(matrix @ y, twin @ y)
+    assert np.array_equal(first, kept)
+
+
+def test_two_d_windows_and_cut_balls_take_the_scatter_gather_path():
+    response = ew.saturating_exponential()
+    flat = ew.time_integrate_kernel(_striped(1), ew.PeriodicGrid(1, 32, 4))
+    square = ew.time_integrate_kernel(_striped(2), ew.PeriodicGrid(2, 8, 2))
+    assert assemble_ball(flat, response, 2.0).entries._in_order
+    assert not assemble_ball(flat, response, 2.5).entries._in_order
+    assert not square.window_matrix()._in_order
+    assert not assemble_ball(square, response, 1.0).entries._in_order

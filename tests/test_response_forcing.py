@@ -27,6 +27,20 @@ def test_saturating_exponential_values():
     assert np.all(gz >= z - 0.5 * z * z - 1e-15)
 
 
+def test_saturating_exponential_keeps_scalars_and_returns_new_arrays():
+    g = saturating_exponential()
+    assert not isinstance(g(0.0), np.ndarray) and np.ndim(g(0.0)) == 0
+    z = np.linspace(-1.0, 10.0, 24).reshape(4, 6)
+    before = z.copy()
+    gz = g(z)
+    assert gz.shape == z.shape
+    assert not np.shares_memory(gz, z)
+    assert np.array_equal(z, before)
+    assert np.array_equal(gz, -np.expm1(-z))
+    again = g(z)
+    assert again is not gz and np.array_equal(again, gz)
+
+
 def test_custom_response_validation():
     ok = Nonlinearity(lambda z: np.tanh(z), slope0=1.0, curvature=1.0, bound=1.0)
     assert ok(0.5) == pytest.approx(math.tanh(0.5))

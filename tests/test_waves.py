@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -480,6 +481,28 @@ def test_a_vanishing_target_factor_is_refused_before_any_warm_start(
         TiltedOperator(kernel, _g(), grid).point(1.0, 1.0)
 
 
+def test_one_rate_check_per_matrix(monkeypatch):
+    """matrix checks (rho, c) once, not again through lattice_sum, and
+    both entry points still refuse bad rates and speeds."""
+    tilted = TiltedOperator(_striped_kernel(), _g(), _grid(16))
+    checks = []
+    real = TiltedOperator._decay_rate
+
+    def counting(self, rho, c):
+        checks.append((rho, c))
+        return real(self, rho, c)
+
+    monkeypatch.setattr(TiltedOperator, "_decay_rate", counting)
+    for evaluate in (tilted.matrix, tilted.lattice_sum):
+        checks.clear()
+        evaluate(0.5, 1.0)
+        assert checks == [(0.5, 1.0)]
+        for rho, c in ((-0.5, 1.0), (0.5, -1.0), (np.nan, 1.0),
+                       (2.0 * tilted.rho_max, 1.0)):
+            with pytest.raises(ValidationError):
+                evaluate(rho, c)
+
+
 def test_tilted_operator_refuses_negative_speeds_and_rates():
     tilted = TiltedOperator(_box(), _g(), _grid(16))
     for rho, c in ((0.5, -1.0), (-0.5, 1.0), (-0.5 + 0j, 1.0)):
@@ -615,19 +638,90 @@ def _apply_by_slice_pairs(op, slab, ghost_terms):
     return out
 
 
-@pytest.mark.parametrize("slices", [4, 16])
-@pytest.mark.parametrize("make_kernel", [_box, _striped_kernel],
-                         ids=["box", "striped"])
-def test_running_sum_matches_the_slice_pair_sum(make_kernel, slices):
+def _apply_by_running_sums(op, slab, ghost_terms):
+    """Reference for WaveOperator.apply: the running sums and the cell loop
+    on fresh arrays, each step a new temporary."""
+    m, nw, n = op.m, op.grid.n_window, op.n_cell
+    u_ext = np.empty((m, nw + n))
+    u_ext[:, :nw] = slab
+    u_ext[:, nw:] = op.ghost_values(ghost_terms)
+    g_ext = op.response(u_ext)
+    h = np.concatenate([g_ext[:, n:], g_ext[:, :nw]])
+    q = op.alpha * h[1:] + op.beta * h[:-1]
+    powers = op.powers
+    G = powers * np.cumsum((powers[::-1] * q[:m])[::-1], axis=0)[::-1]
+    fresh = np.zeros(nw)
+    for j in range(1, m):
+        fresh = op.E1 * fresh + q[m + j - 1]
+        G[j] += fresh
+    w = np.empty((m, nw))
+    w_next = op._ghost_memory(ghost_terms)
+    for k in range(op.cells - 1, -1, -1):
+        block = G[:, k * n:(k + 1) * n] + op.EP[:n][None, :] * w_next
+        w[:, k * n:(k + 1) * n] = block
+        w_next = block
+    out = np.array(slab, dtype=float, copy=True)
+    conv = op.grid.weight * (op.K @ w.T).T
+    out[:, op.interior] = conv[:, op.interior]
+    return out
+
+
+def _slab_case(make_kernel, slices):
     grid = ew.PeriodicGrid(dim=1, cell_points=16, window_radius=4)
     c, rho = 3.0, 0.8
     op = WaveOperator(make_kernel(), _g(), c, grid, slices=slices)
     xi = grid.window_nodes[:, 0][None, :] - c * op.times[:, None]
     slab = np.minimum(np.exp(-rho * xi), 1.0)
-    ghost = [(np.ones(grid.cell_points), rho)]
+    return op, slab, [(np.ones(grid.cell_points), rho)]
+
+
+_SLAB_CASES = pytest.mark.parametrize(
+    "make_kernel, slices",
+    [(k, s) for k in (_box, _striped_kernel) for s in (4, 16)],
+    ids=[f"{k}-{s}" for k in ("box", "striped") for s in (4, 16)])
+
+
+@_SLAB_CASES
+def test_running_sum_matches_the_slice_pair_sum(make_kernel, slices):
+    op, slab, ghost = _slab_case(make_kernel, slices)
     expected = _apply_by_slice_pairs(op, slab, ghost)
     got = op.apply(slab, ghost)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@_SLAB_CASES
+def test_workspace_apply_equals_the_running_sums_bit_for_bit(make_kernel,
+                                                             slices):
+    op, slab, ghost = _slab_case(make_kernel, slices)
+    for _ in range(2):  # the second apply reuses the filled workspace
+        assert np.array_equal(op.apply(slab, ghost),
+                              _apply_by_running_sums(op, slab, ghost))
+
+
+def test_apply_hands_out_no_workspace():
+    op, slab, ghost = _slab_case(_striped_kernel, 16)
+    before = slab.copy()
+    first = op.apply(slab, ghost)
+    kept = first.copy()
+    second = op.apply(0.5 * slab, ghost)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(slab, before)
+
+
+def test_apply_allocates_at_most_four_slabs(front):
+    """Past the first apply, which sizes the product's buffers, one apply
+    allocates the response and the product's output and little else."""
+    op, slab, ghost = front["op"], front["pair"].sup, front["pair"].sup_ghost
+    assert slab.shape == (16, 2560)
+    op.apply(slab, ghost)
+    tracemalloc.start()
+    try:
+        op.apply(slab, ghost)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * slab.nbytes
 
 
 def test_certificate_pair_is_ordered_with_a_positive_bump(front):
