@@ -13,18 +13,38 @@ from ..errors import ValidationError
 
 
 class Forcing:
-    """Time-increasing seeding field with an explicit saturation limit."""
+    """Time-increasing seeding field with an explicit saturation limit.
 
-    def __init__(self, fn, limit_fn, support_radius: float, name: str = "forcing"):
-        if support_radius < 0:
-            raise ValidationError(f"support_radius must be nonnegative, got {support_radius}")
+    fn(t, X) gives f(t, x) at the rows of X and limit_fn(X) gives f_inf.
+    A march evaluates f at the same window nodes at every step, so
+    on_nodes(X) hands it t -> f(t, X) on those fixed nodes. nodes_fn, when
+    given, builds that callable from X, doing the work that depends on X
+    alone (a spatial profile, kernel values against the seed) once; its
+    values must equal fn's bit for bit. Without it, on_nodes calls fn at
+    every t.
+    """
+
+    def __init__(self, fn, limit_fn, support_radius: float, name: str = "forcing",
+                 nodes_fn=None):
+        if not np.isfinite(support_radius) or support_radius < 0:
+            raise ValidationError(
+                f"support_radius must be finite and nonnegative, got {support_radius}"
+            )
         self._fn = fn
         self._limit_fn = limit_fn
+        self._nodes_fn = nodes_fn
         self.support_radius = float(support_radius)
         self.name = name
 
     def __call__(self, t: float, X) -> np.ndarray:
         return np.asarray(self._fn(t, X), dtype=float)
+
+    def on_nodes(self, X):
+        """t -> f(t, X) on the fixed nodes X, as a float array."""
+        if self._nodes_fn is None:
+            return lambda t: self(t, X)
+        at = self._nodes_fn(X)
+        return lambda t: np.asarray(at(t), dtype=float)
 
     def limit(self, X) -> np.ndarray:
         return np.asarray(self._limit_fn(X), dtype=float)
@@ -41,6 +61,13 @@ def bump_forcing(amplitude: float = 1.0, radius: float = 2.0, rate: float = 1.0,
     inside |x - c| < radius and zero outside. The time factor makes f
     nondecreasing with limit amplitude * bump(x).
     """
+    # NaN passes every comparison below, so finiteness is checked first
+    for label, value in (("amplitude", amplitude), ("radius", radius),
+                         ("rate", rate)):
+        if not np.isfinite(value):
+            raise ValidationError(f"{label} must be finite, got {value}")
+    if center is not None and not np.all(np.isfinite(center)):
+        raise ValidationError(f"center must be finite, got {center}")
     if amplitude < 0:
         raise ValidationError(f"amplitude must be nonnegative, got {amplitude}")
     if radius <= 0:
@@ -58,10 +85,17 @@ def bump_forcing(amplitude: float = 1.0, radius: float = 2.0, rate: float = 1.0,
         out[inside] = amplitude * np.cos(0.5 * np.pi * r[inside]) ** 2
         return out
 
+    def ramp(t):
+        return -np.expm1(-rate * max(t, 0.0))
+
     def fn(t, X):
-        return -np.expm1(-rate * max(t, 0.0)) * bump(X)
+        return ramp(t) * bump(X)
+
+    def on_nodes(X):
+        profile = bump(X)
+        return lambda t: ramp(t) * profile
 
     reach = radius
     if center is not None:
         reach += float(np.linalg.norm(np.atleast_1d(np.asarray(center, dtype=float))))
-    return Forcing(fn, bump, support_radius=reach, name="bump")
+    return Forcing(fn, bump, support_radius=reach, name="bump", nodes_fn=on_nodes)

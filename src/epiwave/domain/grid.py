@@ -156,6 +156,21 @@ class PeriodicGrid:
         inside = np.all(np.abs(self.window_nodes) <= edge + _COORD_EPS, axis=1)
         return np.nonzero(inside)[0]
 
+    @property
+    def window_shape(self) -> tuple[int, ...]:
+        """A window field as a row-major array with one axis per dimension."""
+        return (2 * self.window_radius * self.cell_points,) * self.dim
+
+    def interior_block(self, margin: float) -> tuple[slice, ...]:
+        """interior_indices(margin) as one slice per axis of a window field
+        shaped window_shape: the interior is a box of whole axis runs, so
+        a view reaches it, from its first node to its last on every axis."""
+        inside = self.interior_indices(margin)
+        n_axis = self.window_shape[-1]
+        run = (slice(int(inside[0]) % n_axis, int(inside[-1]) % n_axis + 1)
+               if inside.size else slice(0, 0))
+        return (run,) * self.dim
+
     def __repr__(self) -> str:
         return (
             f"PeriodicGrid(dim={self.dim}, cell_points={self.cell_points}, "

@@ -22,6 +22,16 @@ the separable recursion.
 Nodes closer than the kernel reach to the window edge cannot see their
 whole interaction neighborhood, so they are frozen at the seeding value
 f(t, x); diagnostics exclude that boundary layer.
+
+Both marches write each step straight into its row of the stored
+trajectory. The seeding field f(t, .) on the window nodes comes from
+Forcing.on_nodes, which does the work that depends on the nodes alone
+once per march. The interior is reached as a view, a run of the 1-D
+window or a square block of the row-major 2-D one (interior_block of
+the grid). The separable memory w is updated in a kept buffer with the
+same products and sum as a fresh one, so every value equals that of an
+allocating step bit for bit. Beside the trajectory a march holds a few
+window-sized buffers.
 """
 
 from __future__ import annotations
@@ -83,7 +93,10 @@ class Outcome(enum.Enum):
 def solve_initial_value(time_kernel, forcing, response, grid,
                         dt: float = DEFAULT_DT,
                         horizon: float = DEFAULT_HORIZON) -> SpaceTimeField:
-    """March the renewal equation to the horizon on the window grid."""
+    """March the renewal equation to the horizon on the window grid.
+
+    forcing is a Forcing: the march reads it through on_nodes at the
+    window nodes."""
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if horizon < dt:
@@ -102,15 +115,17 @@ def solve_initial_value(time_kernel, forcing, response, grid,
 
     n_steps = march_steps(dt, horizon, grid.n_window)
     times = dt * np.arange(n_steps + 1)
+    block = grid.interior_block(reach)
     interior = np.zeros(grid.n_window, dtype=bool)
-    interior[grid.interior_indices(reach)] = True
+    interior.reshape(grid.window_shape)[block] = True
 
+    seed = forcing.on_nodes(grid.window_nodes)
     values = np.empty((n_steps + 1, grid.n_window))
-    values[0] = np.asarray(forcing(0.0, grid.window_nodes), dtype=float)
+    values[0] = seed(0.0)
 
     march = (_march_separable if isinstance(time_kernel, SeparableKernel)
              else _march_history)
-    march(time_kernel, forcing, response, grid, values, times, interior)
+    march(time_kernel, seed, response, grid, values, times, block)
     return SpaceTimeField(values=values, dt=dt, horizon=n_steps * dt,
                           grid=grid, interior=interior)
 
@@ -129,7 +144,7 @@ def march_steps(dt: float, horizon: float, nodes: int) -> int:
     return int(round(steps))
 
 
-def _march_separable(kernel, forcing, response, grid, values, times, interior):
+def _march_separable(kernel, seed, response, grid, values, times, block):
     dt = times[1] - times[0]
     mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)
     if dt * np.max(mu) >= 1.0:
@@ -141,15 +156,16 @@ def _march_separable(kernel, forcing, response, grid, values, times, interior):
     fade, gain, _ = exponential_step_weights(mu, dt)
 
     w = np.zeros(grid.n_window)
+    gained = np.empty(grid.n_window)
     for n in range(1, len(times)):
-        w = fade * w + gain * response(values[n - 1])
-        u = np.asarray(forcing(times[n], grid.window_nodes), dtype=float)
-        u[interior] += grid.weight * (K @ w)[interior]
-        _guard_finite(u, times[n])
-        values[n] = u
+        # w <- fade * w + gain * g(u): the products and the sum of a fresh w
+        np.multiply(fade, w, out=w)
+        np.multiply(gain, response(values[n - 1]), out=gained)
+        w += gained
+        _settle(values[n], seed(times[n]), K @ w, grid, block, times[n])
 
 
-def _march_history(kernel, forcing, response, grid, values, times, interior):
+def _march_history(kernel, seed, response, grid, values, times, block):
     dt = times[1] - times[0]
     tail = getattr(kernel, "tau_nodes", None)
     tau_max = float(tail[-1]) if tail is not None else float(
@@ -164,27 +180,34 @@ def _march_history(kernel, forcing, response, grid, values, times, interior):
             frames[j] = window_pair_matrix(grid, pair, kernel.reach)
         return frames[j]
 
+    acc = np.empty(grid.n_window)
     for n in range(1, len(times)):
-        acc = np.zeros(grid.n_window)
+        acc.fill(0.0)
         top = min(n, j_cap)
         for j in range(0, top + 1):
             weight = 0.5 * dt if j in (0, top) else dt
             # the tau = 0 term would need u at the current step; lag it
             source = values[n - 1] if j == 0 else values[n - j]
             acc += weight * (frame(j) @ response(source))
-        u = np.asarray(forcing(times[n], grid.window_nodes), dtype=float)
-        u[interior] += grid.weight * acc[interior]
-        _guard_finite(u, times[n])
-        values[n] = u
+        _settle(values[n], seed(times[n]), acc, grid, block, times[n])
+
+
+def _settle(u, seeded, memory, grid, block, t):
+    """u <- f on every node, plus the quadrature weight times memory on the
+    interior block; u is a row of the trajectory, written in place."""
+    u[:] = seeded
+    u.reshape(grid.window_shape)[block] += (
+        grid.weight * memory.reshape(grid.window_shape)[block])
+    _guard_finite(u, t)
 
 
 def _guard_finite(u, t):
-    bad = ~np.isfinite(u)
-    if np.any(bad):
-        node = int(np.argmax(bad))
-        raise ConvergenceError(
-            f"solution lost finiteness at t = {t:.4g}, window node {node}"
-        )
+    if np.isfinite(u).all():
+        return
+    node = int(np.argmax(~np.isfinite(u)))
+    raise ConvergenceError(
+        f"solution lost finiteness at t = {t:.4g}, window node {node}"
+    )
 
 
 def long_time_limit(field: SpaceTimeField, tol: float = DEFAULT_CLASSIFY_TOL):

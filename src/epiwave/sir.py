@@ -211,23 +211,22 @@ def sir_to_kernel(state: SirState):
         vals = np.asarray(contact(XX, YY), dtype=float)
         return vals.reshape(X.shape[0], nodes_y.shape[0])
 
-    window_pairs = None  # _pairs at the window nodes, the only X the march passes
+    def ramp(t):
+        return weights * (-np.expm1(-mu_y * max(t, 0.0)) / mu_y)
 
     def seed_pressure(t, X):
-        nonlocal window_pairs
-        ramp = -np.expm1(-mu_y * max(t, 0.0)) / mu_y
-        if X is not grid.window_nodes:
-            return _pairs(X) @ (weights * ramp)
-        if window_pairs is None:
-            window_pairs = _pairs(X)
-        return window_pairs @ (weights * ramp)
+        return _pairs(X) @ ramp(t)
+
+    def seed_on_nodes(X):
+        pairs = _pairs(X)
+        return lambda t: pairs @ ramp(t)
 
     def seed_limit(X):
         return _pairs(X) @ (weights / mu_y)
 
     forcing = Forcing(seed_pressure, seed_limit,
                       support_radius=data_radius + state.support_radius,
-                      name="initial-infecteds")
+                      name="initial-infecteds", nodes_fn=seed_on_nodes)
     return kernel, forcing, saturating_exponential()
 
 

@@ -1,15 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
 import epiwave as ew
 from epiwave import ValidationError
+from epiwave.domain.kernels import (SeparableKernel, exponential_step_weights,
+                                    window_pair_matrix)
 from epiwave.dynamics import (
     Outcome,
     classify_outcome,
     limiting_equation_residual,
     long_time_limit,
+    march_steps,
     solve_initial_value,
 )
+from epiwave.errors import ConvergenceError
+from epiwave.sir import SirState, sir_to_kernel
 from epiwave.steady import solve_steady_state
 
 from oracles import FROZEN
@@ -223,3 +230,133 @@ def test_snapshot_lookup():
     assert np.array_equal(field.at_time(2.0), field.values[-1])
     with pytest.raises(ValidationError, match="outside"):
         field.at_time(2.5)
+
+
+def _allocating_march(kernel, forcing, response, grid, dt, horizon):
+    """The march as a plain loop of the allocating step: a fresh f(t, x)
+    at the window nodes, a fresh memory and a boolean-mask interior at
+    every step."""
+    n_steps = march_steps(dt, horizon, grid.n_window)
+    times = dt * np.arange(n_steps + 1)
+    interior = np.zeros(grid.n_window, dtype=bool)
+    interior[grid.interior_indices(kernel.support_radius)] = True
+    values = np.empty((n_steps + 1, grid.n_window))
+    values[0] = np.asarray(forcing(0.0, grid.window_nodes), dtype=float)
+    if isinstance(kernel, SeparableKernel):
+        mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)
+        K = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
+        fade, gain, _ = exponential_step_weights(mu, dt)
+        w = np.zeros(grid.n_window)
+        for n in range(1, len(times)):
+            w = fade * w + gain * response(values[n - 1])
+            u = np.asarray(forcing(times[n], grid.window_nodes), dtype=float)
+            u[interior] += grid.weight * (K @ w)[interior]
+            values[n] = u
+        return values
+    j_cap = int(np.ceil(float(kernel.tau_nodes[-1]) / dt))
+    frames = [window_pair_matrix(
+        grid, (lambda j: lambda X, Y: kernel.evaluate(j * dt, X, Y))(j),
+        kernel.reach) for j in range(min(n_steps, j_cap) + 1)]
+    for n in range(1, len(times)):
+        acc = np.zeros(grid.n_window)
+        top = min(n, j_cap)
+        for j in range(0, top + 1):
+            weight = 0.5 * dt if j in (0, top) else dt
+            source = values[n - 1] if j == 0 else values[n - j]
+            acc += weight * (frames[j] @ response(source))
+        u = np.asarray(forcing(times[n], grid.window_nodes), dtype=float)
+        u[interior] += grid.weight * acc[interior]
+        values[n] = u
+    return values
+
+
+def _tabulated_box(mass=2.0, tau_max=3.0):
+    tau = np.linspace(0.0, tau_max, 31)
+    box = ew.box_profile(mass, 1.0)
+    frames = [(lambda t: (lambda X, Y: np.exp(-t) * box(X - Y)))(t) for t in tau]
+    return ew.TabulatedKernel(tau, frames, support_radius=1.0)
+
+
+def _striped_case():
+    grid = ew.PeriodicGrid(1, 32, 6)
+    kernel = ew.separable_contact_kernel(
+        2.3, 1.0, source_factor=lambda P: 1 + 0.4 * np.cos(2 * np.pi * P[:, 0]),
+        decay=lambda P: 1 + 0.2 * np.sin(2 * np.pi * P[:, 0]))
+    forcing = ew.bump_forcing(amplitude=0.8, radius=1.5, rate=0.7)
+    return kernel, forcing, ew.saturating_exponential(), grid, 0.05, 12.0
+
+
+def _box_2d_case():
+    grid = ew.PeriodicGrid(2, 8, 3)
+    kernel = ew.separable_contact_kernel(2.0, 1.0, dim=2)
+    forcing = ew.bump_forcing(radius=1.2, center=(0.25, -0.5))
+    return kernel, forcing, ew.saturating_exponential(), grid, 0.1, 4.0
+
+
+def _sir_bridge_case():
+    grid = ew.PeriodicGrid(1, 16, 6)
+    half = lambda X, Y: np.where(np.abs(X[:, 0] - Y[:, 0]) < 1.0, 1.1, 0.0)
+    seed = np.where(np.abs(grid.window_nodes[:, 0]) < 0.7, 0.3, 0.0)
+    state = SirState(
+        grid=grid, contact_fn=half, support_radius=1.0,
+        recovery_fn=lambda X: 1.0 + 0.25 * np.sin(2 * np.pi * X[:, 0]),
+        susceptible_fn=lambda X: 1.0 + 0.5 * np.cos(2 * np.pi * X[:, 0]),
+        infected0=seed)
+    kernel, forcing, response = sir_to_kernel(state)
+    return kernel, forcing, response, grid, 0.05, 6.0
+
+
+def _history_case():
+    grid, _, response, forcing = _box_setup(window=4, cell=16)
+    return _tabulated_box(), forcing, response, grid, 0.1, 4.0
+
+
+@pytest.mark.parametrize("case", [_striped_case, _box_2d_case,
+                                  _sir_bridge_case, _history_case],
+                         ids=["striped-1d", "box-2d", "sir-bridge", "history"])
+def test_march_equals_the_allocating_step_bit_for_bit(case):
+    kernel, forcing, response, grid, dt, horizon = case()
+    field = solve_initial_value(kernel, forcing, response, grid,
+                                dt=dt, horizon=horizon)
+    reference = _allocating_march(kernel, forcing, response, grid, dt, horizon)
+    assert np.max(field.values) > 0.0
+    assert np.array_equal(field.values, reference)
+
+
+@pytest.mark.parametrize("dim, cell, window", [(1, 16, 4), (1, 32, 6),
+                                               (2, 8, 3)])
+def test_interior_block_selects_the_interior_indices(dim, cell, window):
+    grid = ew.PeriodicGrid(dim, cell, window)
+    index = np.arange(grid.n_window)
+    for margin in (0.0, 0.5, 1.0, 1.0 + 1.0 / cell, 2.3, window - 0.5, window):
+        block = index.reshape(grid.window_shape)[grid.interior_block(margin)]
+        assert block.size == 0 or np.shares_memory(block, index)
+        assert np.array_equal(np.sort(block.ravel()),
+                              grid.interior_indices(margin))
+        assert np.array_equal(block.ravel(), grid.interior_indices(margin))
+
+
+def _blowing_up_forcing(node, from_time):
+    """Zero everywhere until from_time, then +inf at one window node."""
+    def fn(t, X):
+        out = np.zeros(np.asarray(X).shape[0])
+        if t >= from_time:
+            out[node] = np.inf
+        return out
+
+    off = lambda X: np.zeros(np.asarray(X).shape[0])
+    return ew.Forcing(fn, off, support_radius=4.0, name="blow-up")
+
+
+@pytest.mark.parametrize("kernel", [ew.separable_contact_kernel(2.0, 1.0),
+                                    _tabulated_box()],
+                         ids=["separable", "history"])
+def test_guard_names_the_time_and_node_where_finiteness_is_lost(kernel):
+    grid = ew.PeriodicGrid(1, 16, 4)
+    node = 70
+    assert node in grid.interior_indices(kernel.support_radius)
+    forcing = _blowing_up_forcing(node, from_time=0.65)
+    message = "solution lost finiteness at t = 0.7, window node 70"
+    with pytest.raises(ConvergenceError, match=re.escape(message) + "$"):
+        solve_initial_value(kernel, forcing, ew.saturating_exponential(),
+                            grid, dt=0.1, horizon=2.0)

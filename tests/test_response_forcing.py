@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epiwave import (
+    Forcing,
     Nonlinearity,
     ValidationError,
     bump_forcing,
@@ -75,3 +76,42 @@ def test_bump_forcing_center_shift():
     assert f.limit(x)[0] == pytest.approx(1.0)
     assert f.limit(x)[1] == 0.0
     assert f.support_radius == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(radius=math.nan), dict(radius=math.inf),
+    dict(rate=math.nan), dict(rate=math.inf),
+    dict(amplitude=math.nan), dict(amplitude=math.inf),
+    dict(center=math.nan), dict(center=(0.0, math.inf)),
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_bump_forcing_refuses_non_finite_parameters(kwargs):
+    with pytest.raises(ValidationError, match="must be finite"):
+        bump_forcing(**kwargs)
+
+
+@pytest.mark.parametrize("support_radius", [math.nan, math.inf, -math.inf])
+def test_forcing_refuses_a_non_finite_support_radius(support_radius):
+    off = lambda X: np.zeros(np.asarray(X).shape[0])
+    with pytest.raises(ValidationError, match="support_radius"):
+        Forcing(lambda t, X: off(X), off, support_radius=support_radius)
+
+
+def test_on_nodes_equals_the_field_bit_for_bit():
+    """bump_forcing's per-node form evaluates the profile once; a Forcing
+    from a plain fn(t, X) calls it at every t. Both give fn's values."""
+    x = np.linspace(-3.0, 3.0, 97)[:, None]
+    profiles = []
+
+    def plain(t, X):
+        profiles.append(t)
+        return np.minimum(t, 1.0) * np.exp(-np.asarray(X)[:, 0] ** 2)
+
+    forcings = [bump_forcing(amplitude=1.3, radius=2.0, rate=0.6, center=0.25),
+                Forcing(plain, lambda X: plain(1.0, X), support_radius=5.0)]
+    for f in forcings:
+        at = f.on_nodes(x)
+        for t in (0.0, 0.05, 1.0, 7.5, 200.0):
+            values = at(t)
+            assert values.dtype == float
+            assert np.array_equal(values, f(t, x))
+    assert len(profiles) == 2 * 5

@@ -198,9 +198,10 @@ def test_seed_forcing_matches_time_quadrature():
 
 
 def test_seed_pressure_at_window_nodes_is_evaluated_once():
-    """The bridge evaluates the window-to-seed pairs on its first call at
-    the window nodes and reuses them; the values equal those of a fresh
-    evaluation (any other array, here a copy of the nodes) bit for bit."""
+    """The bridge's per-window form (Forcing.on_nodes) evaluates the
+    window-to-seed pairs once, when it is built, and never again; its
+    values equal those of a fresh evaluation (here at a copy of the
+    nodes, one pair evaluation per call) bit for bit."""
     state = _striped_state()
     pair_calls = []
     contact = state.contact_fn
@@ -216,11 +217,14 @@ def test_seed_pressure_at_window_nodes_is_evaluated_once():
                      infected0=state.infected0)
     _, forcing, _ = sir_to_kernel(state)
     nodes = state.grid.window_nodes
+    seed = forcing.on_nodes(nodes)
+    assert len(pair_calls) == 1
     times = (0.0, 0.05, 0.7, 3.0, 40.0)
-    for t in times:
-        cached = forcing(t, nodes)
-        assert np.array_equal(cached, forcing(t, nodes.copy()))
-        assert np.any(cached > 0) == (t > 0)
+    for fresh, t in enumerate(times):
+        on_nodes = seed(t)
+        assert len(pair_calls) == 1 + fresh
+        assert np.array_equal(on_nodes, forcing(t, nodes.copy()))
+        assert np.any(on_nodes > 0) == (t > 0)
     assert len(pair_calls) == 1 + len(times)
 
 
