@@ -16,13 +16,11 @@ and the reduction of a susceptible-infected system to this equation.
 from .errors import ConvergenceError, ValidationError
 from .domain import (
     Forcing,
-    IsotropicKernel,
     Nonlinearity,
     PeriodicGrid,
     Reach,
     SeparableKernel,
     SpatialKernel,
-    TabulatedKernel,
     box_profile,
     bump_forcing,
     periodize_kernel,
@@ -37,14 +35,12 @@ __all__ = [
     "ConvergenceError",
     "ValidationError",
     "Forcing",
-    "IsotropicKernel",
     "Nonlinearity",
     "PeriodicGrid",
     "Reach",
     "SeparableKernel",
     "SpatialKernel",
     "SymmetryFactors",
-    "TabulatedKernel",
     "box_profile",
     "bump_forcing",
     "periodize_kernel",

@@ -4,8 +4,6 @@ from .grid import PeriodicGrid
 from .nonlinearity import Nonlinearity, saturating_exponential
 from .kernels import (
     SeparableKernel,
-    IsotropicKernel,
-    TabulatedKernel,
     Reach,
     SpatialKernel,
     box_profile,
@@ -19,8 +17,6 @@ __all__ = [
     "Nonlinearity",
     "saturating_exponential",
     "SeparableKernel",
-    "IsotropicKernel",
-    "TabulatedKernel",
     "Reach",
     "SpatialKernel",
     "box_profile",

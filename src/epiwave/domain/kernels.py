@@ -2,9 +2,10 @@
 
 A time kernel is the nonnegative weight Gamma(tau, x, y) giving the
 infectivity toward x of a unit of infection acquired at y a time tau ago.
-All kernels here have compact spatial reach (Gamma vanishes for
-|x - y| >= support_radius) and are periodic under integer translations of
-both spatial arguments.
+Every kernel here is separable, Gamma = K(x, y) exp(-mu(y) tau), the form
+of the paper's SIR systems (SeparableKernel). All have compact spatial
+reach (Gamma vanishes for |x - y| >= support_radius) and are periodic
+under integer translations of both spatial arguments.
 
 Integrating out tau, optionally against exp(-s*tau), produces a spatial
 kernel
@@ -32,10 +33,6 @@ _EDGE_EPS = 1e-9
 # the support radius are still summed: the box kernel keeps its half value
 # up to _EDGE_EPS past its reach on each axis.
 _REACH_SLACK = 1e-6
-# IsotropicKernel's time quadrature: Gauss-Legendre panels out to the horizon
-_TAU_HORIZON = 40.0
-_PANEL_WIDTH = 0.5
-_PANEL_NODES = 12
 
 
 @dataclass(frozen=True)
@@ -126,9 +123,9 @@ class SeparableKernel:
     """Gamma(tau, x, y) = exp(-mu(y) * tau) * K(x, y).
 
     The exponential-in-tau structure admits closed-form time integrals,
-    V_s(x, y) = K(x, y) / (s + mu(y)), and O(1)-memory time marching, so
-    this is the workhorse variant. mu must be strictly positive (checked
-    on a sample lattice at construction) and periodic.
+    V_s(x, y) = K(x, y) / (s + mu(y)), and O(1)-memory time marching;
+    every solver reads it in this form. mu must be strictly positive
+    (checked on a sample lattice at construction) and periodic.
 
     axis_reach, when finite, declares that K(x, y) also vanishes once
     |x_a - y_a| exceeds it on any one axis a (a box kernel); with
@@ -178,93 +175,6 @@ def exponential_step_weights(mu, dt: float):
     I0 = -np.expm1(-mu * dt) / mu
     I1 = I0 / (mu * dt) - E1 / mu
     return E1, I0, I1
-
-
-class IsotropicKernel:
-    """Gamma(tau, x, y) = profile(tau, |x - y|), homogeneous and rotation invariant.
-
-    profile must vanish for r >= support_radius and decay in tau fast
-    enough that the windowed quadrature out to _TAU_HORIZON captures the
-    integral; time integrals use composite Gauss-Legendre panels of
-    _PANEL_NODES nodes each, _PANEL_WIDTH wide.
-    """
-
-    def __init__(self, profile, support_radius: float, dim: int = 1):
-        self.reach = Reach(float(support_radius))
-        self.profile = profile
-        self.support_radius = self.reach.radius
-        self.dim = int(dim)
-        self.tau_horizon = _TAU_HORIZON
-        base, weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
-        starts = np.arange(0.0, _TAU_HORIZON, _PANEL_WIDTH)
-        half = _PANEL_WIDTH / 2.0
-        self._tau_nodes = (starts[:, None] + half * (base[None, :] + 1.0)).ravel()
-        self._tau_weights = np.tile(half * weights, len(starts))
-        self.symmetry = SymmetryFactors(
-            gamma1_fn=lambda X: np.ones(np.asarray(X).shape[0]),
-            gamma2_fn=lambda X: np.ones(np.asarray(X).shape[0]),
-        )
-
-    def evaluate(self, tau, X, Y):
-        X, Y = _pair_shape(X, Y)
-        r = np.linalg.norm(X - Y, axis=-1)
-        return self.profile(np.asarray(tau, dtype=float), r)
-
-    def time_integral(self, X, Y, s=0.0):
-        X, Y = _pair_shape(X, Y)
-        r = np.linalg.norm(X - Y, axis=-1)
-        vals = self.profile(self._tau_nodes[:, None], r[None, :])
-        weight = self._tau_weights[:, None] * np.exp(-s * self._tau_nodes)[:, None]
-        return (weight * vals).sum(axis=0)
-
-
-class TabulatedKernel:
-    """Gamma given by spatial snapshots at increasing tau nodes.
-
-    frames[i] is a callable (X, Y) -> Gamma(tau_nodes[i], x, y); between
-    nodes the kernel is linear in tau and it vanishes beyond the last
-    node. Time integrals use the trapezoidal rule on the nodes, which is
-    exact for the piecewise-linear representation up to the exp weight.
-    """
-
-    def __init__(self, tau_nodes, frames, support_radius: float, dim: int = 1):
-        tau_nodes = np.asarray(tau_nodes, dtype=float)
-        if tau_nodes.ndim != 1 or len(tau_nodes) < 2:
-            raise ValidationError("need at least two tau nodes")
-        if abs(tau_nodes[0]) > 1e-14:
-            raise ValidationError(f"tau nodes must start at 0, got {tau_nodes[0]}")
-        if np.any(np.diff(tau_nodes) <= 0):
-            raise ValidationError("tau nodes must be strictly increasing")
-        if len(frames) != len(tau_nodes):
-            raise ValidationError(
-                f"got {len(frames)} frames for {len(tau_nodes)} tau nodes"
-            )
-        self.reach = Reach(float(support_radius))
-        self.tau_nodes = tau_nodes
-        self.frames = list(frames)
-        self.support_radius = self.reach.radius
-        self.dim = int(dim)
-        self.symmetry = None
-
-    def evaluate(self, tau, X, Y):
-        X, Y = _pair_shape(X, Y)
-        tau = float(tau)
-        if tau < 0:
-            raise ValidationError("tau must be nonnegative")
-        if tau >= self.tau_nodes[-1]:
-            return np.zeros(X.shape[0])
-        i = int(np.searchsorted(self.tau_nodes, tau, side="right")) - 1
-        t0, t1 = self.tau_nodes[i], self.tau_nodes[i + 1]
-        w = (tau - t0) / (t1 - t0)
-        lo = np.asarray(self.frames[i](X, Y), dtype=float)
-        hi = np.asarray(self.frames[i + 1](X, Y), dtype=float)
-        return (1.0 - w) * lo + w * hi
-
-    def time_integral(self, X, Y, s=0.0):
-        X, Y = _pair_shape(X, Y)
-        samples = np.stack([np.asarray(f(X, Y), dtype=float) for f in self.frames])
-        weighted = samples * np.exp(-s * self.tau_nodes)[:, None]
-        return np.trapezoid(weighted, self.tau_nodes, axis=0)
 
 
 def box_profile(mass: float, radius: float, dim: int = 1):
@@ -570,8 +480,7 @@ def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:
     exponent is the product rho * c of a spatial decay rate and a frame
     speed; zero gives the plain interaction kernel V. The symmetry
     factorization, when the time kernel carries one, is pushed through
-    the time integral (for the separable kernel the decay rate divides
-    into gamma2).
+    the time integral: the decay rate divides into gamma2.
     """
     if time_kernel.dim != grid.dim:
         raise ValidationError(
@@ -583,13 +492,12 @@ def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:
 
     shifts, blocks = lattice_image_blocks(pair_fn, grid, time_kernel.reach)
     gamma_cell = None
-    sym = getattr(time_kernel, "symmetry", None)
+    sym = time_kernel.symmetry
     if sym is not None and not np.iscomplexobj(np.asarray(exponent)):
         g1 = np.asarray(sym.gamma1_fn(grid.cell_nodes), dtype=float)
         g2 = np.asarray(sym.gamma2_fn(grid.cell_nodes), dtype=float)
-        if isinstance(time_kernel, SeparableKernel):
-            mu = np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
-            g2 = g2 / (exponent + mu)
+        mu = np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
+        g2 = g2 / (exponent + mu)
         if np.min(g1) <= 0 or np.min(g2) <= 0:
             raise ValidationError("symmetry factors gamma1, gamma2 must be positive")
         gamma_cell = g2 / g1

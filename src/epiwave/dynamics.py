@@ -6,31 +6,28 @@ The unknown u(t, x) satisfies
               + f(t, x),
 
 which is a Volterra equation: the right side at time t only involves u
-at earlier times, so an explicit march works. Separable kernels
-Gamma = K(x, y) exp(-mu(y) tau) collapse the time history into one
+at earlier times, so an explicit march works. The separable kernel
+Gamma = K(x, y) exp(-mu(y) tau) collapses the time history into one
 auxiliary memory field per node,
 
     w(t, y) = integral_0^t exp(-mu(y) tau) g(u(t - tau, y)) dtau,
 
 updated by an exact exponential recursion under a per-step freeze of
-g(u); every other kernel takes the documented slow path, a full history
-convolution with trapezoidal weights and the current-step endpoint
-lagged one step to stay explicit. Both schemes are first order in dt,
-and constant-in-time states are reproduced without any time error by
-the separable recursion.
+g(u). The scheme is first order in dt, and constant-in-time states are
+reproduced without any time error.
 
 Nodes closer than the kernel reach to the window edge cannot see their
 whole interaction neighborhood, so they are frozen at the seeding value
 f(t, x); diagnostics exclude that boundary layer.
 
-Both marches write each step straight into its row of the stored
+The march writes each step straight into its row of the stored
 trajectory. The seeding field f(t, .) on the window nodes comes from
 Forcing.on_nodes, which does the work that depends on the nodes alone
 once per march. The interior is reached as a view, a run of the 1-D
 window or a square block of the row-major 2-D one (interior_block of
-the grid). The separable memory w is updated in a kept buffer with the
-same products and sum as a fresh one, so every value equals that of an
-allocating step bit for bit. Beside the trajectory a march holds a few
+the grid). The memory w is updated in a kept buffer with the same
+products and sum as a fresh one, so every value equals that of an
+allocating step bit for bit. Beside the trajectory the march holds a few
 window-sized buffers.
 """
 
@@ -41,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain.kernels import (SeparableKernel, exponential_step_weights,
-                             window_pair_matrix)
+from .domain.kernels import exponential_step_weights, window_pair_matrix
 from .errors import ConvergenceError, ValidationError
 
 DEFAULT_DT = 0.05
@@ -123,9 +119,7 @@ def solve_initial_value(time_kernel, forcing, response, grid,
     values = np.empty((n_steps + 1, grid.n_window))
     values[0] = seed(0.0)
 
-    march = (_march_separable if isinstance(time_kernel, SeparableKernel)
-             else _march_history)
-    march(time_kernel, seed, response, grid, values, times, block)
+    _march_separable(time_kernel, seed, response, grid, values, times, block)
     return SpaceTimeField(values=values, dt=dt, horizon=n_steps * dt,
                           grid=grid, interior=interior)
 
@@ -163,33 +157,6 @@ def _march_separable(kernel, seed, response, grid, values, times, block):
         np.multiply(gain, response(values[n - 1]), out=gained)
         w += gained
         _settle(values[n], seed(times[n]), K @ w, grid, block, times[n])
-
-
-def _march_history(kernel, seed, response, grid, values, times, block):
-    dt = times[1] - times[0]
-    tail = getattr(kernel, "tau_nodes", None)
-    tau_max = float(tail[-1]) if tail is not None else float(
-        getattr(kernel, "tau_horizon", times[-1])
-    )
-    j_cap = int(np.ceil(tau_max / dt))
-    frames: dict[int, object] = {}
-
-    def frame(j):
-        if j not in frames:
-            pair = lambda X, Y: kernel.evaluate(j * dt, X, Y)
-            frames[j] = window_pair_matrix(grid, pair, kernel.reach)
-        return frames[j]
-
-    acc = np.empty(grid.n_window)
-    for n in range(1, len(times)):
-        acc.fill(0.0)
-        top = min(n, j_cap)
-        for j in range(0, top + 1):
-            weight = 0.5 * dt if j in (0, top) else dt
-            # the tau = 0 term would need u at the current step; lag it
-            source = values[n - 1] if j == 0 else values[n - j]
-            acc += weight * (frame(j) @ response(source))
-        _settle(values[n], seed(times[n]), acc, grid, block, times[n])
 
 
 def _settle(u, seeded, memory, grid, block, t):

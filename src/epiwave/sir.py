@@ -170,14 +170,13 @@ def sir_to_kernel(state: SirState):
 
     Only the diffusion-free system admits the closed form; with a
     Laplacian the propagator of dI/dt = D lap(I) - mu I has no separable
-    expression and would have to be tabulated numerically into a
-    time-sliced kernel, which this bridge deliberately does not do.
+    expression, and every solver here reads the separable form only.
     """
     if state.diffusion:
         raise ValidationError(
-            "the exact bridge needs the diffusion-free system; tabulate "
-            "the diffusive propagator into a TabulatedKernel if you need "
-            "this variant, and skip the equivalence oracle"
+            "the exact bridge needs the diffusion-free system: the "
+            "diffusive propagator is not separable, and the solvers here "
+            "do not tabulate a time-sliced kernel"
         )
     grid = state.grid
     contact = state.contact_fn

@@ -179,7 +179,11 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     Starts from start, a strictly positive finite vector of length op.n
     (the Perron vector of a nearby operator, say), or else from the
     constant vector; keeps the iterate normalized to sup = 1, and stops
-    once the sup-norm residual drops below tol. The returned pair keeps
+    once the sup-norm residual drops below tol, or below the rounding
+    error of the product, 16 n eps value for an n-node operator (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1),
+    if that is larger: at a large eigenvalue, a tilted sum's exp(rho R)
+    say, no iterate can get closer. The returned pair keeps
     the last product, from which its bracket is read. Negative and
     non-finite entries are rejected, and so is any other start. An
     eigenvector with a zero entry is refused too, so every returned vector
@@ -213,13 +217,14 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
                          product=y)
 
     residual = np.inf
+    rounding = 16 * op.n * np.finfo(float).eps  # per unit of value
     gap = np.empty_like(y)  # |y - value * x|, computed in place each step
     for iterations in range(1, _MAX_ITER + 1):
         np.multiply(x, value, out=gap)
         np.subtract(y, gap, out=gap)
         np.abs(gap, out=gap)
         residual = float(gap.max())
-        if residual <= tol:
+        if residual <= max(tol, rounding * value):
             break
         x = y / value
         y = op.apply(x)
@@ -229,10 +234,13 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
                 "power iterate lost positivity; the operator has no positive band"
             )
     else:
-        raise ConvergenceError(
+        err = ConvergenceError(
             f"power iteration stalled at residual {residual:.3e} "
             f"(tolerance {tol:.1e}) after {_MAX_ITER} iterations"
         )
+        err.residual, err.value = residual, value
+        err.iterations, err.tol = _MAX_ITER, float(tol)
+        raise err
 
     if np.min(x) <= 0.0:
         raise ValidationError(

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..domain.grid import MAX_CELL_BYTES
-from ..domain.kernels import (SeparableKernel, lattice_image_blocks,
-                               periodize_kernel)
+from ..domain.kernels import lattice_image_blocks, periodize_kernel
 from ..errors import ConvergenceError, ValidationError
 from ..spectral import DEFAULT_EIGEN_TOL, OperatorMatrix, principal_eigenpair
 from .scalar import brent_minimize
@@ -89,28 +88,27 @@ class SpeedResult:
 class TiltedOperator:
     """The tilted periodic operator exp(rho x.e) L exp(-rho x.e) on the cell.
 
-    Built once per (kernel, response, grid, direction): it checks the
-    kernel's dimension (its Reach has already refused a kernel without
-    compact support, on which the tilt could overflow) and, for separable
-    kernels, that mu is positive and finite on
-    the cell nodes; normalizes the direction (e); and assembles the matrix
-    at any (rho, c), real or complex, after _decay_rate has refused the
-    pair. Its bound rho_max on real rates comes from the lattice shifts the
-    kernel reaches, the cell nodes and the plain lattice sum's largest
-    entry, before any exponential is taken: below it every tilted sum,
-    matrix and power-iteration product is finite.
+    Built once per (kernel, response, grid, direction) for a separable
+    kernel: it checks the kernel's dimension (its Reach has already
+    refused a kernel without compact support, on which the tilt could
+    overflow) and that mu is positive and finite on the cell nodes;
+    normalizes the direction (e); and assembles the matrix at any (rho, c),
+    real or complex, after _decay_rate has refused the pair. Its bound
+    rho_max on real rates comes from the lattice shifts the kernel reaches,
+    the cell nodes and the plain lattice sum's largest entry, before any
+    exponential is taken: below it every tilted sum, matrix and
+    power-iteration product is finite.
 
     The tilted cell matrix is D B D^-1, with D = diag(exp(rho x.e)) on the
     cell nodes and B = sum_k exp(-rho k.e) K_k the Bloch sum of the
     kernel's lattice-image blocks K_k (periodize_kernel). No rho enters
-    the blocks. For separable kernels the rho*c exponent only rescales
-    columns by 1 / (mu(y) + rho c), so the spatial kernel's image table
-    is evaluated once, here, and each rate only reweights it; the tilted
-    sum is cached per real rho, the rates a speed search revisits across
-    speeds, and the cache empties before it would hold more than
-    MAX_CELL_BYTES. Complex rates are summed afresh: a continuation path
-    meets each only a few times. Other kernels tabulate their time
-    integral at s = rho c for each (rho, c).
+    the blocks. The rho*c exponent only rescales columns by
+    1 / (mu(y) + rho c), so the spatial kernel's image table is evaluated
+    once, here, and each rate only reweights it; the tilted sum is cached
+    per real rho, the rates a speed search revisits across speeds, and the
+    cache empties before it would hold more than MAX_CELL_BYTES. Complex
+    rates are summed afresh: a continuation path meets each only a few
+    times.
     """
 
     def __init__(self, time_kernel, response, grid, direction=None):
@@ -128,38 +126,29 @@ class TiltedOperator:
                 f"kernel dimension {time_kernel.dim} does not match grid "
                 f"dimension {grid.dim}"
             )
-        self.kernel = time_kernel
         self.slope0 = response.slope0
         self.grid = grid
-        self.separable = isinstance(time_kernel, SeparableKernel)
-        if self.separable:
-            self.mu = np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
-            bad = np.flatnonzero(~(np.isfinite(self.mu) & (self.mu > 0)))
-            if bad.size:
-                i = bad[0]
-                raise ValidationError(
-                    "decay rate mu must be positive and finite on the cell "
-                    f"nodes; mu = {self.mu[i]} at node {i}, "
-                    f"{grid.cell_nodes[i].tolist()}"
-                )
-            self.shifts, self.blocks = lattice_image_blocks(
-                time_kernel.spatial_fn, grid, time_kernel.reach)
-            shifts, blocks = self.shifts, self.blocks
-            gain = response.slope0 / self.mu.min()
-        else:  # time integrals only shrink as s = rho c grows from 0
-            shifts, blocks = lattice_image_blocks(
-                lambda X, Y: time_kernel.time_integral(X, Y, s=0.0), grid,
-                time_kernel.reach)
-            gain = response.slope0
+        self.mu = np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(self.mu) & (self.mu > 0)))
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(
+                "decay rate mu must be positive and finite on the cell "
+                f"nodes; mu = {self.mu[i]} at node {i}, "
+                f"{grid.cell_nodes[i].tolist()}"
+            )
+        self.shifts, self.blocks = lattice_image_blocks(
+            time_kernel.spatial_fn, grid, time_kernel.reach)
+        gain = response.slope0 / self.mu.min()
         # periodize_kernel weighs images by exp(-rho k.e), then scales rows
         # by exp(rho x_i.e) and divides columns by exp(rho x_j.e), so each
         # factor, sum and entry it forms is at most exp(rho * span) times
         # the plain lattice sum's largest entry; matrix and the power
         # iteration's sums over the unit cell multiply that by at most gain
         x = grid.cell_nodes @ self.e
-        span = (np.abs(shifts @ self.e).max() + max(x.max(), 0.0)
+        span = (np.abs(self.shifts @ self.e).max() + max(x.max(), 0.0)
                 + max(-x.min(), 0.0))
-        bound = max(1.0, float(blocks.sum(axis=0).max()) * max(1.0, gain))
+        bound = max(1.0, float(self.blocks.sum(axis=0).max()) * max(1.0, gain))
         self.rho_max = max(np.log(np.finfo(float).max) - np.log(bound),
                            0.0) / span
         self._cache: dict = {}
@@ -185,18 +174,13 @@ class TiltedOperator:
         return rho
 
     def lattice_sum(self, rho, c) -> np.ndarray:
-        """The tilted lattice sum sum_k V(x_i, x_j + k) exp(-rho (x_j + k - x_i).e)
-        on the cell: V is the spatial kernel for separable kernels (the decay
-        enters in matrix) and the time integral at s = rho c otherwise."""
-        return self._lattice_sum(self._decay_rate(rho, c), c)
+        """The tilted lattice sum sum_k K(x_i, x_j + k) exp(-rho (x_j + k - x_i).e)
+        on the cell, of the spatial kernel K: no c enters it (the decay
+        enters in matrix), so c is only checked."""
+        return self._lattice_sum(self._decay_rate(rho, c))
 
-    def _lattice_sum(self, rho, c) -> np.ndarray:
+    def _lattice_sum(self, rho) -> np.ndarray:
         """lattice_sum at a rate _decay_rate has already checked."""
-        if not self.separable:
-            shifts, blocks = lattice_image_blocks(
-                lambda X, Y: self.kernel.time_integral(X, Y, s=rho * c),
-                self.grid, self.kernel.reach)
-            return periodize_kernel(shifts, blocks, self.grid, rho * self.e)
         mat = self._cache.get(rho)
         if mat is None:
             mat = periodize_kernel(self.shifts, self.blocks, self.grid,
@@ -213,11 +197,8 @@ class TiltedOperator:
         """Dense tilted cell matrix at (rho, c), slope and quadrature
         included; complex when rho has a nonzero imaginary part."""
         rho = self._decay_rate(rho, c)
-        summed = self._lattice_sum(rho, c)
         scale = self.slope0 * self.grid.weight
-        if self.separable:
-            return summed * (scale / (self.mu + rho * c))
-        return scale * summed
+        return self._lattice_sum(rho) * (scale / (self.mu + rho * c))
 
     def operator(self, rho, c) -> OperatorMatrix:
         """The cell operator at real (rho, c), for principal_eigenpair."""
@@ -384,10 +365,6 @@ def complex_decay_root(time_kernel, response, c, grid, *,
     returned; below it the root picks up an imaginary part, recognizable
     oscillation of the decaying profile. Im rho >= 0 is reported.
     """
-    if not isinstance(time_kernel, SeparableKernel):
-        raise ValidationError(
-            "decay-rate continuation needs the separable kernel form"
-        )
     tilted = TiltedOperator(time_kernel, response, grid,
                             None if speed is None else speed.direction)
     c = float(c)

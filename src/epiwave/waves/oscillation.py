@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..domain.kernels import SeparableKernel, window_pair_matrix
+from ..domain.kernels import window_pair_matrix
 from ..errors import ConvergenceError, ValidationError
 from .dispersion import DispersionPoint, complex_decay_root
 from .profile import _require_1d, _require_forward
@@ -104,10 +104,6 @@ def oscillating_subsolution(time_kernel, response, c, grid, *,
     some node; both point at moving c closer to the minimal speed.
     """
     _require_1d(grid)
-    if not isinstance(time_kernel, SeparableKernel):
-        raise ValidationError(
-            "oscillation diagnostic needs the separable kernel form"
-        )
     source = speed if root is None else root
     _require_forward(None if source is None else source.direction)
     if root is None:

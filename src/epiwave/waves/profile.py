@@ -52,8 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import dynamics
-from ..domain.kernels import (SeparableKernel, exponential_step_weights,
-                              window_pair_matrix)
+from ..domain.kernels import exponential_step_weights, window_pair_matrix
 from ..errors import ConvergenceError, ValidationError
 from .dispersion import SpeedResult, TiltedOperator, minimal_speed
 from .scalar import brent_root
@@ -110,10 +109,6 @@ class WaveOperator:
 
     def __init__(self, time_kernel, response, c, grid, slices: int = DEFAULT_SLICES):
         _require_1d(grid)
-        if not isinstance(time_kernel, SeparableKernel):
-            raise ValidationError(
-                "front iteration needs the separable kernel form"
-            )
         if time_kernel.dim != 1:
             raise ValidationError("kernel dimension must be one here")
         if c <= 0:

@@ -51,12 +51,15 @@ def _striped(dim, support=1.0, mass=2.0):
 
 
 def _isotropic(dim):
-    def profile(tau, r):
+    """A radial cone cut at 0.75 with unit decay: its reach is Euclidean
+    (no axis bound), unlike the boxes'."""
+    def spatial(X, Y):
+        r = np.linalg.norm(X - Y, axis=-1)
         edge = np.where(np.abs(r - 0.75) <= 1e-9, 0.5, 0.0)
-        return 1.3 * np.exp(-tau) * (1.0 - r / 2.0) * np.where(r < 0.75 - 1e-9,
-                                                               1.0, edge)
+        return 1.3 * (1.0 - r / 2.0) * np.where(r < 0.75 - 1e-9, 1.0, edge)
 
-    return ew.IsotropicKernel(profile, support_radius=0.75, dim=dim)
+    return ew.SeparableKernel(spatial, lambda P: np.ones(len(P)), 0.75,
+                              dim=dim)
 
 
 # (dim, cell_points, window_radius, kernel builder, position dependent)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import epiwave
-from epiwave import dynamics, waves
+from epiwave import dynamics, spectral, waves
 from epiwave.app import pipelines, scenario
 from epiwave.app.cli import main
 from epiwave.app.scenario import load_scenario, parse_expression
@@ -120,6 +120,23 @@ def test_speed_summary_fields(tmp_path):
     assert abs(summary["rho_star"] - FROZEN["rho_star"]) <= 2e-2
     assert summary["at_rest"] is False
     assert summary["direction"] == [1.0]
+
+
+def test_wide_kernels_get_a_speed(tmp_path):
+    """A tilted eigenvalue grows like exp(rho R) with the reach R, and the
+    power iteration stops at the rounding error of its product once that
+    exceeds its tolerance: the speed exits 0 at reach 3 and 10. A
+    homogeneous box's speed scales with its reach, up to discretization."""
+    speeds = {}
+    for radius in (1, 3, 10):
+        cfg = _write_config(tmp_path, {"kernel": {"support_radius": radius}},
+                            f"reach-{radius}.json")
+        out = tmp_path / f"reach-{radius}"
+        assert main(["speed", "--config", cfg, "--out", str(out)]) == 0
+        speeds[radius] = json.loads((out / "speed.json").read_text())["c_star"]
+    for radius in (3, 10):
+        scaled = radius * speeds[1]
+        assert abs(speeds[radius] - scaled) <= 1e-3 * scaled
 
 
 def test_dispersion_surface_decreases_in_speed(tmp_path):
@@ -601,6 +618,20 @@ def test_failure_json_carries_solver_details(tmp_path, monkeypatch):
     assert failure["details"] == {"curve": [[0.5, 1.25], [0.75, 1.5]],
                                   "node": -2.5, "slack": -3e-4}
     assert failure["config_sha256"] == hashlib.sha256(b"{}").hexdigest()
+
+
+def test_power_iteration_stall_writes_its_data(tmp_path, monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITER", 2)
+    cfg = _write_config(tmp_path, {})
+    out = tmp_path / "stall"
+    assert main(["threshold", "--config", cfg, "--out", str(out)]) == 1
+    failure = json.loads((out / "failure.json").read_text())
+    assert "power iteration stalled" in failure["message"]
+    details = failure["details"]
+    assert sorted(details) == ["iterations", "residual", "tol", "value"]
+    assert details["iterations"] == 2
+    assert details["tol"] == spectral.DEFAULT_EIGEN_TOL < details["residual"]
+    assert details["value"] > 0.0
 
 
 _INVALID_MODELS = [

@@ -5,8 +5,7 @@ import pytest
 
 import epiwave as ew
 from epiwave import ValidationError
-from epiwave.domain.kernels import (SeparableKernel, exponential_step_weights,
-                                    window_pair_matrix)
+from epiwave.domain.kernels import exponential_step_weights, window_pair_matrix
 from epiwave.dynamics import (
     Outcome,
     classify_outcome,
@@ -78,23 +77,6 @@ def test_halving_dt_halves_the_error():
     d2 = np.max(np.abs(finals[0.1] - finals[0.05]))
     assert d1 > d2 > 0.0
     assert 1.4 < d1 / d2 < 2.6
-
-
-def test_history_path_agrees_with_separable_recursion():
-    grid, kernel, response, forcing = _box_setup()
-    tau = np.linspace(0.0, 14.0, 281)
-    box = ew.box_profile(2.0, 1.0)
-    frames = [(lambda t: (lambda X, Y: np.exp(-t) * box(X - Y)))(t) for t in tau]
-    tabulated = ew.TabulatedKernel(tau, frames, support_radius=1.0)
-    gaps = {}
-    for dt in (0.1, 0.05):
-        a = solve_initial_value(tabulated, forcing, response, grid,
-                                dt=dt, horizon=4.0).final
-        b = solve_initial_value(kernel, forcing, response, grid,
-                                dt=dt, horizon=4.0).final
-        gaps[dt] = np.max(np.abs(a - b))
-    assert gaps[0.1] < 0.12
-    assert gaps[0.05] < 0.65 * gaps[0.1]
 
 
 def test_long_time_limit_flags_convergence():
@@ -242,39 +224,16 @@ def _allocating_march(kernel, forcing, response, grid, dt, horizon):
     interior[grid.interior_indices(kernel.support_radius)] = True
     values = np.empty((n_steps + 1, grid.n_window))
     values[0] = np.asarray(forcing(0.0, grid.window_nodes), dtype=float)
-    if isinstance(kernel, SeparableKernel):
-        mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)
-        K = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
-        fade, gain, _ = exponential_step_weights(mu, dt)
-        w = np.zeros(grid.n_window)
-        for n in range(1, len(times)):
-            w = fade * w + gain * response(values[n - 1])
-            u = np.asarray(forcing(times[n], grid.window_nodes), dtype=float)
-            u[interior] += grid.weight * (K @ w)[interior]
-            values[n] = u
-        return values
-    j_cap = int(np.ceil(float(kernel.tau_nodes[-1]) / dt))
-    frames = [window_pair_matrix(
-        grid, (lambda j: lambda X, Y: kernel.evaluate(j * dt, X, Y))(j),
-        kernel.reach) for j in range(min(n_steps, j_cap) + 1)]
+    mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)
+    K = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
+    fade, gain, _ = exponential_step_weights(mu, dt)
+    w = np.zeros(grid.n_window)
     for n in range(1, len(times)):
-        acc = np.zeros(grid.n_window)
-        top = min(n, j_cap)
-        for j in range(0, top + 1):
-            weight = 0.5 * dt if j in (0, top) else dt
-            source = values[n - 1] if j == 0 else values[n - j]
-            acc += weight * (frames[j] @ response(source))
+        w = fade * w + gain * response(values[n - 1])
         u = np.asarray(forcing(times[n], grid.window_nodes), dtype=float)
-        u[interior] += grid.weight * acc[interior]
+        u[interior] += grid.weight * (K @ w)[interior]
         values[n] = u
     return values
-
-
-def _tabulated_box(mass=2.0, tau_max=3.0):
-    tau = np.linspace(0.0, tau_max, 31)
-    box = ew.box_profile(mass, 1.0)
-    frames = [(lambda t: (lambda X, Y: np.exp(-t) * box(X - Y)))(t) for t in tau]
-    return ew.TabulatedKernel(tau, frames, support_radius=1.0)
 
 
 def _striped_case():
@@ -306,14 +265,9 @@ def _sir_bridge_case():
     return kernel, forcing, response, grid, 0.05, 6.0
 
 
-def _history_case():
-    grid, _, response, forcing = _box_setup(window=4, cell=16)
-    return _tabulated_box(), forcing, response, grid, 0.1, 4.0
-
-
 @pytest.mark.parametrize("case", [_striped_case, _box_2d_case,
-                                  _sir_bridge_case, _history_case],
-                         ids=["striped-1d", "box-2d", "sir-bridge", "history"])
+                                  _sir_bridge_case],
+                         ids=["striped-1d", "box-2d", "sir-bridge"])
 def test_march_equals_the_allocating_step_bit_for_bit(case):
     kernel, forcing, response, grid, dt, horizon = case()
     field = solve_initial_value(kernel, forcing, response, grid,
@@ -348,9 +302,8 @@ def _blowing_up_forcing(node, from_time):
     return ew.Forcing(fn, off, support_radius=4.0, name="blow-up")
 
 
-@pytest.mark.parametrize("kernel", [ew.separable_contact_kernel(2.0, 1.0),
-                                    _tabulated_box()],
-                         ids=["separable", "history"])
+@pytest.mark.parametrize("kernel", [ew.separable_contact_kernel(2.0, 1.0)],
+                         ids=["separable"])
 def test_guard_names_the_time_and_node_where_finiteness_is_lost(kernel):
     grid = ew.PeriodicGrid(1, 16, 4)
     node = 70

@@ -5,10 +5,8 @@ import pytest
 
 import epiwave as ew
 from epiwave import (
-    IsotropicKernel,
     PeriodicGrid,
     SeparableKernel,
-    TabulatedKernel,
     ValidationError,
     box_profile,
     periodize_kernel,
@@ -115,34 +113,6 @@ def test_time_integral_rejects_unstable_exponent():
         kernel.time_integral(X, X, s=-1.0)
 
 
-def test_tabulated_matches_separable():
-    kernel = separable_contact_kernel(2.0, 1.0)
-    taus = np.linspace(0.0, 50.0, 4001)
-    frames = [
-        (lambda t: (lambda X, Y: kernel.evaluate(t, X, Y)))(t) for t in taus
-    ]
-    tab = TabulatedKernel(taus, frames, support_radius=1.0)
-    X = _pts(0.1, 0.4)
-    Y = _pts(0.2, 0.9)
-    approx = tab.time_integral(X, Y)
-    exact = kernel.time_integral(X, Y)
-    assert np.allclose(approx, exact, rtol=5e-5)
-
-
-def test_isotropic_matches_box_transfer():
-    grid = PeriodicGrid(1, 32, 2)
-
-    def profile(tau, r):
-        height = np.where(r < 1.0 - 1e-9, 1.0,
-                          np.where(np.abs(r - 1.0) <= 1e-9, 0.5, 0.0))
-        return np.exp(-tau) * height
-
-    iso = IsotropicKernel(profile, support_radius=1.0)
-    via_iso = time_integrate_kernel(iso, grid)
-    via_sep = time_integrate_kernel(separable_contact_kernel(2.0, 1.0), grid)
-    assert np.allclose(via_iso.cell_matrix, via_sep.cell_matrix, atol=1e-12)
-
-
 def test_window_matrix_consistent_with_cell_rows():
     grid = PeriodicGrid(1, 32, 4)
     transfer = time_integrate_kernel(separable_contact_kernel(2.0, 1.0), grid)
@@ -193,15 +163,9 @@ def test_reach_refuses_kernels_without_compact_support(radius, axis, message):
 def test_every_kernel_takes_its_support_checks_from_reach():
     one = lambda P: np.ones(np.asarray(P).shape[0])
     pair = lambda X, Y: one(X)
-    builds = [
-        lambda r: SeparableKernel(pair, one, r),
-        lambda r: IsotropicKernel(lambda tau, d: np.exp(-tau) + 0 * d, r),
-        lambda r: TabulatedKernel([0.0, 1.0], [pair, pair], r),
-    ]
-    for build in builds:
-        for bad in (np.inf, 0.0):
-            with pytest.raises(ValidationError, match="support radius"):
-                build(bad)
+    for bad in (np.inf, 0.0):
+        with pytest.raises(ValidationError, match="support radius"):
+            SeparableKernel(pair, one, bad)
     with pytest.raises(ValidationError, match="axis reach"):
         SeparableKernel(pair, one, 1.0, axis_reach=0.0)
     # an unbounded kernel is refused where it is built, before a lattice
@@ -276,16 +240,10 @@ def _tilted(kernel, rho, e):
     return lambda X, Y: kernel.spatial_fn(X, Y) * np.exp(-rho * ((Y - X) @ e))
 
 
-def _tilted_time_integral(kernel, rho, c, e):
-    e = np.asarray(e, dtype=float)
-    return lambda X, Y: (kernel.time_integral(X, Y, s=rho * c)
-                         * np.exp(-rho * ((Y - X) @ e)))
-
-
 def _isotropic_cone():
-    def profile(tau, r):
-        return np.exp(-tau) * np.maximum(1.5 - r, 0.0)
-    return IsotropicKernel(profile, support_radius=1.5)
+    def spatial(X, Y):
+        return np.maximum(1.5 - np.linalg.norm(X - Y, axis=-1), 0.0)
+    return SeparableKernel(spatial, lambda P: np.ones(len(P)), 1.5)
 
 
 def _plain(kernel):
@@ -298,15 +256,12 @@ _LATTICE_CASES = {
                        separable_contact_kernel(2.0, 1.0, dim=2), None),
     "striped-1d": lambda: (PeriodicGrid(1, 32, 2), _striped(), None),
     "striped-2d": lambda: (PeriodicGrid(2, 8, 2), _striped(dim=2), None),
-    "tilted-real": lambda: (PeriodicGrid(1, 32, 2), _striped(),
-                            ("tilt", 1.3, (1.0,))),
+    "tilted-real": lambda: (PeriodicGrid(1, 32, 2), _striped(), (1.3, (1.0,))),
     "tilted-complex": lambda: (PeriodicGrid(1, 32, 2), _striped(),
-                               ("tilt", 0.9 + 0.7j, (1.0,))),
+                               (0.9 + 0.7j, (1.0,))),
     "tilted-2d": lambda: (PeriodicGrid(2, 8, 2),
                           separable_contact_kernel(2.0, 1.0, dim=2),
-                          ("tilt", 0.8, (0.6, 0.8))),
-    "tilted-time-integral": lambda: (PeriodicGrid(1, 32, 2), _isotropic_cone(),
-                                     ("time", 0.7 + 0.2j, (1.0,))),
+                          (0.8, (0.6, 0.8))),
     "isotropic-1.5": lambda: (PeriodicGrid(1, 8, 2), _isotropic_cone(), None),
     "cell-8": lambda: (PeriodicGrid(1, 8, 2), _striped(), None),
     # the box edge, where the kernel takes its half value, sits at the
@@ -335,17 +290,13 @@ def test_periodize_matches_full_shell_sum(case):
         assert np.array_equal(got, expected)
         assert np.count_nonzero(expected) > 0
         return
-    kind, rho, e = tilt
-    c = 1.4 if kind == "time" else 0.0
-    if kind == "tilt":
-        pair = _tilted(kernel, rho, e)
-    else:
-        pair = _tilted_time_integral(kernel, rho, c, e)
+    rho, e = tilt
+    pair = _tilted(kernel, rho, e)
     expected = _full_shell_sum(pair, grid, kernel.support_radius)
     magnitude = _full_shell_sum(lambda X, Y: np.abs(pair(X, Y)), grid,
                                 kernel.support_radius)
     tilted = TiltedOperator(kernel, ew.saturating_exponential(), grid, e)
-    got = tilted.lattice_sum(rho, c)
+    got = tilted.lattice_sum(rho, 0.0)
     assert got.dtype == expected.dtype
     # The Bloch form D B D^-1 and the pair sum round differently. Per term
     # each side makes a few roundings (the exponent, exp, the products and

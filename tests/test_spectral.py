@@ -46,12 +46,12 @@ def test_homogeneous_eigenpair_is_exact(box_scenario):
 def test_isotropic_eigenvalue_is_slope_times_mass():
     grid = ew.PeriodicGrid(1, 64, 2)
 
-    def profile(tau, r):
+    def spatial(X, Y):
+        r = np.linalg.norm(X - Y, axis=-1)
         edge = np.where(np.abs(r - 0.375) <= 1e-9, 0.5, 0.0)
-        box = np.where(r < 0.375 - 1e-9, 1.0, edge)
-        return 1.7 / 0.75 * np.exp(-tau) * box
+        return 1.7 / 0.75 * np.where(r < 0.375 - 1e-9, 1.0, edge)
 
-    iso = ew.IsotropicKernel(profile, support_radius=0.375)
+    iso = ew.SeparableKernel(spatial, lambda P: np.ones(len(P)), 0.375)
     response = Nonlinearity(lambda z: 0.8 * np.tanh(z), slope0=0.8,
                             curvature=0.4, bound=0.8)
     transfer = ew.time_integrate_kernel(iso, grid)
@@ -245,8 +245,14 @@ def test_nonconvergence_carries_residual(monkeypatch):
     resp = ew.saturating_exponential()
     op = assemble_periodic(_heterogeneous_transfer(32), resp)
     monkeypatch.setattr(spectral, "_MAX_ITER", 2)
-    with pytest.raises(ConvergenceError, match="residual"):
+    with pytest.raises(ConvergenceError, match="residual") as exc:
         principal_eigenpair(op)
+    err = exc.value
+    assert err.iterations == 2 and err.tol == spectral.DEFAULT_EIGEN_TOL
+    assert err.residual > err.tol
+    # the value of the last product, inside the row-sum bracket
+    lo, hi = _row_sum_interval(_heterogeneous_transfer(32), resp)
+    assert lo <= err.value <= hi
 
 
 @pytest.mark.parametrize("store", [np.asarray, scipy.sparse.csr_matrix],
@@ -271,14 +277,16 @@ def test_zero_row_breaks_positivity():
 
 def _reference_power_iteration(op, tol, max_iter=20000):
     """The power-iteration loop as principal_eigenpair ran it before the
-    residual moved into a preallocated buffer: (value, vector, residual,
-    iterations)."""
+    residual moved into a preallocated buffer, with its stopping rule: tol
+    or the rounding floor 16 n eps value, whichever is larger. Returns
+    (value, vector, residual, iterations)."""
     x = np.ones(op.n)
     y = op.apply(x)
+    floor = 16 * op.n * np.finfo(float).eps
     for iterations in range(1, max_iter + 1):
         value = float(np.max(y))
         residual = float(np.max(np.abs(y - value * x)))
-        if residual <= tol:
+        if residual <= max(tol, floor * value):
             return value, x, residual, iterations
         x = y / value
         y = op.apply(x)

@@ -133,28 +133,6 @@ def test_tilting_never_lowers_the_resting_eigenvalue():
         assert tilted >= base - 1e-9
 
 
-def test_general_kernel_path_agrees_with_the_separable_form():
-    def box_r(r):
-        r = np.asarray(r)
-        return np.where(r < 1.0, 1.0, np.where(r == 1.0, 0.5, 0.0))
-
-    grid = _grid(32)
-    g = _g()
-    sep = ew.SeparableKernel(
-        spatial_fn=lambda X, Y: box_r(np.abs(X[:, 0] - Y[:, 0])),
-        mu_fn=lambda Y: np.ones(np.asarray(Y).shape[0]),
-        support_radius=1.0,
-    )
-    iso = ew.IsotropicKernel(
-        profile=lambda tau, r: np.exp(-tau) * box_r(r),
-        support_radius=1.0,
-    )
-    for rho, c in ((0.0, 0.0), (0.8, 0.6)):
-        a = dispersion_eigenvalue(sep, g, rho, c, grid).value
-        b = dispersion_eigenvalue(iso, g, rho, c, grid).value
-        assert abs(a - b) <= 1e-9
-
-
 def test_minimal_speed_matches_the_scalar_oracle():
     result = minimal_speed(_box(), _g(), _grid())
     assert not result.at_rest
@@ -828,10 +806,6 @@ def test_wave_operator_input_validation(front):
         WaveOperator(kernel, g, 0.0, front["grid"])
     with pytest.raises(ValidationError, match="reach"):
         WaveOperator(kernel, g, 1.0, ew.PeriodicGrid(1, 16, 2))
-    with pytest.raises(ValidationError, match="separable"):
-        WaveOperator(ew.IsotropicKernel(
-            lambda tau, r: np.exp(-tau) * (r < 1), 1.0), g, 1.0,
-            front["grid"])
     with pytest.raises(ValidationError, match="one-dimensional"):
         WaveOperator(ew.separable_contact_kernel(2.0, 1.0, dim=2), g, 1.0,
                      ew.PeriodicGrid(2, 8, 4))
