@@ -15,35 +15,29 @@ from ..errors import ValidationError
 class Forcing:
     """Time-increasing seeding field with an explicit saturation limit.
 
-    fn(t, X) gives f(t, x) at the rows of X and limit_fn(X) gives f_inf.
-    A march evaluates f at the same window nodes at every step, so
-    on_nodes(X) hands it t -> f(t, X) on those fixed nodes. nodes_fn, when
-    given, builds that callable from X, doing the work that depends on X
-    alone (a spatial profile, kernel values against the seed) once; its
-    values must equal fn's bit for bit. Without it, on_nodes calls fn at
-    every t.
+    A march evaluates f at the same window nodes at every step, so the
+    field is given per node set: on_nodes(X) returns t -> f(t, X) at the
+    rows of X, doing the work that depends on X alone (a spatial profile,
+    kernel values against the seed) once. limit_fn(X) gives f_inf.
     """
 
-    def __init__(self, fn, limit_fn, support_radius: float, name: str = "forcing",
-                 nodes_fn=None):
+    def __init__(self, on_nodes, limit_fn, support_radius: float,
+                 name: str = "forcing"):
         if not np.isfinite(support_radius) or support_radius < 0:
             raise ValidationError(
                 f"support_radius must be finite and nonnegative, got {support_radius}"
             )
-        self._fn = fn
+        self._on_nodes = on_nodes
         self._limit_fn = limit_fn
-        self._nodes_fn = nodes_fn
         self.support_radius = float(support_radius)
         self.name = name
 
     def __call__(self, t: float, X) -> np.ndarray:
-        return np.asarray(self._fn(t, X), dtype=float)
+        return self.on_nodes(X)(t)
 
     def on_nodes(self, X):
         """t -> f(t, X) on the fixed nodes X, as a float array."""
-        if self._nodes_fn is None:
-            return lambda t: self(t, X)
-        at = self._nodes_fn(X)
+        at = self._on_nodes(X)
         return lambda t: np.asarray(at(t), dtype=float)
 
     def limit(self, X) -> np.ndarray:
@@ -88,9 +82,6 @@ def bump_forcing(amplitude: float = 1.0, radius: float = 2.0, rate: float = 1.0,
     def ramp(t):
         return -np.expm1(-rate * max(t, 0.0))
 
-    def fn(t, X):
-        return ramp(t) * bump(X)
-
     def on_nodes(X):
         profile = bump(X)
         return lambda t: ramp(t) * profile
@@ -98,4 +89,4 @@ def bump_forcing(amplitude: float = 1.0, radius: float = 2.0, rate: float = 1.0,
     reach = radius
     if center is not None:
         reach += float(np.linalg.norm(np.atleast_1d(np.asarray(center, dtype=float))))
-    return Forcing(fn, bump, support_radius=reach, name="bump", nodes_fn=on_nodes)
+    return Forcing(on_nodes, bump, support_radius=reach, name="bump")

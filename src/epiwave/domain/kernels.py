@@ -7,15 +7,16 @@ of the paper's SIR systems (SeparableKernel). All have compact spatial
 reach (Gamma vanishes for |x - y| >= support_radius) and are periodic
 under integer translations of both spatial arguments.
 
-Integrating out tau, optionally against exp(-s*tau), produces a spatial
-kernel
+Integrating out tau produces the spatial kernel
 
-    V_s(x, y) = integral_0^inf Gamma(tau, x, y) * exp(-s*tau) dtau,
+    V(x, y) = integral_0^inf Gamma(tau, x, y) dtau = K(x, y) / mu(y),
 
 the object the spectral and steady-state machinery works with. On the
 periodicity cell the whole-line kernel is replaced by its lattice sum
 V_per(x, y) = sum_k V(x, y + k), which acts identically on periodic
-functions.
+functions. A traveling frame at speed c with decay rate rho weighs the
+memory by exp(-rho c tau) as well; that exponent enters only the tilted
+operator (waves/dispersion.py).
 """
 
 from __future__ import annotations
@@ -103,14 +104,6 @@ class SymmetryFactors:
     gamma2_fn: object
 
 
-def _pair_shape(X, Y):
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape:
-        raise ValidationError(f"pair arrays must share a shape, got {X.shape} vs {Y.shape}")
-    return X, Y
-
-
 def _probe_points(dim: int, per_axis: int = 97) -> np.ndarray:
     axis = (np.arange(per_axis) + 0.5) / per_axis
     if dim == 1:
@@ -122,8 +115,8 @@ def _probe_points(dim: int, per_axis: int = 97) -> np.ndarray:
 class SeparableKernel:
     """Gamma(tau, x, y) = exp(-mu(y) * tau) * K(x, y).
 
-    The exponential-in-tau structure admits closed-form time integrals,
-    V_s(x, y) = K(x, y) / (s + mu(y)), and O(1)-memory time marching;
+    The exponential-in-tau structure admits the closed-form time integral
+    V(x, y) = K(x, y) / mu(y) and O(1)-memory time marching;
     every solver reads it in this form. mu must be strictly positive
     (checked on a sample lattice at construction) and periodic.
 
@@ -147,24 +140,6 @@ class SeparableKernel:
         self.support_radius = self.reach.radius
         self.dim = int(dim)
         self.symmetry = symmetry
-
-    def evaluate(self, tau, X, Y):
-        X, Y = _pair_shape(X, Y)
-        tau = np.asarray(tau, dtype=float)
-        if np.any(tau < 0):
-            raise ValidationError("tau must be nonnegative")
-        mu = np.asarray(self.mu_fn(Y), dtype=float)
-        return np.exp(-mu * tau) * self.spatial_fn(X, Y)
-
-    def time_integral(self, X, Y, s=0.0):
-        X, Y = _pair_shape(X, Y)
-        mu = np.asarray(self.mu_fn(Y), dtype=float)
-        denom = s + mu
-        if np.any(np.real(denom) <= 0):
-            raise ValidationError(
-                f"time integral diverges: Re(s) + mu reaches {np.min(np.real(denom))}"
-            )
-        return self.spatial_fn(X, Y) / denom
 
 
 def exponential_step_weights(mu, dt: float):
@@ -251,21 +226,19 @@ def lattice_image_blocks(pair_fn, grid, reach: Reach):
     return np.array(kept, dtype=np.intp), blocks
 
 
-def periodize_kernel(shifts, blocks, grid=None, tilt=None) -> np.ndarray:
-    """Lattice-sum a kernel's image table (lattice_image_blocks) onto the cell.
-
-    Without a tilt this is matrix[i, j] = sum_k V(x_i, x_j + k), the plain
-    sum of the blocks in shell order. A tilt vector t (rho e for a decay
-    rate rho along the unit direction e, real or complex) weights each
-    image by exp(-(x_j + k - x_i).t), giving the cell matrix of the tilted
+def periodize_kernel(shifts, blocks, grid, tilt) -> np.ndarray:
+    """Lattice-sum a kernel's image table (lattice_image_blocks) onto the
+    cell, tilted: a tilt vector t (rho e for a decay rate rho along the
+    unit direction e, real or complex) weights each image by
+    exp(-(x_j + k - x_i).t), giving the cell matrix of the tilted
     operator exp(x.t) L exp(-x.t). Since the exponent splits, that matrix
     is D B D^-1 with B = sum_k exp(-k.t) K_k, the Bloch sum of the blocks,
     and D = diag(exp(x.t)) over the nodes of the grid's cell: the blocks
     are read, never re-evaluated, for each tilt. The sums are finite,
     since the kernel vanishes on the images that cannot reach the cell.
+    A zero tilt gives the plain lattice sum, which SpatialKernel takes
+    directly as the sum of its blocks.
     """
-    if tilt is None:
-        return blocks.sum(axis=0)
     tilt = np.asarray(tilt)
     weights = np.exp(-(shifts @ tilt))
     flat = blocks.reshape(len(blocks), -1)
@@ -290,7 +263,7 @@ def _product_table(blocks: np.ndarray) -> np.ndarray:
 
 
 class SpatialKernel:
-    """A time-integrated kernel V_s sampled on a grid.
+    """A time-integrated kernel V sampled on a grid.
 
     The cell's lattice-image table is evaluated once, by
     lattice_image_blocks, when the kernel is integrated. The periodized
@@ -471,16 +444,14 @@ def window_pair_matrix(grid, pair_fn, reach: Reach) -> CellBlockMatrix:
                            _product_table(blocks))
 
 
-def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:
-    """Integrate a time kernel against exp(-exponent * tau) and tabulate it
-    on the grid: the pair function is evaluated once, on the lattice images
-    of the cell (lattice_image_blocks), and every matrix of the returned
+def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
+    """Integrate a time kernel over tau and tabulate it on the grid: the
+    pair function V = K / mu is evaluated once, on the lattice images of
+    the cell (lattice_image_blocks), and every matrix of the returned
     SpatialKernel is read from that table.
 
-    exponent is the product rho * c of a spatial decay rate and a frame
-    speed; zero gives the plain interaction kernel V. The symmetry
-    factorization, when the time kernel carries one, is pushed through
-    the time integral: the decay rate divides into gamma2.
+    The symmetry factorization, when the time kernel carries one, is
+    pushed through the time integral: the decay rate divides into gamma2.
     """
     if time_kernel.dim != grid.dim:
         raise ValidationError(
@@ -488,16 +459,16 @@ def time_integrate_kernel(time_kernel, grid, exponent=0.0) -> SpatialKernel:
         )
 
     def pair_fn(X, Y):
-        return time_kernel.time_integral(X, Y, exponent)
+        mu = np.asarray(time_kernel.mu_fn(Y), dtype=float)
+        return time_kernel.spatial_fn(X, Y) / mu
 
     shifts, blocks = lattice_image_blocks(pair_fn, grid, time_kernel.reach)
     gamma_cell = None
     sym = time_kernel.symmetry
-    if sym is not None and not np.iscomplexobj(np.asarray(exponent)):
+    if sym is not None:
         g1 = np.asarray(sym.gamma1_fn(grid.cell_nodes), dtype=float)
         g2 = np.asarray(sym.gamma2_fn(grid.cell_nodes), dtype=float)
-        mu = np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
-        g2 = g2 / (exponent + mu)
+        g2 = g2 / np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
         if np.min(g1) <= 0 or np.min(g2) <= 0:
             raise ValidationError("symmetry factors gamma1, gamma2 must be positive")
         gamma_cell = g2 / g1

@@ -4,9 +4,9 @@ The compartmental system tracks susceptibles S and infecteds I on the
 window grid,
 
     dS/dt = -S(t,x) integral K(x,y) I(t,y) dy,
-    dI/dt = D lap(I) + S(t,x) integral K(x,y) I(t,y) dy - mu(x) I,
+    dI/dt = S(t,x) integral K(x,y) I(t,y) dy - mu(x) I,
 
-and the substitution u = -ln(S/S0) turns the diffusion-free case into
+with no Laplacian, and the substitution u = -ln(S/S0) turns it into
 the scalar renewal equation with kernel S0(y) K(x,y) exp(-mu(y) tau),
 forcing driven by the initial infecteds, and response g(z) = 1 - e^{-z}.
 Running both solvers on the same grid and comparing u is the strongest
@@ -33,7 +33,8 @@ from .errors import ConvergenceError, ValidationError
 
 @dataclass
 class SirState:
-    """Model data for the compartmental system, plus trajectories once run.
+    """Model data for the compartmental system (no Laplacian: infection
+    spreads only through the contact kernel), plus trajectories once run.
 
     contact_fn is the instantaneous pair rate K(x, y), compactly
     supported within support_radius (and, for a box contact, within
@@ -50,7 +51,6 @@ class SirState:
     recovery_fn: object
     susceptible_fn: object
     infected0: np.ndarray
-    diffusion: float | None = None
     axis_reach: float = math.inf
     times: np.ndarray | None = field(default=None, repr=False)
     S: np.ndarray | None = field(default=None, repr=False)
@@ -73,16 +73,6 @@ class SirState:
             raise ValidationError(
                 "initial susceptibles must be bounded away from zero"
             )
-        if self.diffusion is not None:
-            if self.diffusion < 0:
-                raise ValidationError(
-                    f"diffusion must be nonnegative, got {self.diffusion}"
-                )
-            if self.grid.dim != 1:
-                raise ValidationError(
-                    "the diffusive variant is implemented on one-dimensional "
-                    "windows only"
-                )
 
     def susceptible0(self) -> np.ndarray:
         return np.asarray(self.susceptible_fn(self.grid.window_nodes),
@@ -99,20 +89,12 @@ class SirState:
         return -np.log(self.S / self.susceptible0()[None, :])
 
 
-def _laplacian(values: np.ndarray, spacing: float) -> np.ndarray:
-    out = -2.0 * values
-    out[:-1] += values[1:]
-    out[1:] += values[:-1]
-    return out / spacing**2
-
-
 def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
     """Explicit march of the compartmental system; returns a new state
     carrying the (times, S, I) trajectory.
 
-    The step size must resolve every relaxation rate present: the
-    recovery rate, the infection pressure at full susceptibility, and
-    (when present) the diffusion stencil.
+    The step size must resolve both relaxation rates present: the
+    recovery rate and the infection pressure at full susceptibility.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
@@ -127,8 +109,6 @@ def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
     S0 = state.susceptible0()
     row = float(np.max(K.sum(axis=1))) * grid.weight
     rate = float(np.max(mu)) + row * float(np.max(S0))
-    if state.diffusion:
-        rate += 2.0 * state.diffusion / grid.spacing**2
     if dt * rate >= 1.0:
         raise ValidationError(
             f"dt * stiffness = {dt * rate:.3g} >= 1; refine the time step "
@@ -144,8 +124,6 @@ def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
     for n in range(steps):
         pressure = grid.weight * (K @ I[n])
         growth = S[n] * pressure - mu * I[n]
-        if state.diffusion:
-            growth = growth + state.diffusion * _laplacian(I[n], grid.spacing)
         log_s = log_s - dt * pressure
         S[n + 1] = np.exp(log_s)
         I[n + 1] = I[n] + dt * growth
@@ -166,18 +144,10 @@ def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
 
 def sir_to_kernel(state: SirState):
     """Exact change of variables: (kernel, forcing, response) such that
-    u = -ln(S/S0) solves the renewal equation with this data.
-
-    Only the diffusion-free system admits the closed form; with a
-    Laplacian the propagator of dI/dt = D lap(I) - mu I has no separable
-    expression, and every solver here reads the separable form only.
+    u = -ln(S/S0) solves the renewal equation with this data: the
+    separable kernel S0(y) K(x, y) exp(-mu(y) tau), the pressure of the
+    initial infecteds as forcing, and g(z) = 1 - exp(-z).
     """
-    if state.diffusion:
-        raise ValidationError(
-            "the exact bridge needs the diffusion-free system: the "
-            "diffusive propagator is not separable, and the solvers here "
-            "do not tabulate a time-sliced kernel"
-        )
     grid = state.grid
     contact = state.contact_fn
     s_fn = state.susceptible_fn
@@ -213,9 +183,6 @@ def sir_to_kernel(state: SirState):
     def ramp(t):
         return weights * (-np.expm1(-mu_y * max(t, 0.0)) / mu_y)
 
-    def seed_pressure(t, X):
-        return _pairs(X) @ ramp(t)
-
     def seed_on_nodes(X):
         pairs = _pairs(X)
         return lambda t: pairs @ ramp(t)
@@ -223,9 +190,9 @@ def sir_to_kernel(state: SirState):
     def seed_limit(X):
         return _pairs(X) @ (weights / mu_y)
 
-    forcing = Forcing(seed_pressure, seed_limit,
+    forcing = Forcing(seed_on_nodes, seed_limit,
                       support_radius=data_radius + state.support_radius,
-                      name="initial-infecteds", nodes_fn=seed_on_nodes)
+                      name="initial-infecteds")
     return kernel, forcing, saturating_exponential()
 
 

@@ -53,10 +53,11 @@ class OperatorMatrix:
     """A discretized positive integral operator.
 
     entries already contain the response slope and the quadrature weight,
-    so apply() is a plain matrix-vector product. Ball truncations carry a
-    CellBlockMatrix, periodic operators a dense array. weight, when
-    present, is the density gamma2/gamma1 making the operator self-adjoint
-    in the weighted inner product.
+    so apply() is a plain matrix-vector product. entries is one of two
+    forms: a CellBlockMatrix for a ball truncation, a dense ndarray for a
+    periodic or tilted cell operator. weight, when present, is the
+    density gamma2/gamma1 making the operator self-adjoint in the
+    weighted inner product.
     """
 
     entries: object  # dense ndarray or CellBlockMatrix
@@ -68,8 +69,7 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = self.entries @ v
-        return np.asarray(out).ravel()
+        return self.entries @ v
 
     def rayleigh_quotient(self, v: np.ndarray) -> float:
         """Weighted quotient <Av, v>_gamma / <v, v>_gamma."""
@@ -192,9 +192,8 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     entries = op.entries
     if isinstance(entries, CellBlockMatrix):  # scale times the table
         stored, scale = entries.table, entries.scale
-    else:  # a dense array, or the stored values of a sparse matrix
-        stored = entries if isinstance(entries, np.ndarray) else entries.data
-        scale = 1.0
+    else:  # a dense array
+        stored, scale = entries, 1.0
     if stored.size:
         # every entry lies between these two; NaN fails every comparison
         lo, hi = scale * stored.min(), scale * stored.max()

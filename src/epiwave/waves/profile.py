@@ -385,13 +385,15 @@ def build_sub_super(time_kernel, response, c, grid, steady, *,
             err.curve = [(rho, 1.0), (rho_prime, lam_prime),
                          (rho_super, lam_super)]
             raise err
+    # the window is too narrow for the pair, which a larger window mends:
+    # input to refuse, not a solver failure
     if np.min(ghost_v) < 0:
-        raise ConvergenceError(
+        raise ValidationError(
             "subsolution still sign-changing beyond the right edge; "
             "enlarge the window so its positive band fits the slab"
         )
     if not np.any(sub_slab > 0):
-        raise ConvergenceError(
+        raise ValidationError(
             "subsolution positive band fell outside the slab; enlarge the "
             "window"
         )

@@ -587,9 +587,11 @@ def test_malformed_config_exits_2_without_files(tmp_path):
     assert not out.exists()
 
 
-def test_numerical_failure_exits_1_with_diagnostic(tmp_path):
-    # just above the minimal speed the subsolution certificate cannot fit
-    # the slab; the run must fail loudly and leave a diagnostic behind
+def test_numerical_failure_exits_1_with_diagnostic(tmp_path, monkeypatch):
+    # a subsolution coefficient that the doubling cannot find below its cap
+    # is a solver failure: the run must fail loudly and leave the rates it
+    # tried behind
+    monkeypatch.setattr(waves.profile, "_M_CAP", 1.0)
     cfg = _write_config(tmp_path, {
         "grid": {"cell_points": 32, "window_radius": 40},
         "run": {"speed_factor": 1.0005},
@@ -598,8 +600,26 @@ def test_numerical_failure_exits_1_with_diagnostic(tmp_path):
     assert main(["wave", "--config", cfg, "--out", str(out)]) == 1
     failure = json.loads((out / "failure.json").read_text())
     assert failure["error"] == "ConvergenceError"
-    assert "window" in failure["message"]
+    assert "subsolution coefficient" in failure["message"]
+    assert len(failure["details"]["curve"]) == 3
     assert not (out / "wave.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"kernel": {"support_radius": 3}},
+    {"grid": {"cell_points": 32, "window_radius": 40},
+     "run": {"speed_factor": 1.0005}},
+], ids=["reach-3", "near-minimal-speed"])
+def test_front_window_too_narrow_exits_2_without_files(tmp_path, capsys, doc):
+    """A subsolution whose positive band does not fit the window is mended
+    by a larger window: the input is refused, nothing is written."""
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "should_not_exist"
+    assert main(["wave", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "enlarge the window" in err
+    assert "Traceback" not in err
 
 
 def test_failure_json_carries_solver_details(tmp_path, monkeypatch):

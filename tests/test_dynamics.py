@@ -31,7 +31,8 @@ def _box_setup(window=8, cell=32, mass=2.0):
 
 def _zero_forcing():
     off = lambda X: np.zeros(np.asarray(X).shape[0])
-    return ew.Forcing(lambda t, X: off(X), off, support_radius=0.5, name="off")
+    return ew.Forcing(lambda X: lambda t: off(X), off, support_radius=0.5,
+                      name="off")
 
 
 def test_zero_forcing_stays_zero():
@@ -292,14 +293,17 @@ def test_interior_block_selects_the_interior_indices(dim, cell, window):
 
 def _blowing_up_forcing(node, from_time):
     """Zero everywhere until from_time, then +inf at one window node."""
-    def fn(t, X):
-        out = np.zeros(np.asarray(X).shape[0])
-        if t >= from_time:
-            out[node] = np.inf
-        return out
-
     off = lambda X: np.zeros(np.asarray(X).shape[0])
-    return ew.Forcing(fn, off, support_radius=4.0, name="blow-up")
+
+    def on_nodes(X):
+        def at(t):
+            out = off(X)
+            if t >= from_time:
+                out[node] = np.inf
+            return out
+        return at
+
+    return ew.Forcing(on_nodes, off, support_radius=4.0, name="blow-up")
 
 
 @pytest.mark.parametrize("kernel", [ew.separable_contact_kernel(2.0, 1.0)],

@@ -9,7 +9,6 @@ from epiwave import (
     SeparableKernel,
     ValidationError,
     box_profile,
-    periodize_kernel,
     separable_contact_kernel,
     time_integrate_kernel,
 )
@@ -64,20 +63,6 @@ def test_periodize_image_count_covers_reach():
     assert np.allclose(transfer.row_integrals, 2.0, atol=5e-14)
 
 
-def test_separable_evaluate_factorizes():
-    kernel = separable_contact_kernel(
-        2.0, 1.0,
-        source_factor=lambda P: 1.0 + 0.5 * np.cos(2 * np.pi * P[:, 0]),
-        decay=lambda P: 1.0 + 0.25 * np.sin(2 * np.pi * P[:, 0]),
-    )
-    X = _pts(0.1, 0.2, 0.3)
-    Y = _pts(0.15, 0.35, 0.9)
-    g0 = kernel.evaluate(0.0, X, Y)
-    g1 = kernel.evaluate(1.0, X, Y)
-    mu = 1.0 + 0.25 * np.sin(2 * np.pi * Y[:, 0])
-    assert np.allclose(g1, g0 * np.exp(-mu))
-
-
 def test_separable_rejects_nonpositive_decay():
     with pytest.raises(ValidationError):
         separable_contact_kernel(2.0, 1.0, decay=lambda P: np.cos(2 * np.pi * P[:, 0]))
@@ -86,31 +71,11 @@ def test_separable_rejects_nonpositive_decay():
 def test_time_integral_closed_forms():
     grid = PeriodicGrid(1, 32, 2)
     plain = time_integrate_kernel(separable_contact_kernel(2.0, 1.0), grid)
-    # shifting the transform variable by 1 with mu = 1 halves every entry
-    shifted = time_integrate_kernel(separable_contact_kernel(2.0, 1.0), grid,
-                                    exponent=1.0)
-    assert np.allclose(shifted.cell_matrix, plain.cell_matrix / 2.0)
-    # mu = 2 and shift 3 divides by 5
+    # V = K / mu: doubling the decay rate halves every entry, exactly
     fast = separable_contact_kernel(2.0, 1.0, decay=lambda P: np.full(P.shape[0], 2.0))
-    fifth = time_integrate_kernel(fast, grid, exponent=3.0)
-    assert np.allclose(fifth.cell_matrix, plain.cell_matrix / 5.0)
-
-
-def test_time_integral_complex_exponent():
-    grid = PeriodicGrid(1, 16, 1)
-    kernel = separable_contact_kernel(2.0, 1.0)
-    s = 0.5 + 0.7j
-    transfer = time_integrate_kernel(kernel, grid, exponent=s)
-    plain = time_integrate_kernel(kernel, grid)
-    assert np.iscomplexobj(transfer.cell_matrix)
-    assert np.allclose(transfer.cell_matrix, plain.cell_matrix / (1.0 + s))
-
-
-def test_time_integral_rejects_unstable_exponent():
-    kernel = separable_contact_kernel(2.0, 1.0)
-    X = _pts(0.25)
-    with pytest.raises(ValidationError):
-        kernel.time_integral(X, X, s=-1.0)
+    half = time_integrate_kernel(fast, grid)
+    assert np.array_equal(half.table, plain.table / 2.0)
+    assert np.array_equal(half.cell_matrix, plain.cell_matrix / 2.0)
 
 
 def test_window_matrix_consistent_with_cell_rows():
@@ -141,10 +106,6 @@ def test_symmetry_factors_survive_time_integration():
     # V = Vtilde * gamma1(x) * gamma2(y) holds with symmetric Vtilde
     weighted = gamma[:, None] * transfer.cell_matrix
     assert np.allclose(weighted, weighted.T, atol=1e-12)
-    # the time integral folds the decay rate into the emitting-side factor
-    shifted = time_integrate_kernel(kernel, grid, exponent=1.0)
-    mu = np.asarray(kernel.mu_fn(grid.cell_nodes))
-    assert np.allclose(shifted.gamma_cell / gamma, mu / (1.0 + mu))
 
 
 @pytest.mark.parametrize("radius, axis, message", [
@@ -247,7 +208,7 @@ def _isotropic_cone():
 
 
 def _plain(kernel):
-    return lambda X, Y: kernel.time_integral(X, Y, 0.0)
+    return lambda X, Y: kernel.spatial_fn(X, Y) / kernel.mu_fn(Y)
 
 
 _LATTICE_CASES = {
@@ -283,9 +244,9 @@ def test_periodize_matches_full_shell_sum(case):
     grid, kernel, tilt = _LATTICE_CASES[case]()
     if tilt is None:
         expected = _full_shell_sum(_plain(kernel), grid, kernel.support_radius)
-        # the separable boxes' reach includes their per-axis box
-        shifts, blocks = lattice_image_blocks(_plain(kernel), grid, kernel.reach)
-        got = periodize_kernel(shifts, blocks)
+        # the separable boxes' reach includes their per-axis box; the plain
+        # lattice sum is the sum of the table's blocks
+        got = time_integrate_kernel(kernel, grid).cell_matrix
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
         assert np.count_nonzero(expected) > 0
@@ -345,7 +306,6 @@ def test_periodize_skips_only_images_out_of_reach():
     assert blocks.shape == (9, 64, 64) and blocks.base is None
     assert np.array_equal(shifts, ref_shifts)
     assert np.array_equal(blocks, ref_blocks)
-    assert np.array_equal(periodize_kernel(shifts, blocks), ref_blocks.sum(axis=0))
 
 
 def test_image_table_is_built_in_place():
@@ -395,9 +355,9 @@ def test_one_image_table_per_kernel(dim, cell_points, reachable):
     transfer = time_integrate_kernel(kernel, grid)
     assert len(calls) == reachable
     # the Euclidean reach alone sums the same blocks
-    assert np.array_equal(transfer.cell_matrix, periodize_kernel(
-        *lattice_image_blocks(transfer.pair_fn, grid,
-                              ew.Reach(kernel.support_radius))))
+    _, blocks = lattice_image_blocks(transfer.pair_fn, grid,
+                                     ew.Reach(kernel.support_radius))
+    assert np.array_equal(transfer.cell_matrix, blocks.sum(axis=0))
     calls.clear()
     ball_eigenvalue_sweep(transfer, ew.saturating_exponential())
     W = transfer.window_matrix()

@@ -93,25 +93,30 @@ def test_bump_forcing_refuses_non_finite_parameters(kwargs):
 def test_forcing_refuses_a_non_finite_support_radius(support_radius):
     off = lambda X: np.zeros(np.asarray(X).shape[0])
     with pytest.raises(ValidationError, match="support_radius"):
-        Forcing(lambda t, X: off(X), off, support_radius=support_radius)
+        Forcing(lambda X: lambda t: off(X), off, support_radius=support_radius)
 
 
 def test_on_nodes_equals_the_field_bit_for_bit():
-    """bump_forcing's per-node form evaluates the profile once; a Forcing
-    from a plain fn(t, X) calls it at every t. Both give fn's values."""
+    """A forcing's per-node form does the work that depends on the nodes
+    once, when it is built; calling the forcing at (t, X) builds it afresh.
+    Both give the same values, as floats, bit for bit."""
     x = np.linspace(-3.0, 3.0, 97)[:, None]
     profiles = []
 
-    def plain(t, X):
-        profiles.append(t)
-        return np.minimum(t, 1.0) * np.exp(-np.asarray(X)[:, 0] ** 2)
+    def gaussian(X):
+        profiles.append(1)
+        profile = np.exp(-np.asarray(X)[:, 0] ** 2)
+        return lambda t: np.minimum(t, 1.0) * profile
 
     forcings = [bump_forcing(amplitude=1.3, radius=2.0, rate=0.6, center=0.25),
-                Forcing(plain, lambda X: plain(1.0, X), support_radius=5.0)]
+                Forcing(gaussian, lambda X: gaussian(X)(1.0), support_radius=5.0)]
+    times = (0.0, 0.05, 1.0, 7.5, 200.0)
     for f in forcings:
         at = f.on_nodes(x)
-        for t in (0.0, 0.05, 1.0, 7.5, 200.0):
+        for t in times:
             values = at(t)
             assert values.dtype == float
             assert np.array_equal(values, f(t, x))
-    assert len(profiles) == 2 * 5
+    # one profile for the per-node form, and one per call of the forcing
+    assert len(profiles) == 1 + len(times)
+

@@ -133,8 +133,6 @@ def test_state_validation():
                     lambda X: np.cos(2 * np.pi * X[:, 0])})
     with pytest.raises(ValidationError, match="finite positive"):
         SirState(**{**good, "support_radius": np.inf})
-    with pytest.raises(ValidationError, match="nonnegative"):
-        SirState(**{**good, "diffusion": -0.1})
 
 
 def test_negative_infection_reported_with_node():
@@ -150,16 +148,22 @@ def test_negative_infection_reported_with_node():
         simulate_sir(state, dt=0.1, horizon=2.0)
 
 
+def test_step_must_resolve_the_stiffness():
+    # recovery 1 plus the pressure at full susceptibility, mass 2: rate 3
+    state = _plain_state(window_radius=4)
+    with pytest.raises(ValidationError, match="refine the time step"):
+        simulate_sir(state, dt=0.34, horizon=1.0)
+
+
 def test_bridge_recovers_plain_exponential_kernel():
     # with unit recovery and unit susceptibles the bridged kernel is just
-    # the contact rate damped by e^{-t}
+    # the contact rate damped by e^{-t}: spatial factor K, decay rate 1
     state = _plain_state()
     kernel, forcing, response = sir_to_kernel(state)
     X = np.array([[0.2], [1.4], [-0.9]])
     Y = np.array([[0.9], [0.8], [-0.4]])
-    for t in (0.0, 0.7, 3.0):
-        want = np.exp(-t) * _box_pair()(X, Y)
-        assert np.array_equal(kernel.evaluate(t, X, Y), want)
+    assert np.array_equal(kernel.spatial_fn(X, Y), _box_pair()(X, Y))
+    assert np.array_equal(kernel.mu_fn(Y), np.ones(3))
     assert response.slope0 == 1.0
     assert response.bound == 1.0
     z = np.array([0.0, 0.3, 2.0])
@@ -173,8 +177,9 @@ def test_bridge_weights_kernel_by_initial_susceptibles():
     Y = np.array([[0.9], [-0.4]])
     mu_y = 1.0 + 0.25 * np.sin(2 * np.pi * Y[:, 0])
     s0_y = 1.0 + 0.5 * np.cos(2 * np.pi * Y[:, 0])
-    want = np.exp(-mu_y * 0.6) * s0_y * _box_pair()(X, Y)
-    assert np.allclose(kernel.evaluate(0.6, X, Y), want, rtol=1e-14, atol=0.0)
+    # Gamma = S0(y) K(x, y) exp(-mu(y) tau), read through its two factors
+    assert np.array_equal(kernel.spatial_fn(X, Y), _box_pair()(X, Y) * s0_y)
+    assert np.array_equal(kernel.mu_fn(Y), mu_y)
 
 
 def test_seed_forcing_matches_time_quadrature():
@@ -241,12 +246,6 @@ def test_seed_forcing_monotone_with_limit():
     assert np.all(forcing.limit(far) == 0.0)
 
 
-def test_bridge_rejects_diffusion_with_guidance():
-    state = _plain_state(diffusion=0.05)
-    with pytest.raises(ValidationError, match="tabulate"):
-        sir_to_kernel(state)
-
-
 def test_bridge_satisfies_standing_hypotheses():
     """The bridged kernel on the nodes the solvers use: its lattice-image
     table is nonnegative, and each kept block reads the same under a joint
@@ -284,23 +283,6 @@ def test_two_routes_agree_in_striped_medium():
     fine = equivalence_check(_striped_state(32), dt=0.05, horizon=3.0)
     assert coarse <= 0.1
     assert 1.5 <= coarse / fine <= 3.0
-
-
-def test_diffusive_variant_marches():
-    state = _plain_state(window_radius=4, diffusion=0.02)
-    sim = simulate_sir(state, dt=0.01, horizon=1.0)
-    assert np.all(np.isfinite(sim.S)) and np.all(np.isfinite(sim.I))
-    assert np.all(np.diff(sim.S, axis=0) <= 0.0)
-    assert np.min(sim.I) >= 0.0
-    # the stencil rate is part of the stability bound
-    with pytest.raises(ValidationError, match="refine the time step"):
-        simulate_sir(state, dt=0.09, horizon=1.0)
-    # and a 2-d window has no stencil at all
-    grid2 = ew.PeriodicGrid(dim=2, cell_points=8, window_radius=2)
-    with pytest.raises(ValidationError, match="one-dimensional"):
-        SirState(grid=grid2, contact_fn=_box_pair(), support_radius=1.0,
-                 recovery_fn=_ones, susceptible_fn=_ones,
-                 infected0=np.zeros(grid2.n_window), diffusion=0.1)
 
 
 def test_box_contact_evaluates_only_the_images_in_its_box():
