@@ -46,6 +46,7 @@ from .errors import ConvergenceError, ValidationError
 
 DEFAULT_EIGEN_TOL = 1e-10
 _MAX_ITER = 20000  # power-iteration budget of every solve
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -184,54 +185,71 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1),
     if that is larger: at a large eigenvalue, a tilted sum's exp(rho R)
     say, no iterate can get closer. The returned pair keeps
-    the last product, from which its bracket is read. Negative and
-    non-finite entries are rejected, and so is any other start. An
-    eigenvector with a zero entry is refused too, so every returned vector
-    can start a nearby solve.
+    the last product, from which its bracket is read. A tol that is not
+    positive and finite is refused, and so are negative and non-finite
+    entries, and any other start. A product that overflows stops the
+    iteration with a ConvergenceError. An eigenvector with a zero entry is
+    refused too, so every returned vector can start a nearby solve.
+
+    Every maximum and minimum of a vector is read as v[v.argmax()] or
+    v[v.argmin()]: an exact selection, NaN included (argmax returns the
+    first NaN, as max returns NaN), and on a 64-node vector three times
+    cheaper than the ufunc reduction behind v.max(), which dominates a
+    small solve's iteration.
     """
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise ValidationError(
+            f"eigen tolerance must be positive and finite, got {tol}")
     entries = op.entries
     if isinstance(entries, CellBlockMatrix):  # scale times the table
         stored, scale = entries.table, entries.scale
-    else:  # a dense array
+    else:  # a dense array, or a scipy sparse matrix (no flat view)
         stored, scale = entries, 1.0
     if stored.size:
         # every entry lies between these two; NaN fails every comparison
-        lo, hi = scale * stored.min(), scale * stored.max()
+        if isinstance(stored, np.ndarray):
+            flat = stored.reshape(-1)
+            lo, hi = scale * flat[flat.argmin()], scale * flat[flat.argmax()]
+        else:
+            lo, hi = scale * stored.min(), scale * stored.max()
         if not (0 <= lo < np.inf and 0 <= hi < np.inf):
             raise ValidationError("operator has negative or non-finite entries")
     if start is None:
         x = np.ones(op.n)
     else:
         x = np.asarray(start, dtype=float)
-        top = x.max() if x.shape == (op.n,) else np.nan
-        if not (top < np.inf and x.min() > 0):  # NaN fails both
+        top = x[x.argmax()] if x.shape == (op.n,) else np.nan
+        if not (top < np.inf and x[x.argmin()] > 0):  # NaN fails both
             raise ValidationError(
                 f"start vector must hold {op.n} positive finite values")
         x = x / top
-    y = op.apply(x)
-    value = float(y.max())
-    if value <= 0.0:
-        # y >= 0, so y = 0: the zero operator, for which any start works
-        return EigenPair(value=0.0, vector=x, residual=0.0, iterations=1,
-                         product=y)
+    y = entries @ x
+    value = float(y[y.argmax()])
+    if not 0.0 < value < np.inf:
+        if value <= 0.0:
+            # y >= 0, so y = 0: the zero operator, for which any start works
+            return EigenPair(value=0.0, vector=x, residual=0.0, iterations=1,
+                             product=y)
+        raise _overflow(value, 1, tol)
 
     residual = np.inf
-    rounding = 16 * op.n * np.finfo(float).eps  # per unit of value
+    rounding = 16 * op.n * _EPS  # per unit of value
     gap = np.empty_like(y)  # |y - value * x|, computed in place each step
     for iterations in range(1, _MAX_ITER + 1):
         np.multiply(x, value, out=gap)
         np.subtract(y, gap, out=gap)
         np.abs(gap, out=gap)
-        residual = float(gap.max())
+        residual = float(gap[gap.argmax()])
         if residual <= max(tol, rounding * value):
             break
         x = y / value
-        y = op.apply(x)
-        value = float(y.max())
-        if value <= 0.0:
-            raise ValidationError(
-                "power iterate lost positivity; the operator has no positive band"
-            )
+        y = entries @ x
+        value = float(y[y.argmax()])
+        if not 0.0 < value < np.inf:
+            if value <= 0.0:
+                raise ValidationError("power iterate lost positivity; the "
+                                      "operator has no positive band")
+            raise _overflow(value, iterations + 1, tol)
     else:
         err = ConvergenceError(
             f"power iteration stalled at residual {residual:.3e} "
@@ -241,13 +259,23 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
         err.iterations, err.tol = _MAX_ITER, float(tol)
         raise err
 
-    if np.min(x) <= 0.0:
+    if x[x.argmin()] <= 0.0:
         raise ValidationError(
             "principal eigenfunction is not strictly positive; the kernel "
             "does not connect all grid nodes"
         )
     return EigenPair(value=value, vector=x, residual=residual,
                      iterations=iterations, product=y)
+
+
+def _overflow(value, iterations, tol) -> ConvergenceError:
+    """The error of a power iterate whose product is no longer finite."""
+    err = ConvergenceError(
+        f"power iterate overflowed at iteration {iterations} (largest "
+        f"entry {value}); the operator's entries are too large for its "
+        "products to stay finite")
+    err.value, err.iterations, err.tol = value, iterations, float(tol)
+    return err
 
 
 def ball_eigenvalue_sweep(transfer, response, radii=None,

@@ -162,6 +162,8 @@ class TiltedOperator:
         if not 0 <= c < np.inf:  # NaN fails too
             raise ValidationError(f"speed must be finite and nonnegative, "
                                   f"got {c}")
+        if isinstance(rho, float) and 0 <= rho <= self.rho_max:
+            return float(rho)  # every real rate of a speed search
         rho = complex(rho) if np.imag(rho) else float(np.real(rho))
         if isinstance(rho, complex):
             if not cmath.isfinite(rho):

@@ -270,18 +270,57 @@ def test_negative_entries_are_rejected(store):
             principal_eigenpair(op)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_tolerance_must_be_positive_and_finite(tol):
+    """A NaN tolerance would otherwise run the whole budget and report a
+    stall, an infinite one accept the first iterate, and one at or below
+    zero fall back to the rounding floor without a word."""
+    op = assemble_periodic(_heterogeneous_transfer(32), ew.saturating_exponential())
+    with pytest.raises(ValidationError, match="tolerance must be positive"):
+        principal_eigenpair(op, tol=tol)
+
+
+def test_overflowing_product_stops_at_once():
+    """Entries of 1e308 are finite and nonnegative, but their product
+    overflows: the iteration stops there instead of running its budget on
+    NaN iterates."""
+    op = OperatorMatrix(entries=np.full((8, 8), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ConvergenceError, match="overflowed") as exc:
+        principal_eigenpair(op)
+    err = exc.value
+    assert err.value == np.inf
+    assert err.iterations == 1 and err.tol == spectral.DEFAULT_EIGEN_TOL
+
+
+def test_overflow_later_in_the_iteration_is_caught():
+    """Iterates stay at sup = 1, so from a start that weighs the second
+    node little the first products are finite; the iterate then turns
+    toward the Perron vector, near (0.62, 1), whose product exceeds the
+    largest float, and the error names the product that overflowed."""
+    big = 0.75 * np.finfo(float).max
+    op = OperatorMatrix(entries=np.array([[1.0, big], [big, big]]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ConvergenceError, match="overflowed") as exc:
+        principal_eigenpair(op, start=np.array([1.0, 1e-300]))
+    assert exc.value.iterations == 3 and exc.value.value == np.inf
+
+
 def test_zero_row_breaks_positivity():
     op = OperatorMatrix(entries=np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         principal_eigenpair(op)
 
 
-def _reference_power_iteration(op, tol, max_iter=20000):
+def _reference_power_iteration(op, tol, max_iter=20000, start=None):
     """The power-iteration loop as principal_eigenpair ran it before the
     residual moved into a preallocated buffer, with its stopping rule: tol
-    or the rounding floor 16 n eps value, whichever is larger. Returns
-    (value, vector, residual, iterations)."""
-    x = np.ones(op.n)
+    or the rounding floor 16 n eps value, whichever is larger. Starts from
+    the constant vector, or from start scaled to sup = 1 as
+    principal_eigenpair scales it. Returns (value, vector, residual,
+    iterations)."""
+    x = np.ones(op.n) if start is None else start / start.max()
     y = op.apply(x)
     floor = 16 * op.n * np.finfo(float).eps
     for iterations in range(1, max_iter + 1):
@@ -305,11 +344,18 @@ def _reference_power_iteration(op, tol, max_iter=20000):
                                      format="csr")
                  + scipy.sparse.eye(80) * 0.1).toarray()),
 ], ids=["dense-32", "dense-64", "ball-sparse", "dense-random", "sparse-random"])
-@pytest.mark.parametrize("tol", [1e-10, 1e-13])
-def test_power_iteration_matches_reference_loop(build, tol):
+@pytest.mark.parametrize("tol, warm", [
+    (1e-10, False), (1e-13, False), (1e-10, True), (1e-13, True),
+], ids=["1e-10", "1e-13", "1e-10-warm", "1e-13-warm"])
+def test_power_iteration_matches_reference_loop(build, tol, warm):
+    """Bit for bit, from the constant vector and from a positive random
+    start: every solve of a speed search but its first is warm."""
     op = build(ew.saturating_exponential())
-    value, vector, residual, iterations = _reference_power_iteration(op, tol)
-    pair = principal_eigenpair(op, tol=tol)
+    start = (np.random.default_rng(11).uniform(0.5, 2.0, op.n) if warm
+             else None)
+    value, vector, residual, iterations = _reference_power_iteration(
+        op, tol, start=start)
+    pair = principal_eigenpair(op, tol=tol, start=start)
     assert pair.value == value
     assert np.array_equal(pair.vector, vector)
     assert pair.residual == residual
