@@ -320,6 +320,87 @@ def test_csv_emitter_formats_extreme_values():
     ]
 
 
+def _spread_values(rng, size):
+    """Signed values from 1e-35 to 1e20, a few of them zero or NaN."""
+    values = 10.0 ** rng.uniform(-35.0, 20.0, size) * rng.choice([-1, 1], size)
+    values[rng.random(size) < 0.05] = 0.0
+    values[rng.random(size) < 0.01] = np.nan
+    return values
+
+
+def _march_rows(frames, nodes, *columns):
+    """The rows of a frames x nodes march table, written out in full."""
+    return zip(np.repeat(frames, len(nodes)),
+               *np.tile(nodes, (len(frames), 1)).T, *columns)
+
+
+@pytest.mark.parametrize("n_frames, n_nodes, dim, n_columns", [
+    pytest.param(5, 1536, 1, 3, id="a-frame-per-block"),
+    pytest.param(100, 50, 1, 2, id="frames-per-block"),
+    pytest.param(2, 3000, 1, 3, id="a-frame-over-a-block"),
+    pytest.param(7, 40, 2, 2, id="2-d-nodes"),
+    pytest.param(1, 1, 1, 1, id="a-single-row"),
+    pytest.param(1, 1, 2, 3, id="a-single-row-2-d"),
+])
+def test_march_csv_blocks_match_row_by_row_formatter(
+        n_frames, n_nodes, dim, n_columns):
+    rng = np.random.default_rng(n_frames * n_nodes + dim)
+    frames = np.cumsum(rng.uniform(0.0, 0.3, n_frames))
+    nodes = rng.uniform(-12.0, 12.0, (n_nodes, dim))
+    columns = [_spread_values(rng, n_frames * n_nodes)
+               for _ in range(n_columns)]
+    header = ["t", *[f"x{d}" for d in range(dim)],
+              *[f"c{j}" for j in range(n_columns)]]
+    text = pipelines._csv(header, *columns, frames=frames, nodes=nodes)
+    assert text == _rows_csv(header, _march_rows(frames, nodes, *columns))
+
+
+def test_march_csv_with_an_all_zero_frame():
+    # one frame per block, and the middle frame holds nothing but zeros
+    n_nodes = pipelines._BLOCK // 2
+    rng = np.random.default_rng(24)
+    frames = np.array([0.0, 0.5, 1.0])
+    nodes = np.linspace(-8.0, 8.0, n_nodes)[:, None]
+    columns = [_spread_values(rng, 3 * n_nodes) for _ in range(2)]
+    columns[0][n_nodes:2 * n_nodes] = 0.0
+    columns[1][n_nodes:2 * n_nodes] = -0.0
+    header = ["t", "x", "S", "u"]
+    text = pipelines._csv(header, *columns, frames=frames, nodes=nodes)
+    assert text == _rows_csv(header, _march_rows(frames, nodes, *columns))
+    assert text.splitlines()[1 + n_nodes].endswith(",0,-0")
+
+
+def test_csv_longer_than_one_block():
+    # three columns: blocks of _BLOCK // 3 rows, the last one partly full
+    rng = np.random.default_rng(2024)
+    n_rows = 2 * (pipelines._BLOCK // 3) + 17
+    columns = [_spread_values(rng, n_rows) for _ in range(3)]
+    text = pipelines._csv(["a", "b", "c"], *columns)
+    assert text == _rows_csv(["a", "b", "c"], zip(*columns))
+
+
+def test_csv_on_both_sides_of_the_exact_range():
+    # below 1e-28 and from 1e17 up the text comes from '%.17g' itself
+    edges = []
+    for edge in (1e-28, 1e17):
+        below = above = edge
+        for _ in range(5):
+            below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+            edges += [below, above]
+        edges += [edge, edge / 10, edge * 10]
+    edges = np.array(edges)
+    text = pipelines._csv(["v", "w"], edges, -edges)
+    assert text == _rows_csv(["v", "w"], zip(edges, -edges))
+    assert pipelines._csv([], [1e17, 9.9999999999999984e16]).split() == [
+        "1e+17", "99999999999999984"]
+
+
+def test_csv_of_a_single_row():
+    text = pipelines._csv(["a", "b", "c"], [0.1], [-0.0], [2.5e-7])
+    assert text == _rows_csv(["a", "b", "c"], [(0.1, -0.0, 2.5e-7)])
+    assert text == "a,b,c\n0.10000000000000001,-0,2.4999999999999999e-07\n"
+
+
 @pytest.mark.parametrize("command, doc", [
     pytest.param("simulate", _SIMULATE_1D, id="simulate-1d"),
     pytest.param("simulate", _SIMULATE_2D, id="simulate-2d"),
