@@ -15,7 +15,6 @@ and the reduction of a susceptible-infected system to this equation.
 
 from .errors import ConvergenceError, ValidationError
 from .domain import (
-    Forcing,
     Nonlinearity,
     PeriodicGrid,
     Reach,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "ValidationError",
-    "Forcing",
     "Nonlinearity",
     "PeriodicGrid",
     "Reach",

@@ -320,14 +320,14 @@ def run_simulate(cfg: ScenarioConfig):
         "tail_min": float(np.min(final[tail])),
         "tail_max": float(np.max(final[tail])),
         "dt": cfg.dt,
-        "horizon": cfg.horizon,
+        "horizon": field.horizon,
     }
     if state.present:
         gap = np.abs(final - grid.periodic_on_window(state.values))
         summary["tail_steady_gap"] = float(np.max(gap[tail]))
 
     stride = _time_stride(field.values.shape[0])
-    frames = (cfg.dt * np.arange(field.values.shape[0]))[::stride]
+    frames = field.times[::stride]
     artifacts = {
         "simulate.csv": _csv(["t"] + _node_columns(grid) + ["u"],
                              field.values[::stride].ravel(),

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..domain.forcing import Forcing, bump_forcing
+from ..domain.forcing import bump_forcing
 from ..domain.kernels import SeparableKernel, separable_contact_kernel
 from ..domain.grid import MAX_CELL_BYTES, PeriodicGrid, cell_bytes
 from ..domain.nonlinearity import Nonlinearity, saturating_exponential
@@ -308,7 +308,7 @@ class ScenarioConfig:
     grid: PeriodicGrid
     kernel: SeparableKernel
     response: Nonlinearity
-    forcing: Forcing
+    forcing: object
     direction: np.ndarray | None
     sir: SirState
     dt: float
@@ -459,9 +459,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             f"sir.seed_amplitude = {seed_amplitude} and sir.seed_radius = "
             f"{seed_radius} seed no window node; the nearest lies "
             f"{np.min(r):.3g} from the origin")
-    sir = _build("sir", SirState, grid=grid, contact_fn=kernel.spatial_fn,
-                 support_radius=kernel.support_radius,
-                 axis_reach=kernel.reach.axis, recovery_fn=decay,
+    sir = _build("sir", SirState, grid=grid, kernel=kernel,
                  susceptible_fn=susceptible, infected0=infected0)
 
     output = doc.pop("output", None)

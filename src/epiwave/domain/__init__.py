@@ -10,7 +10,7 @@ from .kernels import (
     periodize_kernel,
     time_integrate_kernel,
 )
-from .forcing import Forcing, bump_forcing
+from .forcing import bump_forcing
 
 __all__ = [
     "PeriodicGrid",
@@ -22,6 +22,5 @@ __all__ = [
     "box_profile",
     "periodize_kernel",
     "time_integrate_kernel",
-    "Forcing",
     "bump_forcing",
 ]

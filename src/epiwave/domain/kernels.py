@@ -271,21 +271,19 @@ class SpatialKernel:
     of its blocks, taken first; the table is then laid out once, in place,
     for the products (_product_table), and kept as `table` beside `shifts`.
     The ball truncations and the window matrix are CellBlockMatrix
-    objects that read this one table and copy none of it. Also keeps the
-    whole-line pair function and, when the factorization is known, the
-    symmetry weight gamma2/gamma1 on the cell.
+    objects that read this one table and copy none of it. Also keeps,
+    when the factorization is known, the symmetry weight gamma2/gamma1 on
+    the cell.
     """
 
-    def __init__(self, grid, pair_fn, shifts: np.ndarray, blocks: np.ndarray,
+    def __init__(self, grid, shifts: np.ndarray, blocks: np.ndarray,
                  support_radius: float, gamma_cell=None):
         self.grid = grid
-        self.pair_fn = pair_fn
         self.shifts = shifts
         self.cell_matrix = blocks.sum(axis=0)
         self.table = _product_table(blocks)
         self.support_radius = float(support_radius)
         self.gamma_cell = gamma_cell
-        self.row_integrals = self.cell_matrix.sum(axis=1) * grid.weight
 
     def window_matrix(self) -> CellBlockMatrix:
         """Whole-line kernel values V(x_i, x_j) between all window nodes, in
@@ -473,7 +471,7 @@ def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
             raise ValidationError("symmetry factors gamma1, gamma2 must be positive")
         gamma_cell = g2 / g1
     return SpatialKernel(
-        grid, pair_fn, shifts, blocks,
+        grid, shifts, blocks,
         support_radius=time_kernel.support_radius,
         gamma_cell=gamma_cell,
     )

@@ -21,11 +21,12 @@ whole interaction neighborhood, so they are frozen at the seeding value
 f(t, x); diagnostics exclude that boundary layer.
 
 The march writes each step straight into its row of the stored
-trajectory. The seeding field f(t, .) on the window nodes comes from
-Forcing.on_nodes, which does the work that depends on the nodes alone
-once per march. The interior is reached as a view, a run of the 1-D
-window or a square block of the row-major 2-D one (interior_block of
-the grid). The memory w is updated in a kept buffer with the same
+trajectory. The forcing is its seeding function (domain/forcing.py):
+the march calls it once on the window nodes, which does the work that
+depends on the nodes alone, and then reads f(t, .) from the returned
+function at every step. The interior is reached as a view, a run of the
+1-D window or a square block of the row-major 2-D one (interior_block
+of the grid). The memory w is updated in a kept buffer with the same
 products and sum as a fresh one, so every value equals that of an
 allocating step bit for bit. Beside the trajectory the march holds a few
 window-sized buffers.
@@ -50,17 +51,12 @@ MAX_TRAJECTORY_VALUES = 2**25
 
 @dataclass
 class SpaceTimeField:
-    """Solution samples u(t_n, x_i) on the window grid.
-
-    interior flags the nodes where the marching equation was actually
-    evaluated.
-    """
+    """Solution samples u(t_n, x_i) on the window grid, to the horizon
+    n * dt of the march."""
 
     values: np.ndarray
     dt: float
     horizon: float
-    grid: object
-    interior: np.ndarray
 
     @property
     def times(self) -> np.ndarray:
@@ -69,15 +65,6 @@ class SpaceTimeField:
     @property
     def final(self) -> np.ndarray:
         return self.values[-1]
-
-    def at_time(self, t: float) -> np.ndarray:
-        """Row at the nearest sampled time."""
-        n = int(round(t / self.dt))
-        if not 0 <= n < self.values.shape[0]:
-            raise ValidationError(
-                f"time {t} outside the sampled range [0, {self.horizon}]"
-            )
-        return self.values[n]
 
 
 class Outcome(enum.Enum):
@@ -91,8 +78,8 @@ def solve_initial_value(time_kernel, forcing, response, grid,
                         horizon: float = DEFAULT_HORIZON) -> SpaceTimeField:
     """March the renewal equation to the horizon on the window grid.
 
-    forcing is a Forcing: the march reads it through on_nodes at the
-    window nodes."""
+    forcing is a seeding function: forcing(X) returns t -> f(t, X), and
+    the march calls it once, at the window nodes."""
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if horizon < dt:
@@ -112,16 +99,12 @@ def solve_initial_value(time_kernel, forcing, response, grid,
     n_steps = march_steps(dt, horizon, grid.n_window)
     times = dt * np.arange(n_steps + 1)
     block = grid.interior_block(reach)
-    interior = np.zeros(grid.n_window, dtype=bool)
-    interior.reshape(grid.window_shape)[block] = True
-
-    seed = forcing.on_nodes(grid.window_nodes)
+    seed = forcing(grid.window_nodes)
     values = np.empty((n_steps + 1, grid.n_window))
     values[0] = seed(0.0)
 
     _march_separable(time_kernel, seed, response, grid, values, times, block)
-    return SpaceTimeField(values=values, dt=dt, horizon=n_steps * dt,
-                          grid=grid, interior=interior)
+    return SpaceTimeField(values=values, dt=dt, horizon=n_steps * dt)
 
 
 def march_steps(dt: float, horizon: float, nodes: int) -> int:

@@ -19,13 +19,11 @@ are exact at the discrete level, not just up to truncation error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain.forcing import Forcing
-from .domain.kernels import Reach, SeparableKernel, window_pair_matrix
+from .domain.kernels import SeparableKernel, window_pair_matrix
 from .domain.nonlinearity import saturating_exponential
 from .dynamics import march_steps, solve_initial_value
 from .errors import ConvergenceError, ValidationError
@@ -36,30 +34,23 @@ class SirState:
     """Model data for the compartmental system (no Laplacian: infection
     spreads only through the contact kernel), plus trajectories once run.
 
-    contact_fn is the instantaneous pair rate K(x, y), compactly
-    supported within support_radius (and, for a box contact, within
-    axis_reach on each axis) and periodic under joint integer
-    shifts; recovery_fn is the periodic recovery rate; susceptible_fn
+    kernel is a SeparableKernel: its spatial_fn is the instantaneous pair
+    rate K(x, y), within its reach and periodic under joint integer
+    shifts, and its mu_fn the periodic recovery rate. susceptible_fn is
     the periodic initial susceptible profile (its positivity makes the
     log change of variables well defined). infected0 is a nonnegative
     compactly supported field sampled on the window nodes.
     """
 
     grid: object
-    contact_fn: object
-    support_radius: float
-    recovery_fn: object
+    kernel: SeparableKernel
     susceptible_fn: object
     infected0: np.ndarray
-    axis_reach: float = math.inf
     times: np.ndarray | None = field(default=None, repr=False)
     S: np.ndarray | None = field(default=None, repr=False)
     I: np.ndarray | None = field(default=None, repr=False)
-    reach: Reach = field(init=False, repr=False)
 
     def __post_init__(self):
-        # refuses a contact without compact support
-        self.reach = Reach(self.support_radius, self.axis_reach)
         self.infected0 = np.asarray(self.infected0, dtype=float)
         if self.infected0.shape != (self.grid.n_window,):
             raise ValidationError(
@@ -76,10 +67,6 @@ class SirState:
 
     def susceptible0(self) -> np.ndarray:
         return np.asarray(self.susceptible_fn(self.grid.window_nodes),
-                          dtype=float)
-
-    def recovery(self) -> np.ndarray:
-        return np.asarray(self.recovery_fn(self.grid.window_nodes),
                           dtype=float)
 
     def log_attack(self) -> np.ndarray:
@@ -104,8 +91,8 @@ def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
         )
     grid = state.grid
     steps = march_steps(dt, horizon, grid.n_window)
-    K = window_pair_matrix(grid, state.contact_fn, state.reach)
-    mu = state.recovery()
+    K = window_pair_matrix(grid, state.kernel.spatial_fn, state.kernel.reach)
+    mu = np.asarray(state.kernel.mu_fn(grid.window_nodes), dtype=float)
     S0 = state.susceptible0()
     row = float(np.max(K.sum(axis=1))) * grid.weight
     rate = float(np.max(mu)) + row * float(np.max(S0))
@@ -146,54 +133,41 @@ def sir_to_kernel(state: SirState):
     """Exact change of variables: (kernel, forcing, response) such that
     u = -ln(S/S0) solves the renewal equation with this data: the
     separable kernel S0(y) K(x, y) exp(-mu(y) tau), the pressure of the
-    initial infecteds as forcing, and g(z) = 1 - exp(-z).
+    initial infecteds as forcing, and g(z) = 1 - exp(-z). The forcing is
+    its seeding function, X -> (t -> f(t, X)); its limit at t = inf
+    weighs each seed by 1 / mu.
     """
     grid = state.grid
-    contact = state.contact_fn
+    contact = state.kernel.spatial_fn
     s_fn = state.susceptible_fn
-    mu_fn = state.recovery_fn
+    mu_fn = state.kernel.mu_fn
 
     kernel = SeparableKernel(
         spatial_fn=lambda X, Y: np.asarray(contact(X, Y), dtype=float)
         * np.asarray(s_fn(np.atleast_2d(Y)), dtype=float),
         mu_fn=mu_fn,
-        support_radius=state.support_radius,
+        support_radius=state.kernel.support_radius,
         dim=grid.dim,
-        axis_reach=state.axis_reach,
+        axis_reach=state.kernel.reach.axis,
     )
 
     active = state.infected0 > 0
     nodes_y = grid.window_nodes[active]
     weights = grid.weight * state.infected0[active]
     mu_y = np.asarray(mu_fn(nodes_y), dtype=float)
-    if nodes_y.shape[0]:
-        data_radius = float(np.max(np.linalg.norm(nodes_y, axis=1)))
-    else:
-        data_radius = 0.0
-
-    def _pairs(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if not nodes_y.shape[0]:
-            return np.zeros((X.shape[0], 0))
-        XX = np.repeat(X, nodes_y.shape[0], axis=0)
-        YY = np.tile(nodes_y, (X.shape[0], 1))
-        vals = np.asarray(contact(XX, YY), dtype=float)
-        return vals.reshape(X.shape[0], nodes_y.shape[0])
 
     def ramp(t):
         return weights * (-np.expm1(-mu_y * max(t, 0.0)) / mu_y)
 
     def seed_on_nodes(X):
-        pairs = _pairs(X)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        XX = np.repeat(X, nodes_y.shape[0], axis=0)
+        YY = np.tile(nodes_y, (X.shape[0], 1))
+        pairs = np.asarray(contact(XX, YY), dtype=float).reshape(
+            X.shape[0], nodes_y.shape[0])
         return lambda t: pairs @ ramp(t)
 
-    def seed_limit(X):
-        return _pairs(X) @ (weights / mu_y)
-
-    forcing = Forcing(seed_on_nodes, seed_limit,
-                      support_radius=data_radius + state.support_radius,
-                      name="initial-infecteds")
-    return kernel, forcing, saturating_exponential()
+    return kernel, seed_on_nodes, saturating_exponential()
 
 
 def equivalence_check(state: SirState, dt: float, horizon: float) -> float:

@@ -48,6 +48,7 @@ _MAX_NEWTON = 30  # Newton steps per continuation step before it halves
 # continuation steps per root, halved ones included: without a halving
 # 8 steps reach c, and each halving at the start doubles the steps left
 _MAX_STEPS = 512
+_MAX_RQI = 80  # Rayleigh-quotient steps per complex eigenpair
 _RHO_GRID_SIZE = 64
 _RHO_GRID_TOP = 8.0
 
@@ -175,14 +176,10 @@ class TiltedOperator:
                 "sums of this kernel along the direction could overflow")
         return rho
 
-    def lattice_sum(self, rho, c) -> np.ndarray:
-        """The tilted lattice sum sum_k K(x_i, x_j + k) exp(-rho (x_j + k - x_i).e)
-        on the cell, of the spatial kernel K: no c enters it (the decay
-        enters in matrix), so c is only checked."""
-        return self._lattice_sum(self._decay_rate(rho, c))
-
     def _lattice_sum(self, rho) -> np.ndarray:
-        """lattice_sum at a rate _decay_rate has already checked."""
+        """The tilted lattice sum sum_k K(x_i, x_j + k) exp(-rho (x_j + k - x_i).e)
+        on the cell, of the spatial kernel K, at a rate _decay_rate has
+        already checked: no c enters it (the decay enters in matrix)."""
         mat = self._cache.get(rho)
         if mat is None:
             mat = periodize_kernel(self.shifts, self.blocks, self.grid,
@@ -207,11 +204,11 @@ class TiltedOperator:
         return OperatorMatrix(entries=self.matrix(rho, c),
                               quadrature=self.grid.weight)
 
-    def point(self, rho, c, *, seed=None,
-              tol: float = DEFAULT_EIGEN_TOL) -> DispersionPoint:
-        """Principal eigenpair at (rho, c); see dispersion_eigenvalue."""
+    def point(self, rho, c, *, seed=None) -> DispersionPoint:
+        """Principal eigenpair at (rho, c) to DEFAULT_EIGEN_TOL; see
+        dispersion_eigenvalue."""
         if not np.imag(rho):
-            pair = principal_eigenpair(self.operator(rho, c), tol=tol)
+            pair = principal_eigenpair(self.operator(rho, c))
             return DispersionPoint(rho=float(np.real(rho)), c=float(c),
                                    direction=self.e, value=pair.value,
                                    phi=pair.vector, residual=pair.residual)
@@ -220,18 +217,18 @@ class TiltedOperator:
                                   "from a nearby point")
         lam, phi, residual = _complex_eigenpair(
             self.matrix(rho, c), np.asarray(getattr(seed, "phi", seed)),
-            tol=tol)
+            tol=DEFAULT_EIGEN_TOL)
         return DispersionPoint(rho=complex(rho), c=float(c), direction=self.e,
                                value=lam, phi=phi, residual=residual)
 
 
-def _complex_eigenpair(A, phi, tol=1e-12, max_iter=80):
+def _complex_eigenpair(A, phi, tol=1e-12):
     """Rayleigh-quotient iteration toward the eigenpair nearest the seed."""
     n = A.shape[0]
     phi = np.asarray(phi, dtype=complex)
     phi = phi / np.max(np.abs(phi))
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_RQI):
         Aphi = A @ phi
         lam = (np.vdot(phi, Aphi)) / (np.vdot(phi, phi))
         residual = float(np.max(np.abs(Aphi - lam * phi)))
@@ -250,8 +247,7 @@ def _complex_eigenpair(A, phi, tol=1e-12, max_iter=80):
 
 
 def dispersion_eigenvalue(time_kernel, response, rho, c, grid,
-                          direction=None, *, seed=None,
-                          tol: float = DEFAULT_EIGEN_TOL) -> DispersionPoint:
+                          direction=None, *, seed=None) -> DispersionPoint:
     """Principal eigenvalue of the tilted periodic operator at (rho, c).
 
     Real nonnegative rho runs the positive-operator solver. A complex
@@ -261,7 +257,7 @@ def dispersion_eigenvalue(time_kernel, response, rho, c, grid,
     recomputed from scratch.
     """
     return TiltedOperator(time_kernel, response, grid, direction).point(
-        rho, c, seed=seed, tol=tol)
+        rho, c, seed=seed)
 
 
 def default_rho_grid() -> np.ndarray:

@@ -342,9 +342,9 @@ def test_criterion_13_sir_equivalence_first_order():
         x = grid.window_nodes[:, 0]
         seed = 0.2 * np.where(np.abs(x) < 0.5, np.cos(np.pi * x) ** 2, 0.0)
         ones = lambda P: np.ones(P.shape[0])
-        state = SirState(grid=grid, contact_fn=_box_pair, support_radius=1.0,
-                         recovery_fn=ones, susceptible_fn=ones,
-                         infected0=seed)
+        state = SirState(grid=grid,
+                         kernel=ew.SeparableKernel(_box_pair, ones, 1.0),
+                         susceptible_fn=ones, infected0=seed)
         return equivalence_check(state, dt=dt, horizon=3.0)
 
     coarse = _gap(16, 0.1)

@@ -21,18 +21,24 @@ from epiwave.spectral import (
 from window_reference import window_pair_matrix as csr_window_pair_matrix
 
 
+def _pair(kernel):
+    """The time-integrated pair function V = K / mu of a separable kernel."""
+    return lambda X, Y: kernel.spatial_fn(X, Y) / kernel.mu_fn(Y)
+
+
 @functools.lru_cache(maxsize=1)
-def _csr_window(transfer):
-    return csr_window_pair_matrix(transfer.grid, transfer.pair_fn,
+def _csr_window(transfer, kernel):
+    return csr_window_pair_matrix(transfer.grid, _pair(kernel),
                                   transfer.support_radius)
 
 
-def _reference_ball(transfer, response, radius):
-    """The ball operator as it was assembled from the CSR window matrix:
-    the ball's rows and columns of W, scaled by slope and quadrature weight."""
+def _reference_ball(transfer, kernel, response, radius):
+    """The ball operator as it was assembled from the CSR window matrix of
+    the kernel: the ball's rows and columns of W, scaled by slope and
+    quadrature weight."""
     grid = transfer.grid
     idx = grid.ball_indices(radius)
-    W = _csr_window(transfer)
+    W = _csr_window(transfer, kernel)
     gamma = transfer.gamma_cell
     return OperatorMatrix(
         entries=W[idx][:, idx] * (response.slope0 * grid.weight),
@@ -88,7 +94,8 @@ def _radii(window):
 def test_ball_blocks_match_window_submatrix(case):
     dim, cell_points, window, build, positional = CASES[case]
     grid = ew.PeriodicGrid(dim, cell_points, window)
-    transfer = ew.time_integrate_kernel(build(), grid)
+    kernel = build()
+    transfer = ew.time_integrate_kernel(kernel, grid)
     response = ew.saturating_exponential()
     # A kernel of x - y alone gives the same values at window and cell
     # coordinates up to 1e-15. The reference evaluates periodic factors
@@ -97,7 +104,7 @@ def test_ball_blocks_match_window_submatrix(case):
     rel = 4 * (window + 1) * np.finfo(float).eps if positional else 1e-15
     for radius in _radii(window):
         op = assemble_ball(transfer, response, radius)
-        ref = _reference_ball(transfer, response, radius)
+        ref = _reference_ball(transfer, kernel, response, radius)
         assert isinstance(op.entries, CellBlockMatrix)
         assert op.entries.shape == ref.entries.shape
         assert op.entries.nnz == ref.entries.nnz
@@ -109,7 +116,7 @@ def test_ball_blocks_match_window_submatrix(case):
         x = np.random.default_rng(5).random(op.n)
         assert np.allclose(op.apply(x), ref.apply(x), rtol=1e-13, atol=0.0)
     new = ball_eigenvalue_sweep(transfer, response)
-    old = [principal_eigenpair(_reference_ball(transfer, response, r))
+    old = [principal_eigenpair(_reference_ball(transfer, kernel, response, r))
            for r in range(1, window + 1)]
     assert [p.iterations for p in new] == [p.iterations for p in old]
     for point, pair in zip(new, old):
@@ -197,9 +204,10 @@ def _close(got, want, rel):
 def test_window_blocks_match_csr_reference(case):
     dim, cell_points, window, build = WINDOW_CASES[case]
     grid = ew.PeriodicGrid(dim, cell_points, window)
-    transfer = ew.time_integrate_kernel(build(), grid)
+    kernel = build()
+    transfer = ew.time_integrate_kernel(kernel, grid)
     W = transfer.window_matrix()
-    ref = csr_window_pair_matrix(grid, transfer.pair_fn, transfer.support_radius)
+    ref = csr_window_pair_matrix(grid, _pair(kernel), transfer.support_radius)
     eps = np.finfo(float).eps
     # periodic factors such as cos(2 pi x) are evaluated at window
     # coordinates by the reference and on the cell by the blocks; their

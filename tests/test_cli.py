@@ -168,6 +168,19 @@ def test_simulate_classifies_spread(tmp_path):
     assert frames[0] == 0.0 and len(frames) <= 41
 
 
+def test_simulate_reports_the_horizon_it_marched(tmp_path):
+    """A horizon that is not a whole number of steps marches to the nearest
+    one; simulate.json reports that horizon, the time of the CSV's last
+    frame, not the one the document asked for."""
+    cfg = _write_config(tmp_path, {"grid": {"window_radius": 12},
+                                   "run": {"dt": 0.03, "horizon": 1.0}})
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate.json").read_text())
+    _, body = _read_csv(out / "simulate.csv")
+    assert summary["horizon"] == body[-1, 0] == 33 * 0.03
+
+
 def test_sir_verify_reports_gap(tmp_path):
     cfg = _write_config(tmp_path, _SMALL)
     out = tmp_path / "sir"
@@ -834,8 +847,8 @@ def test_each_expression_is_compiled_once_per_load(tmp_path, monkeypatch):
         "kernel": {k: texts[k] for k in ("source", "target", "decay")},
         "sir": {"susceptible": texts["susceptible"]}}))
     assert sorted(compiled) == sorted(texts.values())
-    # one callable serves the kernel and the SIR state
-    assert cfg.sir.recovery_fn is cfg.kernel.mu_fn
+    # one kernel serves the renewal solvers and the SIR state
+    assert cfg.sir.kernel is cfg.kernel
 
 
 def test_wave_slab_beyond_the_march_budget_exits_2_without_files(
@@ -1022,7 +1035,9 @@ def test_scenario_defaults_round_trip(tmp_path):
     kernel = cfg.kernel
     assert kernel.support_radius == 1.0
     assert cfg.response.bound == 1.0
-    assert cfg.forcing.support_radius == 2.0
+    # the default bump: amplitude 1 at the origin, radius 2
+    limit = cfg.forcing(np.array([[0.0], [1.0], [2.0]]))(np.inf)
+    assert np.allclose(limit, [1.0, 0.5, 0.0], rtol=0.0, atol=1e-15)
     state = cfg.sir
     assert state.grid.n_window == grid.n_window
     with pytest.raises(ValidationError, match="direction"):

@@ -30,9 +30,7 @@ def _box_setup(window=8, cell=32, mass=2.0):
 
 
 def _zero_forcing():
-    off = lambda X: np.zeros(np.asarray(X).shape[0])
-    return ew.Forcing(lambda X: lambda t: off(X), off, support_radius=0.5,
-                      name="off")
+    return lambda X: lambda t: np.zeros(np.asarray(X).shape[0])
 
 
 def test_zero_forcing_stays_zero():
@@ -100,7 +98,7 @@ def test_limiting_equation_residual_small_after_convergence():
     assert converged
     transfer = ew.time_integrate_kernel(kernel, grid)
     res = limiting_equation_residual(final, transfer, response,
-                                     forcing.limit(grid.window_nodes))
+                                     forcing(grid.window_nodes)(np.inf))
     assert res <= 5.0 * (0.05 + grid.spacing)
 
     # a uniform shift must be seen by the residual: on the central plateau
@@ -108,7 +106,7 @@ def test_limiting_equation_residual_small_after_convergence():
     # at a plateau node is at least delta * (1 - 2 exp(-min u)) there
     delta = 0.1
     shifted = limiting_equation_residual(final + delta, transfer, response,
-                                         forcing.limit(grid.window_nodes))
+                                         forcing(grid.window_nodes)(np.inf))
     plateau = np.abs(grid.window_nodes[:, 0]) <= 4.0
     floor = delta * (1.0 - 2.0 * np.exp(-np.min(final[plateau])))
     assert floor > 0.05
@@ -205,16 +203,6 @@ def test_dimension_mismatch_rejected():
                             grid, dt=0.1, horizon=1.0)
 
 
-def test_snapshot_lookup():
-    grid, kernel, response, forcing = _box_setup()
-    field = solve_initial_value(kernel, forcing, response, grid,
-                                dt=0.1, horizon=2.0)
-    assert np.array_equal(field.at_time(0.0), field.values[0])
-    assert np.array_equal(field.at_time(2.0), field.values[-1])
-    with pytest.raises(ValidationError, match="outside"):
-        field.at_time(2.5)
-
-
 def _allocating_march(kernel, forcing, response, grid, dt, horizon):
     """The march as a plain loop of the allocating step: a fresh f(t, x)
     at the window nodes, a fresh memory and a boolean-mask interior at
@@ -224,14 +212,14 @@ def _allocating_march(kernel, forcing, response, grid, dt, horizon):
     interior = np.zeros(grid.n_window, dtype=bool)
     interior[grid.interior_indices(kernel.support_radius)] = True
     values = np.empty((n_steps + 1, grid.n_window))
-    values[0] = np.asarray(forcing(0.0, grid.window_nodes), dtype=float)
+    values[0] = np.asarray(forcing(grid.window_nodes)(0.0), dtype=float)
     mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)
     K = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
     fade, gain, _ = exponential_step_weights(mu, dt)
     w = np.zeros(grid.n_window)
     for n in range(1, len(times)):
         w = fade * w + gain * response(values[n - 1])
-        u = np.asarray(forcing(times[n], grid.window_nodes), dtype=float)
+        u = np.asarray(forcing(grid.window_nodes)(times[n]), dtype=float)
         u[interior] += grid.weight * (K @ w)[interior]
         values[n] = u
     return values
@@ -249,7 +237,9 @@ def _striped_case():
 def _box_2d_case():
     grid = ew.PeriodicGrid(2, 8, 3)
     kernel = ew.separable_contact_kernel(2.0, 1.0, dim=2)
-    forcing = ew.bump_forcing(radius=1.2, center=(0.25, -0.5))
+    bump = ew.bump_forcing(radius=1.2)
+    # off the origin, so the bump has no symmetry the 2-D layout could hide
+    forcing = lambda X: bump(np.asarray(X, dtype=float) - (0.25, -0.5))
     return kernel, forcing, ew.saturating_exponential(), grid, 0.1, 4.0
 
 
@@ -257,9 +247,9 @@ def _sir_bridge_case():
     grid = ew.PeriodicGrid(1, 16, 6)
     half = lambda X, Y: np.where(np.abs(X[:, 0] - Y[:, 0]) < 1.0, 1.1, 0.0)
     seed = np.where(np.abs(grid.window_nodes[:, 0]) < 0.7, 0.3, 0.0)
+    recovery = lambda X: 1.0 + 0.25 * np.sin(2 * np.pi * X[:, 0])
     state = SirState(
-        grid=grid, contact_fn=half, support_radius=1.0,
-        recovery_fn=lambda X: 1.0 + 0.25 * np.sin(2 * np.pi * X[:, 0]),
+        grid=grid, kernel=ew.SeparableKernel(half, recovery, 1.0),
         susceptible_fn=lambda X: 1.0 + 0.5 * np.cos(2 * np.pi * X[:, 0]),
         infected0=seed)
     kernel, forcing, response = sir_to_kernel(state)
@@ -293,17 +283,15 @@ def test_interior_block_selects_the_interior_indices(dim, cell, window):
 
 def _blowing_up_forcing(node, from_time):
     """Zero everywhere until from_time, then +inf at one window node."""
-    off = lambda X: np.zeros(np.asarray(X).shape[0])
-
     def on_nodes(X):
         def at(t):
-            out = off(X)
+            out = np.zeros(np.asarray(X).shape[0])
             if t >= from_time:
                 out[node] = np.inf
             return out
         return at
 
-    return ew.Forcing(on_nodes, off, support_radius=4.0, name="blow-up")
+    return on_nodes
 
 
 @pytest.mark.parametrize("kernel", [ew.separable_contact_kernel(2.0, 1.0)],

@@ -51,7 +51,8 @@ def test_periodized_rows_integrate_to_total_rate():
     for n in (16, 64):
         grid = PeriodicGrid(1, n, 2)
         transfer = time_integrate_kernel(separable_contact_kernel(2.0, 1.0), grid)
-        assert np.allclose(transfer.row_integrals, 2.0, rtol=0, atol=5e-14)
+        rows = transfer.cell_matrix.sum(axis=1) * grid.weight
+        assert np.allclose(rows, 2.0, rtol=0, atol=5e-14)
 
 
 def test_periodize_image_count_covers_reach():
@@ -60,7 +61,8 @@ def test_periodize_image_count_covers_reach():
     transfer = time_integrate_kernel(kernel, grid)
     # x_i - x_j - k meets the box |z| <= 2.5 for the images |k| <= 3
     assert transfer.shifts.ravel().tolist() == [0, -1, 1, -2, 2, -3, 3]
-    assert np.allclose(transfer.row_integrals, 2.0, atol=5e-14)
+    rows = transfer.cell_matrix.sum(axis=1) * grid.weight
+    assert np.allclose(rows, 2.0, atol=5e-14)
 
 
 def test_separable_rejects_nonpositive_decay():
@@ -84,7 +86,8 @@ def test_window_matrix_consistent_with_cell_rows():
     W = transfer.window_matrix()
     sums = np.asarray(W.sum(axis=1)).ravel() * grid.weight
     interior = grid.interior_indices(1.0)
-    expected = transfer.row_integrals[grid.window_cell_map[interior]]
+    rows = transfer.cell_matrix.sum(axis=1) * grid.weight
+    expected = rows[grid.window_cell_map[interior]]
     assert np.allclose(sums[interior], expected, atol=5e-13)
     # rows near the window edge lose mass to truncation
     edge_row = np.argmin(grid.window_nodes[:, 0])
@@ -257,7 +260,7 @@ def test_periodize_matches_full_shell_sum(case):
     magnitude = _full_shell_sum(lambda X, Y: np.abs(pair(X, Y)), grid,
                                 kernel.support_radius)
     tilted = TiltedOperator(kernel, ew.saturating_exponential(), grid, e)
-    got = tilted.lattice_sum(rho, 0.0)
+    got = tilted._lattice_sum(tilted._decay_rate(rho, 0.0))
     assert got.dtype == expected.dtype
     # The Bloch form D B D^-1 and the pair sum round differently. Per term
     # each side makes a few roundings (the exponent, exp, the products and
@@ -355,7 +358,7 @@ def test_one_image_table_per_kernel(dim, cell_points, reachable):
     transfer = time_integrate_kernel(kernel, grid)
     assert len(calls) == reachable
     # the Euclidean reach alone sums the same blocks
-    _, blocks = lattice_image_blocks(transfer.pair_fn, grid,
+    _, blocks = lattice_image_blocks(_plain(kernel), grid,
                                      ew.Reach(kernel.support_radius))
     assert np.array_equal(transfer.cell_matrix, blocks.sum(axis=0))
     calls.clear()

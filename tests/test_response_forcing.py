@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from epiwave import (
-    Forcing,
     Nonlinearity,
     ValidationError,
     bump_forcing,
@@ -58,65 +57,40 @@ def test_custom_response_validation():
 def test_bump_forcing_profile():
     f = bump_forcing(amplitude=2.0, radius=1.5, rate=0.5)
     x = np.array([[0.0], [1.5], [2.0], [-1.0]])
-    late = f(100.0, x)
+    late = f(x)(100.0)
     assert late[0] == pytest.approx(2.0, rel=1e-15)
     assert late[1] == pytest.approx(0.0, abs=1e-12)
     assert late[2] == 0.0
     assert 0.0 < late[3] < 2.0
-    assert np.allclose(f(0.0, x), 0.0)
+    assert np.allclose(f(x)(0.0), 0.0)
     # monotone ramp toward the limit profile
-    mid = f(1.0, x)
+    mid = f(x)(1.0)
     assert np.all(mid <= late + 1e-15)
-    assert np.allclose(f.limit(x), late, atol=1e-20)
-
-
-def test_bump_forcing_center_shift():
-    f = bump_forcing(radius=1.0, center=3.0)
-    x = np.array([[3.0], [0.0]])
-    assert f.limit(x)[0] == pytest.approx(1.0)
-    assert f.limit(x)[1] == 0.0
-    assert f.support_radius == pytest.approx(4.0)
+    assert np.allclose(f(x)(np.inf), late, atol=1e-20)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(radius=math.nan), dict(radius=math.inf),
     dict(rate=math.nan), dict(rate=math.inf),
     dict(amplitude=math.nan), dict(amplitude=math.inf),
-    dict(center=math.nan), dict(center=(0.0, math.inf)),
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_bump_forcing_refuses_non_finite_parameters(kwargs):
     with pytest.raises(ValidationError, match="must be finite"):
         bump_forcing(**kwargs)
 
 
-@pytest.mark.parametrize("support_radius", [math.nan, math.inf, -math.inf])
-def test_forcing_refuses_a_non_finite_support_radius(support_radius):
-    off = lambda X: np.zeros(np.asarray(X).shape[0])
-    with pytest.raises(ValidationError, match="support_radius"):
-        Forcing(lambda X: lambda t: off(X), off, support_radius=support_radius)
-
-
 def test_on_nodes_equals_the_field_bit_for_bit():
-    """A forcing's per-node form does the work that depends on the nodes
-    once, when it is built; calling the forcing at (t, X) builds it afresh.
-    Both give the same values, as floats, bit for bit."""
+    """The bump's seeding function, called once at the nodes, gives at
+    every time the float values of a fresh call at a copy of the nodes,
+    bit for bit; at t = inf it is exactly the limit profile."""
+    f = bump_forcing(amplitude=1.3, radius=2.0, rate=0.6)
     x = np.linspace(-3.0, 3.0, 97)[:, None]
-    profiles = []
-
-    def gaussian(X):
-        profiles.append(1)
-        profile = np.exp(-np.asarray(X)[:, 0] ** 2)
-        return lambda t: np.minimum(t, 1.0) * profile
-
-    forcings = [bump_forcing(amplitude=1.3, radius=2.0, rate=0.6, center=0.25),
-                Forcing(gaussian, lambda X: gaussian(X)(1.0), support_radius=5.0)]
-    times = (0.0, 0.05, 1.0, 7.5, 200.0)
-    for f in forcings:
-        at = f.on_nodes(x)
-        for t in times:
-            values = at(t)
-            assert values.dtype == float
-            assert np.array_equal(values, f(t, x))
-    # one profile for the per-node form, and one per call of the forcing
-    assert len(profiles) == 1 + len(times)
+    at = f(x)
+    for t in (0.0, 0.05, 1.0, 7.5, 200.0, np.inf):
+        values = at(t)
+        assert values.dtype == float
+        assert np.array_equal(values, f(x.copy())(t))
+    r = np.abs(x[:, 0]) / 2.0
+    profile = np.where(r < 1.0, 1.3 * np.cos(0.5 * np.pi * r) ** 2, 0.0)
+    assert np.array_equal(at(np.inf), profile)
 

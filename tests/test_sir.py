@@ -38,11 +38,16 @@ def _bump_seed(grid, amplitude=0.2, radius=0.5):
     return amplitude * np.where(np.abs(x) < radius, prof, 0.0)
 
 
+def _kernel(contact=None, recovery=_ones):
+    """The contact rate (the box of mass 2 and reach 1 by default) and the
+    recovery rate as the SirState's separable kernel."""
+    return ew.SeparableKernel(contact or _box_pair(), recovery, 1.0)
+
+
 def _plain_state(cell_points=16, window_radius=8, **overrides):
     grid = ew.PeriodicGrid(dim=1, cell_points=cell_points,
                            window_radius=window_radius)
-    fields = dict(grid=grid, contact_fn=_box_pair(), support_radius=1.0,
-                  recovery_fn=_ones, susceptible_fn=_ones,
+    fields = dict(grid=grid, kernel=_kernel(), susceptible_fn=_ones,
                   infected0=_bump_seed(grid))
     fields.update(overrides)
     return SirState(**fields)
@@ -52,8 +57,9 @@ def _striped_state(cell_points=16, window_radius=8):
     grid = ew.PeriodicGrid(dim=1, cell_points=cell_points,
                            window_radius=window_radius)
     return SirState(
-        grid=grid, contact_fn=_box_pair(), support_radius=1.0,
-        recovery_fn=lambda X: 1.0 + 0.25 * np.sin(2 * np.pi * X[:, 0]),
+        grid=grid,
+        kernel=_kernel(
+            recovery=lambda X: 1.0 + 0.25 * np.sin(2 * np.pi * X[:, 0])),
         susceptible_fn=lambda X: 1.0 + 0.5 * np.cos(2 * np.pi * X[:, 0]),
         infected0=_bump_seed(grid),
     )
@@ -91,7 +97,8 @@ def test_infection_balance_closes_to_first_order():
     m = 1.3
 
     def _worst_defect(dt):
-        state = _plain_state(recovery_fn=lambda X: m * np.ones(X.shape[0]))
+        state = _plain_state(
+            kernel=_kernel(recovery=lambda X: m * np.ones(X.shape[0])))
         sim = simulate_sir(state, dt=dt, horizon=3.0)
         wt = state.grid.weight
         start = wt * np.sum(sim.S[0] + sim.I[0])
@@ -121,8 +128,7 @@ def test_step_size_guard():
 
 def test_state_validation():
     grid = ew.PeriodicGrid(dim=1, cell_points=16, window_radius=4)
-    good = dict(grid=grid, contact_fn=_box_pair(), support_radius=1.0,
-                recovery_fn=_ones, susceptible_fn=_ones,
+    good = dict(grid=grid, kernel=_kernel(), susceptible_fn=_ones,
                 infected0=_bump_seed(grid))
     with pytest.raises(ValidationError, match="does not fit"):
         SirState(**{**good, "infected0": np.zeros(7)})
@@ -131,8 +137,6 @@ def test_state_validation():
     with pytest.raises(ValidationError, match="away from zero"):
         SirState(**{**good, "susceptible_fn":
                     lambda X: np.cos(2 * np.pi * X[:, 0])})
-    with pytest.raises(ValidationError, match="finite positive"):
-        SirState(**{**good, "support_radius": np.inf})
 
 
 def test_negative_infection_reported_with_node():
@@ -140,7 +144,8 @@ def test_negative_infection_reported_with_node():
     # should say where rather than march on
     state = _plain_state(
         window_radius=4,
-        contact_fn=lambda X, Y: -2.0 * (np.abs(X[:, 0] - Y[:, 0]) <= 1.0),
+        kernel=_kernel(
+            lambda X, Y: -2.0 * (np.abs(X[:, 0] - Y[:, 0]) <= 1.0)),
         infected0=_bump_seed(ew.PeriodicGrid(dim=1, cell_points=16,
                                              window_radius=4), 0.5),
     )
@@ -199,36 +204,33 @@ def test_seed_forcing_matches_time_quadrature():
             K_row = pair(XX, grid.window_nodes) * state.infected0
             integrand = np.exp(-np.outer(taus, mu_w)) @ K_row
             brute[i] = grid.weight * np.trapezoid(integrand, taus)
-        assert np.max(np.abs(forcing(t, probes) - brute)) <= 1e-9
+        assert np.max(np.abs(forcing(probes)(t) - brute)) <= 1e-9
 
 
 def test_seed_pressure_at_window_nodes_is_evaluated_once():
-    """The bridge's per-window form (Forcing.on_nodes) evaluates the
-    window-to-seed pairs once, when it is built, and never again; its
-    values equal those of a fresh evaluation (here at a copy of the
-    nodes, one pair evaluation per call) bit for bit."""
+    """The bridge's seeding function, called at the window nodes, evaluates
+    the window-to-seed pairs once, then, and never again; its values equal
+    those of a fresh call (here at a copy of the nodes, one pair
+    evaluation per call) bit for bit."""
     state = _striped_state()
     pair_calls = []
-    contact = state.contact_fn
+    contact = state.kernel.spatial_fn
 
     def counted(X, Y):
         pair_calls.append(X.shape[0])
         return contact(X, Y)
 
-    state = SirState(grid=state.grid, contact_fn=counted,
-                     support_radius=state.support_radius,
-                     recovery_fn=state.recovery_fn,
-                     susceptible_fn=state.susceptible_fn,
-                     infected0=state.infected0)
+    state = dataclasses.replace(
+        state, kernel=_kernel(counted, state.kernel.mu_fn))
     _, forcing, _ = sir_to_kernel(state)
     nodes = state.grid.window_nodes
-    seed = forcing.on_nodes(nodes)
+    seed = forcing(nodes)
     assert len(pair_calls) == 1
     times = (0.0, 0.05, 0.7, 3.0, 40.0)
     for fresh, t in enumerate(times):
         on_nodes = seed(t)
         assert len(pair_calls) == 1 + fresh
-        assert np.array_equal(on_nodes, forcing(t, nodes.copy()))
+        assert np.array_equal(on_nodes, forcing(nodes.copy())(t))
         assert np.any(on_nodes > 0) == (t > 0)
     assert len(pair_calls) == 1 + len(times)
 
@@ -237,13 +239,14 @@ def test_seed_forcing_monotone_with_limit():
     state = _plain_state()
     _, forcing, _ = sir_to_kernel(state)
     probes = np.array([[0.0], [0.6], [-1.2], [3.0]])
-    samples = np.array([forcing(t, probes) for t in np.linspace(0.0, 25.0, 51)])
+    seed = forcing(probes)
+    samples = np.array([seed(t) for t in np.linspace(0.0, 25.0, 51)])
     assert np.all(np.diff(samples, axis=0) >= 0.0)
-    assert np.max(np.abs(samples[-1] - forcing.limit(probes))) <= 1e-10
+    assert np.max(np.abs(samples[-1] - seed(np.inf))) <= 1e-10
     # compact support: far probes never feel the seed
-    far = np.array([[6.0], [-5.5]])
-    assert np.all(forcing(4.0, far) == 0.0)
-    assert np.all(forcing.limit(far) == 0.0)
+    far = forcing(np.array([[6.0], [-5.5]]))
+    assert np.all(far(4.0) == 0.0)
+    assert np.all(far(np.inf) == 0.0)
 
 
 def test_bridge_satisfies_standing_hypotheses():
@@ -297,10 +300,10 @@ def test_box_contact_evaluates_only_the_images_in_its_box():
         return box.spatial_fn(X, Y)
 
     grid = ew.PeriodicGrid(dim=2, cell_points=8, window_radius=2)
-    state = SirState(grid=grid, contact_fn=contact,
-                     support_radius=box.support_radius,
-                     axis_reach=box.reach.axis, recovery_fn=_ones,
-                     susceptible_fn=_ones, infected0=np.zeros(grid.n_window))
+    kernel = ew.SeparableKernel(contact, _ones, box.support_radius, dim=2,
+                                axis_reach=box.reach.axis)
+    state = SirState(grid=grid, kernel=kernel, susceptible_fn=_ones,
+                     infected0=np.zeros(grid.n_window))
     simulate_sir(state, dt=0.05, horizon=0.1)
     assert len(calls) == 9
     calls.clear()
@@ -308,8 +311,6 @@ def test_box_contact_evaluates_only_the_images_in_its_box():
     assert kernel.reach == box.reach
     ew.time_integrate_kernel(kernel, grid)
     assert len(calls) == 9
-    with pytest.raises(ValidationError, match="axis reach"):
-        dataclasses.replace(state, axis_reach=0.0)
 
 
 def test_trajectory_required_for_attack_variable():

@@ -18,7 +18,8 @@ from epiwave.spectral import (
 def _row_sum_interval(transfer, response):
     """Extremes of g'(0) * integral V(x, y) dy over x: the Collatz-Wielandt
     bracket at the constant vector, which the power iterates tighten."""
-    rows = response.slope0 * transfer.row_integrals
+    rows = (response.slope0 * transfer.cell_matrix.sum(axis=1)
+            * transfer.grid.weight)
     return float(np.min(rows)), float(np.max(rows))
 
 

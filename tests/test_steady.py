@@ -54,13 +54,11 @@ def test_heterogeneous_state_sits_in_scalar_bracket():
     st = solve_steady_state(transfer, resp)
     assert st.present and st.residual <= 1e-10
 
-    lo, hi = resp.slope0 * transfer.row_integrals.min(), \
-        resp.slope0 * transfer.row_integrals.max()
-    assert lo > 1.0  # bracket argument needs both flat problems supercritical
-    z_lo = optimize.brentq(lambda z: transfer.row_integrals.min() * resp(z) - z,
-                           1e-12, 10.0)
-    z_hi = optimize.brentq(lambda z: transfer.row_integrals.max() * resp(z) - z,
-                           1e-12, 10.0)
+    rows = transfer.cell_matrix.sum(axis=1) * grid.weight
+    # bracket argument needs both flat problems supercritical
+    assert resp.slope0 * rows.min() > 1.0
+    z_lo = optimize.brentq(lambda z: rows.min() * resp(z) - z, 1e-12, 10.0)
+    z_hi = optimize.brentq(lambda z: rows.max() * resp(z) - z, 1e-12, 10.0)
     assert np.min(st.values) >= z_lo - 1e-9
     assert np.max(st.values) <= z_hi + 1e-9
 
@@ -93,7 +91,8 @@ def test_climb_is_monotone_from_seed(box_scenario):
 
 def test_descent_from_constant_bound(box_scenario):
     transfer, resp = box_scenario["transfer"], box_scenario["response"]
-    u = np.full(transfer.grid.n_cell, resp.bound * transfer.row_integrals.max())
+    rows = transfer.cell_matrix.sum(axis=1) * transfer.grid.weight
+    u = np.full(transfer.grid.n_cell, resp.bound * rows.max())
     for _ in range(40):
         u_next = apply_T(u, transfer, resp)
         assert np.max(u_next - u) <= 1e-13

@@ -460,8 +460,8 @@ def test_a_vanishing_target_factor_is_refused_before_any_warm_start(
 
 
 def test_one_rate_check_per_matrix(monkeypatch):
-    """matrix checks (rho, c) once, not again through lattice_sum, and
-    both entry points still refuse bad rates and speeds."""
+    """matrix checks (rho, c) once, not again through _lattice_sum, and
+    still refuses bad rates and speeds."""
     tilted = TiltedOperator(_striped_kernel(), _g(), _grid(16))
     checks = []
     real = TiltedOperator._decay_rate
@@ -471,14 +471,12 @@ def test_one_rate_check_per_matrix(monkeypatch):
         return real(self, rho, c)
 
     monkeypatch.setattr(TiltedOperator, "_decay_rate", counting)
-    for evaluate in (tilted.matrix, tilted.lattice_sum):
-        checks.clear()
-        evaluate(0.5, 1.0)
-        assert checks == [(0.5, 1.0)]
-        for rho, c in ((-0.5, 1.0), (0.5, -1.0), (np.nan, 1.0),
-                       (2.0 * tilted.rho_max, 1.0)):
-            with pytest.raises(ValidationError):
-                evaluate(rho, c)
+    tilted.matrix(0.5, 1.0)
+    assert checks == [(0.5, 1.0)]
+    for rho, c in ((-0.5, 1.0), (0.5, -1.0), (np.nan, 1.0),
+                   (2.0 * tilted.rho_max, 1.0)):
+        with pytest.raises(ValidationError):
+            tilted.matrix(rho, c)
 
 
 def test_tilted_operator_refuses_negative_speeds_and_rates():
