@@ -40,7 +40,8 @@ MAX_WINDOW_NODES = 2**16
 # (test_cell_budget_bounds_peak_memory). The same limit holds the rows
 # that one column of a window-matrix product gathers, one row of the cell
 # per window cell and image: at that reach it admits windows of radius 2
-# (31 MB) but not 8 (496 MB).
+# (31 MB) but not 8 (496 MB). A 2-D box kernel, applied one axis at a
+# time, gathers 2 * ceil(reach) + 1 times less.
 MAX_CELL_BYTES = 2**27
 
 
@@ -54,8 +55,12 @@ def cell_bytes(dim: int, cell_points: int, reach: float,
     window_radius gathers (CellBlockMatrix.__matmul__), (2 *
     window_radius)**dim cells x images x n_cell x 8. A ball truncation
     gathers for a subset of the window's cells, so gather bounds its
-    products too. Exact integer arithmetic, so any finite reach gives an
-    answer; nothing is allocated."""
+    products too. A 2-D box kernel is applied one axis at a time
+    (AxisBoxMatrix): one column of its product gathers side**2 x (2 *
+    ceil(reach) + 1) values for the side of the node's square, at most 2
+    * window_radius * cell_points, so gather bounds it and every working
+    array of its products with room to spare. Exact integer arithmetic,
+    so any finite reach gives an answer; nothing is allocated."""
     n_cell = int(cell_points) ** int(dim)
     images = (2 * math.ceil(reach) + 1) ** int(dim)
     cells = (2 * int(window_radius)) ** int(dim)

@@ -17,6 +17,15 @@ V_per(x, y) = sum_k V(x, y + k), which acts identically on periodic
 functions. A traveling frame at speed c with decay rate rho weighs the
 memory by exp(-rho c tau) as well; that exponent enters only the tilted
 operator (waves/dispersion.py).
+
+A matrix of V or K between window nodes is read from the kernel's values
+on the cell. In 1-D, and for a kernel without a box profile, it is
+block-Toeplitz over cells (CellBlockMatrix). A 2-D kernel that carries
+its box profile beside its symmetry factors (separable_contact_kernel,
+BoxProfile) is a Kronecker product of two 1-D box matrices between two
+diagonals, and its 2-D matrices are applied one axis at a time
+(AxisBoxMatrix); box_axes alone makes that choice, from the kernel and
+the grid's dimension.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
+from .grid import PeriodicGrid
 
 _EDGE_EPS = 1e-9
 # Lattice images whose nearest approach to the cell lies within this beyond
@@ -104,6 +114,19 @@ class SymmetryFactors:
     gamma2_fn: object
 
 
+@dataclass(frozen=True)
+class BoxProfile:
+    """The symmetric part S(x, y) = K0(x - y) of a box kernel, per axis:
+    K0(z) = mass / (2 half_width)**dim times the unit box of half-width
+    half_width on every axis, each taking its half value at the edge
+    (box_profile). With the SymmetryFactors beside it, the kernel is
+    gamma1(x) K0(x - y) gamma2(y), a Kronecker product of one line matrix
+    per axis between two diagonals (box_axes)."""
+
+    mass: float
+    half_width: float
+
+
 def _probe_points(dim: int, per_axis: int = 97) -> np.ndarray:
     axis = (np.arange(per_axis) + 0.5) / per_axis
     if dim == 1:
@@ -122,12 +145,14 @@ class SeparableKernel:
 
     axis_reach, when finite, declares that K(x, y) also vanishes once
     |x_a - y_a| exceeds it on any one axis a (a box kernel); with
-    support_radius it makes the kernel's reach.
+    support_radius it makes the kernel's reach. box, given with symmetry,
+    declares K = gamma1(x) K0(x - y) gamma2(y) for that box profile K0,
+    which 2-D matrices of the kernel apply one axis at a time (box_axes).
     """
 
     def __init__(self, spatial_fn, mu_fn, support_radius: float, dim: int = 1,
                  symmetry: SymmetryFactors | None = None,
-                 axis_reach: float = math.inf):
+                 axis_reach: float = math.inf, box: BoxProfile | None = None):
         self.reach = Reach(float(support_radius), float(axis_reach))
         probe = _probe_points(dim)
         mu_vals = np.asarray(mu_fn(probe), dtype=float)
@@ -140,6 +165,7 @@ class SeparableKernel:
         self.support_radius = self.reach.radius
         self.dim = int(dim)
         self.symmetry = symmetry
+        self.box = box
 
 
 def exponential_step_weights(mu, dt: float):
@@ -150,6 +176,14 @@ def exponential_step_weights(mu, dt: float):
     I0 = -np.expm1(-mu * dt) / mu
     I1 = I0 / (mu * dt) - E1 / mu
     return E1, I0, I1
+
+
+def _box_weight(Z, radius: float) -> np.ndarray:
+    """The unit box on each axis of the displacements Z: 1 inside, 0.5
+    within _EDGE_EPS of the edge, 0 beyond (inside and on-edge are
+    disjoint, so the sum is 1, 0.5 or 0)."""
+    Z = np.abs(np.atleast_2d(np.asarray(Z, dtype=float)))
+    return (Z < radius - _EDGE_EPS) + 0.5 * (np.abs(Z - radius) <= _EDGE_EPS)
 
 
 def box_profile(mass: float, radius: float, dim: int = 1):
@@ -167,9 +201,7 @@ def box_profile(mass: float, radius: float, dim: int = 1):
     height = mass / (2.0 * radius) ** dim
 
     def profile(Z):
-        Z = np.abs(np.atleast_2d(np.asarray(Z, dtype=float)))
-        # inside and on-edge are disjoint, so the sum is 1, 0.5 or 0
-        weight = (Z < radius - _EDGE_EPS) + 0.5 * (np.abs(Z - radius) <= _EDGE_EPS)
+        weight = _box_weight(Z, radius)
         product = weight[:, 0]
         for axis in range(1, weight.shape[1]):
             product = product * weight[:, axis]
@@ -270,26 +302,35 @@ class SpatialKernel:
     cell matrix (plain values, not yet weighted by quadrature) is the sum
     of its blocks, taken first; the table is then laid out once, in place,
     for the products (_product_table), and kept as `table` beside `shifts`.
-    The ball truncations and the window matrix are CellBlockMatrix
-    objects that read this one table and copy none of it. Also keeps,
-    when the factorization is known, the symmetry weight gamma2/gamma1 on
-    the cell.
+    The ball truncations and the window matrix (matrix) are CellBlockMatrix
+    objects that read this one table and copy none of it, or, for a 2-D
+    box kernel, AxisBoxMatrix objects that read the kernel's `axes`
+    (box_axes) instead. Also keeps, when the factorization is known, the
+    symmetry weight gamma2/gamma1 on the cell.
     """
 
     def __init__(self, grid, shifts: np.ndarray, blocks: np.ndarray,
-                 support_radius: float, gamma_cell=None):
+                 support_radius: float, gamma_cell=None, axes=None):
         self.grid = grid
         self.shifts = shifts
         self.cell_matrix = blocks.sum(axis=0)
         self.table = _product_table(blocks)
         self.support_radius = float(support_radius)
         self.gamma_cell = gamma_cell
+        self.axes = axes
 
-    def window_matrix(self) -> CellBlockMatrix:
-        """Whole-line kernel values V(x_i, x_j) between all window nodes, in
-        cell-block form over the image table, as window_pair_matrix builds it."""
-        return CellBlockMatrix(self.grid, np.arange(self.grid.n_window),
-                               self.shifts, self.table)
+    def matrix(self, nodes: np.ndarray, scale: float = 1.0):
+        """scale times the whole-line kernel values V(x_i, x_j) between the
+        given window nodes, in ascending order: axis by axis when the
+        kernel has axes, else in cell-block form over the image table."""
+        if self.axes is not None:
+            return AxisBoxMatrix(self.grid, nodes, self.axes, scale)
+        return CellBlockMatrix(self.grid, nodes, self.shifts, self.table, scale)
+
+    def window_matrix(self):
+        """V(x_i, x_j) between all window nodes, as window_pair_matrix
+        builds it."""
+        return self.matrix(np.arange(self.grid.n_window))
 
 
 class CellBlockMatrix:
@@ -308,6 +349,10 @@ class CellBlockMatrix:
     values on the cell repeated over the window. Scenario documents
     refuse heterogeneities without period 1 on every axis for this reason
     (app/scenario.py).
+
+    This is the form of every 1-D kernel matrix, of every matrix of a
+    kernel without a box profile, and of the line matrix L of the 2-D
+    box kernels, whose own matrices go axis by axis (AxisBoxMatrix).
 
     The blocks come as `table`, laid out by _product_table (row s * n + b,
     column a holds V(x_a, x_b + shifts[s])). The matrix keeps a reference
@@ -425,21 +470,184 @@ class CellBlockMatrix:
         return np.where(s >= 0, values * self.scale, 0.0)
 
 
-def window_pair_matrix(grid, pair_fn, reach: Reach) -> CellBlockMatrix:
-    """Whole-line kernel values V(x_i, x_j) between all window nodes.
+@dataclass
+class BoxAxes:
+    """A 2-D box kernel gamma1(x) K0(x - y) r(y) as factors on one line.
 
-    Returned in cell-block form: by joint periodicity of pair_fn (which
-    the block form assumes, see CellBlockMatrix) every entry is an entry
-    of one of the cell's lattice-image blocks, so the pair function is
-    evaluated on images x n_cell**2 pairs instead of on every window
-    pair, and a product is one dense matrix product. The table is laid
-    out in place (_product_table) and the matrix is its only holder.
-    Pairs whose nodes lie in cells farther apart than the kernel reaches
-    are zero, and nodes near the window edge see no pairs beyond it.
+    table is the lattice-image table (laid out by _product_table) of the
+    unit box of half-width half_width on line_grid, the 1-D grid of the
+    2-D grid's axis, with the same half value at the edge as box_profile:
+    K0(x - y) = height w(x1 - y1) w(x2 - y2) for that unit box w. left is
+    height gamma1 and right is r, each on the 2-D cell nodes.
     """
-    shifts, blocks = lattice_image_blocks(pair_fn, grid, reach)
-    return CellBlockMatrix(grid, np.arange(grid.n_window), shifts,
-                           _product_table(blocks))
+
+    line_grid: PeriodicGrid
+    shifts: np.ndarray
+    table: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+def box_axes(kernel, grid, decay: bool) -> BoxAxes | None:
+    """The one place that decides whether a kernel's 2-D matrices go axis
+    by axis: for a 2-D grid and a kernel carrying its box profile and
+    symmetry factors, the factors of K (r = gamma2) or, with decay, of
+    V = K / mu (r = gamma2 / mu); None otherwise, and every matrix of the
+    kernel is a CellBlockMatrix."""
+    box, sym = kernel.box, kernel.symmetry
+    if grid.dim != 2 or box is None or sym is None:
+        return None
+    line_grid = PeriodicGrid(1, grid.cell_points, grid.window_radius)
+    half = box.half_width
+    shifts, blocks = lattice_image_blocks(
+        lambda X, Y: _box_weight(X - Y, half)[:, 0], line_grid, Reach(half))
+    X = grid.cell_nodes
+    height = box.mass / (2.0 * half) ** 2
+    right = np.asarray(sym.gamma2_fn(X), dtype=float)
+    if decay:
+        right = right / np.asarray(kernel.mu_fn(X), dtype=float)
+    return BoxAxes(line_grid, shifts, _product_table(blocks),
+                   height * np.asarray(sym.gamma1_fn(X), dtype=float), right)
+
+
+class AxisBoxMatrix:
+    """A 2-D box-kernel matrix between window nodes, applied one axis at a
+    time.
+
+    For the factors of a BoxAxes the matrix is diag(left) (L ⊗ L)
+    diag(right) over the window nodes given, with left = scale * height *
+    gamma1 and right the cell factor r, both read at each node's cell
+    image, and L the 1-D CellBlockMatrix of the unit box on one line of
+    the square that bounds the nodes, widened to whole cells (all of the
+    window for the window matrix, the cells of [-R, R]**2 for a ball of
+    radius R). Its entries are the CellBlockMatrix's for the same nodes
+    up to rounding, and zero between nodes farther apart than the box
+    reaches on either axis (Van Loan, "The ubiquitous Kronecker product",
+    J. Comput. Appl. Math. 123 (2000)).
+
+    A product scatters right * x into the zero-padded square, applies L
+    to every line along the second axis, turns each square over, applies
+    L to every line along the first axis, and reads left times the result
+    at the nodes: two multi-column products of L, each of as many columns
+    as the square has lines. Nodes of the square that are not among the
+    given ones stay zero, which is the Dirichlet truncation. One column
+    of a product takes O(side**2 images) flops and gathers side**2 x
+    images values, images being the unit box's lattice images on the line
+    (2 ceil(half_width) + 1 at most): no 2-D gather, and no dense line
+    matrix, whose products would cost side**3.
+    """
+
+    def __init__(self, grid, nodes: np.ndarray, axes: BoxAxes,
+                 scale: float = 1.0):
+        p = grid.cell_points
+        rows, cols = divmod(nodes, 2 * grid.window_radius * p)
+        first = min(rows.min(), cols.min()) // p * p
+        side = (max(rows.max(), cols.max()) // p + 1) * p - first
+        rows, cols = rows - first, cols - first
+        self.local = grid.window_cell_map[nodes]
+        self.left = scale * axes.left[self.local]
+        self.right = axes.right[self.local]
+        self._line_of = functools.partial(
+            CellBlockMatrix, axes.line_grid, np.arange(first, first + side),
+            axes.shifts)  # the line matrix of a given table
+        self.line = self._line_of(axes.table)
+        self._side = side
+        at = rows * side + cols  # each node in the square
+        if np.any(np.diff(at) <= 0):
+            raise ValueError("the nodes of a kernel matrix must ascend")
+        self._in_order = len(at) == side * side  # the nodes fill the square
+        self._mask = np.zeros(side * side, dtype=bool)
+        self._mask[at] = True
+        self._turned_at = cols * side + rows  # each node in the turned square
+        self._work = None  # (k, buffers) of the last product; see _buffers
+        self.shape = (len(nodes), len(nodes))
+
+    def _buffers(self, k: int):
+        """The zero-padded square, the turned square and the nodes' mask of
+        the k squares, flat, for products of k columns; kept until a
+        product with another k."""
+        if self._work is None or self._work[0] != k:
+            area = self._side**2
+            self._work = (k, np.zeros((k, area)),
+                          np.empty((k * self._side, self._side)),
+                          np.tile(self._mask, k))
+        return self._work[1:]
+
+    def _apply(self, line, left, right, x):
+        """diag(left) (line ⊗ line) diag(right) x, for the nodes' slots."""
+        x = np.asarray(x)
+        k = x.size // self.shape[1]
+        side = self._side
+        square, turned, mask = self._buffers(k)
+        if self._in_order:
+            np.multiply(x.T, right, out=square)
+        else:  # the nodes ascend, as the square's slots do; a flat mask
+            # of runs scatters faster than integer slots or square[:, mask]
+            square.reshape(-1)[mask] = (x.T * right).reshape(-1)
+        # line products take their columns as the rows of a C-order array:
+        # first the lines along the second axis, then, turned, the first
+        along = (line @ square.reshape(k * side, side).T).T
+        turned.reshape(k, side, side)[...] = (
+            along.reshape(k, side, side).transpose(0, 2, 1))
+        across = (line @ turned.T).T.reshape(k, side * side)
+        if self._in_order:
+            out = (across.reshape(k, side, side).transpose(0, 2, 1)
+                   * left.reshape(side, side))
+        else:
+            out = np.take(across, self._turned_at, axis=1)
+            out *= left
+        return out.reshape(x.shape[::-1]).T
+
+    def __matmul__(self, x):
+        """A @ x for a vector x or an (nodes, k) array of k columns."""
+        return self._apply(self.line, self.left, self.right, x)
+
+    def sum(self, axis) -> np.ndarray:
+        """Row sums (axis=1), the only sums a kernel matrix is taken over here."""
+        if axis != 1:
+            raise ValueError(f"only row sums (axis=1) are kept, got axis={axis}")
+        return self @ np.ones(self.shape[1])
+
+    @functools.cached_property
+    def nnz(self) -> int:
+        """Nonzero kernel values between the nodes, as a sparse matrix stores
+        them: the same product with every factor replaced by its indicator
+        of nonzero values, whose row sums count them exactly."""
+        indicator = self._line_of((self.line.table != 0) * 1.0)
+        counts = self._apply(indicator, (self.left != 0) * 1.0,
+                             (self.right != 0) * 1.0, np.ones(self.shape[1]))
+        return int(counts.sum())
+
+    def toarray(self) -> np.ndarray:
+        """The matrix in dense form (for checks and tests)."""
+        dense = self.line.toarray()
+        rows, cols = np.divmod(np.flatnonzero(self._mask), self._side)
+        return (self.left[:, None] * dense[rows[:, None], rows]
+                * dense[cols[:, None], cols] * self.right)
+
+
+def window_pair_matrix(grid, kernel):
+    """Whole-line kernel values K(x_i, x_j) of a SeparableKernel between
+    all window nodes.
+
+    A 2-D kernel that carries its box profile (box_axes) gives an
+    AxisBoxMatrix, applied one axis at a time, and its pair function is
+    never evaluated. Any other is returned in cell-block form: by joint
+    periodicity of the pair function (which the block form assumes, see
+    CellBlockMatrix) every entry is an entry of one of the cell's
+    lattice-image blocks, so the pair function is evaluated on images x
+    n_cell**2 pairs instead of on every window pair, and a product is one
+    dense matrix product. The table is laid out in place (_product_table)
+    and the matrix is its only holder. Pairs whose nodes lie in cells
+    farther apart than the kernel reaches are zero, and nodes near the
+    window edge see no pairs beyond it.
+    """
+    nodes = np.arange(grid.n_window)
+    axes = box_axes(kernel, grid, decay=False)
+    if axes is not None:
+        return AxisBoxMatrix(grid, nodes, axes)
+    shifts, blocks = lattice_image_blocks(kernel.spatial_fn, grid, kernel.reach)
+    return CellBlockMatrix(grid, nodes, shifts, _product_table(blocks))
 
 
 def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
@@ -461,6 +669,7 @@ def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
         return time_kernel.spatial_fn(X, Y) / mu
 
     shifts, blocks = lattice_image_blocks(pair_fn, grid, time_kernel.reach)
+    axes = box_axes(time_kernel, grid, decay=True)
     gamma_cell = None
     sym = time_kernel.symmetry
     if sym is not None:
@@ -473,7 +682,7 @@ def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
     return SpatialKernel(
         grid, shifts, blocks,
         support_radius=time_kernel.support_radius,
-        gamma_cell=gamma_cell,
+        gamma_cell=gamma_cell, axes=axes,
     )
 
 
@@ -486,7 +695,9 @@ def separable_contact_kernel(mass: float, support_radius: float, dim: int = 1,
     modulates susceptibility at the receiving point and s (source_factor)
     infectivity at the emitting point; all three heterogeneities default
     to one. The factorization is recorded so downstream operators know
-    their weighted self-adjoint structure.
+    their weighted self-adjoint structure, and so is the box profile
+    (BoxProfile), with which every 2-D matrix of the kernel is applied one
+    axis at a time (box_axes, AxisBoxMatrix).
     """
     one = lambda P: np.ones(np.asarray(P).shape[0])
     b = target_factor or one
@@ -500,4 +711,5 @@ def separable_contact_kernel(mass: float, support_radius: float, dim: int = 1,
     sym = SymmetryFactors(gamma1_fn=b, gamma2_fn=s)
     euclid_reach = support_radius * np.sqrt(dim)
     return SeparableKernel(spatial, mu, euclid_reach, dim=dim, symmetry=sym,
-                           axis_reach=support_radius)
+                           axis_reach=support_radius,
+                           box=BoxProfile(mass, support_radius))

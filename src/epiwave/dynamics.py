@@ -30,6 +30,11 @@ of the grid). The memory w is updated in a kept buffer with the same
 products and sum as a fresh one, so every value equals that of an
 allocating step bit for bit. Beside the trajectory the march holds a few
 window-sized buffers.
+
+The memory is applied by the kernel's window matrix (window_pair_matrix):
+in cell-block form in 1-D, and for a 2-D box kernel one axis at a time,
+two multi-column products of the 1-D box's line matrix per step
+(AxisBoxMatrix).
 """
 
 from __future__ import annotations
@@ -129,7 +134,7 @@ def _march_separable(kernel, seed, response, grid, values, times, block):
             f"dt * max(mu) = {dt * np.max(mu):.3g} >= 1 on the window nodes; "
             "refine the time step below the fastest recovery"
         )
-    K = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
+    K = window_pair_matrix(grid, kernel)
     fade, gain, _ = exponential_step_weights(mu, dt)
 
     w = np.zeros(grid.n_window)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain.kernels import SeparableKernel, window_pair_matrix
+from .domain.kernels import SeparableKernel, SymmetryFactors, window_pair_matrix
 from .domain.nonlinearity import saturating_exponential
 from .dynamics import march_steps, solve_initial_value
 from .errors import ConvergenceError, ValidationError
@@ -91,7 +91,7 @@ def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
         )
     grid = state.grid
     steps = march_steps(dt, horizon, grid.n_window)
-    K = window_pair_matrix(grid, state.kernel.spatial_fn, state.kernel.reach)
+    K = window_pair_matrix(grid, state.kernel)
     mu = np.asarray(state.kernel.mu_fn(grid.window_nodes), dtype=float)
     S0 = state.susceptible0()
     row = float(np.max(K.sum(axis=1))) * grid.weight
@@ -135,20 +135,33 @@ def sir_to_kernel(state: SirState):
     separable kernel S0(y) K(x, y) exp(-mu(y) tau), the pressure of the
     initial infecteds as forcing, and g(z) = 1 - exp(-z). The forcing is
     its seeding function, X -> (t -> f(t, X)); its limit at t = inf
-    weighs each seed by 1 / mu.
+    weighs each seed by 1 / mu. A contact kernel with symmetry factors
+    gamma1, gamma2 gives the bridge the factors gamma1, S0 gamma2 and the
+    same box profile, so a 2-D box bridge is applied axis by axis too.
     """
     grid = state.grid
     contact = state.kernel.spatial_fn
     s_fn = state.susceptible_fn
     mu_fn = state.kernel.mu_fn
 
+    def susceptible(Y):
+        return np.asarray(s_fn(np.atleast_2d(Y)), dtype=float)
+
+    contact_sym, sym = state.kernel.symmetry, None
+    if contact_sym is not None:
+        sym = SymmetryFactors(
+            gamma1_fn=contact_sym.gamma1_fn,
+            gamma2_fn=lambda Y: np.asarray(contact_sym.gamma2_fn(Y),
+                                           dtype=float) * susceptible(Y))
     kernel = SeparableKernel(
         spatial_fn=lambda X, Y: np.asarray(contact(X, Y), dtype=float)
-        * np.asarray(s_fn(np.atleast_2d(Y)), dtype=float),
+        * susceptible(Y),
         mu_fn=mu_fn,
         support_radius=state.kernel.support_radius,
         dim=grid.dim,
+        symmetry=sym,
         axis_reach=state.kernel.reach.axis,
+        box=state.kernel.box,
     )
 
     active = state.infected0 > 0

@@ -29,6 +29,15 @@ keeps them as one table; every truncation holds a reference to that
 table, copies none of it, and scales its products. Nothing is
 approximated, and a power iteration is one dense product.
 
+A 2-D box kernel (separable_contact_kernel) is applied one axis at a
+time instead: its truncation to the ball of radius R is diag(b scale)
+(L ⊗ L) diag(s / mu) over the square of cells [-R, R]**2, with L the 1-D
+cell-block matrix of the unit box on one line of it (AxisBoxMatrix), and
+a power iteration is two multi-column products of L. On a radius-4 ball
+at 12 x 12 cell points that is 1.3 Mflop a product instead of the 18.7
+of the 9-image table; the entries agree up to rounding, and the matrix
+counts the same nonzero entries.
+
 Quadrature is the composite midpoint rule of the grid; for kernels whose
 jumps fall on grid-aligned edges (half-value convention in the kernel
 evaluators) the eigenvalue error is second order in the spacing.
@@ -41,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain.kernels import CellBlockMatrix
+from .domain.kernels import AxisBoxMatrix, CellBlockMatrix
 from .errors import ConvergenceError, ValidationError
 
 DEFAULT_EIGEN_TOL = 1e-10
@@ -157,14 +166,17 @@ def assemble_periodic(transfer, response) -> OperatorMatrix:
 def assemble_ball(transfer, response, radius: float) -> OperatorMatrix:
     """Dirichlet truncation of the whole-line operator to a ball of the window.
 
-    The entries are a CellBlockMatrix over the window nodes in the ball,
-    reading the transfer's lattice-image table instead of rows of the
-    window matrix: by joint periodicity those blocks are every value the
-    truncation holds. The table is shared, not copied.
+    The entries are the transfer's matrix over the window nodes in the
+    ball (SpatialKernel.matrix), never rows of the window matrix. For a
+    2-D box kernel that is an AxisBoxMatrix over the cells of the ball's
+    square [-R, R]**2, two products of the unit box's line matrix per
+    product. Otherwise it is a CellBlockMatrix reading the transfer's
+    lattice-image table: by joint periodicity those blocks are every value
+    the truncation holds. Either way the tables are shared, not copied.
     """
     grid = transfer.grid
-    entries = CellBlockMatrix(grid, grid.ball_indices(radius), transfer.shifts,
-                              transfer.table, response.slope0 * grid.weight)
+    entries = transfer.matrix(grid.ball_indices(radius),
+                              response.slope0 * grid.weight)
     gamma = transfer.gamma_cell
     return OperatorMatrix(
         entries=entries,
@@ -187,7 +199,9 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     say, no iterate can get closer. The returned pair keeps
     the last product, from which its bracket is read. A tol that is not
     positive and finite is refused, and so are negative and non-finite
-    entries, and any other start. A product that overflows stops the
+    entries, read off the stored factors of a kernel matrix (the table
+    and its scale, or the line matrix and both diagonals of the axis
+    form), and any other start. A product that overflows stops the
     iteration with a ConvergenceError. An eigenvector with a zero entry is
     refused too, so every returned vector can start a nearby solve.
 
@@ -201,11 +215,16 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
         raise ValidationError(
             f"eigen tolerance must be positive and finite, got {tol}")
     entries = op.entries
-    if isinstance(entries, CellBlockMatrix):  # scale times the table
-        stored, scale = entries.table, entries.scale
+    if isinstance(entries, AxisBoxMatrix):  # left (L ⊗ L) right
+        factors = [(entries.left, 1.0), (entries.line.table, 1.0),
+                   (entries.right, 1.0)]
+    elif isinstance(entries, CellBlockMatrix):  # scale times the table
+        factors = [(entries.table, entries.scale)]
     else:  # a dense array, or a scipy sparse matrix (no flat view)
-        stored, scale = entries, 1.0
-    if stored.size:
+        factors = [(entries, 1.0)]
+    for stored, scale in factors:
+        if not stored.size:
+            continue
         # every entry lies between these two; NaN fails every comparison
         if isinstance(stored, np.ndarray):
             flat = stored.reshape(-1)

@@ -165,7 +165,7 @@ def oscillating_subsolution(time_kernel, response, c, grid, *,
             t2 = np.exp(-b * (s2 - y) - rho * s2)
             total += (phi_j * (t1 - t2) / a).real
         history[j] = total / c
-    K = window_pair_matrix(grid, time_kernel.spatial_fn, time_kernel.reach)
+    K = window_pair_matrix(grid, time_kernel)
     applied = response.slope0 * grid.weight * (K @ history)
 
     slack = applied - values

@@ -139,8 +139,7 @@ class WaveOperator:
         self.dt = self.period / self.m
         self.times = self.dt * np.arange(self.m)
 
-        self.K = window_pair_matrix(grid, time_kernel.spatial_fn,
-                                    time_kernel.reach)
+        self.K = window_pair_matrix(grid, time_kernel)
         self.interior = np.zeros(grid.n_window, dtype=bool)
         self.interior[grid.interior_indices(reach)] = True
 

@@ -73,6 +73,30 @@ def box_minimal_speed(beta: float = 2.0, mu: float = 1.0, radius: float = 1.0):
     return c_star, rho_star
 
 
+def _sinhc(z: float) -> float:
+    return math.sinh(z) / z if z != 0.0 else 1.0
+
+
+def box_2d_minimal_speed(theta: float, beta: float = 2.0, mu: float = 1.0):
+    """Spreading speed of the homogeneous 2-D box model along (cos theta,
+    sin theta), and its decay rate.
+
+    The box of mass beta and half-width 1 on each axis has a constant
+    Perron vector at every tilt, and its tilted integral factors over the
+    axes, so lambda(rho, c) = beta sinhc(rho cos theta) sinhc(rho sin
+    theta) / (mu + rho c) with sinhc(z) = sinh(z) / z. lambda = 1 at
+    c = (beta sinhc sinhc - mu) / rho, and c_star is its minimum over rho.
+    """
+    e1, e2 = math.cos(theta), math.sin(theta)
+
+    def speed(r: float) -> float:
+        return (beta * _sinhc(r * e1) * _sinhc(r * e2) - mu) / r
+
+    res = optimize.minimize_scalar(speed, bounds=(1e-6, 12.0),
+                                   method="bounded", options={"xatol": 1e-12})
+    return float(res.fun), float(res.x)
+
+
 def box_decay_roots(c: float, beta: float = 2.0, mu: float = 1.0,
                     radius: float = 1.0):
     """Both real roots of lambda(rho, c) = 1 for supercritical speed c.
@@ -129,7 +153,16 @@ FROZEN = {
     "rho2_at_2cstar": 3.5292325544168057,
     # box_rear_decay(2 * c_star)
     "kappa_at_2cstar": 0.2405082871665015,
+    # box_2d_minimal_speed(theta)[0] with beta=2, mu=1, per angle theta
+    "c_star_2d_0": 1.2259352294288528,
+    "c_star_2d_pi_8": 1.236220106083971,
+    "c_star_2d_pi_4": 1.245916535002682,
+    "c_star_2d_pi": 1.2259352294288528,
 }
+
+# the angles of the FROZEN 2-D speeds
+ANGLES_2D = {"0": 0.0, "pi_8": math.pi / 8, "pi_4": math.pi / 4,
+             "pi": math.pi}
 
 
 if __name__ == "__main__":
@@ -145,6 +178,8 @@ if __name__ == "__main__":
         "rho1_at_2cstar": r1,
         "rho2_at_2cstar": r2,
         "kappa_at_2cstar": box_rear_decay(2.0 * cs),
+        **{f"c_star_2d_{name}": box_2d_minimal_speed(theta)[0]
+           for name, theta in ANGLES_2D.items()},
     }
     for key, val in computed.items():
         drift = abs(val - FROZEN[key])

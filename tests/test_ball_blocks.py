@@ -10,8 +10,10 @@ import scipy.sparse
 
 import epiwave as ew
 from epiwave import ValidationError
-from epiwave.domain.kernels import window_pair_matrix
+from epiwave.domain.kernels import (_product_table, lattice_image_blocks,
+                                    window_pair_matrix)
 from epiwave.spectral import (
+    AxisBoxMatrix,
     CellBlockMatrix,
     OperatorMatrix,
     assemble_ball,
@@ -85,6 +87,14 @@ CASES = {
 }
 
 
+def _form(case, dim):
+    """The matrix type a case's kernel takes: 2-D boxes go axis by axis;
+    1-D kernels and the radial cone stay in cell-block form."""
+    if dim == 2 and not case.startswith("isotropic"):
+        return AxisBoxMatrix
+    return CellBlockMatrix
+
+
 def _radii(window):
     # every integer radius the window holds, plus radii that cut cells
     return sorted({*range(1, window + 1), 0.3, window - 0.45})
@@ -105,7 +115,7 @@ def test_ball_blocks_match_window_submatrix(case):
     for radius in _radii(window):
         op = assemble_ball(transfer, response, radius)
         ref = _reference_ball(transfer, kernel, response, radius)
-        assert isinstance(op.entries, CellBlockMatrix)
+        assert isinstance(op.entries, _form(case, dim))
         assert op.entries.shape == ref.entries.shape
         assert op.entries.nnz == ref.entries.nnz
         dense, expected = op.entries.toarray(), ref.entries.toarray()
@@ -169,6 +179,21 @@ def test_ball_of_negative_kernel_is_rejected():
         principal_eigenpair(op)
 
 
+@pytest.mark.parametrize("factor", ["left", "line", "right"])
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_axis_form_entries_are_checked_factor_by_factor(factor, bad):
+    """The power iteration refuses a negative or non-finite entry of
+    either diagonal or of the line matrix of a 2-D box's ball."""
+    transfer = ew.time_integrate_kernel(_striped(2), ew.PeriodicGrid(2, 8, 2))
+    op = assemble_ball(transfer, ew.saturating_exponential(), 1.5)
+    assert principal_eigenpair(op).value > 0.0
+    entries = op.entries
+    stored = entries.line.table if factor == "line" else getattr(entries, factor)
+    stored[np.unravel_index(np.argmax(stored), stored.shape)] = bad
+    with pytest.raises(ValidationError, match="negative or non-finite"):
+        principal_eigenpair(op)
+
+
 @pytest.mark.parametrize("dim, cell_points", [(1, 64), (2, 8)])
 def test_heterogeneous_ball_is_weighted_self_adjoint(dim, cell_points):
     grid = ew.PeriodicGrid(dim, cell_points, 3)
@@ -213,7 +238,7 @@ def test_window_blocks_match_csr_reference(case):
     # coordinates by the reference and on the cell by the blocks; their
     # rounding grows with |x| <= window
     rel = 4 * (window + 1) * eps
-    assert isinstance(W, CellBlockMatrix)
+    assert isinstance(W, _form(case, dim))
     assert W.shape == ref.shape == (grid.n_window, grid.n_window)
     assert W.nnz == ref.nnz
     assert _close(W.toarray(), ref.toarray(), rel)
@@ -233,10 +258,73 @@ def test_window_blocks_match_csr_reference(case):
     assert _close(W @ X, ref @ X, row_rel[:, None])
 
 
+# (cell_points, window_radius, kernel builder) of 2-D boxes: the edge case
+# puts the box's half value at the nearest approach of the shift-2 images,
+# 5e-10 beyond the reach
+AXIS_CASES = {
+    "box": (8, 2, lambda: ew.separable_contact_kernel(2.0, 1.0, dim=2)),
+    "striped": (12, 1, lambda: _striped(2)),
+    "edge-within-eps": (8, 2, lambda: _striped(2, support=1.125 - 5e-10)),
+    "support2.5": (8, 3, lambda: _striped(2, support=2.5)),
+    "mass0": (8, 2, lambda: ew.separable_contact_kernel(0.0, 1.0, dim=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AXIS_CASES))
+def test_axis_form_matches_the_cell_block_form(case):
+    """The window matrix of K and the scaled window and ball matrices of
+    V = K / mu, axis by axis, against the cell-block form of the same
+    nodes over the kernel's image table: the same shape, cell images and
+    stored-entry count, and the same entries, row sums and products of 1
+    and 3 columns up to rounding."""
+    cell_points, window, build = AXIS_CASES[case]
+    grid = ew.PeriodicGrid(2, cell_points, window)
+    kernel = build()
+    transfer = ew.time_integrate_kernel(kernel, grid)
+    shifts, blocks = lattice_image_blocks(kernel.spatial_fn, grid, kernel.reach)
+    everywhere = np.arange(grid.n_window)
+    pairs = [(window_pair_matrix(grid, kernel),
+              CellBlockMatrix(grid, everywhere, shifts, _product_table(blocks)))]
+    for radius in [window + 0.5, *_radii(window)]:
+        nodes = (everywhere if radius > window else grid.ball_indices(radius))
+        pairs.append((transfer.matrix(nodes, 0.37),
+                      CellBlockMatrix(grid, nodes, transfer.shifts,
+                                      transfer.table, 0.37)))
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(13)
+    for axis, reference in pairs:
+        assert isinstance(axis, AxisBoxMatrix)
+        assert axis.shape == reference.shape
+        assert np.array_equal(axis.local, reference.local)
+        assert axis.nnz == reference.nnz
+        dense = reference.toarray()
+        # each entry is rounded about four times on either side; a row sum
+        # adds its m nonnegative terms in another order, within (m - 1) eps
+        assert _close(axis.toarray(), dense, 8 * eps)
+        row_rel = 8 * eps + 2 * np.maximum(np.count_nonzero(dense, axis=1)
+                                           - 1, 0) * eps
+        assert _close(axis.sum(axis=1), reference.sum(axis=1), row_rel)
+        for shape in [axis.shape[:1], (axis.shape[0], 3)]:
+            x = rng.random(shape)
+            product = axis @ x
+            assert product.shape == x.shape
+            bound = row_rel if x.ndim == 1 else row_rel[:, None]
+            assert _close(product, reference @ x, bound)
+            # a second product reuses the kept buffers, not the first's output
+            kept = product.copy()
+            axis @ rng.random(shape)
+            assert np.array_equal(product, kept)
+    if case == "mass0":
+        assert all(axis.nnz == 0 for axis, _ in pairs)
+    # the nodes are scattered into the square in the order of its slots
+    with pytest.raises(ValueError, match="ascend"):
+        transfer.matrix(everywhere[::-1])
+
+
 def test_row_sums_are_the_only_sums():
     grid = ew.PeriodicGrid(1, 16, 2)
     kernel = ew.separable_contact_kernel(2.0, 1.0)
-    W = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
+    W = window_pair_matrix(grid, kernel)
     with pytest.raises(ValueError, match="axis"):
         W.sum(axis=0)
     with pytest.raises(TypeError):
@@ -273,10 +361,22 @@ def test_in_order_products_equal_the_scatter_gather_path(nodes, columns):
 
 
 def test_two_d_windows_and_cut_balls_take_the_scatter_gather_path():
+    """In cell-block form, 1-D balls of whole cells take the in-order path
+    and cut 1-D balls and every 2-D window or ball scatter and gather. 2-D
+    boxes go axis by axis instead: their line matrices run over whole
+    cells in order, and only the nodes of a ball are scattered into the
+    square."""
     response = ew.saturating_exponential()
     flat = ew.time_integrate_kernel(_striped(1), ew.PeriodicGrid(1, 32, 4))
+    cone = ew.time_integrate_kernel(_isotropic(2), ew.PeriodicGrid(2, 8, 2))
     square = ew.time_integrate_kernel(_striped(2), ew.PeriodicGrid(2, 8, 2))
     assert assemble_ball(flat, response, 2.0).entries._in_order
     assert not assemble_ball(flat, response, 2.5).entries._in_order
-    assert not square.window_matrix()._in_order
-    assert not assemble_ball(square, response, 1.0).entries._in_order
+    assert not cone.window_matrix()._in_order
+    assert not assemble_ball(cone, response, 1.0).entries._in_order
+    window = square.window_matrix()
+    ball = assemble_ball(square, response, 1.0).entries
+    assert isinstance(window, AxisBoxMatrix) and isinstance(ball, AxisBoxMatrix)
+    assert window._in_order and window.line._in_order
+    assert not ball._in_order and ball.line._in_order
+    assert window.line.shape == (32, 32) and ball.line.shape == (16, 16)

@@ -214,7 +214,7 @@ def _allocating_march(kernel, forcing, response, grid, dt, horizon):
     values = np.empty((n_steps + 1, grid.n_window))
     values[0] = np.asarray(forcing(grid.window_nodes)(0.0), dtype=float)
     mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)
-    K = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
+    K = window_pair_matrix(grid, kernel)
     fade, gain, _ = exponential_step_weights(mu, dt)
     w = np.zeros(grid.n_window)
     for n in range(1, len(times)):

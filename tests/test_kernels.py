@@ -14,7 +14,8 @@ from epiwave import (
 )
 from epiwave.app import scenario
 from epiwave.domain.grid import cell_bytes
-from epiwave.domain.kernels import (exponential_step_weights,
+from epiwave.domain.kernels import (AxisBoxMatrix, CellBlockMatrix,
+                                    exponential_step_weights,
                                     lattice_image_blocks, window_pair_matrix)
 from epiwave.spectral import assemble_ball, ball_eigenvalue_sweep
 from epiwave.waves import TiltedOperator
@@ -410,9 +411,10 @@ def test_window_gather_bounds_every_product_gather(monkeypatch, dim,
                                                    cell_points, window,
                                                    support):
     """cell_bytes's gather, read off the grid and the reach, is what one
-    column of a window-matrix product gathers (each of these kernels
+    column of a 1-D window-matrix product gathers (each of these kernels
     reaches all (2 * ceil(support) + 1)**dim images), and no ball's product
-    gathers more."""
+    gathers more. 2-D boxes go axis by axis: no gather of a product and no
+    working array of the matrix or its line matrix exceeds the bound."""
     grid = PeriodicGrid(dim, cell_points, window)
     kernel = separable_contact_kernel(2.0, support, dim=dim)
     _, predicted = cell_bytes(dim, cell_points, support, window)
@@ -424,7 +426,7 @@ def test_window_gather_bounds_every_product_gather(monkeypatch, dim,
         gathered.append(out.nbytes)
         return out
 
-    W = window_pair_matrix(grid, kernel.spatial_fn, kernel.reach)
+    W = window_pair_matrix(grid, kernel)
     transfer = time_integrate_kernel(kernel, grid)
     balls = [assemble_ball(transfer, ew.saturating_exponential(), r).entries
              for r in range(1, window + 1)]
@@ -433,8 +435,16 @@ def test_window_gather_bounds_every_product_gather(monkeypatch, dim,
     for ball in balls:
         ball @ np.ones(ball.shape[0])
     monkeypatch.undo()
-    assert gathered[0] == predicted
-    assert max(gathered[1:]) <= predicted
+    if dim == 1:
+        assert all(isinstance(m, CellBlockMatrix) for m in (W, *balls))
+        assert gathered[0] == predicted
+        assert max(gathered[1:]) <= predicted
+        return
+    assert all(isinstance(m, AxisBoxMatrix) for m in (W, *balls))
+    assert gathered and max(gathered) <= predicted
+    for matrix in (W, *balls):
+        work = [*matrix._work[1:3], *matrix.line._work[1:3]]
+        assert max(array.nbytes for array in work) <= predicted
 
 
 @pytest.mark.parametrize("window", [2, 8, 16])
