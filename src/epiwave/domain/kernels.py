@@ -119,7 +119,8 @@ class BoxProfile:
     """The symmetric part S(x, y) = K0(x - y) of a box kernel, per axis:
     K0(z) = mass / (2 half_width)**dim times the unit box of half-width
     half_width on every axis, each taking its half value at the edge
-    (box_profile). With the SymmetryFactors beside it, the kernel is
+    (box_profile). Its half-width is the kernel's axis reach
+    (Reach.axis). With the SymmetryFactors beside it, the kernel is
     gamma1(x) K0(x - y) gamma2(y), a Kronecker product of one line matrix
     per axis between two diagonals (box_axes)."""
 
@@ -143,17 +144,18 @@ class SeparableKernel:
     every solver reads it in this form. mu must be strictly positive
     (checked on a sample lattice at construction) and periodic.
 
-    axis_reach, when finite, declares that K(x, y) also vanishes once
-    |x_a - y_a| exceeds it on any one axis a (a box kernel); with
-    support_radius it makes the kernel's reach. box, given with symmetry,
-    declares K = gamma1(x) K0(x - y) gamma2(y) for that box profile K0,
-    which 2-D matrices of the kernel apply one axis at a time (box_axes).
+    box, a BoxProfile, declares that K(x, y) also vanishes once |x_a -
+    y_a| exceeds its half-width on any one axis a; with support_radius it
+    makes the kernel's reach. Given with symmetry, it also declares K =
+    gamma1(x) K0(x - y) gamma2(y) for that box profile K0, which 2-D
+    matrices of the kernel apply one axis at a time (box_axes).
     """
 
     def __init__(self, spatial_fn, mu_fn, support_radius: float, dim: int = 1,
                  symmetry: SymmetryFactors | None = None,
-                 axis_reach: float = math.inf, box: BoxProfile | None = None):
-        self.reach = Reach(float(support_radius), float(axis_reach))
+                 box: BoxProfile | None = None):
+        self.reach = Reach(float(support_radius),
+                           math.inf if box is None else float(box.half_width))
         probe = _probe_points(dim)
         mu_vals = np.asarray(mu_fn(probe), dtype=float)
         if np.min(mu_vals) <= 0:
@@ -300,21 +302,24 @@ class SpatialKernel:
     The cell's lattice-image table is evaluated once, by
     lattice_image_blocks, when the kernel is integrated. The periodized
     cell matrix (plain values, not yet weighted by quadrature) is the sum
-    of its blocks, taken first; the table is then laid out once, in place,
-    for the products (_product_table), and kept as `table` beside `shifts`.
-    The ball truncations and the window matrix (matrix) are CellBlockMatrix
-    objects that read this one table and copy none of it, or, for a 2-D
-    box kernel, AxisBoxMatrix objects that read the kernel's `axes`
-    (box_axes) instead. Also keeps, when the factorization is known, the
-    symmetry weight gamma2/gamma1 on the cell.
+    of its blocks, taken first. Without axes the table is then laid out
+    once, in place, for the products (_product_table), and kept as `table`
+    beside `shifts`: the ball truncations and the window matrix (matrix)
+    are CellBlockMatrix objects that read this one table and copy none of
+    it. A 2-D box kernel's matrices are AxisBoxMatrix objects that read
+    the kernel's `axes` (box_axes) instead, so its table is not kept
+    (`table` and `shifts` are None). Also keeps, when the factorization
+    is known, the symmetry weight gamma2/gamma1 on the cell.
     """
 
     def __init__(self, grid, shifts: np.ndarray, blocks: np.ndarray,
                  support_radius: float, gamma_cell=None, axes=None):
         self.grid = grid
-        self.shifts = shifts
         self.cell_matrix = blocks.sum(axis=0)
-        self.table = _product_table(blocks)
+        if axes is None:
+            self.shifts, self.table = shifts, _product_table(blocks)
+        else:
+            self.shifts = self.table = None
         self.support_radius = float(support_radius)
         self.gamma_cell = gamma_cell
         self.axes = axes
@@ -555,7 +560,6 @@ class AxisBoxMatrix:
         at = rows * side + cols  # each node in the square
         if np.any(np.diff(at) <= 0):
             raise ValueError("the nodes of a kernel matrix must ascend")
-        self._in_order = len(at) == side * side  # the nodes fill the square
         self._mask = np.zeros(side * side, dtype=bool)
         self._mask[at] = True
         self._turned_at = cols * side + rows  # each node in the turned square
@@ -579,23 +583,17 @@ class AxisBoxMatrix:
         k = x.size // self.shape[1]
         side = self._side
         square, turned, mask = self._buffers(k)
-        if self._in_order:
-            np.multiply(x.T, right, out=square)
-        else:  # the nodes ascend, as the square's slots do; a flat mask
-            # of runs scatters faster than integer slots or square[:, mask]
-            square.reshape(-1)[mask] = (x.T * right).reshape(-1)
+        # the nodes ascend, as the square's slots do; a flat mask of runs
+        # scatters faster than integer slots or square[:, mask]
+        square.reshape(-1)[mask] = (x.T * right).reshape(-1)
         # line products take their columns as the rows of a C-order array:
         # first the lines along the second axis, then, turned, the first
         along = (line @ square.reshape(k * side, side).T).T
         turned.reshape(k, side, side)[...] = (
             along.reshape(k, side, side).transpose(0, 2, 1))
         across = (line @ turned.T).T.reshape(k, side * side)
-        if self._in_order:
-            out = (across.reshape(k, side, side).transpose(0, 2, 1)
-                   * left.reshape(side, side))
-        else:
-            out = np.take(across, self._turned_at, axis=1)
-            out *= left
+        out = np.take(across, self._turned_at, axis=1)
+        out *= left
         return out.reshape(x.shape[::-1]).T
 
     def __matmul__(self, x):
@@ -711,5 +709,4 @@ def separable_contact_kernel(mass: float, support_radius: float, dim: int = 1,
     sym = SymmetryFactors(gamma1_fn=b, gamma2_fn=s)
     euclid_reach = support_radius * np.sqrt(dim)
     return SeparableKernel(spatial, mu, euclid_reach, dim=dim, symmetry=sym,
-                           axis_reach=support_radius,
                            box=BoxProfile(mass, support_radius))

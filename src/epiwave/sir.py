@@ -160,7 +160,6 @@ def sir_to_kernel(state: SirState):
         support_radius=state.kernel.support_radius,
         dim=grid.dim,
         symmetry=sym,
-        axis_reach=state.kernel.reach.axis,
         box=state.kernel.box,
     )
 

@@ -135,10 +135,13 @@ def test_ball_blocks_match_window_submatrix(case):
 
 def test_zero_kernel_keeps_only_the_zero_shift():
     grid = ew.PeriodicGrid(2, 8, 2)
-    transfer = ew.time_integrate_kernel(
-        ew.separable_contact_kernel(0.0, 1.0, dim=2), grid)
-    assert transfer.shifts.tolist() == [[0, 0]]
-    assert not np.any(transfer.table)
+    kernel = ew.separable_contact_kernel(0.0, 1.0, dim=2)
+    shifts, blocks = lattice_image_blocks(_pair(kernel), grid, kernel.reach)
+    assert shifts.tolist() == [[0, 0]]
+    assert not np.any(blocks)
+    # a 2-D box goes axis by axis and keeps no table of its own
+    transfer = ew.time_integrate_kernel(kernel, grid)
+    assert transfer.table is None and not np.any(transfer.cell_matrix)
     op = assemble_ball(transfer, ew.saturating_exponential(), 2.0)
     assert op.entries.nnz == 0
     assert principal_eigenpair(op).value == 0.0
@@ -147,11 +150,12 @@ def test_zero_kernel_keeps_only_the_zero_shift():
 def test_box_kernel_keeps_only_the_touching_images():
     # 21 images pass the reach test of the 2-D box; only the 9 neighbours
     # of the cell carry nonzero values
-    transfer = ew.time_integrate_kernel(
-        ew.separable_contact_kernel(2.0, 1.0, dim=2), ew.PeriodicGrid(2, 8, 2))
-    assert sorted(map(tuple, transfer.shifts.tolist())) == [
+    kernel = ew.separable_contact_kernel(2.0, 1.0, dim=2)
+    shifts, blocks = lattice_image_blocks(_pair(kernel),
+                                          ew.PeriodicGrid(2, 8, 2), kernel.reach)
+    assert sorted(map(tuple, shifts.tolist())) == [
         (a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    assert transfer.table.shape == (9 * 64, 64)
+    assert blocks.shape == (9, 64, 64)
 
 
 def test_ball_sweep_builds_no_window_matrix(monkeypatch):
@@ -285,11 +289,12 @@ def test_axis_form_matches_the_cell_block_form(case):
     everywhere = np.arange(grid.n_window)
     pairs = [(window_pair_matrix(grid, kernel),
               CellBlockMatrix(grid, everywhere, shifts, _product_table(blocks)))]
+    shifts, blocks = lattice_image_blocks(_pair(kernel), grid, kernel.reach)
+    table = _product_table(blocks)
     for radius in [window + 0.5, *_radii(window)]:
         nodes = (everywhere if radius > window else grid.ball_indices(radius))
         pairs.append((transfer.matrix(nodes, 0.37),
-                      CellBlockMatrix(grid, nodes, transfer.shifts,
-                                      transfer.table, 0.37)))
+                      CellBlockMatrix(grid, nodes, shifts, table, 0.37)))
     eps = np.finfo(float).eps
     rng = np.random.default_rng(13)
     for axis, reference in pairs:
@@ -364,8 +369,8 @@ def test_two_d_windows_and_cut_balls_take_the_scatter_gather_path():
     """In cell-block form, 1-D balls of whole cells take the in-order path
     and cut 1-D balls and every 2-D window or ball scatter and gather. 2-D
     boxes go axis by axis instead: their line matrices run over whole
-    cells in order, and only the nodes of a ball are scattered into the
-    square."""
+    cells in order, and the nodes of a window or ball are scattered into
+    the square."""
     response = ew.saturating_exponential()
     flat = ew.time_integrate_kernel(_striped(1), ew.PeriodicGrid(1, 32, 4))
     cone = ew.time_integrate_kernel(_isotropic(2), ew.PeriodicGrid(2, 8, 2))
@@ -377,6 +382,5 @@ def test_two_d_windows_and_cut_balls_take_the_scatter_gather_path():
     window = square.window_matrix()
     ball = assemble_ball(square, response, 1.0).entries
     assert isinstance(window, AxisBoxMatrix) and isinstance(ball, AxisBoxMatrix)
-    assert window._in_order and window.line._in_order
-    assert not ball._in_order and ball.line._in_order
+    assert window.line._in_order and ball.line._in_order
     assert window.line.shape == (32, 32) and ball.line.shape == (16, 16)

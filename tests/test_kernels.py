@@ -14,8 +14,8 @@ from epiwave import (
 )
 from epiwave.app import scenario
 from epiwave.domain.grid import cell_bytes
-from epiwave.domain.kernels import (AxisBoxMatrix, CellBlockMatrix,
-                                    exponential_step_weights,
+from epiwave.domain.kernels import (AxisBoxMatrix, BoxProfile,
+                                    CellBlockMatrix, exponential_step_weights,
                                     lattice_image_blocks, window_pair_matrix)
 from epiwave.spectral import assemble_ball, ball_eigenvalue_sweep
 from epiwave.waves import TiltedOperator
@@ -132,7 +132,7 @@ def test_every_kernel_takes_its_support_checks_from_reach():
         with pytest.raises(ValidationError, match="support radius"):
             SeparableKernel(pair, one, bad)
     with pytest.raises(ValidationError, match="axis reach"):
-        SeparableKernel(pair, one, 1.0, axis_reach=0.0)
+        SeparableKernel(pair, one, 1.0, box=BoxProfile(1.0, 0.0))
     # an unbounded kernel is refused where it is built, before a lattice
     # sum could try to cover it
     with pytest.raises(ValidationError, match="super-linear"):
@@ -344,7 +344,7 @@ def _counting(kernel):
 
     return SeparableKernel(spatial, kernel.mu_fn, kernel.support_radius,
                            dim=kernel.dim, symmetry=kernel.symmetry,
-                           axis_reach=kernel.reach.axis), calls
+                           box=kernel.box), calls
 
 
 # the 2-D box of reach 1 on an 8-point cell reaches the 9 images with
@@ -353,7 +353,7 @@ def _counting(kernel):
 def test_one_image_table_per_kernel(dim, cell_points, reachable):
     # one pair call per image that passes the reach test, and none after:
     # the cell matrix, the ball truncations and the window matrix all read
-    # the table time_integrate_kernel built
+    # what time_integrate_kernel built: the table, or a 2-D box's factors
     kernel, calls = _counting(separable_contact_kernel(2.0, 1.0, dim=dim))
     grid = PeriodicGrid(dim, cell_points, 2)
     transfer = time_integrate_kernel(kernel, grid)

@@ -301,7 +301,7 @@ def test_box_contact_evaluates_only_the_images_in_its_box():
 
     grid = ew.PeriodicGrid(dim=2, cell_points=8, window_radius=2)
     kernel = ew.SeparableKernel(contact, _ones, box.support_radius, dim=2,
-                                axis_reach=box.reach.axis)
+                                box=box.box)
     state = SirState(grid=grid, kernel=kernel, susceptible_fn=_ones,
                      infected0=np.zeros(grid.n_window))
     simulate_sir(state, dt=0.05, horizon=0.1)

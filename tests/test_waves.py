@@ -368,7 +368,7 @@ def _counting_kernel(dim):
 
     kernel = ew.SeparableKernel(spatial, base.mu_fn, base.support_radius,
                                 dim=dim, symmetry=base.symmetry,
-                                axis_reach=base.reach.axis)
+                                box=base.box)
     return kernel, calls
 
 
