@@ -24,19 +24,22 @@ _COORD_EPS = 1e-9
 MAX_WINDOW_NODES = 2**16
 
 # Most bytes a grid's cell may ask of the kernel's node-pair arrays and
-# image blocks (cell_bytes). The cell matrix, the dispersion eigen solves
-# and the lattice-image table behind every window and ball matrix evaluate
-# the kernel on all n_cell**2 node pairs through pair arrays of
-# n_cell**2 x dim floats, and the table keeps n_cell**2 floats per lattice
-# image with nonzero values: at most (2 * ceil(s) + 1)**dim of them for a
-# kernel of per-axis reach s, 3**dim for one that reaches one cell. Every
-# matrix of a kernel reads its one table, so the ball sweep adds no copy
-# of it. At reach 1 the limit admits 1-D cells of up to 2,048 points and
-# 2-D cells of up to 35 x 35 (peak RSS 386 and 317 MB integrating the
-# kernel and building the window matrix of either, one BLAS thread); the
-# largest cells of any test or benchmark document are 1-D 128 and 2-D 12.
-# On a 2-D cell of 8 x 8 it admits reaches up to 31, where `threshold`
-# grows peak RSS by 1.25 x MAX_CELL_BYTES over the imported program
+# image blocks (cell_bytes). A lattice-image table made by a pair function
+# (lattice_image_blocks) evaluates the kernel on all n_cell**2 node pairs
+# through pair arrays of n_cell**2 x dim floats, and keeps n_cell**2
+# floats per lattice image with nonzero values: at most (2 * ceil(s) +
+# 1)**dim of them for a kernel of per-axis reach s, 3**dim for one that
+# reaches one cell. Every matrix of a kernel reads its one table, so the
+# ball sweep adds no copy of it. A box kernel with symmetry factors, the
+# kind every scenario builds, makes its table from its factors with no
+# pair arrays, and a 2-D one makes none (image_table,
+# time_integrate_kernel); the limit still counts the pair-function table.
+# At reach 1 it admits 1-D cells of up to 2,048 points and 2-D cells of up
+# to 35 x 35 (peak RSS 354 and 64 MB integrating the box kernel and
+# building the window matrix of either, one BLAS thread); the largest
+# cells of any test or benchmark document are 1-D 128 and 2-D 12. On a
+# 2-D cell of 8 x 8 it admits reaches up to 31, where `threshold` grows
+# peak RSS by 0.013 x MAX_CELL_BYTES over the imported program
 # (test_cell_budget_bounds_peak_memory). The same limit holds the rows
 # that one column of a window-matrix product gathers, one row of the cell
 # per window cell and image: at that reach it admits windows of radius 2
@@ -50,7 +53,9 @@ def cell_bytes(dim: int, cell_points: int, reach: float,
     """Bytes a kernel of per-axis reach `reach` asks of a cell, as (table,
     gather), for at most images = (2 * ceil(reach) + 1)**dim lattice images
     and n_cell = cell_points**dim. table is the node-pair arrays and the
-    lattice-image blocks, n_cell**2 x 8 x (dim + images); gather is what
+    lattice-image blocks of a table made by a pair function, n_cell**2 x
+    8 x (dim + images), which bounds the table of a box kernel made from
+    its factors (no pair arrays, and in 2-D no table); gather is what
     one column of a product with the window matrix of a window of radius
     window_radius gathers (CellBlockMatrix.__matmul__), (2 *
     window_radius)**dim cells x images x n_cell x 8. A ball truncation

@@ -26,6 +26,15 @@ BoxProfile) is a Kronecker product of two 1-D box matrices between two
 diagonals, and its 2-D matrices are applied one axis at a time
 (AxisBoxMatrix); box_axes alone makes that choice, from the kernel and
 the grid's dimension.
+
+The cell's values toward each lattice image it reaches, the image table,
+are tabulated by image_table. A kernel with a box profile and symmetry
+factors, gamma1(x) K0(x - y) gamma2(y), is tabulated from its factors:
+the unit box per axis, its height and the gammas (and 1 / mu for V) on
+the cell nodes and their images, with the same values bit for bit as its
+pair function gives and without an array of node pairs. Any other kernel
+is tabulated by its pair function on the cell's node pairs
+(lattice_image_blocks).
 """
 
 from __future__ import annotations
@@ -95,6 +104,13 @@ class Reach:
         return reaches
 
     @property
+    def margin(self) -> float:
+        """How far the kernel reaches along any one axis, min(radius,
+        axis): a node that far from the window edge on every axis sees its
+        whole neighbourhood, so it is the frozen layer of a window march."""
+        return min(self.radius, self.axis)
+
+    @property
     def shells(self) -> int:
         """Shells that cover the kernel: one cell beyond its radius."""
         return int(np.ceil(self.radius)) + 1
@@ -147,8 +163,10 @@ class SeparableKernel:
     box, a BoxProfile, declares that K(x, y) also vanishes once |x_a -
     y_a| exceeds its half-width on any one axis a; with support_radius it
     makes the kernel's reach. Given with symmetry, it also declares K =
-    gamma1(x) K0(x - y) gamma2(y) for that box profile K0, which 2-D
-    matrices of the kernel apply one axis at a time (box_axes).
+    gamma1(x) K0(x - y) gamma2(y) for that box profile K0: the kernel's
+    image tables are then made from these factors, never calling
+    spatial_fn (image_table), and its 2-D matrices are applied one axis at
+    a time (box_axes).
     """
 
     def __init__(self, spatial_fn, mu_fn, support_radius: float, dim: int = 1,
@@ -186,6 +204,14 @@ def _box_weight(Z, radius: float) -> np.ndarray:
     disjoint, so the sum is 1, 0.5 or 0)."""
     Z = np.abs(np.atleast_2d(np.asarray(Z, dtype=float)))
     return (Z < radius - _EDGE_EPS) + 0.5 * (np.abs(Z - radius) <= _EDGE_EPS)
+
+
+def _unit_box(line, half_width: float, k: float) -> np.ndarray:
+    """The unit box of half-width half_width on one axis, between the
+    cell's coordinates on that axis, line, and their lattice image shifted
+    by k: w(x_i - (x_j + k)) at row i, column j, classified by _box_weight
+    on the same differences as a pair function forms."""
+    return _box_weight(line[:, None] - (line[None, :] + float(k)), half_width)
 
 
 def box_profile(mass: float, radius: float, dim: int = 1):
@@ -227,8 +253,37 @@ def _shell_shifts(dim: int, m: int):
     return [(a, b) for a in rng for b in rng if max(abs(a), abs(b)) == m]
 
 
+def _reachable_shifts(grid, reach: Reach):
+    """The lattice vectors whose image can reach the cell (Reach.image_test),
+    shell by shell, max_a |k_a| = 0, 1, 2, ..., out to one cell beyond the
+    reach: the zero shift first."""
+    reaches = reach.image_test(grid)
+    return [shift for m in range(reach.shells + 1)
+            for shift in filter(reaches, _shell_shifts(grid.dim, m))]
+
+
+def _stacked(shifts, blocks):
+    """(shifts, blocks) of an image table from one block per shift, in
+    order: images whose block is all zeros are dropped, and the first shift
+    (the zero shift) is always kept. Each block is written into one array
+    allocated for all the shifts, so building the table takes little more
+    memory than the table itself."""
+    table = None
+    kept = []
+    for shift, block in zip(shifts, blocks):
+        if table is None:
+            table = np.empty((len(shifts),) + block.shape, dtype=block.dtype)
+        if not kept or np.any(block):
+            table[len(kept)] = block
+            kept.append(shift)
+    if len(kept) < len(shifts):
+        table = table[:len(kept)].copy()
+    return np.array(kept, dtype=np.intp), table
+
+
 def lattice_image_blocks(pair_fn, grid, reach: Reach):
-    """The cell's whole-line kernel values toward each lattice image it reaches.
+    """The cell's whole-line kernel values toward each lattice image it
+    reaches, from a pair function on every pair of cell nodes.
 
     Returns (shifts, blocks): shifts is an integer array (images, dim) and
     blocks[s][i, j] = fn(x_i, x_j + shifts[s]). Images are visited shell by
@@ -238,30 +293,18 @@ def lattice_image_blocks(pair_fn, grid, reach: Reach):
     has V(x_i + k, x_j + k') = blocks[s][i, j] with shifts[s] = k' - k, so
     every matrix of the kernel between window nodes is block-Toeplitz over
     cells with these blocks. Images whose block is all zeros are dropped;
-    the zero shift is always kept. Each block is written into one array
-    allocated for all the reachable images, so building the table takes
-    little more memory than the table itself.
+    the zero shift is always kept (_stacked). image_table tabulates a box
+    kernel with symmetry factors from its factors instead.
     """
     n, XX, YY = _cell_pairs(grid)
-    reaches = reach.image_test(grid)
-    candidates = [shift for m in range(reach.shells + 1)
-                  for shift in filter(reaches, _shell_shifts(grid.dim, m))]
-    blocks = None
-    kept = []
-    for shift in candidates:
-        vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
-        if blocks is None:  # the zero shift, first of shell 0
-            blocks = np.empty((len(candidates), n, n), dtype=vals.dtype)
-        if not kept or np.any(vals):
-            blocks[len(kept)] = vals.reshape(n, n)
-            kept.append(shift)
-    if len(kept) < len(candidates):
-        blocks = blocks[:len(kept)].copy()
-    return np.array(kept, dtype=np.intp), blocks
+    shifts = _reachable_shifts(grid, reach)
+    return _stacked(shifts, (
+        np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float))).reshape(n, n)
+        for shift in shifts))
 
 
 def periodize_kernel(shifts, blocks, grid, tilt) -> np.ndarray:
-    """Lattice-sum a kernel's image table (lattice_image_blocks) onto the
+    """Lattice-sum a kernel's image table (image_table) onto the
     cell, tilted: a tilt vector t (rho e for a decay rate rho along the
     unit direction e, real or complex) weights each image by
     exp(-(x_j + k - x_i).t), giving the cell matrix of the tilted
@@ -286,7 +329,7 @@ def periodize_kernel(shifts, blocks, grid, tilt) -> np.ndarray:
 
 
 def _product_table(blocks: np.ndarray) -> np.ndarray:
-    """Lay an image table (lattice_image_blocks) out, in place, as the
+    """Lay an image table (image_table) out, in place, as the
     CellBlockMatrix products read it: each block is transposed where it
     lies, and the stack is viewed as (images * n, n), so that row s * n + b,
     column a holds blocks[s][a, b] = V(x_a, x_b + shifts[s]). Only one
@@ -299,28 +342,26 @@ def _product_table(blocks: np.ndarray) -> np.ndarray:
 class SpatialKernel:
     """A time-integrated kernel V sampled on a grid.
 
-    The cell's lattice-image table is evaluated once, by
-    lattice_image_blocks, when the kernel is integrated. The periodized
-    cell matrix (plain values, not yet weighted by quadrature) is the sum
-    of its blocks, taken first. Without axes the table is then laid out
-    once, in place, for the products (_product_table), and kept as `table`
-    beside `shifts`: the ball truncations and the window matrix (matrix)
-    are CellBlockMatrix objects that read this one table and copy none of
-    it. A 2-D box kernel's matrices are AxisBoxMatrix objects that read
-    the kernel's `axes` (box_axes) instead, so its table is not kept
-    (`table` and `shifts` are None). Also keeps, when the factorization
-    is known, the symmetry weight gamma2/gamma1 on the cell.
+    The cell's lattice-image table of V is tabulated once, by image_table,
+    when the kernel is integrated. The periodized cell matrix (plain
+    values, not yet weighted by quadrature) is the sum of its blocks,
+    taken first. Without axes the table is then laid out once, in place,
+    for the products (_product_table), and kept as `table` beside
+    `shifts`: the ball truncations and the window matrix (matrix) are
+    CellBlockMatrix objects that read this one table and copy none of it.
+    A 2-D box kernel's matrices are AxisBoxMatrix objects that read the
+    kernel's `axes` (box_axes) instead, so no table is made for it: its
+    cell matrix is summed image by image from the factors (`table` and
+    `shifts` are None). Also keeps the kernel's reach and, when the
+    factorization is known, the symmetry weight gamma2/gamma1 on the cell.
     """
 
-    def __init__(self, grid, shifts: np.ndarray, blocks: np.ndarray,
-                 support_radius: float, gamma_cell=None, axes=None):
+    def __init__(self, grid, cell_matrix: np.ndarray, reach: Reach,
+                 shifts=None, table=None, gamma_cell=None, axes=None):
         self.grid = grid
-        self.cell_matrix = blocks.sum(axis=0)
-        if axes is None:
-            self.shifts, self.table = shifts, _product_table(blocks)
-        else:
-            self.shifts = self.table = None
-        self.support_radius = float(support_radius)
+        self.cell_matrix = cell_matrix
+        self.shifts, self.table = shifts, table
+        self.reach = reach
         self.gamma_cell = gamma_cell
         self.axes = axes
 
@@ -346,9 +387,9 @@ class CellBlockMatrix:
     (x_a, x_b cell nodes, C, C' integer cell offsets) is
     V(x_a, x_b + C' - C) with C' - C = shifts[s]: the matrix is
     block-Toeplitz over cells, and its blocks are the cell's lattice-image
-    blocks (lattice_image_blocks). Nothing is approximated; the blocks
-    hold the same kernel values, evaluated at cell coordinates instead of
-    window coordinates, so they differ only by rounding. That holds only
+    blocks (image_table). Nothing is approximated; the blocks hold the
+    same kernel values, evaluated at cell coordinates instead of window
+    coordinates, so they differ only by rounding. That holds only
     for a jointly periodic kernel: for one that is not (say a source
     factor 1 + x) the matrix is that of its periodization, the kernel's
     values on the cell repeated over the window. Scenario documents
@@ -503,9 +544,10 @@ def box_axes(kernel, grid, decay: bool) -> BoxAxes | None:
     if grid.dim != 2 or box is None or sym is None:
         return None
     line_grid = PeriodicGrid(1, grid.cell_points, grid.window_radius)
-    half = box.half_width
-    shifts, blocks = lattice_image_blocks(
-        lambda X, Y: _box_weight(X - Y, half)[:, 0], line_grid, Reach(half))
+    line, half = line_grid.cell_nodes[:, 0], box.half_width
+    shifts = _reachable_shifts(line_grid, Reach(half))
+    shifts, blocks = _stacked(shifts, (_unit_box(line, half, k)
+                                       for (k,) in shifts))
     X = grid.cell_nodes
     height = box.mass / (2.0 * half) ** 2
     right = np.asarray(sym.gamma2_fn(X), dtype=float)
@@ -513,6 +555,51 @@ def box_axes(kernel, grid, decay: bool) -> BoxAxes | None:
         right = right / np.asarray(kernel.mu_fn(X), dtype=float)
     return BoxAxes(line_grid, shifts, _product_table(blocks),
                    height * np.asarray(sym.gamma1_fn(X), dtype=float), right)
+
+
+def _factor_blocks(kernel, grid, shifts, decay: bool):
+    """The image blocks of a kernel with a box profile and symmetry
+    factors, one per shift, from the factors: the unit box on each axis
+    (_unit_box, a Kronecker product over the axes), times the height,
+    times gamma1 at the cell nodes, times gamma2 at the image nodes x_j +
+    k, and with decay divided by mu there. These are the products, in the
+    order, that separable_contact_kernel's pair function makes on the same
+    coordinates, so the blocks are its values bit for bit; no array of
+    node pairs is formed."""
+    box, sym = kernel.box, kernel.symmetry
+    X = grid.cell_nodes
+    line = X[:grid.cell_points, -1]  # the cell's coordinates on every axis
+    height = box.mass / (2.0 * box.half_width) ** grid.dim
+    left = np.asarray(sym.gamma1_fn(X), dtype=float)[:, None]
+    for shift in shifts:
+        block = functools.reduce(np.kron, [_unit_box(line, box.half_width, k)
+                                           for k in shift])
+        Y = X + np.asarray(shift, dtype=float)
+        block *= height  # in place, one block at a time: the same products
+        block *= left
+        block *= np.asarray(sym.gamma2_fn(Y), dtype=float)
+        if decay:
+            block /= np.asarray(kernel.mu_fn(Y), dtype=float)
+        yield block
+
+
+def image_table(kernel, grid, decay: bool):
+    """The lattice-image table (shifts, blocks) of a SeparableKernel's K
+    or, with decay, of V = K / mu, as lattice_image_blocks lays it out:
+    the same shifts (the kernel's Reach), zero blocks dropped and the zero
+    shift kept. A kernel with a box profile and symmetry factors is
+    tabulated from its factors (_factor_blocks), never calling its pair
+    function; any other calls it once per reachable image on the cell's
+    node pairs."""
+    if kernel.box is None or kernel.symmetry is None:
+        pair_fn = kernel.spatial_fn
+        if decay:
+            def pair_fn(X, Y):
+                return (kernel.spatial_fn(X, Y)
+                        / np.asarray(kernel.mu_fn(Y), dtype=float))
+        return lattice_image_blocks(pair_fn, grid, kernel.reach)
+    shifts = _reachable_shifts(grid, kernel.reach)
+    return _stacked(shifts, _factor_blocks(kernel, grid, shifts, decay))
 
 
 class AxisBoxMatrix:
@@ -629,30 +716,32 @@ def window_pair_matrix(grid, kernel):
     all window nodes.
 
     A 2-D kernel that carries its box profile (box_axes) gives an
-    AxisBoxMatrix, applied one axis at a time, and its pair function is
-    never evaluated. Any other is returned in cell-block form: by joint
-    periodicity of the pair function (which the block form assumes, see
-    CellBlockMatrix) every entry is an entry of one of the cell's
-    lattice-image blocks, so the pair function is evaluated on images x
-    n_cell**2 pairs instead of on every window pair, and a product is one
-    dense matrix product. The table is laid out in place (_product_table)
-    and the matrix is its only holder. Pairs whose nodes lie in cells
-    farther apart than the kernel reaches are zero, and nodes near the
-    window edge see no pairs beyond it.
+    AxisBoxMatrix, applied one axis at a time. Any other is returned in
+    cell-block form: by joint periodicity of the kernel (which the block
+    form assumes, see CellBlockMatrix) every entry is an entry of one of
+    the cell's lattice-image blocks, tabulated by image_table (from the
+    factors of a box kernel with symmetry factors, else by the pair
+    function on images x n_cell**2 pairs) instead of on every window pair,
+    and a product is one dense matrix product. The table is laid out in
+    place (_product_table) and the matrix is its only holder. Pairs whose
+    nodes lie in cells farther apart than the kernel reaches are zero, and
+    nodes near the window edge see no pairs beyond it.
     """
     nodes = np.arange(grid.n_window)
     axes = box_axes(kernel, grid, decay=False)
     if axes is not None:
         return AxisBoxMatrix(grid, nodes, axes)
-    shifts, blocks = lattice_image_blocks(kernel.spatial_fn, grid, kernel.reach)
+    shifts, blocks = image_table(kernel, grid, decay=False)
     return CellBlockMatrix(grid, nodes, shifts, _product_table(blocks))
 
 
 def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
     """Integrate a time kernel over tau and tabulate it on the grid: the
-    pair function V = K / mu is evaluated once, on the lattice images of
-    the cell (lattice_image_blocks), and every matrix of the returned
-    SpatialKernel is read from that table.
+    image table of V = K / mu is tabulated once (image_table), and every
+    matrix of the returned SpatialKernel is read from that table. A 2-D
+    box kernel's matrices read its axes (box_axes) instead, so no table
+    is made: its cell matrix is summed from the factors' blocks image by
+    image, in table order, with the same sum as the table's.
 
     The symmetry factorization, when the time kernel carries one, is
     pushed through the time integral: the decay rate divides into gamma2.
@@ -661,13 +750,19 @@ def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
         raise ValidationError(
             f"kernel dimension {time_kernel.dim} does not match grid dimension {grid.dim}"
         )
-
-    def pair_fn(X, Y):
-        mu = np.asarray(time_kernel.mu_fn(Y), dtype=float)
-        return time_kernel.spatial_fn(X, Y) / mu
-
-    shifts, blocks = lattice_image_blocks(pair_fn, grid, time_kernel.reach)
     axes = box_axes(time_kernel, grid, decay=True)
+    shifts = table = None
+    if axes is None:
+        shifts, blocks = image_table(time_kernel, grid, decay=True)
+        cell_matrix = blocks.sum(axis=0)
+        table = _product_table(blocks)
+    else:
+        blocks = _factor_blocks(time_kernel, grid,
+                                _reachable_shifts(grid, time_kernel.reach),
+                                decay=True)
+        cell_matrix = next(blocks)
+        for block in blocks:
+            cell_matrix += block
     gamma_cell = None
     sym = time_kernel.symmetry
     if sym is not None:
@@ -677,11 +772,8 @@ def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
         if np.min(g1) <= 0 or np.min(g2) <= 0:
             raise ValidationError("symmetry factors gamma1, gamma2 must be positive")
         gamma_cell = g2 / g1
-    return SpatialKernel(
-        grid, shifts, blocks,
-        support_radius=time_kernel.support_radius,
-        gamma_cell=gamma_cell, axes=axes,
-    )
+    return SpatialKernel(grid, cell_matrix, time_kernel.reach, shifts, table,
+                         gamma_cell=gamma_cell, axes=axes)
 
 
 def separable_contact_kernel(mass: float, support_radius: float, dim: int = 1,

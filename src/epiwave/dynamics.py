@@ -16,9 +16,12 @@ updated by an exact exponential recursion under a per-step freeze of
 g(u). The scheme is first order in dt, and constant-in-time states are
 reproduced without any time error.
 
-Nodes closer than the kernel reach to the window edge cannot see their
-whole interaction neighborhood, so they are frozen at the seeding value
-f(t, x); diagnostics exclude that boundary layer.
+Nodes closer than the kernel reach to the window edge on some axis
+cannot see their whole interaction neighborhood, so they are frozen at
+the seeding value f(t, x); diagnostics exclude that boundary layer. Its
+width is the kernel's reach along one axis (Reach.margin): R for a box
+of half-width R, in 2-D too, where the box's Euclidean reach is R
+sqrt(2).
 
 The march writes each step straight into its row of the stored
 trajectory. The forcing is its seeding function (domain/forcing.py):
@@ -94,7 +97,7 @@ def solve_initial_value(time_kernel, forcing, response, grid,
             f"kernel dimension {time_kernel.dim} does not match grid "
             f"dimension {grid.dim}"
         )
-    reach = time_kernel.support_radius
+    reach = time_kernel.reach.margin
     if grid.window_radius <= reach:
         raise ValidationError(
             f"window radius {grid.window_radius} does not contain the "
@@ -177,7 +180,7 @@ def long_time_limit(field: SpaceTimeField, tol: float = DEFAULT_CLASSIFY_TOL):
 def limiting_equation_residual(u_inf, transfer, response, f_inf) -> float:
     """Sup defect of the stationary balance over the trustworthy interior."""
     grid = transfer.grid
-    reach = transfer.support_radius
+    reach = transfer.reach.margin
     if grid.window_radius < 2 * reach:
         raise ValidationError(
             f"window radius {grid.window_radius} below twice the kernel "

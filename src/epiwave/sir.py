@@ -137,7 +137,11 @@ def sir_to_kernel(state: SirState):
     its seeding function, X -> (t -> f(t, X)); its limit at t = inf
     weighs each seed by 1 / mu. A contact kernel with symmetry factors
     gamma1, gamma2 gives the bridge the factors gamma1, S0 gamma2 and the
-    same box profile, so a 2-D box bridge is applied axis by axis too.
+    same box profile, so a 2-D box bridge is applied axis by axis too, and
+    the bridge's image tables are made from those factors (image_table).
+    S0 gamma2 is formed before it multiplies the rest, so where both
+    gamma2 and S0 vary the tables may differ from the bridge's pair
+    function in the last bit.
     """
     grid = state.grid
     contact = state.kernel.spatial_fn
@@ -202,5 +206,5 @@ def equivalence_check(state: SirState, dt: float, horizon: float) -> float:
         raise ValidationError(
             f"trajectory shapes diverged: {u_sir.shape} vs {u_int.shape}"
         )
-    inner = state.grid.interior_indices(kernel.support_radius)
+    inner = state.grid.interior_indices(kernel.reach.margin)
     return float(np.max(np.abs(u_sir[:, inner] - u_int[:, inner])))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..domain.grid import MAX_CELL_BYTES
-from ..domain.kernels import lattice_image_blocks, periodize_kernel
+from ..domain.kernels import image_table, periodize_kernel
 from ..errors import ConvergenceError, ValidationError
 from ..spectral import DEFAULT_EIGEN_TOL, OperatorMatrix, principal_eigenpair
 from .scalar import brent_minimize
@@ -104,12 +104,13 @@ class TiltedOperator:
     cell nodes and B = sum_k exp(-rho k.e) K_k the Bloch sum of the
     kernel's lattice-image blocks K_k (periodize_kernel). No rho enters
     the blocks. The rho*c exponent only rescales columns by
-    1 / (mu(y) + rho c), so the spatial kernel's image table is evaluated
-    once, here, and each rate only reweights it; the tilted sum is cached
-    per real rho, the rates a speed search revisits across speeds, and the
-    cache empties before it would hold more than MAX_CELL_BYTES. Complex
-    rates are summed afresh: a continuation path meets each only a few
-    times.
+    1 / (mu(y) + rho c), so the spatial kernel's image table is tabulated
+    once, here (image_table: from its factors for a box kernel with
+    symmetry factors), and each rate only reweights it; the tilted sum is
+    cached per real rho, the rates a speed search revisits across speeds,
+    and the cache empties before it would hold more than MAX_CELL_BYTES.
+    Complex rates are summed afresh: a continuation path meets each only a
+    few times.
     """
 
     def __init__(self, time_kernel, response, grid, direction=None):
@@ -138,8 +139,7 @@ class TiltedOperator:
                 f"nodes; mu = {self.mu[i]} at node {i}, "
                 f"{grid.cell_nodes[i].tolist()}"
             )
-        self.shifts, self.blocks = lattice_image_blocks(
-            time_kernel.spatial_fn, grid, time_kernel.reach)
+        self.shifts, self.blocks = image_table(time_kernel, grid, decay=False)
         gain = response.slope0 / self.mu.min()
         # periodize_kernel weighs images by exp(-rho k.e), then scales rows
         # by exp(rho x_i.e) and divides columns by exp(rho x_j.e), so each

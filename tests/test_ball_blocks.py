@@ -31,7 +31,7 @@ def _pair(kernel):
 @functools.lru_cache(maxsize=1)
 def _csr_window(transfer, kernel):
     return csr_window_pair_matrix(transfer.grid, _pair(kernel),
-                                  transfer.support_radius)
+                                  transfer.reach.radius)
 
 
 def _reference_ball(transfer, kernel, response, radius):
@@ -236,7 +236,7 @@ def test_window_blocks_match_csr_reference(case):
     kernel = build()
     transfer = ew.time_integrate_kernel(kernel, grid)
     W = transfer.window_matrix()
-    ref = csr_window_pair_matrix(grid, _pair(kernel), transfer.support_radius)
+    ref = csr_window_pair_matrix(grid, _pair(kernel), transfer.reach.radius)
     eps = np.finfo(float).eps
     # periodic factors such as cos(2 pi x) are evaluated at window
     # coordinates by the reference and on the cell by the blocks; their

@@ -210,7 +210,7 @@ def _allocating_march(kernel, forcing, response, grid, dt, horizon):
     n_steps = march_steps(dt, horizon, grid.n_window)
     times = dt * np.arange(n_steps + 1)
     interior = np.zeros(grid.n_window, dtype=bool)
-    interior[grid.interior_indices(kernel.support_radius)] = True
+    interior[grid.interior_indices(kernel.reach.margin)] = True
     values = np.empty((n_steps + 1, grid.n_window))
     values[0] = np.asarray(forcing(grid.window_nodes)(0.0), dtype=float)
     mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)

@@ -16,7 +16,8 @@ from epiwave.app import scenario
 from epiwave.domain.grid import cell_bytes
 from epiwave.domain.kernels import (AxisBoxMatrix, BoxProfile,
                                     CellBlockMatrix, exponential_step_weights,
-                                    lattice_image_blocks, window_pair_matrix)
+                                    image_table, lattice_image_blocks,
+                                    window_pair_matrix)
 from epiwave.spectral import assemble_ball, ball_eigenvalue_sweep
 from epiwave.waves import TiltedOperator
 
@@ -211,6 +212,18 @@ def _isotropic_cone():
     return SeparableKernel(spatial, lambda P: np.ones(len(P)), 1.5)
 
 
+def _heterogeneous_2d(radius):
+    """A 2-D box with heterogeneous gamma1 (target), gamma2 (source) and
+    mu, each varying along both axes."""
+    return separable_contact_kernel(
+        2.3, radius, dim=2,
+        source_factor=lambda P: 1.0 + 0.4 * np.cos(2 * np.pi * (P[:, 0] - 0.3))
+        * np.sin(2 * np.pi * P[:, 1]),
+        target_factor=lambda P: np.exp(0.5 * np.cos(2 * np.pi * P[:, 1])),
+        decay=lambda P: 1.0 + 0.2 * np.sin(2 * np.pi * (P[:, 0] + P[:, 1])),
+    )
+
+
 def _plain(kernel):
     return lambda X, Y: kernel.spatial_fn(X, Y) / kernel.mu_fn(Y)
 
@@ -240,6 +253,11 @@ _LATTICE_CASES = {
                                 separable_contact_kernel(2.0, 1.125 - 5e-10), None),
     "edge-within-eps-2d": lambda: (PeriodicGrid(2, 8, 2), separable_contact_kernel(
         2.0, 1.125 - 5e-10, dim=2), None),
+    # reaches off the grid: no node difference lands on the box edge
+    "heterogeneous-2d-1.1": lambda: (PeriodicGrid(2, 10, 2),
+                                     _heterogeneous_2d(1.1), None),
+    "heterogeneous-2d-2.5": lambda: (PeriodicGrid(2, 8, 2),
+                                     _heterogeneous_2d(2.5), None),
 }
 
 
@@ -274,6 +292,27 @@ def test_periodize_matches_full_shell_sum(case):
     bound = np.finfo(expected.dtype).eps * (8 + images + 2 * exponent)
     assert np.all(np.abs(got - expected) <= bound * magnitude)
     assert np.count_nonzero(expected) > 0
+
+
+_BOX_CASES = sorted(case for case, build in _LATTICE_CASES.items()
+                    if build()[1].box is not None)
+
+
+@pytest.mark.parametrize("decay", [True, False], ids=["V", "K"])
+@pytest.mark.parametrize("case", _BOX_CASES)
+def test_factor_table_equals_the_pair_table_bit_for_bit(case, decay):
+    # a box kernel with symmetry factors is tabulated from its factors; its
+    # shifts and every bit of its blocks are those of its pair function's
+    # table, V = K / mu with decay and K without
+    grid, kernel, _ = _LATTICE_CASES[case]()
+    assert kernel.symmetry is not None
+    pair = _plain(kernel) if decay else kernel.spatial_fn
+    want_shifts, want_blocks = lattice_image_blocks(pair, grid, kernel.reach)
+    shifts, blocks = image_table(kernel, grid, decay)
+    assert np.array_equal(shifts, want_shifts)
+    assert blocks.dtype == want_blocks.dtype == np.float64
+    assert blocks.shape == want_blocks.shape
+    assert np.array_equal(blocks.view(np.uint64), want_blocks.view(np.uint64))
 
 
 def _reference_table(pair_fn, grid, support_radius):
@@ -334,8 +373,9 @@ def test_image_table_is_built_in_place():
     assert np.array_equal(blocks, ref_blocks)
 
 
-def _counting(kernel):
-    """The kernel with a counter on its spatial function's calls."""
+def _counting(kernel, factors=True):
+    """The kernel with a counter on its spatial function's calls; without
+    factors it keeps its box profile but not its symmetry factors."""
     calls = []
 
     def spatial(X, Y):
@@ -343,21 +383,30 @@ def _counting(kernel):
         return kernel.spatial_fn(X, Y)
 
     return SeparableKernel(spatial, kernel.mu_fn, kernel.support_radius,
-                           dim=kernel.dim, symmetry=kernel.symmetry,
+                           dim=kernel.dim,
+                           symmetry=kernel.symmetry if factors else None,
                            box=kernel.box), calls
 
 
 # the 2-D box of reach 1 on an 8-point cell reaches the 9 images with
 # |k_a| <= 1; its Euclidean reach sqrt(2) alone would admit 21
-@pytest.mark.parametrize("dim, cell_points, reachable", [(1, 16, 3), (2, 8, 9)])
-def test_one_image_table_per_kernel(dim, cell_points, reachable):
-    # one pair call per image that passes the reach test, and none after:
-    # the cell matrix, the ball truncations and the window matrix all read
-    # what time_integrate_kernel built: the table, or a 2-D box's factors
-    kernel, calls = _counting(separable_contact_kernel(2.0, 1.0, dim=dim))
+@pytest.mark.parametrize("dim, cell_points, reachable, factors", [
+    pytest.param(1, 16, 3, True, id="1-16-3"),
+    pytest.param(2, 8, 9, True, id="2-8-9"),
+    pytest.param(1, 16, 3, False, id="1-16-3-box-only"),
+    pytest.param(2, 8, 9, False, id="2-8-9-box-only"),
+])
+def test_one_image_table_per_kernel(dim, cell_points, reachable, factors):
+    # a box kernel with symmetry factors is tabulated from its factors and
+    # its pair function is never called; with its box alone, once per image
+    # that passes the reach test. Neither is called after: the cell matrix,
+    # the ball truncations and the window matrix all read what
+    # time_integrate_kernel built: the table, or a 2-D box's factors
+    kernel, calls = _counting(separable_contact_kernel(2.0, 1.0, dim=dim),
+                              factors)
     grid = PeriodicGrid(dim, cell_points, 2)
     transfer = time_integrate_kernel(kernel, grid)
-    assert len(calls) == reachable
+    assert len(calls) == (0 if factors else reachable)
     # the Euclidean reach alone sums the same blocks
     _, blocks = lattice_image_blocks(_plain(kernel), grid,
                                      ew.Reach(kernel.support_radius))

@@ -354,8 +354,10 @@ def test_warm_started_search_does_the_same_solves_in_fewer_iterations(
     assert cold_scans[2][2] == 0 < summed <= solves - len(default_rho_grid())
 
 
-def _counting_kernel(dim):
-    """The striped kernel with a counter on its spatial function's calls."""
+def _counting_kernel(dim, factors=True):
+    """The striped kernel with a counter on its spatial function's calls;
+    without factors it keeps its box profile but not its symmetry
+    factors."""
     calls = []
     base = ew.separable_contact_kernel(
         2.0, 1.0, dim=dim,
@@ -367,21 +369,30 @@ def _counting_kernel(dim):
         return base.spatial_fn(X, Y)
 
     kernel = ew.SeparableKernel(spatial, base.mu_fn, base.support_radius,
-                                dim=dim, symmetry=base.symmetry,
+                                dim=dim,
+                                symmetry=base.symmetry if factors else None,
                                 box=base.box)
     return kernel, calls
 
 
 # a box of reach 1 reaches 3 images of a 1-D cell and the 9 images with
-# |k_a| <= 1 of an 8-point 2-D cell
-@pytest.mark.parametrize("dim, cell_points, reachable", [(1, 16, 3), (2, 8, 9)])
+# |k_a| <= 1 of an 8-point 2-D cell; a box with symmetry factors is
+# tabulated from them, and its pair function is never called
+@pytest.mark.parametrize("dim, cell_points, reachable, factors", [
+    pytest.param(1, 16, 3, True, id="1-16-3"),
+    pytest.param(2, 8, 9, True, id="2-8-9"),
+    pytest.param(1, 16, 3, False, id="1-16-3-box-only"),
+    pytest.param(2, 8, 9, False, id="2-8-9-box-only"),
+])
 def test_the_kernel_is_evaluated_once_per_image_per_operator(
-        dim, cell_points, reachable):
-    kernel, calls = _counting_kernel(dim)
+        dim, cell_points, reachable, factors):
+    kernel, calls = _counting_kernel(dim, factors)
+    per_table = 0 if factors else reachable
     grid = ew.PeriodicGrid(dim, cell_points, 2)
     direction = np.ones(dim)
     tilted = TiltedOperator(kernel, _g(), grid, direction)
-    assert len(calls) == reachable == len(tilted.shifts)
+    assert len(tilted.shifts) == reachable
+    assert len(calls) == per_table
     calls.clear()
     # a rho_values x c_values surface and complex rates read the table
     for c in (0.0, 0.7, 2.0):
@@ -392,10 +403,10 @@ def test_the_kernel_is_evaluated_once_per_image_per_operator(
     # a speed search and a continuation each build one operator, and make
     # no pair call beyond its table
     speed = minimal_speed(kernel, _g(), grid, direction)
-    assert len(calls) == reachable
+    assert len(calls) == per_table
     calls.clear()
     complex_decay_root(kernel, _g(), 0.97 * speed.c_star, grid, speed=speed)
-    assert len(calls) == reachable
+    assert len(calls) == per_table
 
 
 def test_complex_rates_skip_the_cache_and_keep_the_answers(monkeypatch):
