@@ -26,7 +26,7 @@ from .domain import (
     saturating_exponential,
     time_integrate_kernel,
 )
-from .domain.kernels import SymmetryFactors, separable_contact_kernel
+from .domain.kernels import separable_contact_kernel
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "Reach",
     "SeparableKernel",
     "SpatialKernel",
-    "SymmetryFactors",
     "box_profile",
     "bump_forcing",
     "periodize_kernel",

@@ -376,8 +376,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if max(table, gather) > MAX_CELL_BYTES:
         raise ValidationError(
             f"kernel.support_radius = {support_radius} on a {grid.dim}-D "
-            f"cell of {grid.cell_points} points per axis needs {table} bytes "
-            f"of node-pair arrays and image blocks, and over a window of "
+            f"cell of {grid.cell_points} points per axis counts {table} "
+            f"bytes for its image table, and over a window of "
             f"radius {grid.window_radius} gathers {gather} bytes per column "
             f"of a window product; each must stay within {MAX_CELL_BYTES}: "
             f"shrink kernel.support_radius, grid.cell_points or "

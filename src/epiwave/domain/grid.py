@@ -23,17 +23,14 @@ _COORD_EPS = 1e-9
 # it; the largest window of any test or benchmark document has 9,216 nodes.
 MAX_WINDOW_NODES = 2**16
 
-# Most bytes a grid's cell may ask of the kernel's node-pair arrays and
-# image blocks (cell_bytes). A lattice-image table made by a pair function
-# (lattice_image_blocks) evaluates the kernel on all n_cell**2 node pairs
-# through pair arrays of n_cell**2 x dim floats, and keeps n_cell**2
-# floats per lattice image with nonzero values: at most (2 * ceil(s) +
-# 1)**dim of them for a kernel of per-axis reach s, 3**dim for one that
-# reaches one cell. Every matrix of a kernel reads its one table, so the
-# ball sweep adds no copy of it. A box kernel with symmetry factors, the
-# kind every scenario builds, makes its table from its factors with no
-# pair arrays, and a 2-D one makes none (image_table,
-# time_integrate_kernel); the limit still counts the pair-function table.
+# Most bytes a grid's cell may ask of the kernel (cell_bytes): n_cell**2
+# floats per lattice image the kernel reaches, (2 * ceil(s) + 1)**dim
+# images for a box of per-axis reach s, plus n_cell**2 x dim floats more.
+# A 1-D kernel keeps the image table (image_table), made from its factors
+# with no array of node pairs, and every matrix of the kernel reads the one
+# table, so the ball sweep adds no copy of it; a 2-D kernel makes no table
+# (time_integrate_kernel). The count is an upper bound: no kernel
+# allocates its n_cell**2 x dim term.
 # At reach 1 it admits 1-D cells of up to 2,048 points and 2-D cells of up
 # to 35 x 35 (peak RSS 354 and 64 MB integrating the box kernel and
 # building the window matrix of either, one BLAS thread); the largest
@@ -43,8 +40,8 @@ MAX_WINDOW_NODES = 2**16
 # (test_cell_budget_bounds_peak_memory). The same limit holds the rows
 # that one column of a window-matrix product gathers, one row of the cell
 # per window cell and image: at that reach it admits windows of radius 2
-# (31 MB) but not 8 (496 MB). A 2-D box kernel, applied one axis at a
-# time, gathers 2 * ceil(reach) + 1 times less.
+# (31 MB) but not 8 (496 MB). A 2-D kernel, applied one axis at a time,
+# gathers 2 * ceil(reach) + 1 times less.
 MAX_CELL_BYTES = 2**27
 
 
@@ -52,10 +49,10 @@ def cell_bytes(dim: int, cell_points: int, reach: float,
                window_radius: int = 0) -> tuple[int, int]:
     """Bytes a kernel of per-axis reach `reach` asks of a cell, as (table,
     gather), for at most images = (2 * ceil(reach) + 1)**dim lattice images
-    and n_cell = cell_points**dim. table is the node-pair arrays and the
-    lattice-image blocks of a table made by a pair function, n_cell**2 x
-    8 x (dim + images), which bounds the table of a box kernel made from
-    its factors (no pair arrays, and in 2-D no table); gather is what
+    and n_cell = cell_points**dim. table is n_cell**2 x 8 x (dim +
+    images): the lattice-image blocks of a 1-D kernel's table and n_cell**2
+    x dim floats more, an upper bound (a 2-D kernel makes no table, and no
+    table is made from node-pair arrays); gather is what
     one column of a product with the window matrix of a window of radius
     window_radius gathers (CellBlockMatrix.__matmul__), (2 *
     window_radius)**dim cells x images x n_cell x 8. A ball truncation
@@ -98,7 +95,7 @@ class PeriodicGrid:
             raise ValidationError(
                 f"cell of {cell_points} points per axis holds "
                 f"{int(cell_points) ** int(dim)} nodes in {dim}-D, whose "
-                f"node-pair arrays take {need} bytes, above the limit of "
+                f"cell budget at reach 1 is {need} bytes, above the limit of "
                 f"{MAX_CELL_BYTES}; shrink grid.cell_points"
             )
         self.dim = int(dim)

@@ -2,10 +2,14 @@
 
 A time kernel is the nonnegative weight Gamma(tau, x, y) giving the
 infectivity toward x of a unit of infection acquired at y a time tau ago.
-Every kernel here is separable, Gamma = K(x, y) exp(-mu(y) tau), the form
-of the paper's SIR systems (SeparableKernel). All have compact spatial
-reach (Gamma vanishes for |x - y| >= support_radius) and are periodic
-under integer translations of both spatial arguments.
+Every kernel here is the contact kernel of the paper's SIR systems,
+
+    Gamma(tau, x, y) = b(x) K0(x - y) s(y) exp(-mu(y) tau),
+
+with K0 a box of given mass and half-width on every axis and b, s, mu
+periodic (SeparableKernel): Gamma is periodic under joint integer
+translations of both spatial arguments, and it vanishes once x - y
+leaves the box on any one axis (Reach).
 
 Integrating out tau produces the spatial kernel
 
@@ -19,22 +23,15 @@ memory by exp(-rho c tau) as well; that exponent enters only the tilted
 operator (waves/dispersion.py).
 
 A matrix of V or K between window nodes is read from the kernel's values
-on the cell. In 1-D, and for a kernel without a box profile, it is
-block-Toeplitz over cells (CellBlockMatrix). A 2-D kernel that carries
-its box profile beside its symmetry factors (separable_contact_kernel,
-BoxProfile) is a Kronecker product of two 1-D box matrices between two
-diagonals, and its 2-D matrices are applied one axis at a time
-(AxisBoxMatrix); box_axes alone makes that choice, from the kernel and
-the grid's dimension.
+on the cell. In 1-D it is block-Toeplitz over cells (CellBlockMatrix). In
+2-D it is a Kronecker product of two 1-D box matrices between two
+diagonals, applied one axis at a time (AxisBoxMatrix); box_axes alone
+makes that choice, from the grid's dimension.
 
 The cell's values toward each lattice image it reaches, the image table,
-are tabulated by image_table. A kernel with a box profile and symmetry
-factors, gamma1(x) K0(x - y) gamma2(y), is tabulated from its factors:
-the unit box per axis, its height and the gammas (and 1 / mu for V) on
-the cell nodes and their images, with the same values bit for bit as its
-pair function gives and without an array of node pairs. Any other kernel
-is tabulated by its pair function on the cell's node pairs
-(lattice_image_blocks).
+are tabulated by image_table from the kernel's factors: the unit box per
+axis, its height, b on the cell nodes and s (and 1 / mu for V) on their
+images, with no array of node pairs.
 """
 
 from __future__ import annotations
@@ -50,26 +47,25 @@ from .grid import PeriodicGrid
 
 _EDGE_EPS = 1e-9
 # Lattice images whose nearest approach to the cell lies within this beyond
-# the support radius are still summed: the box kernel keeps its half value
-# up to _EDGE_EPS past its reach on each axis.
+# the reach are still summed: the box kernel keeps its half value up to
+# _EDGE_EPS past its reach on each axis.
 _REACH_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
 class Reach:
-    """Where a whole-line pair kernel V(x, y) can be nonzero.
-
-    V vanishes once |x - y| exceeds radius and, for a box kernel, also
-    once |x_a - y_a| exceeds axis on any one axis a. Every kernel carries
-    its reach, and the lattice-image tables take it as one value, so each
-    lattice sum of a box kernel skips the images outside the box.
+    """How far a box kernel reaches along any one axis: K(x, y) vanishes
+    once |x_a - y_a| exceeds radius, the box's half-width, on any axis a.
+    The lattice-image tables take it as one value, so each lattice sum
+    skips the images outside the box, and a node that far from the window
+    edge on every axis sees its whole neighbourhood: radius is also the
+    frozen layer of a window march.
 
     Every kernel here has compact support, so a reach is refused unless
-    radius is finite and positive and axis positive.
+    radius is finite and positive.
     """
 
     radius: float
-    axis: float = math.inf
 
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:
@@ -79,69 +75,28 @@ class Reach:
                 "and the exponential tilt can overflow, and speeds may be "
                 "super-linear"
             )
-        if not self.axis > 0.0:
-            raise ValidationError(f"axis reach must be positive, got {self.axis}")
 
     def image_test(self, grid):
         """Predicate on lattice vectors k: can the image x_j + k reach the cell?
 
-        On axis a the nearest approach of x_j + k to any x_i is the gap
-        max(|k_a| - span_a, 0), span_a being the extent of the cell nodes
-        on that axis. Images whose Euclidean approach, the norm of the
-        gaps, exceeds radius by more than _REACH_SLACK fail, since the
-        kernel vanishes on them, and so do images with a single gap
-        beyond axis.
+        On axis a the nearest approach of x_j + k to any x_i is |k_a| -
+        span_a, span_a being the extent of the cell nodes on that axis.
+        Images whose approach on some axis exceeds radius by more than
+        _REACH_SLACK fail, since the kernel vanishes on them.
         """
         X = grid.cell_nodes
         span = (X.max(axis=0) - X.min(axis=0)).tolist()
         radius = self.radius + _REACH_SLACK
-        axis = self.axis + _REACH_SLACK
 
         def reaches(shift):
-            gaps = [max(abs(k) - s, 0.0) for k, s in zip(shift, span)]
-            return max(gaps) <= axis and math.hypot(*gaps) <= radius
+            return all(abs(k) - s <= radius for k, s in zip(shift, span))
 
         return reaches
-
-    @property
-    def margin(self) -> float:
-        """How far the kernel reaches along any one axis, min(radius,
-        axis): a node that far from the window edge on every axis sees its
-        whole neighbourhood, so it is the frozen layer of a window march."""
-        return min(self.radius, self.axis)
 
     @property
     def shells(self) -> int:
         """Shells that cover the kernel: one cell beyond its radius."""
         return int(np.ceil(self.radius)) + 1
-
-
-@dataclass
-class SymmetryFactors:
-    """Multiplicative splitting K(x, y) = S(x, y) * gamma1(x) * gamma2(y).
-
-    S is symmetric in (x, y) and the gammas positive; the splitting makes
-    the ball operators self-adjoint in a weighted inner product and is
-    carried along rather than recovered numerically. Only the gammas are
-    kept: the weight gamma2/gamma1 is all an operator needs.
-    """
-
-    gamma1_fn: object
-    gamma2_fn: object
-
-
-@dataclass(frozen=True)
-class BoxProfile:
-    """The symmetric part S(x, y) = K0(x - y) of a box kernel, per axis:
-    K0(z) = mass / (2 half_width)**dim times the unit box of half-width
-    half_width on every axis, each taking its half value at the edge
-    (box_profile). Its half-width is the kernel's axis reach
-    (Reach.axis). With the SymmetryFactors beside it, the kernel is
-    gamma1(x) K0(x - y) gamma2(y), a Kronecker product of one line matrix
-    per axis between two diagonals (box_axes)."""
-
-    mass: float
-    half_width: float
 
 
 def _probe_points(dim: int, per_axis: int = 97) -> np.ndarray:
@@ -152,40 +107,53 @@ def _probe_points(dim: int, per_axis: int = 97) -> np.ndarray:
     return np.column_stack([xa.ravel(), xb.ravel()])
 
 
+def _one(P) -> np.ndarray:
+    return np.ones(np.asarray(P).shape[0])
+
+
 class SeparableKernel:
-    """Gamma(tau, x, y) = exp(-mu(y) * tau) * K(x, y).
+    """Gamma(tau, x, y) = b(x) K0(x - y) s(y) exp(-mu(y) tau).
 
-    The exponential-in-tau structure admits the closed-form time integral
-    V(x, y) = K(x, y) / mu(y) and O(1)-memory time marching;
-    every solver reads it in this form. mu must be strictly positive
-    (checked on a sample lattice at construction) and periodic.
+    K0 is the box of total integral mass and half-width half_width on
+    each of dim axes: mass / (2 half_width)**dim (height) times the unit
+    box on every axis, with its half value at the edge (box_profile).
+    target (b) modulates susceptibility at the receiving point, source (s)
+    infectivity at the emitting point and decay (mu) is the recovery rate;
+    each is a periodic function of an (N, dim) array of points, one when
+    not given. These six values are the whole kernel: its image tables
+    (image_table) and its 2-D matrices (box_axes) are made from them, the
+    exponential in tau admits the closed-form time integral V(x, y) =
+    K(x, y) / mu(y) and O(1)-memory time marching, and the symmetric K0
+    makes every operator self-adjoint in the weight s / (b mu)
+    (time_integrate_kernel).
 
-    box, a BoxProfile, declares that K(x, y) also vanishes once |x_a -
-    y_a| exceeds its half-width on any one axis a; with support_radius it
-    makes the kernel's reach. Given with symmetry, it also declares K =
-    gamma1(x) K0(x - y) gamma2(y) for that box profile K0: the kernel's
-    image tables are then made from these factors, never calling
-    spatial_fn (image_table), and its 2-D matrices are applied one axis at
-    a time (box_axes).
+    The half-width is the kernel's reach (Reach), refused unless finite
+    and positive; mass must be finite and nonnegative and mu strictly
+    positive (checked on a sample lattice at construction).
     """
 
-    def __init__(self, spatial_fn, mu_fn, support_radius: float, dim: int = 1,
-                 symmetry: SymmetryFactors | None = None,
-                 box: BoxProfile | None = None):
-        self.reach = Reach(float(support_radius),
-                           math.inf if box is None else float(box.half_width))
-        probe = _probe_points(dim)
-        mu_vals = np.asarray(mu_fn(probe), dtype=float)
+    def __init__(self, mass: float, half_width: float, dim: int = 1,
+                 target=None, source=None, decay=None):
+        self.reach = Reach(float(half_width))
+        if not 0.0 <= mass < math.inf:  # NaN fails too
+            raise ValidationError(
+                f"mass must be finite and nonnegative, got {mass}")
+        self.mass = float(mass)
+        self.half_width = self.reach.radius
+        self.dim = int(dim)
+        self.target = target or _one
+        self.source = source or _one
+        self.decay = decay or _one
+        mu_vals = np.asarray(self.decay(_probe_points(self.dim)), dtype=float)
         if np.min(mu_vals) <= 0:
             raise ValidationError(
                 f"decay rate mu must be strictly positive, min sampled value {np.min(mu_vals)}"
             )
-        self.spatial_fn = spatial_fn
-        self.mu_fn = mu_fn
-        self.support_radius = self.reach.radius
-        self.dim = int(dim)
-        self.symmetry = symmetry
-        self.box = box
+
+    @property
+    def height(self) -> float:
+        """K0 inside the box, mass / (2 half_width)**dim."""
+        return self.mass / (2.0 * self.half_width) ** self.dim
 
 
 def exponential_step_weights(mu, dt: float):
@@ -218,7 +186,8 @@ def box_profile(mass: float, radius: float, dim: int = 1):
     """Uniform contact profile on the axis-aligned box |z_i| <= radius.
 
     Returns a callable of the displacement kernel K0(x - y) with total
-    integral equal to mass. Nodes landing exactly on the jump get the
+    integral equal to mass, on an array of displacements whose last axis
+    holds the dim coordinates. Nodes landing exactly on the jump get the
     half-value convention, so midpoint sums over aligned grids reproduce
     the exact integral instead of carrying an O(spacing) surplus.
     """
@@ -230,19 +199,12 @@ def box_profile(mass: float, radius: float, dim: int = 1):
 
     def profile(Z):
         weight = _box_weight(Z, radius)
-        product = weight[:, 0]
-        for axis in range(1, weight.shape[1]):
-            product = product * weight[:, axis]
+        product = weight[..., 0]
+        for axis in range(1, weight.shape[-1]):
+            product = product * weight[..., axis]
         return height * product
 
     return profile
-
-
-def _cell_pairs(grid):
-    """(n, XX, YY): every ordered pair of cell nodes, row-major in (i, j)."""
-    X = grid.cell_nodes
-    n = X.shape[0]
-    return n, np.repeat(X, n, axis=0), np.tile(X, (n, 1))
 
 
 def _shell_shifts(dim: int, m: int):
@@ -279,28 +241,6 @@ def _stacked(shifts, blocks):
     if len(kept) < len(shifts):
         table = table[:len(kept)].copy()
     return np.array(kept, dtype=np.intp), table
-
-
-def lattice_image_blocks(pair_fn, grid, reach: Reach):
-    """The cell's whole-line kernel values toward each lattice image it
-    reaches, from a pair function on every pair of cell nodes.
-
-    Returns (shifts, blocks): shifts is an integer array (images, dim) and
-    blocks[s][i, j] = fn(x_i, x_j + shifts[s]). Images are visited shell by
-    shell, max_a |k_a| = 0, 1, 2, ..., out to one cell beyond the reach,
-    and the pair function is called once for each image that can reach the
-    cell (see Reach.image_test). A kernel periodic under joint integer shifts
-    has V(x_i + k, x_j + k') = blocks[s][i, j] with shifts[s] = k' - k, so
-    every matrix of the kernel between window nodes is block-Toeplitz over
-    cells with these blocks. Images whose block is all zeros are dropped;
-    the zero shift is always kept (_stacked). image_table tabulates a box
-    kernel with symmetry factors from its factors instead.
-    """
-    n, XX, YY = _cell_pairs(grid)
-    shifts = _reachable_shifts(grid, reach)
-    return _stacked(shifts, (
-        np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float))).reshape(n, n)
-        for shift in shifts))
 
 
 def periodize_kernel(shifts, blocks, grid, tilt) -> np.ndarray:
@@ -352,12 +292,12 @@ class SpatialKernel:
     A 2-D box kernel's matrices are AxisBoxMatrix objects that read the
     kernel's `axes` (box_axes) instead, so no table is made for it: its
     cell matrix is summed image by image from the factors (`table` and
-    `shifts` are None). Also keeps the kernel's reach and, when the
-    factorization is known, the symmetry weight gamma2/gamma1 on the cell.
+    `shifts` are None). Also keeps the kernel's reach and the symmetry
+    weight s / (b mu) on the cell (gamma_cell).
     """
 
     def __init__(self, grid, cell_matrix: np.ndarray, reach: Reach,
-                 shifts=None, table=None, gamma_cell=None, axes=None):
+                 gamma_cell: np.ndarray, shifts=None, table=None, axes=None):
         self.grid = grid
         self.cell_matrix = cell_matrix
         self.shifts, self.table = shifts, table
@@ -396,9 +336,9 @@ class CellBlockMatrix:
     refuse heterogeneities without period 1 on every axis for this reason
     (app/scenario.py).
 
-    This is the form of every 1-D kernel matrix, of every matrix of a
-    kernel without a box profile, and of the line matrix L of the 2-D
-    box kernels, whose own matrices go axis by axis (AxisBoxMatrix).
+    This is the form of every 1-D kernel matrix and of the line matrix L
+    of the 2-D kernels, whose own matrices go axis by axis
+    (AxisBoxMatrix).
 
     The blocks come as `table`, laid out by _product_table (row s * n + b,
     column a holds V(x_a, x_b + shifts[s])). The matrix keeps a reference
@@ -518,13 +458,13 @@ class CellBlockMatrix:
 
 @dataclass
 class BoxAxes:
-    """A 2-D box kernel gamma1(x) K0(x - y) r(y) as factors on one line.
+    """A 2-D kernel b(x) K0(x - y) r(y) as factors on one line.
 
     table is the lattice-image table (laid out by _product_table) of the
     unit box of half-width half_width on line_grid, the 1-D grid of the
     2-D grid's axis, with the same half value at the edge as box_profile:
     K0(x - y) = height w(x1 - y1) w(x2 - y2) for that unit box w. left is
-    height gamma1 and right is r, each on the 2-D cell nodes.
+    height b and right is r, each on the 2-D cell nodes.
     """
 
     line_grid: PeriodicGrid
@@ -535,69 +475,63 @@ class BoxAxes:
 
 
 def box_axes(kernel, grid, decay: bool) -> BoxAxes | None:
-    """The one place that decides whether a kernel's 2-D matrices go axis
-    by axis: for a 2-D grid and a kernel carrying its box profile and
-    symmetry factors, the factors of K (r = gamma2) or, with decay, of
-    V = K / mu (r = gamma2 / mu); None otherwise, and every matrix of the
-    kernel is a CellBlockMatrix."""
-    box, sym = kernel.box, kernel.symmetry
-    if grid.dim != 2 or box is None or sym is None:
+    """The one place that decides whether a kernel's matrices go axis by
+    axis: for a 2-D grid, the factors of K (r = s) or, with decay, of V =
+    K / mu (r = s / mu); None for a 1-D grid, whose matrices are
+    CellBlockMatrix objects."""
+    if grid.dim != 2:
         return None
     line_grid = PeriodicGrid(1, grid.cell_points, grid.window_radius)
-    line, half = line_grid.cell_nodes[:, 0], box.half_width
-    shifts = _reachable_shifts(line_grid, Reach(half))
+    line, half = line_grid.cell_nodes[:, 0], kernel.half_width
+    shifts = _reachable_shifts(line_grid, kernel.reach)
     shifts, blocks = _stacked(shifts, (_unit_box(line, half, k)
                                        for (k,) in shifts))
     X = grid.cell_nodes
-    height = box.mass / (2.0 * half) ** 2
-    right = np.asarray(sym.gamma2_fn(X), dtype=float)
+    right = np.asarray(kernel.source(X), dtype=float)
     if decay:
-        right = right / np.asarray(kernel.mu_fn(X), dtype=float)
+        right = right / np.asarray(kernel.decay(X), dtype=float)
     return BoxAxes(line_grid, shifts, _product_table(blocks),
-                   height * np.asarray(sym.gamma1_fn(X), dtype=float), right)
+                   kernel.height * np.asarray(kernel.target(X), dtype=float),
+                   right)
 
 
 def _factor_blocks(kernel, grid, shifts, decay: bool):
-    """The image blocks of a kernel with a box profile and symmetry
-    factors, one per shift, from the factors: the unit box on each axis
-    (_unit_box, a Kronecker product over the axes), times the height,
-    times gamma1 at the cell nodes, times gamma2 at the image nodes x_j +
-    k, and with decay divided by mu there. These are the products, in the
-    order, that separable_contact_kernel's pair function makes on the same
-    coordinates, so the blocks are its values bit for bit; no array of
-    node pairs is formed."""
-    box, sym = kernel.box, kernel.symmetry
+    """The image blocks of a kernel, one per shift, from its factors: the
+    unit box on each axis (_unit_box, a Kronecker product over the axes),
+    times the height, times b at the cell nodes, times s at the image
+    nodes x_j + k, and with decay divided by mu there. These are the
+    products, in the order, of the kernel's pair values b(x) K0(x - y)
+    s(y) (box_profile, then b, then s; sir_to_kernel's seed reads them so);
+    no array of node pairs is formed."""
     X = grid.cell_nodes
     line = X[:grid.cell_points, -1]  # the cell's coordinates on every axis
-    height = box.mass / (2.0 * box.half_width) ** grid.dim
-    left = np.asarray(sym.gamma1_fn(X), dtype=float)[:, None]
+    height = kernel.height
+    left = np.asarray(kernel.target(X), dtype=float)[:, None]
     for shift in shifts:
-        block = functools.reduce(np.kron, [_unit_box(line, box.half_width, k)
+        block = functools.reduce(np.kron, [_unit_box(line, kernel.half_width, k)
                                            for k in shift])
         Y = X + np.asarray(shift, dtype=float)
         block *= height  # in place, one block at a time: the same products
         block *= left
-        block *= np.asarray(sym.gamma2_fn(Y), dtype=float)
+        block *= np.asarray(kernel.source(Y), dtype=float)
         if decay:
-            block /= np.asarray(kernel.mu_fn(Y), dtype=float)
+            block /= np.asarray(kernel.decay(Y), dtype=float)
         yield block
 
 
 def image_table(kernel, grid, decay: bool):
     """The lattice-image table (shifts, blocks) of a SeparableKernel's K
-    or, with decay, of V = K / mu, as lattice_image_blocks lays it out:
-    the same shifts (the kernel's Reach), zero blocks dropped and the zero
-    shift kept. A kernel with a box profile and symmetry factors is
-    tabulated from its factors (_factor_blocks), never calling its pair
-    function; any other calls it once per reachable image on the cell's
-    node pairs."""
-    if kernel.box is None or kernel.symmetry is None:
-        pair_fn = kernel.spatial_fn
-        if decay:
-            def pair_fn(X, Y):
-                return (kernel.spatial_fn(X, Y)
-                        / np.asarray(kernel.mu_fn(Y), dtype=float))
-        return lattice_image_blocks(pair_fn, grid, kernel.reach)
+    or, with decay, of V = K / mu, made from its factors (_factor_blocks):
+    blocks[s][i, j] = V(x_i, x_j + shifts[s]).
+
+    Images are visited shell by shell, max_a |k_a| = 0, 1, 2, ..., out to
+    one cell beyond the reach, and a block is made for each image that can
+    reach the cell (Reach.image_test). A kernel periodic under joint
+    integer shifts has V(x_i + k, x_j + k') = blocks[s][i, j] with
+    shifts[s] = k' - k, so every matrix of the kernel between window nodes
+    is block-Toeplitz over cells with these blocks. Images whose block is
+    all zeros are dropped; the zero shift is always kept (_stacked).
+    """
     shifts = _reachable_shifts(grid, kernel.reach)
     return _stacked(shifts, _factor_blocks(kernel, grid, shifts, decay))
 
@@ -711,22 +645,30 @@ class AxisBoxMatrix:
                 * dense[cols[:, None], cols] * self.right)
 
 
+def _check_dimension(kernel, grid):
+    """Refuse a kernel whose box has another dimension than the grid: its
+    height, mass / (2 half_width)**dim, would be that of another box."""
+    if kernel.dim != grid.dim:
+        raise ValidationError(
+            f"kernel dimension {kernel.dim} does not match grid dimension {grid.dim}"
+        )
+
+
 def window_pair_matrix(grid, kernel):
     """Whole-line kernel values K(x_i, x_j) of a SeparableKernel between
     all window nodes.
 
-    A 2-D kernel that carries its box profile (box_axes) gives an
-    AxisBoxMatrix, applied one axis at a time. Any other is returned in
-    cell-block form: by joint periodicity of the kernel (which the block
-    form assumes, see CellBlockMatrix) every entry is an entry of one of
-    the cell's lattice-image blocks, tabulated by image_table (from the
-    factors of a box kernel with symmetry factors, else by the pair
-    function on images x n_cell**2 pairs) instead of on every window pair,
-    and a product is one dense matrix product. The table is laid out in
-    place (_product_table) and the matrix is its only holder. Pairs whose
-    nodes lie in cells farther apart than the kernel reaches are zero, and
-    nodes near the window edge see no pairs beyond it.
+    A 2-D kernel gives an AxisBoxMatrix (box_axes), applied one axis at a
+    time. A 1-D kernel is returned in cell-block form: by joint
+    periodicity of the kernel (which the block form assumes, see
+    CellBlockMatrix) every entry is an entry of one of the cell's
+    lattice-image blocks, tabulated by image_table instead of on every
+    window pair, and a product is one dense matrix product. The table is
+    laid out in place (_product_table) and the matrix is its only holder.
+    Pairs whose nodes lie in cells farther apart than the kernel reaches
+    are zero, and nodes near the window edge see no pairs beyond it.
     """
+    _check_dimension(kernel, grid)
     nodes = np.arange(grid.n_window)
     axes = box_axes(kernel, grid, decay=False)
     if axes is not None:
@@ -739,17 +681,15 @@ def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
     """Integrate a time kernel over tau and tabulate it on the grid: the
     image table of V = K / mu is tabulated once (image_table), and every
     matrix of the returned SpatialKernel is read from that table. A 2-D
-    box kernel's matrices read its axes (box_axes) instead, so no table
-    is made: its cell matrix is summed from the factors' blocks image by
+    kernel's matrices read its axes (box_axes) instead, so no table is
+    made: its cell matrix is summed from the factors' blocks image by
     image, in table order, with the same sum as the table's.
 
-    The symmetry factorization, when the time kernel carries one, is
-    pushed through the time integral: the decay rate divides into gamma2.
+    The factorization is pushed through the time integral: V = b(x) K0(x
+    - y) (s / mu)(y), so the operators are self-adjoint in the weight
+    s / (b mu), which b and s must keep positive on the cell.
     """
-    if time_kernel.dim != grid.dim:
-        raise ValidationError(
-            f"kernel dimension {time_kernel.dim} does not match grid dimension {grid.dim}"
-        )
+    _check_dimension(time_kernel, grid)
     axes = box_axes(time_kernel, grid, decay=True)
     shifts = table = None
     if axes is None:
@@ -763,42 +703,26 @@ def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
         cell_matrix = next(blocks)
         for block in blocks:
             cell_matrix += block
-    gamma_cell = None
-    sym = time_kernel.symmetry
-    if sym is not None:
-        g1 = np.asarray(sym.gamma1_fn(grid.cell_nodes), dtype=float)
-        g2 = np.asarray(sym.gamma2_fn(grid.cell_nodes), dtype=float)
-        g2 = g2 / np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
-        if np.min(g1) <= 0 or np.min(g2) <= 0:
-            raise ValidationError("symmetry factors gamma1, gamma2 must be positive")
-        gamma_cell = g2 / g1
-    return SpatialKernel(grid, cell_matrix, time_kernel.reach, shifts, table,
-                         gamma_cell=gamma_cell, axes=axes)
+    X = grid.cell_nodes
+    g1 = np.asarray(time_kernel.target(X), dtype=float)
+    g2 = np.asarray(time_kernel.source(X), dtype=float)
+    g2 = g2 / np.asarray(time_kernel.decay(X), dtype=float)
+    if np.min(g1) <= 0 or np.min(g2) <= 0:
+        raise ValidationError("target and source factors must be positive "
+                              "on the cell")
+    return SpatialKernel(grid, cell_matrix, time_kernel.reach, g2 / g1,
+                         shifts, table, axes)
 
 
 def separable_contact_kernel(mass: float, support_radius: float, dim: int = 1,
                              source_factor=None, target_factor=None, decay=None
                              ) -> SeparableKernel:
-    """Standard anisotropic family K(x, y) = K0(x - y) * b(x) * s(y), decay mu(y).
-
-    K0 is the uniform box of the given mass and reach, b (target_factor)
+    """The contact kernel K(x, y) = b(x) K0(x - y) s(y) with decay mu(y),
+    under the names a scenario document gives it: K0 is the uniform box
+    of the given mass and per-axis reach support_radius, b (target_factor)
     modulates susceptibility at the receiving point and s (source_factor)
     infectivity at the emitting point; all three heterogeneities default
-    to one. The factorization is recorded so downstream operators know
-    their weighted self-adjoint structure, and so is the box profile
-    (BoxProfile), with which every 2-D matrix of the kernel is applied one
-    axis at a time (box_axes, AxisBoxMatrix).
+    to one (SeparableKernel).
     """
-    one = lambda P: np.ones(np.asarray(P).shape[0])
-    b = target_factor or one
-    s = source_factor or one
-    mu = decay or one
-    base = box_profile(mass, support_radius, dim)
-
-    def spatial(X, Y):
-        return base(X - Y) * np.asarray(b(X), dtype=float) * np.asarray(s(Y), dtype=float)
-
-    sym = SymmetryFactors(gamma1_fn=b, gamma2_fn=s)
-    euclid_reach = support_radius * np.sqrt(dim)
-    return SeparableKernel(spatial, mu, euclid_reach, dim=dim, symmetry=sym,
-                           box=BoxProfile(mass, support_radius))
+    return SeparableKernel(mass, support_radius, dim, target=target_factor,
+                           source=source_factor, decay=decay)

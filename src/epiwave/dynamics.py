@@ -19,9 +19,8 @@ reproduced without any time error.
 Nodes closer than the kernel reach to the window edge on some axis
 cannot see their whole interaction neighborhood, so they are frozen at
 the seeding value f(t, x); diagnostics exclude that boundary layer. Its
-width is the kernel's reach along one axis (Reach.margin): R for a box
-of half-width R, in 2-D too, where the box's Euclidean reach is R
-sqrt(2).
+width is the kernel's reach along one axis (Reach): the half-width of
+its box.
 
 The march writes each step straight into its row of the stored
 trajectory. The forcing is its seeding function (domain/forcing.py):
@@ -97,7 +96,7 @@ def solve_initial_value(time_kernel, forcing, response, grid,
             f"kernel dimension {time_kernel.dim} does not match grid "
             f"dimension {grid.dim}"
         )
-    reach = time_kernel.reach.margin
+    reach = time_kernel.half_width
     if grid.window_radius <= reach:
         raise ValidationError(
             f"window radius {grid.window_radius} does not contain the "
@@ -131,7 +130,7 @@ def march_steps(dt: float, horizon: float, nodes: int) -> int:
 
 def _march_separable(kernel, seed, response, grid, values, times, block):
     dt = times[1] - times[0]
-    mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)
+    mu = np.asarray(kernel.decay(grid.window_nodes), dtype=float)
     if dt * np.max(mu) >= 1.0:
         raise ValidationError(
             f"dt * max(mu) = {dt * np.max(mu):.3g} >= 1 on the window nodes; "
@@ -180,7 +179,7 @@ def long_time_limit(field: SpaceTimeField, tol: float = DEFAULT_CLASSIFY_TOL):
 def limiting_equation_residual(u_inf, transfer, response, f_inf) -> float:
     """Sup defect of the stationary balance over the trustworthy interior."""
     grid = transfer.grid
-    reach = transfer.reach.margin
+    reach = transfer.reach.radius
     if grid.window_radius < 2 * reach:
         raise ValidationError(
             f"window radius {grid.window_radius} below twice the kernel "

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .domain.kernels import SeparableKernel, SymmetryFactors, window_pair_matrix
+from .domain.kernels import SeparableKernel, box_profile, window_pair_matrix
 from .domain.nonlinearity import saturating_exponential
 from .dynamics import march_steps, solve_initial_value
 from .errors import ConvergenceError, ValidationError
@@ -34,9 +34,9 @@ class SirState:
     """Model data for the compartmental system (no Laplacian: infection
     spreads only through the contact kernel), plus trajectories once run.
 
-    kernel is a SeparableKernel: its spatial_fn is the instantaneous pair
-    rate K(x, y), within its reach and periodic under joint integer
-    shifts, and its mu_fn the periodic recovery rate. susceptible_fn is
+    kernel is a SeparableKernel: the instantaneous contact rate K(x, y) =
+    b(x) K0(x - y) s(y) of its box and its periodic factors, and its
+    decay the periodic recovery rate. susceptible_fn is
     the periodic initial susceptible profile (its positivity makes the
     log change of variables well defined). infected0 is a nonnegative
     compactly supported field sampled on the window nodes.
@@ -92,7 +92,7 @@ def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
     grid = state.grid
     steps = march_steps(dt, horizon, grid.n_window)
     K = window_pair_matrix(grid, state.kernel)
-    mu = np.asarray(state.kernel.mu_fn(grid.window_nodes), dtype=float)
+    mu = np.asarray(state.kernel.decay(grid.window_nodes), dtype=float)
     S0 = state.susceptible0()
     row = float(np.max(K.sum(axis=1))) * grid.weight
     rate = float(np.max(mu)) + row * float(np.max(S0))
@@ -135,52 +135,43 @@ def sir_to_kernel(state: SirState):
     separable kernel S0(y) K(x, y) exp(-mu(y) tau), the pressure of the
     initial infecteds as forcing, and g(z) = 1 - exp(-z). The forcing is
     its seeding function, X -> (t -> f(t, X)); its limit at t = inf
-    weighs each seed by 1 / mu. A contact kernel with symmetry factors
-    gamma1, gamma2 gives the bridge the factors gamma1, S0 gamma2 and the
-    same box profile, so a 2-D box bridge is applied axis by axis too, and
-    the bridge's image tables are made from those factors (image_table).
-    S0 gamma2 is formed before it multiplies the rest, so where both
-    gamma2 and S0 vary the tables may differ from the bridge's pair
-    function in the last bit.
+    weighs each seed by 1 / mu. The bridged kernel is the contact
+    kernel's box and factors with source S0 s, formed before it
+    multiplies the rest, so where both s and S0 vary its tables may
+    differ from a product b(x) K0(x - y) s(y) S0(y) in the last bit. The
+    seed reads the contact kernel's pair values K(x, y) at the seeded
+    nodes y from its factors, in the order its image blocks take them
+    (box_profile, then b(x), then s(y)).
     """
     grid = state.grid
-    contact = state.kernel.spatial_fn
+    contact = state.kernel
     s_fn = state.susceptible_fn
-    mu_fn = state.kernel.mu_fn
 
     def susceptible(Y):
         return np.asarray(s_fn(np.atleast_2d(Y)), dtype=float)
 
-    contact_sym, sym = state.kernel.symmetry, None
-    if contact_sym is not None:
-        sym = SymmetryFactors(
-            gamma1_fn=contact_sym.gamma1_fn,
-            gamma2_fn=lambda Y: np.asarray(contact_sym.gamma2_fn(Y),
-                                           dtype=float) * susceptible(Y))
-    kernel = SeparableKernel(
-        spatial_fn=lambda X, Y: np.asarray(contact(X, Y), dtype=float)
-        * susceptible(Y),
-        mu_fn=mu_fn,
-        support_radius=state.kernel.support_radius,
-        dim=grid.dim,
-        symmetry=sym,
-        box=state.kernel.box,
-    )
+    def source(Y):
+        return np.asarray(contact.source(Y), dtype=float) * susceptible(Y)
+
+    kernel = SeparableKernel(contact.mass, contact.half_width, grid.dim,
+                             target=contact.target, source=source,
+                             decay=contact.decay)
 
     active = state.infected0 > 0
     nodes_y = grid.window_nodes[active]
     weights = grid.weight * state.infected0[active]
-    mu_y = np.asarray(mu_fn(nodes_y), dtype=float)
+    mu_y = np.asarray(contact.decay(nodes_y), dtype=float)
+    box = box_profile(contact.mass, contact.half_width, contact.dim)
+    source_y = np.asarray(contact.source(nodes_y), dtype=float)
 
     def ramp(t):
         return weights * (-np.expm1(-mu_y * max(t, 0.0)) / mu_y)
 
     def seed_on_nodes(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        XX = np.repeat(X, nodes_y.shape[0], axis=0)
-        YY = np.tile(nodes_y, (X.shape[0], 1))
-        pairs = np.asarray(contact(XX, YY), dtype=float).reshape(
-            X.shape[0], nodes_y.shape[0])
+        pairs = (box(X[:, None, :] - nodes_y[None, :, :])
+                 * np.asarray(contact.target(X), dtype=float)[:, None]
+                 * source_y)
         return lambda t: pairs @ ramp(t)
 
     return kernel, seed_on_nodes, saturating_exponential()
@@ -206,5 +197,5 @@ def equivalence_check(state: SirState, dt: float, horizon: float) -> float:
         raise ValidationError(
             f"trajectory shapes diverged: {u_sir.shape} vs {u_int.shape}"
         )
-    inner = state.grid.interior_indices(kernel.reach.margin)
+    inner = state.grid.interior_indices(kernel.half_width)
     return float(np.max(np.abs(u_sir[:, inner] - u_int[:, inner])))

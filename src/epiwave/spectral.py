@@ -16,21 +16,20 @@ for a nonnegative irreducible matrix and any positive x,
 min_i (Ax)_i / x_i <= lambda_1 <= max_i (Ax)_i / x_i (Collatz 1942,
 Wielandt 1950).
 
-A ball truncation is stored in cell-block form (CellBlockMatrix, defined
-with the kernels): it is the window matrix with the rows and columns of
+A 1-D ball truncation is stored in cell-block form (CellBlockMatrix,
+defined with the kernels): it is the window matrix with the rows and columns of
 the nodes outside the ball dropped. The kernel is periodic under joint
 integer shifts, V(x + k, y + k) = V(x, y), so the entry between the
 window nodes x_a + C and x_b + C' (x_a, x_b cell nodes, C, C' integer
 cell offsets) is V(x_a, x_b + C' - C): both matrices are block-Toeplitz
 over cells, and their blocks are the few lattice-image blocks of the
-cell (3 in 1-D, 9 for the 2-D box). The SpatialKernel tabulates them
+cell (3 for a box of reach 1). The SpatialKernel tabulates them
 once, when the kernel is integrated, sums them into its cell matrix and
 keeps them as one table; every truncation holds a reference to that
 table, copies none of it, and scales its products. Nothing is
 approximated, and a power iteration is one dense product.
 
-A 2-D box kernel (separable_contact_kernel) is applied one axis at a
-time instead: its truncation to the ball of radius R is diag(b scale)
+A 2-D kernel is applied one axis at a time instead: its truncation to the ball of radius R is diag(b scale)
 (L ⊗ L) diag(s / mu) over the square of cells [-R, R]**2, with L the 1-D
 cell-block matrix of the unit box on one line of it (AxisBoxMatrix), and
 a power iteration is two multi-column products of L. On a radius-4 ball
@@ -63,14 +62,14 @@ class OperatorMatrix:
     """A discretized positive integral operator.
 
     entries already contain the response slope and the quadrature weight,
-    so apply() is a plain matrix-vector product. entries is one of two
-    forms: a CellBlockMatrix for a ball truncation, a dense ndarray for a
-    periodic or tilted cell operator. weight, when present, is the
-    density gamma2/gamma1 making the operator self-adjoint in the
-    weighted inner product.
+    so apply() is a plain matrix-vector product. entries is one of three
+    forms: a CellBlockMatrix for a 1-D ball truncation, an AxisBoxMatrix
+    for a 2-D one, a dense ndarray for a periodic or tilted cell operator.
+    weight, when present, is the density s / (b mu) making the operator
+    self-adjoint in the weighted inner product.
     """
 
-    entries: object  # dense ndarray or CellBlockMatrix
+    entries: object  # dense ndarray, CellBlockMatrix or AxisBoxMatrix
     weight: np.ndarray | None = None
     quadrature: float = 1.0
 
@@ -168,19 +167,18 @@ def assemble_ball(transfer, response, radius: float) -> OperatorMatrix:
 
     The entries are the transfer's matrix over the window nodes in the
     ball (SpatialKernel.matrix), never rows of the window matrix. For a
-    2-D box kernel that is an AxisBoxMatrix over the cells of the ball's
+    2-D kernel that is an AxisBoxMatrix over the cells of the ball's
     square [-R, R]**2, two products of the unit box's line matrix per
-    product. Otherwise it is a CellBlockMatrix reading the transfer's
-    lattice-image table: by joint periodicity those blocks are every value
+    product. For a 1-D kernel it is a CellBlockMatrix reading the
+    transfer's lattice-image table: by joint periodicity those blocks are every value
     the truncation holds. Either way the tables are shared, not copied.
     """
     grid = transfer.grid
     entries = transfer.matrix(grid.ball_indices(radius),
                               response.slope0 * grid.weight)
-    gamma = transfer.gamma_cell
     return OperatorMatrix(
         entries=entries,
-        weight=None if gamma is None else gamma[entries.local],
+        weight=transfer.gamma_cell[entries.local],
         quadrature=grid.weight,
     )
 
@@ -220,17 +218,14 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
                    (entries.right, 1.0)]
     elif isinstance(entries, CellBlockMatrix):  # scale times the table
         factors = [(entries.table, entries.scale)]
-    else:  # a dense array, or a scipy sparse matrix (no flat view)
+    else:  # a dense array
         factors = [(entries, 1.0)]
     for stored, scale in factors:
         if not stored.size:
             continue
         # every entry lies between these two; NaN fails every comparison
-        if isinstance(stored, np.ndarray):
-            flat = stored.reshape(-1)
-            lo, hi = scale * flat[flat.argmin()], scale * flat[flat.argmax()]
-        else:
-            lo, hi = scale * stored.min(), scale * stored.max()
+        flat = stored.reshape(-1)
+        lo, hi = scale * flat[flat.argmin()], scale * flat[flat.argmax()]
         if not (0 <= lo < np.inf and 0 <= hi < np.inf):
             raise ValidationError("operator has negative or non-finite entries")
     if start is None:

@@ -130,7 +130,7 @@ class TiltedOperator:
             )
         self.slope0 = response.slope0
         self.grid = grid
-        self.mu = np.asarray(time_kernel.mu_fn(grid.cell_nodes), dtype=float)
+        self.mu = np.asarray(time_kernel.decay(grid.cell_nodes), dtype=float)
         bad = np.flatnonzero(~(np.isfinite(self.mu) & (self.mu > 0)))
         if bad.size:
             i = bad[0]

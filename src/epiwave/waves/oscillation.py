@@ -132,7 +132,7 @@ def oscillating_subsolution(time_kernel, response, c, grid, *,
         )
 
     band = _BAND_FACTOR / rho_I
-    reach = time_kernel.support_radius
+    reach = time_kernel.half_width
     if grid.window_radius < band + reach:
         raise ValidationError(
             f"window radius {grid.window_radius} does not cover the "
@@ -149,7 +149,7 @@ def oscillating_subsolution(time_kernel, response, c, grid, *,
     band_mask = np.abs(x) <= band
     values = np.where(band_mask, np.maximum(v_raw, 0.0), 0.0)
 
-    mu = np.asarray(time_kernel.mu_fn(grid.window_nodes), dtype=float)
+    mu = np.asarray(time_kernel.decay(grid.window_nodes), dtype=float)
     history = np.zeros_like(x)
     for j in range(x.size):
         y = x[j]

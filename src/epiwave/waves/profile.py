@@ -124,7 +124,7 @@ class WaveOperator:
                 f"values, more than {dynamics.MAX_TRAJECTORY_VALUES}; lower "
                 "the slices or shrink the window"
             )
-        reach = time_kernel.support_radius
+        reach = time_kernel.half_width
         if grid.window_radius <= reach + 1.0:
             raise ValidationError(
                 f"window radius {grid.window_radius} too small for kernel "
@@ -143,7 +143,7 @@ class WaveOperator:
         self.interior = np.zeros(grid.n_window, dtype=bool)
         self.interior[grid.interior_indices(reach)] = True
 
-        mu = np.asarray(time_kernel.mu_fn(grid.window_nodes), dtype=float)
+        mu = np.asarray(time_kernel.decay(grid.window_nodes), dtype=float)
         self.E1, I0, I1 = exponential_step_weights(mu, self.dt)
         self.powers = self.E1 ** np.arange(self.m)[:, None]  # E1**j per slice
         self.alpha = I0 - I1
@@ -155,7 +155,7 @@ class WaveOperator:
         self.cells = grid.n_window // n
         ghost = grid.window_radius + (np.arange(n) + 0.5) * grid.spacing
         self.ghost_nodes = ghost[:, None]
-        self.mu_ghost = np.asarray(time_kernel.mu_fn(self.ghost_nodes), float)
+        self.mu_ghost = np.asarray(time_kernel.decay(self.ghost_nodes), float)
         _, I0g, I1g = exponential_step_weights(self.mu_ghost, self.dt)
         self.alpha_ghost = I0g - I1g
         self.beta_ghost = I1g

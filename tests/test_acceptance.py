@@ -318,7 +318,7 @@ def test_criterion_12_oscillating_subsolution(response):
            f"{osc.min_slack_on_support:.1e} is not strictly positive")
     x = grid.window_nodes[:, 0]
     zero = osc.band_mask & (osc.slack <= 0.0)
-    trivial_from = np.pi / (2.0 * osc.rho_I) + kernel.support_radius
+    trivial_from = np.pi / (2.0 * osc.rho_I) + kernel.half_width
     stray = zero & ((osc.values != 0.0) | (osc.applied != 0.0)
                     | (x <= trivial_from))
     _check(failures, not np.any(stray),
@@ -331,19 +331,13 @@ def test_criterion_12_oscillating_subsolution(response):
 
 
 def test_criterion_13_sir_equivalence_first_order():
-    def _box_pair(X, Y):
-        d = np.abs(X[:, 0] - Y[:, 0])
-        out = np.where(d < 1.0, 1.0, 0.0)
-        return np.where(np.abs(d - 1.0) < 1e-12, 0.5, out)
-
     def _gap(cell_points, dt):
         grid = ew.PeriodicGrid(dim=1, cell_points=cell_points,
                                window_radius=8)
         x = grid.window_nodes[:, 0]
         seed = 0.2 * np.where(np.abs(x) < 0.5, np.cos(np.pi * x) ** 2, 0.0)
         ones = lambda P: np.ones(P.shape[0])
-        state = SirState(grid=grid,
-                         kernel=ew.SeparableKernel(_box_pair, ones, 1.0),
+        state = SirState(grid=grid, kernel=ew.SeparableKernel(2.0, 1.0),
                          susceptible_fn=ones, infected0=seed)
         return equivalence_check(state, dt=dt, horizon=3.0)
 

@@ -2,6 +2,7 @@
 window matrix and its submatrices."""
 
 import copy
+import dataclasses
 import functools
 
 import numpy as np
@@ -10,8 +11,7 @@ import scipy.sparse
 
 import epiwave as ew
 from epiwave import ValidationError
-from epiwave.domain.kernels import (_product_table, lattice_image_blocks,
-                                    window_pair_matrix)
+from epiwave.domain.kernels import _product_table, image_table, window_pair_matrix
 from epiwave.spectral import (
     AxisBoxMatrix,
     CellBlockMatrix,
@@ -20,18 +20,22 @@ from epiwave.spectral import (
     ball_eigenvalue_sweep,
     principal_eigenpair,
 )
+from pair_reference import pair_fn
 from window_reference import window_pair_matrix as csr_window_pair_matrix
 
 
 def _pair(kernel):
     """The time-integrated pair function V = K / mu of a separable kernel."""
-    return lambda X, Y: kernel.spatial_fn(X, Y) / kernel.mu_fn(Y)
+    return pair_fn(kernel, decay=True)
 
 
 @functools.lru_cache(maxsize=1)
 def _csr_window(transfer, kernel):
-    return csr_window_pair_matrix(transfer.grid, _pair(kernel),
-                                  transfer.reach.radius)
+    """The CSR window matrix of V, walked out to the box's Euclidean
+    reach, its half-width times sqrt(dim)."""
+    grid = transfer.grid
+    return csr_window_pair_matrix(grid, _pair(kernel),
+                                  transfer.reach.radius * np.sqrt(grid.dim))
 
 
 def _reference_ball(transfer, kernel, response, radius):
@@ -41,10 +45,9 @@ def _reference_ball(transfer, kernel, response, radius):
     grid = transfer.grid
     idx = grid.ball_indices(radius)
     W = _csr_window(transfer, kernel)
-    gamma = transfer.gamma_cell
     return OperatorMatrix(
         entries=W[idx][:, idx] * (response.slope0 * grid.weight),
-        weight=None if gamma is None else grid.periodic_on_window(gamma)[idx],
+        weight=grid.periodic_on_window(transfer.gamma_cell)[idx],
         quadrature=grid.weight,
     )
 
@@ -59,15 +62,9 @@ def _striped(dim, support=1.0, mass=2.0):
 
 
 def _isotropic(dim):
-    """A radial cone cut at 0.75 with unit decay: its reach is Euclidean
-    (no axis bound), unlike the boxes'."""
-    def spatial(X, Y):
-        r = np.linalg.norm(X - Y, axis=-1)
-        edge = np.where(np.abs(r - 0.75) <= 1e-9, 0.5, 0.0)
-        return 1.3 * (1.0 - r / 2.0) * np.where(r < 0.75 - 1e-9, 1.0, edge)
-
-    return ew.SeparableKernel(spatial, lambda P: np.ones(len(P)), 0.75,
-                              dim=dim)
+    """A homogeneous box of mass 1.3 and reach 0.75 with unit decay: its
+    edge falls on node differences of the 32- and 8-point cells."""
+    return ew.SeparableKernel(1.3, 0.75, dim)
 
 
 # (dim, cell_points, window_radius, kernel builder, position dependent)
@@ -87,12 +84,10 @@ CASES = {
 }
 
 
-def _form(case, dim):
-    """The matrix type a case's kernel takes: 2-D boxes go axis by axis;
-    1-D kernels and the radial cone stay in cell-block form."""
-    if dim == 2 and not case.startswith("isotropic"):
-        return AxisBoxMatrix
-    return CellBlockMatrix
+def _form(dim):
+    """The matrix type a kernel takes: 2-D kernels go axis by axis, 1-D
+    kernels stay in cell-block form."""
+    return AxisBoxMatrix if dim == 2 else CellBlockMatrix
 
 
 def _radii(window):
@@ -115,19 +110,21 @@ def test_ball_blocks_match_window_submatrix(case):
     for radius in _radii(window):
         op = assemble_ball(transfer, response, radius)
         ref = _reference_ball(transfer, kernel, response, radius)
-        assert isinstance(op.entries, _form(case, dim))
+        assert isinstance(op.entries, _form(dim))
         assert op.entries.shape == ref.entries.shape
         assert op.entries.nnz == ref.entries.nnz
         dense, expected = op.entries.toarray(), ref.entries.toarray()
         assert np.all(np.abs(dense - expected) <= rel * np.abs(expected)), (
             f"radius {radius}: entries differ beyond {rel:.1e} relative")
-        if op.weight is not None:
-            assert np.array_equal(op.weight, ref.weight)
+        assert np.array_equal(op.weight, ref.weight)
         x = np.random.default_rng(5).random(op.n)
         assert np.allclose(op.apply(x), ref.apply(x), rtol=1e-13, atol=0.0)
     new = ball_eigenvalue_sweep(transfer, response)
-    old = [principal_eigenpair(_reference_ball(transfer, kernel, response, r))
-           for r in range(1, window + 1)]
+    # the power iteration reads a dense matrix; the CSR reference is one
+    old = [principal_eigenpair(dataclasses.replace(
+               ref, entries=ref.entries.toarray()))
+           for ref in (_reference_ball(transfer, kernel, response, r)
+                       for r in range(1, window + 1))]
     assert [p.iterations for p in new] == [p.iterations for p in old]
     for point, pair in zip(new, old):
         assert point.value == pytest.approx(pair.value, rel=1e-14, abs=0.0)
@@ -136,7 +133,7 @@ def test_ball_blocks_match_window_submatrix(case):
 def test_zero_kernel_keeps_only_the_zero_shift():
     grid = ew.PeriodicGrid(2, 8, 2)
     kernel = ew.separable_contact_kernel(0.0, 1.0, dim=2)
-    shifts, blocks = lattice_image_blocks(_pair(kernel), grid, kernel.reach)
+    shifts, blocks = image_table(kernel, grid, decay=True)
     assert shifts.tolist() == [[0, 0]]
     assert not np.any(blocks)
     # a 2-D box goes axis by axis and keeps no table of its own
@@ -148,11 +145,10 @@ def test_zero_kernel_keeps_only_the_zero_shift():
 
 
 def test_box_kernel_keeps_only_the_touching_images():
-    # 21 images pass the reach test of the 2-D box; only the 9 neighbours
-    # of the cell carry nonzero values
+    # the 9 neighbours of the cell pass the reach test of the 2-D box of
+    # reach 1, and carry nonzero values
     kernel = ew.separable_contact_kernel(2.0, 1.0, dim=2)
-    shifts, blocks = lattice_image_blocks(_pair(kernel),
-                                          ew.PeriodicGrid(2, 8, 2), kernel.reach)
+    shifts, blocks = image_table(kernel, ew.PeriodicGrid(2, 8, 2), decay=True)
     assert sorted(map(tuple, shifts.tolist())) == [
         (a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     assert blocks.shape == (9, 64, 64)
@@ -172,12 +168,14 @@ def test_ball_sweep_builds_no_window_matrix(monkeypatch):
 
 
 def test_ball_of_negative_kernel_is_rejected():
+    # time_integrate_kernel refuses a source or target factor that is not
+    # positive, so the kernel values are made negative in the table itself:
+    # those toward the images at shift -1 and 1, after the zero shift's
     grid = ew.PeriodicGrid(1, 16, 2)
-    box = ew.box_profile(2.0, 1.0)
-    kernel = ew.SeparableKernel(
-        lambda X, Y: box(X - Y) * np.cos(2 * np.pi * Y[:, 0]),
-        lambda P: np.ones(P.shape[0]), support_radius=1.0)
-    transfer = ew.time_integrate_kernel(kernel, grid)
+    transfer = ew.time_integrate_kernel(ew.separable_contact_kernel(2.0, 1.0),
+                                        grid)
+    transfer.table[grid.n_cell:] *= -1.0
+    assert np.min(transfer.table) < 0
     op = assemble_ball(transfer, ew.saturating_exponential(), 1.0)
     with pytest.raises(ValidationError, match="negative"):
         principal_eigenpair(op)
@@ -236,13 +234,13 @@ def test_window_blocks_match_csr_reference(case):
     kernel = build()
     transfer = ew.time_integrate_kernel(kernel, grid)
     W = transfer.window_matrix()
-    ref = csr_window_pair_matrix(grid, _pair(kernel), transfer.reach.radius)
+    ref = _csr_window(transfer, kernel)
     eps = np.finfo(float).eps
     # periodic factors such as cos(2 pi x) are evaluated at window
     # coordinates by the reference and on the cell by the blocks; their
     # rounding grows with |x| <= window
     rel = 4 * (window + 1) * eps
-    assert isinstance(W, _form(case, dim))
+    assert isinstance(W, _form(dim))
     assert W.shape == ref.shape == (grid.n_window, grid.n_window)
     assert W.nnz == ref.nnz
     assert _close(W.toarray(), ref.toarray(), rel)
@@ -285,11 +283,11 @@ def test_axis_form_matches_the_cell_block_form(case):
     grid = ew.PeriodicGrid(2, cell_points, window)
     kernel = build()
     transfer = ew.time_integrate_kernel(kernel, grid)
-    shifts, blocks = lattice_image_blocks(kernel.spatial_fn, grid, kernel.reach)
+    shifts, blocks = image_table(kernel, grid, decay=False)
     everywhere = np.arange(grid.n_window)
     pairs = [(window_pair_matrix(grid, kernel),
               CellBlockMatrix(grid, everywhere, shifts, _product_table(blocks)))]
-    shifts, blocks = lattice_image_blocks(_pair(kernel), grid, kernel.reach)
+    shifts, blocks = image_table(kernel, grid, decay=True)
     table = _product_table(blocks)
     for radius in [window + 0.5, *_radii(window)]:
         nodes = (everywhere if radius > window else grid.ball_indices(radius))
@@ -368,17 +366,19 @@ def test_in_order_products_equal_the_scatter_gather_path(nodes, columns):
 def test_two_d_windows_and_cut_balls_take_the_scatter_gather_path():
     """In cell-block form, 1-D balls of whole cells take the in-order path
     and cut 1-D balls and every 2-D window or ball scatter and gather. 2-D
-    boxes go axis by axis instead: their line matrices run over whole
+    kernels go axis by axis instead: their line matrices run over whole
     cells in order, and the nodes of a window or ball are scattered into
     the square."""
     response = ew.saturating_exponential()
     flat = ew.time_integrate_kernel(_striped(1), ew.PeriodicGrid(1, 32, 4))
-    cone = ew.time_integrate_kernel(_isotropic(2), ew.PeriodicGrid(2, 8, 2))
-    square = ew.time_integrate_kernel(_striped(2), ew.PeriodicGrid(2, 8, 2))
+    grid = ew.PeriodicGrid(2, 8, 2)
+    shifts, blocks = image_table(_isotropic(2), grid, decay=True)
+    table = _product_table(blocks)
     assert assemble_ball(flat, response, 2.0).entries._in_order
     assert not assemble_ball(flat, response, 2.5).entries._in_order
-    assert not cone.window_matrix()._in_order
-    assert not assemble_ball(cone, response, 1.0).entries._in_order
+    for nodes in (np.arange(grid.n_window), grid.ball_indices(1.0)):
+        assert not CellBlockMatrix(grid, nodes, shifts, table)._in_order
+    square = ew.time_integrate_kernel(_striped(2), grid)
     window = square.window_matrix()
     ball = assemble_ball(square, response, 1.0).entries
     assert isinstance(window, AxisBoxMatrix) and isinstance(ball, AxisBoxMatrix)

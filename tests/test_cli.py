@@ -550,7 +550,7 @@ def test_kernel_reach_within_the_cell_budget_loads(tmp_path):
     cfg = load_scenario(_write_config(tmp_path, {
         "kernel": {"support_radius": 31},
         "grid": {"dim": 2, "cell_points": 8, "window_radius": 2}}))
-    assert cfg.kernel.support_radius == 31.0 * np.sqrt(2)
+    assert cfg.kernel.half_width == 31.0
 
 
 @pytest.mark.parametrize("command", sorted(pipelines.COMMANDS))
@@ -1050,7 +1050,7 @@ def test_scenario_defaults_round_trip(tmp_path):
     grid = cfg.grid
     assert grid.dim == 1 and grid.cell_points == 64 and grid.window_radius == 8
     kernel = cfg.kernel
-    assert kernel.support_radius == 1.0
+    assert kernel.half_width == 1.0
     assert cfg.response.bound == 1.0
     # the default bump: amplitude 1 at the origin, radius 2
     limit = cfg.forcing(np.array([[0.0], [1.0], [2.0]]))(np.inf)

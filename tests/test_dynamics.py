@@ -210,10 +210,10 @@ def _allocating_march(kernel, forcing, response, grid, dt, horizon):
     n_steps = march_steps(dt, horizon, grid.n_window)
     times = dt * np.arange(n_steps + 1)
     interior = np.zeros(grid.n_window, dtype=bool)
-    interior[grid.interior_indices(kernel.reach.margin)] = True
+    interior[grid.interior_indices(kernel.half_width)] = True
     values = np.empty((n_steps + 1, grid.n_window))
     values[0] = np.asarray(forcing(grid.window_nodes)(0.0), dtype=float)
-    mu = np.asarray(kernel.mu_fn(grid.window_nodes), dtype=float)
+    mu = np.asarray(kernel.decay(grid.window_nodes), dtype=float)
     K = window_pair_matrix(grid, kernel)
     fade, gain, _ = exponential_step_weights(mu, dt)
     w = np.zeros(grid.n_window)
@@ -245,11 +245,10 @@ def _box_2d_case():
 
 def _sir_bridge_case():
     grid = ew.PeriodicGrid(1, 16, 6)
-    half = lambda X, Y: np.where(np.abs(X[:, 0] - Y[:, 0]) < 1.0, 1.1, 0.0)
     seed = np.where(np.abs(grid.window_nodes[:, 0]) < 0.7, 0.3, 0.0)
     recovery = lambda X: 1.0 + 0.25 * np.sin(2 * np.pi * X[:, 0])
     state = SirState(
-        grid=grid, kernel=ew.SeparableKernel(half, recovery, 1.0),
+        grid=grid, kernel=ew.SeparableKernel(2.2, 1.0, decay=recovery),
         susceptible_fn=lambda X: 1.0 + 0.5 * np.cos(2 * np.pi * X[:, 0]),
         infected0=seed)
     kernel, forcing, response = sir_to_kernel(state)
@@ -299,7 +298,7 @@ def _blowing_up_forcing(node, from_time):
 def test_guard_names_the_time_and_node_where_finiteness_is_lost(kernel):
     grid = ew.PeriodicGrid(1, 16, 4)
     node = 70
-    assert node in grid.interior_indices(kernel.support_radius)
+    assert node in grid.interior_indices(kernel.half_width)
     forcing = _blowing_up_forcing(node, from_time=0.65)
     message = "solution lost finiteness at t = 0.7, window node 70"
     with pytest.raises(ConvergenceError, match=re.escape(message) + "$"):

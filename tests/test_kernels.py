@@ -14,12 +14,12 @@ from epiwave import (
 )
 from epiwave.app import scenario
 from epiwave.domain.grid import cell_bytes
-from epiwave.domain.kernels import (AxisBoxMatrix, BoxProfile,
-                                    CellBlockMatrix, exponential_step_weights,
-                                    image_table, lattice_image_blocks,
+from epiwave.domain.kernels import (AxisBoxMatrix, CellBlockMatrix,
+                                    exponential_step_weights, image_table,
                                     window_pair_matrix)
 from epiwave.spectral import assemble_ball, ball_eigenvalue_sweep
 from epiwave.waves import TiltedOperator
+from pair_reference import lattice_image_blocks, pair_fn
 
 
 def _pts(*vals):
@@ -113,38 +113,33 @@ def test_symmetry_factors_survive_time_integration():
     assert np.allclose(weighted, weighted.T, atol=1e-12)
 
 
-@pytest.mark.parametrize("radius, axis, message", [
-    (np.inf, np.inf, "super-linear"),
-    (np.nan, np.inf, "super-linear"),
-    (0.0, np.inf, "super-linear"),
-    (-1.0, 1.0, "super-linear"),
-    (1.0, 0.0, "axis reach"),
-    (1.0, np.nan, "axis reach"),
-])
-def test_reach_refuses_kernels_without_compact_support(radius, axis, message):
-    with pytest.raises(ValidationError, match=message):
-        ew.Reach(radius, axis)
+@pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0, -1.0])
+def test_reach_refuses_a_half_width_that_is_not_finite_positive(radius):
+    with pytest.raises(ValidationError, match="super-linear"):
+        ew.Reach(radius)
 
 
 def test_every_kernel_takes_its_support_checks_from_reach():
-    one = lambda P: np.ones(np.asarray(P).shape[0])
-    pair = lambda X, Y: one(X)
-    for bad in (np.inf, 0.0):
-        with pytest.raises(ValidationError, match="support radius"):
-            SeparableKernel(pair, one, bad)
-    with pytest.raises(ValidationError, match="axis reach"):
-        SeparableKernel(pair, one, 1.0, box=BoxProfile(1.0, 0.0))
-    # an unbounded kernel is refused where it is built, before a lattice
-    # sum could try to cover it
-    with pytest.raises(ValidationError, match="super-linear"):
-        time_integrate_kernel(SeparableKernel(pair, one, np.inf),
-                              PeriodicGrid(1, 16, 4))
+    # an unbounded or empty box is refused where the kernel is built,
+    # before a lattice sum could try to cover it
+    for bad in (np.inf, np.nan, 0.0, -1.0):
+        for dim in (1, 2):
+            with pytest.raises(ValidationError, match="support radius"):
+                SeparableKernel(2.0, bad, dim)
+            with pytest.raises(ValidationError, match="super-linear"):
+                separable_contact_kernel(2.0, bad, dim=dim)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            SeparableKernel(bad, 1.0)
 
 
 def test_kernel_grid_dimension_mismatch():
+    # a 1-D box's height is not a 2-D box's: every table refuses the pair
     grid = PeriodicGrid(2, 8, 1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="dimension"):
         time_integrate_kernel(separable_contact_kernel(2.0, 1.0, dim=1), grid)
+    with pytest.raises(ValidationError, match="dimension"):
+        window_pair_matrix(grid, separable_contact_kernel(2.0, 1.0, dim=1))
 
 
 def test_step_weights_match_quadrature():
@@ -176,7 +171,7 @@ def _full_shell_shifts(grid, support_radius):
     return shifts
 
 
-def _full_shell_sum(pair_fn, grid, support_radius):
+def _full_shell_sum(pair, grid, support_radius):
     """Reference lattice sum: every image of every shell up to one cell
     beyond the reach, in shell order, as periodize_kernel summed before it
     skipped the images that cannot reach the cell."""
@@ -184,10 +179,10 @@ def _full_shell_sum(pair_fn, grid, support_radius):
     n = X.shape[0]
     XX = np.repeat(X, n, axis=0)
     YY = np.tile(X, (n, 1))
-    probe = np.asarray(pair_fn(X[:1], X[:1]))
+    probe = np.asarray(pair(X[:1], X[:1]))
     total = np.zeros((n, n), dtype=complex if np.iscomplexobj(probe) else float)
     for shift in _full_shell_shifts(grid, support_radius):
-        vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
+        vals = np.asarray(pair(XX, YY + np.asarray(shift, dtype=float)))
         total += vals.reshape(n, n)
     return total
 
@@ -203,13 +198,8 @@ def _striped(dim=1):
 def _tilted(kernel, rho, e):
     """The dispersion relation's tilted pair, as the speed search builds it."""
     e = np.asarray(e, dtype=float)
-    return lambda X, Y: kernel.spatial_fn(X, Y) * np.exp(-rho * ((Y - X) @ e))
-
-
-def _isotropic_cone():
-    def spatial(X, Y):
-        return np.maximum(1.5 - np.linalg.norm(X - Y, axis=-1), 0.0)
-    return SeparableKernel(spatial, lambda P: np.ones(len(P)), 1.5)
+    spatial = pair_fn(kernel)
+    return lambda X, Y: spatial(X, Y) * np.exp(-rho * ((Y - X) @ e))
 
 
 def _heterogeneous_2d(radius):
@@ -224,10 +214,6 @@ def _heterogeneous_2d(radius):
     )
 
 
-def _plain(kernel):
-    return lambda X, Y: kernel.spatial_fn(X, Y) / kernel.mu_fn(Y)
-
-
 _LATTICE_CASES = {
     "box-1d": lambda: (PeriodicGrid(1, 64, 2), separable_contact_kernel(2.0, 1.0), None),
     "box-2d": lambda: (PeriodicGrid(2, 8, 2),
@@ -240,7 +226,9 @@ _LATTICE_CASES = {
     "tilted-2d": lambda: (PeriodicGrid(2, 8, 2),
                           separable_contact_kernel(2.0, 1.0, dim=2),
                           (0.8, (0.6, 0.8))),
-    "isotropic-1.5": lambda: (PeriodicGrid(1, 8, 2), _isotropic_cone(), None),
+    # homogeneous, with its edge on the nodes: mass 2.25 and reach 1.5
+    "isotropic-1.5": lambda: (PeriodicGrid(1, 8, 2),
+                              separable_contact_kernel(2.25, 1.5), None),
     "cell-8": lambda: (PeriodicGrid(1, 8, 2), _striped(), None),
     # the box edge, where the kernel takes its half value, sits at the
     # nearest approach of the shift-2 images, or 5e-10 beyond the reach
@@ -265,9 +253,9 @@ _LATTICE_CASES = {
 def test_periodize_matches_full_shell_sum(case):
     grid, kernel, tilt = _LATTICE_CASES[case]()
     if tilt is None:
-        expected = _full_shell_sum(_plain(kernel), grid, kernel.support_radius)
-        # the separable boxes' reach includes their per-axis box; the plain
-        # lattice sum is the sum of the table's blocks
+        expected = _full_shell_sum(pair_fn(kernel, decay=True), grid,
+                                   kernel.half_width)
+        # the plain lattice sum is the sum of the table's blocks
         got = time_integrate_kernel(kernel, grid).cell_matrix
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
@@ -275,9 +263,9 @@ def test_periodize_matches_full_shell_sum(case):
         return
     rho, e = tilt
     pair = _tilted(kernel, rho, e)
-    expected = _full_shell_sum(pair, grid, kernel.support_radius)
+    expected = _full_shell_sum(pair, grid, kernel.half_width)
     magnitude = _full_shell_sum(lambda X, Y: np.abs(pair(X, Y)), grid,
-                                kernel.support_radius)
+                                kernel.half_width)
     tilted = TiltedOperator(kernel, ew.saturating_exponential(), grid, e)
     got = tilted._lattice_sum(tilted._decay_rate(rho, 0.0))
     assert got.dtype == expected.dtype
@@ -287,27 +275,22 @@ def test_periodize_matches_full_shell_sum(case):
     # relative, and the sums over the images add one rounding per image,
     # all relative to the sum of the terms' magnitudes. The exponents are
     # at most |rho| (shells + 1) in size.
-    images = len(_full_shell_shifts(grid, kernel.support_radius))
+    images = len(_full_shell_shifts(grid, kernel.half_width))
     exponent = abs(rho) * (kernel.reach.shells + 1)
     bound = np.finfo(expected.dtype).eps * (8 + images + 2 * exponent)
     assert np.all(np.abs(got - expected) <= bound * magnitude)
     assert np.count_nonzero(expected) > 0
 
 
-_BOX_CASES = sorted(case for case, build in _LATTICE_CASES.items()
-                    if build()[1].box is not None)
-
-
 @pytest.mark.parametrize("decay", [True, False], ids=["V", "K"])
-@pytest.mark.parametrize("case", _BOX_CASES)
+@pytest.mark.parametrize("case", sorted(_LATTICE_CASES))
 def test_factor_table_equals_the_pair_table_bit_for_bit(case, decay):
-    # a box kernel with symmetry factors is tabulated from its factors; its
-    # shifts and every bit of its blocks are those of its pair function's
-    # table, V = K / mu with decay and K without
+    # a kernel is tabulated from its factors; its shifts and every bit of
+    # its blocks are those of its pair function's table on the cell's node
+    # pairs, V = K / mu with decay and K without
     grid, kernel, _ = _LATTICE_CASES[case]()
-    assert kernel.symmetry is not None
-    pair = _plain(kernel) if decay else kernel.spatial_fn
-    want_shifts, want_blocks = lattice_image_blocks(pair, grid, kernel.reach)
+    want_shifts, want_blocks = lattice_image_blocks(pair_fn(kernel, decay),
+                                                    grid, kernel.reach)
     shifts, blocks = image_table(kernel, grid, decay)
     assert np.array_equal(shifts, want_shifts)
     assert blocks.dtype == want_blocks.dtype == np.float64
@@ -315,7 +298,7 @@ def test_factor_table_equals_the_pair_table_bit_for_bit(case, decay):
     assert np.array_equal(blocks.view(np.uint64), want_blocks.view(np.uint64))
 
 
-def _reference_table(pair_fn, grid, support_radius):
+def _reference_table(pair, grid, support_radius):
     """The image table as a list of blocks stacked at the end: every image
     of every shell out to one cell beyond the reach, keeping the zero
     shift and the images with a nonzero block."""
@@ -324,28 +307,41 @@ def _reference_table(pair_fn, grid, support_radius):
     XX, YY = np.repeat(X, n, axis=0), np.tile(X, (n, 1))
     shifts, blocks = [], []
     for shift in _full_shell_shifts(grid, support_radius):
-        vals = np.asarray(pair_fn(XX, YY + np.asarray(shift, dtype=float)))
+        vals = np.asarray(pair(XX, YY + np.asarray(shift, dtype=float)))
         if not shifts or np.any(vals):
             shifts.append(shift)
             blocks.append(vals.reshape(n, n))
     return np.array(shifts), np.stack(blocks)
 
 
-def test_periodize_skips_only_images_out_of_reach():
+def _counting(kernel):
+    """The kernel with a counter on its source factor's calls."""
     calls = []
 
-    def counting(X, Y):
+    def source(P):
         calls.append(1)
-        return separable_contact_kernel(2.0, 1.0, dim=2).spatial_fn(X, Y)
+        return kernel.source(P)
 
-    # images out to max |k_a| = 3 in 2-D: 49 shifts, of which the 21 with
-    # |k_a| <= 2 and not both |k_a| = 2 can reach the cell
+    return SeparableKernel(kernel.mass, kernel.half_width, kernel.dim,
+                           target=kernel.target, source=source,
+                           decay=kernel.decay), calls
+
+
+def test_periodize_skips_only_images_out_of_reach():
+    # a 2-D box whose edge lies 5e-7 short of 1.125, the nearest approach
+    # of the shift-2 images to the 8-point cell: of the 49 images out to
+    # max |k_a| = 3, the 25 with |k_a| <= 2 pass the reach test (its slack
+    # is 1e-6) and get a block, one source call each, but the box's edge
+    # tolerance is 1e-9, so only the 9 with |k_a| <= 1 are nonzero
+    kernel, calls = _counting(separable_contact_kernel(2.0, 1.125 - 5e-7,
+                                                       dim=2))
     grid = PeriodicGrid(2, 8, 1)
-    shifts, blocks = lattice_image_blocks(counting, grid, ew.Reach(np.sqrt(2.0)))
-    assert len(calls) == 21
-    # the 9 images with |k_a| <= 1 have a nonzero block, kept in an array of
-    # their own rather than a view of one sized for all 21
-    ref_shifts, ref_blocks = _reference_table(counting, grid, 1.0)
+    shifts, blocks = image_table(kernel, grid, decay=False)
+    assert len(calls) == 25
+    # the 9 nonzero blocks are kept in an array of their own rather than a
+    # view of one sized for all 25
+    ref_shifts, ref_blocks = _reference_table(pair_fn(kernel), grid,
+                                              kernel.half_width)
     assert blocks.shape == (9, 64, 64) and blocks.base is None
     assert np.array_equal(shifts, ref_shifts)
     assert np.array_equal(blocks, ref_blocks)
@@ -358,8 +354,7 @@ def test_image_table_is_built_in_place():
     kernel, grid = cfg.kernel, cfg.grid
     tracemalloc.start()
     try:
-        shifts, blocks = lattice_image_blocks(kernel.spatial_fn, grid,
-                                              kernel.reach)
+        shifts, blocks = image_table(kernel, grid, decay=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -367,49 +362,31 @@ def test_image_table_is_built_in_place():
     # peaked at twice that
     assert blocks.shape == (441, 64, 64)
     assert peak <= 1.25 * blocks.nbytes
-    ref_shifts, ref_blocks = _reference_table(kernel.spatial_fn, grid,
-                                              kernel.support_radius)
+    ref_shifts, ref_blocks = _reference_table(pair_fn(kernel), grid,
+                                              kernel.half_width)
     assert np.array_equal(shifts, ref_shifts)
     assert np.array_equal(blocks, ref_blocks)
 
 
-def _counting(kernel, factors=True):
-    """The kernel with a counter on its spatial function's calls; without
-    factors it keeps its box profile but not its symmetry factors."""
-    calls = []
-
-    def spatial(X, Y):
-        calls.append(1)
-        return kernel.spatial_fn(X, Y)
-
-    return SeparableKernel(spatial, kernel.mu_fn, kernel.support_radius,
-                           dim=kernel.dim,
-                           symmetry=kernel.symmetry if factors else None,
-                           box=kernel.box), calls
-
-
-# the 2-D box of reach 1 on an 8-point cell reaches the 9 images with
-# |k_a| <= 1; its Euclidean reach sqrt(2) alone would admit 21
-@pytest.mark.parametrize("dim, cell_points, reachable, factors", [
-    pytest.param(1, 16, 3, True, id="1-16-3"),
-    pytest.param(2, 8, 9, True, id="2-8-9"),
-    pytest.param(1, 16, 3, False, id="1-16-3-box-only"),
-    pytest.param(2, 8, 9, False, id="2-8-9-box-only"),
+# the box of reach 1 reaches 3 images of a 16-point 1-D cell and the 9
+# with |k_a| <= 1 of an 8-point 2-D cell
+@pytest.mark.parametrize("dim, cell_points, reachable", [
+    pytest.param(1, 16, 3, id="1-16-3"),
+    pytest.param(2, 8, 9, id="2-8-9"),
 ])
-def test_one_image_table_per_kernel(dim, cell_points, reachable, factors):
-    # a box kernel with symmetry factors is tabulated from its factors and
-    # its pair function is never called; with its box alone, once per image
-    # that passes the reach test. Neither is called after: the cell matrix,
-    # the ball truncations and the window matrix all read what
-    # time_integrate_kernel built: the table, or a 2-D box's factors
-    kernel, calls = _counting(separable_contact_kernel(2.0, 1.0, dim=dim),
-                              factors)
+def test_one_image_table_per_kernel(dim, cell_points, reachable):
+    # integrating the kernel reads its source factor once per image that
+    # passes the reach test, and once on the cell nodes for the symmetry
+    # weight (a 2-D kernel, once more for its axis factors). Nothing reads
+    # it after: the cell matrix, the ball truncations and the window matrix
+    # all read what time_integrate_kernel built: the table, or a 2-D
+    # kernel's axis factors
+    kernel, calls = _counting(separable_contact_kernel(2.0, 1.0, dim=dim))
     grid = PeriodicGrid(dim, cell_points, 2)
     transfer = time_integrate_kernel(kernel, grid)
-    assert len(calls) == (0 if factors else reachable)
-    # the Euclidean reach alone sums the same blocks
-    _, blocks = lattice_image_blocks(_plain(kernel), grid,
-                                     ew.Reach(kernel.support_radius))
+    assert len(calls) == reachable + (1 if dim == 1 else 2)
+    _, blocks = lattice_image_blocks(pair_fn(kernel, decay=True), grid,
+                                     kernel.reach)
     assert np.array_equal(transfer.cell_matrix, blocks.sum(axis=0))
     calls.clear()
     ball_eigenvalue_sweep(transfer, ew.saturating_exponential())

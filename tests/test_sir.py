@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import epiwave as ew
-from epiwave.domain.kernels import lattice_image_blocks
+from epiwave.domain.kernels import image_table
 from epiwave.errors import ConvergenceError, ValidationError
 from epiwave.sir import SirState, equivalence_check, simulate_sir, sir_to_kernel
+from pair_reference import pair_fn
 
 
 def _box_pair(mass=2.0, radius=1.0):
+    """The box's pair values, half of the height at the edge."""
     half = 0.5 * mass / radius
 
     def pair(X, Y):
@@ -38,10 +40,11 @@ def _bump_seed(grid, amplitude=0.2, radius=0.5):
     return amplitude * np.where(np.abs(x) < radius, prof, 0.0)
 
 
-def _kernel(contact=None, recovery=_ones):
-    """The contact rate (the box of mass 2 and reach 1 by default) and the
-    recovery rate as the SirState's separable kernel."""
-    return ew.SeparableKernel(contact or _box_pair(), recovery, 1.0)
+def _kernel(recovery=_ones, **factors):
+    """The contact rate (the box of mass 2 and reach 1, times the source
+    and target factors given) and the recovery rate as the SirState's
+    separable kernel."""
+    return ew.SeparableKernel(2.0, 1.0, decay=recovery, **factors)
 
 
 def _plain_state(cell_points=16, window_radius=8, **overrides):
@@ -144,8 +147,8 @@ def test_negative_infection_reported_with_node():
     # should say where rather than march on
     state = _plain_state(
         window_radius=4,
-        kernel=_kernel(
-            lambda X, Y: -2.0 * (np.abs(X[:, 0] - Y[:, 0]) <= 1.0)),
+        kernel=ew.SeparableKernel(4.0, 1.0,
+                                  source=lambda Y: np.full(len(Y), -1.0)),
         infected0=_bump_seed(ew.PeriodicGrid(dim=1, cell_points=16,
                                              window_radius=4), 0.5),
     )
@@ -167,8 +170,9 @@ def test_bridge_recovers_plain_exponential_kernel():
     kernel, forcing, response = sir_to_kernel(state)
     X = np.array([[0.2], [1.4], [-0.9]])
     Y = np.array([[0.9], [0.8], [-0.4]])
-    assert np.array_equal(kernel.spatial_fn(X, Y), _box_pair()(X, Y))
-    assert np.array_equal(kernel.mu_fn(Y), np.ones(3))
+    assert (kernel.mass, kernel.half_width, kernel.dim) == (2.0, 1.0, 1)
+    assert np.array_equal(pair_fn(kernel)(X, Y), _box_pair()(X, Y))
+    assert np.array_equal(kernel.decay(Y), np.ones(3))
     assert response.slope0 == 1.0
     assert response.bound == 1.0
     z = np.array([0.0, 0.3, 2.0])
@@ -182,9 +186,11 @@ def test_bridge_weights_kernel_by_initial_susceptibles():
     Y = np.array([[0.9], [-0.4]])
     mu_y = 1.0 + 0.25 * np.sin(2 * np.pi * Y[:, 0])
     s0_y = 1.0 + 0.5 * np.cos(2 * np.pi * Y[:, 0])
-    # Gamma = S0(y) K(x, y) exp(-mu(y) tau), read through its two factors
-    assert np.array_equal(kernel.spatial_fn(X, Y), _box_pair()(X, Y) * s0_y)
-    assert np.array_equal(kernel.mu_fn(Y), mu_y)
+    # Gamma = S0(y) K(x, y) exp(-mu(y) tau): the source factor is S0 s
+    assert np.array_equal(kernel.source(Y), s0_y)
+    assert np.array_equal(kernel.target(X), np.ones(2))
+    assert np.array_equal(pair_fn(kernel)(X, Y), _box_pair()(X, Y) * s0_y)
+    assert np.array_equal(kernel.decay(Y), mu_y)
 
 
 def test_seed_forcing_matches_time_quadrature():
@@ -211,17 +217,17 @@ def test_seed_pressure_at_window_nodes_is_evaluated_once():
     """The bridge's seeding function, called at the window nodes, evaluates
     the window-to-seed pairs once, then, and never again; its values equal
     those of a fresh call (here at a copy of the nodes, one pair
-    evaluation per call) bit for bit."""
+    evaluation, and one call of the target factor, per call) bit for
+    bit."""
     state = _striped_state()
     pair_calls = []
-    contact = state.kernel.spatial_fn
 
-    def counted(X, Y):
+    def counted(X):
         pair_calls.append(X.shape[0])
-        return contact(X, Y)
+        return np.ones(X.shape[0])
 
     state = dataclasses.replace(
-        state, kernel=_kernel(counted, state.kernel.mu_fn))
+        state, kernel=_kernel(state.kernel.decay, target=counted))
     _, forcing, _ = sir_to_kernel(state)
     nodes = state.grid.window_nodes
     seed = forcing(nodes)
@@ -256,13 +262,13 @@ def test_bridge_satisfies_standing_hypotheses():
     state = _striped_state()
     kernel, _, _ = sir_to_kernel(state)
     grid = state.grid
-    shifts, blocks = lattice_image_blocks(kernel.spatial_fn, grid, kernel.reach)
+    shifts, blocks = image_table(kernel, grid, decay=False)
     assert np.min(blocks) >= 0.0
     n = grid.n_cell
     XX = np.repeat(grid.cell_nodes, n, axis=0)
     YY = np.tile(grid.cell_nodes, (n, 1))
     for shift, block in zip(shifts, blocks):
-        moved = kernel.spatial_fn(XX + 1.0, YY + shift + 1.0)
+        moved = pair_fn(kernel)(XX + 1.0, YY + shift + 1.0)
         assert np.allclose(moved.reshape(n, n), block, rtol=0.0, atol=1e-12)
 
 
@@ -289,28 +295,64 @@ def test_two_routes_agree_in_striped_medium():
 
 
 def test_box_contact_evaluates_only_the_images_in_its_box():
-    # the 2-D box of reach 1 on an 8-point cell reaches 9 lattice images;
-    # its Euclidean reach sqrt(2) alone would admit 21. Both the
-    # compartmental march and the bridged kernel see the box.
-    box = ew.separable_contact_kernel(2.0, 1.0, dim=2)
+    # the 2-D box of reach 1 on an 8-point cell reaches 9 lattice images.
+    # The compartmental march applies it axis by axis, reading the source
+    # factor once on the cell, and the bridge's seed reads it once at the
+    # seeded nodes; the bridged kernel's cell matrix reads it once per
+    # image, and once more on the cell for each of its axis factors and
+    # its symmetry weight
     calls = []
 
-    def contact(X, Y):
+    def source(Y):
         calls.append(1)
-        return box.spatial_fn(X, Y)
+        return _ones(Y)
 
     grid = ew.PeriodicGrid(dim=2, cell_points=8, window_radius=2)
-    kernel = ew.SeparableKernel(contact, _ones, box.support_radius, dim=2,
-                                box=box.box)
+    kernel = ew.SeparableKernel(2.0, 1.0, dim=2, source=source)
     state = SirState(grid=grid, kernel=kernel, susceptible_fn=_ones,
                      infected0=np.zeros(grid.n_window))
     simulate_sir(state, dt=0.05, horizon=0.1)
-    assert len(calls) == 9
+    assert len(calls) == 1
     calls.clear()
     kernel, _, _ = sir_to_kernel(state)
-    assert kernel.reach == box.reach
+    assert kernel.reach == state.kernel.reach
+    assert len(calls) == 1
+    calls.clear()
     ew.time_integrate_kernel(kernel, grid)
-    assert len(calls) == 9
+    assert len(calls) == 9 + 2
+
+
+def test_seed_reads_the_pairs_of_the_repeated_nodes_bit_for_bit():
+    """The bridge's seed forcing reads K(x, y) from the contact kernel's
+    factors by broadcasting, in the order of the products a pair function
+    makes on repeated and tiled node arrays, b, s and S0 all varying: the
+    same forcing bit for bit, in 1-D and on a 2-D window."""
+    for dim, cell_points, window in ((1, 16, 3), (2, 8, 2)):
+        grid = ew.PeriodicGrid(dim=dim, cell_points=cell_points,
+                               window_radius=window)
+        kernel = ew.SeparableKernel(
+            2.3, 0.875, dim=dim,
+            target=lambda P: np.exp(0.5 * np.cos(2 * np.pi * P[:, -1])),
+            source=lambda P: 1.0 + 0.4 * np.cos(2 * np.pi * (P[:, 0] - 0.3)),
+            decay=lambda P: 1.0 + 0.2 * np.sin(2 * np.pi * P[:, 0]))
+        nodes = grid.window_nodes
+        seed = 0.3 * (np.linalg.norm(nodes, axis=1) < 0.8)
+        state = SirState(
+            grid=grid, kernel=kernel, infected0=seed,
+            susceptible_fn=lambda P: 1.0 + 0.5 * np.sin(2 * np.pi * P[:, 0]))
+        _, forcing, _ = sir_to_kernel(state)
+        seeded = nodes[seed > 0]
+        XX = np.repeat(nodes, len(seeded), axis=0)
+        YY = np.tile(seeded, (len(nodes), 1))
+        pairs = pair_fn(kernel)(XX, YY).reshape(len(nodes), len(seeded))
+        mu = kernel.decay(seeded)
+        on_nodes = forcing(nodes)
+        for t in (0.0, 0.4, 3.0, np.inf):
+            ramp = grid.weight * seed[seed > 0] * (-np.expm1(-mu * t) / mu)
+            want = pairs @ ramp
+            assert np.array_equal(on_nodes(t).view(np.uint64),
+                                  want.view(np.uint64))
+        assert np.any(on_nodes(1.0) > 0)
 
 
 def test_trajectory_required_for_attack_variable():

@@ -46,13 +46,7 @@ def test_homogeneous_eigenpair_is_exact(box_scenario):
 
 def test_isotropic_eigenvalue_is_slope_times_mass():
     grid = ew.PeriodicGrid(1, 64, 2)
-
-    def spatial(X, Y):
-        r = np.linalg.norm(X - Y, axis=-1)
-        edge = np.where(np.abs(r - 0.375) <= 1e-9, 0.5, 0.0)
-        return 1.7 / 0.75 * np.where(r < 0.375 - 1e-9, 1.0, edge)
-
-    iso = ew.SeparableKernel(spatial, lambda P: np.ones(len(P)), 0.375)
+    iso = ew.SeparableKernel(1.7, 0.375)
     response = Nonlinearity(lambda z: 0.8 * np.tanh(z), slope0=0.8,
                             curvature=0.4, bound=0.8)
     transfer = ew.time_integrate_kernel(iso, grid)

@@ -226,11 +226,7 @@ def test_speed_search_gives_up_past_its_cap(monkeypatch):
 def test_unbounded_contacts_are_rejected():
     # the kernel's Reach refuses it, before any operator is built
     with pytest.raises(ValidationError, match="super-linear"):
-        ew.SeparableKernel(
-            spatial_fn=lambda X, Y: np.exp(-np.abs(X[:, 0] - Y[:, 0])),
-            mu_fn=lambda Y: np.ones(np.asarray(Y).shape[0]),
-            support_radius=np.inf,
-        )
+        ew.SeparableKernel(2.0, np.inf)
 
 
 _STRIPED_DOC = {"source": "1 + 0.5*cos(2*pi*x)",
@@ -354,45 +350,35 @@ def test_warm_started_search_does_the_same_solves_in_fewer_iterations(
     assert cold_scans[2][2] == 0 < summed <= solves - len(default_rho_grid())
 
 
-def _counting_kernel(dim, factors=True):
-    """The striped kernel with a counter on its spatial function's calls;
-    without factors it keeps its box profile but not its symmetry
-    factors."""
+def _counted_source_kernel(dim):
+    """The striped kernel with a counter on its source factor's calls."""
     calls = []
-    base = ew.separable_contact_kernel(
-        2.0, 1.0, dim=dim,
-        source_factor=lambda P: 1.0 + 0.5 * np.cos(2.0 * np.pi * P[:, 0]),
-        decay=lambda P: 1.0 + 0.25 * np.sin(2.0 * np.pi * P[:, 0]))
 
-    def spatial(X, Y):
+    def source(P):
         calls.append(1)
-        return base.spatial_fn(X, Y)
+        return 1.0 + 0.5 * np.cos(2.0 * np.pi * P[:, 0])
 
-    kernel = ew.SeparableKernel(spatial, base.mu_fn, base.support_radius,
-                                dim=dim,
-                                symmetry=base.symmetry if factors else None,
-                                box=base.box)
+    kernel = ew.separable_contact_kernel(
+        2.0, 1.0, dim=dim, source_factor=source,
+        decay=lambda P: 1.0 + 0.25 * np.sin(2.0 * np.pi * P[:, 0]))
     return kernel, calls
 
 
 # a box of reach 1 reaches 3 images of a 1-D cell and the 9 images with
-# |k_a| <= 1 of an 8-point 2-D cell; a box with symmetry factors is
-# tabulated from them, and its pair function is never called
-@pytest.mark.parametrize("dim, cell_points, reachable, factors", [
-    pytest.param(1, 16, 3, True, id="1-16-3"),
-    pytest.param(2, 8, 9, True, id="2-8-9"),
-    pytest.param(1, 16, 3, False, id="1-16-3-box-only"),
-    pytest.param(2, 8, 9, False, id="2-8-9-box-only"),
+# |k_a| <= 1 of an 8-point 2-D cell; its table is made from its factors,
+# reading the source factor once per image
+@pytest.mark.parametrize("dim, cell_points, reachable", [
+    pytest.param(1, 16, 3, id="1-16-3"),
+    pytest.param(2, 8, 9, id="2-8-9"),
 ])
 def test_the_kernel_is_evaluated_once_per_image_per_operator(
-        dim, cell_points, reachable, factors):
-    kernel, calls = _counting_kernel(dim, factors)
-    per_table = 0 if factors else reachable
+        dim, cell_points, reachable):
+    kernel, calls = _counted_source_kernel(dim)
     grid = ew.PeriodicGrid(dim, cell_points, 2)
     direction = np.ones(dim)
     tilted = TiltedOperator(kernel, _g(), grid, direction)
     assert len(tilted.shifts) == reachable
-    assert len(calls) == per_table
+    assert len(calls) == reachable
     calls.clear()
     # a rho_values x c_values surface and complex rates read the table
     for c in (0.0, 0.7, 2.0):
@@ -400,13 +386,13 @@ def test_the_kernel_is_evaluated_once_per_image_per_operator(
             tilted.point(rho, c)
     tilted.matrix(0.9 + 0.4j, 1.1)
     assert len(calls) == 0
-    # a speed search and a continuation each build one operator, and make
-    # no pair call beyond its table
+    # a speed search and a continuation each build one operator, and
+    # evaluate the kernel no further than its table
     speed = minimal_speed(kernel, _g(), grid, direction)
-    assert len(calls) == per_table
+    assert len(calls) == reachable
     calls.clear()
     complex_decay_root(kernel, _g(), 0.97 * speed.c_star, grid, speed=speed)
-    assert len(calls) == per_table
+    assert len(calls) == reachable
 
 
 def test_complex_rates_skip_the_cache_and_keep_the_answers(monkeypatch):
@@ -960,7 +946,7 @@ def test_closed_form_history_matches_brute_quadrature(slow_bump):
     kernel = slow_bump["kernel"]
     c = osc.c
     x = grid.window_nodes[:, 0]
-    mu = kernel.mu_fn(grid.window_nodes)
+    mu = kernel.decay(grid.window_nodes)
     pr = grid.periodic_on_window(osc.phi_R)
     pi = grid.periodic_on_window(osc.phi_I)
     taus = np.linspace(0.0, 40.0, 32001)
