@@ -119,6 +119,15 @@ def test_reach_refuses_a_half_width_that_is_not_finite_positive(radius):
         ew.Reach(radius)
 
 
+@pytest.mark.parametrize("half_width", [0.0, np.nan])
+def test_a_kernel_refuses_an_axis_reach_that_is_not_finite_positive(half_width):
+    # the reach along every axis is the box's half-width, so an empty or
+    # undefined box is refused where the kernel is built, its value named
+    for dim in (1, 2):
+        with pytest.raises(ValidationError, match=f"got {half_width}:"):
+            SeparableKernel(1.0, half_width, dim)
+
+
 def test_every_kernel_takes_its_support_checks_from_reach():
     # an unbounded or empty box is refused where the kernel is built,
     # before a lattice sum could try to cover it
