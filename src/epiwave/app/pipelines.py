@@ -18,6 +18,11 @@ other value (NaN, infinities, nonzero |v| below 1e-28, |v| of 1e17 and
 up) goes through '%.17g' itself, one value at a time.  The march tables
 (simulate.csv, sir.csv) have one row per frame and window node: their t
 and node columns are formatted once and repeated in every frame's rows.
+
+A table's text is assembled a block of rows at a time, and the kernel
+runs over a block in passes of whole rows.  Each pass writes its
+intermediate arrays into one workspace (_TextWork) that the table makes
+once, so no block allocates them, or faults their pages in, again.
 """
 
 from __future__ import annotations
@@ -49,24 +54,36 @@ _SPLITTER = 134217729.0  # 2**27 + 1
 # NUL, and NUL is dropped when the records are joined.  The last of the
 # 48 bytes is free for the separator.
 _RECORD = 48
-_BLOCK = 8192           # values per pass of the kernel
+# values per block of CSV rows and per pass of the kernel: the kernel's
+# workspace takes about 290 bytes a value and a block's records 48 bytes
+# a cell, while each pass costs some 100 numpy calls whatever its size
+_BLOCK = 4608
 
 
-def _split(a):
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+def _split(a, hi=None, lo=None):
+    c = np.multiply(_SPLITTER, a, out=hi)
+    hi = np.subtract(c, np.subtract(c, a, out=lo), out=hi)  # c - (c - a)
+    return hi, np.subtract(a, hi, out=lo)
 
 
-def _two_product(a, a_hi, a_lo, b, b_hi, b_lo):
-    p = a * b
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+def _two_product(a, a_hi, a_lo, b, b_hi, b_lo, p, err, tmp):
+    """p = a b and its error ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi)
+    + a_lo b_lo, into p and err."""
+    np.multiply(a, b, out=p)
+    np.multiply(a_hi, b_hi, out=err)
+    err -= p
+    err += np.multiply(a_hi, b_lo, out=tmp)
+    err += np.multiply(a_lo, b_hi, out=tmp)
+    err += np.multiply(a_lo, b_lo, out=tmp)
 
 
-def _two_sum(a, b):
-    s = a + b
-    b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
+def _two_sum(a, b, s, err, part, tmp):
+    """s = a + b and its error (a - (s - part)) + (b - part), part = s - a,
+    into s and err."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=part)
+    np.subtract(a, np.subtract(s, part, out=tmp), out=tmp)
+    np.add(tmp, np.subtract(b, part, out=part), out=err)
 
 
 def _ceil_power_of_ten(k: int) -> float:
@@ -127,20 +144,56 @@ _HEAD, _SUFFIX = np.frombuffer(
     np.uint64).reshape(-1, 2).T
 
 
-def _text_block(v):
+class _TextWork:
+    """The text kernel's arrays for passes of up to `size` values."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.floats = np.empty((9, size))
+        self.ten = np.empty((6, size))
+        self.ints = np.empty((7, size), np.int64)
+        self.groups = np.empty((4, size), np.int64)
+        self.flags = np.empty((3, size), bool)
+        self.bytes = np.empty((2, size), np.uint8)
+        self.words = np.empty((2, size), np.uint64)
+        self.dot_at = np.arange(size) * _RECORD + 7  # first point place
+        self.text = np.empty((size, _RECORD), np.uint8)
+
+
+def _text_block(v, work):
+    """The records of the values v, at most work.size of them, in
+    work.text[:len(v)], which is returned. Every step writes into the
+    workspace, with the operations and in the order of the arithmetic on
+    fresh arrays, so the text is the same."""
     n = len(v)
-    x = np.abs(v)
-    exact = (x >= _TEN_UP[1]) & (x < _TEN_UP[-2])
-    x = np.where(exact, x, 1.0)
-    k = np.floor(np.log10(x)).astype(np.intp)
-    k += x >= _TEN_UP[k + (2 - _K_MIN)]
-    k -= x < _TEN_UP[k + (1 - _K_MIN)]
-    ten = [part[16 - k] for part in _POW10]
-    x_hi, x_lo = _split(x)
-    h, r = _two_product(x, x_hi, x_lo, *ten[:3])
-    t, e = _two_product(x, x_hi, x_lo, *ten[3:])
-    s, w = _two_sum(r, t)
-    y, z = _two_sum(w, e)
+    text = work.text[:n]
+    x, x_hi, x_lo, h, r, t, e, a, b = work.floats[:, :n]
+    ten = work.ten[:, :n]
+    k, at, digits, lead, rest, high, low = work.ints[:, :n]
+    groups = work.groups[:, :n]
+    exact, flag, other = work.flags[:, :n]
+    last, byte = work.bytes[:, :n]
+    word, mask = work.words[:, :n]
+    np.abs(v, out=x)
+    np.greater_equal(x, _TEN_UP[1], out=exact)
+    exact &= np.less(x, _TEN_UP[-2], out=flag)
+    np.copyto(x, 1.0, where=np.logical_not(exact, out=flag))
+    np.copyto(k, np.floor(np.log10(x, out=a), out=a), casting="unsafe")
+    # mode="clip": every index is valid, and "raise" buffers the output
+    np.take(_TEN_UP, np.add(k, 2 - _K_MIN, out=at), out=a, mode="clip")
+    k += np.greater_equal(x, a, out=flag)
+    np.take(_TEN_UP, np.add(k, 1 - _K_MIN, out=at), out=a, mode="clip")
+    k -= np.less(x, a, out=flag)
+    np.take(_POW10, np.subtract(16, k, out=at), axis=1, out=ten, mode="clip")
+    _split(x, x_hi, x_lo)
+    _two_product(x, x_hi, x_lo, *ten[:3], h, r, a)
+    _two_product(x, x_hi, x_lo, *ten[3:], t, e, a)
+    # x, its halves and the powers are spent: the sums and the rounding
+    # reuse them
+    s, w = x, x_hi
+    y, z, m, d, side, _ = ten
+    _two_sum(r, t, s, w, a, b)
+    _two_sum(w, e, y, z, a, b)
     # x * 10**p = (h + m) + d + y + z with m = rint(s), |d| <= 1/2, and D
     # moves from h + m by sign(d) when (|d| - 1/2) + sign(d) (y + z) > 0.
     # That sign matters only for |d| >= 1/4, where |d| - 1/2 is exact and
@@ -149,48 +202,72 @@ def _text_block(v):
     # (|d| - 1/2) + sign(d) y is, and otherwise exceeds |z| with the sign
     # of the whole sum.  An exact tie has r + t exact and y = z = 0, so
     # rint, which rounds a half to even, picks the even D (h is even).
-    m = np.rint(s)
-    d = s - m
-    side = np.copysign(1.0, d)
-    gap = (np.abs(d) - 0.5) + side * y
-    step = np.where((gap > 0) | ((gap == 0) & (side * z > 0)), side, 0.0)
-    digits = h.astype(np.int64) + m.astype(np.int64) + step.astype(np.int64)
-    carry = digits == 10 ** 17
-    digits[carry] = 10 ** 16
+    np.rint(s, out=m)
+    np.subtract(s, m, out=d)
+    np.copysign(1.0, d, out=side)
+    gap = np.abs(d, out=a)
+    gap -= 0.5
+    gap += np.multiply(side, y, out=b)
+    # the step, side where (gap > 0) | ((gap == 0) & (side z > 0)), else 0
+    up = np.greater(np.multiply(side, z, out=b), 0.0, out=flag)
+    up &= np.equal(gap, 0.0, out=other)
+    up |= np.greater(gap, 0.0, out=other)
+    # D = h + m + step, each term made an integer
+    np.copyto(digits, h, casting="unsafe")
+    np.copyto(rest, m, casting="unsafe")
+    digits += rest
+    np.copyto(rest, side, casting="unsafe")
+    rest *= up
+    digits += rest
+    carry = np.equal(digits, 10 ** 17, out=flag)
+    np.copyto(digits, 10 ** 16, where=carry)
     k += carry
-    lead, rest = np.divmod(digits, 10 ** 16)
-    lead[v == 0] = 0
-    high, low = np.divmod(rest, 10 ** 8)
-    groups = (*np.divmod(high, 10000), *np.divmod(low, 10000))
-    last = np.zeros(n, np.uint8)
+    np.divmod(digits, 10 ** 16, out=(lead, rest))
+    np.copyto(lead, 0, where=np.equal(v, 0.0, out=flag))
+    np.divmod(rest, 10 ** 8, out=(high, low))
+    np.divmod(high, 10000, out=(groups[0], groups[1]))
+    np.divmod(low, 10000, out=(groups[2], groups[3]))
+    last.fill(0)
     for j, group in enumerate(groups):
-        np.maximum(last, _GROUP_LAST[j][group], out=last)
+        np.maximum(last, np.take(_GROUP_LAST[j], group, out=byte, mode="clip"),
+                   out=last)
     # digits at places <= kept are written even when zero: the integer
     # part of a fixed-point number, or the lead digit
-    kept = np.where(k < -4, 0, np.maximum(k, -1))
-    keep = np.maximum(last, kept)
-    words = np.empty((n, _RECORD // 8), np.uint64)
-    words[:, 0] = _HEAD[k - _K_MIN]
+    kept, keep, point = digits, rest, high
+    np.maximum(k, -1, out=kept)
+    np.copyto(kept, 0, where=np.less(k, -4, out=flag))
+    np.maximum(last, kept, out=keep)
+    words = text.view(np.uint64)
+    np.take(_HEAD, np.subtract(k, _K_MIN, out=at), out=word, mode="clip")
+    words[:, 0] = word
     for j, group in enumerate(groups):
-        words[:, 1 + j] = _GROUP_TEXT[group] & _KEEP[j][keep]
-    words[:, -1] = _SUFFIX[k - _K_MIN]
-    text = words.view(np.uint8)
-    text[:, 0] = np.signbit(v) * ord("-")
-    text[:, 6] = 48 + lead
+        np.take(_GROUP_TEXT, group, out=word, mode="clip")
+        np.bitwise_and(word, np.take(_KEEP[j], keep, out=mask, mode="clip"),
+                       out=words[:, 1 + j])
+    np.take(_SUFFIX, at, out=word, mode="clip")
+    words[:, -1] = word
+    np.multiply(np.signbit(v, out=flag), np.uint8(ord("-")), out=text[:, 0])
+    text[:, 6] = np.add(lead, 48, out=at)
     # the point follows digit `kept`, and only if a digit follows it; a
     # fixed-point number below 1 has it in its '0.' already
-    point = np.where(kept < 0, 16, kept)
-    text.reshape(-1)[np.arange(n) * _RECORD + 7 + 2 * point] = (
-        (keep > point) * ord("."))
-    rare = np.flatnonzero(~exact & (v != 0))
-    if len(rare):
+    np.copyto(point, kept)
+    np.copyto(point, 16, where=np.less(kept, 0, out=flag))
+    np.multiply(np.greater(keep, point, out=flag), np.uint8(ord(".")),
+                out=byte)
+    np.multiply(point, 2, out=at)
+    at += work.dot_at[:n]
+    text.reshape(-1)[at] = byte
+    rare = np.logical_not(exact, out=flag)
+    rare &= np.not_equal(v, 0.0, out=other)
+    if rare.any():
+        rare = np.flatnonzero(rare)
         text[rare, :-1] = np.array(
             ["%.17g" % a for a in v[rare].tolist()],
             dtype=f"S{_RECORD - 1}").view(np.uint8).reshape(-1, _RECORD - 1)
     return text
 
 
-def _text(values):
+def _text(values, work=None):
     """'%.17g' text of every value, as records of _RECORD bytes: an
     array of shape values.shape + (_RECORD,) whose bytes other than NUL,
     read in order, are the text; the last byte of a record is NUL.
@@ -198,11 +275,17 @@ def _text(values):
     The text is byte-identical to '%.17g' % v, the conversion
     f"{float(v):.17g}" does.  It is computed in float64 arithmetic for
     zeros and for 1e-28 <= |v| < 1e17; NaN, infinities and the other
-    magnitudes go through '%.17g' one value at a time.
+    magnitudes go through '%.17g' one value at a time.  work, a _TextWork,
+    is made for the call unless given.
     """
     v = np.asarray(values, dtype=float)
-    blocks = np.array_split(v.ravel(), max(1, -(-v.size // _BLOCK)))
-    text = np.concatenate([_text_block(block) for block in blocks])
+    if work is None:
+        work = _TextWork(max(1, min(v.size, _BLOCK)))
+    flat = v.ravel()
+    text = np.empty((v.size, _RECORD), np.uint8)
+    for start in range(0, v.size, work.size):
+        chunk = flat[start:start + work.size]
+        text[start:start + len(chunk)] = _text_block(chunk, work)
     return text.reshape(v.shape + (_RECORD,))
 
 
@@ -213,34 +296,52 @@ def _csv(header, *columns, frames=None, nodes=None) -> str:
     the rows are frames x nodes, frame-major: row f * len(nodes) + j
     reads frames[f], nodes[j], then the columns' values.  The frame and
     node text is made once and broadcast into every block of rows; a
-    block is a whole number of frames (of rows, without frames) of about
-    _BLOCK values, so the text is built a block at a time.
+    block is a whole number of frames (of rows, without frames) of at most
+    _BLOCK values, or one frame, so the text is built a block at a time,
+    in passes of whole rows through one _TextWork.
     """
+    # the join holds the text twice, so the blocks' arrays are gone by then
+    return "".join([",".join(header) + "\n",
+                    *_csv_blocks(columns, frames, nodes)])
+
+
+def _csv_blocks(columns, frames, nodes) -> list:
+    """The text of _csv's rows, one string per block."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     if frames is None:
         lead, per_frame, n_frames = 0, 1, len(table)
     else:
         nodes = np.asarray(nodes, dtype=float)
         lead, per_frame, n_frames = 1 + nodes.shape[1], len(nodes), len(frames)
-        frame_text = _text(frames)
-    table = table.reshape(n_frames, per_frame, table.shape[1])
-    count = max(1, _BLOCK // max(1, per_frame * table.shape[2]))
+    width = table.shape[1]
+    table = table.reshape(n_frames, per_frame, width)
+    count = max(1, min(n_frames, _BLOCK // max(1, per_frame * width)))
     # a record per cell; the last byte of each is its separator
-    cells = np.empty((count, per_frame, lead + table.shape[2], _RECORD),
-                     np.uint8)
+    cells = np.empty((count, per_frame, lead + width, _RECORD), np.uint8)
     cells[..., -1] = ord(",")
     cells[:, :, -1, -1] = ord("\n")
+    # one workspace for every pass of the kernel, a whole number of rows:
+    # a block in one pass, unless one frame holds more than _BLOCK values
+    rows = max(1, min(_BLOCK // width, count * per_frame))
+    work = _TextWork(rows * width)
     if lead:
-        cells[:, :, 1:lead, :-1] = _text(nodes)[..., :-1]
-    parts = [",".join(header) + "\n"]
+        frame_text = _text(frames, work)
+        cells[:, :, 1:lead, :-1] = _text(nodes, work)[..., :-1]
+    parts = []
     for start in range(0, n_frames, count):
         values = table[start:start + count]
         block = cells[:len(values)]
-        block[:, :, lead:, :-1] = _text(values)[..., :-1]
+        records = block.reshape(-1, lead + width, _RECORD)  # one per row
+        values = values.reshape(-1, width)
+        for row in range(0, len(values), rows):
+            chunk = values[row:row + rows]
+            text = _text_block(chunk.ravel(), work)
+            records[row:row + len(chunk), lead:, :-1] = text.reshape(
+                chunk.shape + (_RECORD,))[..., :-1]
         if lead:
             block[:, :, 0, :-1] = frame_text[start:start + count, None, :-1]
         parts.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+    return parts
 
 
 # a march table keeps every stride-th frame, at most this many

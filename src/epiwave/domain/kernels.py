@@ -360,11 +360,11 @@ class CellBlockMatrix:
 
     The padded array and the gather buffer are kept between products with
     the same number of columns, so only the dense product's output is
-    allocated; that output is what a product returns. Whether the slots
-    run 0, 1, ..., N - 1 (each touched cell full, its nodes in order, as
-    for a 1-D window or a 1-D ball of whole cells) is recorded once here:
-    then the scatter and the output gather are reshapes, not fancy
-    indexing, and the product is the same bit for bit.
+    allocated, and not even that when product() is given an out array.
+    Whether the slots run 0, 1, ..., N - 1 (each touched cell full, its
+    nodes in order, as for a 1-D window or a 1-D ball of whole cells) is
+    recorded once here: then the scatter and the output gather are
+    reshapes, not fancy indexing, and the product is the same bit for bit.
     """
 
     def __init__(self, grid, nodes: np.ndarray, shifts: np.ndarray,
@@ -415,20 +415,34 @@ class CellBlockMatrix:
         """A @ x for a vector x or an (nodes, k) array of k columns."""
         x = np.asarray(x)
         k = x.size // len(self._slots)
+        return self.product(x.T.reshape(k, -1)).reshape(x.shape[::-1]).T
+
+    def product(self, rows, out=None) -> np.ndarray:
+        """A applied to each of the k rows of rows, a (k, nodes) array,
+        into out (a C-contiguous (k, nodes) float array) or a new array;
+        returns it. With the slots in order rows may also be (k, cells,
+        n_cell), each row by cells in any memory layout: the scatter reads
+        it as it lies."""
+        k = rows.shape[0]
         padded, gathered, into, outof = self._buffers(k)
         cells, n = gathered.shape[1], gathered.shape[3]
         if self._in_order:
-            padded[:, :cells] = x.T.reshape(k, cells, n)
+            padded[:, :cells] = rows.reshape(k, cells, n)
         else:
             # flat indices: a 2-D fancy index made small ball products 30% slower
-            padded.ravel()[into] = x.T.ravel()
+            padded.ravel()[into] = rows.ravel()
         # mode="clip": every index is valid, and "raise" buffers the output
         np.take(padded, self._neighbours, axis=1, out=gathered, mode="clip")
-        out = (gathered.reshape(k * cells, -1) @ self.table).ravel()
-        if not self._in_order:
-            out = out[outof]
+        flat = gathered.reshape(k * cells, -1)
+        if out is None:
+            out = np.empty((k, len(self._slots)))
+        if self._in_order:
+            np.matmul(flat, self.table, out=out.reshape(k * cells, n))
+        else:
+            np.take((flat @ self.table).ravel(), outof, out=out.reshape(-1),
+                    mode="clip")
         out *= self.scale
-        return out.reshape(x.shape[::-1]).T
+        return out
 
     def sum(self, axis) -> np.ndarray:
         """Row sums (axis=1), the only sums a kernel matrix is taken over here."""

@@ -8,6 +8,9 @@ bounded, and sit between its linearization and a quadratic under-estimate:
 Those three numbers (slope at zero, quadratic defect, saturation bound)
 drive every estimate in the package, so they are carried explicitly
 instead of being re-derived from samples.
+
+A response called with out= writes g(z) into that array, which may be z
+itself, so an operator that applies it every step keeps one buffer for it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from ..errors import ValidationError
 class Nonlinearity:
     """A response function together with the constants the theory needs."""
 
-    def __init__(self, fn, slope0: float, curvature: float, bound: float, name: str = ""):
+    def __init__(self, fn, slope0: float, curvature: float, bound: float,
+                 name: str = "", fills_out: bool = False):
         if slope0 <= 0:
             raise ValidationError(f"slope0 must be positive, got {slope0}")
         if curvature < 0:
@@ -31,13 +35,21 @@ class Nonlinearity:
         if abs(g0) > 1e-14:
             raise ValidationError(f"g(0) must vanish, got {g0}")
         self._fn = fn
+        self._fills_out = fills_out  # fn(z, out=out) writes into out
         self.slope0 = float(slope0)
         self.curvature = float(curvature)
         self.bound = float(bound)
         self.name = name or getattr(fn, "__name__", "nonlinearity")
 
-    def __call__(self, z):
-        return self._fn(z)
+    def __call__(self, z, out=None):
+        """g(z); with out, g(z) goes into out (z itself allowed), which is
+        returned."""
+        if out is None:
+            return self._fn(z)
+        if self._fills_out:
+            return self._fn(z, out=out)
+        out[...] = self._fn(z)
+        return out
 
     def __repr__(self) -> str:
         return (
@@ -55,13 +67,14 @@ def saturating_exponential() -> Nonlinearity:
     where z is the cumulative infection pressure.
     """
 
-    def g(z):
+    def g(z, out=None):
         z = np.asarray(z, dtype=float)
-        if z.ndim == 0:
+        if z.ndim == 0 and out is None:
             return -np.expm1(-z)
-        out = np.negative(z)  # the one new array; both steps after reuse it
+        # the one new array, unless out is given; both steps after reuse it
+        out = np.negative(z, out=out)
         np.expm1(out, out=out)
         return np.negative(out, out=out)
 
     return Nonlinearity(g, slope0=1.0, curvature=0.5, bound=1.0,
-                        name="saturating_exponential")
+                        name="saturating_exponential", fills_out=True)

@@ -330,10 +330,12 @@ def minimal_speed(time_kernel, response, grid, direction=None,
             break
         c_hi *= 2.0
         if c_hi > _C_MAX:
-            raise ConvergenceError(
+            err = ConvergenceError(
                 f"no speed up to {_C_MAX} reaches eigenvalue one (last "
                 f"minimum {val_hi:.4g}); check the kernel growth"
             )
+            err.c_max, err.last_minimum, err.rho = _C_MAX, val_hi, rho_hi
+            raise err
     c_lo = 0.0
     val, rho_min = val_hi, rho_hi
     hi_vectors, lo_vectors = starts, None  # per grid rate, at c_hi and c_lo

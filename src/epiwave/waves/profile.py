@@ -26,17 +26,22 @@ seeded beyond the right edge by the closed-form memory of the analytic
 tail. That seed uses the same discrete weights as the recursion itself,
 so the certificate inequalities are not polluted by a closure seam.
 
-An application allocates only the response and the window product's
-output, which it returns. The operator keeps a workspace sized at
-construction from the slices and the window (bounded with the slab by
-MAX_TRAJECTORY_VALUES): the slab with its ghost cell, the slice terms
-and the memory G, which out= ufuncs fill, the suffix sums as one
-in-place cumsum and the cell recursion in place on G. The window matrix
-keeps its own gather buffers and, its slots being in order, scatters and
-gathers by reshape (CellBlockMatrix). Every value is formed by the same
-floating-point operations as with a fresh array per step, so fronts are
-the same bit for bit; the front iteration itself keeps one difference
-buffer for its increments.
+An application given an out slab allocates nothing. The operator keeps
+a workspace sized at construction from the slices and the window
+(bounded with the slab by MAX_TRAJECTORY_VALUES): the slab with its
+ghost cell, where the response is evaluated in place, and the slice
+terms q, which out= ufuncs fill row by row (numpy buffers, and so
+allocates for, a ufunc over strided or broadcast 2-D views). The suffix
+sums run in place over q's first m rows, a running sum over rows; the
+memory G then goes cell-major into the spent response, so the cell
+recursion steps over contiguous blocks, and the window product
+(CellBlockMatrix.product, whose gather buffers the matrix keeps) reads
+it from there and writes into out. The ghost cell's slab and the seed
+of the recursion are made once per terms object. Every value is formed
+by the same floating-point operations as with a fresh array per step,
+so fronts are the same bit for bit. The front iteration alternates the
+iterate and its image between two slabs of its own and keeps one
+difference buffer for its increments.
 
 The sub- and supersolution pair uses decay rates straddling the lower
 dispersion root: the supersolution rate sits slightly above it, buying
@@ -161,17 +166,31 @@ class WaveOperator:
         self.beta_ghost = I1g
 
         # apply()'s workspace, bounded with the slab above: the slab with
-        # its ghost cell, the slice terms q of the last two periods, the
-        # memory G (the cell recursion turns it into w in place), one row
-        # of the running sum and one cell block
+        # its ghost cell (the response, then the cell recursion's blocks),
+        # the slice terms q of the last two periods (the suffix sums in
+        # place of the first m), one row of the running sum, one cell block
+        # and the cell's EP laid out as one; the ghost fields of the last
+        # terms object
         nw = grid.n_window
         self._ext = np.empty((self.m, nw + n))
         self._q = np.empty((2 * self.m - 1, nw))
-        self._G = np.empty((self.m, nw))
         self._fresh = np.empty(nw)
         self._block = np.empty((self.m, n))
+        self._EP_block = np.tile(self.EP[:n], (self.m, 1))
+        self._ghost = None
         inside = np.flatnonzero(self.interior)  # a run of columns in 1-D
         self._inner = slice(inside[0], inside[-1] + 1)
+        # the rows and cell blocks apply() steps over, as views made once:
+        # h, the response's rows of the previous period (one cell to the
+        # right) then those of the current one; q's rows; G cell-major in
+        # the spent response, block k holding cell k's columns of every
+        # slice, contiguous
+        ext, m = self._ext, self.m
+        self._h = [row[n:] for row in ext] + [row[:nw] for row in ext]
+        self._q_rows = list(self._q)
+        self._power_rows = list(self.powers)
+        self._w = ext.reshape(-1)[:m * nw].reshape(self.cells, m, n)
+        self._w_blocks = list(self._w)
 
     def ghost_values(self, terms) -> np.ndarray:
         """Analytic tail continuation on the cell beyond the right edge."""
@@ -210,56 +229,77 @@ class WaveOperator:
             out += slope0 * mode * S[None, :]
         return out
 
-    def apply(self, slab: np.ndarray, ghost_terms) -> np.ndarray:
-        """One application of the frame operator; frozen edge columns are
-        passed through unchanged. Returns a new array: only the response
-        and the final product allocate, everything between runs in the
-        operator's workspace."""
+    def _ghost_fields(self, terms):
+        """The ghost cell's slab and the seed of the cell recursion, EP
+        times the tail's memory, made once per terms object: terms are
+        read when first passed, so new terms come as a new list."""
+        if self._ghost is None or self._ghost[0] is not terms:
+            seed = self.EP[:self.n_cell] * self._ghost_memory(terms)
+            self._ghost = (terms, self.ghost_values(terms), seed)
+        return self._ghost[1:]
+
+    def apply(self, slab: np.ndarray, ghost_terms, out=None) -> np.ndarray:
+        """One application of the frame operator into out, a C-contiguous
+        float array of the slab's shape apart from the slab, or into a new
+        array; returns it. Frozen edge columns are passed through
+        unchanged; everything between runs in the operator's workspace."""
         m, nw = slab.shape
         if m != self.m or nw != self.grid.n_window:
             raise ValidationError(
                 f"slab of shape {slab.shape} does not match the operator "
                 f"({self.m} slices, {self.grid.n_window} columns)"
             )
-        n = self.n_cell
-        ext, q, G = self._ext, self._q, self._G
+        if out is None:
+            out = np.empty((m, nw))
+        elif (out.shape != slab.shape or out.dtype != float
+              or not out.flags.c_contiguous
+              or np.may_share_memory(out, slab)):
+            raise ValidationError(
+                f"out must be a C-contiguous float array of shape "
+                f"{slab.shape} apart from the slab"
+            )
+        n, cells = self.n_cell, self.cells
+        ext, h, q = self._ext, self._h, self._q_rows
+        ghost, seed = self._ghost_fields(ghost_terms)
         ext[:, :nw] = slab
-        ext[:, nw:] = self.ghost_values(ghost_terms)
-        g_ext = self.response(ext)
-        # q_i = alpha h_{i+1} + beta h_i for h the previous period (one cell
-        # to the right) stacked on the current one; G's rows hold beta h_i
-        prev, cur = g_ext[:, n:], g_ext[:, :nw]
-        for rows, later, earlier in ((q[:m - 1], prev[1:], prev[:-1]),
-                                     (q[m - 1:m], cur[:1], prev[-1:]),
-                                     (q[m:], cur[1:], cur[:-1])):
-            np.multiply(self.alpha, later, out=rows)
-            scratch = G[:len(rows)]
-            np.multiply(self.beta, earlier, out=scratch)
-            rows += scratch
-        # G_j = E1**j sum_{i>=j} E1**(m-1-i) q_i over the previous period,
-        # plus the running sum over the current one
-        np.multiply(self.powers[::-1], q[:m], out=G)
-        np.cumsum(G[::-1], axis=0, out=G[::-1])
-        G *= self.powers
+        ext[:, nw:] = ghost
+        self.response(ext, out=ext)
+        # q_i = alpha h_{i+1} + beta h_i, row by row: numpy buffers a ufunc
+        # over strided, broadcast or reversed 2-D views, allocating as it
+        # goes
         fresh = self._fresh
+        for i, row in enumerate(q):
+            np.multiply(self.alpha, h[i + 1], out=row)
+            row += np.multiply(self.beta, h[i], out=fresh)
+        # G_j = E1**j sum_{i>=j} E1**(m-1-i) q_i over the previous period,
+        # plus the running sum over the current one, in place over q's
+        # first m rows (the suffix sums bottom up)
+        powers = self._power_rows
+        q[m - 1] *= powers[0]
+        for i in range(m - 2, -1, -1):
+            q[i] *= powers[m - 1 - i]
+            q[i] += q[i + 1]
+        G = self._q[:m]
+        G *= self.powers
         fresh.fill(0.0)
         for j in range(1, m):
             fresh *= self.E1
             fresh += q[m + j - 1]
-            G[j] += fresh
+            q[j] += fresh
 
-        # w[:, k] = G[:, k] + EP w[:, k + 1] over cells k, right to left
-        w, block = G.reshape(m, self.cells, n), self._block
-        EP_cell = self.EP[:n]
-        np.multiply(EP_cell, self._ghost_memory(ghost_terms), out=block)
-        w[:, -1] += block
-        for k in range(self.cells - 2, -1, -1):
-            np.multiply(EP_cell, w[:, k + 1], out=block)
-            w[:, k] += block
+        # w[k] = G[:, k] + EP w[k + 1] over cells k, right to left, on the
+        # cell-major copy of G
+        w, blocks = self._w, self._w_blocks
+        w[...] = G.reshape(m, cells, n).transpose(1, 0, 2)
+        block, EP_block = self._block, self._EP_block
+        blocks[-1] += seed
+        for k in range(cells - 2, -1, -1):
+            np.multiply(EP_block, blocks[k + 1], out=block)
+            blocks[k] += block
 
-        out = (self.K @ G.T).T
+        self.K.product(w.transpose(1, 0, 2), out=out)
+        out *= self.grid.weight  # the frozen edge columns are then replaced
         inner = self._inner
-        out[:, inner] *= self.grid.weight
         out[:, :inner.start] = slab[:, :inner.start]
         out[:, inner.stop:] = slab[:, inner.stop:]
         return out
@@ -337,10 +377,12 @@ def build_sub_super(time_kernel, response, c, grid, steady, *,
     pair_super = solve(rho_super)
     lam_prime, lam_super = pair_prime.value, pair_super.value
     if not lam_super < 1.0:
-        raise ConvergenceError(
+        err = ConvergenceError(
             f"supersolution rate {rho_super:.6g} has eigenvalue "
             f"{lam_super:.6g}; dispersion is too flat for the margin"
         )
+        err.rho_super, err.lam_super = rho_super, lam_super
+        raise err
 
     phi = solve(rho).vector
     phi_prime, phi_super = pair_prime.vector, pair_super.vector
@@ -360,16 +402,23 @@ def build_sub_super(time_kernel, response, c, grid, steady, *,
     ratio = float(np.max(phi**2 / phi_prime))
     M = float(np.max(phi / phi_prime))
     ghost_xi = op.ghost_nodes[:, 0][None, :] - c * op.times[:, None]
+    # the loop's slab-sized arrays are made once: the two exponential
+    # modes, the subsolution and the ordering mask
+    lead = phi_w[None, :] * np.exp(-rho * xi)
+    bend = np.exp(-rho_prime * xi)
+    sub_slab = np.empty_like(sup_slab)
+    below = np.empty(sup_slab.shape, dtype=bool)
     while True:
         proof_ok = (M * (1.0 - lam_prime)
                     >= (response.curvature / response.slope0)
                     * ratio * lam_double)
-        v = (phi_w[None, :] * np.exp(-rho * xi)
-             - M * phip_w[None, :] * np.exp(-rho_prime * xi))
-        sub_slab = np.maximum(v, 0.0)
+        # max(lead - M phi' exp(-rho' xi), 0)
+        np.multiply(M * phip_w[None, :], bend, out=sub_slab)
+        np.subtract(lead, sub_slab, out=sub_slab)
+        np.maximum(sub_slab, 0.0, out=sub_slab)
         ghost_v = (phi[None, :] * np.exp(-rho * ghost_xi)
                    - M * phi_prime[None, :] * np.exp(-rho_prime * ghost_xi))
-        ordered = (np.all(sub_slab <= sup_slab)
+        ordered = (np.less_equal(sub_slab, sup_slab, out=below).all()
                    and np.all(np.maximum(ghost_v, 0.0)
                               <= phi_super[None, :] * np.exp(-rho_super * ghost_xi)))
         if proof_ok and ordered:
@@ -443,35 +492,47 @@ def construct_wave(pair: SubSuperPair, *,
     if tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     op, grid = pair.op, pair.op.grid
+    # the iterate and the image alternate between two slabs of this call's
+    # own, so the operator's applications allocate nothing
     u = pair.sup.copy()
+    v = np.empty_like(u)
     scale = float(np.max(u))
     increments = []
     ascent = 0.0
-    diff = np.empty_like(u)  # v - sub, then v - u, then |v - u|
+    diff = np.empty_like(u)  # v - sub, then v - u
     for iteration in range(1, _MAX_ITER + 1):
-        v = op.apply(u, pair.sup_ghost)
+        op.apply(u, pair.sup_ghost, out=v)
         low = float(np.subtract(v, pair.sub, out=diff).min())
         if low < -1e-12 * scale:
-            raise ConvergenceError(
+            err = ConvergenceError(
                 f"iterate fell {-low:.3e} below the subsolution at "
                 f"iteration {iteration}; enlarge the slab or tighten tol"
             )
-        ascent = max(ascent, float(np.subtract(v, u, out=diff).max()))
-        step = float(np.abs(diff, out=diff).max())
+            err.iteration, err.low = iteration, low
+            raise err
+        np.subtract(v, u, out=diff)
+        rise, fall = float(diff.max()), float(diff.min())
+        ascent = max(ascent, rise)
+        step = max(abs(rise), abs(fall))  # the largest |v - u|
         increments.append(step)
-        u = v
+        u, v = v, u
         if step < tol:
             break
     else:
         tail = ", ".join(f"{r:.2e}" for r in increments[-5:])
-        raise ConvergenceError(
+        err = ConvergenceError(
             f"front iteration still moving after {_MAX_ITER} steps "
             f"(last increments {tail})"
         )
-    check = op.apply(u, pair.sup_ghost)
-    residual = float(np.max(np.abs(u - check)[:, op.interior]))
+        err.iterations, err.increments = _MAX_ITER, increments[-5:]
+        raise err
+    check = op.apply(u, pair.sup_ghost, out=v)
+    np.abs(np.subtract(u, check, out=diff), out=diff)
+    residual = float(np.max(diff[:, op.interior]))
 
     xi = grid.window_nodes[:, 0][None, :] - pair.c * op.times[:, None]
+    gap = np.abs(np.subtract(u, pair.steady_window[None, :], out=diff),
+                 out=diff)
     diagnostics = {}
     for delta in _TAIL_OFFSETS:
         if delta >= grid.window_radius - op.support_radius:
@@ -480,9 +541,8 @@ def construct_wave(pair: SubSuperPair, *,
         behind = xi <= -delta
         diagnostics[float(delta)] = {
             "ahead_sup": float(np.max(u[ahead])) if np.any(ahead) else np.nan,
-            "behind_gap": float(np.max(
-                np.abs(u - pair.steady_window[None, :])[behind]
-            )) if np.any(behind) else np.nan,
+            "behind_gap": (float(np.max(gap[behind])) if np.any(behind)
+                           else np.nan),
         }
     return WaveSolution(u=u, c=pair.c, direction=pair.direction,
                         residual=residual, front_diagnostics=diagnostics,

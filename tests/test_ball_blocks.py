@@ -363,6 +363,29 @@ def test_in_order_products_equal_the_scatter_gather_path(nodes, columns):
     assert np.array_equal(first, kept)
 
 
+@pytest.mark.parametrize("radius", [3.0, 2.5], ids=["in-order", "cut-ball"])
+def test_row_products_into_out_equal_the_column_product(radius):
+    """product(rows, out) applies the matrix to each row, into out, with
+    the floats of A @ rows.T; in order, rows may come by cells in any
+    layout."""
+    grid = ew.PeriodicGrid(1, 32, 4)
+    transfer = ew.time_integrate_kernel(_striped(1), grid)
+    matrix = assemble_ball(transfer, ew.saturating_exponential(),
+                           radius).entries
+    rows = np.random.default_rng(5).random((6, matrix.shape[0]))
+    expected = (matrix @ rows.T).T
+    out = np.full_like(rows, np.nan)
+    assert matrix.product(rows, out=out) is out
+    assert np.array_equal(out, expected)
+    assert np.array_equal(matrix.product(rows), expected)
+    if matrix._in_order:
+        cells = len(matrix._neighbours)
+        by_cell = np.ascontiguousarray(
+            rows.reshape(6, cells, -1).transpose(1, 0, 2))
+        assert np.array_equal(
+            matrix.product(by_cell.transpose(1, 0, 2), out=out), expected)
+
+
 def test_two_d_windows_and_cut_balls_take_the_scatter_gather_path():
     """In cell-block form, 1-D balls of whole cells take the in-order path
     and cut 1-D balls and every 2-D window or ball scatter and gather. 2-D

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,6 +408,26 @@ def test_csv_longer_than_one_block():
     assert text == _rows_csv(["a", "b", "c"], zip(*columns))
 
 
+def test_a_wave_sized_csv_holds_little_beside_its_text():
+    """A table of 16 slices x 2560 nodes x 3 columns, as wave.csv, peaks
+    at the text twice (the blocks' strings and their join), the table
+    and half a megabyte: the kernel's workspace is made once per table
+    and let go before the join."""
+    rng = np.random.default_rng(29)
+    n = 16 * 2560
+    xi = np.linspace(-40.0, 40.0, n)
+    columns = [xi, np.tile(np.linspace(0.0, 1.0, 2560), 16),
+               rng.random(n) * np.exp(-np.abs(xi))]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        text = pipelines._csv(["xi", "x_cell", "u"], *columns)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + 3 * n * 8 + 2**19
+
+
 def test_csv_on_both_sides_of_the_exact_range():
     # below 1e-28 and from 1e17 up the text comes from '%.17g' itself
     edges = []
@@ -749,6 +770,20 @@ def test_failure_json_carries_solver_details(tmp_path, monkeypatch):
     assert failure["details"] == {"curve": [[0.5, 1.25], [0.75, 1.5]],
                                   "node": -2.5, "slack": -3e-4}
     assert failure["config_sha256"] == hashlib.sha256(b"{}").hexdigest()
+
+
+def test_speed_search_cap_writes_its_data(tmp_path, monkeypatch):
+    # the box medium's c* = 1.23 lies past a cap of 0.5
+    monkeypatch.setattr(waves.dispersion, "_C_MAX", 0.5)
+    cfg = _write_config(tmp_path, {})
+    out = tmp_path / "capped"
+    assert main(["speed", "--config", cfg, "--out", str(out)]) == 1
+    failure = json.loads((out / "failure.json").read_text())
+    assert "no speed up to 0.5" in failure["message"]
+    details = failure["details"]
+    assert sorted(details) == ["c_max", "last_minimum", "rho"]
+    assert details["c_max"] == 0.5 and details["last_minimum"] > 1.0
+    assert details["rho"] > 0.0
 
 
 def test_power_iteration_stall_writes_its_data(tmp_path, monkeypatch):

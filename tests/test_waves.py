@@ -729,7 +729,7 @@ def test_apply_hands_out_no_workspace():
 
 def test_apply_allocates_at_most_four_slabs(front):
     """Past the first apply, which sizes the product's buffers, one apply
-    allocates the response and the product's output and little else."""
+    without out allocates the product's output and little else."""
     op, slab, ghost = front["op"], front["pair"].sup, front["pair"].sup_ghost
     assert slab.shape == (16, 2560)
     op.apply(slab, ghost)
@@ -740,6 +740,83 @@ def test_apply_allocates_at_most_four_slabs(front):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * slab.nbytes
+
+
+def test_applications_into_out_allocate_less_than_a_slab(front):
+    """After a warm-up, ten applications into a slab of the caller's
+    allocate nothing but small views: the traced peak of each, above what
+    was held before it, sums to less than one slab over the ten."""
+    op, slab, ghost = front["op"], front["pair"].sup, front["pair"].sup_ghost
+    out = np.empty_like(slab)
+    op.apply(slab, ghost, out=out)
+    total = 0
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            op.apply(slab, ghost, out=out)
+            total += tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert total < slab.nbytes
+
+
+def test_apply_into_out_equals_a_fresh_apply(front):
+    op, pair = front["op"], front["pair"]
+    for slab, ghost in ((pair.sup, pair.sup_ghost), (pair.sub, pair.sub_ghost)):
+        out = np.full_like(slab, np.nan)
+        assert op.apply(slab, ghost, out=out) is out
+        assert np.array_equal(out, op.apply(slab, ghost))
+
+
+def test_apply_refuses_an_out_of_another_shape_or_the_slab_itself(front):
+    op, pair = front["op"], front["pair"]
+    slab = pair.sup.copy()
+    for out in (np.empty((op.m, op.grid.n_window - 1)),
+                np.empty((op.m + 1, op.grid.n_window)),
+                np.empty(slab.shape, dtype=np.float32),
+                np.empty(slab.shape[::-1]).T,
+                slab, slab[:]):
+        with pytest.raises(ValidationError, match="out must be"):
+            op.apply(slab, pair.sup_ghost, out=out)
+    assert np.array_equal(slab, pair.sup)
+
+
+def test_later_applications_leave_the_front_and_its_pair_alone(front):
+    """construct_wave's iterate and image alternate between two slabs of
+    its own: the operator's workspace never holds the returned front."""
+    pair, wave = front["pair"], front["wave"]
+    kept = [wave.u.copy(), pair.sup.copy(), pair.sub.copy()]
+    out = np.empty_like(wave.u)
+    for slab, ghost in ((wave.u, pair.sup_ghost), (pair.sub, pair.sub_ghost),
+                        (0.5 * pair.sup, pair.sup_ghost)):
+        pair.op.apply(slab, ghost)
+        pair.op.apply(slab, ghost, out=out)
+    for now, before in zip((wave.u, pair.sup, pair.sub), kept):
+        assert np.array_equal(now, before)
+    assert not np.shares_memory(wave.u, pair.sup)
+
+
+def test_a_supersolution_rate_past_the_root_reports_its_eigenvalue(
+        front, monkeypatch):
+    # a margin of 9 puts rho_super = 10 rho past the upper dispersion root
+    monkeypatch.setattr(profile, "_SUPER_MARGIN", 9.0)
+    with pytest.raises(ConvergenceError, match="supersolution rate") as info:
+        build_sub_super(front["kernel"], front["g"], front["c"],
+                        front["grid"], front["steady"], speed=front["speed"])
+    assert set(vars(info.value)) == {"rho_super", "lam_super"}
+    assert info.value.rho_super == pytest.approx(10.0 * front["pair"].rho)
+    assert info.value.lam_super >= 1.0
+
+
+def test_an_iterate_below_the_subsolution_reports_where(front):
+    pair = dataclasses.replace(front["pair"], sub=front["pair"].sup + 1.0)
+    with pytest.raises(ConvergenceError, match="below the subsolution") as info:
+        construct_wave(pair)
+    assert set(vars(info.value)) == {"iteration", "low"}
+    assert info.value.iteration == 1
+    assert info.value.low < -0.5
 
 
 def test_certificate_pair_is_ordered_with_a_positive_bump(front):
@@ -775,8 +852,12 @@ def test_front_iteration_descends_to_a_profile(front):
 def test_front_iteration_stops_at_its_budget(front, monkeypatch):
     # the front takes 64 steps to settle
     monkeypatch.setattr(profile, "_MAX_ITER", 3)
-    with pytest.raises(ConvergenceError, match="still moving after 3 steps"):
+    with pytest.raises(ConvergenceError,
+                       match="still moving after 3 steps") as info:
         construct_wave(front["pair"])
+    assert set(vars(info.value)) == {"iterations", "increments"}
+    assert info.value.iterations == 3
+    assert info.value.increments == list(front["wave"].increments[:3])
 
 
 def test_front_tails_flatten_with_the_offset(front):
