@@ -10,10 +10,11 @@ so a failed run never leaves partial output behind.
 
 Every float in an artifact is written as '%.17g' writes it, byte for
 byte; together with the deterministic solvers this makes artifact bytes
-a pure function of the config document.  `_text` produces that text for
-whole arrays in numpy: for 1e-28 <= |v| < 1e17 it computes the 17
-correctly rounded significant digits exactly in float64 arithmetic and
-lays them out by the %g rules, and it writes zeros directly.  Every
+a pure function of the config document.  `_text_block` produces that
+text for arrays of values in numpy: for 1e-28 <= |v| < 1e17 it computes
+the 17 correctly rounded significant digits exactly in float64
+arithmetic and lays them out by the %g rules, and it writes zeros
+directly.  Every
 other value (NaN, infinities, nonzero |v| below 1e-28, |v| of 1e17 and
 up) goes through '%.17g' itself, one value at a time.  The march tables
 (simulate.csv, sir.csv) have one row per frame and window node: their t
@@ -55,7 +56,7 @@ _SPLITTER = 134217729.0  # 2**27 + 1
 # 48 bytes is free for the separator.
 _RECORD = 48
 # values per block of CSV rows and per pass of the kernel: the kernel's
-# workspace takes about 290 bytes a value and a block's records 48 bytes
+# workspace takes about 370 bytes a value and a block's records 48 bytes
 # a cell, while each pass costs some 100 numpy calls whatever its size
 _BLOCK = 4608
 
@@ -145,15 +146,18 @@ _HEAD, _SUFFIX = np.frombuffer(
 
 
 class _TextWork:
-    """The text kernel's arrays for passes of up to `size` values."""
+    """The text kernel's arrays for passes of up to `size` values: a row
+    for each intermediate, written once in a pass, and the scratch rows
+    a, b, at, flag, other and byte, which a step fills and the next
+    overwrites."""
 
     def __init__(self, size: int):
         self.size = size
-        self.floats = np.empty((9, size))
+        self.floats = np.empty((16, size))
         self.ten = np.empty((6, size))
-        self.ints = np.empty((7, size), np.int64)
+        self.ints = np.empty((11, size), np.int64)
         self.groups = np.empty((4, size), np.int64)
-        self.flags = np.empty((3, size), bool)
+        self.flags = np.empty((4, size), bool)
         self.bytes = np.empty((2, size), np.uint8)
         self.words = np.empty((2, size), np.uint64)
         self.dot_at = np.arange(size) * _RECORD + 7  # first point place
@@ -161,17 +165,27 @@ class _TextWork:
 
 
 def _text_block(v, work):
-    """The records of the values v, at most work.size of them, in
-    work.text[:len(v)], which is returned. Every step writes into the
-    workspace, with the operations and in the order of the arithmetic on
-    fresh arrays, so the text is the same."""
+    """'%.17g' text of the values v, at most work.size of them, as
+    records of _RECORD bytes: work.text[:len(v)], which is returned.  A
+    record's bytes other than NUL, read in order, are the text; its last
+    byte is NUL.
+
+    The text is byte-identical to '%.17g' % v, the conversion
+    f"{float(v):.17g}" does.  It is computed in float64 arithmetic for
+    zeros and for 1e-28 <= |v| < 1e17; NaN, infinities and the other
+    magnitudes go through '%.17g' one value at a time.  Every step writes
+    into the workspace, with the operations and in the order of the
+    arithmetic on fresh arrays, so the text is the same.
+    """
     n = len(v)
     text = work.text[:n]
-    x, x_hi, x_lo, h, r, t, e, a, b = work.floats[:, :n]
+    x, x_hi, x_lo, h, r, t, e, s, w, y, z, m, d, side, a, b = (
+        work.floats[:, :n])
     ten = work.ten[:, :n]
-    k, at, digits, lead, rest, high, low = work.ints[:, :n]
+    k, place, digits, lead, rest, high, low, kept, keep, point, at = (
+        work.ints[:, :n])
     groups = work.groups[:, :n]
-    exact, flag, other = work.flags[:, :n]
+    exact, up, flag, other = work.flags[:, :n]
     last, byte = work.bytes[:, :n]
     word, mask = work.words[:, :n]
     np.abs(v, out=x)
@@ -188,10 +202,6 @@ def _text_block(v, work):
     _split(x, x_hi, x_lo)
     _two_product(x, x_hi, x_lo, *ten[:3], h, r, a)
     _two_product(x, x_hi, x_lo, *ten[3:], t, e, a)
-    # x, its halves and the powers are spent: the sums and the rounding
-    # reuse them
-    s, w = x, x_hi
-    y, z, m, d, side, _ = ten
     _two_sum(r, t, s, w, a, b)
     _two_sum(w, e, y, z, a, b)
     # x * 10**p = (h + m) + d + y + z with m = rint(s), |d| <= 1/2, and D
@@ -209,16 +219,16 @@ def _text_block(v, work):
     gap -= 0.5
     gap += np.multiply(side, y, out=b)
     # the step, side where (gap > 0) | ((gap == 0) & (side z > 0)), else 0
-    up = np.greater(np.multiply(side, z, out=b), 0.0, out=flag)
-    up &= np.equal(gap, 0.0, out=other)
-    up |= np.greater(gap, 0.0, out=other)
+    np.greater(np.multiply(side, z, out=b), 0.0, out=up)
+    up &= np.equal(gap, 0.0, out=flag)
+    up |= np.greater(gap, 0.0, out=flag)
     # D = h + m + step, each term made an integer
     np.copyto(digits, h, casting="unsafe")
-    np.copyto(rest, m, casting="unsafe")
-    digits += rest
-    np.copyto(rest, side, casting="unsafe")
-    rest *= up
-    digits += rest
+    np.copyto(at, m, casting="unsafe")
+    digits += at
+    np.copyto(at, side, casting="unsafe")
+    at *= up
+    digits += at
     carry = np.equal(digits, 10 ** 17, out=flag)
     np.copyto(digits, 10 ** 16, where=carry)
     k += carry
@@ -233,18 +243,18 @@ def _text_block(v, work):
                    out=last)
     # digits at places <= kept are written even when zero: the integer
     # part of a fixed-point number, or the lead digit
-    kept, keep, point = digits, rest, high
     np.maximum(k, -1, out=kept)
     np.copyto(kept, 0, where=np.less(k, -4, out=flag))
     np.maximum(last, kept, out=keep)
     words = text.view(np.uint64)
-    np.take(_HEAD, np.subtract(k, _K_MIN, out=at), out=word, mode="clip")
+    np.subtract(k, _K_MIN, out=place)
+    np.take(_HEAD, place, out=word, mode="clip")
     words[:, 0] = word
     for j, group in enumerate(groups):
         np.take(_GROUP_TEXT, group, out=word, mode="clip")
         np.bitwise_and(word, np.take(_KEEP[j], keep, out=mask, mode="clip"),
                        out=words[:, 1 + j])
-    np.take(_SUFFIX, at, out=word, mode="clip")
+    np.take(_SUFFIX, place, out=word, mode="clip")
     words[:, -1] = word
     np.multiply(np.signbit(v, out=flag), np.uint8(ord("-")), out=text[:, 0])
     text[:, 6] = np.add(lead, 48, out=at)
@@ -267,26 +277,16 @@ def _text_block(v, work):
     return text
 
 
-def _text(values, work=None):
-    """'%.17g' text of every value, as records of _RECORD bytes: an
-    array of shape values.shape + (_RECORD,) whose bytes other than NUL,
-    read in order, are the text; the last byte of a record is NUL.
-
-    The text is byte-identical to '%.17g' % v, the conversion
-    f"{float(v):.17g}" does.  It is computed in float64 arithmetic for
-    zeros and for 1e-28 <= |v| < 1e17; NaN, infinities and the other
-    magnitudes go through '%.17g' one value at a time.  work, a _TextWork,
-    is made for the call unless given.
-    """
-    v = np.asarray(values, dtype=float)
-    if work is None:
-        work = _TextWork(max(1, min(v.size, _BLOCK)))
-    flat = v.ravel()
-    text = np.empty((v.size, _RECORD), np.uint8)
-    for start in range(0, v.size, work.size):
-        chunk = flat[start:start + work.size]
-        text[start:start + len(chunk)] = _text_block(chunk, work)
-    return text.reshape(v.shape + (_RECORD,))
+def _records(values, records, work):
+    """Write the text of values, a (rows, columns) array, into all but the
+    last byte of records, their (rows, columns, _RECORD) records, in
+    passes of whole rows through work, a _TextWork of at least a row."""
+    rows = work.size // values.shape[1]
+    for start in range(0, len(values), rows):
+        chunk = values[start:start + rows]
+        text = _text_block(chunk.ravel(), work)
+        records[start:start + len(chunk), :, :-1] = text.reshape(
+            chunk.shape + (_RECORD,))[..., :-1]
 
 
 def _csv(header, *columns, frames=None, nodes=None) -> str:
@@ -311,6 +311,7 @@ def _csv_blocks(columns, frames, nodes) -> list:
     if frames is None:
         lead, per_frame, n_frames = 0, 1, len(table)
     else:
+        frames = np.asarray(frames, dtype=float)[:, None]
         nodes = np.asarray(nodes, dtype=float)
         lead, per_frame, n_frames = 1 + nodes.shape[1], len(nodes), len(frames)
     width = table.shape[1]
@@ -323,23 +324,20 @@ def _csv_blocks(columns, frames, nodes) -> list:
     # one workspace for every pass of the kernel, a whole number of rows:
     # a block in one pass, unless one frame holds more than _BLOCK values
     rows = max(1, min(_BLOCK // width, count * per_frame))
-    work = _TextWork(rows * width)
+    work = _TextWork(max(lead, rows * width))
     if lead:
-        frame_text = _text(frames, work)
-        cells[:, :, 1:lead, :-1] = _text(nodes, work)[..., :-1]
+        frame_text = np.empty((n_frames, 1, _RECORD), np.uint8)
+        _records(frames, frame_text, work)
+        _records(nodes, cells[0, :, 1:lead], work)
+        cells[1:, :, 1:lead] = cells[0, :, 1:lead]
     parts = []
     for start in range(0, n_frames, count):
         values = table[start:start + count]
         block = cells[:len(values)]
-        records = block.reshape(-1, lead + width, _RECORD)  # one per row
-        values = values.reshape(-1, width)
-        for row in range(0, len(values), rows):
-            chunk = values[row:row + rows]
-            text = _text_block(chunk.ravel(), work)
-            records[row:row + len(chunk), lead:, :-1] = text.reshape(
-                chunk.shape + (_RECORD,))[..., :-1]
+        _records(values.reshape(-1, width),
+                 block.reshape(-1, lead + width, _RECORD)[:, lead:], work)
         if lead:
-            block[:, :, 0, :-1] = frame_text[start:start + count, None, :-1]
+            block[:, :, 0, :-1] = frame_text[start:start + count, :, :-1]
         parts.append(block.tobytes().translate(None, b"\0").decode("ascii"))
     return parts
 

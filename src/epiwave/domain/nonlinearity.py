@@ -9,8 +9,11 @@ Those three numbers (slope at zero, quadratic defect, saturation bound)
 drive every estimate in the package, so they are carried explicitly
 instead of being re-derived from samples.
 
-A response called with out= writes g(z) into that array, which may be z
-itself, so an operator that applies it every step keeps one buffer for it.
+The response is called as fn(z), and as fn(z, out=out) by the operators
+that apply it every step (the wave operator): that call writes g(z)
+into out, which may be z itself, and returns it, so such an operator
+keeps one buffer for the response.  saturating_exponential takes both
+forms; a response given only in the first serves every other solver.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ class Nonlinearity:
     """A response function together with the constants the theory needs."""
 
     def __init__(self, fn, slope0: float, curvature: float, bound: float,
-                 name: str = "", fills_out: bool = False):
+                 name: str = ""):
         if slope0 <= 0:
             raise ValidationError(f"slope0 must be positive, got {slope0}")
         if curvature < 0:
@@ -35,21 +38,17 @@ class Nonlinearity:
         if abs(g0) > 1e-14:
             raise ValidationError(f"g(0) must vanish, got {g0}")
         self._fn = fn
-        self._fills_out = fills_out  # fn(z, out=out) writes into out
         self.slope0 = float(slope0)
         self.curvature = float(curvature)
         self.bound = float(bound)
         self.name = name or getattr(fn, "__name__", "nonlinearity")
 
     def __call__(self, z, out=None):
-        """g(z); with out, g(z) goes into out (z itself allowed), which is
-        returned."""
+        """g(z); with out, fn(z, out=out): g(z) goes into out (z itself
+        allowed), which is returned."""
         if out is None:
             return self._fn(z)
-        if self._fills_out:
-            return self._fn(z, out=out)
-        out[...] = self._fn(z)
-        return out
+        return self._fn(z, out=out)
 
     def __repr__(self) -> str:
         return (
@@ -77,4 +76,4 @@ def saturating_exponential() -> Nonlinearity:
         return np.negative(out, out=out)
 
     return Nonlinearity(g, slope0=1.0, curvature=0.5, bound=1.0,
-                        name="saturating_exponential", fills_out=True)
+                        name="saturating_exponential")

@@ -26,8 +26,11 @@ seeded beyond the right edge by the closed-form memory of the analytic
 tail. That seed uses the same discrete weights as the recursion itself,
 so the certificate inequalities are not polluted by a closure seam.
 
-An application given an out slab allocates nothing. The operator keeps
-a workspace sized at construction from the slices and the window
+An application given an out slab allocates only what it reads of the
+tail terms, on every call: the ghost cell's slab and the seed of the
+recursion, m x n_cell values each (4 KB for 16 slices of 32 nodes),
+and their temporaries. The operator keeps a
+workspace sized at construction from the slices and the window
 (bounded with the slab by MAX_TRAJECTORY_VALUES): the slab with its
 ghost cell, where the response is evaluated in place, and the slice
 terms q, which out= ufuncs fill row by row (numpy buffers, and so
@@ -36,11 +39,10 @@ sums run in place over q's first m rows, a running sum over rows; the
 memory G then goes cell-major into the spent response, so the cell
 recursion steps over contiguous blocks, and the window product
 (CellBlockMatrix.product, whose gather buffers the matrix keeps) reads
-it from there and writes into out. The ghost cell's slab and the seed
-of the recursion are made once per terms object. Every value is formed
-by the same floating-point operations as with a fresh array per step,
-so fronts are the same bit for bit. The front iteration alternates the
-iterate and its image between two slabs of its own and keeps one
+it from there and writes into out. Every value is formed by the same
+floating-point operations as with a fresh array per step, so fronts
+are the same bit for bit. The front iteration alternates the iterate
+and its image between two slabs of its own and keeps one
 difference buffer for its increments.
 
 The sub- and supersolution pair uses decay rates straddling the lower
@@ -169,15 +171,13 @@ class WaveOperator:
         # its ghost cell (the response, then the cell recursion's blocks),
         # the slice terms q of the last two periods (the suffix sums in
         # place of the first m), one row of the running sum, one cell block
-        # and the cell's EP laid out as one; the ghost fields of the last
-        # terms object
+        # and the cell's EP laid out as one
         nw = grid.n_window
         self._ext = np.empty((self.m, nw + n))
         self._q = np.empty((2 * self.m - 1, nw))
         self._fresh = np.empty(nw)
         self._block = np.empty((self.m, n))
         self._EP_block = np.tile(self.EP[:n], (self.m, 1))
-        self._ghost = None
         inside = np.flatnonzero(self.interior)  # a run of columns in 1-D
         self._inner = slice(inside[0], inside[-1] + 1)
         # the rows and cell blocks apply() steps over, as views made once:
@@ -229,20 +229,12 @@ class WaveOperator:
             out += slope0 * mode * S[None, :]
         return out
 
-    def _ghost_fields(self, terms):
-        """The ghost cell's slab and the seed of the cell recursion, EP
-        times the tail's memory, made once per terms object: terms are
-        read when first passed, so new terms come as a new list."""
-        if self._ghost is None or self._ghost[0] is not terms:
-            seed = self.EP[:self.n_cell] * self._ghost_memory(terms)
-            self._ghost = (terms, self.ghost_values(terms), seed)
-        return self._ghost[1:]
-
     def apply(self, slab: np.ndarray, ghost_terms, out=None) -> np.ndarray:
         """One application of the frame operator into out, a C-contiguous
         float array of the slab's shape apart from the slab, or into a new
         array; returns it. Frozen edge columns are passed through
-        unchanged; everything between runs in the operator's workspace."""
+        unchanged; everything between, but the tail's ghost fields, runs
+        in the operator's workspace."""
         m, nw = slab.shape
         if m != self.m or nw != self.grid.n_window:
             raise ValidationError(
@@ -260,9 +252,8 @@ class WaveOperator:
             )
         n, cells = self.n_cell, self.cells
         ext, h, q = self._ext, self._h, self._q_rows
-        ghost, seed = self._ghost_fields(ghost_terms)
         ext[:, :nw] = slab
-        ext[:, nw:] = ghost
+        ext[:, nw:] = self.ghost_values(ghost_terms)
         self.response(ext, out=ext)
         # q_i = alpha h_{i+1} + beta h_i, row by row: numpy buffers a ufunc
         # over strided, broadcast or reversed 2-D views, allocating as it
@@ -292,7 +283,8 @@ class WaveOperator:
         w, blocks = self._w, self._w_blocks
         w[...] = G.reshape(m, cells, n).transpose(1, 0, 2)
         block, EP_block = self._block, self._EP_block
-        blocks[-1] += seed
+        np.multiply(EP_block, self._ghost_memory(ghost_terms), out=block)
+        blocks[-1] += block
         for k in range(cells - 2, -1, -1):
             np.multiply(EP_block, blocks[k + 1], out=block)
             blocks[k] += block
@@ -493,7 +485,8 @@ def construct_wave(pair: SubSuperPair, *,
         raise ValidationError(f"tol must be positive, got {tol}")
     op, grid = pair.op, pair.op.grid
     # the iterate and the image alternate between two slabs of this call's
-    # own, so the operator's applications allocate nothing
+    # own, so the operator's applications allocate only the tail's small
+    # ghost fields
     u = pair.sup.copy()
     v = np.empty_like(u)
     scale = float(np.max(u))

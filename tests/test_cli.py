@@ -370,6 +370,7 @@ def _march_rows(frames, nodes, *columns):
     pytest.param(7, 40, 2, 2, id="2-d-nodes"),
     pytest.param(1, 1, 1, 1, id="a-single-row"),
     pytest.param(1, 1, 2, 3, id="a-single-row-2-d"),
+    pytest.param(1, 1, 2, 1, id="a-row-narrower-than-its-nodes"),
 ])
 def test_march_csv_blocks_match_row_by_row_formatter(
         n_frames, n_nodes, dim, n_columns):

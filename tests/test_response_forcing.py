@@ -41,6 +41,33 @@ def test_saturating_exponential_keeps_scalars_and_returns_new_arrays():
     assert again is not gz and np.array_equal(again, gz)
 
 
+def test_saturating_exponential_writes_into_out_or_z_itself():
+    g = saturating_exponential()
+    z = np.linspace(-1.0, 10.0, 24).reshape(4, 6)
+    fresh = g(z)
+    out = np.full_like(z, np.nan)
+    assert g(z, out=out) is out
+    assert np.array_equal(out, fresh)
+    assert g(z, out=z) is z
+    assert np.array_equal(z, fresh)
+
+
+def test_a_response_is_called_with_out_only_when_given_one():
+    calls = []
+
+    def fn(z, out=None):
+        calls.append(out)
+        return np.tanh(z, out=out)
+
+    g = Nonlinearity(fn, slope0=1.0, curvature=1.0, bound=1.0)
+    z = np.linspace(0.0, 2.0, 5)
+    out = np.empty_like(z)
+    assert g(z, out=out) is out and np.array_equal(out, np.tanh(z))
+    assert calls[-1] is out
+    g(z)
+    assert calls[-1] is None
+
+
 def test_custom_response_validation():
     ok = Nonlinearity(lambda z: np.tanh(z), slope0=1.0, curvature=1.0, bound=1.0)
     assert ok(0.5) == pytest.approx(math.tanh(0.5))

@@ -744,8 +744,9 @@ def test_apply_allocates_at_most_four_slabs(front):
 
 def test_applications_into_out_allocate_less_than_a_slab(front):
     """After a warm-up, ten applications into a slab of the caller's
-    allocate nothing but small views: the traced peak of each, above what
-    was held before it, sums to less than one slab over the ten."""
+    allocate nothing but the tail's ghost fields and small views: the
+    traced peak of each, above what was held before it, sums to less
+    than one slab over the ten."""
     op, slab, ghost = front["op"], front["pair"].sup, front["pair"].sup_ghost
     out = np.empty_like(slab)
     op.apply(slab, ghost, out=out)
@@ -760,6 +761,22 @@ def test_applications_into_out_allocate_less_than_a_slab(front):
     finally:
         tracemalloc.stop()
     assert total < slab.nbytes
+
+
+def test_apply_reads_the_tail_terms_on_every_call(front):
+    """The ghost fields are made from the terms each call: terms changed
+    in place between two applications give the image of the new terms."""
+    op, slab = front["op"], front["pair"].sup
+    coef, rho = front["pair"].sup_ghost[0]
+    terms = [(coef.copy(), rho)]
+    before = op.apply(slab, terms)
+    terms[0] = (2.0 * coef, rho)
+    rebound = op.apply(slab, terms)
+    assert np.array_equal(rebound, op.apply(slab, [(2.0 * coef, rho)]))
+    assert not np.array_equal(rebound, before)
+    terms[0][0][:] = 3.0 * coef
+    assert np.array_equal(op.apply(slab, terms),
+                          op.apply(slab, [(3.0 * coef, rho)]))
 
 
 def test_apply_into_out_equals_a_fresh_apply(front):
