@@ -47,11 +47,17 @@ def _versions() -> dict:
     }
 
 
+# characters per write: the encoded bytes of a slice are all the text
+# mode holds beside the text, not a second copy of a whole table
+_WRITE_CHARS = 1 << 16
+
+
 def _write_all(out_dir, artifacts) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for name, text in artifacts.items():
         with open(os.path.join(out_dir, name), "w", newline="") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _WRITE_CHARS):
+                handle.write(text[start:start + _WRITE_CHARS])
 
 
 def main(argv=None) -> int:

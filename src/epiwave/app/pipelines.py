@@ -18,17 +18,25 @@ directly.  Every
 other value (NaN, infinities, nonzero |v| below 1e-28, |v| of 1e17 and
 up) goes through '%.17g' itself, one value at a time.  The march tables
 (simulate.csv, sir.csv) have one row per frame and window node: their t
-and node columns are formatted once and repeated in every frame's rows.
+and node columns are formatted once, each packed to the width of its
+longest text, and copied into every frame's rows.  simulate and
+sir-verify copy the rows they write and let their trajectories go before
+the text is made.
 
-A table's text is assembled a block of rows at a time, and the kernel
-runs over a block in passes of whole rows.  Each pass writes its
+A table's text is assembled a block of rows at a time.  A block stacks
+its own rows of the columns, so no copy of the whole table is made, and
+the kernel runs over them in passes of whole rows.  Each pass writes its
 intermediate arrays into one workspace (_TextWork) that the table makes
-once, so no block allocates them, or faults their pages in, again.
+once, so no block allocates them, or faults their pages in, again; a
+value's record is laid out in workspace rows spent by then and written
+with one transposed copy.  A row's bytes are its packed fields and one
+record per value, and bytes.translate drops their NUL padding.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -143,13 +151,19 @@ def _layout_words(k: int) -> bytes:
 _HEAD, _SUFFIX = np.frombuffer(
     b"".join(_layout_words(k) for k in range(_K_MIN, _K_MAX + 1)),
     np.uint64).reshape(-1, 2).T
+# the first word's sign place holding '-', and its lead digit place holding
+# each digit d: both places are empty in every _HEAD word
+_MINUS = np.frombuffer(b"-".ljust(8, b"\0"), np.uint64)[0]
+_LEAD = np.frombuffer(b"".join(b"\0" * 6 + b"%d\0" % d for d in range(10)),
+                      np.uint64)
 
 
 class _TextWork:
     """The text kernel's arrays for passes of up to `size` values: a row
     for each intermediate, written once in a pass, and the scratch rows
     a, b, at, flag, other and byte, which a step fills and the next
-    overwrites."""
+    overwrites.  The float rows are spent by the time the record is laid
+    out, and then hold its six words and their masks."""
 
     def __init__(self, size: int):
         self.size = size
@@ -159,9 +173,16 @@ class _TextWork:
         self.groups = np.empty((4, size), np.int64)
         self.flags = np.empty((4, size), bool)
         self.bytes = np.empty((2, size), np.uint8)
-        self.words = np.empty((2, size), np.uint64)
         self.dot_at = np.arange(size) * _RECORD + 7  # first point place
         self.text = np.empty((size, _RECORD), np.uint8)
+
+
+def _divide(a, d, quotient, remainder):
+    """quotient, remainder = divmod(a, d) for a >= 0, d > 0, into the
+    given int64 arrays: a floor division and a multiply-subtract, about
+    half the time of np.divmod."""
+    np.floor_divide(a, d, out=quotient)
+    np.subtract(a, np.multiply(quotient, d, out=remainder), out=remainder)
 
 
 def _text_block(v, work):
@@ -175,7 +196,9 @@ def _text_block(v, work):
     zeros and for 1e-28 <= |v| < 1e17; NaN, infinities and the other
     magnitudes go through '%.17g' one value at a time.  Every step writes
     into the workspace, with the operations and in the order of the
-    arithmetic on fresh arrays, so the text is the same.
+    arithmetic on fresh arrays, so the text is the same.  A record's six
+    words are assembled in spent float rows, one row per word, and
+    written into work.text with one transposed copy.
     """
     n = len(v)
     text = work.text[:n]
@@ -187,18 +210,17 @@ def _text_block(v, work):
     groups = work.groups[:, :n]
     exact, up, flag, other = work.flags[:, :n]
     last, byte = work.bytes[:, :n]
-    word, mask = work.words[:, :n]
     np.abs(v, out=x)
     np.greater_equal(x, _TEN_UP[1], out=exact)
     exact &= np.less(x, _TEN_UP[-2], out=flag)
     np.copyto(x, 1.0, where=np.logical_not(exact, out=flag))
     np.copyto(k, np.floor(np.log10(x, out=a), out=a), casting="unsafe")
     # mode="clip": every index is valid, and "raise" buffers the output
-    np.take(_TEN_UP, np.add(k, 2 - _K_MIN, out=at), out=a, mode="clip")
-    k += np.greater_equal(x, a, out=flag)
-    np.take(_TEN_UP, np.add(k, 1 - _K_MIN, out=at), out=a, mode="clip")
-    k -= np.less(x, a, out=flag)
-    np.take(_POW10, np.subtract(16, k, out=at), axis=1, out=ten, mode="clip")
+    _TEN_UP.take(np.add(k, 2 - _K_MIN, out=at), out=a, mode="clip")
+    np.add(k, 1, out=k, where=np.greater_equal(x, a, out=flag))
+    _TEN_UP.take(np.add(k, 1 - _K_MIN, out=at), out=a, mode="clip")
+    np.subtract(k, 1, out=k, where=np.less(x, a, out=flag))
+    _POW10.take(np.subtract(16, k, out=at), axis=1, out=ten, mode="clip")
     _split(x, x_hi, x_lo)
     _two_product(x, x_hi, x_lo, *ten[:3], h, r, a)
     _two_product(x, x_hi, x_lo, *ten[3:], t, e, a)
@@ -227,43 +249,44 @@ def _text_block(v, work):
     np.copyto(at, m, casting="unsafe")
     digits += at
     np.copyto(at, side, casting="unsafe")
-    at *= up
-    digits += at
+    np.add(digits, at, out=digits, where=up)
     carry = np.equal(digits, 10 ** 17, out=flag)
     np.copyto(digits, 10 ** 16, where=carry)
-    k += carry
-    np.divmod(digits, 10 ** 16, out=(lead, rest))
+    np.add(k, 1, out=k, where=carry)
+    _divide(digits, 10 ** 16, lead, rest)
     np.copyto(lead, 0, where=np.equal(v, 0.0, out=flag))
-    np.divmod(rest, 10 ** 8, out=(high, low))
-    np.divmod(high, 10000, out=(groups[0], groups[1]))
-    np.divmod(low, 10000, out=(groups[2], groups[3]))
+    _divide(rest, 10 ** 8, high, low)
+    _divide(high, 10000, groups[0], groups[1])
+    _divide(low, 10000, groups[2], groups[3])
     last.fill(0)
     for j, group in enumerate(groups):
-        np.maximum(last, np.take(_GROUP_LAST[j], group, out=byte, mode="clip"),
+        np.maximum(last, _GROUP_LAST[j].take(group, out=byte, mode="clip"),
                    out=last)
     # digits at places <= kept are written even when zero: the integer
     # part of a fixed-point number, or the lead digit
     np.maximum(k, -1, out=kept)
     np.copyto(kept, 0, where=np.less(k, -4, out=flag))
-    np.maximum(last, kept, out=keep)
-    words = text.view(np.uint64)
+    np.copyto(keep, last)
+    np.maximum(keep, kept, out=keep)
+    # the record's words, one per row, in float rows spent by now
+    words = work.floats[:6, :n].view(np.uint64)
+    mask = work.floats[6, :n].view(np.uint64)
     np.subtract(k, _K_MIN, out=place)
-    np.take(_HEAD, place, out=word, mode="clip")
-    words[:, 0] = word
+    _HEAD.take(place, out=words[0], mode="clip")
+    np.bitwise_or(words[0], _MINUS, out=words[0],
+                  where=np.signbit(v, out=flag))
+    words[0] |= _LEAD.take(lead, out=mask, mode="clip")
     for j, group in enumerate(groups):
-        np.take(_GROUP_TEXT, group, out=word, mode="clip")
-        np.bitwise_and(word, np.take(_KEEP[j], keep, out=mask, mode="clip"),
-                       out=words[:, 1 + j])
-    np.take(_SUFFIX, place, out=word, mode="clip")
-    words[:, -1] = word
-    np.multiply(np.signbit(v, out=flag), np.uint8(ord("-")), out=text[:, 0])
-    text[:, 6] = np.add(lead, 48, out=at)
+        _GROUP_TEXT.take(group, out=words[1 + j], mode="clip")
+        words[1 + j] &= _KEEP[j].take(keep, out=mask, mode="clip")
+    _SUFFIX.take(place, out=words[5], mode="clip")
+    text.view(np.uint64)[:] = words.T
     # the point follows digit `kept`, and only if a digit follows it; a
     # fixed-point number below 1 has it in its '0.' already
     np.copyto(point, kept)
     np.copyto(point, 16, where=np.less(kept, 0, out=flag))
-    np.multiply(np.greater(keep, point, out=flag), np.uint8(ord(".")),
-                out=byte)
+    np.greater(keep, point, out=flag)
+    np.multiply(flag.view(np.uint8), np.uint8(ord(".")), out=byte)
     np.multiply(point, 2, out=at)
     at += work.dot_at[:n]
     text.reshape(-1)[at] = byte
@@ -295,49 +318,74 @@ def _csv(header, *columns, frames=None, nodes=None) -> str:
     With `frames` (one value per frame) and `nodes` (one row per node),
     the rows are frames x nodes, frame-major: row f * len(nodes) + j
     reads frames[f], nodes[j], then the columns' values.  The frame and
-    node text is made once and broadcast into every block of rows; a
-    block is a whole number of frames (of rows, without frames) of at most
-    _BLOCK values, or one frame, so the text is built a block at a time,
-    in passes of whole rows through one _TextWork.
+    node text is made once, each column packed to the width of its longest
+    text, and copied into every block of rows; a block is a whole number of frames
+    (of rows, without frames) of at most _BLOCK values, or one frame, so
+    the text is built a block at a time, in passes of whole rows through
+    one _TextWork.  No copy of the whole table is made: each block stacks
+    its own rows.
     """
     # the join holds the text twice, so the blocks' arrays are gone by then
     return "".join([",".join(header) + "\n",
                     *_csv_blocks(columns, frames, nodes)])
 
 
+def _fields(values, work):
+    """The text of the 1-D array values packed to the width of the
+    longest: row i of the (len(values), width + 1) bytes returned is the
+    text of values[i], NUL-padded, then a comma."""
+    records = np.empty((len(values), 1, _RECORD), np.uint8)
+    records[..., -1] = ord("\n")
+    _records(values[:, None], records, work)
+    texts = records.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    texts = np.array(texts, dtype=bytes)
+    fields = np.full((len(values), texts.itemsize + 1), ord(","), np.uint8)
+    fields[:, :-1] = texts.view(np.uint8).reshape(len(values), texts.itemsize)
+    return fields
+
+
 def _csv_blocks(columns, frames, nodes) -> list:
-    """The text of _csv's rows, one string per block."""
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    """The text of _csv's rows, one string per block.  A row's bytes are
+    its packed frame and node fields (none without frames), then a record
+    of _RECORD bytes per column; translate drops their NUL padding."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    width = len(columns)
     if frames is None:
-        lead, per_frame, n_frames = 0, 1, len(table)
+        per_frame, n_frames = 1, len(columns[0])
     else:
-        frames = np.asarray(frames, dtype=float)[:, None]
         nodes = np.asarray(nodes, dtype=float)
-        lead, per_frame, n_frames = 1 + nodes.shape[1], len(nodes), len(frames)
-    width = table.shape[1]
-    table = table.reshape(n_frames, per_frame, width)
+        per_frame, n_frames = len(nodes), len(frames)
     count = max(1, min(n_frames, _BLOCK // max(1, per_frame * width)))
-    # a record per cell; the last byte of each is its separator
-    cells = np.empty((count, per_frame, lead + width, _RECORD), np.uint8)
-    cells[..., -1] = ord(",")
-    cells[:, :, -1, -1] = ord("\n")
     # one workspace for every pass of the kernel, a whole number of rows:
     # a block in one pass, unless one frame holds more than _BLOCK values
     rows = max(1, min(_BLOCK // width, count * per_frame))
-    work = _TextWork(max(lead, rows * width))
+    work = _TextWork(rows * width)
+    # the frame's field, then the nodes' fields, one per axis
+    lead = [] if frames is None else [
+        _fields(np.asarray(frames, dtype=float), work),
+        *(_fields(axis, work) for axis in nodes.T)]
+    cells = np.empty((count, per_frame), [
+        ("lead", np.uint8, sum(field.shape[1] for field in lead)),
+        ("values", np.uint8, (width, _RECORD))])
+    # a record per value; the last byte of each is its separator
+    records = cells["values"]
+    records[..., -1] = ord(",")
+    records[..., -1, -1] = ord("\n")
     if lead:
-        frame_text = np.empty((n_frames, 1, _RECORD), np.uint8)
-        _records(frames, frame_text, work)
-        _records(nodes, cells[0, :, 1:lead], work)
-        cells[1:, :, 1:lead] = cells[0, :, 1:lead]
+        frame_fields, frame_width = lead[0], lead[0].shape[1]
+        cells["lead"][..., frame_width:] = np.concatenate(lead[1:], axis=1)
+    stacked = np.empty((count * per_frame, width))
     parts = []
     for start in range(0, n_frames, count):
-        values = table[start:start + count]
-        block = cells[:len(values)]
-        _records(values.reshape(-1, width),
-                 block.reshape(-1, lead + width, _RECORD)[:, lead:], work)
+        block = cells[:min(count, n_frames - start)]
+        first, n_rows = start * per_frame, block.size
+        for j, column in enumerate(columns):
+            stacked[:n_rows, j] = column[first:first + n_rows]
+        _records(stacked[:n_rows],
+                 records[:len(block)].reshape(n_rows, width, _RECORD), work)
         if lead:
-            block[:, :, 0, :-1] = frame_text[start:start + count, :, :-1]
+            block["lead"][..., :frame_width] = frame_fields[
+                start:start + len(block), None]
         parts.append(block.tobytes().translate(None, b"\0").decode("ascii"))
     return parts
 
@@ -427,10 +475,14 @@ def run_simulate(cfg: ScenarioConfig):
 
     stride = _time_stride(field.values.shape[0])
     frames = field.times[::stride]
+    written = field.values[::stride].copy()
+    # the trajectory (field, and final, a view of its last row) goes before
+    # the text is made: the table needs only the written rows
+    del field, final
     artifacts = {
         "simulate.csv": _csv(["t"] + _node_columns(grid) + ["u"],
-                             field.values[::stride].ravel(),
-                             frames=frames, nodes=grid.window_nodes),
+                             written.ravel(), frames=frames,
+                             nodes=grid.window_nodes),
         "simulate.json": _json_text(summary),
     }
     return artifacts, {"outcome": outcome.value, "settled": bool(settled)}
@@ -513,13 +565,16 @@ def run_sir_verify(cfg: ScenarioConfig):
     gap = equivalence_check(state, dt=cfg.sir_dt, horizon=cfg.sir_horizon)
     sim = simulate_sir(state, dt=cfg.sir_dt, horizon=cfg.sir_horizon)
     grid = state.grid
-    attack = sim.log_attack()
     stride = _time_stride(sim.S.shape[0])
-    frames = sim.times[::stride]
+    written = replace(sim, times=sim.times[::stride],
+                      S=sim.S[::stride].copy(), I=sim.I[::stride].copy())
+    # the march's trajectory goes before the text is made: the table needs
+    # only the written rows, and their attack u
+    del sim
     csv = _csv(["t"] + _node_columns(grid) + ["S", "I", "u"],
-               sim.S[::stride].ravel(), sim.I[::stride].ravel(),
-               attack[::stride].ravel(),
-               frames=frames, nodes=grid.window_nodes)
+               written.S.ravel(), written.I.ravel(),
+               written.log_attack().ravel(),
+               frames=written.times, nodes=grid.window_nodes)
     summary = {
         "sup_difference": gap,
         "dt": cfg.sir_dt,

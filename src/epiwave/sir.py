@@ -28,6 +28,9 @@ from .domain.nonlinearity import saturating_exponential
 from .dynamics import march_steps, solve_initial_value
 from .errors import ConvergenceError, ValidationError
 
+# pair values per chunk of rows when the bridge tabulates its seed
+_SEED_CHUNK = 8192
+
 
 @dataclass
 class SirState:
@@ -70,10 +73,13 @@ class SirState:
                           dtype=float)
 
     def log_attack(self) -> np.ndarray:
-        """u = -ln(S/S0) over the stored trajectory."""
+        """u = -ln(S/S0) over the stored trajectory, each step in place in
+        the one array returned."""
         if self.S is None:
             raise ValidationError("no trajectory stored; run the simulator")
-        return -np.log(self.S / self.susceptible0()[None, :])
+        u = np.divide(self.S, self.susceptible0()[None, :])
+        np.log(u, out=u)
+        return np.negative(u, out=u)
 
 
 def simulate_sir(state: SirState, dt: float, horizon: float) -> SirState:
@@ -169,9 +175,15 @@ def sir_to_kernel(state: SirState):
 
     def seed_on_nodes(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        pairs = (box(X[:, None, :] - nodes_y[None, :, :])
-                 * np.asarray(contact.target(X), dtype=float)[:, None]
-                 * source_y)
+        target_x = np.asarray(contact.target(X), dtype=float)
+        pairs = np.empty((len(X), len(nodes_y)))
+        # a chunk of rows at a time, so no temporary is window x seeds
+        step = max(1, _SEED_CHUNK // max(1, len(nodes_y)))
+        for start in range(0, len(X), step):
+            rows = slice(start, start + step)
+            chunk = box(X[rows, None, :] - nodes_y[None, :, :])
+            chunk *= target_x[rows, None]
+            np.multiply(chunk, source_y, out=pairs[rows])
         return lambda t: pairs @ ramp(t)
 
     return kernel, seed_on_nodes, saturating_exponential()
@@ -197,5 +209,11 @@ def equivalence_check(state: SirState, dt: float, horizon: float) -> float:
         raise ValidationError(
             f"trajectory shapes diverged: {u_sir.shape} vs {u_int.shape}"
         )
-    inner = state.grid.interior_indices(kernel.half_width)
-    return float(np.max(np.abs(u_sir[:, inner] - u_int[:, inner])))
+    grid = state.grid
+    # the interior is one run of nodes in 1-D, reached through a view of
+    # u_sir, which this function owns; in 2-D it is gathered (a copy)
+    inner = (grid.interior_block(kernel.half_width)[0] if grid.dim == 1
+             else grid.interior_indices(kernel.half_width))
+    gap = u_sir[:, inner]
+    np.subtract(gap, u_int[:, inner], out=gap)
+    return float(np.max(np.abs(gap, out=gap)))

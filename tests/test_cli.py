@@ -385,6 +385,39 @@ def test_march_csv_blocks_match_row_by_row_formatter(
     assert text == _rows_csv(header, _march_rows(frames, nodes, *columns))
 
 
+# values whose '%.17g' text runs from 1 character to 24
+_WIDE_AND_NARROW = np.array([
+    0.0, -1.2345678901234567e-300, 7.0, -0.5, 0.10000000000000001, 12.25,
+    -3e-05, 1e+16, 2.5e-07, -1.0])
+
+
+@pytest.mark.parametrize("dim, n_nodes, n_columns", [
+    pytest.param(1, 30, 3, id="1-d"),
+    pytest.param(2, 30, 2, id="2-d"),
+    pytest.param(1, pipelines._BLOCK // 2 + 7, 2, id="a-frame-over-a-block"),
+    pytest.param(2, pipelines._BLOCK + 5, 1, id="a-frame-over-a-block-2-d"),
+])
+def test_march_csv_packs_frame_and_node_fields_of_every_width(
+        dim, n_nodes, n_columns):
+    """The frame and node fields are packed to their longest text: frames
+    and node coordinates from '0' to '-1.2345678901234567e-300' give the
+    same rows as the row-by-row formatter, also when a frame's values
+    fill more than one pass of the kernel."""
+    widths = sorted(len("%.17g" % v) for v in _WIDE_AND_NARROW)
+    assert (widths[0], widths[-1]) == (1, 24)
+    rng = np.random.default_rng(n_nodes + dim)
+    frames = _WIDE_AND_NARROW[[1, 0, 2, 6, 4]]
+    nodes = np.column_stack([
+        np.resize(np.roll(_WIDE_AND_NARROW, axis), n_nodes)
+        for axis in range(dim)])
+    columns = [_spread_values(rng, len(frames) * n_nodes)
+               for _ in range(n_columns)]
+    header = ["t", *[f"x{d}" for d in range(dim)],
+              *[f"c{j}" for j in range(n_columns)]]
+    text = pipelines._csv(header, *columns, frames=frames, nodes=nodes)
+    assert text == _rows_csv(header, _march_rows(frames, nodes, *columns))
+
+
 def test_march_csv_with_an_all_zero_frame():
     # one frame per block, and the middle frame holds nothing but zeros
     n_nodes = pipelines._BLOCK // 2
@@ -409,24 +442,60 @@ def test_csv_longer_than_one_block():
     assert text == _rows_csv(["a", "b", "c"], zip(*columns))
 
 
+def _traced_peak(make):
+    """make()'s result and the peak of memory it allocated beside what was
+    held when it began, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        made = make()
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    return made, peak
+
+
 def test_a_wave_sized_csv_holds_little_beside_its_text():
     """A table of 16 slices x 2560 nodes x 3 columns, as wave.csv, peaks
-    at the text twice (the blocks' strings and their join), the table
-    and half a megabyte: the kernel's workspace is made once per table
-    and let go before the join."""
+    at the text twice (the blocks' strings and their join) and half a
+    megabyte: no copy of the table is made, each block stacks its own
+    rows, and the kernel's workspace is made once per table and let go
+    before the join."""
     rng = np.random.default_rng(29)
     n = 16 * 2560
     xi = np.linspace(-40.0, 40.0, n)
     columns = [xi, np.tile(np.linspace(0.0, 1.0, 2560), 16),
                rng.random(n) * np.exp(-np.abs(xi))]
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        text = pipelines._csv(["xi", "x_cell", "u"], *columns)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * len(text) + 3 * n * 8 + 2**19
+    text, peak = _traced_peak(
+        lambda: pipelines._csv(["xi", "x_cell", "u"], *columns))
+    assert peak <= 2 * len(text) + 2**19
+
+
+def test_a_sir_sized_csv_holds_little_beside_its_text():
+    """41 frames x 1536 nodes x 3 columns, as sir.csv at cell 64 and
+    window 12, holds no more: the frame and node fields are packed once,
+    and a block is one frame."""
+    rng = np.random.default_rng(30)
+    frames = 0.1 * np.arange(41)
+    nodes = (np.arange(1536)[:, None] + 0.5) / 64.0 - 12.0
+    columns = [rng.random(41 * 1536) for _ in range(3)]
+    text, peak = _traced_peak(lambda: pipelines._csv(
+        ["t", "x", "S", "I", "u"], *columns, frames=frames, nodes=nodes))
+    assert len(text.splitlines()) == 1 + 41 * 1536
+    assert peak <= 2 * len(text) + 2**19
+
+
+def test_simulate_lets_its_trajectory_go_before_its_text(tmp_path):
+    """On a march-io-sized document (cell 64, window 12, 801 steps) the
+    pipeline's peak stays below the trajectory's bytes plus one copy of
+    its text: the march is released before the table is formatted, whose
+    text is then held twice (its blocks and their join)."""
+    cfg = load_scenario(_write_config(
+        tmp_path, {"grid": {"cell_points": 64, "window_radius": 12}}))
+    (artifacts, _), peak = _traced_peak(lambda: pipelines.run_simulate(cfg))
+    trajectory = (round(cfg.horizon / cfg.dt) + 1) * cfg.grid.n_window * 8
+    assert trajectory == 801 * 1536 * 8
+    assert peak < trajectory + len(artifacts["simulate.csv"])
 
 
 def test_csv_on_both_sides_of_the_exact_range():
