@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import io
 import json
 import os
 import sys
@@ -47,17 +48,15 @@ def _versions() -> dict:
     }
 
 
-# characters per write: the encoded bytes of a slice are all the text
-# mode holds beside the text, not a second copy of a whole table
-_WRITE_CHARS = 1 << 16
-
-
 def _write_all(out_dir, artifacts) -> None:
+    """Write each text in slices of io's buffer size: text mode hands an
+    ASCII slice no longer than its chunk size on as it is, where a whole
+    table would first be encoded into a copy of its own."""
     os.makedirs(out_dir, exist_ok=True)
     for name, text in artifacts.items():
         with open(os.path.join(out_dir, name), "w", newline="") as handle:
-            for start in range(0, len(text), _WRITE_CHARS):
-                handle.write(text[start:start + _WRITE_CHARS])
+            for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+                handle.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
 
 
 def main(argv=None) -> int:

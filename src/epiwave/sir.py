@@ -28,9 +28,6 @@ from .domain.nonlinearity import saturating_exponential
 from .dynamics import march_steps, solve_initial_value
 from .errors import ConvergenceError, ValidationError
 
-# pair values per chunk of rows when the bridge tabulates its seed
-_SEED_CHUNK = 8192
-
 
 @dataclass
 class SirState:
@@ -177,8 +174,9 @@ def sir_to_kernel(state: SirState):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         target_x = np.asarray(contact.target(X), dtype=float)
         pairs = np.empty((len(X), len(nodes_y)))
-        # a chunk of rows at a time, so no temporary is window x seeds
-        step = max(1, _SEED_CHUNK // max(1, len(nodes_y)))
+        # a chunk of rows at a time, each about as many pairs as X has
+        # rows, so no temporary is larger than one field of X
+        step = max(1, len(X) // max(1, len(nodes_y)))
         for start in range(0, len(X), step):
             rows = slice(start, start + step)
             chunk = box(X[rows, None, :] - nodes_y[None, :, :])
@@ -209,11 +207,11 @@ def equivalence_check(state: SirState, dt: float, horizon: float) -> float:
         raise ValidationError(
             f"trajectory shapes diverged: {u_sir.shape} vs {u_int.shape}"
         )
+    # the interior is a box of whole axis runs: a view of u_sir, which
+    # this function owns, holds the gap in every dimension
     grid = state.grid
-    # the interior is one run of nodes in 1-D, reached through a view of
-    # u_sir, which this function owns; in 2-D it is gathered (a copy)
-    inner = (grid.interior_block(kernel.half_width)[0] if grid.dim == 1
-             else grid.interior_indices(kernel.half_width))
-    gap = u_sir[:, inner]
-    np.subtract(gap, u_int[:, inner], out=gap)
+    shape = (len(u_sir), *grid.window_shape)
+    inner = (slice(None), *grid.interior_block(kernel.half_width))
+    gap = u_sir.reshape(shape)[inner]
+    np.subtract(gap, u_int.reshape(shape)[inner], out=gap)
     return float(np.max(np.abs(gap, out=gap)))
