@@ -452,17 +452,14 @@ def run_simulate(cfg: ScenarioConfig):
     grid, kernel, response = cfg.grid, cfg.kernel, cfg.response
     # the tail mask and the march refuse windows too small for the tail and
     # for the kernel reach, so they go first, before the cell table is built
-    tail = dynamics.tail_mask(grid, cfg.tail_radius, cfg.boundary_margin)
+    tail = dynamics.tail_mask(grid, kernel.half_width, cfg.tail_radius,
+                              cfg.boundary_margin)
     field = dynamics.solve_initial_value(kernel, cfg.forcing, response, grid,
                                          dt=cfg.dt, horizon=cfg.horizon)
     transfer = time_integrate_kernel(kernel, grid)
     final, settled = dynamics.long_time_limit(field)
     state = steady.solve_steady_state(transfer, response, tol=cfg.tol)
-    outcome = dynamics.classify_outcome(final, state, cfg.tail_radius,
-                                        tol=cfg.classify_tol, grid=grid,
-                                        boundary_margin=cfg.boundary_margin)
     summary = {
-        "outcome": outcome.value,
         "settled": bool(settled),
         "tail_min": float(np.min(final[tail])),
         "tail_max": float(np.max(final[tail])),
@@ -472,6 +469,10 @@ def run_simulate(cfg: ScenarioConfig):
     if state.present:
         gap = np.abs(final - grid.periodic_on_window(state.values))
         summary["tail_steady_gap"] = float(np.max(gap[tail]))
+    outcome = dynamics.classify_outcome(
+        summary["tail_min"], summary["tail_max"],
+        summary.get("tail_steady_gap"), cfg.classify_tol)
+    summary["outcome"] = outcome.value
 
     stride = _time_stride(field.values.shape[0])
     frames = field.times[::stride]

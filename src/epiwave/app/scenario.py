@@ -409,8 +409,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         slices=_number(run, "run", "slices", 16, low=4, integer=True),
         speed_factor=_number(run, "run", "speed_factor", 2.0),
         sub_speed_factor=_number(run, "run", "sub_speed_factor", 0.98),
-        tail_radius=_number(run, "run", "tail_radius", 6.0),
-        boundary_margin=_number(run, "run", "boundary_margin", 4.5),
+        tail_radius=_number(run, "run", "tail_radius", 6.0 * support_radius),
+        boundary_margin=_number(run, "run", "boundary_margin",
+                                4.5 * support_radius),
         classify_tol=_number(run, "run", "classify_tol", 1e-2, low=0.0),
     )
     if settings["speed_factor"] <= 1.0:

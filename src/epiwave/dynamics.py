@@ -18,9 +18,11 @@ reproduced without any time error.
 
 Nodes closer than the kernel reach to the window edge on some axis
 cannot see their whole interaction neighborhood, so they are frozen at
-the seeding value f(t, x); diagnostics exclude that boundary layer. Its
-width is the kernel's reach along one axis (Reach): the half-width of
-its box.
+the seeding value f(t, x). That layer is as wide as the kernel's reach
+along one axis (Reach): the half-width of its box. A verdict on a march
+reads the tail of tail_mask, which holds no frozen node, and
+classify_outcome decides from the tail's minimum, maximum and gap to the
+steady state alone: the numbers simulate reports.
 
 The march writes each step straight into its row of the stored
 trajectory. The forcing is its seeding function (domain/forcing.py):
@@ -51,7 +53,7 @@ from .errors import ConvergenceError, ValidationError
 
 DEFAULT_DT = 0.05
 DEFAULT_HORIZON = 80.0
-DEFAULT_CLASSIFY_TOL = 1e-4
+SETTLED_DRIFT_TOL = 1e-4
 # values in one stored trajectory, (steps + 1) x window nodes: 256 MiB
 MAX_TRAJECTORY_VALUES = 2**25
 
@@ -167,7 +169,7 @@ def _guard_finite(u, t):
     )
 
 
-def long_time_limit(field: SpaceTimeField, tol: float = DEFAULT_CLASSIFY_TOL):
+def long_time_limit(field: SpaceTimeField, tol: float = SETTLED_DRIFT_TOL):
     """Final snapshot and whether it stopped moving over the last time unit."""
     back = int(round(1.0 / field.dt))
     if field.values.shape[0] <= back:
@@ -192,43 +194,36 @@ def limiting_equation_residual(u_inf, transfer, response, f_inf) -> float:
     return float(np.max(np.abs(u_inf - applied - f_inf)[idx]))
 
 
-def tail_mask(grid, tail_radius: float, boundary_margin: float) -> np.ndarray:
-    """Window nodes at distance >= tail_radius from the seeding center,
-    outside the frozen boundary layer of width boundary_margin; refuses a
-    tail that leaves no such node."""
-    if tail_radius >= grid.window_radius - boundary_margin:
+def tail_mask(grid, reach: float, tail_radius: float,
+              boundary_margin: float) -> np.ndarray:
+    """Window nodes at distance >= tail_radius from the seeding center and
+    >= max(boundary_margin, reach) from the window edge on every axis, so
+    none of the march's frozen layer; refuses a tail with no such node."""
+    layer = max(boundary_margin, reach)
+    keep = np.zeros(grid.n_window, dtype=bool)
+    keep[grid.interior_indices(layer)] = True
+    keep &= np.linalg.norm(grid.window_nodes, axis=1) >= tail_radius
+    if tail_radius >= grid.window_radius - layer or not keep.any():
         raise ValidationError(
             f"tail radius {tail_radius} leaves no nodes inside the window "
             f"of radius {grid.window_radius} after the boundary layer"
         )
-    keep = np.zeros(grid.n_window, dtype=bool)
-    keep[grid.interior_indices(boundary_margin)] = True
-    keep &= np.linalg.norm(grid.window_nodes, axis=1) >= tail_radius
     return keep
 
 
-def classify_outcome(u_inf, steady, tail_radius: float,
-                     tol: float = DEFAULT_CLASSIFY_TOL, *,
-                     grid, boundary_margin: float) -> Outcome:
-    """Decide between spread and extinction from the far-field values.
+def classify_outcome(tail_min: float, tail_max: float,
+                     tail_steady_gap: float | None, tol: float) -> Outcome:
+    """Decide between spread and extinction from the tail's numbers.
 
-    The tail is every window node at distance >= tail_radius from the
-    seeding center, excluding the frozen boundary layer. Propagation
-    requires the tail to be uniformly above tol and, when the positive
-    steady state is supplied, within tol of it; extinction requires the
-    tail to be uniformly below tol.
+    Extinction: the tail stays at or below tol (tail_max <= tol).
+    Propagation: the tail stays at or above tol (tail_min >= tol) and
+    within tol of the positive steady state (tail_steady_gap <= tol); a
+    gap of None means no positive steady state exists. Anything else is
+    undetermined.
     """
-    u_inf = np.asarray(u_inf, dtype=float)
-    keep = tail_mask(grid, tail_radius, boundary_margin)
-    tail = u_inf[keep]
-
-    if np.max(tail) <= tol:
+    if tail_max <= tol:
         return Outcome.FADES_OUT
-    if np.min(tail) >= tol:
-        if steady is None or not getattr(steady, "present", False):
-            return Outcome.PROPAGATES if steady is None else Outcome.UNDETERMINED
-        gap = np.abs(tail - grid.periodic_on_window(steady.values)[keep])
-        if np.max(gap) <= tol:
-            return Outcome.PROPAGATES
-        return Outcome.UNDETERMINED
+    if (tail_min >= tol and tail_steady_gap is not None
+            and tail_steady_gap <= tol):
+        return Outcome.PROPAGATES
     return Outcome.UNDETERMINED

@@ -96,9 +96,12 @@ def test_criterion_02_threshold_dichotomy(response):
         elapsed = time.perf_counter() - started
         final, settled = dynamics.long_time_limit(field)
         state = steady.solve_steady_state(transfer, response)
-        outcome = dynamics.classify_outcome(final, state, tail_radius=6.0,
-                                            tol=tol, grid=grid,
-                                            boundary_margin=4.5)
+        keep = dynamics.tail_mask(grid, 1.0, 6.0, 4.5)
+        outcome = dynamics.classify_outcome(
+            float(np.min(final[keep])), float(np.max(final[keep])),
+            float(np.max(np.abs(final[keep] - grid.periodic_on_window(
+                state.values)[keep]))) if state.present else None,
+            tol)
         r = np.abs(grid.window_nodes[:, 0])
         tail = np.zeros(grid.n_window, dtype=bool)
         tail[grid.interior_indices(4.5)] = True

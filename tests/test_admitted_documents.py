@@ -8,9 +8,16 @@ artifacts, or exits 2 with a message and writes nothing: none fails
 numerically, prints a traceback or raises a RuntimeWarning. On the exits
 0 the sweep checks two properties of the homogeneous box: lambda1
 equals the mass, and the minimal speed scales with the reach.
+
+A second sweep checks the threshold theorem as agreement between the
+commands that answer its question: threshold's lambda1, steady's positive
+state, speed's front at rest, simulate's march and dispersion's surface.
 """
 
+import csv
+import io
 import json
+import math
 import random
 import warnings
 
@@ -59,8 +66,10 @@ def admitted_documents(seed: int, count: int):
     return docs
 
 
-def _run(tmp_path, capsys, command, doc, tag):
-    """Exit code and artifact summary (None unless exit 0) of one call."""
+def _run(tmp_path, capsys, command, doc, tag, artifact=None):
+    """Exit code and artifact (None unless exit 0) of one call: a JSON
+    artifact as its summary, a CSV one as its rows of floats keyed by
+    column."""
     cfg = tmp_path / f"{tag}.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / f"{tag}-{command}"
@@ -74,7 +83,11 @@ def _run(tmp_path, capsys, command, doc, tag):
         assert "configuration error" in err, (command, doc, err)
         assert not out.exists(), (command, doc)
         return code, None
-    return code, json.loads((out / _ARTIFACTS[command]).read_text())
+    text = (out / (artifact or _ARTIFACTS[command])).read_text()
+    if artifact and artifact.endswith(".csv"):
+        return code, [{key: float(value) for key, value in row.items()}
+                      for row in csv.DictReader(io.StringIO(text))]
+    return code, json.loads(text)
 
 
 def test_admitted_documents_exit_0_or_refuse(tmp_path, capsys):
@@ -108,3 +121,58 @@ def test_admitted_documents_exit_0_or_refuse(tmp_path, capsys):
             scaled_speeds += 1
     # the seed reaches both invariants
     assert box_lambdas >= 6 and scaled_speeds >= 2
+
+
+def _march_window(doc):
+    """The window simulate marches a document on: in 1-D, wide enough for
+    the default tail, 6R from the seed and 4.5R from the edge, up to reach
+    3, and the radius 12 of README's example beyond; in 2-D its own."""
+    grid, reach = doc["grid"], doc["kernel"]["support_radius"]
+    if grid["dim"] == 2:
+        return grid["window_radius"]
+    least = math.floor(10.5 * reach) + 2 if reach <= 3 else 12
+    return max(grid["window_radius"], least)
+
+
+def test_commands_agree_on_the_threshold(tmp_path, capsys):
+    """lambda1 > 1 exactly when steady finds its positive state and speed's
+    front moves; simulate's verdict, where it reaches one, is threshold's;
+    every other simulate call is a refusal; and below c*, the dispersion
+    surface stays above 1, falling in c at each decay rate."""
+    verdicts = []
+    refused = 0
+    for k, (_, doc) in enumerate(admitted_documents(seed=1, count=24)):
+        tag = f"d{k}"
+        results = {command: _run(tmp_path, capsys, command, doc, tag)
+                   for command in _ARTIFACTS}
+        assert {code for code, _ in results.values()} == {0}, doc
+        outcome = results["threshold"][1]["outcome"]
+        propagates = outcome == "propagates"
+        assert results["steady"][1]["present"] is propagates, doc
+        speed = results["speed"][1]
+        assert speed["at_rest"] is not propagates, doc
+
+        march = {**doc, "grid": {**doc["grid"],
+                                 "window_radius": _march_window(doc)}}
+        code, summary = _run(tmp_path, capsys, "simulate", march, tag,
+                             "simulate.json")
+        if code == 0:
+            verdicts.append(summary["outcome"])
+            assert summary["outcome"] in (outcome, "undetermined"), march
+        else:
+            refused += 1
+
+        code, rows = _run(tmp_path, capsys, "dispersion", doc, tag,
+                          "dispersion.csv")
+        assert code == 0, doc
+        below = [row for row in rows if row["c"] < speed["c_star"] - 1e-6]
+        assert all(row["lambda"] > 1.0 for row in below), doc
+        # and at each decay rate lambda falls as the speed grows
+        for rho in {row["rho"] for row in rows}:
+            cut = sorted((row["c"], row["lambda"]) for row in rows
+                         if row["rho"] == rho)
+            assert all(a[1] > b[1] for a, b in zip(cut, cut[1:])), (doc, rho)
+    # the seed marches both sides of the threshold, and refuses too; no
+    # march of the seed ends undetermined
+    assert {"propagates", "fades_out"} <= set(verdicts) and refused
+    assert "undetermined" not in verdicts

@@ -909,6 +909,55 @@ def test_simulate_refuses_its_tail_before_the_march(tmp_path, capsys,
     assert "tail radius 6.0 leaves no nodes" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_tail_inside_the_frozen_layer(tmp_path, capsys):
+    """At reach 7 the march freezes |x| > 5 of a window of radius 12; the
+    default tail, from 6R = 42 and 4.5R from the edge, holds no marched
+    node, so simulate refuses instead of reading frozen zeros."""
+    cfg = _write_config(tmp_path, {
+        "grid": {"cell_points": 16, "window_radius": 12},
+        "kernel": {"mass": 2.6642, "support_radius": 7}})
+    out = tmp_path / "should_not_exist"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "tail radius 42.0 leaves no nodes" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_refuses_a_tail_that_catches_no_node(tmp_path, capsys):
+    """A tail radius below the layer's inner edge, 7, but above the last
+    node inside it, 6.9375, leaves an empty tail: a refusal, not a
+    traceback."""
+    cfg = _write_config(tmp_path, {
+        "grid": {"cell_points": 8, "window_radius": 8},
+        "run": {"tail_radius": 6.95, "boundary_margin": 1.0}})
+    out = tmp_path / "should_not_exist"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "tail radius 6.95 leaves no nodes" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("reach, window", [(2, 23), (3, 33)])
+def test_simulate_tail_scales_with_the_reach(tmp_path, reach, window):
+    """The default tail, from 6R and 4.5R from the edge, lies past the
+    front's wake and the frozen layer's dip: a supercritical box reads
+    propagates, and the verdict follows from simulate.json's own numbers."""
+    cfg = _write_config(tmp_path, {
+        "grid": {"cell_points": 16, "window_radius": window},
+        "kernel": {"mass": 2.0, "support_radius": reach}})
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate.json").read_text())
+    assert summary["outcome"] == "propagates"
+    assert summary["tail_steady_gap"] < 1e-3
+    verdict = dynamics.classify_outcome(summary["tail_min"],
+                                        summary["tail_max"],
+                                        summary["tail_steady_gap"], 1e-2)
+    assert verdict.value == summary["outcome"]
+
+
 _COMMANDS_WITHOUT_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None

@@ -13,6 +13,7 @@ from epiwave.dynamics import (
     long_time_limit,
     march_steps,
     solve_initial_value,
+    tail_mask,
 )
 from epiwave.errors import ConvergenceError
 from epiwave.sir import SirState, sir_to_kernel
@@ -27,6 +28,19 @@ def _box_setup(window=8, cell=32, mass=2.0):
     response = ew.saturating_exponential()
     forcing = ew.bump_forcing(amplitude=1.0, radius=1.5, rate=1.0)
     return grid, kernel, response, forcing
+
+
+def _verdict(final, steady, grid, tail_radius, boundary_margin, tol):
+    """classify_outcome on the tail numbers simulate reports, for a kernel
+    of reach 1."""
+    keep = tail_mask(grid, 1.0, tail_radius, boundary_margin)
+    tail = final[keep]
+    gap = None
+    if steady is not None and steady.present:
+        gap = float(np.max(np.abs(
+            tail - grid.periodic_on_window(steady.values)[keep])))
+    return classify_outcome(float(np.min(tail)), float(np.max(tail)), gap,
+                            tol)
 
 
 def _zero_forcing():
@@ -131,8 +145,8 @@ def test_supercritical_run_classified_as_propagation():
     assert converged
     steady = solve_steady_state(ew.time_integrate_kernel(kernel, grid),
                                 response)
-    outcome = classify_outcome(final, steady, tail_radius=6.0, tol=1e-2,
-                               grid=grid, boundary_margin=4.5)
+    outcome = _verdict(final, steady, grid, tail_radius=6.0,
+                       boundary_margin=4.5, tol=1e-2)
     assert outcome is Outcome.PROPAGATES
     x = np.abs(grid.window_nodes[:, 0])
     tail = (x >= 6.0) & (x <= grid.window_radius - 4.5)
@@ -148,8 +162,8 @@ def test_subcritical_run_classified_as_extinction():
     steady = solve_steady_state(ew.time_integrate_kernel(kernel, grid),
                                 response)
     assert not steady.present
-    outcome = classify_outcome(final, steady, tail_radius=6.0, tol=1e-3,
-                               grid=grid, boundary_margin=4.5)
+    outcome = _verdict(final, steady, grid, tail_radius=6.0,
+                       boundary_margin=4.5, tol=1e-3)
     assert outcome is Outcome.FADES_OUT
 
 
@@ -157,16 +171,58 @@ def test_unforced_limit_classified_as_extinction():
     grid, kernel, response, _ = _box_setup()
     field = solve_initial_value(kernel, _zero_forcing(), response, grid,
                                 dt=0.1, horizon=5.0)
-    outcome = classify_outcome(field.final, None, tail_radius=3.0, tol=1e-4,
-                               grid=grid, boundary_margin=2.0)
+    outcome = _verdict(field.final, None, grid, tail_radius=3.0,
+                       boundary_margin=2.0, tol=1e-4)
     assert outcome is Outcome.FADES_OUT
 
 
-def test_classify_rejects_empty_tail():
+@pytest.mark.parametrize("tail_min, tail_max, gap, want", [
+    (0.0, 1e-3, None, Outcome.FADES_OUT),
+    (0.0, 1e-3, 0.5, Outcome.FADES_OUT),
+    (1.5, 1.6, 1e-3, Outcome.PROPAGATES),
+    (1.5, 1.6, 0.5, Outcome.UNDETERMINED),
+    (1.5, 1.6, None, Outcome.UNDETERMINED),
+    (1e-3, 1.6, 1e-3, Outcome.UNDETERMINED),
+])
+def test_classify_reads_only_the_tail_numbers(tail_min, tail_max, gap, want):
+    assert classify_outcome(tail_min, tail_max, gap, 1e-2) is want
+
+
+def test_tail_mask_rejects_empty_tail():
     grid, _, _, _ = _box_setup()
     with pytest.raises(ValidationError, match="tail radius"):
-        classify_outcome(np.zeros(grid.n_window), None, tail_radius=7.0,
-                         tol=1e-4, grid=grid, boundary_margin=2.0)
+        tail_mask(grid, 1.0, tail_radius=7.0, boundary_margin=2.0)
+    # the frozen layer of a reach-6 kernel leaves |x| <= 2 of the window
+    # of radius 8, so a tail from 3 on is empty at any margin below 6
+    with pytest.raises(ValidationError, match="tail radius"):
+        tail_mask(grid, 6.0, tail_radius=3.0, boundary_margin=2.0)
+    # a tail radius below the layer's edge, |x| <= 7, that still catches
+    # no node: the outermost kept node of an 8-point cell lies at 6.9375
+    with pytest.raises(ValidationError, match="tail radius"):
+        tail_mask(ew.PeriodicGrid(1, 8, 8), 1.0, tail_radius=6.95,
+                  boundary_margin=1.0)
+
+
+@pytest.mark.parametrize("dim, cell, window, reach, tail_radius", [
+    (1, 16, 12, 7.0, 2.0),
+    (2, 8, 3, 2.5, 0.3),
+])
+def test_tail_mask_keeps_no_frozen_node(dim, cell, window, reach,
+                                        tail_radius):
+    """With a boundary margin below the reach, the tail still stops at the
+    inner edge of the frozen layer: every kept node is marched."""
+    grid = ew.PeriodicGrid(dim, cell, window)
+    margin = 1.0
+    keep = tail_mask(grid, reach, tail_radius, boundary_margin=margin)
+    to_edge = window - np.max(np.abs(grid.window_nodes), axis=1)
+    far = np.linalg.norm(grid.window_nodes, axis=1) >= tail_radius
+    assert keep.any()
+    assert np.all(to_edge[keep] >= reach - 1e-12)
+    marched = np.zeros(grid.n_window, dtype=bool)
+    marched[grid.interior_indices(reach)] = True
+    np.testing.assert_array_equal(keep, marched & far)
+    # the margin alone would have read frozen nodes
+    assert np.any(far & (to_edge >= margin) & (to_edge < reach))
 
 
 def test_time_step_must_resolve_recovery():
