@@ -25,7 +25,8 @@ verdict on the same document; the pipelines only use what load built.
 Heterogeneities are compiled once and must have period 1 on every axis,
 as the periodic medium of the theory does: every kernel matrix between
 window nodes is built from the kernel's values on the periodicity cell
-(domain/kernels.py, CellBlockMatrix), so an expression such as
+(domain/kernels.py, AxisBoxMatrix and its line matrix CellBlockMatrix),
+so an expression such as
 "1 + 0.05*x" would silently stand for its periodization.  The loader
 evaluates each expression on the window nodes and refuses it unless the
 values are finite and repeat those on the cell nodes, and unless they

@@ -26,11 +26,12 @@ MAX_WINDOW_NODES = 2**16
 # Most bytes a grid's cell may ask of the kernel (cell_bytes): n_cell**2
 # floats per lattice image the kernel reaches, (2 * ceil(s) + 1)**dim
 # images for a box of per-axis reach s, plus n_cell**2 x dim floats more.
-# A 1-D kernel keeps the image table (image_table), made from its factors
-# with no array of node pairs, and every matrix of the kernel reads the one
-# table, so the ball sweep adds no copy of it; a 2-D kernel makes no table
-# (time_integrate_kernel). The count is an upper bound: no kernel
-# allocates its n_cell**2 x dim term.
+# A 1-D kernel keeps its image table (image_table), made from its factors
+# with no array of node pairs, as the line table of its matrices
+# (box_axes): every matrix of the kernel reads the one table, so the ball
+# sweep adds no copy of it. A 2-D kernel keeps only the unit box's line
+# table, cell_points**2 floats per image. The count is an upper bound: no
+# kernel allocates its n_cell**2 x dim term.
 # At reach 1 it admits 1-D cells of up to 2,048 points and 2-D cells of up
 # to 35 x 35 (peak RSS 354 and 64 MB integrating the box kernel and
 # building the window matrix of either, one BLAS thread); the largest
@@ -51,17 +52,18 @@ def cell_bytes(dim: int, cell_points: int, reach: float,
     gather), for at most images = (2 * ceil(reach) + 1)**dim lattice images
     and n_cell = cell_points**dim. table is n_cell**2 x 8 x (dim +
     images): the lattice-image blocks of a 1-D kernel's table and n_cell**2
-    x dim floats more, an upper bound (a 2-D kernel makes no table, and no
-    table is made from node-pair arrays); gather is what
+    x dim floats more, an upper bound (a 2-D kernel keeps only a line
+    table, and no table is made from node-pair arrays); gather is what
     one column of a product with the window matrix of a window of radius
-    window_radius gathers (CellBlockMatrix.__matmul__), (2 *
-    window_radius)**dim cells x images x n_cell x 8. A ball truncation
-    gathers for a subset of the window's cells, so gather bounds its
-    products too. A 2-D box kernel is applied one axis at a time
-    (AxisBoxMatrix): one column of its product gathers side**2 x (2 *
-    ceil(reach) + 1) values for the side of the node's square, at most 2
-    * window_radius * cell_points, so gather bounds it and every working
-    array of its products with room to spare. Exact integer arithmetic,
+    window_radius would gather cell by cell, (2 * window_radius)**dim
+    cells x images x n_cell x 8. In 1-D that is what the line matrix
+    gathers (CellBlockMatrix.product); a ball truncation gathers for a
+    subset of the window's cells, so gather bounds its products too. A
+    2-D box kernel is applied one axis at a time (AxisBoxMatrix): one
+    column of its product gathers side**2 x (2 * ceil(reach) + 1) values
+    for the side of the nodes' square, at most 2 * window_radius *
+    cell_points, so gather bounds it and every working array of its
+    products with room to spare. Exact integer arithmetic,
     so any finite reach gives an answer; nothing is allocated."""
     n_cell = int(cell_points) ** int(dim)
     images = (2 * math.ceil(reach) + 1) ** int(dim)

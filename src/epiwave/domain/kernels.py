@@ -23,10 +23,12 @@ memory by exp(-rho c tau) as well; that exponent enters only the tilted
 operator (waves/dispersion.py).
 
 A matrix of V or K between window nodes is read from the kernel's values
-on the cell. In 1-D it is block-Toeplitz over cells (CellBlockMatrix). In
-2-D it is a Kronecker product of two 1-D box matrices between two
-diagonals, applied one axis at a time (AxisBoxMatrix); box_axes alone
-makes that choice, from the grid's dimension.
+on the cell, in one form (AxisBoxMatrix): diag(left) (L ⊗ ... ⊗ L)
+diag(right) over the nodes, applied one axis at a time, with L
+block-Toeplitz over a run of whole 1-D cells (CellBlockMatrix). In 1-D, L
+holds the kernel's own image table and left is a scalar; a 2-D box is two
+1-D unit boxes between two diagonals. box_axes alone builds these line
+factors, from the grid's dimension.
 
 The cell's values toward each lattice image it reaches, the image table,
 are tabulated by image_table from the kernel's factors: the unit box per
@@ -121,11 +123,11 @@ class SeparableKernel:
     infectivity at the emitting point and decay (mu) is the recovery rate;
     each is a periodic function of an (N, dim) array of points, one when
     not given. These six values are the whole kernel: its image tables
-    (image_table) and its 2-D matrices (box_axes) are made from them, the
-    exponential in tau admits the closed-form time integral V(x, y) =
-    K(x, y) / mu(y) and O(1)-memory time marching, and the symmetric K0
-    makes every operator self-adjoint in the weight s / (b mu)
-    (time_integrate_kernel).
+    (image_table) and its matrices' line factors (box_axes) are made from
+    them, the exponential in tau admits the closed-form time integral
+    V(x, y) = K(x, y) / mu(y) and O(1)-memory time marching, and the
+    symmetric K0 makes every operator self-adjoint in the weight
+    s / (b mu) (time_integrate_kernel).
 
     The half-width is the kernel's reach (Reach), refused unless finite
     and positive; mass must be finite and nonnegative and mu strictly
@@ -282,36 +284,25 @@ def _product_table(blocks: np.ndarray) -> np.ndarray:
 class SpatialKernel:
     """A time-integrated kernel V sampled on a grid.
 
-    The cell's lattice-image table of V is tabulated once, by image_table,
-    when the kernel is integrated. The periodized cell matrix (plain
-    values, not yet weighted by quadrature) is the sum of its blocks,
-    taken first. Without axes the table is then laid out once, in place,
-    for the products (_product_table), and kept as `table` beside
-    `shifts`: the ball truncations and the window matrix (matrix) are
-    CellBlockMatrix objects that read this one table and copy none of it.
-    A 2-D box kernel's matrices are AxisBoxMatrix objects that read the
-    kernel's `axes` (box_axes) instead, so no table is made for it: its
-    cell matrix is summed image by image from the factors (`table` and
-    `shifts` are None). Also keeps the kernel's reach and the symmetry
-    weight s / (b mu) on the cell (gamma_cell).
+    Keeps the periodized cell matrix (plain values, not yet weighted by
+    quadrature), the kernel's reach, the symmetry weight s / (b mu) on the
+    cell (gamma_cell) and the line factors of V (box_axes), made once when
+    the kernel is integrated: the window matrix and every ball truncation
+    (matrix) read these factors and copy none of them.
     """
 
     def __init__(self, grid, cell_matrix: np.ndarray, reach: Reach,
-                 gamma_cell: np.ndarray, shifts=None, table=None, axes=None):
+                 gamma_cell: np.ndarray, axes):
         self.grid = grid
         self.cell_matrix = cell_matrix
-        self.shifts, self.table = shifts, table
         self.reach = reach
         self.gamma_cell = gamma_cell
         self.axes = axes
 
     def matrix(self, nodes: np.ndarray, scale: float = 1.0):
         """scale times the whole-line kernel values V(x_i, x_j) between the
-        given window nodes, in ascending order: axis by axis when the
-        kernel has axes, else in cell-block form over the image table."""
-        if self.axes is not None:
-            return AxisBoxMatrix(self.grid, nodes, self.axes, scale)
-        return CellBlockMatrix(self.grid, nodes, self.shifts, self.table, scale)
+        given window nodes, in ascending order."""
+        return AxisBoxMatrix(self.grid, nodes, self.axes, scale)
 
     def window_matrix(self):
         """V(x_i, x_j) between all window nodes, as window_pair_matrix
@@ -320,181 +311,95 @@ class SpatialKernel:
 
 
 class CellBlockMatrix:
-    """A kernel matrix between window nodes, applied cell by cell.
+    """The line matrix L of a 1-D image table over a run of whole cells.
 
-    The kernel is periodic under joint integer shifts, V(x + k, y + k) =
-    V(x, y), so the entry between the window nodes x_a + C and x_b + C'
-    (x_a, x_b cell nodes, C, C' integer cell offsets) is
-    V(x_a, x_b + C' - C) with C' - C = shifts[s]: the matrix is
-    block-Toeplitz over cells, and its blocks are the cell's lattice-image
-    blocks (image_table). Nothing is approximated; the blocks hold the
-    same kernel values, evaluated at cell coordinates instead of window
-    coordinates, so they differ only by rounding. That holds only
-    for a jointly periodic kernel: for one that is not (say a source
-    factor 1 + x) the matrix is that of its periodization, the kernel's
-    values on the cell repeated over the window. Scenario documents
-    refuse heterogeneities without period 1 on every axis for this reason
-    (app/scenario.py).
+    The table holds a kernel's values between the cell nodes and their
+    lattice images (image_table), laid out by _product_table: row s * n +
+    b, column a holds V(x_a, x_b + shifts[s]). The kernel is periodic
+    under joint integer shifts, V(x + k, y + k) = V(x, y), so the entry of
+    L between the nodes x_a + C and x_b + C' of the cells C and C' of the
+    run is V(x_a, x_b + C' - C), the table's value at shifts[s] = C' - C:
+    L is block-Toeplitz over cells, and zero between cells that no image
+    joins. Nothing is approximated; the blocks hold the same kernel
+    values, evaluated at cell coordinates instead of window coordinates,
+    so they differ only by rounding. That holds only for a jointly
+    periodic kernel: for one that is not (say a source factor 1 + x) the
+    matrix is that of its periodization, the kernel's values on the cell
+    repeated over the window. Scenario documents refuse heterogeneities
+    without period 1 on every axis for this reason (app/scenario.py).
 
-    This is the form of every 1-D kernel matrix and of the line matrix L
-    of the 2-D kernels, whose own matrices go axis by axis
-    (AxisBoxMatrix).
-
-    The blocks come as `table`, laid out by _product_table (row s * n + b,
-    column a holds V(x_a, x_b + shifts[s])). The matrix keeps a reference
-    to it, not a copy: every ball truncation of a kernel reads the same
-    array, and the entries are scale times the table's values, the scale
-    applied to each product's output.
-
-    The matrix acts on the window nodes given (all of them for the window
-    matrix, a ball for a Dirichlet truncation), held as slots (cell,
-    local): the row of the cell among the cells the nodes touch, and the
-    node's index among the cell nodes. A product scatters x into a
-    zero-padded (cells + 1) x n_cell array (one per column of x), gathers
-    for every cell the rows of its neighbours at the lattice shifts (the
-    padding row stands in for cells outside the nodes), and multiplies by
-    the table in one dense product. Window nodes that are not among the
-    given ones stay zero in the padded array, which is the Dirichlet
-    truncation; cells beyond the window are the padding row, as the
-    window itself truncates the whole-line kernel.
-
-    The padded array and the gather buffer are kept between products with
-    the same number of columns, so only the dense product's output is
-    allocated, and not even that when product() is given an out array.
-    Whether the slots run 0, 1, ..., N - 1 (each touched cell full, its
-    nodes in order, as for a 1-D window or a 1-D ball of whole cells) is
-    recorded once here: then the scatter and the output gather are
-    reshapes, not fancy indexing, and the product is the same bit for bit.
+    The matrix keeps a reference to the table, not a copy. A product
+    copies each row, by cells, into a zero-padded (cells + 1) x n array,
+    gathers for every cell the rows of its neighbours at the shifts (the
+    padding row stands in for cells beyond the run, as the window
+    truncates the whole-line kernel), and multiplies by the table in one
+    dense product. The padded array and the gather buffer are kept between
+    products of the same number of rows, so only the output is allocated,
+    and not even that when product() is given an out array.
     """
 
-    def __init__(self, grid, nodes: np.ndarray, shifts: np.ndarray,
-                 table: np.ndarray, scale: float = 1.0):
-        p = grid.cell_points
-        side = 2 * grid.window_radius  # cells per window axis
-        dims = (side,) * grid.dim
-        if grid.dim == 1:
-            axes = (nodes,)
-        else:
-            axes = divmod(nodes, side * p)
-        cell_key = np.ravel_multi_index([a // p for a in axes], dims)
-        self.local = grid.window_cell_map[nodes]
-        used, cell = np.unique(cell_key, return_inverse=True)
-        cells, n = len(used), table.shape[1]
-
-        row_of = np.full(side**grid.dim, cells)
-        row_of[used] = np.arange(cells)
-        target = np.stack(np.unravel_index(used, dims), axis=-1)[:, None, :] + shifts
-        inside = np.all((target >= 0) & (target < side), axis=-1)
-        key = np.ravel_multi_index(tuple(np.moveaxis(target, -1, 0)), dims,
-                                   mode="clip")
-        self._neighbours = np.where(inside, row_of[key], cells)
-        self._slots = cell.ravel() * n + self.local
-        self._in_order = (len(nodes) == cells * n and np.array_equal(
-            self._slots, np.arange(len(nodes))))
+    def __init__(self, cells: int, shifts: np.ndarray, table: np.ndarray):
+        target = np.arange(cells)[:, None] + shifts.reshape(-1)
+        self._neighbours = np.where((target >= 0) & (target < cells), target,
+                                    cells)
         self._work = None  # (k, buffers) of the last product; see _buffers
         self.table = table
-        self.scale = scale
-        self.shape = (len(nodes), len(nodes))
+        self.shape = (cells * table.shape[1],) * 2
 
     def _buffers(self, k: int):
-        """The zero-padded scatter array, the gather buffer and, unless the
-        slots are in order, the flat slots of each column in the two, for
-        products of k columns; kept until a product with another k."""
+        """The zero-padded array and the gather buffer for products of k
+        rows; kept until a product of another k."""
         if self._work is None or self._work[0] != k:
-            (cells, shifts), n = self._neighbours.shape, self.table.shape[1]
-            into = outof = None
-            if not self._in_order:
-                column = np.arange(k)[:, None] * n
-                into = (column * (cells + 1) + self._slots).ravel()
-                outof = (column * cells + self._slots).ravel()
+            (cells, images), n = self._neighbours.shape, self.table.shape[1]
             self._work = (k, np.zeros((k, cells + 1, n)),
-                          np.empty((k, cells, shifts, n)), into, outof)
+                          np.empty((k, cells, images, n)))
         return self._work[1:]
 
-    def __matmul__(self, x):
-        """A @ x for a vector x or an (nodes, k) array of k columns."""
-        x = np.asarray(x)
-        k = x.size // len(self._slots)
-        return self.product(x.T.reshape(k, -1)).reshape(x.shape[::-1]).T
-
     def product(self, rows, out=None) -> np.ndarray:
-        """A applied to each of the k rows of rows, a (k, nodes) array,
-        into out (a C-contiguous (k, nodes) float array) or a new array;
-        returns it. With the slots in order rows may also be (k, cells,
-        n_cell), each row by cells in any memory layout: the scatter reads
-        it as it lies."""
+        """L applied to each of the k rows of rows, a (k, cells * n) array
+        or (k, cells, n) by cells in any memory layout, read as it lies;
+        into out (a C-contiguous (k, cells * n) float array) or a new
+        array; returns it."""
         k = rows.shape[0]
-        padded, gathered, into, outof = self._buffers(k)
+        padded, gathered = self._buffers(k)
         cells, n = gathered.shape[1], gathered.shape[3]
-        if self._in_order:
-            padded[:, :cells] = rows.reshape(k, cells, n)
-        else:
-            # flat indices: a 2-D fancy index made small ball products 30% slower
-            padded.ravel()[into] = rows.ravel()
+        padded[:, :cells] = rows.reshape(k, cells, n)
         # mode="clip": every index is valid, and "raise" buffers the output
         np.take(padded, self._neighbours, axis=1, out=gathered, mode="clip")
-        flat = gathered.reshape(k * cells, -1)
         if out is None:
-            out = np.empty((k, len(self._slots)))
-        if self._in_order:
-            np.matmul(flat, self.table, out=out.reshape(k * cells, n))
-        else:
-            np.take((flat @ self.table).ravel(), outof, out=out.reshape(-1),
-                    mode="clip")
-        out *= self.scale
+            out = np.empty((k, cells * n))
+        np.matmul(gathered.reshape(k * cells, -1), self.table,
+                  out=out.reshape(k * cells, n))
         return out
-
-    def sum(self, axis) -> np.ndarray:
-        """Row sums (axis=1), the only sums a kernel matrix is taken over here."""
-        if axis != 1:
-            raise ValueError(f"only row sums (axis=1) are kept, got axis={axis}")
-        return self @ np.ones(self.shape[1])
-
-    @functools.cached_property
-    def nnz(self) -> int:
-        """Nonzero kernel values between the nodes, as a sparse matrix stores them."""
-        occupied = np.zeros((len(self._neighbours) + 1, self.table.shape[1]))
-        occupied.ravel()[self._slots] = 1.0
-        cells = occupied.shape[0] - 1
-        per_row = occupied[self._neighbours].reshape(cells, -1) @ (self.table != 0)
-        return int(per_row.ravel()[self._slots].sum())
-
-    def toarray(self) -> np.ndarray:
-        """The matrix in dense form (for checks and tests)."""
-        (cells, shifts), n = self._neighbours.shape, self.table.shape[1]
-        image = np.full((cells + 1, cells + 1), -1)
-        image[np.arange(cells)[:, None], self._neighbours] = np.arange(shifts)
-        row, local = np.divmod(self._slots, n)
-        s = image[row[:, None], row[None, :]]
-        values = self.table[np.maximum(s, 0) * n + local[None, :], local[:, None]]
-        return np.where(s >= 0, values * self.scale, 0.0)
 
 
 @dataclass
 class BoxAxes:
-    """A 2-D kernel b(x) K0(x - y) r(y) as factors on one line.
+    """A kernel's matrices as factors on one line (AxisBoxMatrix).
 
-    table is the lattice-image table (laid out by _product_table) of the
-    unit box of half-width half_width on line_grid, the 1-D grid of the
-    2-D grid's axis, with the same half value at the edge as box_profile:
-    K0(x - y) = height w(x1 - y1) w(x2 - y2) for that unit box w. left is
-    height b and right is r, each on the 2-D cell nodes.
+    shifts and table are a 1-D image table, laid out by _product_table.
+    A 1-D kernel's is its own image table (image_table), and left and
+    right are None. A 2-D kernel b(x) K0(x - y) r(y) is height b(x)
+    w(x1 - y1) w(x2 - y2) r(y), w the unit box of its half-width with the
+    same half value at the edge as box_profile: table is w's on the 1-D
+    grid of one axis, left is height b and right is r, each on the 2-D
+    cell nodes.
     """
 
-    line_grid: PeriodicGrid
     shifts: np.ndarray
     table: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
 
 
-def box_axes(kernel, grid, decay: bool) -> BoxAxes | None:
-    """The one place that decides whether a kernel's matrices go axis by
-    axis: for a 2-D grid, the factors of K (r = s) or, with decay, of V =
-    K / mu (r = s / mu); None for a 1-D grid, whose matrices are
-    CellBlockMatrix objects."""
-    if grid.dim != 2:
-        return None
+def box_axes(kernel, grid, decay: bool) -> BoxAxes:
+    """The line factors of a kernel's matrices, the one place that makes
+    them: of K (r = s) or, with decay, of V = K / mu (r = s / mu). A 1-D
+    kernel's line table is its image table; a 2-D box's is the unit box's,
+    between the two diagonals."""
+    if grid.dim == 1:
+        shifts, blocks = image_table(kernel, grid, decay)
+        return BoxAxes(shifts, _product_table(blocks))
     line_grid = PeriodicGrid(1, grid.cell_points, grid.window_radius)
     line, half = line_grid.cell_nodes[:, 0], kernel.half_width
     shifts = _reachable_shifts(line_grid, kernel.reach)
@@ -504,7 +409,7 @@ def box_axes(kernel, grid, decay: bool) -> BoxAxes | None:
     right = np.asarray(kernel.source(X), dtype=float)
     if decay:
         right = right / np.asarray(kernel.decay(X), dtype=float)
-    return BoxAxes(line_grid, shifts, _product_table(blocks),
+    return BoxAxes(shifts, _product_table(blocks),
                    kernel.height * np.asarray(kernel.target(X), dtype=float),
                    right)
 
@@ -551,89 +456,124 @@ def image_table(kernel, grid, decay: bool):
 
 
 class AxisBoxMatrix:
-    """A 2-D box-kernel matrix between window nodes, applied one axis at a
-    time.
+    """A kernel matrix between window nodes, applied one axis at a time.
 
-    For the factors of a BoxAxes the matrix is diag(left) (L ⊗ L)
-    diag(right) over the window nodes given, with left = scale * height *
-    gamma1 and right the cell factor r, both read at each node's cell
-    image, and L the 1-D CellBlockMatrix of the unit box on one line of
-    the square that bounds the nodes, widened to whole cells (all of the
-    window for the window matrix, the cells of [-R, R]**2 for a ball of
-    radius R). Its entries are the CellBlockMatrix's for the same nodes
-    up to rounding, and zero between nodes farther apart than the box
-    reaches on either axis (Van Loan, "The ubiquitous Kronecker product",
+    For the line factors of a kernel (BoxAxes) the matrix is diag(left)
+    (L ⊗ ... ⊗ L) diag(right), one L per axis, over the window nodes given
+    (all of them for the window matrix, a ball for a Dirichlet
+    truncation). L is the CellBlockMatrix of the line table over the whole
+    cells of the line that bounds the nodes (on both axes of the square in
+    2-D): all of the window for the window matrix, the cells of [-R, R]
+    for a ball of radius R. In 1-D left is the scale and there is no
+    right, so the entries are scale times the kernel's image-table values.
+    In 2-D left = scale * height * b and right = r, both read at each
+    node's cell image; the entries are those of the 2-D image table up to
+    rounding, and zero between nodes farther apart than the box reaches
+    on either axis (Van Loan, "The ubiquitous Kronecker product",
     J. Comput. Appl. Math. 123 (2000)).
 
-    A product scatters right * x into the zero-padded square, applies L
-    to every line along the second axis, turns each square over, applies
-    L to every line along the first axis, and reads left times the result
-    at the nodes: two multi-column products of L, each of as many columns
-    as the square has lines. Nodes of the square that are not among the
-    given ones stay zero, which is the Dirichlet truncation. One column
-    of a product takes O(side**2 images) flops and gathers side**2 x
+    A product scatters right * x into the zero-padded square (a line in
+    1-D), applies L to every line along the last axis, in 2-D turns each
+    square over and applies L to every line along the first axis, and
+    reads left times the result at the nodes. Nodes of the square that
+    are not among the given ones stay zero, which is the Dirichlet
+    truncation. When the nodes fill the square (a window, or a 1-D ball
+    of whole cells) nothing is scattered: L reads the rows as they lie,
+    and in 1-D writes its product straight into the output. One column of
+    a 2-D product takes O(side**2 images) flops and gathers side**2 x
     images values, images being the unit box's lattice images on the line
     (2 ceil(half_width) + 1 at most): no 2-D gather, and no dense line
-    matrix, whose products would cost side**3.
+    matrix, whose products would cost side**3. The working arrays are kept
+    between products of the same number of columns.
     """
 
     def __init__(self, grid, nodes: np.ndarray, axes: BoxAxes,
                  scale: float = 1.0):
         p = grid.cell_points
-        rows, cols = divmod(nodes, 2 * grid.window_radius * p)
-        first = min(rows.min(), cols.min()) // p * p
-        side = (max(rows.max(), cols.max()) // p + 1) * p - first
-        rows, cols = rows - first, cols - first
-        self.local = grid.window_cell_map[nodes]
-        self.left = scale * axes.left[self.local]
-        self.right = axes.right[self.local]
-        self._line_of = functools.partial(
-            CellBlockMatrix, axes.line_grid, np.arange(first, first + side),
-            axes.shifts)  # the line matrix of a given table
-        self.line = self._line_of(axes.table)
-        self._side = side
-        at = rows * side + cols  # each node in the square
+        coords = (divmod(nodes, 2 * grid.window_radius * p) if grid.dim == 2
+                  else (nodes,))
+        first = min(c.min() for c in coords) // p * p
+        side = (max(c.max() for c in coords) // p + 1) * p - first
+        coords = [c - first for c in coords]
+        at = coords[0] if grid.dim == 1 else coords[0] * side + coords[1]
         if np.any(np.diff(at) <= 0):
             raise ValueError("the nodes of a kernel matrix must ascend")
-        self._mask = np.zeros(side * side, dtype=bool)
-        self._mask[at] = True
-        self._turned_at = cols * side + rows  # each node in the turned square
+        self.local = grid.window_cell_map[nodes]
+        self.left, self.right = scale, None
+        if axes.right is not None:
+            self.left = scale * axes.left[self.local]
+            self.right = axes.right[self.local]
+        self._line_of = functools.partial(CellBlockMatrix, side // p,
+                                          axes.shifts)  # L of a given table
+        self.line = self._line_of(axes.table)
+        self._dim, self._side = grid.dim, side
+        self._mask = None  # None when the nodes fill the square
+        if len(nodes) < side**grid.dim:
+            self._mask = np.zeros(side**grid.dim, dtype=bool)
+            self._mask[at] = True
+        # each node in the square as the last line product leaves it,
+        # turned over in 2-D; None when that is the nodes' own order
+        self._read = (coords[1] * side + coords[0] if grid.dim == 2 else
+                      None if self._mask is None else at)
         self._work = None  # (k, buffers) of the last product; see _buffers
         self.shape = (len(nodes), len(nodes))
 
     def _buffers(self, k: int):
-        """The zero-padded square, the turned square and the nodes' mask of
-        the k squares, flat, for products of k columns; kept until a
-        product with another k."""
+        """The zero-padded squares and the nodes' mask of the k squares,
+        flat, unless the nodes fill the square, and in 2-D the turned
+        squares, for products of k columns; kept until a product of
+        another k."""
         if self._work is None or self._work[0] != k:
-            area = self._side**2
-            self._work = (k, np.zeros((k, area)),
-                          np.empty((k * self._side, self._side)),
-                          np.tile(self._mask, k))
+            square = mask = turned = None
+            if self._mask is not None:
+                square = np.zeros((k, self._mask.size))
+                mask = np.tile(self._mask, k)
+            if self._dim == 2:
+                turned = np.empty((k * self._side, self._side))
+            self._work = (k, square, mask, turned)
         return self._work[1:]
 
-    def _apply(self, line, left, right, x):
-        """diag(left) (line ⊗ line) diag(right) x, for the nodes' slots."""
-        x = np.asarray(x)
-        k = x.size // self.shape[1]
-        side = self._side
-        square, turned, mask = self._buffers(k)
-        # the nodes ascend, as the square's slots do; a flat mask of runs
-        # scatters faster than integer slots or square[:, mask]
-        square.reshape(-1)[mask] = (x.T * right).reshape(-1)
-        # line products take their columns as the rows of a C-order array:
-        # first the lines along the second axis, then, turned, the first
-        along = (line @ square.reshape(k * side, side).T).T
-        turned.reshape(k, side, side)[...] = (
-            along.reshape(k, side, side).transpose(0, 2, 1))
-        across = (line @ turned.T).T.reshape(k, side * side)
-        out = np.take(across, self._turned_at, axis=1)
+    def _product(self, line, left, right, rows, out=None):
+        """diag(left) (line ⊗ ... ⊗ line) diag(right) applied to each of
+        the k rows of rows, a (k, nodes) array, into out or a new array."""
+        k, side = rows.shape[0], self._side
+        square, mask, turned = self._buffers(k)
+        if right is not None:
+            rows = rows * right
+        if mask is not None:
+            # the nodes ascend, as the square's slots do; a flat mask of
+            # runs scatters faster than integer slots or square[:, mask]
+            square.reshape(-1)[mask] = rows.reshape(-1)
+            rows = square
+        if turned is not None:
+            # line products take their columns as the rows of a C-order
+            # array: first the lines along the second axis, then, turned,
+            # the first
+            along = line.product(rows.reshape(k * side, side))
+            turned.reshape(k, side, side)[...] = (
+                along.reshape(k, side, side).transpose(0, 2, 1))
+            rows = turned
+        if self._read is None:
+            out = line.product(rows, out=out)
+        else:
+            across = line.product(rows.reshape(-1, side)).reshape(k, -1)
+            out = np.take(across, self._read, axis=1, out=out, mode="clip")
         out *= left
-        return out.reshape(x.shape[::-1]).T
+        return out
+
+    def product(self, rows, out=None) -> np.ndarray:
+        """A applied to each of the k rows of rows, a (k, nodes) array,
+        into out (a C-contiguous (k, nodes) float array) or a new array;
+        returns it. When the nodes fill a 1-D line, rows may also be (k,
+        cells, n_cell), each row by cells in any memory layout: L reads it
+        as it lies."""
+        return self._product(self.line, self.left, self.right, rows, out)
 
     def __matmul__(self, x):
         """A @ x for a vector x or an (nodes, k) array of k columns."""
-        return self._apply(self.line, self.left, self.right, x)
+        x = np.asarray(x)
+        k = x.size // self.shape[1]
+        return self.product(x.T.reshape(k, -1)).reshape(x.shape[::-1]).T
 
     def sum(self, axis) -> np.ndarray:
         """Row sums (axis=1), the only sums a kernel matrix is taken over here."""
@@ -647,16 +587,20 @@ class AxisBoxMatrix:
         them: the same product with every factor replaced by its indicator
         of nonzero values, whose row sums count them exactly."""
         indicator = self._line_of((self.line.table != 0) * 1.0)
-        counts = self._apply(indicator, (self.left != 0) * 1.0,
-                             (self.right != 0) * 1.0, np.ones(self.shape[1]))
+        right = None if self.right is None else (self.right != 0) * 1.0
+        counts = self._product(indicator, (np.asarray(self.left) != 0) * 1.0,
+                               right, np.ones((1, self.shape[1])))
         return int(counts.sum())
 
     def toarray(self) -> np.ndarray:
         """The matrix in dense form (for checks and tests)."""
-        dense = self.line.toarray()
-        rows, cols = np.divmod(np.flatnonzero(self._mask), self._side)
-        return (self.left[:, None] * dense[rows[:, None], rows]
-                * dense[cols[:, None], cols] * self.right)
+        line = self.line.product(np.eye(self._side)).T  # L, dense
+        at = (np.arange(self._side**self._dim) if self._mask is None
+              else np.flatnonzero(self._mask))
+        dense = np.reshape(self.left, (-1, 1)) * np.ones(len(at))
+        for c in (np.divmod(at, self._side) if self._dim == 2 else (at,)):
+            dense = dense * line[c[:, None], c]
+        return dense if self.right is None else dense * self.right
 
 
 def _check_dimension(kernel, grid):
@@ -670,34 +614,28 @@ def _check_dimension(kernel, grid):
 
 def window_pair_matrix(grid, kernel):
     """Whole-line kernel values K(x_i, x_j) of a SeparableKernel between
-    all window nodes.
-
-    A 2-D kernel gives an AxisBoxMatrix (box_axes), applied one axis at a
-    time. A 1-D kernel is returned in cell-block form: by joint
-    periodicity of the kernel (which the block form assumes, see
-    CellBlockMatrix) every entry is an entry of one of the cell's
-    lattice-image blocks, tabulated by image_table instead of on every
-    window pair, and a product is one dense matrix product. The table is
-    laid out in place (_product_table) and the matrix is its only holder.
-    Pairs whose nodes lie in cells farther apart than the kernel reaches
-    are zero, and nodes near the window edge see no pairs beyond it.
+    all window nodes, as an AxisBoxMatrix of the kernel's line factors
+    (box_axes). By joint periodicity of the kernel (which the line matrix
+    assumes, see CellBlockMatrix) every entry is read from the cell's
+    lattice-image blocks, in 1-D, or from the unit box's on one line, in
+    2-D, instead of being evaluated on every window pair; the matrix is
+    the only holder of its table. Pairs whose nodes lie in cells farther
+    apart than the kernel reaches are zero, and nodes near the window
+    edge see no pairs beyond it.
     """
     _check_dimension(kernel, grid)
-    nodes = np.arange(grid.n_window)
-    axes = box_axes(kernel, grid, decay=False)
-    if axes is not None:
-        return AxisBoxMatrix(grid, nodes, axes)
-    shifts, blocks = image_table(kernel, grid, decay=False)
-    return CellBlockMatrix(grid, nodes, shifts, _product_table(blocks))
+    return AxisBoxMatrix(grid, np.arange(grid.n_window),
+                         box_axes(kernel, grid, decay=False))
 
 
 def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
     """Integrate a time kernel over tau and tabulate it on the grid: the
-    image table of V = K / mu is tabulated once (image_table), and every
-    matrix of the returned SpatialKernel is read from that table. A 2-D
-    kernel's matrices read its axes (box_axes) instead, so no table is
-    made: its cell matrix is summed from the factors' blocks image by
-    image, in table order, with the same sum as the table's.
+    line factors of V = K / mu are made once (box_axes), and every matrix
+    of the returned SpatialKernel reads them. In 1-D they are the image
+    table of V, and the cell matrix is the sum of its blocks; a 2-D
+    kernel's cell matrix is summed from the factors' blocks image by
+    image, in table order, with the same sum as the table's, so no 2-D
+    table is made.
 
     The factorization is pushed through the time integral: V = b(x) K0(x
     - y) (s / mu)(y), so the operators are self-adjoint in the weight
@@ -705,11 +643,10 @@ def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
     """
     _check_dimension(time_kernel, grid)
     axes = box_axes(time_kernel, grid, decay=True)
-    shifts = table = None
-    if axes is None:
-        shifts, blocks = image_table(time_kernel, grid, decay=True)
-        cell_matrix = blocks.sum(axis=0)
-        table = _product_table(blocks)
+    if grid.dim == 1:
+        # the blocks lie transposed in the table, and so does their sum
+        n = grid.cell_points
+        cell_matrix = axes.table.reshape(-1, n, n).sum(axis=0).T.copy()
     else:
         blocks = _factor_blocks(time_kernel, grid,
                                 _reachable_shifts(grid, time_kernel.reach),
@@ -724,8 +661,7 @@ def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
     if np.min(g1) <= 0 or np.min(g2) <= 0:
         raise ValidationError("target and source factors must be positive "
                               "on the cell")
-    return SpatialKernel(grid, cell_matrix, time_kernel.reach, g2 / g1,
-                         shifts, table, axes)
+    return SpatialKernel(grid, cell_matrix, time_kernel.reach, g2 / g1, axes)
 
 
 def separable_contact_kernel(mass: float, support_radius: float, dim: int = 1,

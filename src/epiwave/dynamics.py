@@ -35,10 +35,11 @@ products and sum as a fresh one, so every value equals that of an
 allocating step bit for bit. Beside the trajectory the march holds a few
 window-sized buffers.
 
-The memory is applied by the kernel's window matrix (window_pair_matrix):
-in cell-block form in 1-D, and for a 2-D box kernel one axis at a time,
-two multi-column products of the 1-D box's line matrix per step
-(AxisBoxMatrix).
+The memory is applied by the kernel's window matrix (window_pair_matrix,
+an AxisBoxMatrix), one axis at a time: in 1-D one dense product of the
+block-Toeplitz line matrix, which reads w as it lies since the window's
+nodes fill its cells, and for a 2-D box kernel two multi-column products
+of the 1-D box's line matrix per step.
 """
 
 from __future__ import annotations
@@ -170,8 +171,9 @@ def _guard_finite(u, t):
 
 
 def long_time_limit(field: SpaceTimeField, tol: float = SETTLED_DRIFT_TOL):
-    """Final snapshot and whether it stopped moving over the last time unit."""
-    back = int(round(1.0 / field.dt))
+    """Final snapshot and whether it stopped moving over the last time
+    unit, round(1 / dt) steps, and over at least the last step."""
+    back = max(1, int(round(1.0 / field.dt)))
     if field.values.shape[0] <= back:
         return field.final, False
     drift = float(np.max(np.abs(field.values[-1] - field.values[-1 - back])))

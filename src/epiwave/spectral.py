@@ -16,26 +16,27 @@ for a nonnegative irreducible matrix and any positive x,
 min_i (Ax)_i / x_i <= lambda_1 <= max_i (Ax)_i / x_i (Collatz 1942,
 Wielandt 1950).
 
-A 1-D ball truncation is stored in cell-block form (CellBlockMatrix,
-defined with the kernels): it is the window matrix with the rows and columns of
-the nodes outside the ball dropped. The kernel is periodic under joint
+A ball truncation is the window matrix with the rows and columns of the
+nodes outside the ball dropped, held in the one kernel-matrix form
+(AxisBoxMatrix, defined with the kernels): diag(left) (L ⊗ ... ⊗ L)
+diag(right) over the ball's nodes, with L block-Toeplitz over the whole
+cells of [-R, R] (CellBlockMatrix). The kernel is periodic under joint
 integer shifts, V(x + k, y + k) = V(x, y), so the entry between the
 window nodes x_a + C and x_b + C' (x_a, x_b cell nodes, C, C' integer
-cell offsets) is V(x_a, x_b + C' - C): both matrices are block-Toeplitz
-over cells, and their blocks are the few lattice-image blocks of the
-cell (3 for a box of reach 1). The SpatialKernel tabulates them
-once, when the kernel is integrated, sums them into its cell matrix and
-keeps them as one table; every truncation holds a reference to that
-table, copies none of it, and scales its products. Nothing is
-approximated, and a power iteration is one dense product.
+cell offsets) is V(x_a, x_b + C' - C), and L's blocks are the few
+lattice-image blocks of a line's cell (3 for a box of reach 1). The
+SpatialKernel makes these line factors once, when the kernel is
+integrated; every truncation holds a reference to them and copies none.
 
-A 2-D kernel is applied one axis at a time instead: its truncation to the ball of radius R is diag(b scale)
-(L ⊗ L) diag(s / mu) over the square of cells [-R, R]**2, with L the 1-D
-cell-block matrix of the unit box on one line of it (AxisBoxMatrix), and
-a power iteration is two multi-column products of L. On a radius-4 ball
-at 12 x 12 cell points that is 1.3 Mflop a product instead of the 18.7
-of the 9-image table; the entries agree up to rounding, and the matrix
-counts the same nonzero entries.
+In 1-D, L holds the kernel's own image table, left is the scale and
+there is no right: a power iteration is one dense product, and nothing
+is approximated. A 2-D box's truncation to the ball of radius R is
+diag(b scale) (L ⊗ L) diag(s / mu) over the square of cells [-R, R]**2,
+with L the matrix of the unit box on one line of it, and a power
+iteration is two multi-column products of L. On a radius-4 ball at 12 x
+12 cell points that is 1.3 Mflop a product instead of the 18.7 of the
+9-image table; the entries agree up to rounding, and the matrix counts
+the same nonzero entries.
 
 Quadrature is the composite midpoint rule of the grid; for kernels whose
 jumps fall on grid-aligned edges (half-value convention in the kernel
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain.kernels import AxisBoxMatrix, CellBlockMatrix
+from .domain.kernels import AxisBoxMatrix
 from .errors import ConvergenceError, ValidationError
 
 DEFAULT_EIGEN_TOL = 1e-10
@@ -62,14 +63,14 @@ class OperatorMatrix:
     """A discretized positive integral operator.
 
     entries already contain the response slope and the quadrature weight,
-    so apply() is a plain matrix-vector product. entries is one of three
-    forms: a CellBlockMatrix for a 1-D ball truncation, an AxisBoxMatrix
-    for a 2-D one, a dense ndarray for a periodic or tilted cell operator.
+    so apply() is a plain matrix-vector product. entries is one of two
+    forms: an AxisBoxMatrix for a ball truncation, a dense ndarray for a
+    periodic or tilted cell operator.
     weight, when present, is the density s / (b mu) making the operator
     self-adjoint in the weighted inner product.
     """
 
-    entries: object  # dense ndarray, CellBlockMatrix or AxisBoxMatrix
+    entries: object  # dense ndarray or AxisBoxMatrix
     weight: np.ndarray | None = None
     quadrature: float = 1.0
 
@@ -166,12 +167,12 @@ def assemble_ball(transfer, response, radius: float) -> OperatorMatrix:
     """Dirichlet truncation of the whole-line operator to a ball of the window.
 
     The entries are the transfer's matrix over the window nodes in the
-    ball (SpatialKernel.matrix), never rows of the window matrix. For a
-    2-D kernel that is an AxisBoxMatrix over the cells of the ball's
-    square [-R, R]**2, two products of the unit box's line matrix per
-    product. For a 1-D kernel it is a CellBlockMatrix reading the
-    transfer's lattice-image table: by joint periodicity those blocks are every value
-    the truncation holds. Either way the tables are shared, not copied.
+    ball (SpatialKernel.matrix), never rows of the window matrix: an
+    AxisBoxMatrix over the whole cells of [-R, R] on each axis, reading
+    the transfer's line factors. In 1-D its line table is the kernel's
+    lattice-image table, whose blocks by joint periodicity are every value
+    the truncation holds; a 2-D product is two products of the unit box's
+    line matrix. The tables are shared, not copied.
     """
     grid = transfer.grid
     entries = transfer.matrix(grid.ball_indices(radius),
@@ -197,9 +198,8 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
     say, no iterate can get closer. The returned pair keeps
     the last product, from which its bracket is read. A tol that is not
     positive and finite is refused, and so are negative and non-finite
-    entries, read off the stored factors of a kernel matrix (the table
-    and its scale, or the line matrix and both diagonals of the axis
-    form), and any other start. A product that overflows stops the
+    entries, read off the stored factors of a kernel matrix (left, the
+    line table and right, each on its own), and any other start. A product that overflows stops the
     iteration with a ConvergenceError. An eigenvector with a zero entry is
     refused too, so every returned vector can start a nearby solve.
 
@@ -213,19 +213,16 @@ def principal_eigenpair(op: OperatorMatrix, tol: float = DEFAULT_EIGEN_TOL,
         raise ValidationError(
             f"eigen tolerance must be positive and finite, got {tol}")
     entries = op.entries
-    if isinstance(entries, AxisBoxMatrix):  # left (L ⊗ L) right
-        factors = [(entries.left, 1.0), (entries.line.table, 1.0),
-                   (entries.right, 1.0)]
-    elif isinstance(entries, CellBlockMatrix):  # scale times the table
-        factors = [(entries.table, entries.scale)]
+    if isinstance(entries, AxisBoxMatrix):  # left (L ⊗ ... ⊗ L) right
+        factors = [entries.left, entries.line.table, entries.right]
     else:  # a dense array
-        factors = [(entries, 1.0)]
-    for stored, scale in factors:
-        if not stored.size:
+        factors = [entries]
+    for stored in factors:
+        if stored is None or not np.size(stored):
             continue
         # every entry lies between these two; NaN fails every comparison
-        flat = stored.reshape(-1)
-        lo, hi = scale * flat[flat.argmin()], scale * flat[flat.argmax()]
+        flat = np.reshape(stored, -1)
+        lo, hi = flat[flat.argmin()], flat[flat.argmax()]
         if not (0 <= lo < np.inf and 0 <= hi < np.inf):
             raise ValidationError("operator has negative or non-finite entries")
     if start is None:

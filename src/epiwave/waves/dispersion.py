@@ -119,6 +119,9 @@ class TiltedOperator:
         if e.shape != (grid.dim,):
             raise ValidationError(f"direction of shape {e.shape} does not "
                                   f"match dimension {grid.dim}")
+        # a power of two scales exactly: the norm can neither overflow nor
+        # underflow, and e / norm keeps the bits of the unscaled quotient
+        e = np.ldexp(e, -np.frexp(np.max(np.abs(e)))[1])
         norm = float(np.linalg.norm(e))
         if norm == 0.0:
             raise ValidationError("direction must be a nonzero vector")

@@ -38,8 +38,9 @@ allocates for, a ufunc over strided or broadcast 2-D views). The suffix
 sums run in place over q's first m rows, a running sum over rows; the
 memory G then goes cell-major into the spent response, so the cell
 recursion steps over contiguous blocks, and the window product
-(CellBlockMatrix.product, whose gather buffers the matrix keeps) reads
-it from there and writes into out. Every value is formed by the same
+(AxisBoxMatrix.product: the window's nodes fill its cells, so the line
+matrix reads it from there as it lies, through gather buffers it keeps)
+writes into out. Every value is formed by the same
 floating-point operations as with a fresh array per step, so fronts
 are the same bit for bit. The front iteration alternates the iterate
 and its image between two slabs of its own and keeps one

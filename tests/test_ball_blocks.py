@@ -1,5 +1,6 @@
-"""Window matrices and ball truncations in cell-block form against the CSR
-window matrix and its submatrices."""
+"""Window matrices and ball truncations, applied one axis at a time over
+whole-cell line matrices, against the CSR window matrix and its
+submatrices."""
 
 import copy
 import dataclasses
@@ -11,10 +12,8 @@ import scipy.sparse
 
 import epiwave as ew
 from epiwave import ValidationError
-from epiwave.domain.kernels import _product_table, image_table, window_pair_matrix
+from epiwave.domain.kernels import AxisBoxMatrix, image_table, window_pair_matrix
 from epiwave.spectral import (
-    AxisBoxMatrix,
-    CellBlockMatrix,
     OperatorMatrix,
     assemble_ball,
     ball_eigenvalue_sweep,
@@ -84,12 +83,6 @@ CASES = {
 }
 
 
-def _form(dim):
-    """The matrix type a kernel takes: 2-D kernels go axis by axis, 1-D
-    kernels stay in cell-block form."""
-    return AxisBoxMatrix if dim == 2 else CellBlockMatrix
-
-
 def _radii(window):
     # every integer radius the window holds, plus radii that cut cells
     return sorted({*range(1, window + 1), 0.3, window - 0.45})
@@ -110,7 +103,7 @@ def test_ball_blocks_match_window_submatrix(case):
     for radius in _radii(window):
         op = assemble_ball(transfer, response, radius)
         ref = _reference_ball(transfer, kernel, response, radius)
-        assert isinstance(op.entries, _form(dim))
+        assert isinstance(op.entries, AxisBoxMatrix)
         assert op.entries.shape == ref.entries.shape
         assert op.entries.nnz == ref.entries.nnz
         dense, expected = op.entries.toarray(), ref.entries.toarray()
@@ -136,9 +129,11 @@ def test_zero_kernel_keeps_only_the_zero_shift():
     shifts, blocks = image_table(kernel, grid, decay=True)
     assert shifts.tolist() == [[0, 0]]
     assert not np.any(blocks)
-    # a 2-D box goes axis by axis and keeps no table of its own
+    # a 2-D box goes axis by axis: its line table is the unit box's on one
+    # axis of the cell, and no 2-D table is kept
     transfer = ew.time_integrate_kernel(kernel, grid)
-    assert transfer.table is None and not np.any(transfer.cell_matrix)
+    assert transfer.axes.table.shape == (3 * 8, 8)
+    assert not np.any(transfer.cell_matrix)
     op = assemble_ball(transfer, ew.saturating_exponential(), 2.0)
     assert op.entries.nnz == 0
     assert principal_eigenpair(op).value == 0.0
@@ -174,8 +169,9 @@ def test_ball_of_negative_kernel_is_rejected():
     grid = ew.PeriodicGrid(1, 16, 2)
     transfer = ew.time_integrate_kernel(ew.separable_contact_kernel(2.0, 1.0),
                                         grid)
-    transfer.table[grid.n_cell:] *= -1.0
-    assert np.min(transfer.table) < 0
+    table = transfer.axes.table
+    table[grid.n_cell:] *= -1.0
+    assert np.min(table) < 0
     op = assemble_ball(transfer, ew.saturating_exponential(), 1.0)
     with pytest.raises(ValidationError, match="negative"):
         principal_eigenpair(op)
@@ -240,7 +236,7 @@ def test_window_blocks_match_csr_reference(case):
     # coordinates by the reference and on the cell by the blocks; their
     # rounding grows with |x| <= window
     rel = 4 * (window + 1) * eps
-    assert isinstance(W, _form(dim))
+    assert isinstance(W, AxisBoxMatrix)
     assert W.shape == ref.shape == (grid.n_window, grid.n_window)
     assert W.nnz == ref.nnz
     assert _close(W.toarray(), ref.toarray(), rel)
@@ -275,38 +271,41 @@ AXIS_CASES = {
 @pytest.mark.parametrize("case", sorted(AXIS_CASES))
 def test_axis_form_matches_the_cell_block_form(case):
     """The window matrix of K and the scaled window and ball matrices of
-    V = K / mu, axis by axis, against the cell-block form of the same
-    nodes over the kernel's image table: the same shape, cell images and
-    stored-entry count, and the same entries, row sums and products of 1
-    and 3 columns up to rounding."""
+    V = K / mu, axis by axis over the whole-cell line matrix, against the
+    CSR window matrices of the same pair values (window_reference) on the
+    same nodes: the same shape, cell images and stored-entry count, and
+    the same entries, row sums and products of 1 and 3 columns up to
+    rounding."""
     cell_points, window, build = AXIS_CASES[case]
     grid = ew.PeriodicGrid(2, cell_points, window)
     kernel = build()
     transfer = ew.time_integrate_kernel(kernel, grid)
-    shifts, blocks = image_table(kernel, grid, decay=False)
     everywhere = np.arange(grid.n_window)
-    pairs = [(window_pair_matrix(grid, kernel),
-              CellBlockMatrix(grid, everywhere, shifts, _product_table(blocks)))]
-    shifts, blocks = image_table(kernel, grid, decay=True)
-    table = _product_table(blocks)
+    pairs = [(window_pair_matrix(grid, kernel), everywhere,
+              csr_window_pair_matrix(grid, pair_fn(kernel),
+                                     transfer.reach.radius * np.sqrt(2)))]
+    V = _csr_window(transfer, kernel)
     for radius in [window + 0.5, *_radii(window)]:
         nodes = (everywhere if radius > window else grid.ball_indices(radius))
-        pairs.append((transfer.matrix(nodes, 0.37),
-                      CellBlockMatrix(grid, nodes, shifts, table, 0.37)))
+        pairs.append((transfer.matrix(nodes, 0.37), nodes,
+                      V[nodes][:, nodes] * 0.37))
     eps = np.finfo(float).eps
+    # each entry is rounded about four times on either side, and the
+    # reference evaluates the periodic factors at window coordinates,
+    # whose rounding grows with |x| <= window
+    rel = (8 + 4 * (window + 1)) * eps
     rng = np.random.default_rng(13)
-    for axis, reference in pairs:
+    for axis, nodes, reference in pairs:
         assert isinstance(axis, AxisBoxMatrix)
         assert axis.shape == reference.shape
-        assert np.array_equal(axis.local, reference.local)
+        assert np.array_equal(axis.local, grid.window_cell_map[nodes])
         assert axis.nnz == reference.nnz
-        dense = reference.toarray()
-        # each entry is rounded about four times on either side; a row sum
-        # adds its m nonnegative terms in another order, within (m - 1) eps
-        assert _close(axis.toarray(), dense, 8 * eps)
-        row_rel = 8 * eps + 2 * np.maximum(np.count_nonzero(dense, axis=1)
-                                           - 1, 0) * eps
-        assert _close(axis.sum(axis=1), reference.sum(axis=1), row_rel)
+        assert _close(axis.toarray(), reference.toarray(), rel)
+        # a row sum adds its m nonnegative terms in another order than the
+        # CSR row loop, within (m - 1) eps
+        row_rel = rel + 2 * np.maximum(np.diff(reference.indptr) - 1, 0) * eps
+        assert _close(axis.sum(axis=1),
+                      np.asarray(reference.sum(axis=1)).ravel(), row_rel)
         for shape in [axis.shape[:1], (axis.shape[0], 3)]:
             x = rng.random(shape)
             product = axis @ x
@@ -318,7 +317,7 @@ def test_axis_form_matches_the_cell_block_form(case):
             axis @ rng.random(shape)
             assert np.array_equal(product, kept)
     if case == "mass0":
-        assert all(axis.nnz == 0 for axis, _ in pairs)
+        assert all(axis.nnz == 0 for axis, _, _ in pairs)
     # the nodes are scattered into the square in the order of its slots
     with pytest.raises(ValueError, match="ascend"):
         transfer.matrix(everywhere[::-1])
@@ -335,10 +334,11 @@ def test_row_sums_are_the_only_sums():
 
 
 def _scatter_gather_twin(matrix):
-    """The same matrix, with its products forced onto the scatter/gather
-    path that serves slots out of order."""
+    """The same matrix, with its products forced onto the path that
+    scatters the nodes into the square and gathers them back."""
     twin = copy.copy(matrix)
-    twin._in_order, twin._work = False, None
+    twin._mask = np.ones(matrix.shape[0], dtype=bool)
+    twin._read, twin._work = np.arange(matrix.shape[0]), None
     return twin
 
 
@@ -349,7 +349,7 @@ def test_in_order_products_equal_the_scatter_gather_path(nodes, columns):
     transfer = ew.time_integrate_kernel(_striped(1), grid)
     matrix = (transfer.window_matrix() if nodes == "window" else
               assemble_ball(transfer, ew.saturating_exponential(), 3.0).entries)
-    assert matrix._in_order
+    assert matrix._mask is None and matrix._read is None
     twin = _scatter_gather_twin(matrix)
     rng = np.random.default_rng(11)
     shape = (matrix.shape[0], columns) if columns > 1 else matrix.shape[:1]
@@ -366,8 +366,8 @@ def test_in_order_products_equal_the_scatter_gather_path(nodes, columns):
 @pytest.mark.parametrize("radius", [3.0, 2.5], ids=["in-order", "cut-ball"])
 def test_row_products_into_out_equal_the_column_product(radius):
     """product(rows, out) applies the matrix to each row, into out, with
-    the floats of A @ rows.T; in order, rows may come by cells in any
-    layout."""
+    the floats of A @ rows.T; when the nodes fill their cells, rows may
+    come by cells in any layout."""
     grid = ew.PeriodicGrid(1, 32, 4)
     transfer = ew.time_integrate_kernel(_striped(1), grid)
     matrix = assemble_ball(transfer, ew.saturating_exponential(),
@@ -378,32 +378,25 @@ def test_row_products_into_out_equal_the_column_product(radius):
     assert matrix.product(rows, out=out) is out
     assert np.array_equal(out, expected)
     assert np.array_equal(matrix.product(rows), expected)
-    if matrix._in_order:
-        cells = len(matrix._neighbours)
+    if matrix._mask is None:
+        cells = matrix.shape[0] // grid.cell_points
         by_cell = np.ascontiguousarray(
             rows.reshape(6, cells, -1).transpose(1, 0, 2))
         assert np.array_equal(
             matrix.product(by_cell.transpose(1, 0, 2), out=out), expected)
 
 
-def test_two_d_windows_and_cut_balls_take_the_scatter_gather_path():
-    """In cell-block form, 1-D balls of whole cells take the in-order path
-    and cut 1-D balls and every 2-D window or ball scatter and gather. 2-D
-    kernels go axis by axis instead: their line matrices run over whole
-    cells in order, and the nodes of a window or ball are scattered into
-    the square."""
+def test_only_nodes_that_fill_their_square_skip_the_scatter():
+    """A window, 1-D or 2-D, and a 1-D ball of whole cells fill the square
+    of whole cells that bounds them, and their products scatter nothing;
+    a cut 1-D ball and a 2-D ball scatter their nodes into the square.
+    The line matrix runs over the cells of that square's side."""
     response = ew.saturating_exponential()
     flat = ew.time_integrate_kernel(_striped(1), ew.PeriodicGrid(1, 32, 4))
-    grid = ew.PeriodicGrid(2, 8, 2)
-    shifts, blocks = image_table(_isotropic(2), grid, decay=True)
-    table = _product_table(blocks)
-    assert assemble_ball(flat, response, 2.0).entries._in_order
-    assert not assemble_ball(flat, response, 2.5).entries._in_order
-    for nodes in (np.arange(grid.n_window), grid.ball_indices(1.0)):
-        assert not CellBlockMatrix(grid, nodes, shifts, table)._in_order
-    square = ew.time_integrate_kernel(_striped(2), grid)
-    window = square.window_matrix()
-    ball = assemble_ball(square, response, 1.0).entries
-    assert isinstance(window, AxisBoxMatrix) and isinstance(ball, AxisBoxMatrix)
-    assert window.line._in_order and ball.line._in_order
-    assert window.line.shape == (32, 32) and ball.line.shape == (16, 16)
+    square = ew.time_integrate_kernel(_striped(2), ew.PeriodicGrid(2, 8, 2))
+    fills = [flat.window_matrix(), assemble_ball(flat, response, 2.0).entries,
+             square.window_matrix()]
+    scatters = [assemble_ball(flat, response, 2.5).entries,
+                assemble_ball(square, response, 1.0).entries]
+    assert [m._mask is None for m in fills + scatters] == [True] * 3 + [False] * 2
+    assert [m.line.shape[0] for m in fills + scatters] == [256, 128, 32, 192, 16]

@@ -140,6 +140,27 @@ def test_wide_kernels_get_a_speed(tmp_path):
         assert abs(speeds[radius] - scaled) <= 1e-3 * scaled
 
 
+@pytest.mark.parametrize("dim, direction", [
+    (1, [1e200]), (1, [1e-200]), (2, [1e308, 1e308])],
+    ids=["huge-1d", "tiny-1d", "huge-2d"])
+def test_speed_normalizes_huge_and_tiny_directions_exactly(
+        tmp_path, dim, direction):
+    """The direction is scaled by a power of two before its norm is taken,
+    so a direction whose squared norm overflows or underflows gives the
+    speed of [1] or [1, 1], bit for bit, and no warning."""
+    texts = []
+    for name, d in (("scaled", direction), ("unit", [1.0] * dim)):
+        cfg = _write_config(tmp_path, {
+            "grid": {"dim": dim, "cell_points": 8 * dim, "window_radius": 3},
+            "run": {"direction": d}}, f"{name}.json")
+        out = tmp_path / name
+        assert main(["speed", "--config", cfg, "--out", str(out)]) == 0
+        texts.append((out / "speed.json").read_bytes())
+    assert texts[0] == texts[1]
+    if dim == 1:
+        assert json.loads(texts[0])["direction"] == [1.0]
+
+
 def test_dispersion_surface_decreases_in_speed(tmp_path):
     cfg = _write_config(tmp_path, _SMALL)
     out = tmp_path / "disp"
@@ -180,6 +201,25 @@ def test_simulate_reports_the_horizon_it_marched(tmp_path):
     summary = json.loads((out / "simulate.json").read_text())
     _, body = _read_csv(out / "simulate.csv")
     assert summary["horizon"] == body[-1, 0] == 33 * 0.03
+
+
+def test_simulate_is_not_settled_when_its_last_step_moved(tmp_path):
+    """At dt = 2.5 a time unit is less than one step; settled compares the
+    last frame with the one before it, and this march's last step moved u
+    far beyond the drift tolerance."""
+    cfg = _write_config(tmp_path, {
+        "grid": {"cell_points": 16, "window_radius": 12},
+        "kernel": {"decay": 0.1, "mass": 0.3},
+        "run": {"dt": 2.5, "horizon": 40}})
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "simulate.json").read_text())
+    _, body = _read_csv(out / "simulate.csv")
+    times = np.unique(body[:, 0])
+    assert times[-1] - times[-2] == 2.5
+    last, before = (body[body[:, 0] == t, 2] for t in times[-2:][::-1])
+    assert np.max(np.abs(last - before)) > 0.1
+    assert summary["settled"] is False
 
 
 def test_sir_verify_reports_gap(tmp_path):

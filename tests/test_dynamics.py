@@ -8,6 +8,7 @@ from epiwave import ValidationError
 from epiwave.domain.kernels import exponential_step_weights, window_pair_matrix
 from epiwave.dynamics import (
     Outcome,
+    SpaceTimeField,
     classify_outcome,
     limiting_equation_residual,
     long_time_limit,
@@ -102,6 +103,20 @@ def test_long_time_limit_flags_convergence():
     final, converged = long_time_limit(long, tol=1e-6)
     assert converged is True
     assert np.array_equal(final, long.final)
+
+
+@pytest.mark.parametrize("dt", [2.0, 2.5, 40.0])
+def test_long_time_limit_compares_at_least_one_step_back(dt):
+    """At dt >= 2 a time unit, round(1 / dt) steps, is no step at all; the
+    last snapshot is still compared with the one before it."""
+    moved = SpaceTimeField(values=np.array([[0.0, 1.0], [0.0, 1.5]]), dt=dt,
+                           horizon=dt)
+    assert long_time_limit(moved)[1] is False
+    still = SpaceTimeField(values=np.array([[0.0, 1.0], [0.0, 1.0]]), dt=dt,
+                           horizon=dt)
+    assert long_time_limit(still)[1] is True
+    assert long_time_limit(SpaceTimeField(values=still.values[:1], dt=dt,
+                                          horizon=0.0))[1] is False
 
 
 def test_limiting_equation_residual_small_after_convergence():
