@@ -26,23 +26,26 @@ MAX_WINDOW_NODES = 2**16
 # Most bytes a grid's cell may ask of the kernel (cell_bytes): n_cell**2
 # floats per lattice image the kernel reaches, (2 * ceil(s) + 1)**dim
 # images for a box of per-axis reach s, plus n_cell**2 x dim floats more.
-# A 1-D kernel keeps its image table (image_table), made from its factors
-# with no array of node pairs, as the line table of its matrices
-# (box_axes): every matrix of the kernel reads the one table, so the ball
+# A 1-D kernel keeps its image table as the line table of its matrices
+# and lattice sums (box_axes), made from its factors with no array of
+# node pairs: every matrix of the kernel reads the one table, so the ball
 # sweep adds no copy of it. A 2-D kernel keeps only the unit box's line
-# table, cell_points**2 floats per image. The count is an upper bound: no
-# kernel allocates its n_cell**2 x dim term.
+# table, cell_points**2 floats per image of one axis, and its cell
+# matrices, plain or tilted, are Kronecker products of that table's sums
+# (periodize_kernel): the 2-D image term bounds nothing any command makes,
+# and the count is an upper bound. No kernel allocates its n_cell**2 x dim
+# term.
 # At reach 1 it admits 1-D cells of up to 2,048 points and 2-D cells of up
 # to 35 x 35 (peak RSS 354 and 64 MB integrating the box kernel and
 # building the window matrix of either, one BLAS thread); the largest
 # cells of any test or benchmark document are 1-D 128 and 2-D 12. On a
-# 2-D cell of 8 x 8 it admits reaches up to 31, where `threshold` grows
-# peak RSS by 0.013 x MAX_CELL_BYTES over the imported program
-# (test_cell_budget_bounds_peak_memory). The same limit holds the rows
-# that one column of a window-matrix product gathers, one row of the cell
-# per window cell and image: at that reach it admits windows of radius 2
-# (31 MB) but not 8 (496 MB). A 2-D kernel, applied one axis at a time,
-# gathers 2 * ceil(reach) + 1 times less.
+# 2-D cell of 8 x 8 it admits reaches up to 31, where every command that
+# runs grows peak RSS by at most 0.07 x MAX_CELL_BYTES over the imported
+# program, `speed` the most (test_cell_budget_bounds_peak_memory). The
+# same limit holds the rows that one column of a window-matrix product
+# gathers, one row of the cell per window cell and image: at that reach
+# it admits windows of radius 2 (31 MB) but not 8 (496 MB). A 2-D kernel,
+# applied one axis at a time, gathers 2 * ceil(reach) + 1 times less.
 MAX_CELL_BYTES = 2**27
 
 
@@ -53,7 +56,9 @@ def cell_bytes(dim: int, cell_points: int, reach: float,
     and n_cell = cell_points**dim. table is n_cell**2 x 8 x (dim +
     images): the lattice-image blocks of a 1-D kernel's table and n_cell**2
     x dim floats more, an upper bound (a 2-D kernel keeps only a line
-    table, and no table is made from node-pair arrays); gather is what
+    table, and its cell matrices, plain or tilted, are summed from it, so
+    in 2-D the count bounds nothing any command makes; no table is made
+    from node-pair arrays); gather is what
     one column of a product with the window matrix of a window of radius
     window_radius would gather cell by cell, (2 * window_radius)**dim
     cells x images x n_cell x 8. In 1-D that is what the line matrix
@@ -147,7 +152,8 @@ class PeriodicGrid:
         return cell_values[self.window_cell_map]
 
     def ball_indices(self, radius: float) -> np.ndarray:
-        """Window node indices inside the closed Euclidean ball of given radius."""
+        """Window node indices inside the closed Euclidean ball of given
+        radius; refused unless the ball holds a window node."""
         if radius <= 0:
             raise ValidationError(f"ball radius must be positive, got {radius}")
         if radius > self.window_radius:
@@ -155,7 +161,12 @@ class PeriodicGrid:
                 f"ball radius {radius} exceeds window radius {self.window_radius}"
             )
         r = np.linalg.norm(self.window_nodes, axis=1)
-        return np.nonzero(r <= radius + _COORD_EPS)[0]
+        inside = np.nonzero(r <= radius + _COORD_EPS)[0]
+        if inside.size == 0:
+            raise ValidationError(
+                f"ball radius {radius} holds no window node: the nearest lies "
+                f"{r.min():.6g} from the origin")
+        return inside
 
     def interior_indices(self, margin: float) -> np.ndarray:
         """Window nodes whose axis-aligned margin to the window edge exceeds margin."""

@@ -22,18 +22,18 @@ functions. A traveling frame at speed c with decay rate rho weighs the
 memory by exp(-rho c tau) as well; that exponent enters only the tilted
 operator (waves/dispersion.py).
 
-A matrix of V or K between window nodes is read from the kernel's values
-on the cell, in one form (AxisBoxMatrix): diag(left) (L ⊗ ... ⊗ L)
+A kernel is tabulated once, by box_axes, as line factors (BoxAxes): a
+table of the kernel's values between the cell's line and each lattice
+image of it that the box reaches, made from the kernel's factors with no
+array of node pairs. In 1-D the table is the kernel's own image table (the
+unit box, its height, b on the cell nodes and s, and 1 / mu for V, on
+their images); a 2-D box is the unit box's table on one axis, between
+two diagonals. Every matrix of V or K reads the factors in one form: a
+window or ball matrix (AxisBoxMatrix) is diag(left) (L ⊗ ... ⊗ L)
 diag(right) over the nodes, applied one axis at a time, with L
-block-Toeplitz over a run of whole 1-D cells (CellBlockMatrix). In 1-D, L
-holds the kernel's own image table and left is a scalar; a 2-D box is two
-1-D unit boxes between two diagonals. box_axes alone builds these line
-factors, from the grid's dimension.
-
-The cell's values toward each lattice image it reaches, the image table,
-are tabulated by image_table from the kernel's factors: the unit box per
-axis, its height, b on the cell nodes and s (and 1 / mu for V) on their
-images, with no array of node pairs.
+block-Toeplitz over a run of whole 1-D cells (CellBlockMatrix), and the
+cell matrix, plain or tilted (periodize_kernel), is the Kronecker product
+of the line table's Bloch sums between the same diagonals.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from .grid import PeriodicGrid
 
 _EDGE_EPS = 1e-9
 # Lattice images whose nearest approach to the cell lies within this beyond
@@ -58,7 +57,7 @@ _REACH_SLACK = 1e-6
 class Reach:
     """How far a box kernel reaches along any one axis: K(x, y) vanishes
     once |x_a - y_a| exceeds radius, the box's half-width, on any axis a.
-    The lattice-image tables take it as one value, so each lattice sum
+    The line tables take it as one value, so each lattice sum
     skips the images outside the box, and a node that far from the window
     edge on every axis sees its whole neighbourhood: radius is also the
     frozen layer of a window march.
@@ -77,23 +76,6 @@ class Reach:
                 "and the exponential tilt can overflow, and speeds may be "
                 "super-linear"
             )
-
-    def image_test(self, grid):
-        """Predicate on lattice vectors k: can the image x_j + k reach the cell?
-
-        On axis a the nearest approach of x_j + k to any x_i is |k_a| -
-        span_a, span_a being the extent of the cell nodes on that axis.
-        Images whose approach on some axis exceeds radius by more than
-        _REACH_SLACK fail, since the kernel vanishes on them.
-        """
-        X = grid.cell_nodes
-        span = (X.max(axis=0) - X.min(axis=0)).tolist()
-        radius = self.radius + _REACH_SLACK
-
-        def reaches(shift):
-            return all(abs(k) - s <= radius for k, s in zip(shift, span))
-
-        return reaches
 
     @property
     def shells(self) -> int:
@@ -122,8 +104,8 @@ class SeparableKernel:
     target (b) modulates susceptibility at the receiving point, source (s)
     infectivity at the emitting point and decay (mu) is the recovery rate;
     each is a periodic function of an (N, dim) array of points, one when
-    not given. These six values are the whole kernel: its image tables
-    (image_table) and its matrices' line factors (box_axes) are made from
+    not given. These six values are the whole kernel: its line factors
+    (box_axes), which every matrix and lattice sum reads, are made from
     them, the exponential in tau admits the closed-form time integral
     V(x, y) = K(x, y) / mu(y) and O(1)-memory time marching, and the
     symmetric K0 makes every operator self-adjoint in the weight
@@ -209,76 +191,114 @@ def box_profile(mass: float, radius: float, dim: int = 1):
     return profile
 
 
-def _shell_shifts(dim: int, m: int):
-    """Lattice vectors k with max_a |k_a| = m."""
-    rng = range(-m, m + 1)
-    if dim == 1:
-        return [(k,) for k in rng if abs(k) == m]
-    return [(a, b) for a in rng for b in rng if max(abs(a), abs(b)) == m]
+def _reachable_shifts(line, reach: Reach):
+    """The lattice shifts k whose image can reach the cell on one axis,
+    shell by shell, |k| = 0, 1, 2, ..., out to one cell beyond the reach:
+    0, -1, 1, -2, 2, ... The nearest approach of the image line + k to
+    the cell's coordinates line is |k| - span, span being their extent;
+    images whose approach exceeds the reach by more than _REACH_SLACK
+    fail, since the kernel vanishes on them."""
+    span = line.max() - line.min()
+    radius = reach.radius + _REACH_SLACK
+    return [k for m in range(reach.shells + 1)
+            for k in sorted({-m, m}) if m - span <= radius]
 
 
-def _reachable_shifts(grid, reach: Reach):
-    """The lattice vectors whose image can reach the cell (Reach.image_test),
-    shell by shell, max_a |k_a| = 0, 1, 2, ..., out to one cell beyond the
-    reach: the zero shift first."""
-    reaches = reach.image_test(grid)
-    return [shift for m in range(reach.shells + 1)
-            for shift in filter(reaches, _shell_shifts(grid.dim, m))]
-
-
-def _stacked(shifts, blocks):
-    """(shifts, blocks) of an image table from one block per shift, in
-    order: images whose block is all zeros are dropped, and the first shift
-    (the zero shift) is always kept. Each block is written into one array
-    allocated for all the shifts, so building the table takes little more
-    memory than the table itself."""
+def _line_table(shifts, blocks):
+    """(shifts, table) of a line table from one block per shift, in order:
+    images whose block is all zeros are dropped, and the first shift (the
+    zero shift) is always kept. The table is laid out as CellBlockMatrix
+    products read it: (images * n, n), with row s * n + b, column a
+    holding blocks[s][a, b]. Each block is written, transposed, into one
+    array allocated for all the shifts, so building the table takes
+    little more memory than the table itself."""
     table = None
     kept = []
     for shift, block in zip(shifts, blocks):
         if table is None:
-            table = np.empty((len(shifts),) + block.shape, dtype=block.dtype)
+            table = np.empty((len(shifts),) + block.shape)
         if not kept or np.any(block):
-            table[len(kept)] = block
+            table[len(kept)] = block.T
             kept.append(shift)
     if len(kept) < len(shifts):
         table = table[:len(kept)].copy()
-    return np.array(kept, dtype=np.intp), table
+    return np.array(kept, dtype=np.intp), table.reshape(-1, table.shape[-1])
 
 
-def periodize_kernel(shifts, blocks, grid, tilt) -> np.ndarray:
-    """Lattice-sum a kernel's image table (image_table) onto the
-    cell, tilted: a tilt vector t (rho e for a decay rate rho along the
-    unit direction e, real or complex) weights each image by
-    exp(-(x_j + k - x_i).t), giving the cell matrix of the tilted
-    operator exp(x.t) L exp(-x.t). Since the exponent splits, that matrix
-    is D B D^-1 with B = sum_k exp(-k.t) K_k, the Bloch sum of the blocks,
-    and D = diag(exp(x.t)) over the nodes of the grid's cell: the blocks
-    are read, never re-evaluated, for each tilt. The sums are finite,
-    since the kernel vanishes on the images that cannot reach the cell.
-    A zero tilt gives the plain lattice sum, which SpatialKernel takes
-    directly as the sum of its blocks.
+def _kron(a, b) -> np.ndarray:
+    """The Kronecker product of two square matrices, in C order: row i *
+    len(b) + k, column j * len(b) + l holds a[i, j] b[k, l]."""
+    return np.multiply(a[:, None, :, None],
+                       b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
+def periodize_kernel(axes, grid, tilt) -> np.ndarray:
+    """Lattice-sum a kernel's line factors (box_axes) onto the cell,
+    tilted: a tilt vector t (rho e for a decay rate rho along the unit
+    direction e, real or complex) weights each image by exp(-(x_j + k -
+    x_i).t), giving the cell matrix of the tilted operator exp(x.t) L
+    exp(-x.t). The exponent splits over the axes, and so does the box: on
+    each axis a the line sum is D_a B_a D_a^-1, with B_a = sum_k exp(-k
+    t_a) L_k the Bloch sum of the line table's blocks L_k and D_a =
+    diag(exp(x t_a)) over the cell's line, and the cell matrix is the
+    Kronecker product of the axes' sums, between diag(left) and
+    diag(right) when the kernel has them (a 2-D box). The table is read,
+    never re-evaluated, for each tilt. The sums are finite, since the
+    kernel vanishes on the images that cannot reach the cell. A zero tilt
+    gives the plain lattice sum, the cell matrix of time_integrate_kernel.
     """
+    n = grid.cell_points
+    line = grid.cell_nodes[:n, -1]  # the cell's coordinates on every axis
     tilt = np.asarray(tilt)
-    weights = np.exp(-(shifts @ tilt))
-    flat = blocks.reshape(len(blocks), -1)
-    if np.iscomplexobj(weights) and not np.iscomplexobj(flat):
+    weights = np.exp(-np.multiply.outer(tilt, axes.shifts))
+    flat = axes.table.reshape(len(axes.shifts), n * n)
+    if np.iscomplexobj(weights):
         # two real products instead of a complex copy of the table
-        bloch = weights.real @ flat + 1j * (weights.imag @ flat)
+        sums = weights.real @ flat + 1j * (weights.imag @ flat)
     else:
-        bloch = weights @ flat
-    d = np.exp(grid.cell_nodes @ tilt)
-    return d[:, None] * bloch.reshape(blocks.shape[1:]) / d
+        sums = weights @ flat
+    d = np.exp(np.multiply.outer(tilt, line))
+    # the blocks lie transposed in the table, and so do their sums
+    factors = np.multiply(d[:, :, None],
+                          sums.reshape(-1, n, n).transpose(0, 2, 1),
+                          out=np.empty((len(tilt), n, n), dtype=sums.dtype))
+    factors /= d[:, None, :]
+    matrix = functools.reduce(_kron, factors)
+    if axes.left is not None:
+        matrix *= axes.left[:, None]
+        matrix *= axes.right
+    return matrix
 
 
-def _product_table(blocks: np.ndarray) -> np.ndarray:
-    """Lay an image table (image_table) out, in place, as the
-    CellBlockMatrix products read it: each block is transposed where it
-    lies, and the stack is viewed as (images * n, n), so that row s * n + b,
-    column a holds blocks[s][a, b] = V(x_a, x_b + shifts[s]). Only one
-    block at a time is copied; blocks is consumed."""
-    for block in blocks:
-        block[...] = block.T
-    return blocks.reshape(-1, blocks.shape[-1])
+def tilt_limit(axes, grid, e, gain: float) -> float:
+    """The largest decay rate rho at which periodize_kernel(axes, grid,
+    rho e), e a unit direction, and that sum times gain are finite, read
+    from the factors. Each axis's weights, Bloch sum and scaled rows are at
+    most exp(rho s_a) times the plain line sum's largest entry, s_a = max
+    |k| |e_a| plus the extent of x e_a and 0 on the cell's line; the
+    Kronecker product of the axes' sums is at most exp(rho r |e|_1) times
+    that entry**dim, r = max |x_j + k - x_i| where the table is nonzero,
+    before left and right scale it. In 1-D, where r <= s_a, the first binds.
+    """
+    n = grid.cell_points
+    line = grid.cell_nodes[:n, -1]  # the cell's coordinates on every axis
+    blocks = axes.table.reshape(len(axes.shifts), n, n)
+    reach = 0.0
+    for k, block in zip(axes.shifts, blocks):  # block[j, i] is L_k[i, j]
+        offset = np.abs(line[:, None] + float(k) - line)
+        reach = max(reach, float(offset[block != 0].max(initial=0.0)))
+    line_sum = float(blocks.sum(axis=0).max())
+    diagonals = [max(1.0, float(v.max())) for v in (axes.left, axes.right)
+                 if v is not None]
+    per_axis = max(np.abs(axes.shifts).max() * abs(e_a) + max(x.max(), 0.0)
+                   + max(-x.min(), 0.0)
+                   for e_a, x in zip(e, np.multiply.outer(e, line)))
+    limits = [(line_sum, per_axis),
+              (line_sum ** grid.dim * float(np.prod(diagonals)),
+               reach * float(np.abs(e).sum()))]
+    log_max = np.log(np.finfo(float).max)
+    return min(max(log_max - np.log(max(1.0, top * max(1.0, gain))), 0.0)
+               / span for top, span in limits if span > 0)
 
 
 class SpatialKernel:
@@ -311,11 +331,11 @@ class SpatialKernel:
 
 
 class CellBlockMatrix:
-    """The line matrix L of a 1-D image table over a run of whole cells.
+    """The line matrix L of a line table over a run of whole cells.
 
-    The table holds a kernel's values between the cell nodes and their
-    lattice images (image_table), laid out by _product_table: row s * n +
-    b, column a holds V(x_a, x_b + shifts[s]). The kernel is periodic
+    The table holds a kernel's values between the cell's line and its
+    lattice images (box_axes), laid out by _line_table: row s * n + b,
+    column a holds V(x_a, x_b + shifts[s]). The kernel is periodic
     under joint integer shifts, V(x + k, y + k) = V(x, y), so the entry of
     L between the nodes x_a + C and x_b + C' of the cells C and C' of the
     run is V(x_a, x_b + C' - C), the table's value at shifts[s] = C' - C:
@@ -375,15 +395,16 @@ class CellBlockMatrix:
 
 @dataclass
 class BoxAxes:
-    """A kernel's matrices as factors on one line (AxisBoxMatrix).
+    """A kernel's one tabulation: its matrices and lattice sums as factors
+    on one line (AxisBoxMatrix, periodize_kernel).
 
-    shifts and table are a 1-D image table, laid out by _product_table.
-    A 1-D kernel's is its own image table (image_table), and left and
-    right are None. A 2-D kernel b(x) K0(x - y) r(y) is height b(x)
-    w(x1 - y1) w(x2 - y2) r(y), w the unit box of its half-width with the
-    same half value at the edge as box_profile: table is w's on the 1-D
-    grid of one axis, left is height b and right is r, each on the 2-D
-    cell nodes.
+    shifts and table are a line table, laid out by _line_table. A 1-D
+    kernel's is its own image table, table[s * n + j, i] = V(x_i, x_j +
+    shifts[s]), and left and right are None. A 2-D kernel b(x) K0(x - y)
+    r(y) is height b(x) w(x1 - y1) w(x2 - y2) r(y), w the unit box of its
+    half-width with the same half value at the edge as box_profile: table
+    is w's on the cell's line, left is height b and right is r, each on
+    the 2-D cell nodes.
     """
 
     shifts: np.ndarray
@@ -392,67 +413,52 @@ class BoxAxes:
     right: np.ndarray | None = None
 
 
-def box_axes(kernel, grid, decay: bool) -> BoxAxes:
-    """The line factors of a kernel's matrices, the one place that makes
-    them: of K (r = s) or, with decay, of V = K / mu (r = s / mu). A 1-D
-    kernel's line table is its image table; a 2-D box's is the unit box's,
-    between the two diagonals."""
-    if grid.dim == 1:
-        shifts, blocks = image_table(kernel, grid, decay)
-        return BoxAxes(shifts, _product_table(blocks))
-    line_grid = PeriodicGrid(1, grid.cell_points, grid.window_radius)
-    line, half = line_grid.cell_nodes[:, 0], kernel.half_width
-    shifts = _reachable_shifts(line_grid, kernel.reach)
-    shifts, blocks = _stacked(shifts, (_unit_box(line, half, k)
-                                       for (k,) in shifts))
-    X = grid.cell_nodes
-    right = np.asarray(kernel.source(X), dtype=float)
-    if decay:
-        right = right / np.asarray(kernel.decay(X), dtype=float)
-    return BoxAxes(shifts, _product_table(blocks),
-                   kernel.height * np.asarray(kernel.target(X), dtype=float),
-                   right)
-
-
-def _factor_blocks(kernel, grid, shifts, decay: bool):
-    """The image blocks of a kernel, one per shift, from its factors: the
-    unit box on each axis (_unit_box, a Kronecker product over the axes),
-    times the height, times b at the cell nodes, times s at the image
-    nodes x_j + k, and with decay divided by mu there. These are the
-    products, in the order, of the kernel's pair values b(x) K0(x - y)
-    s(y) (box_profile, then b, then s; sir_to_kernel's seed reads them so);
-    no array of node pairs is formed."""
-    X = grid.cell_nodes
-    line = X[:grid.cell_points, -1]  # the cell's coordinates on every axis
-    height = kernel.height
-    left = np.asarray(kernel.target(X), dtype=float)[:, None]
-    for shift in shifts:
-        block = functools.reduce(np.kron, [_unit_box(line, kernel.half_width, k)
-                                           for k in shift])
-        Y = X + np.asarray(shift, dtype=float)
-        block *= height  # in place, one block at a time: the same products
-        block *= left
-        block *= np.asarray(kernel.source(Y), dtype=float)
-        if decay:
-            block /= np.asarray(kernel.decay(Y), dtype=float)
+def _line_blocks(kernel, line, shifts, decay: bool, target):
+    """The blocks of a line table, one per shift: the unit box between the
+    cell's line and its image shifted by k (_unit_box) and, given the
+    target b on the cell nodes of a 1-D kernel, times the height, times b,
+    times s at the image nodes x_j + k, and with decay divided by mu
+    there. These are the products, in the order, of the kernel's pair
+    values b(x) K0(x - y) s(y) (box_profile, then b, then s;
+    sir_to_kernel's seed reads them so); no array of node pairs is
+    formed."""
+    for k in shifts:
+        block = _unit_box(line[:, 0], kernel.half_width, k)
+        if target is not None:
+            Y = line + float(k)
+            block *= kernel.height  # in place, one block at a time
+            block *= target[:, None]
+            block *= np.asarray(kernel.source(Y), dtype=float)
+            if decay:
+                block /= np.asarray(kernel.decay(Y), dtype=float)
         yield block
 
 
-def image_table(kernel, grid, decay: bool):
-    """The lattice-image table (shifts, blocks) of a SeparableKernel's K
-    or, with decay, of V = K / mu, made from its factors (_factor_blocks):
-    blocks[s][i, j] = V(x_i, x_j + shifts[s]).
+def box_axes(kernel, grid, decay: bool) -> BoxAxes:
+    """The line factors of a SeparableKernel, the one place that tabulates
+    a kernel: of K (r = s) or, with decay, of V = K / mu (r = s / mu).
 
-    Images are visited shell by shell, max_a |k_a| = 0, 1, 2, ..., out to
-    one cell beyond the reach, and a block is made for each image that can
-    reach the cell (Reach.image_test). A kernel periodic under joint
-    integer shifts has V(x_i + k, x_j + k') = blocks[s][i, j] with
-    shifts[s] = k' - k, so every matrix of the kernel between window nodes
-    is block-Toeplitz over cells with these blocks. Images whose block is
-    all zeros are dropped; the zero shift is always kept (_stacked).
+    The images of the cell's line are visited shell by shell, |k| = 0, 1,
+    2, ..., out to one cell beyond the reach, and a block is made for each
+    image that can reach the line (_reachable_shifts). A kernel periodic
+    under joint integer shifts has V(x_i + k, x_j + k') = V(x_i, x_j + k'
+    - k), so every matrix of the kernel between window nodes is, on each
+    axis, block-Toeplitz over cells with these blocks. Images whose block
+    is all zeros are dropped; the zero shift is always kept (_line_table).
     """
-    shifts = _reachable_shifts(grid, kernel.reach)
-    return _stacked(shifts, _factor_blocks(kernel, grid, shifts, decay))
+    X = grid.cell_nodes
+    line = X[:grid.cell_points, -1:]  # the cell's coordinates on every axis
+    target = np.asarray(kernel.target(X), dtype=float)
+    left = right = None
+    if grid.dim == 2:
+        left, target = kernel.height * target, None
+        right = np.asarray(kernel.source(X), dtype=float)
+        if decay:
+            right = right / np.asarray(kernel.decay(X), dtype=float)
+    shifts = _reachable_shifts(line, kernel.reach)
+    shifts, table = _line_table(shifts, _line_blocks(
+        kernel, line, shifts, decay, target))
+    return BoxAxes(shifts, table, left, right)
 
 
 class AxisBoxMatrix:
@@ -467,7 +473,7 @@ class AxisBoxMatrix:
     for a ball of radius R. In 1-D left is the scale and there is no
     right, so the entries are scale times the kernel's image-table values.
     In 2-D left = scale * height * b and right = r, both read at each
-    node's cell image; the entries are those of the 2-D image table up to
+    node's cell image; the entries are the kernel's pair values up to
     rounding, and zero between nodes farther apart than the box reaches
     on either axis (Van Loan, "The ubiquitous Kronecker product",
     J. Comput. Appl. Math. 123 (2000)).
@@ -630,12 +636,9 @@ def window_pair_matrix(grid, kernel):
 
 def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
     """Integrate a time kernel over tau and tabulate it on the grid: the
-    line factors of V = K / mu are made once (box_axes), and every matrix
-    of the returned SpatialKernel reads them. In 1-D they are the image
-    table of V, and the cell matrix is the sum of its blocks; a 2-D
-    kernel's cell matrix is summed from the factors' blocks image by
-    image, in table order, with the same sum as the table's, so no 2-D
-    table is made.
+    line factors of V = K / mu are made once (box_axes), every matrix of
+    the returned SpatialKernel reads them, and its cell matrix is their
+    lattice sum at zero tilt (periodize_kernel).
 
     The factorization is pushed through the time integral: V = b(x) K0(x
     - y) (s / mu)(y), so the operators are self-adjoint in the weight
@@ -643,17 +646,7 @@ def time_integrate_kernel(time_kernel, grid) -> SpatialKernel:
     """
     _check_dimension(time_kernel, grid)
     axes = box_axes(time_kernel, grid, decay=True)
-    if grid.dim == 1:
-        # the blocks lie transposed in the table, and so does their sum
-        n = grid.cell_points
-        cell_matrix = axes.table.reshape(-1, n, n).sum(axis=0).T.copy()
-    else:
-        blocks = _factor_blocks(time_kernel, grid,
-                                _reachable_shifts(grid, time_kernel.reach),
-                                decay=True)
-        cell_matrix = next(blocks)
-        for block in blocks:
-            cell_matrix += block
+    cell_matrix = periodize_kernel(axes, grid, np.zeros(grid.dim))
     X = grid.cell_nodes
     g1 = np.asarray(time_kernel.target(X), dtype=float)
     g2 = np.asarray(time_kernel.source(X), dtype=float)

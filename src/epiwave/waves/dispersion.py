@@ -8,9 +8,10 @@ matrix decides whether that decay profile is amplified. That matrix is
 the tilted operator exp(rho x.e) L exp(-rho x.e) on the cell, and every
 evaluation of it goes through one TiltedOperator per medium. In Bloch
 form it is D B(rho) D^-1, with D = diag(exp(rho x.e)) and B(rho) =
-sum_k exp(-rho k.e) K_k over the lattice-image blocks K_k of the kernel.
-No rho enters the K_k, so the operator tabulates them once and each rate
-only reweights the table; similar matrices share their eigenvalues, and
+sum_k exp(-rho k.e) K_k over the lattice-image blocks K_k of the kernel,
+which for a box splits into one Bloch sum per axis of the kernel's line
+table. No rho enters the table, so the operator tabulates it once and
+each rate only reweights it; similar matrices share their eigenvalues, and
 the eigenvector of the tilted matrix is D times that of B. The minimal
 speed c*(e) is the smallest c at which some rho achieves
 lambda_1(rho, c, e) <= 1; the minimizing rho* gives the front decay.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..domain.grid import MAX_CELL_BYTES
-from ..domain.kernels import image_table, periodize_kernel
+from ..domain.kernels import box_axes, periodize_kernel, tilt_limit
 from ..errors import ConvergenceError, ValidationError
 from ..spectral import DEFAULT_EIGEN_TOL, OperatorMatrix, principal_eigenpair
 from .scalar import brent_minimize
@@ -93,24 +94,22 @@ class TiltedOperator:
     kernel: it checks the kernel's dimension (its Reach has already
     refused a kernel without compact support, on which the tilt could
     overflow) and that mu is positive and finite on the cell nodes;
-    normalizes the direction (e); and assembles the matrix at any (rho, c),
-    real or complex, after _decay_rate has refused the pair. Its bound
-    rho_max on real rates comes from the lattice shifts the kernel reaches,
-    the cell nodes and the plain lattice sum's largest entry, before any
-    exponential is taken: below it every tilted sum, matrix and
-    power-iteration product is finite.
+    normalizes the direction (e), refusing one that is zero or not
+    finite; and assembles the matrix at any (rho, c), real or complex,
+    after _decay_rate has refused the pair. Below its bound rho_max on
+    real rates (tilt_limit) every tilted sum, matrix and power-iteration
+    product is finite.
 
     The tilted cell matrix is D B D^-1, with D = diag(exp(rho x.e)) on the
     cell nodes and B = sum_k exp(-rho k.e) K_k the Bloch sum of the
-    kernel's lattice-image blocks K_k (periodize_kernel). No rho enters
-    the blocks. The rho*c exponent only rescales columns by
-    1 / (mu(y) + rho c), so the spatial kernel's image table is tabulated
-    once, here (image_table: from its factors for a box kernel with
-    symmetry factors), and each rate only reweights it; the tilted sum is
-    cached per real rho, the rates a speed search revisits across speeds,
-    and the cache empties before it would hold more than MAX_CELL_BYTES.
-    Complex rates are summed afresh: a continuation path meets each only a
-    few times.
+    kernel's lattice-image blocks K_k, taken axis by axis from the
+    kernel's line factors (periodize_kernel). No rho enters the factors.
+    The rho*c exponent only rescales columns by 1 / (mu(y) + rho c), so
+    the spatial kernel K is tabulated once, here (box_axes), and each rate
+    only reweights its line table; the tilted sum is cached per real rho,
+    the rates a speed search revisits across speeds, and the cache empties
+    before it would hold more than MAX_CELL_BYTES. Complex rates are
+    summed afresh: a continuation path meets each only a few times.
     """
 
     def __init__(self, time_kernel, response, grid, direction=None):
@@ -119,6 +118,9 @@ class TiltedOperator:
         if e.shape != (grid.dim,):
             raise ValidationError(f"direction of shape {e.shape} does not "
                                   f"match dimension {grid.dim}")
+        if not np.all(np.isfinite(e)):
+            raise ValidationError(
+                f"direction must be finite, got {e.tolist()}")
         # a power of two scales exactly: the norm can neither overflow nor
         # underflow, and e / norm keeps the bits of the unscaled quotient
         e = np.ldexp(e, -np.frexp(np.max(np.abs(e)))[1])
@@ -142,19 +144,11 @@ class TiltedOperator:
                 f"nodes; mu = {self.mu[i]} at node {i}, "
                 f"{grid.cell_nodes[i].tolist()}"
             )
-        self.shifts, self.blocks = image_table(time_kernel, grid, decay=False)
-        gain = response.slope0 / self.mu.min()
-        # periodize_kernel weighs images by exp(-rho k.e), then scales rows
-        # by exp(rho x_i.e) and divides columns by exp(rho x_j.e), so each
-        # factor, sum and entry it forms is at most exp(rho * span) times
-        # the plain lattice sum's largest entry; matrix and the power
-        # iteration's sums over the unit cell multiply that by at most gain
-        x = grid.cell_nodes @ self.e
-        span = (np.abs(self.shifts @ self.e).max() + max(x.max(), 0.0)
-                + max(-x.min(), 0.0))
-        bound = max(1.0, float(self.blocks.sum(axis=0).max()) * max(1.0, gain))
-        self.rho_max = max(np.log(np.finfo(float).max) - np.log(bound),
-                           0.0) / span
+        self.axes = box_axes(time_kernel, grid, decay=False)
+        # matrix and the power iteration's sums over the unit cell multiply
+        # the tilted sum by at most gain
+        self.rho_max = tilt_limit(self.axes, grid, self.e,
+                                  response.slope0 / self.mu.min())
         self._cache: dict = {}
         self._cached_bytes = 0
 
@@ -185,8 +179,7 @@ class TiltedOperator:
         already checked: no c enters it (the decay enters in matrix)."""
         mat = self._cache.get(rho)
         if mat is None:
-            mat = periodize_kernel(self.shifts, self.blocks, self.grid,
-                                   rho * self.e)
+            mat = periodize_kernel(self.axes, self.grid, rho * self.e)
             if isinstance(rho, float):  # complex rates recur only a few times
                 if self._cached_bytes + mat.nbytes > MAX_CELL_BYTES:
                     self._cache.clear()

@@ -12,7 +12,7 @@ import scipy.sparse
 
 import epiwave as ew
 from epiwave import ValidationError
-from epiwave.domain.kernels import AxisBoxMatrix, image_table, window_pair_matrix
+from epiwave.domain.kernels import AxisBoxMatrix, box_axes, window_pair_matrix
 from epiwave.spectral import (
     OperatorMatrix,
     assemble_ball,
@@ -124,15 +124,17 @@ def test_ball_blocks_match_window_submatrix(case):
 
 
 def test_zero_kernel_keeps_only_the_zero_shift():
+    axes = box_axes(ew.separable_contact_kernel(0.0, 1.0),
+                    ew.PeriodicGrid(1, 8, 2), decay=True)
+    assert axes.shifts.tolist() == [0]
+    assert not np.any(axes.table)
+    # a 2-D box goes axis by axis: its line table is the unit box's on one
+    # axis of the cell, its height is in left, and no 2-D table is kept
     grid = ew.PeriodicGrid(2, 8, 2)
     kernel = ew.separable_contact_kernel(0.0, 1.0, dim=2)
-    shifts, blocks = image_table(kernel, grid, decay=True)
-    assert shifts.tolist() == [[0, 0]]
-    assert not np.any(blocks)
-    # a 2-D box goes axis by axis: its line table is the unit box's on one
-    # axis of the cell, and no 2-D table is kept
     transfer = ew.time_integrate_kernel(kernel, grid)
     assert transfer.axes.table.shape == (3 * 8, 8)
+    assert not np.any(transfer.axes.left)
     assert not np.any(transfer.cell_matrix)
     op = assemble_ball(transfer, ew.saturating_exponential(), 2.0)
     assert op.entries.nnz == 0
@@ -141,12 +143,13 @@ def test_zero_kernel_keeps_only_the_zero_shift():
 
 def test_box_kernel_keeps_only_the_touching_images():
     # the 9 neighbours of the cell pass the reach test of the 2-D box of
-    # reach 1, and carry nonzero values
+    # reach 1, and carry nonzero values: 3 images of the cell's line on
+    # each axis
     kernel = ew.separable_contact_kernel(2.0, 1.0, dim=2)
-    shifts, blocks = image_table(kernel, ew.PeriodicGrid(2, 8, 2), decay=True)
-    assert sorted(map(tuple, shifts.tolist())) == [
-        (a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    assert blocks.shape == (9, 64, 64)
+    axes = box_axes(kernel, ew.PeriodicGrid(2, 8, 2), decay=True)
+    assert axes.shifts.tolist() == [0, -1, 1]
+    assert axes.table.shape == (3 * 8, 8)
+    assert np.all(np.any(axes.table.reshape(3, 8, 8), axis=(1, 2)))
 
 
 def test_ball_sweep_builds_no_window_matrix(monkeypatch):

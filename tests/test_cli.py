@@ -752,6 +752,8 @@ print(json.dumps([code, (after - before) * 1024]))
 @pytest.mark.parametrize("command, code, budget", [
     ("threshold", 0, 0.1),
     ("steady", 0, 0.1),
+    ("speed", 0, 0.1),
+    ("dispersion", 0, 0.1),
     ("simulate", 2, 0.1),
     ("sir-verify", 2, 0.1),
 ])
@@ -759,10 +761,10 @@ def test_cell_budget_bounds_peak_memory(tmp_path, command, code, budget):
     """The largest reach the cell budget admits (a 2-D cell of 8 x 8 at
     reach 31, whose image table would take 130 MB) grows peak RSS by a
     small fraction of MAX_CELL_BYTES: a 2-D box's matrices go axis by
-    axis, and its cell matrix is summed from its factors image by image,
-    so threshold and steady make no image table. simulate and sir-verify
-    refuse its window, too small for the reach and for simulate's tail,
-    before they build anything."""
+    axis, and its cell matrix, plain or tilted, is the Kronecker product
+    of its line table's sums, so no command makes an image table.
+    simulate and sir-verify refuse its window, too small for the reach and
+    for simulate's tail, before they build anything."""
     cfg = _write_config(tmp_path, {
         "kernel": {"support_radius": 31},
         "grid": {"dim": 2, "cell_points": 8, "window_radius": 2}})

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from epiwave import PeriodicGrid, ValidationError
+from epiwave import (PeriodicGrid, ValidationError, saturating_exponential,
+                     separable_contact_kernel, spectral, time_integrate_kernel)
 
 
 def test_cell_nodes_are_midpoints():
@@ -79,6 +80,18 @@ def test_ball_radius_cannot_exceed_window():
     g = PeriodicGrid(dim=1, cell_points=8, window_radius=2)
     with pytest.raises(ValidationError):
         g.ball_indices(2.5)
+
+
+def test_ball_without_window_nodes_is_refused():
+    """A radius whose ball holds no window node is refused by the grid,
+    before a ball matrix or an eigen solve is set up on no nodes."""
+    g = PeriodicGrid(dim=1, cell_points=16, window_radius=2)
+    with pytest.raises(ValidationError, match="holds no window node"):
+        g.ball_indices(0.01)
+    transfer = time_integrate_kernel(separable_contact_kernel(2.0, 1.0), g)
+    with pytest.raises(ValidationError, match="ball radius 0.01 holds no"):
+        spectral.ball_eigenvalue_sweep(transfer, saturating_exponential(),
+                                       radii=[0.01])
 
 
 def test_window_node_count_is_bounded():

@@ -14,11 +14,12 @@ from epiwave import (
 )
 from epiwave.app import scenario
 from epiwave.domain.grid import cell_bytes
-from epiwave.domain.kernels import (AxisBoxMatrix, exponential_step_weights,
-                                    image_table, window_pair_matrix)
+from epiwave.domain.kernels import (AxisBoxMatrix, box_axes,
+                                    exponential_step_weights,
+                                    window_pair_matrix)
 from epiwave.spectral import assemble_ball, ball_eigenvalue_sweep
 from epiwave.waves import TiltedOperator
-from pair_reference import lattice_image_blocks, pair_fn
+from pair_reference import lattice_image_blocks, pair_fn, table_blocks
 
 
 def _pts(*vals):
@@ -261,28 +262,33 @@ _LATTICE_CASES = {
 def test_periodize_matches_full_shell_sum(case):
     grid, kernel, tilt = _LATTICE_CASES[case]()
     if tilt is None:
-        expected = _full_shell_sum(pair_fn(kernel, decay=True), grid,
-                                   kernel.half_width)
-        # the plain lattice sum is the sum of the table's blocks
+        rho = 0.0
+        pair = pair_fn(kernel, decay=True)
+        # the plain lattice sum, the cell matrix, is the sum at zero tilt
         got = time_integrate_kernel(kernel, grid).cell_matrix
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
-        assert np.count_nonzero(expected) > 0
-        return
-    rho, e = tilt
-    pair = _tilted(kernel, rho, e)
+    else:
+        rho, e = tilt
+        pair = _tilted(kernel, rho, e)
+        tilted = TiltedOperator(kernel, ew.saturating_exponential(), grid, e)
+        got = tilted._lattice_sum(tilted._decay_rate(rho, 0.0))
     expected = _full_shell_sum(pair, grid, kernel.half_width)
+    assert got.dtype == expected.dtype
+    assert got.flags.c_contiguous
+    assert np.count_nonzero(expected) > 0
+    if tilt is None and grid.dim == 1:
+        # a 1-D kernel's line table is its image table, and the plain sum
+        # adds its blocks in shell order, as the pair sum does
+        assert np.array_equal(got, expected)
+        return
     magnitude = _full_shell_sum(lambda X, Y: np.abs(pair(X, Y)), grid,
                                 kernel.half_width)
-    tilted = TiltedOperator(kernel, ew.saturating_exponential(), grid, e)
-    got = tilted._lattice_sum(tilted._decay_rate(rho, 0.0))
-    assert got.dtype == expected.dtype
-    # The Bloch form D B D^-1 and the pair sum round differently. Per term
-    # each side makes a few roundings (the exponent, exp, the products and
-    # the division by D), an exp of an argument of size a is off by a*eps
-    # relative, and the sums over the images add one rounding per image,
-    # all relative to the sum of the terms' magnitudes. The exponents are
-    # at most |rho| (shells + 1) in size.
+    # The Bloch form D B D^-1 and the pair sum round differently, and so
+    # do a 2-D box's Kronecker product of its axes' sums and the 2-D pair
+    # values. Per term each side makes a few roundings (the exponent, exp,
+    # the products and the division by D), an exp of an argument of size a
+    # is off by a*eps relative, and the sums over the images add one
+    # rounding per image, all relative to the sum of the terms'
+    # magnitudes. The exponents are at most |rho| (shells + 1) in size.
     images = len(_full_shell_shifts(grid, kernel.half_width))
     exponent = abs(rho) * (kernel.reach.shells + 1)
     bound = np.finfo(expected.dtype).eps * (8 + images + 2 * exponent)
@@ -295,12 +301,27 @@ def test_periodize_matches_full_shell_sum(case):
 def test_factor_table_equals_the_pair_table_bit_for_bit(case, decay):
     # a kernel is tabulated from its factors; its shifts and every bit of
     # its blocks are those of its pair function's table on the cell's node
-    # pairs, V = K / mu with decay and K without
+    # pairs, V = K / mu with decay and K without. A 2-D box's line table is
+    # that of the unit box on the cell's line, a 1-D box of height one,
+    # between height b and s (over mu with decay) on the cell nodes
     grid, kernel, _ = _LATTICE_CASES[case]()
-    want_shifts, want_blocks = lattice_image_blocks(pair_fn(kernel, decay),
-                                                    grid, kernel.reach)
-    shifts, blocks = image_table(kernel, grid, decay)
-    assert np.array_equal(shifts, want_shifts)
+    axes = box_axes(kernel, grid, decay)
+    if grid.dim == 1:
+        assert axes.left is None and axes.right is None
+        pair, line = pair_fn(kernel, decay), grid
+    else:
+        X = grid.cell_nodes
+        right = kernel.source(X) / kernel.decay(X) if decay else kernel.source(X)
+        assert np.array_equal(axes.left, kernel.height * kernel.target(X))
+        assert np.array_equal(axes.right, right)
+        unit = separable_contact_kernel(2.0 * kernel.half_width,
+                                        kernel.half_width)
+        assert unit.height == 1.0
+        pair = pair_fn(unit)
+        line = PeriodicGrid(1, grid.cell_points, grid.window_radius)
+    want_shifts, want_blocks = lattice_image_blocks(pair, line, kernel.reach)
+    shifts, blocks = axes.shifts, table_blocks(axes)
+    assert np.array_equal(shifts, want_shifts.ravel())
     assert blocks.dtype == want_blocks.dtype == np.float64
     assert blocks.shape == want_blocks.shape
     assert np.array_equal(blocks.view(np.uint64), want_blocks.view(np.uint64))
@@ -336,44 +357,52 @@ def _counting(kernel):
 
 
 def test_periodize_skips_only_images_out_of_reach():
-    # a 2-D box whose edge lies 5e-7 short of 1.125, the nearest approach
-    # of the shift-2 images to the 8-point cell: of the 49 images out to
-    # max |k_a| = 3, the 25 with |k_a| <= 2 pass the reach test (its slack
-    # is 1e-6) and get a block, one source call each, but the box's edge
-    # tolerance is 1e-9, so only the 9 with |k_a| <= 1 are nonzero
-    kernel, calls = _counting(separable_contact_kernel(2.0, 1.125 - 5e-7,
-                                                       dim=2))
-    grid = PeriodicGrid(2, 8, 1)
-    shifts, blocks = image_table(kernel, grid, decay=False)
-    assert len(calls) == 25
-    # the 9 nonzero blocks are kept in an array of their own rather than a
-    # view of one sized for all 25
+    # a box whose edge lies 5e-7 short of 1.125, the nearest approach of
+    # the shift-2 images to the 8-point cell: of the 7 images of the cell's
+    # line out to |k| = 3, the 5 with |k| <= 2 pass the reach test (its
+    # slack is 1e-6) and get a block, one source call each for a 1-D
+    # kernel, but the box's edge tolerance is 1e-9, so only the 3 with
+    # |k| <= 1 are nonzero
+    kernel, calls = _counting(separable_contact_kernel(2.0, 1.125 - 5e-7))
+    grid = PeriodicGrid(1, 8, 1)
+    axes = box_axes(kernel, grid, decay=False)
+    assert len(calls) == 5
+    # the 3 nonzero blocks are kept in an array of their own rather than a
+    # view of one sized for all 5
     ref_shifts, ref_blocks = _reference_table(pair_fn(kernel), grid,
                                               kernel.half_width)
-    assert blocks.shape == (9, 64, 64) and blocks.base is None
-    assert np.array_equal(shifts, ref_shifts)
-    assert np.array_equal(blocks, ref_blocks)
+    assert axes.table.shape == (3 * 8, 8) and axes.table.base.base is None
+    assert np.array_equal(axes.shifts, ref_shifts.ravel())
+    assert np.array_equal(table_blocks(axes), ref_blocks)
+    # a 2-D box's line table is the same images' unit box, and its source
+    # factor is read once, on the cell nodes
+    square, calls = _counting(separable_contact_kernel(2.0, 1.125 - 5e-7,
+                                                       dim=2))
+    axes = box_axes(square, PeriodicGrid(2, 8, 1), decay=False)
+    assert len(calls) == 1
+    assert axes.shifts.tolist() == [0, -1, 1]
+    assert axes.table.shape == (3 * 8, 8)
 
 
 def test_image_table_is_built_in_place():
     cfg = scenario.scenario_from_dict({
-        "grid": {"dim": 2, "cell_points": 8, "window_radius": 2},
+        "grid": {"cell_points": 128, "window_radius": 12},
         "kernel": {"support_radius": 10}})
     kernel, grid = cfg.kernel, cfg.grid
     tracemalloc.start()
     try:
-        shifts, blocks = image_table(kernel, grid, decay=False)
+        axes = box_axes(kernel, grid, decay=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 441 blocks of 64 x 64, 14.45 MB; a list of blocks stacked at the end
-    # peaked at twice that
-    assert blocks.shape == (441, 64, 64)
-    assert peak <= 1.25 * blocks.nbytes
+    # 21 blocks of 128 x 128, 2.75 MB, each written transposed where it
+    # lies; a list of blocks stacked at the end peaked at twice that
+    assert axes.table.shape == (21 * 128, 128)
+    assert peak <= 1.25 * axes.table.nbytes
     ref_shifts, ref_blocks = _reference_table(pair_fn(kernel), grid,
                                               kernel.half_width)
-    assert np.array_equal(shifts, ref_shifts)
-    assert np.array_equal(blocks, ref_blocks)
+    assert np.array_equal(axes.shifts, ref_shifts.ravel())
+    assert np.array_equal(table_blocks(axes), ref_blocks)
 
 
 # the box of reach 1 reaches 3 images of a 16-point 1-D cell and the 9
@@ -383,19 +412,27 @@ def test_image_table_is_built_in_place():
     pytest.param(2, 8, 9, id="2-8-9"),
 ])
 def test_one_image_table_per_kernel(dim, cell_points, reachable):
-    # integrating the kernel reads its source factor once per image that
-    # passes the reach test, and once on the cell nodes for the symmetry
-    # weight (a 2-D kernel, once more for its axis factors). Nothing reads
-    # it after: the cell matrix, the ball truncations and the window matrix
-    # all read what time_integrate_kernel built: the table, or a 2-D
-    # kernel's axis factors
+    # integrating the kernel reads its source factor for its line factors,
+    # once per image that passes the reach test for a 1-D kernel and once
+    # on the cell nodes for a 2-D box's right factor, and once more on the
+    # cell nodes for the symmetry weight. Nothing reads it after: the cell
+    # matrix, the ball truncations and the window matrix all read the line
+    # factors that time_integrate_kernel built
     kernel, calls = _counting(separable_contact_kernel(2.0, 1.0, dim=dim))
     grid = PeriodicGrid(dim, cell_points, 2)
     transfer = time_integrate_kernel(kernel, grid)
-    assert len(calls) == reachable + (1 if dim == 1 else 2)
+    assert len(transfer.axes.shifts) ** dim == reachable
+    assert len(calls) == (reachable if dim == 1 else 1) + 1
     _, blocks = lattice_image_blocks(pair_fn(kernel, decay=True), grid,
                                      kernel.reach)
-    assert np.array_equal(transfer.cell_matrix, blocks.sum(axis=0))
+    assert len(blocks) == reachable
+    if dim == 1:
+        assert np.array_equal(transfer.cell_matrix, blocks.sum(axis=0))
+    else:
+        # the Kronecker product of the axes' sums, to rounding
+        bound = np.finfo(float).eps * (8 + reachable)
+        assert np.all(np.abs(transfer.cell_matrix - blocks.sum(axis=0))
+                      <= bound * blocks.sum(axis=0))
     calls.clear()
     ball_eigenvalue_sweep(transfer, ew.saturating_exponential())
     W = transfer.window_matrix()

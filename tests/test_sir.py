@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import epiwave as ew
-from epiwave.domain.kernels import image_table
+from epiwave.domain.kernels import box_axes
 from epiwave.errors import ConvergenceError, ValidationError
 from epiwave.sir import SirState, equivalence_check, simulate_sir, sir_to_kernel
-from pair_reference import pair_fn
+from pair_reference import pair_fn, table_blocks
 
 
 def _box_pair(mass=2.0, radius=1.0):
@@ -262,7 +262,8 @@ def test_bridge_satisfies_standing_hypotheses():
     state = _striped_state()
     kernel, _, _ = sir_to_kernel(state)
     grid = state.grid
-    shifts, blocks = image_table(kernel, grid, decay=False)
+    axes = box_axes(kernel, grid, decay=False)
+    shifts, blocks = axes.shifts, table_blocks(axes)
     assert np.min(blocks) >= 0.0
     n = grid.n_cell
     XX = np.repeat(grid.cell_nodes, n, axis=0)
@@ -298,9 +299,9 @@ def test_box_contact_evaluates_only_the_images_in_its_box():
     # the 2-D box of reach 1 on an 8-point cell reaches 9 lattice images.
     # The compartmental march applies it axis by axis, reading the source
     # factor once on the cell, and the bridge's seed reads it once at the
-    # seeded nodes; the bridged kernel's cell matrix reads it once per
-    # image, and once more on the cell for each of its axis factors and
-    # its symmetry weight
+    # seeded nodes; integrating the bridged kernel reads it once on the
+    # cell for its axis factors, which its cell matrix is summed from, and
+    # once for its symmetry weight: no lattice image reads it
     calls = []
 
     def source(Y):
@@ -319,7 +320,7 @@ def test_box_contact_evaluates_only_the_images_in_its_box():
     assert len(calls) == 1
     calls.clear()
     ew.time_integrate_kernel(kernel, grid)
-    assert len(calls) == 9 + 2
+    assert len(calls) == 2
 
 
 def test_seed_reads_the_pairs_of_the_repeated_nodes_bit_for_bit():

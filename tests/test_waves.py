@@ -201,6 +201,21 @@ def test_reversed_direction_keeps_the_speed(dim):
     assert behind.direction.tolist() == (-ahead.direction).tolist()
 
 
+@pytest.mark.parametrize("dim, direction", [
+    (1, [np.inf]), (1, [np.nan]), (2, [1.0, np.inf])],
+    ids=["inf-1d", "nan-1d", "inf-2d"])
+def test_non_finite_direction_is_refused_by_name(dim, direction):
+    """A direction with an entry that is not finite is refused as such,
+    with warnings as errors, before its norm is taken."""
+    grid = ew.PeriodicGrid(dim, 8, 2)
+    kernel = ew.separable_contact_kernel(2.0, 1.0, dim=dim)
+    expected = re.escape(f"direction must be finite, got {direction}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=expected):
+            minimal_speed(kernel, _g(), grid, direction=direction)
+
+
 def test_speed_and_grid_input_validation():
     kernel = _box()
     g = _g()
@@ -365,8 +380,9 @@ def _counted_source_kernel(dim):
 
 
 # a box of reach 1 reaches 3 images of a 1-D cell and the 9 images with
-# |k_a| <= 1 of an 8-point 2-D cell; its table is made from its factors,
-# reading the source factor once per image
+# |k_a| <= 1 of an 8-point 2-D cell, 3 of its line on each axis; its line
+# table is made from its factors, reading the source factor once per image
+# for a 1-D kernel and once on the cell nodes for a 2-D box
 @pytest.mark.parametrize("dim, cell_points, reachable", [
     pytest.param(1, 16, 3, id="1-16-3"),
     pytest.param(2, 8, 9, id="2-8-9"),
@@ -377,8 +393,9 @@ def test_the_kernel_is_evaluated_once_per_image_per_operator(
     grid = ew.PeriodicGrid(dim, cell_points, 2)
     direction = np.ones(dim)
     tilted = TiltedOperator(kernel, _g(), grid, direction)
-    assert len(tilted.shifts) == reachable
-    assert len(calls) == reachable
+    assert len(tilted.axes.shifts) ** dim == reachable
+    evaluations = reachable if dim == 1 else 1
+    assert len(calls) == evaluations
     calls.clear()
     # a rho_values x c_values surface and complex rates read the table
     for c in (0.0, 0.7, 2.0):
@@ -389,10 +406,10 @@ def test_the_kernel_is_evaluated_once_per_image_per_operator(
     # a speed search and a continuation each build one operator, and
     # evaluate the kernel no further than its table
     speed = minimal_speed(kernel, _g(), grid, direction)
-    assert len(calls) == reachable
+    assert len(calls) == evaluations
     calls.clear()
     complex_decay_root(kernel, _g(), 0.97 * speed.c_star, grid, speed=speed)
-    assert len(calls) == reachable
+    assert len(calls) == evaluations
 
 
 def test_complex_rates_skip_the_cache_and_keep_the_answers(monkeypatch):
@@ -428,8 +445,10 @@ def test_rates_and_speeds_that_would_overflow_are_refused_before_any_exp():
     """Non-finite rates and speeds, and real rates past rho_max, raise one
     ValidationError naming the value, with warnings as errors. At rho_max
     itself the matrix and its products are finite, and 1% above it the
-    tilted sum does overflow: the bound sits where overflow happens."""
-    for dim, direction in ((1, None), (2, [1.0, 1.0])):
+    tilted sum does overflow: the bound sits where overflow happens, on the
+    diagonal of a 2-D box, where the axes' product bounds it, and along an
+    axis, where one axis's sum does."""
+    for dim, direction in ((1, None), (2, [1.0, 1.0]), (2, [1.0, 0.0])):
         grid = ew.PeriodicGrid(dim, 8, 2)
         tilted = TiltedOperator(ew.separable_contact_kernel(2.0, 1.0, dim=dim),
                                 _g(), grid, direction)
@@ -438,7 +457,7 @@ def test_rates_and_speeds_that_would_overflow_are_refused_before_any_exp():
             top = tilted.matrix(tilted.rho_max, 0.5)
             assert np.all(np.isfinite(top @ np.ones(len(top))))
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                periodize_kernel(tilted.shifts, tilted.blocks, grid,
+                periodize_kernel(tilted.axes, grid,
                                  1.01 * tilted.rho_max * tilted.e)
             for rho, c in ((np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
                            (complex(np.nan, 1.0), 1.0),
