@@ -21,7 +21,8 @@ up) goes through '%.17g' itself, one value at a time.  The march tables
 and node columns are formatted once, each packed to the width of its
 longest text, and copied into every frame's rows.  simulate and
 sir-verify copy the rows they write and let their trajectories go before
-the text is made.
+the text is made, and wave lets its solver state go (the certificate
+pair, its slab operator and the solution) once it holds its columns.
 
 A table's text is assembled a block of rows at a time.  A block stacks
 its own rows of the columns, so no copy of the whole table is made, and
@@ -521,7 +522,6 @@ def run_wave(cfg: ScenarioConfig):
     pair = waves.build_sub_super(kernel, response, c, grid, state,
                                  speed=result, slices=cfg.slices)
     solution = waves.construct_wave(pair, tol=cfg.wave_tol)
-    x = grid.window_nodes[:, 0]
     summary = {
         "c": c,
         "c_star": result.c_star,
@@ -535,21 +535,32 @@ def run_wave(cfg: ScenarioConfig):
         "front_diagnostics": {
             str(k): v for k, v in solution.front_diagnostics.items()},
     }
+    results = {"c": c, "residual": solution.residual,
+               "iterations": solution.iterations}
+    x = grid.window_nodes[:, 0]
+    columns = (solution.xi().ravel(),
+               np.tile(x - np.floor(x), len(solution.times)),
+               solution.u.ravel())
+    # the solver state (the speed search's result, the cell matrix and
+    # steady state, the certificate pair with its slab operator and
+    # buffers, the solution) goes before the text is made: the table needs
+    # only its columns
+    del result, transfer, state, pair, solution
     artifacts = {
-        "wave.csv": _csv(["xi", "x_cell", "u"], solution.xi().ravel(),
-                         np.tile(x - np.floor(x), len(solution.times)),
-                         solution.u.ravel()),
+        "wave.csv": _csv(["xi", "x_cell", "u"], *columns),
         "wave.json": _json_text(summary),
     }
-    return artifacts, {"c": c, "residual": solution.residual,
-                       "iterations": solution.iterations}
+    return artifacts, results
 
 
 def run_dispersion(cfg: ScenarioConfig):
     tilted = waves.TiltedOperator(cfg.kernel, cfg.response, cfg.grid,
                                   cfg.direction)
-    lam = [tilted.point(rho, c).value
-           for c in cfg.c_values for rho in cfg.rho_values]
+    # rate by rate, so each rate's lattice sum is taken once whatever the
+    # operator's cache holds; the rows go speed by speed
+    by_rate = [[tilted.point(rho, c).value for c in cfg.c_values]
+               for rho in cfg.rho_values]
+    lam = [value for by_speed in zip(*by_rate) for value in by_speed]
     csv = _csv(["rho", "c", "lambda"],
                np.tile(cfg.rho_values, len(cfg.c_values)),
                np.repeat(cfg.c_values, len(cfg.rho_values)), lam)

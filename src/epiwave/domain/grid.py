@@ -40,7 +40,7 @@ MAX_WINDOW_NODES = 2**16
 # building the window matrix of either, one BLAS thread); the largest
 # cells of any test or benchmark document are 1-D 128 and 2-D 12. On a
 # 2-D cell of 8 x 8 it admits reaches up to 31, where every command that
-# runs grows peak RSS by at most 0.07 x MAX_CELL_BYTES over the imported
+# runs grows peak RSS by at most 0.04 x MAX_CELL_BYTES over the imported
 # program, `speed` the most (test_cell_budget_bounds_peak_memory). The
 # same limit holds the rows that one column of a window-matrix product
 # gathers, one row of the cell per window cell and image: at that reach

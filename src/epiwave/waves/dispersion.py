@@ -21,7 +21,10 @@ speeds already searched are close to the next one, and each solve
 starts from them instead of from the constant vector: the same solves
 take fewer power iterations. Single evaluations (TiltedOperator.point,
 the dispersion table) start cold, so each is a function of (rho, c)
-alone.
+alone. The operator keeps the lattice sums of the real rates it used
+last, at most twice the rate grid: every scan revisits the whole grid,
+so only Brent rates of scans long past are dropped, and no rate is
+summed twice.
 
 Below the minimal speed no real rho works, but the eigenvalue relation
 lambda_1(rho, c) = 1 still has complex roots near rho*. Those are found
@@ -107,9 +110,13 @@ class TiltedOperator:
     The rho*c exponent only rescales columns by 1 / (mu(y) + rho c), so
     the spatial kernel K is tabulated once, here (box_axes), and each rate
     only reweights its line table; the tilted sum is cached per real rho,
-    the rates a speed search revisits across speeds, and the cache empties
-    before it would hold more than MAX_CELL_BYTES. Complex rates are
-    summed afresh: a continuation path meets each only a few times.
+    the rates a speed search revisits across speeds. The cache keeps the
+    cache_size rates used last, twice the rate grid it serves (the default
+    grid unless minimal_speed sets its own), and no more than
+    MAX_CELL_BYTES of sums: a search touches every grid rate at each
+    speed, so the ones it drops are Brent rates of scans long past, and it
+    sums no rate twice. Complex rates are summed afresh: a continuation
+    path meets each only a few times.
     """
 
     def __init__(self, time_kernel, response, grid, direction=None):
@@ -149,8 +156,8 @@ class TiltedOperator:
         # the tilted sum by at most gain
         self.rho_max = tilt_limit(self.axes, grid, self.e,
                                   response.slope0 / self.mu.min())
-        self._cache: dict = {}
-        self._cached_bytes = 0
+        self.cache_size = 2 * _RHO_GRID_SIZE
+        self._cache: dict = {}  # least recently used first
 
     def _decay_rate(self, rho, c):
         """rho as a float, or as a complex when its imaginary part is
@@ -177,15 +184,15 @@ class TiltedOperator:
         """The tilted lattice sum sum_k K(x_i, x_j + k) exp(-rho (x_j + k - x_i).e)
         on the cell, of the spatial kernel K, at a rate _decay_rate has
         already checked: no c enters it (the decay enters in matrix)."""
-        mat = self._cache.get(rho)
+        mat = self._cache.pop(rho, None)
         if mat is None:
             mat = periodize_kernel(self.axes, self.grid, rho * self.e)
-            if isinstance(rho, float):  # complex rates recur only a few times
-                if self._cached_bytes + mat.nbytes > MAX_CELL_BYTES:
-                    self._cache.clear()
-                    self._cached_bytes = 0
-                self._cache[rho] = mat
-                self._cached_bytes += mat.nbytes
+            if not isinstance(rho, float):  # complex rates recur only a few times
+                return mat
+            room = min(self.cache_size, MAX_CELL_BYTES // mat.nbytes)
+            while self._cache and len(self._cache) >= room:
+                del self._cache[next(iter(self._cache))]
+        self._cache[rho] = mat
         return mat
 
     def matrix(self, rho, c) -> np.ndarray:
@@ -312,6 +319,7 @@ def minimal_speed(time_kernel, response, grid, direction=None,
             raise ValidationError("rho_grid must be positive values, at least two")
         rho_grid = np.sort(rho_grid)
     tilted._decay_rate(rho_grid[-1], 0.0)  # the largest rate decides
+    tilted.cache_size = 2 * len(rho_grid)
 
     rest = principal_eigenpair(tilted.operator(0.0, 0.0))
     if rest.value <= 1.0:

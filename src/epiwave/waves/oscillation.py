@@ -19,7 +19,9 @@ computable half of that argument.
 
 The operator image is evaluated with the time integral done in closed
 form on each interval where the sampled cosine is positive, so only the
-spatial quadrature contributes discretization error.
+spatial quadrature contributes discretization error. Those intervals are
+the cosine's lobes that meet the band, the same few for every node, so
+the integral is taken lobe by lobe over all nodes at once.
 """
 
 from __future__ import annotations
@@ -71,19 +73,39 @@ class OscillatingSubsolution:
         return tuple(out)
 
 
-def _positive_segments(lo, hi, theta, rho_I):
-    """Intervals of [lo, hi] where cos(rho_I s - theta) > 0."""
-    if hi <= lo:
-        return []
-    k_min = int(np.ceil((rho_I * lo - theta - np.pi / 2) / (2 * np.pi))) - 1
-    k_max = int(np.floor((rho_I * hi - theta + np.pi / 2) / (2 * np.pi))) + 1
-    segments = []
-    for k in range(k_min, k_max + 1):
-        s1 = max(lo, (theta - np.pi / 2 + 2 * np.pi * k) / rho_I)
-        s2 = min(hi, (theta + np.pi / 2 + 2 * np.pi * k) / rho_I)
-        if s2 > s1:
-            segments.append((s1, s2))
-    return segments
+def _history(x, b, rho, pr, pi, theta, band, rho_I):
+    """c times the history at each node y = x of the bump's oscillation,
+    the integral over s in [max(y, -band), band] where cos(rho_I s -
+    theta) > 0 of Re(phi exp(-b (s - y) - rho s)), b = mu / c, in closed
+    form on each lobe of the cosine.
+
+    The band is 3 pi / (2 rho_I) wide, so the lobes (theta + 2 pi k -
+    pi / 2, theta + 2 pi k + pi / 2) / rho_I that meet it are the same few
+    k for every node. Each is clipped to a node's interval, where it
+    closes up to one point s2 = s1 if it misses it and adds 0, and the
+    terms are added lobe by lobe in increasing k, each formed as on one
+    node at a time, so the sums are the same bit for bit."""
+    lo = np.maximum(x, -band)
+    live = lo < band
+    k_min = np.ceil((rho_I * lo[live] - theta[live] - np.pi / 2)
+                    / (2 * np.pi)).min() - 1
+    k_max = np.floor((rho_I * band - theta[live] + np.pi / 2)
+                     / (2 * np.pi)).max() + 1
+    a = b + rho
+    total = np.zeros_like(x)
+    term = np.empty(x.shape, complex)
+    for k in range(int(k_min), int(k_max) + 1):
+        s1 = np.maximum(lo, (theta - np.pi / 2 + 2 * np.pi * k) / rho_I)
+        s2 = np.maximum(np.minimum(
+            band, (theta + np.pi / 2 + 2 * np.pi * k) / rho_I), s1)
+        t = (np.exp(-b * (s1 - x) - rho * s1)
+             - np.exp(-b * (s2 - x) - rho * s2))
+        # phi t, product by product: numpy's complex multiply of arrays
+        # may fuse them, and so round otherwise than it does on one value
+        term.real = pr * t.real - pi * t.imag
+        term.imag = pr * t.imag + pi * t.real
+        total += (term / a).real
+    return total
 
 
 def oscillating_subsolution(time_kernel, response, c, grid, *,
@@ -150,21 +172,7 @@ def oscillating_subsolution(time_kernel, response, c, grid, *,
     values = np.where(band_mask, np.maximum(v_raw, 0.0), 0.0)
 
     mu = np.asarray(time_kernel.decay(grid.window_nodes), dtype=float)
-    history = np.zeros_like(x)
-    for j in range(x.size):
-        y = x[j]
-        segments = _positive_segments(max(y, -band), band, theta[j], rho_I)
-        if not segments:
-            continue
-        b = mu[j] / c
-        a = b + rho
-        total = 0.0
-        phi_j = complex(pr[j], pi[j])
-        for s1, s2 in segments:
-            t1 = np.exp(-b * (s1 - y) - rho * s1)
-            t2 = np.exp(-b * (s2 - y) - rho * s2)
-            total += (phi_j * (t1 - t2) / a).real
-        history[j] = total / c
+    history = _history(x, mu / c, rho, pr, pi, theta, band, rho_I) / c
     K = window_pair_matrix(grid, time_kernel)
     applied = response.slope0 * grid.weight * (K @ history)
 

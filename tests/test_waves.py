@@ -27,7 +27,7 @@ from epiwave.waves import (
     minimal_speed,
     oscillating_subsolution,
 )
-from epiwave.waves import dispersion, profile
+from epiwave.waves import dispersion, oscillation, profile
 from oracles import (ANGLES_2D, FROZEN, box_2d_minimal_speed, box_dispersion,
                      box_minimal_speed)
 
@@ -303,6 +303,82 @@ def test_lattice_sum_cache_bound_leaves_the_speed_unchanged(monkeypatch):
     bounded = minimal_speed(kernel, g, grid)
     assert len(calls) > unbounded
     assert (bounded.c_star, bounded.rho_star) == (free.c_star, free.rho_star)
+
+
+def _searched(monkeypatch, doc, rho_grid=None):
+    """minimal_speed on doc's medium: its result, its operator and the
+    lattice sums it took."""
+    operators = []
+
+    class Recorded(TiltedOperator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            operators.append(self)
+
+    cfg = scenario.scenario_from_dict(doc)
+    with monkeypatch.context() as mp:
+        calls = _count_lattice_sums(mp)
+        mp.setattr(dispersion, "TiltedOperator", Recorded)
+        speed = minimal_speed(cfg.kernel, cfg.response, cfg.grid,
+                              cfg.direction, rho_grid=rho_grid)
+    (tilted,) = operators
+    return speed, tilted, len(calls)
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    {"kernel": _STRIPED_DOC},
+    {"grid": {"dim": 2, "cell_points": 8, "window_radius": 2},
+     "run": {"direction": [1.0, 1.0]}},
+], ids=["box", "striped", "box-2d-diagonal"])
+def test_search_cache_holds_twice_its_grid_and_sums_no_rate_twice(
+        monkeypatch, doc):
+    """The cache keeps the rates used last, twice the rate grid: every
+    scan revisits the grid, so what it drops are Brent rates of scans long
+    past, and the search takes the same lattice sums, and finds the same
+    bits, as with every rate kept."""
+    speed, tilted, sums = _searched(monkeypatch, doc)
+    grid_size = len(default_rho_grid())
+    assert tilted.cache_size == 2 * grid_size
+    assert len(tilted._cache) == 2 * grid_size < sums
+    # the last scan's grid rates are all still there
+    assert set(default_rho_grid().tolist()) <= set(tilted._cache)
+    with monkeypatch.context() as mp:
+        mp.setattr(TiltedOperator, "cache_size",
+                   property(lambda self: np.inf, lambda self, size: None),
+                   raising=False)
+        free, kept, free_sums = _searched(monkeypatch, doc)
+    assert len(kept._cache) == free_sums == sums
+    assert (speed.c_star, speed.rho_star, speed.value) == (
+        free.c_star, free.rho_star, free.value)
+
+
+def test_search_cache_follows_its_own_rate_grid(monkeypatch):
+    rates = np.geomspace(0.05, 4.0, 10)
+    speed, tilted, sums = _searched(monkeypatch, {}, rho_grid=rates)
+    assert tilted.cache_size == 20
+    assert len(tilted._cache) == 20 < sums
+    assert set(rates.tolist()) <= set(tilted._cache)
+    # a fresh operator serves the default grid
+    fresh = TiltedOperator(_box(), _g(), _grid(16))
+    assert fresh.cache_size == 2 * len(default_rho_grid())
+
+
+def test_dispersion_sums_each_rate_once(monkeypatch):
+    """200 rates at the default four speeds, more than the cache keeps:
+    the surface goes rate by rate, so each rate is summed once, and its
+    rows still go speed by speed."""
+    rates = [0.04 * k for k in range(1, 201)]
+    cfg = scenario.scenario_from_dict({
+        "grid": {"cell_points": 16, "window_radius": 2},
+        "run": {"rho_values": rates}})
+    calls = _count_lattice_sums(monkeypatch)
+    artifacts, results = pipelines.run_dispersion(cfg)
+    assert len(calls) == 200
+    rows = artifacts["dispersion.csv"].splitlines()
+    assert len(rows) == 1 + 4 * 200 == 1 + results["points"]
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        ["%.17g" % rho, "%.17g" % c] for c in cfg.c_values for rho in rates]
 
 
 def _search_work(monkeypatch, cold):
@@ -1079,6 +1155,67 @@ def test_closed_form_history_matches_brute_quadrature(slow_bump):
     denom = np.max(np.abs(osc.applied))
     assert denom > 0
     assert np.max(np.abs(rebuilt - osc.applied)) <= 1e-6 * denom
+
+
+def _positive_segments(lo, hi, theta, rho_I):
+    """Intervals of [lo, hi] where cos(rho_I s - theta) > 0."""
+    if hi <= lo:
+        return []
+    k_min = int(np.ceil((rho_I * lo - theta - np.pi / 2) / (2 * np.pi))) - 1
+    k_max = int(np.floor((rho_I * hi - theta + np.pi / 2) / (2 * np.pi))) + 1
+    segments = []
+    for k in range(k_min, k_max + 1):
+        s1 = max(lo, (theta - np.pi / 2 + 2 * np.pi * k) / rho_I)
+        s2 = min(hi, (theta + np.pi / 2 + 2 * np.pi * k) / rho_I)
+        if s2 > s1:
+            segments.append((s1, s2))
+    return segments
+
+
+def _history_node_by_node(x, b, rho, pr, pi, theta, band, rho_I):
+    """The reference for oscillation._history: each node's positive
+    segments of its cosine in [max(y, -band), band], and the closed-form
+    integral on each, one node and one segment at a time."""
+    history = np.zeros_like(x)
+    for j in range(x.size):
+        y = x[j]
+        a = b[j] + rho
+        phi_j = complex(pr[j], pi[j])
+        for s1, s2 in _positive_segments(max(y, -band), band, theta[j],
+                                         rho_I):
+            t1 = np.exp(-b[j] * (s1 - y) - rho * s1)
+            t2 = np.exp(-b[j] * (s2 - y) - rho * s2)
+            history[j] += (phi_j * (t1 - t2) / a).real
+    return history
+
+
+@pytest.mark.parametrize("kernel", [_box, _striped_kernel],
+                         ids=["box", "striped"])
+@pytest.mark.parametrize("factor", [0.98, 0.9])
+def test_history_over_all_nodes_equals_the_loop_bit_for_bit(
+        monkeypatch, kernel, factor):
+    """The lobes that meet the band are the same few for every node, so
+    the history goes lobe by lobe over all nodes at once, with each term
+    formed and added as the per-node loop forms and adds it."""
+    made = []
+    real = oscillation._history
+
+    def recorded(*args):
+        made.append((args, real(*args)))
+        return made[-1][1]
+
+    monkeypatch.setattr(oscillation, "_history", recorded)
+    grid = ew.PeriodicGrid(dim=1, cell_points=32, window_radius=20)
+    kernel, g = kernel(), _g()
+    speed = minimal_speed(kernel, g, grid)
+    oscillating_subsolution(kernel, g, factor * speed.c_star, grid,
+                            speed=speed)
+    (args, history), = made
+    x, band = args[0], args[6]
+    # nodes past the band have no history; nodes inside it do
+    assert np.all(history[x >= band] == 0.0) and np.all(history[x < 0] > 0)
+    reference = _history_node_by_node(*args)
+    assert history.tobytes() == reference.tobytes()
 
 
 def test_oscillation_rejects_real_rates(slow_bump):
